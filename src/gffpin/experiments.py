@@ -797,9 +797,12 @@ def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult
         known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown experiment {name!r}; registry: {known}")
     exp = REGISTRY[name]
-    cfg = dict(exp.defaults)
-    for key, val in (overrides or {}).items():
-        cfg[key] = val
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(exp.defaults) - {"seed", "threads"})
+    if unknown:
+        known = ", ".join(sorted(set(exp.defaults) | {"seed", "threads"}))
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)} for {name!r}; known: {known}")
+    cfg = {**exp.defaults, **overrides}
     t0 = time.time()
     with rngmod.audit_streams() as audit:
         result: ExperimentResult = exp.fn(cfg)

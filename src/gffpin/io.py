@@ -171,7 +171,8 @@ def estimate_record(est, wall_time: float) -> dict:
 def git_describe() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
+                             capture_output=True, text=True, timeout=10,
+                             cwd=Path(__file__).parent)
         if out.returncode == 0:
             return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):

@@ -8,6 +8,13 @@ mixture of truncated Gaussians and can be sampled exactly: the chain is
 rejection-free and in detailed balance with the target at every sweep.  A
 checkerboard schedule turns a sweep into two vectorized half-updates.
 
+Only the conditional means change between sweeps: band edges are global and
+the per-site band weights are fixed for a chain, so each chain builds one
+`BandLayout` per checkerboard colour (sorted edges, relative interval
+weights) together with the colour's flat site and neighbour indices.  A
+half-update then evaluates the normal CDF once per site and edge and draws
+two uniforms per site: one picks the interval, one the height inside it.
+
 Extra bands can be stacked on the same chain (a soft wall at |phi| <= b is
 how the height-restriction probability is integrated thermodynamically).
 """
@@ -102,59 +109,76 @@ class Band:
     logw: np.ndarray | float
 
 
-def _interval_prob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """P(a < Z <= b), stable in both tails."""
-    direct = special.ndtr(b) - special.ndtr(a)
-    mirror = special.ndtr(-a) - special.ndtr(-b)
-    return np.maximum(np.maximum(direct, mirror), 0.0)
+@dataclass(frozen=True)
+class BandLayout:
+    """Interval layout of a band list, fixed for the life of a chain.
 
-
-def _truncnorm(rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard normal conditioned to (a, b], elementwise.
-
-    Inversion through whichever tail of the CDF is well conditioned.
+    The finite band edges (a column, sorted) split the real line into
+    len(edges) + 1 intervals; weights[j, i] = exp(logw - max over j) is the
+    relative weight of interval j at site i (one column serves every site
+    when all bands are scalar).
     """
-    flip = a > -b
-    lo = np.where(flip, -b, a)
-    hi = np.where(flip, -a, b)
-    u = special.ndtr(lo) + (special.ndtr(hi) - special.ndtr(lo)) * rng.random(a.shape)
-    z = special.ndtri(np.clip(u, 1e-320, 1.0 - 1e-16))
-    z = np.where(flip, -z, z)
-    return np.clip(z, np.minimum(a, b), np.maximum(a, b))
+
+    edges: np.ndarray
+    weights: np.ndarray
 
 
-def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: float,
-                              bands: list[tuple[float, float, np.ndarray]]) -> np.ndarray:
-    """Exact draw from N(mu, sigma^2) reweighted by exp(sum of band log-weights).
-
-    bands hold (lo, hi, logw-per-site); band edges are global constants, so
-    the real line splits into shared intervals with per-site piecewise
-    constant log-weight.
-    """
+def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLayout:
+    """Layout of (lo, hi, logw) bands, logw per site (1-D) or scalar."""
     edges = sorted({e for lo, hi, _ in bands for e in (lo, hi) if math.isfinite(e)})
-    n_int = len(edges) + 1
-    n = mu.shape[0]
-    zc = np.empty((n, n_int + 1))
-    zc[:, 0] = -_Z_FAR
-    zc[:, -1] = _Z_FAR
-    for j, e in enumerate(edges):
-        zc[:, j + 1] = (e - mu) / sigma
-    zc = np.maximum.accumulate(np.clip(zc, -_Z_FAR, _Z_FAR), axis=1)
-    probs = _interval_prob(zc[:, :-1], zc[:, 1:])
-    logw = np.zeros((n, n_int))
     lows = [-math.inf] + edges
     highs = edges + [math.inf]
+    n_sites = max([np.size(w) for _, _, w in bands if np.ndim(w)], default=1)
+    logw = np.zeros((len(lows), n_sites))
     for lo, hi, w in bands:
         cover = np.array([(lo <= a) and (b <= hi) for a, b in zip(lows, highs)])
         if np.any(cover):
-            logw[:, cover] += np.asarray(w)[:, None] if np.ndim(w) else w
-    logw -= logw.max(axis=1, keepdims=True)
-    w = probs * np.exp(logw)
-    tot = w.sum(axis=1, keepdims=True)
-    u = rng.random((n, 1)) * np.maximum(tot, 1e-300)
-    idx = np.minimum((np.cumsum(w, axis=1) < u).sum(axis=1), n_int - 1)
-    rows = np.arange(n)
-    return mu + sigma * _truncnorm(rng, zc[rows, idx], zc[rows, idx + 1])
+            logw[cover] += w
+    logw -= logw.max(axis=0)
+    return BandLayout(np.array(edges, dtype=float)[:, None], np.exp(logw))
+
+
+# (z, Phi(z), Phi(-z)) at the two far ends of every site's z-grid
+_FAR_LO = np.array([[-_Z_FAR], [special.ndtr(-_Z_FAR)], [special.ndtr(_Z_FAR)]])
+_FAR_HI = np.array([[_Z_FAR], [special.ndtr(_Z_FAR)], [special.ndtr(-_Z_FAR)]])
+
+
+def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: float,
+                              bands: BandLayout) -> np.ndarray:
+    """Exact draw from N(mu, sigma^2) reweighted by the layout's band weights.
+
+    Phi(z) and its mirror Phi(-z) are evaluated once per site and edge; their
+    differences give each interval's mass stably in both tails, and the same
+    values invert the CDF inside the chosen interval, through the mirrored
+    tail when that one is better conditioned.  Consumes rng.random(n) twice:
+    first to pick the interval, then the position inside it.
+    """
+    n = mu.shape[0]
+    k = bands.edges.shape[0] + 2
+    grid = np.empty((3, k, n))  # z, P = Phi(z), Q = Phi(-z) at -far, edges, +far
+    grid[:, 0] = _FAR_LO
+    grid[:, -1] = _FAR_HI
+    z, p, q = grid
+    ze = z[1:-1]
+    np.subtract(bands.edges, mu, out=ze)
+    ze /= sigma
+    np.maximum(ze, -_Z_FAR, out=ze)
+    np.minimum(ze, _Z_FAR, out=ze)
+    special.ndtr(ze, out=p[1:-1])
+    special.ndtr(np.negative(ze, out=q[1:-1]), out=q[1:-1])
+    cum = np.maximum(p[1:] - p[:-1], q[:-1] - q[1:])
+    cum *= bands.weights
+    np.add.accumulate(cum, axis=0, out=cum)
+    u = rng.random(n) * np.maximum(cum[-1], 1e-300)
+    lower = np.minimum((cum < u).sum(axis=0), k - 2) * n + np.arange(n)
+    planes = n * np.array([[0], [1], [k], [k + 1], [2 * k], [2 * k + 1]])
+    za, zb, pa, pb, qa, qb = grid.reshape(-1)[lower + planes]
+    flip = za > -zb
+    lo = np.where(flip, qb, pa)
+    hi = np.where(flip, qa, pb)
+    v = special.ndtri(np.minimum(np.maximum(lo + (hi - lo) * rng.random(n), 1e-320), 1.0 - 1e-16))
+    np.negative(v, out=v, where=flip)
+    return mu + sigma * np.minimum(np.maximum(v, za), zb)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +211,20 @@ class GibbsChain:
         else:
             band = Band(-math.inf, 0.0,
                         -2.0 * self.coupling * self.params.rho * (self.omega.values + self.params.h))
-        self._bands = (band,) + tuple(self.extra_bands)
+        bands = (band,) + tuple(self.extra_bands)
+        self.field = np.ascontiguousarray(self.field, dtype=float)
+        side = self.geom.side
         x1, x2 = self.geom.coords
         inter = self.geom.interior_mask
-        self._color_masks = [inter & ((x1 + x2) % 2 == c) for c in (0, 1)]
-        self._band_logw = [
-            [(b.lo, b.hi, np.asarray(b.logw)[mask] if np.ndim(b.logw) else float(b.logw))
-             for b in self._bands]
-            for mask in self._color_masks
-        ]
+        self._colours = []
+        for c in (0, 1):
+            mask = inter & ((x1 + x2) % 2 == c)
+            sites = np.flatnonzero(mask)
+            nbrs = sites + np.array([[-side], [side], [-1], [1]])
+            layout = band_layout(
+                [(b.lo, b.hi, np.asarray(b.logw)[mask] if np.ndim(b.logw) else float(b.logw))
+                 for b in bands])
+            self._colours.append((sites, nbrs, layout))
 
     def interaction_energy(self, interaction: str = "tilde") -> float:
         sample = FieldSample(self.geom, self.field, self.params.m, self.params.bc)
@@ -211,15 +240,12 @@ def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
 
 def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
     """n_sweeps full checkerboard sweeps, each refreshing every interior site."""
-    f = chain.field
+    flat = chain.field.reshape(-1, copy=False)
     denom = 4.0 + chain.params.m ** 2
-    sigma = chain._sigma
     for _ in range(n_sweeps):
-        for mask, bands in zip(chain._color_masks, chain._band_logw):
-            nb = np.zeros_like(f)
-            nb[1:-1, 1:-1] = f[:-2, 1:-1] + f[2:, 1:-1] + f[1:-1, :-2] + f[1:-1, 2:]
-            mu = nb[mask] / denom
-            f[mask] = sample_banded_conditional(chain.rng, mu, sigma, bands)
+        for sites, nbrs, layout in chain._colours:
+            mu = flat[nbrs].sum(axis=0) / denom
+            flat[sites] = sample_banded_conditional(chain.rng, mu, chain._sigma, layout)
         chain.sweeps_done += 1
     return chain
 
@@ -277,6 +303,8 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     """
     if burn_in < 0:
         raise DomainError("burn-in must be >= 0")
+    if sweeps < 1 or thinning < 1:
+        raise DomainError(f"sweeps and thinning must be >= 1 (got {sweeps}, {thinning})")
     if chain is None:
         chain = make_chain(geom, params, omega, rng)
     mask = _interaction_mask(geom, interaction)

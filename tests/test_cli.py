@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gffpin import cli, experiments
+from gffpin.errors import ConfigError
 
 
 def test_registry_contains_required_experiments():
@@ -80,6 +81,17 @@ def test_config_file_input(tmp_path, capsys):
     cfg.write_text("# test config\nsamples = 1500\n")
     rc = cli.main(["run", "density-typicality", "--config", str(cfg)])
     assert rc == 0
+
+
+def test_unknown_config_key_exits_nonzero(capsys):
+    rc = cli.main(["run", "exact-small-box", "--set", "sweepz=5"])
+    assert rc == 2
+    assert "sweepz" in capsys.readouterr().err
+
+
+def test_run_experiment_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match="sweepz"):
+        experiments.run_experiment("exact-small-box", {"sweepz": 5, "seed": 1})
 
 
 def test_run_reproducibility(tmp_path):

@@ -87,6 +87,12 @@ def test_git_describe_returns_string():
     assert isinstance(io.git_describe(), str)
 
 
+def test_git_describe_ignores_the_callers_directory(tmp_path, monkeypatch):
+    here = io.git_describe()
+    monkeypatch.chdir(tmp_path)
+    assert io.git_describe() == here
+
+
 def test_chain_csv_and_checkpoint(tmp_path):
     from gffpin import disorder, pinning, rng
 

@@ -41,6 +41,38 @@ def test_energy_examples():
     assert pinning.energy(zero, om, cop) == 0.0
 
 
+def _log_interval_mass(za, zb):
+    """log P(za < Z <= zb) from log_ndtr, taken in the lower tail of the pair."""
+    za, zb = np.broadcast_arrays(np.asarray(za, dtype=float), np.asarray(zb, dtype=float))
+    upper = za > -zb
+    lo, hi = np.where(upper, -zb, za), np.where(upper, -za, zb)
+    log_hi = special.log_ndtr(hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = log_hi + np.log1p(-np.exp(special.log_ndtr(lo) - log_hi))
+    return np.where(hi > lo, out, -np.inf)
+
+
+def _banded_cdf(mu, sigma, bands):
+    """CDF of N(mu, sigma^2) reweighted by exp(sum of the covering band weights)."""
+    edges = sorted({e for lo, hi, _ in bands for e in (lo, hi) if math.isfinite(e)})
+    pts = [-math.inf] + edges + [math.inf]
+    parts = [(a, b, sum(wt for lo, hi, wt in bands if lo <= a and b <= hi))
+             for a, b in zip(pts[:-1], pts[1:])]
+    log_tot = np.logaddexp.reduce(
+        [w + _log_interval_mass((a - mu) / sigma, (b - mu) / sigma) for a, b, w in parts])
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for a, b, w in parts:
+            za = (a - mu) / sigma
+            zx = (np.clip(x, a, b) - mu) / sigma
+            out += np.exp(w + _log_interval_mass(za, zx) - log_tot)
+        return out
+
+    return cdf
+
+
 def test_banded_conditional_matches_density():
     # exact sampler vs the piecewise-reweighted Gaussian CDF (KS test)
     r = rng.stream(201, "band")
@@ -49,33 +81,79 @@ def test_banded_conditional_matches_density():
         (-0.5, 0.5, [(-1.0, 1.0, -2.0)]),
         (0.0, 0.5, [(-1.0, 1.0, 2.0), (-0.6, 0.6, -1.0)]),
         (1.2, 0.4, [(-math.inf, 0.0, 1.0)]),
+        # far tails: the band 16-20 sd away, negligible or dominant
+        (9.0, 0.5, [(-1.0, 1.0, 40.0)]),
+        (9.0, 0.5, [(-1.0, 1.0, 150.0)]),
+        (-9.0, 0.5, [(-1.0, 1.0, 150.0)]),
+        # copolymer half-line over the mean: kept, or pushing the draw 18 sd up
+        (-9.0, 0.5, [(-math.inf, 0.0, -60.0)]),
+        (-9.0, 0.5, [(-math.inf, 0.0, -200.0)]),
     ]
     for mu, sigma, bands in cases:
         n = 20000
         vec = [(lo, hi, np.full(n, w)) for lo, hi, w in bands]
-        draws = pinning.sample_banded_conditional(r, np.full(n, mu), sigma, vec)
-
-        def cdf(x):
-            edges = sorted({e for lo, hi, _ in bands if True for e in (lo, hi) if math.isfinite(e)})
-            pts = [-np.inf] + edges + [np.inf]
-            tot, acc = 0.0, []
-            for a, b in zip(pts[:-1], pts[1:]):
-                w = sum(wt for lo, hi, wt in bands if lo <= a and b <= hi)
-                za = (a - mu) / sigma if np.isfinite(a) else -np.inf
-                zb = (b - mu) / sigma if np.isfinite(b) else np.inf
-                mass = math.exp(w) * (special.ndtr(zb) - special.ndtr(za))
-                acc.append((a, b, w, mass))
-                tot += mass
-            out = np.zeros_like(np.asarray(x, dtype=float))
-            for a, b, w, mass in acc:
-                za = (a - mu) / sigma if np.isfinite(a) else -np.inf
-                part = math.exp(w) * (special.ndtr(np.clip((np.minimum(x, b) - mu) / sigma, za, None))
-                                      - special.ndtr(za))
-                out += np.where(x > a, part, 0.0)
-            return out / tot
-
-        ks = stats.ks_1samp(draws, cdf)
+        draws = pinning.sample_banded_conditional(r, np.full(n, mu), sigma,
+                                                  pinning.band_layout(vec))
+        assert np.all(np.isfinite(draws))
+        ks = stats.ks_1samp(draws, _banded_cdf(mu, sigma, bands))
         assert ks.pvalue > 0.005, (mu, sigma, bands, ks)
+
+
+def test_band_layout_scalar_and_per_site():
+    # scalar bands give one weight column, per-site bands one per site
+    lay = pinning.band_layout([(-1.0, 1.0, 2.0), (-math.inf, 0.0, -1.0)])
+    assert lay.edges.ravel().tolist() == [-1.0, 0.0, 1.0]
+    assert np.allclose(lay.weights[:, 0], np.exp(np.array([-1.0, 1.0, 2.0, 0.0]) - 2.0))
+    per_site = pinning.band_layout([(-1.0, 1.0, np.array([0.5, -3.0]))])
+    assert per_site.weights.shape == (3, 2)
+    assert np.allclose(per_site.weights[1], [1.0, math.exp(-3.0)])
+    assert np.allclose(per_site.weights[[0, 2]], [[math.exp(-0.5), 1.0]] * 2)
+
+
+# label -> (params, extra bands, (field sum, phi[3, 4], phi[5, 2], L) after 200 sweeps)
+PINNED_TRAJECTORIES = {
+    "plain": (dict(beta=0.5, h=0.1), (),
+              (-12.109433942803765, -0.4133122049231355, 0.19731995057361823, 61.0)),
+    "wall": (dict(beta=0.5, h=0.1, m=0.3), (pinning.Band(-0.5, 0.5, 2.0),),
+             (6.873458031301729, -0.13180245438533722, -0.07086990649874295, 61.0)),
+    "copolymer": (dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
+                  (-0.3424054266505683, -0.11171145843956137, -0.10002129940274052, 25.0)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_TRAJECTORIES))
+def test_pinned_trajectory(label):
+    # the chain's random-number consumption and band layout are part of its
+    # contract: these values pin 200 sweeps from fixed streams
+    kwargs, extra, expected = PINNED_TRAJECTORIES[label]
+    g = lattice.build_box(8)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(230, "pin-om"))
+    params = pinning.PinningParams(**kwargs)
+    chain = pinning.make_chain(g, params, om, rng.stream(231, "pin", label), extra_bands=extra)
+    rec = pinning.run_chain(g, params, om, chain.rng, sweeps=200, thinning=200, chain=chain)
+    f = rec.final_field
+    got = (f.sum(), f[3, 4], f[5, 2], rec.contacts_window[-1])
+    assert rec.sweeps[-1] == 200
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-10), (got, expected)
+
+
+def test_fortran_ordered_field_is_updated():
+    g = lattice.build_box(8)
+    om = _zero_omega(g)
+    params = pinning.PinningParams(h=0.5)
+    start = fields.harmonic_extension(g, 0.0, params.bc).values + 0.25
+    chain = pinning.GibbsChain(g, params, om, np.asfortranarray(start), rng.stream(218, "ord"))
+    ref = pinning.GibbsChain(g, params, om, start.copy(), rng.stream(218, "ord"))
+    field = chain.field
+    assert field.flags.c_contiguous and field.dtype == np.float64
+    pinning.heat_bath_sweep(chain, 5)
+    pinning.heat_bath_sweep(ref, 5)
+    assert chain.field is field
+    assert not np.array_equal(field[g.interior_mask], start[g.interior_mask])
+    assert np.array_equal(field, ref.field)
+    # a C-ordered field is handed on uncopied, as consecutive ladder segments need
+    nxt = pinning.GibbsChain(g, pinning.PinningParams(h=1.0), om, field, chain.rng)
+    assert nxt.field is field
 
 
 def test_stationary_law_single_site():
@@ -268,3 +346,13 @@ def test_iact_reasonable():
     assert tau > 1.0
     iid = np.random.default_rng(1).standard_normal(4000)
     assert pinning.integrated_autocorrelation(iid) < 2.0
+
+
+@pytest.mark.parametrize("kwargs", [dict(sweeps=0), dict(sweeps=-3), dict(thinning=0),
+                                    dict(thinning=-1)])
+def test_run_chain_rejects_bad_budgets(kwargs):
+    g = lattice.build_box(4)
+    args = dict(sweeps=10, thinning=1) | kwargs
+    with pytest.raises(DomainError):
+        pinning.run_chain(g, pinning.PinningParams(), _zero_omega(g), rng.stream(220, "bad"),
+                          **args)
