@@ -356,9 +356,12 @@ def density_event_threshold(N: int, m: float, K: float) -> float:
 
 
 def _replica_log_z(geom: BoxGeometry, spec: DisorderSpec, beta: float, h: float, m: float,
-                   u: float, K: float, master_seed: int, tag: str, r: int,
+                   u: float, threshold: float, master_seed: int, tag: str, r: int,
                    sweeps: int, burn_in: int, boundary_cov: np.ndarray | None) -> tuple[float, float]:
     """One (boundary, disorder) replica of log E^{m,bc}[e^{interaction} 1_D].
+
+    D is the event sum phi^2 >= threshold over the interaction range (see
+    density_event_threshold, computed once per box size by the caller).
 
     log Z' = coupling leg at h = 0 + h-leg + exact frame-contact term + log
     of the D-event frequency under the target measure.  The event factor is
@@ -378,7 +381,6 @@ def _replica_log_z(geom: BoxGeometry, spec: DisorderSpec, beta: float, h: float,
     pos = int(np.searchsorted(grid, round(h, 12)))
     base, _ = coupling_log_z(geom, params0, omega, ch_rng, sweeps, burn_in,
                              shift=ext.values)
-    thr = density_event_threshold(geom.N, m, K)
     tmask = geom.tilde_mask
 
     def density_stat(f: np.ndarray) -> float:
@@ -388,23 +390,30 @@ def _replica_log_z(geom: BoxGeometry, spec: DisorderSpec, beta: float, h: float,
                            baseline=0.0, observables={"sumsq": density_stat}, observe_at=h)
     log_z = res.log_z[pos] - res.log_z[zero_pos] + base
     log_z += boundary_contact_term(geom, params, omega, "tilde")
-    freq = float(np.mean(res.final_record.extra["sumsq"] >= thr))
+    freq = float(np.mean(res.final_record.extra["sumsq"] >= threshold))
     n_rec = len(res.final_record.extra["sumsq"])
     log_event = math.log(max(freq, 0.5 / n_rec))
     return float(log_z) + log_event, freq
 
 
-def _replica_job(args) -> tuple[float, float]:
-    return _replica_log_z(*args)
+def _replica_job(args) -> tuple[tuple[float, float], list[str]]:
+    with rngmod.audit_streams() as audit:
+        out = _replica_log_z(*args)
+    return out, audit.consumed
 
 
 def _map_replicas(jobs, threads: int):
     """Replica fan-out: independent (boundary, disorder) jobs over a process
-    pool when threads > 1, serially otherwise; results merge order-free."""
+    pool when threads > 1, serially otherwise; results merge order-free.
+    Each job's stream ids join the active audit in job order either way."""
     if threads <= 1 or len(jobs) <= 1:
-        return [_replica_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_replica_job, jobs))
+        done = [_replica_job(j) for j in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(_replica_job, jobs))
+    for _, ids in done:
+        rngmod.record_streams(ids)
+    return [out for out, _ in done]
 
 
 def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float, N: int,
@@ -422,7 +431,8 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
     spec = spec or DisorderSpec("gaussian")
     geom = build_box(N)
     cov = fields.boundary_covariance(geom, m)
-    jobs = [(geom, spec, beta, h, m, u, K, master_seed, "fvc", r, sweeps, burn_in, cov)
+    thr = density_event_threshold(N, m, K)
+    jobs = [(geom, spec, beta, h, m, u, thr, master_seed, "fvc", r, sweeps, burn_in, cov)
             for r in range(replicas)]
     pairs = _map_replicas(jobs, threads)
     vals = np.array([p[0] for p in pairs])
@@ -449,7 +459,8 @@ def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
     for label, size in (("small", N), ("large", 2 * N)):
         geom = build_box(size)
         cov = fields.boundary_covariance(geom, m)
-        jobs = [(geom, spec, beta, h, m, u, K, master_seed, f"dbl-{label}", r,
+        thr = density_event_threshold(size, m, K)
+        jobs = [(geom, spec, beta, h, m, u, thr, master_seed, f"dbl-{label}", r,
                  sweeps, burn_in, cov) for r in range(replicas)]
         vals = np.array([p[0] for p in _map_replicas(jobs, threads)])
         out[label] = (float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(replicas))

@@ -13,7 +13,14 @@ the per-site band weights are fixed for a chain, so each chain builds one
 `BandLayout` per checkerboard colour (sorted edges, relative interval
 weights) together with the colour's flat site and neighbour indices.  A
 half-update then evaluates the normal CDF once per site and edge and draws
-two uniforms per site: one picks the interval, one the height inside it.
+two uniforms per site with one rng.random(2n) call: the first n pick the
+intervals, the last n the heights inside them.  Each layout owns the
+sampler's workspace (the z/Phi grid with its constant far rows, the gather
+offsets, the interval masses), built on its first call and rebuilt only when
+it is called at another site count; a layout, like the chain holding it, is
+therefore not for concurrent use.  run_chain finds a record's charged sites
+once and takes the contact total, the contact fraction and the energy from
+them, with the energy weights computed once per call.
 
 Extra bands can be stacked on the same chain (a soft wall at |phi| <= b is
 how the height-restriction probability is integrated thermodynamically).
@@ -80,6 +87,20 @@ def _interaction_mask(geom: BoxGeometry, interaction: str) -> np.ndarray:
     raise DomainError(f"unknown interaction range {interaction!r}")
 
 
+def _indicators(values: np.ndarray, params: PinningParams) -> np.ndarray:
+    """Sites the model's interaction charges: contacts, or the lower half-plane."""
+    if params.model == "pinning":
+        return contact_indicators(values, params.u)
+    return sign_indicators(values)
+
+
+def _charges(params: PinningParams, omega: DisorderField) -> tuple[np.ndarray, float]:
+    """(w, c) with interaction energy c * (sum of w over the charged sites)."""
+    if params.model == "pinning":
+        return site_weights(params, omega), 1.0
+    return omega.values + params.h, -2.0 * params.rho
+
+
 def energy(sample: FieldSample, omega: DisorderField, params: PinningParams,
            interaction: str = "tilde") -> float:
     """Interaction part of the Hamiltonian, on the (possibly shifted) field.
@@ -88,12 +109,8 @@ def energy(sample: FieldSample, omega: DisorderField, params: PinningParams,
     density against the free measure.
     """
     mask = _interaction_mask(sample.geom, interaction)
-    if params.model == "pinning":
-        s = site_weights(params, omega)
-        delta = contact_indicators(sample.values, params.u)
-        return float(np.sum(s[mask & delta]))
-    dlt = sign_indicators(sample.values)
-    return float(-2.0 * params.rho * np.sum((omega.values + params.h)[mask & dlt]))
+    w, c = _charges(params, omega)
+    return c * float(np.sum(w[mask & _indicators(sample.values, params)]))
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +126,54 @@ class Band:
     logw: np.ndarray | float
 
 
-@dataclass(frozen=True)
+@dataclass
+class _Workspace:
+    """Buffers of one sampler call at a fixed site count n.
+
+    grid holds z, Phi(z) and Phi(-z) (planes) at -far, every edge and +far
+    (rows) for each site (columns); its two far rows never change.  offsets
+    are the flat positions of (za, zb, Phi(za), Phi(zb), Phi(-za), Phi(-zb))
+    within interval 0, so interval j sits j * n further on.
+    """
+
+    n: int
+    grid: np.ndarray
+    flat: np.ndarray
+    offsets: np.ndarray
+    index: np.ndarray
+    ends: np.ndarray
+    mass: np.ndarray
+    mirrored: np.ndarray
+    pick: np.ndarray
+    flip: np.ndarray
+
+
+def _workspace(k: int, n: int) -> _Workspace:
+    grid = np.empty((3, k, n))
+    grid[:, 0] = _FAR_LO
+    grid[:, -1] = _FAR_HI
+    planes = n * np.array([[0], [1], [k], [k + 1], [2 * k], [2 * k + 1]])
+    offsets = planes + np.arange(n)
+    return _Workspace(n, grid, grid.reshape(-1), offsets, np.empty_like(offsets),
+                      np.empty((6, n)), np.empty((k - 1, n)), np.empty((k - 1, n)),
+                      np.empty(n, dtype=offsets.dtype), np.empty(n, dtype=bool))
+
+
+@dataclass
 class BandLayout:
     """Interval layout of a band list, fixed for the life of a chain.
 
     The finite band edges (a column, sorted) split the real line into
     len(edges) + 1 intervals; weights[j, i] = exp(logw - max over j) is the
     relative weight of interval j at site i (one column serves every site
-    when all bands are scalar).
+    when all bands are scalar).  The layout also owns the sampler's buffers,
+    rebuilt whenever it is called at another site count, so one layout must
+    not be shared between threads.
     """
 
     edges: np.ndarray
     weights: np.ndarray
+    workspace: _Workspace | None = dc_field(default=None, repr=False, compare=False)
 
 
 def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLayout:
@@ -150,15 +203,15 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     Phi(z) and its mirror Phi(-z) are evaluated once per site and edge; their
     differences give each interval's mass stably in both tails, and the same
     values invert the CDF inside the chosen interval, through the mirrored
-    tail when that one is better conditioned.  Consumes rng.random(n) twice:
-    first to pick the interval, then the position inside it.
+    tail when that one is better conditioned.  Consumes rng.random(2n): the
+    first n uniforms pick the interval, the last n the position inside it.
+    Works in the layout's workspace and returns a new array.
     """
     n = mu.shape[0]
-    k = bands.edges.shape[0] + 2
-    grid = np.empty((3, k, n))  # z, P = Phi(z), Q = Phi(-z) at -far, edges, +far
-    grid[:, 0] = _FAR_LO
-    grid[:, -1] = _FAR_HI
-    z, p, q = grid
+    ws = bands.workspace
+    if ws is None or ws.n != n:
+        ws = bands.workspace = _workspace(bands.edges.shape[0] + 2, n)
+    z, p, q = ws.grid
     ze = z[1:-1]
     np.subtract(bands.edges, mu, out=ze)
     ze /= sigma
@@ -166,19 +219,36 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     np.minimum(ze, _Z_FAR, out=ze)
     special.ndtr(ze, out=p[1:-1])
     special.ndtr(np.negative(ze, out=q[1:-1]), out=q[1:-1])
-    cum = np.maximum(p[1:] - p[:-1], q[:-1] - q[1:])
+    cum = ws.mass
+    np.subtract(p[1:], p[:-1], out=cum)
+    np.maximum(cum, np.subtract(q[:-1], q[1:], out=ws.mirrored), out=cum)
     cum *= bands.weights
     np.add.accumulate(cum, axis=0, out=cum)
-    u = rng.random(n) * np.maximum(cum[-1], 1e-300)
-    lower = np.minimum((cum < u).sum(axis=0), k - 2) * n + np.arange(n)
-    planes = n * np.array([[0], [1], [k], [k + 1], [2 * k], [2 * k + 1]])
-    za, zb, pa, pb, qa, qb = grid.reshape(-1)[lower + planes]
-    flip = za > -zb
-    lo = np.where(flip, qb, pa)
-    hi = np.where(flip, qa, pb)
-    v = special.ndtri(np.minimum(np.maximum(lo + (hi - lo) * rng.random(n), 1e-320), 1.0 - 1e-16))
+    draws = rng.random(2 * n)
+    u, t = draws[:n], draws[n:]
+    u *= np.maximum(cum[-1], 1e-300)
+    # the interval is the number of running sums below u; u is below the last one, the total
+    pick = ws.pick
+    pick.fill(0)
+    for row in cum[:-1]:
+        pick += np.less(row, u, out=ws.flip)
+    pick *= n
+    za, zb, pa, pb, qa, qb = ends = ws.ends
+    np.take(ws.flat, np.add(ws.offsets, pick, out=ws.index), out=ends, mode="clip")
+    flip = np.greater(za, np.negative(zb, out=u), out=ws.flip)
+    np.copyto(pa, qb, where=flip)  # the lower end of the inverted CDF
+    np.copyto(pb, qa, where=flip)  # and its upper end
+    pb -= pa
+    pb *= t
+    pb += pa
+    np.maximum(pb, 1e-320, out=pb)
+    v = special.ndtri(np.minimum(pb, 1.0 - 1e-16, out=pb))
     np.negative(v, out=v, where=flip)
-    return mu + sigma * np.minimum(np.maximum(v, za), zb)
+    np.maximum(v, za, out=v)
+    np.minimum(v, zb, out=v)
+    v *= sigma
+    v += mu
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +296,6 @@ class GibbsChain:
                  for b in bands])
             self._colours.append((sites, nbrs, layout))
 
-    def interaction_energy(self, interaction: str = "tilde") -> float:
-        sample = FieldSample(self.geom, self.field, self.params.m, self.params.bc)
-        return energy(sample, self.omega, self.params, interaction)
-
 
 def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
                rng: np.random.Generator, extra_bands: tuple[Band, ...] = ()) -> GibbsChain:
@@ -244,7 +310,8 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
     denom = 4.0 + chain.params.m ** 2
     for _ in range(n_sweeps):
         for sites, nbrs, layout in chain._colours:
-            mu = flat[nbrs].sum(axis=0) / denom
+            mu = flat[nbrs].sum(axis=0)
+            mu /= denom
             flat[sites] = sample_banded_conditional(chain.rng, mu, chain._sigma, layout)
         chain.sweeps_done += 1
     return chain
@@ -300,39 +367,42 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     Deterministic given the generator state.  The window mask (default: the
     interaction range) is where the contact total is counted; `observables`
     maps names to callables field -> float for extra per-record statistics.
+    A chain passed in must run at `params` and `omega`.  Each record finds
+    the charged sites once and takes the contact total, the contact fraction
+    and the interaction energy from them.
     """
     if burn_in < 0:
         raise DomainError("burn-in must be >= 0")
     if sweeps < 1 or thinning < 1:
         raise DomainError(f"sweeps and thinning must be >= 1 (got {sweeps}, {thinning})")
+    if sweeps % thinning:
+        raise DomainError(f"sweeps ({sweeps}) must be a multiple of thinning ({thinning})")
     if chain is None:
         chain = make_chain(geom, params, omega, rng)
     mask = _interaction_mask(geom, interaction)
     wmask = mask if window_mask is None else window_mask
     n_tilde = int(mask.sum())
+    weights, scale = _charges(params, omega)
     if burn_in:
         heat_bath_sweep(chain, burn_in)
-    n_rec = max(sweeps // thinning, 1)
-    recs = {"sweep": [], "L": [], "frac": [], "energy": []}
+    n_rec = sweeps // thinning
+    recorded = chain.sweeps_done + thinning * np.arange(1, n_rec + 1)
+    L, frac, en = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
     extra = {name: [] for name in (observables or {})}
-    for _ in range(n_rec):
+    for i in range(n_rec):
         heat_bath_sweep(chain, thinning)
-        if params.model == "pinning":
-            delta = contact_indicators(chain.field, params.u)
-        else:
-            delta = sign_indicators(chain.field)
-        recs["sweep"].append(chain.sweeps_done)
-        recs["L"].append(int(np.sum(delta & wmask)))
-        recs["frac"].append(float(np.sum(delta & mask)) / n_tilde)
-        recs["energy"].append(chain.interaction_energy(interaction))
+        delta = _indicators(chain.field, params)
+        charged = delta & mask
+        L[i] = np.count_nonzero(delta & wmask)
+        frac[i] = np.count_nonzero(charged) / n_tilde
+        en[i] = scale * float(np.sum(weights[charged]))
         for name, fn in (observables or {}).items():
             extra[name].append(fn(chain.field))
-    L = np.array(recs["L"], dtype=float)
     return ChainRecord(
-        sweeps=np.array(recs["sweep"]),
+        sweeps=recorded,
         contacts_window=L,
-        contact_fraction=np.array(recs["frac"]),
-        energy=np.array(recs["energy"]),
+        contact_fraction=frac,
+        energy=en,
         extra={k: np.array(v) for k, v in extra.items()},
         iact=integrated_autocorrelation(L),
         final_field=chain.field.copy(),

@@ -36,6 +36,12 @@ def stream(master_seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
+def record_streams(ids) -> None:
+    """Append stream ids consumed elsewhere (a worker process) to the active audit."""
+    if _AUDIT is not None:
+        _AUDIT.extend(ids)
+
+
 class audit_streams:
     """Context manager recording every stream id consumed inside it."""
 

@@ -207,3 +207,37 @@ def test_finite_volume_localized_positive():
     rep2 = freeenergy.finite_volume_criterion(0.0, -3.0, 0.3, 0.2, 10.0, 8, 413,
                                               replicas=3, sweeps=200, burn_in=120)
     assert rep2.verdict == "negative"
+
+
+def test_ladders_bit_identical():
+    # the warm-started ladders reproduce their recorded values to the last bit
+    g = lattice.build_box(4)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(242, "id-om4"))
+    got = freeenergy.coupling_log_z(g, pinning.PinningParams(beta=0.5, h=0.2), om,
+                                    rng.stream(243, "id-cz"), sweeps=20, burn_in=10, n_t=4)
+    assert got == (1.5626694885851902, 0.02944038203907919)
+    ti = freeenergy.ti_log_partition(g, pinning.PinningParams(beta=0.5), om,
+                                     rng.stream(244, "id-ti"), np.array([0.0, 0.1, 0.2]),
+                                     sweeps=20, burn_in=10)
+    assert ti.log_z.tolist() == [0.0, 0.8500000000000001, 1.695]
+    assert ti.log_z_se.tolist() == [0.0, 0.014356570311572022, 0.023944379994757296]
+    assert ti.density.tolist() == [8.3, 8.7, 8.2]
+
+
+def test_doubling_gap_bit_identical():
+    out = freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4,
+                                  burn_in=2)
+    assert out == {"small": (2.7786339207027173, 0.11028391792049375),
+                   "large": (9.861033108093576, 2.2429498915869006),
+                   "gap": -1.2535025747172934, "gap_se": 2.2859188299237565}
+
+
+def test_stream_audit_survives_the_process_pool():
+    ids = []
+    for threads in (1, 2):
+        with rng.audit_streams() as audit:
+            freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 246, replicas=2, sweeps=4,
+                                    burn_in=2, threads=threads)
+        ids.append(audit.consumed)
+    assert len(ids[0]) == 12  # bc, omega and chain streams of 2 replicas at 2 sizes
+    assert ids[1] == ids[0]

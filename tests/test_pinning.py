@@ -349,10 +349,98 @@ def test_iact_reasonable():
 
 
 @pytest.mark.parametrize("kwargs", [dict(sweeps=0), dict(sweeps=-3), dict(thinning=0),
-                                    dict(thinning=-1)])
+                                    dict(thinning=-1),
+                                    # not a whole number of records: refused, not rounded
+                                    dict(sweeps=3, thinning=10), dict(sweeps=25, thinning=10)])
 def test_run_chain_rejects_bad_budgets(kwargs):
     g = lattice.build_box(4)
     args = dict(sweeps=10, thinning=1) | kwargs
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=f"{args['sweeps']}.*{args['thinning']}"):
         pinning.run_chain(g, pinning.PinningParams(), _zero_omega(g), rng.stream(220, "bad"),
                           **args)
+
+
+# label -> (params, extra bands, (energy, contact fraction, sum phi^2, L) per record), the
+# values of 4 records every 3 sweeps after 6 burn-in sweeps, recorded bit for bit
+PINNED_RECORDS = {
+    "plain": (dict(beta=0.5, h=0.1), (), (
+        [4.524936867591867, 1.4572632164127564, 2.192686567147748, 1.6856093203201428],
+        [0.875, 0.84375, 0.8125, 0.9375],
+        [27.70680524972591, 27.82008521053203, 36.071820981750975, 13.181631731599513],
+        [56.0, 54.0, 52.0, 60.0])),
+    "wall": (dict(beta=0.5, h=0.1, m=0.3), (pinning.Band(-0.5, 0.5, 2.0),), (
+        [1.7664823209950726, 3.6117424637471127, 1.8559740219553924, 1.719817927391344],
+        [1.0, 0.96875, 0.984375, 0.984375],
+        [4.296984783384325, 7.357074383655516, 5.053888629807622, 5.668185476368389],
+        [64.0, 62.0, 63.0, 63.0])),
+    "copolymer": (dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
+        [5.3724021502643176, 2.5916168568507763, 2.9283848442782316, 0.9093323136505134],
+        [0.28125, 0.28125, 0.28125, 0.359375],
+        [15.447099520698718, 16.922128638203965, 25.755502943245332, 20.510169587992163],
+        [18.0, 18.0, 18.0, 23.0])),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_RECORDS))
+def test_pinned_records(label):
+    # every recorded series is part of the chain's contract, to the last bit
+    kwargs, extra, expected = PINNED_RECORDS[label]
+    g = lattice.build_box(8)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(240, "id-om"))
+    params = pinning.PinningParams(**kwargs)
+    chain = pinning.make_chain(g, params, om, rng.stream(241, "id", label), extra_bands=extra)
+    rec = pinning.run_chain(g, params, om, chain.rng, sweeps=12, burn_in=6, thinning=3,
+                            chain=chain, observables={"sumsq": lambda f: float(np.sum(f ** 2))})
+    got = (rec.energy.tolist(), rec.contact_fraction.tolist(), rec.extra["sumsq"].tolist(),
+           rec.contacts_window.tolist())
+    assert got == expected
+    assert rec.sweeps.tolist() == [9, 12, 15, 18]
+
+
+def _chain_pair(g, om, seed):
+    params = pinning.PinningParams(beta=0.5, h=0.1)
+    return [pinning.make_chain(g, params, om, rng.stream(seed, "alias", i)) for i in range(2)]
+
+
+def test_alternating_chains_keep_their_own_fields():
+    # two chains of the same shape, swept in turn, end where each ends alone
+    g = lattice.build_box(12)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(250, "alias-om"))
+    together = _chain_pair(g, om, 251)
+    for _ in range(6):
+        for chain in together:
+            pinning.heat_bath_sweep(chain, 2)
+    alone = _chain_pair(g, om, 251)
+    for chain in alone:
+        pinning.heat_bath_sweep(chain, 12)
+    for a, b in zip(together, alone):
+        assert np.array_equal(a.field, b.field)
+
+
+def test_scalar_layout_serves_any_site_count():
+    # one scalar-weight layout called at changing sizes draws what a fresh one draws,
+    # and hands back arrays that share no memory with its workspace
+    bands = [(-1.0, 1.0, 1.5), (-math.inf, 0.0, -0.5)]
+    reused = pinning.band_layout(bands)
+    for n in (0, 1, 7, 112, 7):
+        mu = np.linspace(-2.0, 2.0, n)
+        got = pinning.sample_banded_conditional(rng.stream(252, "ws", n), mu, 0.5, reused)
+        want = pinning.sample_banded_conditional(rng.stream(252, "ws", n), mu, 0.5,
+                                                 pinning.band_layout(bands))
+        assert got.shape == (n,)
+        assert np.array_equal(got, want)
+        buffers = [b for b in vars(reused.workspace).values() if isinstance(b, np.ndarray)]
+        assert buffers and not any(np.shares_memory(got, b) for b in buffers)
+        assert not np.shares_memory(got, mu)
+
+
+def test_empty_colour_class_still_samples():
+    # N = 2 has one interior site, so one checkerboard colour has no sites at all
+    g = lattice.build_box(2)
+    params = pinning.PinningParams(h=1.0)
+    chain = pinning.make_chain(g, params, _zero_omega(g), rng.stream(253, "empty"))
+    assert sorted(len(sites) for sites, _, _ in chain._colours) == [0, 1]
+    before = chain.field.copy()
+    pinning.heat_bath_sweep(chain, 3)
+    assert chain.field[1, 1] != before[1, 1] and np.isfinite(chain.field[1, 1])
+    assert np.array_equal(chain.field[g.boundary_mask], before[g.boundary_mask])

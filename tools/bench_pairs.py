@@ -1,0 +1,138 @@
+"""Paired benchmark runs of a parent revision and of the working tree.
+
+    python3 tools/bench_pairs.py --parent HEAD --pr 3 --workload doubling --seeds 41-50
+    python3 tools/bench_pairs.py --parent HEAD --pr 3 --workload doubling --seeds 3 --trace 1
+
+The parent's committed files are exported (`git archive`) into a temporary
+directory; the working tree runs as it is, uncommitted changes included.
+For each seed the two sides run `perfbench/run.py` once each with the same
+arguments, and the side that runs first alternates from seed to seed, so a
+drift in the machine's speed falls on both.  The result goes to
+BENCH_<pr>.json at the repository root, under the workload (suffixed
+"/trace1" for traced runs), replacing an earlier entry of the same name: every
+run's result and run information, and per metric each side's quartiles, the
+ratio of the medians, the number of pairs the change wins (ties count for
+neither side; the direction comes from BENCHMARK.json) and whether the medians
+differ by more than the parent's interquartile range.  Nothing under
+perfbench/ is written to.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'41-50' or '3,7,9' (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += list(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The committed files of `rev`, unpacked into dest."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], check=True,
+                          capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(root: Path, args, seed: int, out: Path) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
+           "--seconds", str(args.seconds), "--trace", str(args.trace), "--out", str(out)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(out.read_text())
+
+
+def directions() -> dict[str, str]:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+
+
+def summarize(parent: list[dict], change: list[dict]) -> dict:
+    better = directions()
+    out = {}
+    for name in parent[0]["result"]["metrics"]:
+        a = np.array([r["result"]["metrics"][name]["value"] for r in parent])
+        b = np.array([r["result"]["metrics"][name]["value"] for r in change])
+        qa, qb = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
+        entry = {"parent_quartiles": qa.tolist(), "change_quartiles": qb.tolist(),
+                 "change_over_parent_median": float(qb[1] / qa[1]) if qa[1] else None,
+                 "pairs": len(a)}
+        if name in better:
+            sign = 1.0 if better[name] == "higher" else -1.0
+            entry["change_wins"] = int(np.sum(sign * (b - a) > 0))
+            entry["parent_wins"] = int(np.sum(sign * (b - a) < 0))
+            entry["median_gap_exceeds_parent_iqr"] = bool(abs(qb[1] - qa[1]) > qa[2] - qa[0])
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="revision to compare against, e.g. HEAD")
+    ap.add_argument("--pr", required=True, help="suffix of the output file BENCH_<pr>.json")
+    ap.add_argument("--workload", required=True, choices=("mixing", "doubling", "samplers"))
+    ap.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 41-50 or 3,5")
+    ap.add_argument("--seconds", type=float, default=24.0)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+
+    parent_rev = git("rev-parse", "--short", args.parent)
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        tmp = Path(tmp)
+        export(parent_rev, tmp / "parent")
+        sides = {"parent": tmp / "parent", "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                res = run_once(sides[side], args, seed, tmp / f"{side}_{seed}.json")
+                runs[side].append(res)
+                wall = res["result"]["metrics"].get("wall_s", {}).get("value")
+                print(f"seed {seed} {side}: wall_s {wall}", flush=True)
+
+    path = ROOT / f"BENCH_{args.pr}.json"
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc["description"] = (
+        "perfbench/run.py, paired runs of a parent revision (its committed files) and of this "
+        "change, alternating which side runs first (tools/bench_pairs.py). Times are reference "
+        "seconds (perfbench/reference.py).")
+    doc["command"] = ("python3 perfbench/run.py --workload W --seed S --seconds X --trace T "
+                      "--out FILE")
+    key = args.workload + ("/trace1" if args.trace else "")
+    doc.setdefault("workloads", {})[key] = {
+        "parent": parent_rev, "seeds": args.seeds, "seconds": args.seconds, "trace": args.trace,
+        "first": ["parent" if i % 2 == 0 else "change" for i in range(len(args.seeds))],
+        "summary": summarize(runs["parent"], runs["change"]), "runs": runs}
+    doc["provenance"] = {"python": platform.python_version(), "machine": platform.machine(),
+                         "processor": platform.processor(),
+                         "change": git("describe", "--always", "--dirty")}
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {path.name} [{key}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
