@@ -8,6 +8,14 @@ which is how the boundary-shift identity P^{m,bc}[phi in .] = P^m[phi + H in .]
 is realized.  The multiscale stack cuts the field into independent layers
 whose covariances are the time slices of the heat kernel, and the Gaussian
 bridge utility prices the cost of staying below a barrier.
+
+The batched samplers (Dirichlet interiors, bridges) work block by block in a
+working set of at most _BLOCK float64 values (0.5 MB): each block is drawn
+with `rng.standard_normal(out=...)` straight into its buffer and transformed
+in place there.  Philox fills row-major and each sample is transformed on its
+own, so the draws, and every output, do not depend on the block size.  A scale stack takes each slice's per-mode
+standard deviations and the scale index j(x) from a small cache of read-only
+tables, computed once per box size and scale-time grid.
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, GeometryMismatchError, NumericError
 from .lattice import BoxGeometry, ScaleIndex, scale_index
+
+_BLOCK = 1 << 16  # float64 values per block of the batched samplers
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +142,22 @@ def sample_dirichlet_field(geom: BoxGeometry, m: float, rng: np.random.Generator
     return FieldSample(geom, values, float(m), zero_bc())
 
 
-def sample_dirichlet_interior(geom: BoxGeometry, m: float, n: int, rng: np.random.Generator,
-                              batch: int = 2000) -> np.ndarray:
-    """n independent interior samples, shape (n, N-1, N-1); batched transform."""
+def sample_dirichlet_interior(geom: BoxGeometry, m: float, n: int,
+                              rng: np.random.Generator) -> np.ndarray:
+    """n independent interior samples, shape (n, N-1, N-1).
+
+    Each block of samples is drawn into its slice of the output, scaled there,
+    and replaced by its sine transform.
+    """
     basis = kernels.spectral_basis(geom.N)
     scale = 1.0 / np.sqrt(basis.lam2d + m * m)
-    out = np.empty((n, geom.N - 1, geom.N - 1))
-    done = 0
-    while done < n:
-        b = min(batch, n - done)
-        z = rng.standard_normal((b,) + scale.shape)
-        out[done : done + b] = kernels.dst2(z * scale[None])
-        done += b
+    out = np.empty((n,) + scale.shape)
+    rows = max(1, _BLOCK // scale.size)
+    for start in range(0, n, rows):
+        block = out[start : start + rows]
+        rng.standard_normal(out=block)
+        block *= scale
+        block[...] = kernels.dst2(block)
     return out
 
 
@@ -305,18 +319,39 @@ def sample_scale_stack(geom: BoxGeometry, m: float, rng: np.random.Generator,
     """
     if grid is None:
         grid = kernels.scale_time_grid(m, min_scales=min_scales)
-    basis = kernels.spectral_basis(geom.N)
-    k = grid.k
-    xi = np.empty((k, geom.side, geom.side))
-    xi[:, :, :] = 0.0
-    for i in range(1, k + 1):
-        w = kernels.slice_mode_weights(geom, grid, i)
-        z = rng.standard_normal(w.shape)
-        xi[i - 1, 1:-1, 1:-1] = kernels.dst2(z * np.sqrt(w))
-    jmap = scale_index(geom, k)
+    sd, jmap = _stack_tables(geom, grid)
+    xi = np.zeros((grid.k, geom.side, geom.side))
+    for i, layer_sd in enumerate(sd):
+        z = rng.standard_normal(layer_sd.shape)
+        z *= layer_sd
+        xi[i, 1:-1, 1:-1] = kernels.dst2(z)
     stack = ScaleStack(grid, jmap, xi)
     values = xi.sum(axis=0)
     return FieldSample(geom, values, float(m), zero_bc(), stack=stack)
+
+
+_STACK_TABLES: dict[tuple, tuple[np.ndarray, ScaleIndex]] = {}
+_STACK_TABLES_MAX = 16
+
+
+def _stack_tables(geom: BoxGeometry,
+                  grid: kernels.ScaleTimeGrid) -> tuple[np.ndarray, ScaleIndex]:
+    """Per-mode standard deviations of slices 1..k, shape (k, N-1, N-1), and j(x).
+
+    Both depend only on the box size and the grid, so they are computed once
+    and shared, read-only, by every stack drawn with them; the cache is
+    emptied when it holds _STACK_TABLES_MAX entries.
+    """
+    key = (geom.N, grid.m, grid.k, grid.times.tobytes())
+    tables = _STACK_TABLES.get(key)
+    if tables is None:
+        sd = np.sqrt([kernels.slice_mode_weights(geom, grid, i) for i in range(1, grid.k + 1)])
+        jmap = scale_index(geom, grid.k)
+        sd.flags.writeable = jmap.j.flags.writeable = False
+        if len(_STACK_TABLES) >= _STACK_TABLES_MAX:
+            _STACK_TABLES.clear()
+        tables = _STACK_TABLES.setdefault(key, (sd, jmap))
+    return tables
 
 
 def stack_barrier_margin(stack: ScaleStack, mask: np.ndarray, slope: float) -> float:
@@ -343,11 +378,12 @@ def stack_barrier_margin(stack: ScaleStack, mask: np.ndarray, slope: float) -> f
 # ---------------------------------------------------------------------------
 
 def bridge_positivity_probability(variances, x: float, n_samples: int,
-                                  rng: np.random.Generator, batch: int = 20000) -> tuple[float, float]:
+                                  rng: np.random.Generator) -> tuple[float, float]:
     """MC estimate of P[max_i X_i <= x | X_k = 0] for a Gaussian walk.
 
     The bridge is realized exactly by B_i = X_i - (V_i / V_k) X_k, which has
-    the standard bridge covariance V_i (V_k - V_j) / V_k.  Returns (estimate,
+    the standard bridge covariance V_i (V_k - V_j) / V_k.  Walks are drawn a
+    block of rows at a time into one reused buffer.  Returns (estimate,
     standard error).
     """
     v = np.asarray(variances, dtype=float)
@@ -361,16 +397,23 @@ def bridge_positivity_probability(variances, x: float, n_samples: int,
         raise DomainError(f"total variance {V[-1]:.3f} below k/2 = {k / 2:.1f}")
     if x < 0:
         raise DomainError("barrier must be >= 0")
+    if n_samples < 1:
+        raise DomainError(f"need at least one sample (got n_samples = {n_samples})")
     sd = np.sqrt(v)
+    ratio = V / V[-1]
+    rows = max(1, _BLOCK // k)
+    walks = np.empty((min(rows, n_samples), k))
+    pinned = np.empty_like(walks)
     hits = 0
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        incr = rng.standard_normal((b, k)) * sd[None, :]
-        walk = np.cumsum(incr, axis=1)
-        bridge = walk - (V[None, :] / V[-1]) * walk[:, -1:]
-        hits += int(np.sum(bridge.max(axis=1) <= x))
-        done += b
+    for start in range(0, n_samples, rows):
+        b = min(rows, n_samples - start)
+        walk, end = walks[:b], pinned[:b]
+        rng.standard_normal(out=walk)
+        walk *= sd
+        np.cumsum(walk, axis=1, out=walk)
+        np.multiply(walk[:, -1:], ratio, out=end)
+        walk -= end
+        hits += int(np.count_nonzero(walk.max(axis=1) <= x))
     p = hits / n_samples
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)
     return p, se

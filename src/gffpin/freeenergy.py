@@ -657,17 +657,12 @@ def conditioned_contact_statistics(N: int, master_seed: int, m: float | None = N
     x1g, x2g = geom.coords
     for i in range(samples):
         s = fields.sample_scale_stack(geom, m, rng, grid=grid)
-        l, lp = pinning.restricted_contacts(s, u, window, barrier_offset)
-        L[i] = l
-        Lp[i] = lp
+        contacts, restricted = pinning.restricted_contacts(s, u, window, barrier_offset)
+        L[i] = contacts.sum()
+        Lp[i] = restricted.sum()
         margins[i] = fields.stack_barrier_margin(s.stack, window, GAMMA)
-        delta = pinning.contact_indicators(s.values, u) & window
-        partials = s.stack.partials()
-        below = np.ones_like(delta)
-        for sc in range(1, s.stack.k + 1):
-            below &= partials[sc - 1] <= u * sc / s.stack.k + barrier_offset
-        xs1 = x1g[delta & below]
-        xs2 = x2g[delta & below]
+        xs1 = x1g[restricted]
+        xs2 = x2g[restricted]
         if len(xs1) >= 2:
             d = np.abs(xs1[:, None] - xs1[None, :]) + np.abs(xs2[:, None] - xs2[None, :])
             iu = np.triu_indices(len(xs1), k=1)

@@ -507,9 +507,10 @@ def log_partition_quadrature(precision: np.ndarray, mean: np.ndarray, s: np.ndar
 # ---------------------------------------------------------------------------
 
 def restricted_contacts(sample: FieldSample, u: float, window_mask: np.ndarray,
-                        barrier_offset: float = 10.0) -> tuple[int, int]:
-    """(L, L') over the window: plain contacts, and contacts whose scale
-    trajectory stays below the line u*i/k + offset at every scale."""
+                        barrier_offset: float = 10.0) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the contacts in the window, and of those among them whose scale
+    trajectory stays below the line u*i/k + offset at every scale; their sums
+    are the contact totals L and L'."""
     if sample.stack is None:
         raise ContractError("restricted contacts need a field carrying its scale stack")
     delta = contact_indicators(sample.values, u) & window_mask
@@ -518,4 +519,4 @@ def restricted_contacts(sample: FieldSample, u: float, window_mask: np.ndarray,
     below = np.ones_like(delta)
     for i in range(1, k + 1):
         below &= partials[i - 1] <= u * i / k + barrier_offset
-    return int(delta.sum()), int((delta & below).sum())
+    return delta, delta & below

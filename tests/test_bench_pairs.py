@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -14,8 +15,9 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("3,7-8,9") == [3, 7, 8, 9]
 
 
-def _runs(metric, values):
-    return [{"result": {"metrics": {metric: {"value": v, "unit": "s"}}}} for v in values]
+def _runs(metric, values, failed=0, attempted=10):
+    return [{"result": {"metrics": {metric: {"value": v, "unit": "s"}}, "failed": failed,
+                        "attempted": attempted}} for v in values]
 
 
 def test_summary_counts_wins_in_the_metric_direction():
@@ -29,3 +31,31 @@ def test_summary_counts_wins_in_the_metric_direction():
     ess = bench_pairs.summarize(_runs("ess_L_per_cpu_s", [10.0, 11.0, 12.0]),
                                 _runs("ess_L_per_cpu_s", [20.0, 21.0, 22.0]))["ess_L_per_cpu_s"]
     assert ess["change_wins"] == 3 and ess["median_gap_exceeds_parent_iqr"]
+
+
+def test_parse_workloads_takes_a_comma_list_of_declared_workloads():
+    assert bench_pairs.parse_workloads("samplers") == ["samplers"]
+    assert bench_pairs.parse_workloads("samplers,mixing,doubling") == ["samplers", "mixing",
+                                                                        "doubling"]
+    with pytest.raises(argparse.ArgumentTypeError, match="sampler"):
+        bench_pairs.parse_workloads("samplers,sampler")
+
+
+def test_summary_records_each_sides_failed_share():
+    summary = bench_pairs.summarize(_runs("wall_s", [1.0, 1.0], failed=0, attempted=18),
+                                    _runs("wall_s", [1.0, 1.0], failed=3, attempted=18))
+    assert summary["failed_share"] == {
+        "parent": {"failed": 0, "attempted": 36, "share": 0.0},
+        "change": {"failed": 6, "attempted": 36, "share": pytest.approx(6 / 36)}}
+
+
+def test_summary_rows_one_per_metric():
+    parent = [{"result": {"metrics": {"wall_s": {"value": w}, "info_only": {"value": 1.0}},
+                          "failed": 0, "attempted": 4}} for w in (2.0, 2.2)]
+    change = [{"result": {"metrics": {"wall_s": {"value": w}, "info_only": {"value": 1.0}},
+                          "failed": 1, "attempted": 4}} for w in (1.5, 1.6)]
+    rows = bench_pairs.summary_rows(bench_pairs.summarize(parent, change))
+    assert len(rows) == 1 + 2 + 1  # header, two metrics, the failed operations
+    assert rows[1].split()[0] == "wall_s" and rows[1].split()[-2:] == ["2/2", "yes"]
+    assert rows[2].split()[0] == "info_only" and rows[2].split()[-2:] == ["-", "-"]
+    assert rows[3].split()[-2:] == ["0/8", "2/8"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -264,6 +265,110 @@ def test_bridge_bounds_small():
     p, se = fields.bridge_positivity_probability([1.0] * k, x, 100000, r)
     assert p >= 1 - math.exp(-x * x / k) - 4 * se
     assert p <= 0.8 * (x + math.log(k)) ** 2 / k + 4 * se
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_bridge_rejects_bad_sample_counts(n_samples):
+    with pytest.raises(DomainError, match="sample"):
+        fields.bridge_positivity_probability([1.0] * 4, 1.0, n_samples, rng.stream(264, "bad-n"))
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# Outputs recorded bit for bit.  Calls in one list share one stream, so each also pins how
+# many numbers the calls before it drew.  n = 3000 (N = 8) and 150 (N = 32) are not
+# multiples of a block's rows, and bridges block 65536 // k rows at a time.
+PINNED_DIRICHLET = {
+    8: (0.0, [(3000, "40a3f2a679fa14f2"), (1, "c36f8cba91111547")]),
+    32: (0.3, [(150, "b5d02524b3bfcb1c"), (1, "60a4eff9212f8609")]),
+}
+PINNED_BRIDGES = [  # (k, x, n_samples, (p, se))
+    (1, 0.5, 70000, (1.0, 1.4285714285714285e-05)),
+    (25, 2.0, 6000, (0.4126666666666667, 0.0063557439754509835)),
+    (400, 5.0, 1000, (0.154, 0.011414201680362931)),
+]
+PINNED_STACKS = [  # N = 64, m = 1e-5 (k = 2): digest of (values, xi, j), barrier margin
+    ("6d277ca10d99d680", 2.4959750094988515),
+    ("81b582d8ab7bd26e", 3.279242233976137),
+]
+
+
+@pytest.mark.parametrize("N", sorted(PINNED_DIRICHLET))
+def test_pinned_dirichlet_interior(N):
+    m, expected = PINNED_DIRICHLET[N]
+    g = lattice.build_box(N)
+    r = rng.stream(260, "pin-dirichlet", N)
+    got = []
+    for n, _ in expected:
+        out = fields.sample_dirichlet_interior(g, m, n, r)
+        assert out.shape == (n, N - 1, N - 1)
+        got.append((n, _digest(out)))
+    assert got == expected
+
+
+def test_pinned_bridges():
+    r = rng.stream(261, "pin-bridge")
+    got = [(k, x, n, fields.bridge_positivity_probability([1.0] * k, x, n, r))
+           for k, x, n, _ in PINNED_BRIDGES]
+    assert got == PINNED_BRIDGES
+    assert r.standard_normal() == -1.2729855894022448
+    # unequal step variances, 0.5 up to 1.5
+    r = rng.stream(261, "pin-bridge-var")
+    v = [0.5 + i / 24 for i in range(25)]
+    assert fields.bridge_positivity_probability(v, 2.0, 3000, r) == (0.4146666666666667,
+                                                                     0.008994780379424173)
+    assert r.standard_normal() == -0.783990434714449
+
+
+def test_pinned_scale_stacks():
+    g = lattice.build_box(64)
+    grid = kernels.scale_time_grid(1e-5, min_scales=1)
+    assert grid.k == 2
+    window = lattice.sub_box_mask(g, 2.0)
+    r = rng.stream(262, "pin-stack")
+    got = []
+    for _ in PINNED_STACKS:
+        s = fields.sample_scale_stack(g, 1e-5, r, grid=grid)
+        got.append((_digest(s.values, s.stack.xi, s.stack.jmap.j),
+                    fields.stack_barrier_margin(s.stack, window, 0.5)))
+    assert got == PINNED_STACKS
+
+
+def _uncached_layers(geom, grid, r) -> np.ndarray:
+    """The stack's layers straight from the slice weights, as an oracle for the tables."""
+    xi = np.zeros((grid.k, geom.side, geom.side))
+    for i in range(1, grid.k + 1):
+        w = kernels.slice_mode_weights(geom, grid, i)
+        xi[i - 1, 1:-1, 1:-1] = kernels.dst2(r.standard_normal(w.shape) * np.sqrt(w))
+    return xi
+
+
+def test_stack_tables_are_read_only_and_kept_per_box_and_grid():
+    grids = [kernels.scale_time_grid(m, min_scales=1) for m in (1e-5, 1e-3)]
+    assert [grid.k for grid in grids] == [2, 1]
+    cases = [(lattice.build_box(n), gi) for n in (16, 32) for gi in range(len(grids))]
+    for rep in range(2):  # the second round is served from the cache
+        for geom, gi in cases:
+            grid = grids[gi]
+            s = fields.sample_scale_stack(geom, grid.m, rng.stream(263, geom.N, gi, rep), grid=grid)
+            ref = _uncached_layers(geom, grid, rng.stream(263, geom.N, gi, rep))
+            assert np.array_equal(s.stack.xi, ref)
+            assert np.array_equal(s.stack.jmap.j, lattice.scale_index(geom, grid.k).j)
+            with pytest.raises(ValueError):
+                s.stack.jmap.j[1, 1] = 0
+            sd, _ = fields._stack_tables(geom, grid)
+            with pytest.raises(ValueError):
+                sd[0, 0, 0] = 1.0
+    # the cache stays bounded however many grids pass through it
+    g = lattice.build_box(4)
+    for m in np.linspace(0.1, 0.5, fields._STACK_TABLES_MAX + 3):
+        fields._stack_tables(g, kernels.scale_time_grid(float(m), min_scales=0))
+        assert len(fields._STACK_TABLES) <= fields._STACK_TABLES_MAX
 
 
 def test_stack_requires_valid_grid():

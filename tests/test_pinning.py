@@ -325,7 +325,9 @@ def test_restricted_contacts():
     n = 40
     for _ in range(n):
         s = fields.sample_scale_stack(g, m, r, grid=grid)
-        L, Lp = pinning.restricted_contacts(s, 0.0, window)
+        contacts, restricted = pinning.restricted_contacts(s, 0.0, window)
+        assert not np.any(restricted & ~contacts)
+        L, Lp = contacts.sum(), restricted.sum()
         assert Lp <= L
         eq += int(Lp == L)
     assert eq / n > 0.9  # u = 0 with a +10 offset: the restriction rarely bites
@@ -333,8 +335,8 @@ def test_restricted_contacts():
     s = fields.sample_scale_stack(g, m, r, grid=grid)
     s.stack.xi[0] += 40.0
     s.values = s.stack.xi.sum(axis=0)
-    L, Lp = pinning.restricted_contacts(s, 0.0, window)
-    assert Lp == 0
+    _, restricted = pinning.restricted_contacts(s, 0.0, window)
+    assert not restricted.any()
     plain = fields.sample_dirichlet_field(g, 0.1, r)
     with pytest.raises(ContractError):
         pinning.restricted_contacts(plain, 0.0, window)

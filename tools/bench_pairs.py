@@ -2,19 +2,22 @@
 
     python3 tools/bench_pairs.py --parent HEAD --pr 3 --workload doubling --seeds 41-50
     python3 tools/bench_pairs.py --parent HEAD --pr 3 --workload doubling --seeds 3 --trace 1
+    python3 tools/bench_pairs.py --parent HEAD --pr 4 --workload samplers,mixing --seeds 81-85
 
 The parent's committed files are exported (`git archive`) into a temporary
 directory; the working tree runs as it is, uncommitted changes included.
-For each seed the two sides run `perfbench/run.py` once each with the same
-arguments, and the side that runs first alternates from seed to seed, so a
-drift in the machine's speed falls on both.  The result goes to
-BENCH_<pr>.json at the repository root, under the workload (suffixed
-"/trace1" for traced runs), replacing an earlier entry of the same name: every
-run's result and run information, and per metric each side's quartiles, the
-ratio of the medians, the number of pairs the change wins (ties count for
-neither side; the direction comes from BENCHMARK.json) and whether the medians
-differ by more than the parent's interquartile range.  Nothing under
-perfbench/ is written to.
+For each workload (a comma list runs them one after the other) and seed the
+two sides run `perfbench/run.py` once each with the same arguments, and the
+side that runs first alternates from seed to seed, so a drift in the
+machine's speed falls on both.  The result goes to BENCH_<pr>.json at the
+repository root, under the workload (suffixed "/trace1" for traced runs),
+replacing an earlier entry of the same name: every run's result and run
+information, and per metric each side's quartiles, the ratio of the medians,
+the number of pairs the change wins (ties count for neither side; the
+direction comes from BENCHMARK.json) and whether the medians differ by more
+than the parent's interquartile range; under "failed_share", each side's
+failed and attempted operations summed over its runs.  The summary is also
+printed, one row per metric.  Nothing under perfbench/ is written to.
 """
 
 from __future__ import annotations
@@ -56,8 +59,18 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(root: Path, args, seed: int, out: Path) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
+def parse_workloads(text: str) -> list[str]:
+    """'samplers,mixing' as a list of workload names declared in BENCHMARK.json."""
+    known = [w["name"] for w in benchmark()["workloads"]]
+    names = text.split(",")
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown workload {unknown}; choose from {known}")
+    return names
+
+
+def run_once(root: Path, args, workload: str, seed: int, out: Path) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace), "--out", str(out)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -65,12 +78,24 @@ def run_once(root: Path, args, seed: int, out: Path) -> dict:
     return json.loads(out.read_text())
 
 
+def benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def directions() -> dict[str, str]:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench = benchmark()
     return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
 
+def failed_share(runs: list[dict]) -> dict:
+    failed = sum(r["result"]["failed"] for r in runs)
+    attempted = sum(r["result"]["attempted"] for r in runs)
+    return {"failed": failed, "attempted": attempted,
+            "share": failed / attempted if attempted else 0.0}
+
+
 def summarize(parent: list[dict], change: list[dict]) -> dict:
+    """Per metric, the comparison of the two sides; under "failed_share", their op counts."""
     better = directions()
     out = {}
     for name in parent[0]["result"]["metrics"]:
@@ -86,34 +111,68 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
             entry["parent_wins"] = int(np.sum(sign * (b - a) < 0))
             entry["median_gap_exceeds_parent_iqr"] = bool(abs(qb[1] - qa[1]) > qa[2] - qa[0])
         out[name] = entry
+    out["failed_share"] = {"parent": failed_share(parent), "change": failed_share(change)}
     return out
+
+
+def summary_rows(summary: dict) -> list[str]:
+    """The summary as text: a header, one row per metric, then the failed operations."""
+    rows = [f"{'metric':<50} {'parent':>12} {'change':>12} {'ratio':>7} {'wins':>6}  gap>IQR"]
+    for name, e in summary.items():
+        if name == "failed_share":
+            continue
+        ratio = e["change_over_parent_median"]
+        wins = f"{e['change_wins']}/{e['pairs']}" if "change_wins" in e else "-"
+        gap = {True: "yes", False: "no"}.get(e.get("median_gap_exceeds_parent_iqr"), "-")
+        rows.append(f"{name:<50} {e['parent_quartiles'][1]:>12.6g} {e['change_quartiles'][1]:>12.6g} "
+                    f"{'-' if ratio is None else f'{ratio:.3f}':>7} {wins:>6}  {gap}")
+    ops = {side: f"{s['failed']}/{s['attempted']}"
+           for side, s in summary["failed_share"].items()}
+    rows.append(f"{'failed/attempted ops':<50} {ops['parent']:>12} {ops['change']:>12}")
+    return rows
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="revision to compare against, e.g. HEAD")
     ap.add_argument("--pr", required=True, help="suffix of the output file BENCH_<pr>.json")
-    ap.add_argument("--workload", required=True, choices=("mixing", "doubling", "samplers"))
+    ap.add_argument("--workload", required=True, type=parse_workloads,
+                    help="a workload of BENCHMARK.json, or a comma list of them")
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 41-50 or 3,5")
     ap.add_argument("--seconds", type=float, default=24.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
     parent_rev = git("rev-parse", "--short", args.parent)
-    runs = {"parent": [], "change": []}
+    path = ROOT / f"BENCH_{args.pr}.json"
+    tables = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tmp = Path(tmp)
         export(parent_rev, tmp / "parent")
         sides = {"parent": tmp / "parent", "change": ROOT}
-        for i, seed in enumerate(args.seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                res = run_once(sides[side], args, seed, tmp / f"{side}_{seed}.json")
-                runs[side].append(res)
-                wall = res["result"]["metrics"].get("wall_s", {}).get("value")
-                print(f"seed {seed} {side}: wall_s {wall}", flush=True)
+        for workload in args.workload:
+            runs = {"parent": [], "change": []}
+            for i, seed in enumerate(args.seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    res = run_once(sides[side], args, workload, seed,
+                                   tmp / f"{side}_{workload}_{seed}.json")
+                    runs[side].append(res)
+                    wall = res["result"]["metrics"].get("wall_s", {}).get("value")
+                    print(f"{workload} seed {seed} {side}: wall_s {wall}", flush=True)
+            key = workload + ("/trace1" if args.trace else "")
+            summary = summarize(runs["parent"], runs["change"])
+            write_entry(path, key, parent_rev, args, summary, runs)
+            tables.append((key, summary_rows(summary)))
 
-    path = ROOT / f"BENCH_{args.pr}.json"
+    for key, rows in tables:
+        print(f"\n[{key}] parent {parent_rev}, medians over {len(args.seeds)} pairs")
+        print("\n".join(rows))
+    print(f"wrote {path.name}")
+    return 0
+
+
+def write_entry(path: Path, key: str, parent_rev: str, args, summary: dict, runs: dict) -> None:
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["description"] = (
         "perfbench/run.py, paired runs of a parent revision (its committed files) and of this "
@@ -121,17 +180,14 @@ def main(argv=None) -> int:
         "seconds (perfbench/reference.py).")
     doc["command"] = ("python3 perfbench/run.py --workload W --seed S --seconds X --trace T "
                       "--out FILE")
-    key = args.workload + ("/trace1" if args.trace else "")
     doc.setdefault("workloads", {})[key] = {
         "parent": parent_rev, "seeds": args.seeds, "seconds": args.seconds, "trace": args.trace,
         "first": ["parent" if i % 2 == 0 else "change" for i in range(len(args.seeds))],
-        "summary": summarize(runs["parent"], runs["change"]), "runs": runs}
+        "summary": summary, "runs": runs}
     doc["provenance"] = {"python": platform.python_version(), "machine": platform.machine(),
                          "processor": platform.processor(),
                          "change": git("describe", "--always", "--dirty")}
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {path.name} [{key}]")
-    return 0
 
 
 if __name__ == "__main__":
