@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError
 from .lattice import BoxGeometry, Cell, CellTiling
@@ -162,6 +161,8 @@ def _diamond_kernel(radius: int) -> np.ndarray:
 
 def window_sums(values: np.ndarray, radius: int) -> np.ndarray:
     """Sliding l1-ball sums over a cell block (no wrap: sums stop at the cell edge)."""
+    from scipy import ndimage
+
     return ndimage.convolve(values, _diamond_kernel(radius), mode="constant", cval=0.0)
 
 

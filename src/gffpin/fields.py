@@ -315,10 +315,13 @@ def sample_scale_stack(geom: BoxGeometry, m: float, rng: np.random.Generator,
 
     Layer i has covariance Q*_i (the i-th heat-kernel time slice), sampled
     per sine mode; the sum is distributed exactly as the massive field, so
-    the stack is a coupling of the field with its own decomposition.
+    the stack is a coupling of the field with its own decomposition.  A
+    given grid must be built for the mass m.
     """
     if grid is None:
         grid = kernels.scale_time_grid(m, min_scales=min_scales)
+    elif grid.m != m:
+        raise DomainError(f"scale-time grid built for m = {grid.m}, sample asked at m = {m}")
     sd, jmap = _stack_tables(geom, grid)
     xi = np.zeros((grid.k, geom.side, geom.side))
     for i, layer_sd in enumerate(sd):

@@ -14,8 +14,7 @@ laboratory-scale analogue, and the copolymer critical point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 from scipy import special
@@ -207,8 +206,7 @@ def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
     record = None
     obs_record = None
     for j, hj in enumerate(h_grid):
-        pj = pinning.PinningParams(beta=params.beta, h=float(hj), m=params.m, u=params.u,
-                                   model=params.model, rho=params.rho, bc=params.bc)
+        pj = replace(params, h=float(hj))
         if chain is None:
             chain = pinning.make_chain(geom, pj, omega, rng)
             bi = burn_in
@@ -297,14 +295,6 @@ def pure_free_energy_estimate(h: float, N: int, master_seed: int, sweeps: int = 
                               {"beta": 0.0, "h": h}, 1, master_seed)
 
 
-def annealed_free_energy(h: float, N: int, master_seed: int, **kw) -> FreeEnergyEstimate:
-    """Annealed free energy; by the lambda-recentred weights it equals the
-    pure model's, so this is the beta = 0 estimator under its annealed name."""
-    est = pure_free_energy_estimate(h, N, master_seed, **kw)
-    est.method = "annealed-closed-form"
-    return est
-
-
 def quenched_free_energy_estimate(beta: float, h: float, N: int, master_seed: int,
                                   spec: DisorderSpec | None = None, replicas: int = 6,
                                   sweeps: int = 600, burn_in: int = 300) -> FreeEnergyEstimate:
@@ -375,7 +365,7 @@ def _replica_log_z(geom: BoxGeometry, spec: DisorderSpec, beta: float, h: float,
     ext = fields.harmonic_extension(geom, m, bc)
     omega = sample_disorder(geom, spec, om_rng)
     params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
-    params0 = pinning.PinningParams(beta=beta, h=0.0, m=m, u=u, bc=bc)
+    params0 = replace(params, h=0.0)
     grid = _ti_h_grid([h])
     zero_pos = int(np.searchsorted(grid, 0.0))
     pos = int(np.searchsorted(grid, round(h, 12)))
@@ -409,6 +399,8 @@ def _map_replicas(jobs, threads: int):
     if threads <= 1 or len(jobs) <= 1:
         done = [_replica_job(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(_replica_job, jobs))
     for _, ids in done:

@@ -18,14 +18,17 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import integrate, optimize, sparse, special
+from scipy import special
 from scipy.fft import dstn
-from scipy.sparse.linalg import splu
 
 from .errors import DomainError, MassTooLargeError
 from .lattice import BoxGeometry
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 TWO_PI = 2.0 * math.pi
 _IVE_SWITCH = 5e7  # above this time scipy's ive underflows internally; use asymptotics
@@ -152,6 +155,8 @@ def green_massive_infinite(x, m: float) -> float:
         s = np.sqrt(eps * (eps + 4.0))
         rho = (eps + 2.0 - s) / 2.0
         return np.cos(t * x1) * rho ** x2 / s
+
+    from scipy import integrate
 
     val = 0.0
     # adaptive quad struggles near the m-scale dip; split there explicitly
@@ -286,6 +291,8 @@ def green_dirichlet_diag(geom: BoxGeometry, m: float = 0.0) -> np.ndarray:
 
 def dirichlet_precision(geom: BoxGeometry, m: float = 0.0) -> sparse.csr_matrix:
     """Sparse (m^2 - Delta) restricted to interior sites (Dirichlet rows dropped)."""
+    from scipy import sparse
+
     n = geom.N
     idx = -np.ones((geom.side, geom.side), dtype=np.int64)
     ii = np.arange((n - 1) ** 2)
@@ -307,6 +314,8 @@ def dirichlet_precision(geom: BoxGeometry, m: float = 0.0) -> sparse.csr_matrix:
 
 def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0, sites=None) -> GreenTable:
     """Oracle route: direct sparse solve of (m^2 - Delta) with Dirichlet rows."""
+    from scipy.sparse.linalg import splu
+
     sites = _interior_indices(geom) if sites is None else np.asarray(sites, dtype=np.int64)
     lu = splu(dirichlet_precision(geom, m).tocsc())
     x1, x2 = geom.site(sites)
@@ -408,6 +417,8 @@ def f_of_m_adaptive(m: float) -> float:
     def f(x, y):
         return 0.5 * np.log1p(m * m / (4.0 * (np.sin(0.5 * np.pi * x) ** 2 + np.sin(0.5 * np.pi * y) ** 2)))
 
+    from scipy import integrate
+
     val, _ = integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11)
     return val
 
@@ -469,6 +480,8 @@ def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
             f"G^m(0,0) = {G:.4f} gives only {k_raw} unit scales at m = {m}; "
             f"need >= {min_scales} (m <= ~{math.exp(-TWO_PI * min_scales):.2e} for the default)"
         )
+    from scipy import optimize
+
     k = max(1, k_raw)
     times = []
     hi = math.log(60.0 / (m * m))

@@ -15,9 +15,12 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("3,7-8,9") == [3, 7, 8, 9]
 
 
+_NO_RAW = {key: [] for key in bench_pairs.RAW}  # as in a traced run without untraced passes
+
+
 def _runs(metric, values, failed=0, attempted=10):
     return [{"result": {"metrics": {metric: {"value": v, "unit": "s"}}, "failed": failed,
-                        "attempted": attempted}} for v in values]
+                        "attempted": attempted}, "info": _NO_RAW} for v in values]
 
 
 def test_summary_counts_wins_in_the_metric_direction():
@@ -51,11 +54,35 @@ def test_summary_records_each_sides_failed_share():
 
 def test_summary_rows_one_per_metric():
     parent = [{"result": {"metrics": {"wall_s": {"value": w}, "info_only": {"value": 1.0}},
-                          "failed": 0, "attempted": 4}} for w in (2.0, 2.2)]
+                          "failed": 0, "attempted": 4}, "info": _NO_RAW} for w in (2.0, 2.2)]
     change = [{"result": {"metrics": {"wall_s": {"value": w}, "info_only": {"value": 1.0}},
-                          "failed": 1, "attempted": 4}} for w in (1.5, 1.6)]
+                          "failed": 1, "attempted": 4}, "info": _NO_RAW} for w in (1.5, 1.6)]
     rows = bench_pairs.summary_rows(bench_pairs.summarize(parent, change))
     assert len(rows) == 1 + 2 + 1  # header, two metrics, the failed operations
     assert rows[1].split()[0] == "wall_s" and rows[1].split()[-2:] == ["2/2", "yes"]
     assert rows[2].split()[0] == "info_only" and rows[2].split()[-2:] == ["-", "-"]
     assert rows[3].split()[-2:] == ["0/8", "2/8"]
+
+
+def test_summary_records_raw_medians_of_run_medians():
+    def side(walls, speed):
+        runs = _runs("wall_s", [1.0] * len(walls))
+        for run, w in zip(runs, walls):
+            run["info"] = {"pass_wall_s": w, "pass_cpu_s": [x - 0.01 for x in w],
+                           "pass_speed": [speed] * len(w), "raw_setup_probe_s": []}
+        return runs
+
+    # run medians 2.0, 3.0 and 10.0 on the parent, 2.0, 2.0 and 4.0 on the change
+    summary = bench_pairs.summarize(side([[1.0, 2.0, 9.0], [3.0], [10.0, 10.0]], 0.5),
+                                    side([[2.0], [1.0, 2.0, 3.0], [4.0, 5.0, 3.0]], 0.6))
+    assert summary["raw"] == {
+        "parent": {"pass_wall_s": 3.0, "pass_cpu_s": pytest.approx(2.99), "pass_speed": 0.5,
+                   "raw_setup_probe_s": None},
+        "change": {"pass_wall_s": 2.0, "pass_cpu_s": pytest.approx(1.99), "pass_speed": 0.6,
+                   "raw_setup_probe_s": None}}
+    rows = bench_pairs.summary_rows(summary)
+    raw = [r for r in rows if r.startswith("raw ")]
+    assert [r.split()[1] for r in raw] == ["pass_wall_s", "pass_cpu_s", "pass_speed"]
+    assert all("not a metric" in r for r in raw)
+    assert raw[0].split()[-3:] == ["3", "2", "0.667"]
+    assert rows[-1].startswith("failed/attempted ops")

@@ -376,6 +376,14 @@ def test_stack_requires_valid_grid():
         fields.sample_scale_stack(lattice.build_box(8), 0.3, rng.stream(18, "x"))
 
 
+def test_stack_rejects_a_grid_for_another_mass():
+    grid = kernels.scale_time_grid(1e-5, min_scales=1)
+    with pytest.raises(DomainError, match="0.3"):
+        fields.sample_scale_stack(lattice.build_box(16), 0.3, rng.stream(18, "m"), grid=grid)
+    s = fields.sample_scale_stack(lattice.build_box(16), 1e-5, rng.stream(18, "m"), grid=grid)
+    assert s.m == grid.m == 1e-5
+
+
 def test_explicit_bc_validates_length():
     g = lattice.build_box(8)
     bad = fields.explicit_bc(np.zeros(5))

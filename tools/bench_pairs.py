@@ -16,8 +16,13 @@ information, and per metric each side's quartiles, the ratio of the medians,
 the number of pairs the change wins (ties count for neither side; the
 direction comes from BENCHMARK.json) and whether the medians differ by more
 than the parent's interquartile range; under "failed_share", each side's
-failed and attempted operations summed over its runs.  The summary is also
-printed, one row per metric.  Nothing under perfbench/ is written to.
+failed and attempted operations summed over its runs; under "raw", each
+side's median over runs of every run's median raw pass wall time, pass CPU
+time, reference speed factor and raw set-up time (these are not metrics: they
+tell a change in the reference speed, which rescales every reference-second
+metric, from a change in the code's own time).  The summary is also printed,
+one row per metric, then the raw rows.  Nothing under perfbench/ is written
+to.
 """
 
 from __future__ import annotations
@@ -94,8 +99,22 @@ def failed_share(runs: list[dict]) -> dict:
             "share": failed / attempted if attempted else 0.0}
 
 
+RAW = ("pass_wall_s", "pass_cpu_s", "pass_speed", "raw_setup_probe_s")
+
+
+def raw_medians(runs: list[dict]) -> dict:
+    """Per RAW key of the run information, the median over runs of each run's
+    median; None where no run recorded a value (traced runs take no set-up probe)."""
+    out = {}
+    for key in RAW:
+        per_run = [float(np.median(r["info"][key])) for r in runs if r["info"][key]]
+        out[key] = float(np.median(per_run)) if per_run else None
+    return out
+
+
 def summarize(parent: list[dict], change: list[dict]) -> dict:
-    """Per metric, the comparison of the two sides; under "failed_share", their op counts."""
+    """Per metric, the comparison of the two sides; under "failed_share", their op
+    counts; under "raw", their raw_medians."""
     better = directions()
     out = {}
     for name in parent[0]["result"]["metrics"]:
@@ -112,20 +131,26 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
             entry["median_gap_exceeds_parent_iqr"] = bool(abs(qb[1] - qa[1]) > qa[2] - qa[0])
         out[name] = entry
     out["failed_share"] = {"parent": failed_share(parent), "change": failed_share(change)}
+    out["raw"] = {"parent": raw_medians(parent), "change": raw_medians(change)}
     return out
 
 
 def summary_rows(summary: dict) -> list[str]:
-    """The summary as text: a header, one row per metric, then the failed operations."""
+    """The summary as text: a header, one row per metric, one per raw median, then the
+    failed operations."""
     rows = [f"{'metric':<50} {'parent':>12} {'change':>12} {'ratio':>7} {'wins':>6}  gap>IQR"]
     for name, e in summary.items():
-        if name == "failed_share":
+        if name in ("failed_share", "raw"):
             continue
         ratio = e["change_over_parent_median"]
         wins = f"{e['change_wins']}/{e['pairs']}" if "change_wins" in e else "-"
         gap = {True: "yes", False: "no"}.get(e.get("median_gap_exceeds_parent_iqr"), "-")
         rows.append(f"{name:<50} {e['parent_quartiles'][1]:>12.6g} {e['change_quartiles'][1]:>12.6g} "
                     f"{'-' if ratio is None else f'{ratio:.3f}':>7} {wins:>6}  {gap}")
+    for key in RAW:
+        a, b = summary["raw"]["parent"][key], summary["raw"]["change"][key]
+        if a is not None and b is not None:
+            rows.append(f"{f'raw {key} (not a metric)':<50} {a:>12.6g} {b:>12.6g} {b / a:>7.3f}")
     ops = {side: f"{s['failed']}/{s['attempted']}"
            for side, s in summary["failed_share"].items()}
     rows.append(f"{'failed/attempted ops':<50} {ops['parent']:>12} {ops['change']:>12}")
