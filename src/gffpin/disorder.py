@@ -109,31 +109,6 @@ def sample_disorder(geom: BoxGeometry, spec: DisorderSpec, rng: np.random.Genera
     return DisorderField(geom, spec, values, stream_tags)
 
 
-def _draw_tilted(spec: DisorderSpec, beta: float, rng: np.random.Generator, shape) -> np.ndarray:
-    if spec.kind == "gaussian":
-        return beta + rng.standard_normal(shape)
-    if spec.kind == "bernoulli":
-        p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta))
-        return np.where(rng.random(shape) < p_plus, 1.0, -1.0)
-    logw = beta * spec.values + np.log(spec.probs)
-    w = np.exp(logw - logw.max())
-    return rng.choice(spec.values, size=shape, p=w / w.sum())
-
-
-def tilted_resample(omega: DisorderField, contacts: np.ndarray, beta: float,
-                    rng: np.random.Generator) -> DisorderField:
-    """Resample the charges at contact sites from the tilted law; the rest
-    of the field is untouched.  contacts is a boolean grid."""
-    if contacts.shape != omega.values.shape:
-        raise DomainError("contact mask shape does not match the disorder grid")
-    values = omega.values.copy()
-    sel = contacts & omega.geom.tilde_mask
-    n_sel = int(sel.sum())
-    if n_sel:
-        values[sel] = _draw_tilted(omega.spec, beta, rng, n_sel)
-    return DisorderField(omega.geom, omega.spec, values, omega.stream_tags + ("tilted",))
-
-
 # ---------------------------------------------------------------------------
 # windowed cell events
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ def _run_massive_comparison(cfg) -> ExperimentResult:
     res.passed = ok
     from .io import estimate_record
     res.records = [{"massive": mass.value, "pure": pure.value, "f_m": fm, "se": se},
-                   estimate_record(pure, 0.0), estimate_record(mass, 0.0)]
+                   estimate_record(pure), estimate_record(mass)]
     return res
 
 

@@ -296,14 +296,6 @@ def boundary_covariance(geom: BoxGeometry, m: float) -> np.ndarray:
     return table[d1, d2]
 
 
-def sample_infinite_volume_field(geom: BoxGeometry, m: float, rng: np.random.Generator,
-                                 cov: np.ndarray | None = None) -> FieldSample:
-    """Marginal of the infinite-volume massive field on the box (exact)."""
-    bc = sample_boundary_infinite_massive(geom, m, rng, cov=cov)
-    ext = harmonic_extension(geom, m, bc)
-    return shift_by_extension(sample_dirichlet_field(geom, m, rng), ext)
-
-
 # ---------------------------------------------------------------------------
 # multiscale stack
 # ---------------------------------------------------------------------------

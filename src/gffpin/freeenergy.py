@@ -1,26 +1,29 @@
 """Free-energy estimators and the finite-volume positivity machinery.
 
-Thermodynamic integration over the reward h is the estimator of record: the
-h-derivative of log Z is the exact contact total, so log Z(h) accumulates
-MCMC contact counts along a grid, anchored either at h = 0 (pure model,
-where Z = 1 exactly) or at a deeply negative h0 where log Z has an explicit
-first-order expansion in the tiny per-site weights.  On top of it sit the
-quenched replica average, the massive comparison, the finite-volume
-criterion with its typical-density event, the doubling (sub-additivity)
-check, the event flags, the asymptotic parameter schedule and its
-laboratory-scale analogue, and the copolymer critical point.
+Thermodynamic integration is the estimator of record, and every leg of it
+runs on one warm-started ladder (integrate_ladder): a chain per grid point,
+each started from the previous chain's field, with the recorded integrand
+integrated by the trapezoid rule.  Three legs use it: the coupling constant
+t at fixed parameters (Z(0) = 1 exactly), the reward h (the h-derivative of
+log Z is the exact contact total) and the soft-wall strength of the height
+restriction.  Free energies at a target h are anchored at h = 0: coupling
+leg there, then one h-leg through 0 and every target.  On top sit the
+replica-averaged free-energy curve, the massive comparison, the
+finite-volume criterion with its typical-density event, the doubling
+(sub-additivity) check, the laboratory-scale schedule and the copolymer
+critical point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
 from . import fields, kernels, pinning, rng as rngmod
-from .disorder import DisorderField, DisorderSpec, log_mgf, sample_disorder
+from .disorder import GAUSSIAN, DisorderField, DisorderSpec, log_mgf, sample_disorder
 from .errors import DomainError
 from .lattice import BoxGeometry, build_box, pair_scale_index, sub_box_mask
 
@@ -40,14 +43,6 @@ class FreeEnergyEstimate:
     params: dict
     replicas: int
     seed: int
-    replica_values: np.ndarray | None = None
-
-    @property
-    def spread(self) -> float:
-        """Replica-to-replica standard deviation (self-averaging diagnostic)."""
-        if self.replica_values is None or len(self.replica_values) < 2:
-            return 0.0
-        return float(np.std(self.replica_values, ddof=1))
 
 
 @dataclass
@@ -78,6 +73,26 @@ class CriterionReport:
     verdict: str
     margin: float
     event_frequency: float
+
+
+@dataclass
+class Ladder:
+    """One warm-started integration ladder.
+
+    density[j] is the mean of the integrand at the j-th grid point, with
+    standard error density_se[j]; increments[j] is the trapezoid over the
+    j-th segment, with variance increment_var[j]; log_z and log_z_se
+    accumulate them from 0 at the first point.  records[j] is the chain
+    record of point j (None where the integrand is exact and no chain ran).
+    """
+
+    density: np.ndarray
+    density_se: np.ndarray
+    increments: np.ndarray
+    increment_var: np.ndarray
+    log_z: np.ndarray
+    log_z_se: np.ndarray
+    records: list
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +143,48 @@ def boundary_contact_term(geom: BoxGeometry, params: pinning.PinningParams,
     return float(np.sum(s[mask & delta]))
 
 
-@dataclass
-class TIResult:
-    h_grid: np.ndarray
-    density: np.ndarray          # absolute contact totals E[sum delta]
-    density_se: np.ndarray
-    log_z: np.ndarray            # cumulative log Z at each grid point
-    log_z_se: np.ndarray
-    final_record: pinning.ChainRecord
+def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, sweeps: int,
+                     burn_in: int, warm_burn: int, interaction: str = "interior",
+                     observables: list | None = None,
+                     exact_first: float | None = None) -> Ladder:
+    """Warm-started chains along `grid`, the integrand integrated by the trapezoid rule.
+
+    chain_at(x, field) builds the chain at grid value x from a start field:
+    a copy of `start` for the first chain, the previous chain's field after
+    it.  The first chain burns in for `burn_in` sweeps, later ones for
+    `warm_burn`; each then records every 2 sweeps over `sweeps` sweeps, the
+    contacts counted on `interaction`, with observables[j] (if any) as the
+    extra observables at point j.  integrand(record) is the series whose
+    mean is the integrand.  With exact_first, the integrand at grid[0] is
+    that value with zero error and no chain runs there.
+    """
+    n = len(grid)
+    density, density_se = np.zeros(n), np.zeros(n)
+    records = [None] * n
+    first = 0 if exact_first is None else 1
+    if exact_first is not None:
+        density[0] = exact_first
+    field, done = np.array(start, dtype=float), 0
+    for j in range(first, n):
+        chain = chain_at(float(grid[j]), field)
+        chain.sweeps_done = done
+        rec = pinning.run_chain(chain.geom, chain.params, chain.omega, chain.rng, sweeps=sweeps,
+                                burn_in=burn_in if j == first else warm_burn, thinning=2,
+                                chain=chain, interaction=interaction,
+                                observables=observables[j] if observables else None)
+        density[j], density_se[j] = rec.mean_se(integrand(rec))
+        records[j] = rec
+        field, done = chain.field, chain.sweeps_done
+    half = 0.5 * np.diff(grid)
+    increments = half * (density[:-1] + density[1:])
+    increment_var = half ** 2 * (density_se[:-1] ** 2 + density_se[1:] ** 2)
+    log_z = np.concatenate([[0.0], np.cumsum(increments)])
+    log_z_se = np.sqrt(np.concatenate([[0.0], np.cumsum(increment_var)]))
+    return Ladder(density, density_se, increments, increment_var, log_z, log_z_se, records)
 
 
 def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
-                   rng: np.random.Generator, sweeps: int, burn_in: int, thinning: int = 2,
-                   n_t: int = 12, interaction: str = "interior",
+                   rng: np.random.Generator, sweeps: int, burn_in: int, n_t: int = 12,
                    shift: np.ndarray | None = None) -> tuple[float, float]:
     """log Z at the parameters of `params` by coupling-constant integration.
 
@@ -149,108 +193,90 @@ def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: Diso
     the partially coupled measure.  At t = 0 the integrand is the explicit
     Gaussian value sum_x s_x p_x; chains supply the rest of the t-grid.
     """
-    mask = pinning._interaction_mask(geom, interaction) & geom.interior_mask
+    mask = geom.interior_mask
     s_grid = pinning.site_weights(params, omega)
     p_grid = band_probability_grid(geom, params.m, params.u, shift=shift)
-    t_grid = np.linspace(0.0, 1.0, n_t)
-    vals = [float(np.sum(s_grid[mask] * p_grid[mask]))]
-    ses = [0.0]
-    chain = None
 
     def s_total(f: np.ndarray) -> float:
         return float(np.sum(s_grid[mask & (np.abs(f - params.u) <= 1.0)]))
 
-    for t in t_grid[1:]:
-        if chain is None:
-            chain = pinning.make_chain(geom, params, omega, rng)
-            chain = pinning.GibbsChain(geom, params, omega, chain.field, rng, coupling=float(t))
-            bi = burn_in
-        else:
-            chain = pinning.GibbsChain(geom, params, omega, chain.field, rng,
-                                       coupling=float(t), sweeps_done=chain.sweeps_done)
-            bi = max(burn_in // 3, 20)
-        rec = pinning.run_chain(geom, params, omega, rng, sweeps=sweeps, burn_in=bi,
-                                thinning=thinning, chain=chain, interaction=interaction,
-                                observables={"s_total": s_total})
-        mean, se = rec.mean_se(rec.extra["s_total"])
-        vals.append(mean)
-        ses.append(se)
-    vals = np.array(vals)
-    ses = np.array(ses)
-    dt = np.diff(t_grid)
-    log_z = float(np.sum(0.5 * dt * (vals[:-1] + vals[1:])))
-    var = float(np.sum((0.5 * dt) ** 2 * (ses[:-1] ** 2 + ses[1:] ** 2)))
-    return log_z, math.sqrt(var)
+    ladder = integrate_ladder(
+        lambda t, f: pinning.GibbsChain(geom, params, omega, f, rng, coupling=t),
+        np.linspace(0.0, 1.0, n_t), lambda rec: rec.extra["s_total"],
+        fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
+        max(burn_in // 3, 20), observables=[{"s_total": s_total}] * n_t,
+        exact_first=float(np.sum(s_grid[mask] * p_grid[mask])))
+    return float(np.sum(ladder.increments)), math.sqrt(float(np.sum(ladder.increment_var)))
 
 
 def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
                      rng: np.random.Generator, h_grid: np.ndarray, sweeps: int, burn_in: int,
-                     thinning: int = 2, warm_burn: int | None = None, baseline: float = 0.0,
                      observables: dict | None = None,
-                     observe_at: float | None = None) -> TIResult:
+                     observe_at: float | None = None) -> Ladder:
     """Integrate the contact total along the h-grid with warm-started chains.
 
-    log Z(h_j) = baseline(at h_grid[0]) + int E_{h'}[sum delta] dh'
-    (trapezoid); the boundary condition, mass and height live in params.
-    Only interior contacts are counted; frame contacts of the range are a
-    deterministic additive term served by boundary_contact_term.  The extra
-    observables are recorded at the grid point closest to observe_at
-    (default: the last one) and returned in final_record.
+    log Z(h_j) - log Z(h_grid[0]) = int E_{h'}[sum delta] dh' (trapezoid);
+    the boundary condition, mass and height live in params.  Only interior
+    contacts are counted; frame contacts of the range are a deterministic
+    additive term served by boundary_contact_term.  The extra observables
+    are recorded at the grid point closest to observe_at (default: the last
+    one).
     """
-    warm_burn = burn_in // 3 if warm_burn is None else warm_burn
     obs_j = len(h_grid) - 1
     if observe_at is not None:
         obs_j = int(np.argmin(np.abs(h_grid - observe_at)))
-    g, g_se = [], []
-    chain = None
-    record = None
-    obs_record = None
-    for j, hj in enumerate(h_grid):
-        pj = replace(params, h=float(hj))
-        if chain is None:
-            chain = pinning.make_chain(geom, pj, omega, rng)
-            bi = burn_in
-        else:
-            chain = pinning.GibbsChain(geom, pj, omega, chain.field, rng,
-                                       sweeps_done=chain.sweeps_done)
-            bi = warm_burn
-        want_obs = observables if j == obs_j else None
-        record = pinning.run_chain(geom, pj, omega, rng, sweeps=sweeps, burn_in=bi,
-                                   thinning=thinning, chain=chain, interaction="interior",
-                                   observables=want_obs)
-        if j == obs_j:
-            obs_record = record
-        mean, se = record.mean_se(record.contacts_window)
-        g.append(mean)
-        g_se.append(se)
-    g = np.array(g)
-    g_se = np.array(g_se)
-    dh = np.diff(h_grid)
-    seg = 0.5 * dh * (g[:-1] + g[1:])
-    log_z = baseline + np.concatenate([[0.0], np.cumsum(seg)])
-    var = np.concatenate([[0.0], np.cumsum((0.5 * dh) ** 2 * (g_se[:-1] ** 2 + g_se[1:] ** 2))])
-    return TIResult(h_grid, g, g_se, log_z, np.sqrt(var), obs_record or record)
+    return integrate_ladder(
+        lambda h, f: pinning.GibbsChain(geom, replace(params, h=h), omega, f, rng),
+        h_grid, lambda rec: rec.contacts_window,
+        fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
+        burn_in // 3, observables=[observables if j == obs_j else None
+                                   for j in range(len(h_grid))])
+
+
+def _anchored_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
+                    rng: np.random.Generator, targets, sweeps: int, burn_in: int,
+                    coupling: bool, shift: np.ndarray | None = None,
+                    observables: dict | None = None):
+    """log Z and its SE at each target h, anchored at h = 0.
+
+    The coupling leg gives log Z(0) (taken as exactly 0 without it); one
+    h-leg then runs through 0 and every target, and log Z(target) =
+    leg(target) - leg(0) + log Z(0).  The observables are recorded at the
+    last target.  Returns the values, their SEs, the h-leg and the targets'
+    positions on it.
+    """
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    grid = _ti_h_grid(targets)
+    zero = int(np.searchsorted(grid, 0.0))
+    pos = np.searchsorted(grid, np.round(targets, 12))
+    params0 = replace(params, h=0.0)
+    base, base_se = 0.0, 0.0
+    if coupling:
+        base, base_se = coupling_log_z(geom, params0, omega, rng, sweeps, burn_in, shift=shift)
+    leg = ti_log_partition(geom, params0, omega, rng, grid, sweeps, burn_in,
+                           observables=observables, observe_at=targets[-1])
+    log_z = leg.log_z[pos] - leg.log_z[zero] + base
+    leg_var = np.abs(leg.log_z_se[pos] ** 2 - leg.log_z_se[zero] ** 2)
+    return log_z, np.sqrt(leg_var + base_se ** 2), leg, pos
 
 
 def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targets,
                       master_seed: int, m: float = 0.0, u: float = 0.0, replicas: int = 1,
-                      sweeps: int = 600, burn_in: int = 300, thinning: int = 2,
-                      tag: str = "fe") -> FreeEnergyCurve:
+                      sweeps: int = 600, burn_in: int = 300, tag: str = "fe") -> FreeEnergyCurve:
     """Per-site free energy at each target h, replica-averaged over disorder.
 
     Anchoring: log Z(h=0) is 0 exactly for beta = 0 and comes from the
     coupling integration otherwise; the h-leg then sweeps every target in a
     single warm-started pass per replica.
     """
+    if replicas < 1:
+        raise DomainError(f"free_energy_curve needs replicas >= 1 (got {replicas})")
     targets = np.atleast_1d(np.asarray(h_targets, dtype=float))
-    grid = _ti_h_grid(targets)
-    zero_pos = int(np.searchsorted(grid, 0.0))
     n2 = geom.N ** 2
     vals = np.zeros((replicas, len(targets)))
     ses = np.zeros((replicas, len(targets)))
     dens = np.zeros((replicas, len(targets)))
     dens_se = np.zeros((replicas, len(targets)))
-    pos = np.searchsorted(grid, np.round(targets, 12))
     for r in range(replicas):
         rep_rng = rngmod.stream(master_seed, tag, "replica", r)
         if beta > 0:
@@ -258,18 +284,12 @@ def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targ
         else:
             omega = DisorderField(geom, spec, np.zeros((geom.side, geom.side)))
         params0 = pinning.PinningParams(beta=beta, h=0.0, m=m, u=u)
-        base, base_se = 0.0, 0.0
-        if beta > 0:
-            base, base_se = coupling_log_z(geom, params0, omega, rep_rng, sweeps, burn_in,
-                                           thinning=thinning)
-        res = ti_log_partition(geom, params0, omega, rep_rng, grid, sweeps, burn_in,
-                               thinning=thinning)
-        log_z = res.log_z - res.log_z[zero_pos] + base
-        leg_var = np.abs(res.log_z_se[pos] ** 2 - res.log_z_se[zero_pos] ** 2)
-        vals[r] = log_z[pos] / n2
-        ses[r] = np.sqrt(leg_var + base_se ** 2) / n2
-        dens[r] = res.density[pos] / n2
-        dens_se[r] = res.density_se[pos] / n2
+        log_z, log_z_se, leg, pos = _anchored_log_z(geom, params0, omega, rep_rng, targets,
+                                                    sweeps, burn_in, coupling=beta > 0)
+        vals[r] = log_z / n2
+        ses[r] = log_z_se / n2
+        dens[r] = leg.density[pos] / n2
+        dens_se[r] = leg.density_se[pos] / n2
     value = vals.mean(axis=0)
     if replicas > 1:
         se = np.sqrt(vals.var(ddof=1, axis=0) / replicas + (ses ** 2).mean(axis=0) / replicas)
@@ -289,51 +309,23 @@ def pure_free_energy_estimate(h: float, N: int, master_seed: int, sweeps: int = 
                               burn_in: int = 300) -> FreeEnergyEstimate:
     """Homogeneous model (beta = 0) free energy by thermodynamic integration."""
     geom = build_box(N)
-    curve = free_energy_curve(geom, DisorderSpec("gaussian"), 0.0, [h], master_seed,
+    curve = free_energy_curve(geom, GAUSSIAN, 0.0, [h], master_seed,
                               sweeps=sweeps, burn_in=burn_in, tag="pure")
     return _curve_to_estimate(curve, 0, N, "thermodynamic-integration",
                               {"beta": 0.0, "h": h}, 1, master_seed)
 
 
-def quenched_free_energy_estimate(beta: float, h: float, N: int, master_seed: int,
-                                  spec: DisorderSpec | None = None, replicas: int = 6,
-                                  sweeps: int = 600, burn_in: int = 300) -> FreeEnergyEstimate:
-    """Replica-averaged quenched free energy with self-averaging diagnostic."""
-    spec = spec or DisorderSpec("gaussian")
-    if beta > spec.beta_bar:
-        raise DomainError(f"beta={beta} beyond the disorder's usable tilt {spec.beta_bar}")
-    geom = build_box(N)
-    targets = [h]
-    reps = np.zeros(replicas)
-    ses = np.zeros(replicas)
-    for r in range(replicas):
-        curve = free_energy_curve(geom, spec, beta, targets, master_seed + 7919 * r,
-                                  replicas=1, sweeps=sweeps, burn_in=burn_in, tag="quenched")
-        reps[r] = curve.value[0]
-        ses[r] = curve.se[0]
-    value = float(reps.mean())
-    se = math.sqrt(float(reps.var(ddof=1)) / replicas + float((ses ** 2).mean()) / replicas) \
-        if replicas > 1 else float(ses[0])
-    return FreeEnergyEstimate(value, se, N, "thermodynamic-integration",
-                              {"beta": beta, "h": h}, replicas, master_seed,
-                              replica_values=reps)
-
-
 def massive_shifted_free_energy_estimate(beta: float, h: float, m: float, u: float, N: int,
-                                         master_seed: int, spec: DisorderSpec | None = None,
-                                         replicas: int = 1, sweeps: int = 600,
+                                         master_seed: int, sweeps: int = 600,
                                          burn_in: int = 300) -> FreeEnergyEstimate:
     """Free energy of the massive model with substrate shifted to height u."""
     if m <= 0:
         raise DomainError("massive estimator needs m > 0")
-    spec = spec or DisorderSpec("gaussian")
     geom = build_box(N)
-    curve = free_energy_curve(geom, spec, beta, [h], master_seed, m=m, u=u,
-                              replicas=max(replicas, 1), sweeps=sweeps, burn_in=burn_in,
-                              tag="massive")
+    curve = free_energy_curve(geom, GAUSSIAN, beta, [h], master_seed, m=m, u=u,
+                              sweeps=sweeps, burn_in=burn_in, tag="massive")
     return _curve_to_estimate(curve, 0, N, "thermodynamic-integration",
-                              {"beta": beta, "h": h, "m": m, "u": u},
-                              max(replicas, 1), master_seed)
+                              {"beta": beta, "h": h, "m": m, "u": u}, 1, master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +337,9 @@ def density_event_threshold(N: int, m: float, K: float) -> float:
     return N * N * (2.0 * kernels.f_of_m(m) / (m * m) - K)
 
 
-def _replica_log_z(geom: BoxGeometry, spec: DisorderSpec, beta: float, h: float, m: float,
-                   u: float, threshold: float, master_seed: int, tag: str, r: int,
-                   sweeps: int, burn_in: int, boundary_cov: np.ndarray | None) -> tuple[float, float]:
+def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
+                   threshold: float, master_seed: int, tag: str, r: int, sweeps: int,
+                   burn_in: int, boundary_cov: np.ndarray | None) -> tuple[float, float]:
     """One (boundary, disorder) replica of log E^{m,bc}[e^{interaction} 1_D].
 
     D is the event sum phi^2 >= threshold over the interaction range (see
@@ -363,26 +355,20 @@ def _replica_log_z(geom: BoxGeometry, spec: DisorderSpec, beta: float, h: float,
     ch_rng = rngmod.stream(master_seed, tag, "chain", r)
     bc = fields.sample_boundary_infinite_massive(geom, m, bc_rng, cov=boundary_cov)
     ext = fields.harmonic_extension(geom, m, bc)
-    omega = sample_disorder(geom, spec, om_rng)
+    omega = sample_disorder(geom, GAUSSIAN, om_rng)
     params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
-    params0 = replace(params, h=0.0)
-    grid = _ti_h_grid([h])
-    zero_pos = int(np.searchsorted(grid, 0.0))
-    pos = int(np.searchsorted(grid, round(h, 12)))
-    base, _ = coupling_log_z(geom, params0, omega, ch_rng, sweeps, burn_in,
-                             shift=ext.values)
     tmask = geom.tilde_mask
 
     def density_stat(f: np.ndarray) -> float:
         return float(np.sum(f[tmask] ** 2))
 
-    res = ti_log_partition(geom, params, omega, ch_rng, grid, sweeps, burn_in,
-                           baseline=0.0, observables={"sumsq": density_stat}, observe_at=h)
-    log_z = res.log_z[pos] - res.log_z[zero_pos] + base
-    log_z += boundary_contact_term(geom, params, omega, "tilde")
-    freq = float(np.mean(res.final_record.extra["sumsq"] >= threshold))
-    n_rec = len(res.final_record.extra["sumsq"])
-    log_event = math.log(max(freq, 0.5 / n_rec))
+    log_z, _, leg, pos = _anchored_log_z(geom, params, omega, ch_rng, [h], sweeps, burn_in,
+                                         coupling=True, shift=ext.values,
+                                         observables={"sumsq": density_stat})
+    log_z = log_z[0] + boundary_contact_term(geom, params, omega, "tilde")
+    sumsq = leg.records[pos[0]].extra["sumsq"]
+    freq = float(np.mean(sumsq >= threshold))
+    log_event = math.log(max(freq, 0.5 / len(sumsq)))
     return float(log_z) + log_event, freq
 
 
@@ -409,8 +395,7 @@ def _map_replicas(jobs, threads: int):
 
 
 def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float, N: int,
-                            master_seed: int, spec: DisorderSpec | None = None,
-                            replicas: int = 6, sweeps: int = 500,
+                            master_seed: int, replicas: int = 6, sweeps: int = 500,
                             burn_in: int = 300, threads: int = 1) -> CriterionReport:
     """Laboratory version of the finite-volume lower-bound certificate.
 
@@ -420,11 +405,12 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
     """
     if m <= 0:
         raise DomainError("criterion needs m > 0")
-    spec = spec or DisorderSpec("gaussian")
+    if replicas < 1:
+        raise DomainError(f"finite_volume_criterion needs replicas >= 1 (got {replicas})")
     geom = build_box(N)
     cov = fields.boundary_covariance(geom, m)
     thr = density_event_threshold(N, m, K)
-    jobs = [(geom, spec, beta, h, m, u, thr, master_seed, "fvc", r, sweeps, burn_in, cov)
+    jobs = [(geom, beta, h, m, u, thr, master_seed, "fvc", r, sweeps, burn_in, cov)
             for r in range(replicas)]
     pairs = _map_replicas(jobs, threads)
     vals = np.array([p[0] for p in pairs])
@@ -439,21 +425,23 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
 
 
 def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
-                 master_seed: int, spec: DisorderSpec | None = None, replicas: int = 8,
-                 sweeps: int = 500, burn_in: int = 300, threads: int = 1) -> dict:
+                 master_seed: int, replicas: int = 8, sweeps: int = 500, burn_in: int = 300,
+                 threads: int = 1) -> dict:
     """E log Z' at sizes N and 2N and the sub-additivity gap E_2N - 4 E_N.
 
     The exact finite-volume inequality is gap >= 0 in expectation over the
     boundary field and the disorder.
     """
-    spec = spec or DisorderSpec("gaussian")
+    if replicas < 2:
+        raise DomainError(f"doubling_gap needs replicas >= 2 for its standard error "
+                          f"(got {replicas})")
     out = {}
     for label, size in (("small", N), ("large", 2 * N)):
         geom = build_box(size)
         cov = fields.boundary_covariance(geom, m)
         thr = density_event_threshold(size, m, K)
-        jobs = [(geom, spec, beta, h, m, u, thr, master_seed, f"dbl-{label}", r,
-                 sweeps, burn_in, cov) for r in range(replicas)]
+        jobs = [(geom, beta, h, m, u, thr, master_seed, f"dbl-{label}", r, sweeps, burn_in, cov)
+                for r in range(replicas)]
         vals = np.array([p[0] for p in _map_replicas(jobs, threads)])
         out[label] = (float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(replicas))
     gap = out["large"][0] - 4.0 * out["small"][0]
@@ -462,142 +450,8 @@ def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
 
 
 # ---------------------------------------------------------------------------
-# event flags
+# laboratory schedule
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Flag:
-    value: bool | None
-    stat: float | None
-    threshold: float | None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class EventThresholds:
-    """Laboratory thresholds for the typicality events.
-
-    an_offset is the additive slack of the extremal barrier (the asymptotic
-    form uses 100 gamma loglog N; the laboratory default is gamma loglog N,
-    with observed exceedances reported rather than asserted).
-    """
-
-    h: float = 0.1
-    K: float = 0.5
-    alpha: float = 0.75
-    an_offset: float | None = None
-    frame_factor: float | None = None
-
-    def barrier(self, N: int) -> float:
-        if self.an_offset is not None:
-            return self.an_offset
-        return GAMMA * math.log(math.log(N))
-
-    def frame_budget_factor(self, N: int) -> float:
-        if self.frame_factor is not None:
-            return self.frame_factor
-        return math.log(N) ** (1.0 / 16.0)
-
-
-def event_flags(sample: fields.FieldSample, params: pinning.PinningParams,
-                thresholds: EventThresholds, window_mask: np.ndarray | None = None,
-                frame_expectation: float | None = None) -> dict[str, Flag]:
-    """Evaluate the typicality/restriction events available on this sample.
-
-    Flags whose prerequisites are missing (scale stack, mass, a conditional
-    frame expectation) come back with value None and a note, never an error.
-    """
-    geom = sample.geom
-    N = geom.N
-    flags: dict[str, Flag] = {}
-    vals = sample.values
-    # height restriction: all heights within |log h|^2
-    b = abs(math.log(thresholds.h)) ** 2
-    stat = float(np.max(np.abs(vals)))
-    flags["height_restriction"] = Flag(stat <= b, stat, b)
-    # typical density of the squared field
-    if params.m > 0:
-        thr = density_event_threshold(N, params.m, thresholds.K)
-        stat = float(np.sum(vals[geom.tilde_mask] ** 2))
-        flags["density_typical"] = Flag(stat >= thr, stat, thr)
-    else:
-        flags["density_typical"] = Flag(None, None, None, "needs m > 0")
-    # extremal barrier over the wide inner box
-    if sample.stack is not None:
-        wide = sub_box_mask(geom, 2.0)
-        margin = fields.stack_barrier_margin(sample.stack, wide, GAMMA)
-        off = thresholds.barrier(N)
-        flags["extremal"] = Flag(margin <= off, margin, off)
-    else:
-        flags["extremal"] = Flag(None, None, None, "needs a scale stack")
-    # contact bookkeeping
-    window = sub_box_mask(geom, 2.0) if window_mask is None else window_mask
-    delta = pinning.contact_indicators(vals, params.u)
-    L = int(np.sum(delta & window))
-    frame = int(np.sum(delta & geom.tilde_mask & ~window))
-    flags["contacts"] = Flag(None, float(L), None, "statistic only")
-    if frame_expectation is not None:
-        budget = thresholds.frame_budget_factor(N) * frame_expectation
-        frame_ok = frame <= budget
-        flags["frame_contacts"] = Flag(frame_ok, float(frame), budget)
-        dens = flags["density_typical"]
-        if dens.value is not None:
-            c_val = bool(dens.value and frame_ok)
-            flags["concentration"] = Flag(c_val, None, None)
-            l_budget = math.log(N) ** ((1.0 + thresholds.alpha) / 2.0)
-            flags["few_contacts"] = Flag(c_val and L <= l_budget, float(L), l_budget)
-        else:
-            flags["concentration"] = Flag(None, None, None, "needs density flag")
-            flags["few_contacts"] = Flag(None, None, None, "needs density flag")
-    else:
-        flags["frame_contacts"] = Flag(None, float(frame), None,
-                                       "needs the conditional frame expectation")
-        flags["concentration"] = Flag(None, None, None, "needs frame budget")
-        flags["few_contacts"] = Flag(None, None, None, "needs frame budget")
-    return flags
-
-
-# ---------------------------------------------------------------------------
-# parameter schedule
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParameterSchedule:
-    """The proof-scale parameters, held in log space (N itself overflows).
-
-    log N = h^-20, m = (log N)^{1/4} / N, u = sqrt(2/pi) log N
-    - (2+alpha)/(2 sqrt(2 pi)) loglog N, with alpha = 3/4 and gamma =
-    2 sqrt(2 pi); also carries the two free-energy bounds as logs.
-    """
-
-    h: float
-    alpha: float = 0.75
-    gamma: float = GAMMA
-    log_N: float = dc_field(init=False)
-    log_log_N: float = dc_field(init=False)
-    log_m: float = dc_field(init=False)
-    u: float = dc_field(init=False)
-    log_lower_bound: float = dc_field(init=False)
-    log_upper_bound: float = dc_field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.h < 1.0:
-            raise DomainError(f"schedule needs h in (0,1) (got {self.h})")
-        log_n = self.h ** -20.0
-        loglog = 20.0 * abs(math.log(self.h))
-        object.__setattr__(self, "log_N", log_n)
-        object.__setattr__(self, "log_log_N", loglog)
-        object.__setattr__(self, "log_m", -log_n + 0.25 * loglog)
-        object.__setattr__(self, "u",
-                           math.sqrt(2.0 / math.pi) * log_n
-                           - (2.0 + self.alpha) / (2.0 * math.sqrt(2.0 * math.pi)) * loglog)
-        object.__setattr__(self, "log_lower_bound", -log_n)
-        object.__setattr__(self, "log_upper_bound", -abs(math.log(self.h)) ** 1.5)
-
-
-def parameter_schedule(h: float, alpha: float = 0.75) -> ParameterSchedule:
-    return ParameterSchedule(h, alpha)
-
 
 def desk_mass(N: int) -> float:
     """Laboratory analogue m(N) = (log N)^{1/4} / N of the schedule's mass."""
@@ -634,13 +488,14 @@ def conditioned_contact_statistics(N: int, master_seed: int, m: float | None = N
     trajectory-restricted contact totals, their conditional versions given
     the few-contacts event, the second-moment (Paley-Zygmund) ratio, and the
     histogram of pairwise decorrelation scales among restricted contacts.
+    The barrier event relaxes the asymptotic 100 gamma loglog N slack of the
+    extremal barrier to gamma loglog N.
     """
     geom = build_box(N)
     m = desk_mass(N) if m is None else m
     u = desk_height(N, alpha) if u is None else u
     grid = kernels.scale_time_grid(m, min_scales=0)
     window = sub_box_mask(geom, 2.0)
-    thresholds = EventThresholds(alpha=alpha)
     rng = rngmod.stream(master_seed, "ccs")
     L = np.zeros(samples)
     Lp = np.zeros(samples)
@@ -660,7 +515,7 @@ def conditioned_contact_statistics(N: int, master_seed: int, m: float | None = N
             iu = np.triu_indices(len(xs1), k=1)
             for jv in pair_scale_index(grid.k, d[iu]):
                 j_hist[int(jv)] = j_hist.get(int(jv), 0) + 1
-    an = margins <= thresholds.barrier(N)
+    an = margins <= GAMMA * math.log(math.log(N))
     few = L <= math.log(N) ** ((1.0 + alpha) / 2.0)
     cond = an & few
     out = {
@@ -683,8 +538,7 @@ def conditioned_contact_statistics(N: int, master_seed: int, m: float | None = N
 # ---------------------------------------------------------------------------
 
 def height_restriction_logp(beta: float, h: float, N: int, master_seed: int,
-                            spec: DisorderSpec | None = None, kappa_max: float = 12.0,
-                            n_kappa: int = 10, sweeps: int = 200, burn_in: int = 150) -> dict:
+                            sweeps: int = 200, burn_in: int = 150) -> dict:
     """(1/N^2) log of the Gibbs probability that all heights stay in
     [-|log h|^2, |log h|^2], by thermodynamic integration in a soft wall.
 
@@ -693,39 +547,26 @@ def height_restriction_logp(beta: float, h: float, N: int, master_seed: int,
     sites; integrating to large kappa and adding the exponential tail yields
     log P, far below anything a direct frequency count could see.
     """
-    spec = spec or DisorderSpec("gaussian")
     geom = build_box(N)
     b = abs(math.log(h)) ** 2
-    omega = sample_disorder(geom, spec, rngmod.stream(master_seed, "wall-omega"))
+    omega = sample_disorder(geom, GAUSSIAN, rngmod.stream(master_seed, "wall-omega"))
     params = pinning.PinningParams(beta=beta, h=h)
     rng = rngmod.stream(master_seed, "wall-chain")
-    kappas = np.concatenate([np.linspace(0.0, 3.0, max(4, n_kappa - 4), endpoint=False),
-                             np.linspace(3.0, kappa_max, 4)])
-    counts, count_ses = [], []
-    chain = None
+    kappas = np.concatenate([np.linspace(0.0, 3.0, 6, endpoint=False),
+                             np.linspace(3.0, 12.0, 4)])
     interior = geom.interior_mask
 
-    for kappa in kappas:
-        wall = pinning.Band(-b, b, float(kappa))
-        if chain is None:
-            chain = pinning.make_chain(geom, params, omega, rng, extra_bands=(wall,))
-            bi = burn_in
-        else:
-            chain = pinning.GibbsChain(geom, params, omega, chain.field, rng,
-                                       extra_bands=(wall,), sweeps_done=chain.sweeps_done)
-            bi = burn_in // 2
+    def outside(f: np.ndarray) -> float:
+        return float(np.sum(np.abs(f[interior]) > b))
 
-        def outside(f: np.ndarray) -> float:
-            return float(np.sum(np.abs(f[interior]) > b))
-
-        rec = pinning.run_chain(geom, params, omega, rng, sweeps=sweeps, burn_in=bi,
-                                thinning=2, chain=chain, observables={"out": outside})
-        mean, se = rec.mean_se(rec.extra["out"])
-        counts.append(mean)
-        count_ses.append(se)
-    counts = np.array(counts)
-    integral = float(np.trapezoid(counts, kappas))
-    tail = float(counts[-1])  # the count decays like e^-kappa beyond the grid
-    logp = -(integral + tail) / (N * N)
+    ladder = integrate_ladder(
+        lambda kappa, f: pinning.GibbsChain(geom, params, omega, f, rng,
+                                            extra_bands=(pinning.Band(-b, b, kappa),)),
+        kappas, lambda rec: rec.extra["out"],
+        fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
+        burn_in // 2, interaction="tilde", observables=[{"out": outside}] * len(kappas))
+    counts = ladder.density
+    # the trapezoid integral, plus the count's e^-kappa decay beyond the grid
+    logp = -(float(np.sum(ladder.increments)) + float(counts[-1])) / (N * N)
     return {"h": h, "barrier": b, "kappa": kappas, "mean_outside": counts,
             "logp_per_site": logp}

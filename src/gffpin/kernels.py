@@ -1,8 +1,8 @@
 """Lattice potential theory for the walk with generator Delta (rate-4 walk).
 
-Continuous-time heat kernels on Z^2 and on the box with absorbing boundary,
-massive Green functions in infinite and finite volume, the recurrent-walk
-potential kernel, the spectral integral f(m) controlling the cost of adding
+The one-dimensional continuous-time heat kernel (the kernel on Z^2 is the
+product over the two coordinates), massive Green functions in infinite and
+finite volume, the spectral integral f(m) controlling the cost of adding
 mass, and the decreasing time grid that slices the Green function into
 unit-variance covariance layers.
 
@@ -58,14 +58,6 @@ def heat_kernel_1d(a, t):
     return out if out.ndim else float(out)
 
 
-def heat_kernel_free(x, y, t):
-    """P_t(x,y) for x, y in Z^2; factorizes over the two coordinates."""
-    if t <= 0:
-        raise DomainError(f"heat kernel needs t > 0 (got {t})")
-    (x1, x2), (y1, y2) = x, y
-    return float(heat_kernel_1d(x1 - y1, t) * heat_kernel_1d(x2 - y2, t))
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
     """Sine eigenbasis of the Dirichlet Laplacian on {1,...,N-1}.
@@ -95,29 +87,6 @@ class SpectralBasis:
 @lru_cache(maxsize=32)
 def spectral_basis(N: int) -> SpectralBasis:
     return SpectralBasis(N)
-
-
-def heat_kernel_dirichlet(geom: BoxGeometry, x, y, t):
-    """Killed kernel P*_t(x,y) on the box, by the product sine series.
-
-    Vanishes whenever either site lies on the boundary; dominated by the
-    free kernel.
-    """
-    if t <= 0:
-        raise DomainError(f"heat kernel needs t > 0 (got {t})")
-    n = geom.N
-    (x1, x2), (y1, y2) = x, y
-    for c in (x1, x2, y1, y2):
-        if not 0 <= c <= n:
-            raise DomainError(f"site coordinate {c} outside the box 0..{n}")
-    if min(x1, x2, y1, y2) == 0 or max(x1, x2) == n or max(y1, y2) == n:
-        return 0.0
-    basis = spectral_basis(n)
-    e = np.exp(-basis.lam * t)
-    s = basis.modes
-    p1 = float(np.dot(s[x1 - 1] * s[y1 - 1], e))
-    p2 = float(np.dot(s[x2 - 1] * s[y2 - 1], e))
-    return p1 * p2
 
 
 # ---------------------------------------------------------------------------
@@ -329,62 +298,6 @@ def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0, sites=None) -> Gree
     table[np.ix_(inside, inside)] = sol[pos[inside]][:, inside]
     table = 0.5 * (table + table.T)
     return GreenTable(geom.N, float(m), "dirichlet", sites, table)
-
-
-# ---------------------------------------------------------------------------
-# potential kernel
-# ---------------------------------------------------------------------------
-
-def potential_kernel(x) -> float:
-    """a(x) = lim_T int_0^T (P_t(0,0) - P_t(x,0)) dt for the rate-4 walk.
-
-    Computed as 1/4 of the discrete-time potential kernel, itself evaluated
-    by the Fourier integral with the theta_2 angle integrated exactly:
-
-        a_disc(x) = (2/pi) int_0^pi [1 - cos(t x1) rho(t)^|x2|] / sqrt(A^2-1) dt
-
-    with A = 2 - cos t, rho = A - sqrt(A^2 - 1).  a(0) = 0, a(e1) = 1/4,
-    and a(x) = log|x|_2 / 2pi + O(1).
-    """
-    x1, x2 = (abs(int(c)) for c in x)
-    if x1 < x2:
-        x1, x2 = x2, x1
-    if x1 == 0 and x2 == 0:
-        return 0.0
-
-    def f(t):
-        eps = 2.0 * np.sin(t / 2.0) ** 2  # = A - 1, exact near 0
-        s = np.sqrt(eps * (eps + 2.0))
-        rho = 1.0 + eps - s
-        return (1.0 - np.cos(t * x1) * rho ** x2) / s
-
-    # resolve both the 1/sqrt region near 0 and the cos(t x1) oscillation
-    lin = np.linspace(1e-4, np.pi, max(40, 8 * x1) + 1)
-    edges = np.concatenate([[0.0], np.geomspace(1e-12, 1e-4, 40), lin[1:]])
-    return 2.0 * _panel_integral(f, edges) / (4.0 * math.pi)
-
-
-def potential_kernel_time(x, T: float | None = None) -> float:
-    """Truncated time integration with an analytic tail (cross-check route).
-
-    Tail beyond T uses the local CLT: the remainder of the leading term is
-    (gamma + log(rho/T) + E1(rho/T)) / 4pi with rho = |x|_2^2 / 4.
-    """
-    x1, x2 = (abs(int(c)) for c in x)
-    if x1 == 0 and x2 == 0:
-        return 0.0
-    rho = (x1 * x1 + x2 * x2) / 4.0
-    if T is None:
-        T = 5e3 * max(1.0, rho)
-
-    def f(t):
-        return heat_kernel_1d(0, t) ** 2 - heat_kernel_1d(x1, t) * heat_kernel_1d(x2, t)
-
-    edges = np.concatenate([[0.0], _log_panels(1e-10, T)])
-    head = _panel_integral(f, edges)
-    z = rho / T
-    tail = (np.euler_gamma + math.log(z) + special.exp1(z)) / (4.0 * math.pi)
-    return head + tail
 
 
 # ---------------------------------------------------------------------------

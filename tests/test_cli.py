@@ -89,6 +89,13 @@ def test_unknown_config_key_exits_nonzero(capsys):
     assert "sweepz" in capsys.readouterr().err
 
 
+def test_bad_replica_count_exits_2(capsys):
+    rc = cli.main(["run", "subadditivity", "--set", "replicas=1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "replicas >= 2" in err and "got 1" in err
+
+
 def test_run_experiment_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="sweepz"):
         experiments.run_experiment("exact-small-box", {"sweepz": 5, "seed": 1})

@@ -72,47 +72,6 @@ def test_sampling_independence_smoke():
     assert p > 0.01
 
 
-def test_tilted_resample():
-    g = lattice.build_box(32)
-    r = rng.stream(104, "tilt")
-    om = disorder.sample_disorder(g, disorder.GAUSSIAN, r)
-    contacts = np.zeros((33, 33), dtype=bool)
-    contacts[1:17, 1:17] = True
-    beta = 0.8
-    tilted = disorder.tilted_resample(om, contacts, beta, r)
-    sel = contacts & g.tilde_mask
-    off = ~contacts & g.tilde_mask
-    assert np.array_equal(tilted.values[off], om.values[off])  # untouched off contacts
-    n = int(sel.sum())
-    lam1 = disorder.log_mgf(disorder.GAUSSIAN, beta)[1]
-    assert abs(tilted.values[sel].mean() - lam1) < 4.0 / math.sqrt(n)
-
-
-def test_tilted_null_is_identity_in_law():
-    g = lattice.build_box(24)
-    r = rng.stream(105, "tiltnull")
-    om = disorder.sample_disorder(g, disorder.GAUSSIAN, r)
-    none = np.zeros((25, 25), dtype=bool)
-    tilted = disorder.tilted_resample(om, none, 0.7, r)
-    assert np.array_equal(tilted.values, om.values)
-    # two-sample KS between an untilted resample and the original draw
-    om2 = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(106, "tiltnull2"))
-    p = stats.ks_2samp(om.values[g.tilde_mask], om2.values[g.tilde_mask]).pvalue
-    assert p > 0.01
-
-
-def test_bernoulli_tilted_law():
-    g = lattice.build_box(48)
-    r = rng.stream(107, "tiltb")
-    om = disorder.sample_disorder(g, disorder.BERNOULLI, r)
-    contacts = g.tilde_mask.copy()
-    beta = 0.6
-    tilted = disorder.tilted_resample(om, contacts, beta, r)
-    vals = tilted.values[g.tilde_mask]
-    lam1 = disorder.log_mgf(disorder.BERNOULLI, beta)[1]
-    assert abs(vals.mean() - lam1) < 4.0 / math.sqrt(vals.size)
-
-
 def test_event_e_trivial_cases():
     g = lattice.build_box(16)
     t = lattice.cell_tiling(g, 4)

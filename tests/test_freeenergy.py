@@ -3,31 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import disorder, fields, freeenergy, kernels, lattice, pinning, rng
+from gffpin import disorder, freeenergy, kernels, lattice, pinning, rng
 from gffpin.errors import DomainError
-
-
-def test_parameter_schedule_values():
-    s = freeenergy.parameter_schedule(0.5)
-    assert s.alpha == 0.75
-    assert s.gamma == pytest.approx(2 * math.sqrt(2 * math.pi))
-    assert s.gamma == pytest.approx(5.013256549, abs=1e-8)
-    assert s.log_N == 2 ** 20  # 0.5^-20 = 2^20 = 1048576
-    assert s.log_log_N == pytest.approx(20 * math.log(2))
-    # m = (log N)^{1/4} / N in log space
-    assert s.log_m == pytest.approx(-s.log_N + 0.25 * s.log_log_N)
-    assert s.u == pytest.approx(math.sqrt(2 / math.pi) * s.log_N
-                                - 2.75 / (2 * math.sqrt(2 * math.pi)) * s.log_log_N)
-
-
-def test_parameter_schedule_bounds_ordered():
-    for h in (0.05, 0.1, 0.3, 0.49):
-        s = freeenergy.parameter_schedule(h)
-        assert s.log_lower_bound <= s.log_upper_bound
-    with pytest.raises(DomainError):
-        freeenergy.parameter_schedule(1.5)
-    with pytest.raises(DomainError):
-        freeenergy.parameter_schedule(0.0)
 
 
 def test_desk_schedule():
@@ -84,18 +61,6 @@ def test_negative_h_estimate_nonpositive():
     assert est_curve.value[0] > -2.0  # crude bound: value >= -|h|
 
 
-def test_quenched_below_annealed_small():
-    q = freeenergy.quenched_free_energy_estimate(0.5, 0.3, 8, 403, replicas=4,
-                                                 sweeps=400, burn_in=200)
-    a = freeenergy.pure_free_energy_estimate(0.3, 8, 404, sweeps=400, burn_in=200)
-    assert q.value <= a.value + 3 * math.hypot(q.se, a.se)
-    assert q.replica_values is not None and q.spread > 0
-    assert q.value >= -abs(0.3) - 2 * 0.5  # crude bound
-    with pytest.raises(DomainError):
-        freeenergy.quenched_free_energy_estimate(
-            2.0, 0.1, 8, 1, spec=disorder.DisorderSpec("gaussian", beta_bar=1.0))
-
-
 def test_massive_estimator_validates():
     with pytest.raises(DomainError):
         freeenergy.massive_shifted_free_energy_estimate(0.0, 0.1, 0.0, 0.0, 8, 1)
@@ -120,32 +85,6 @@ def test_massive_monotone_in_u():
 def test_density_event_threshold_matches_formula():
     thr = freeenergy.density_event_threshold(16, 0.3, 0.35)
     assert thr == pytest.approx(256 * (2 * kernels.f_of_m(0.3) / 0.09 - 0.35))
-
-
-def test_event_flags_forced_field():
-    g = lattice.build_box(16)
-    zero = fields.FieldSample(g, np.zeros((17, 17)), 0.0, fields.zero_bc())
-    flags = freeenergy.event_flags(zero, pinning.PinningParams(h=0.1, m=0.0),
-                                   freeenergy.EventThresholds(h=0.1))
-    assert flags["height_restriction"].value is True  # any h < 1 passes on phi = 0
-    assert flags["density_typical"].value is None  # needs m > 0
-    assert flags["extremal"].value is None  # needs a stack
-    assert flags["frame_contacts"].value is None  # needs the frame budget
-
-
-def test_event_flags_with_stack_and_frame():
-    g = lattice.build_box(32)
-    m = freeenergy.desk_mass(32)
-    grid = kernels.scale_time_grid(m, min_scales=0)
-    s = fields.sample_scale_stack(g, m, rng.stream(407, "flags"), grid=grid)
-    thresholds = freeenergy.EventThresholds(h=0.1, K=0.35)
-    flags = freeenergy.event_flags(s, pinning.PinningParams(h=0.1, m=m, u=freeenergy.desk_height(32)),
-                                   thresholds, frame_expectation=5.0)
-    assert flags["extremal"].value is not None
-    assert flags["density_typical"].value is not None
-    # few-contacts implies concentration by construction
-    if flags["few_contacts"].value:
-        assert flags["concentration"].value
 
 
 def test_finite_volume_penalty_dominates():
@@ -224,6 +163,35 @@ def test_ladders_bit_identical():
     assert ti.density.tolist() == [8.3, 8.7, 8.2]
 
 
+def test_free_energy_curve_bit_identical():
+    # beta = 0 runs the h-leg alone; beta > 0 adds the 11-segment coupling leg per replica
+    g = lattice.build_box(4)
+    pure = freeenergy.free_energy_curve(g, disorder.GAUSSIAN, 0.0, [0.0, 0.1, 0.2], 247,
+                                        sweeps=20, burn_in=10)
+    assert pure.value.tolist() == [0.0, 0.05035714285714375, 0.10174107142856251]
+    assert pure.se.tolist() == [0.0, 0.0009861031266641218, 0.0012188035993212388]
+    assert pure.density.tolist() == [0.4875, 0.4875, 0.5375]
+    assert pure.density_se.tolist() == [0.022745573439926968, 0.018162078931419474,
+                                        0.010206207261596574]
+    quenched = freeenergy.free_energy_curve(g, disorder.GAUSSIAN, 0.5, [0.0, 0.1, 0.2], 247,
+                                            replicas=2, sweeps=20, burn_in=10)
+    assert quenched.value.tolist() == [-0.13629096204018643, -0.08620167632589734,
+                                       -0.036045426325895774]
+    assert quenched.se.tolist() == [0.031844870665787076, 0.03234026460126307,
+                                    0.031030942359696074]
+    assert quenched.density.tolist() == [0.490625, 0.496875, 0.49375]
+    assert quenched.density_se.tolist() == [0.019235609700645195, 0.017486353806452748,
+                                            0.013819269959814168]
+
+
+def test_height_restriction_bit_identical():
+    # the 9-segment soft-wall ladder, kappa = 0 .. 3 by 0.5, then 6, 9, 12
+    out = freeenergy.height_restriction_logp(0.5, 0.5, 8, 248, sweeps=20, burn_in=10)
+    assert out["kappa"].tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0, 9.0, 12.0]
+    assert out["mean_outside"].tolist() == [20.4, 11.9, 8.1, 6.3, 2.7, 2.4, 1.7, 0.0, 0.0, 0.0]
+    assert out["logp_per_site"] == -0.371484375
+
+
 def test_doubling_gap_bit_identical():
     out = freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4,
                                   burn_in=2)
@@ -241,3 +209,19 @@ def test_stream_audit_survives_the_process_pool():
         ids.append(audit.consumed)
     assert len(ids[0]) == 12  # bc, omega and chain streams of 2 replicas at 2 sizes
     assert ids[1] == ids[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: freeenergy.free_energy_curve(lattice.build_box(4), disorder.GAUSSIAN, 0.5, [0.1], 1,
+                                         replicas=0, sweeps=4, burn_in=2),
+    lambda: freeenergy.finite_volume_criterion(0.0, 0.5, 0.4, 0.0, 1.0, 4, 1, replicas=0,
+                                               sweeps=4, burn_in=2),
+    lambda: freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 1, replicas=1, sweeps=4,
+                                    burn_in=2),
+    lambda: freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 1, replicas=0, sweeps=4,
+                                    burn_in=2),
+], ids=["curve-0", "criterion-0", "doubling-1", "doubling-0"])
+def test_bad_replica_counts_raise(call):
+    # the curve and the criterion need one replica; the doubling SE needs two
+    with pytest.raises(DomainError, match="replicas"):
+        call()

@@ -14,25 +14,17 @@ TWO_PI = 2 * math.pi
 # heat kernels
 # ---------------------------------------------------------------------------
 
-def test_heat_kernel_free_values():
-    # small-time: mass concentrates on the starting site
-    assert abs(kernels.heat_kernel_free((0, 0), (0, 0), 1e-9) - 1.0) < 1e-6
-    # symmetry
-    a = kernels.heat_kernel_free((1, 2), (4, 3), 0.7)
-    b = kernels.heat_kernel_free((4, 3), (1, 2), 0.7)
-    assert a == b
-    # value at t=1 equals the Bessel product, and sits near the local CLT law
-    v = kernels.heat_kernel_free((0, 0), (0, 0), 1.0)
+def test_heat_kernel_1d_values():
+    # small time: mass concentrates on the starting site
+    assert abs(kernels.heat_kernel_1d(0, 1e-9) - 1.0) < 1e-6
+    # symmetry in the displacement
+    assert kernels.heat_kernel_1d(-3, 0.7) == kernels.heat_kernel_1d(3, 0.7)
+    # the Z^2 kernel at t=1 (the product over both coordinates) equals the
+    # Bessel product, and sits near the local CLT law
+    v = kernels.heat_kernel_1d(0, 1.0) ** 2
     ref = (math.exp(-2.0) * special.iv(0, 2.0)) ** 2
     assert abs(v - ref) < 1e-14
     assert abs(v - 1.0 / (4 * math.pi)) < 1.0
-
-
-def test_heat_kernel_domain():
-    with pytest.raises(DomainError):
-        kernels.heat_kernel_free((0, 0), (0, 0), 0.0)
-    with pytest.raises(DomainError):
-        kernels.heat_kernel_dirichlet(lattice.build_box(4), (1, 1), (1, 1), -1.0)
 
 
 def test_heat_kernel_1d_branch_agreement():
@@ -42,22 +34,6 @@ def test_heat_kernel_1d_branch_agreement():
         bessel = float(special.ive(a, 2 * t))
         asym = (4 * math.pi * t) ** -0.5 * math.exp(-a * a / (4 * t)) * (1 + 1 / (16 * t))
         assert abs(bessel - asym) / bessel < 1e-8
-
-
-def test_heat_kernel_dirichlet_single_mode():
-    g = lattice.build_box(2)
-    for t in (0.1, 0.5, 2.0):
-        assert abs(kernels.heat_kernel_dirichlet(g, (1, 1), (1, 1), t) - math.exp(-4 * t)) < 1e-14
-    assert kernels.heat_kernel_dirichlet(g, (0, 1), (1, 1), 1.0) == 0.0
-
-
-@pytest.mark.parametrize("N,t", [(8, 0.5), (16, 2.0), (32, 10.0)])
-def test_killed_dominated_by_free(N, t):
-    g = lattice.build_box(N)
-    for x in [(1, 1), (N // 2, N // 2), (2, N // 2)]:
-        killed = kernels.heat_kernel_dirichlet(g, x, x, t)
-        free = kernels.heat_kernel_free(x, x, t)
-        assert 0.0 <= killed <= free + 1e-15
 
 
 def test_spectral_basis_orthonormal():
@@ -93,31 +69,6 @@ def test_gradient_bound_stable():
         fits.append(worst)
     assert max(fits) < 1.0
     assert max(fits) / min(fits) < 20.0
-
-
-def test_killed_free_ratio_bound():
-    # P*_t(x,x) / P_t(x,x) <= C d^2 / t
-    g = lattice.build_box(512)
-    fits = []
-    for d in (2, 8, 32):
-        x = (d, 256)
-        for t in (max(1.0, 0.5 * d * d), 2.0 * d * d, 20.0 * d * d):
-            ratio = kernels.heat_kernel_dirichlet(g, x, x, t) / kernels.heat_kernel_free(x, x, t)
-            fits.append(ratio * t / (d * d))
-    assert max(fits) < 10.0
-
-
-def test_killed_free_difference_decay():
-    # the defect P_t - P*_t is exponentially small deep inside the box
-    g = lattice.build_box(512)
-    x = (64, 256)
-    for t in (4.0, 16.0):  # t << d
-        diff = kernels.heat_kernel_free(x, x, t) - kernels.heat_kernel_dirichlet(g, x, x, t)
-        bound = (1.0 / t) * math.exp(-0.05 * 64 * math.log(64.0 / t))
-        assert diff <= bound
-    for t in (1e4, 1e5):  # t >= d: gaussian tail in d^2/t
-        diff = kernels.heat_kernel_free(x, x, t) - kernels.heat_kernel_dirichlet(g, x, x, t)
-        assert diff <= (20.0 / t) * math.exp(-(64.0 ** 2) / (20.0 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -220,35 +171,6 @@ def test_green_dirichlet_log_law():
             mask = g.interior_mask
             ref = np.log(np.minimum(1.0 / m, g.dist_boundary[mask])) / TWO_PI
             assert np.abs(diag[mask] - ref).max() < 2.0
-
-
-# ---------------------------------------------------------------------------
-# potential kernel
-# ---------------------------------------------------------------------------
-
-def test_potential_kernel_values():
-    assert kernels.potential_kernel((0, 0)) == 0.0
-    # 1/4 of the discrete-time unit value, from the rate-4 time change
-    assert abs(kernels.potential_kernel((1, 0)) - 0.25) < 1e-10
-    assert abs(kernels.potential_kernel((1, 1)) - 1.0 / math.pi) < 1e-10
-    assert abs(kernels.potential_kernel((2, 0)) - (1.0 - 2.0 / math.pi)) < 1e-10
-
-
-def test_potential_kernel_log_law():
-    kappa = (2 * np.euler_gamma + math.log(8)) / (4 * math.pi)
-    for x in ((2, 0), (5, 3), (64, 0), (300, 212), (512, 0)):
-        r = math.hypot(*x)
-        resid = kernels.potential_kernel(x) - math.log(r) / TWO_PI
-        assert abs(resid) < 0.5
-        if r > 16:
-            assert abs(resid - kappa) < 1e-4
-
-
-def test_potential_kernel_time_route():
-    for x in ((1, 0), (2, 1), (3, 3)):
-        a = kernels.potential_kernel(x)
-        b = kernels.potential_kernel_time(x)
-        assert abs(a - b) < 1e-5
 
 
 # ---------------------------------------------------------------------------

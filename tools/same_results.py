@@ -1,0 +1,111 @@
+"""Check that a parent revision and the working tree write the same results.
+
+    python3 tools/same_results.py --parent HEAD thermo-consistency --set replicas=2 --threads 2
+
+The parent's committed files are exported (`git archive`, through
+bench_pairs.export) into a temporary directory; the working tree runs as it
+is, uncommitted changes included.  Both sides run `gffpin run EXPERIMENT`
+with the same --set and --threads arguments, each into its own temporary
+--out directory.  They must agree byte for byte on every results.jsonl line
+after the first (the stamp, whose wall time and revision differ by nature),
+on the stamp's list of consumed random streams, and on every CSV table.
+The first difference is printed; the exit status is 0 only on a full match.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import zip_longest
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _first_diff(a: str, b: str, width: int = 60) -> str:
+    """Where two strings part, with a little context from each."""
+    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    lo = max(0, i - width // 2)
+    return (f"at character {i}:\n  parent: ...{a[lo:i + width]!r}\n"
+            f"  change: ...{b[lo:i + width]!r}")
+
+
+def compare(parent: Path, change: Path) -> str | None:
+    """The first difference between two `gffpin run --out` directories, or None."""
+    lines_p = (parent / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    lines_c = (change / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    streams_p = json.loads(lines_p[0])["streams"]
+    streams_c = json.loads(lines_c[0])["streams"]
+    for k, (sp, sc) in enumerate(zip_longest(streams_p, streams_c)):
+        if sp != sc:
+            return f"stamp streams differ at entry {k}: parent {sp!r}, change {sc!r}"
+    for n, (lp, lc) in enumerate(zip_longest(lines_p[1:], lines_c[1:]), start=2):
+        if lp is None or lc is None:
+            side = "parent" if lc is None else "change"
+            return f"results.jsonl line {n} is only on the {side} side"
+        if lp != lc:
+            return f"results.jsonl line {n} differs " + _first_diff(lp, lc)
+    tables = sorted({p.name for p in parent.glob("*.csv")} | {p.name for p in change.glob("*.csv")})
+    for name in tables:
+        if not (parent / name).exists() or not (change / name).exists():
+            side = "parent" if (parent / name).exists() else "change"
+            return f"table {name} is only on the {side} side"
+        tp = (parent / name).read_text(encoding="utf-8")
+        tc = (change / name).read_text(encoding="utf-8")
+        if tp != tc:
+            return f"table {name} differs " + _first_diff(tp, tc)
+    return None
+
+
+def run(root: Path, args, out: Path) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, "-m", "gffpin.cli", "run", args.experiment, "--out", str(out)]
+    for item in args.set or []:
+        cmd += ["--set", item]
+    if args.threads is not None:
+        cmd += ["--threads", str(args.threads)]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("experiment")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE")
+    parser.add_argument("--threads", type=int)
+    args = parser.parse_args(argv)
+
+    from bench_pairs import export
+
+    with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
+        tmp = Path(tmp)
+        export(args.parent, tmp / "parent")
+        codes = {}
+        for side, root in (("parent", tmp / "parent"), ("change", ROOT)):
+            proc = run(root, args, tmp / f"out-{side}")
+            codes[side] = proc.returncode
+            print(f"{side}: exit {proc.returncode}")
+            if proc.returncode not in (0, 1):
+                print(proc.stderr, file=sys.stderr)
+                return 2
+        diff = compare(tmp / "out-parent", tmp / "out-change")
+        if diff is None and codes["parent"] != codes["change"]:
+            diff = f"exit status {codes['parent']} on the parent, {codes['change']} on the change"
+        if diff:
+            print(f"DIFFERENT: {diff}")
+            return 1
+        out = tmp / "out-change"
+        lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+        print(f"IDENTICAL: {len(lines) - 1} result lines, "
+              f"{len(json.loads(lines[0])['streams'])} streams, "
+              f"{len(list(out.glob('*.csv')))} tables")
+        return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
