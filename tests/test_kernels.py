@@ -14,7 +14,7 @@ TWO_PI = 2 * math.pi
 # heat kernels
 # ---------------------------------------------------------------------------
 
-def test_heat_kernel_1d_values():
+def test_heat_kernel_free_values():
     # small time: mass concentrates on the starting site
     assert abs(kernels.heat_kernel_1d(0, 1e-9) - 1.0) < 1e-6
     # symmetry in the displacement
