@@ -144,8 +144,7 @@ def boundary_contact_term(geom: BoxGeometry, params: pinning.PinningParams,
 
 
 def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, sweeps: int,
-                     burn_in: int, warm_burn: int, interaction: str = "interior",
-                     observables: list | None = None,
+                     burn_in: int, warm_burn: int, observables: list | None = None,
                      exact_first: float | None = None) -> Ladder:
     """Warm-started chains along `grid`, the integrand integrated by the trapezoid rule.
 
@@ -153,7 +152,7 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
     a copy of `start` for the first chain, the previous chain's field after
     it.  The first chain burns in for `burn_in` sweeps, later ones for
     `warm_burn`; each then records every 2 sweeps over `sweeps` sweeps, the
-    contacts counted on `interaction`, with observables[j] (if any) as the
+    contacts counted on the interior, with observables[j] (if any) as the
     extra observables at point j.  integrand(record) is the series whose
     mean is the integrand.  With exact_first, the integrand at grid[0] is
     that value with zero error and no chain runs there.
@@ -170,7 +169,7 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
         chain.sweeps_done = done
         rec = pinning.run_chain(chain.geom, chain.params, chain.omega, chain.rng, sweeps=sweeps,
                                 burn_in=burn_in if j == first else warm_burn, thinning=2,
-                                chain=chain, interaction=interaction,
+                                chain=chain, interaction="interior",
                                 observables=observables[j] if observables else None)
         density[j], density_se[j] = rec.mean_se(integrand(rec))
         records[j] = rec
@@ -192,7 +191,11 @@ def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: Diso
     anchor) to the target, and d/dt log Z(t) is the interaction energy under
     the partially coupled measure.  At t = 0 the integrand is the explicit
     Gaussian value sum_x s_x p_x; chains supply the rest of the t-grid.
+    `shift` is the free field's mean, the harmonic extension of params.bc
+    (solved here if not given); the first chain starts from it.
     """
+    if shift is None:
+        shift = fields.harmonic_extension(geom, params.m, params.bc).values
     mask = geom.interior_mask
     s_grid = pinning.site_weights(params, omega)
     p_grid = band_probability_grid(geom, params.m, params.u, shift=shift)
@@ -202,8 +205,7 @@ def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: Diso
 
     ladder = integrate_ladder(
         lambda t, f: pinning.GibbsChain(geom, params, omega, f, rng, coupling=t),
-        np.linspace(0.0, 1.0, n_t), lambda rec: rec.extra["s_total"],
-        fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
+        np.linspace(0.0, 1.0, n_t), lambda rec: rec.extra["s_total"], shift, sweeps, burn_in,
         max(burn_in // 3, 20), observables=[{"s_total": s_total}] * n_t,
         exact_first=float(np.sum(s_grid[mask] * p_grid[mask])))
     return float(np.sum(ladder.increments)), math.sqrt(float(np.sum(ladder.increment_var)))
@@ -564,7 +566,7 @@ def height_restriction_logp(beta: float, h: float, N: int, master_seed: int,
                                             extra_bands=(pinning.Band(-b, b, kappa),)),
         kappas, lambda rec: rec.extra["out"],
         fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
-        burn_in // 2, interaction="tilde", observables=[{"out": outside}] * len(kappas))
+        burn_in // 2, observables=[{"out": outside}] * len(kappas))
     counts = ladder.density
     # the trapezoid integral, plus the count's e^-kappa decay beyond the grid
     logp = -(float(np.sum(ladder.increments)) + float(counts[-1])) / (N * N)
