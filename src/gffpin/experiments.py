@@ -23,7 +23,7 @@ from scipy import special
 from . import fields, freeenergy, kernels, lattice, pinning, rng as rngmod
 from .disorder import (BERNOULLI, GAUSSIAN, DisorderField, penalty_f,
                        sample_disorder)
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 # calibrated once and frozen; re-derivable via the *-calibrate experiments
 FROZEN_DENSITY_K = 0.35       # smallest grid value with typical-density freq >= target at N=256
@@ -312,6 +312,8 @@ def _run_bridge(cfg) -> ExperimentResult:
 
 def _run_thermo(cfg) -> ExperimentResult:
     res = ExperimentResult("thermo-consistency", None)
+    if cfg["replicas"] < 1:  # before the beta = 0 curve, which runs one replica whatever is set
+        raise DomainError(f"thermo-consistency needs replicas >= 1 (got {cfg['replicas']})")
     seed = cfg["seed"]
     N = cfg["N"]
     geom = lattice.build_box(N)

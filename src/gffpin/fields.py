@@ -9,13 +9,17 @@ is realized.  The multiscale stack cuts the field into independent layers
 whose covariances are the time slices of the heat kernel, and the Gaussian
 bridge utility prices the cost of staying below a barrier.
 
-The batched samplers (Dirichlet interiors, bridges) work block by block in a
-working set of at most _BLOCK float64 values (0.5 MB): each block is drawn
-with `rng.standard_normal(out=...)` straight into its buffer and transformed
-in place there.  Philox fills row-major and each sample is transformed on its
-own, so the draws, and every output, do not depend on the block size.  A scale stack takes each slice's per-mode
-standard deviations and the scale index j(x) from a small cache of read-only
-tables, computed once per box size and scale-time grid.
+The batched samplers work in a working set of _BLOCK float64 values
+(0.5 MB), drawn with `rng.standard_normal(out=...)` straight into a reused
+buffer.  Dirichlet interiors are drawn a block of whole samples at a time and
+transformed in place; Philox fills row-major and each sample is transformed
+on its own, so their outputs do not depend on the block size.  Bridges run
+_BLOCK walks at a time, one step of every live walk per draw, so which
+normal goes to which walk, and so every bridge output, depends on _BLOCK.
+Their second route is a deterministic transfer operator on a grid.  A scale
+stack takes each slice's per-mode standard deviations and the scale index
+j(x) from a small cache of read-only tables, computed once per box size and
+scale-time grid.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from . import kernels
 from .errors import DomainError, GeometryMismatchError, NumericError
 from .lattice import BoxGeometry, ScaleIndex, scale_index
 
-_BLOCK = 1 << 16  # float64 values per block of the batched samplers
+_BLOCK = 1 << 16  # float64 values per block of the batched samplers (walks, for bridges)
 
 
 # ---------------------------------------------------------------------------
@@ -372,43 +377,95 @@ def stack_barrier_margin(stack: ScaleStack, mask: np.ndarray, slope: float) -> f
 # Gaussian bridges
 # ---------------------------------------------------------------------------
 
-def bridge_positivity_probability(variances, x: float, n_samples: int,
-                                  rng: np.random.Generator) -> tuple[float, float]:
-    """MC estimate of P[max_i X_i <= x | X_k = 0] for a Gaussian walk.
-
-    The bridge is realized exactly by B_i = X_i - (V_i / V_k) X_k, which has
-    the standard bridge covariance V_i (V_k - V_j) / V_k.  Walks are drawn a
-    block of rows at a time into one reused buffer.  Returns (estimate,
-    standard error).
-    """
+def _bridge_variances(variances, x: float) -> np.ndarray:
+    """The step variances as an array, after the checks both bridge routes share."""
     v = np.asarray(variances, dtype=float)
     k = len(v)
     if k < 1:
         raise DomainError("need at least one step")
     if np.any(v <= 0) or np.any(v > 2.0 + 1e-12):
         raise DomainError("step variances must lie in (0, 2]")
-    V = np.cumsum(v)
-    if V[-1] < k / 2.0 - 1e-12:
-        raise DomainError(f"total variance {V[-1]:.3f} below k/2 = {k / 2:.1f}")
+    total = float(np.sum(v))
+    if total < k / 2.0 - 1e-12:
+        raise DomainError(f"total variance {total:.3f} below k/2 = {k / 2:.1f}")
     if x < 0:
         raise DomainError("barrier must be >= 0")
+    return v
+
+
+def bridge_positivity_transfer(variances, x: float) -> float:
+    """P[max_{i<k} X_i <= x | X_k = 0] for a Gaussian walk, by a transfer operator.
+
+    The deterministic second route to bridge_positivity_probability.  The
+    killed density of X_i (unconditioned, X_i <= x for every step so far) is
+    kept on a grid that ends exactly at x and reaches 6 sqrt(V_k) below 0,
+    where the bridge has no mass left to lose; each step is one FFT
+    convolution with the step's Gaussian density, the trapezoid rule in the
+    source variable.  The last step, to 0, kills nothing, and dividing its
+    density at 0 by the N(0, V_k) density there conditions on X_k = 0.  The
+    grid step is 0.01 or a twentieth of the smallest step deviation, if less.
+    """
+    v = _bridge_variances(variances, x)
+    k = len(v)
+    if k == 1:
+        return 1.0
+    total = float(np.sum(v))
+    h = min(0.01, math.sqrt(float(v.min())) / 20.0)
+    y = x - h * np.arange(math.ceil((x + 6.0 * math.sqrt(total)) / h), -1, -1)
+    w = np.full(len(y), h)
+    w[0] = w[-1] = 0.5 * h
+    reach = math.ceil(10.0 * math.sqrt(float(v.max())) / h)  # kernel half-width, in grid steps
+    size = fft.next_fast_len(len(y) + 2 * reach)
+    offsets = h * np.arange(-reach, reach + 1)
+
+    def gauss(d, var):
+        return np.exp(-0.5 * d * d / var) / math.sqrt(2.0 * math.pi * var)
+
+    density = gauss(y, v[0])
+    for var in v[1:-1]:
+        full = fft.irfft(fft.rfft(w * density, size) * fft.rfft(gauss(offsets, var), size), size)
+        density = full[reach : reach + len(y)]
+    return float(np.sum(w * density * gauss(y, v[-1])) / gauss(0.0, total))
+
+
+def bridge_positivity_probability(variances, x: float, n_samples: int,
+                                  rng: np.random.Generator) -> tuple[float, float]:
+    """MC estimate of P[max_i X_i <= x | X_k = 0] for a Gaussian walk.
+
+    Each bridge is drawn step by step from its exact conditional law: with
+    T_i = V_k - V_i the variance still to come, B_0 = 0 and
+    B_i | B_{i-1} ~ N(B_{i-1} T_i / T_{i-1}, v_i T_i / T_{i-1}) for
+    i < k, and B_k = 0 <= x needs no draw.  Walks run _BLOCK at a time;
+    each step draws normals only for the walks still below x, then drops
+    those that crossed it, so a walk stops at its first passage.  Returns
+    (estimate, standard error).
+    """
+    v = _bridge_variances(variances, x)
     if n_samples < 1:
         raise DomainError(f"need at least one sample (got n_samples = {n_samples})")
-    sd = np.sqrt(v)
-    ratio = V / V[-1]
-    rows = max(1, _BLOCK // k)
-    walks = np.empty((min(rows, n_samples), k))
-    pinned = np.empty_like(walks)
+    tail = np.cumsum(v[::-1])[::-1]  # T_{i-1} = v_i + ... + v_k at index i - 1
+    shrink = tail[1:] / tail[:-1]  # T_i / T_{i-1}, i = 1 .. k-1
+    sd = np.sqrt(v[:-1] * shrink)
+    walks = np.empty(min(_BLOCK, n_samples))
+    noise = np.empty_like(walks)
     hits = 0
-    for start in range(0, n_samples, rows):
-        b = min(rows, n_samples - start)
-        walk, end = walks[:b], pinned[:b]
-        rng.standard_normal(out=walk)
-        walk *= sd
-        np.cumsum(walk, axis=1, out=walk)
-        np.multiply(walk[:, -1:], ratio, out=end)
-        walk -= end
-        hits += int(np.count_nonzero(walk.max(axis=1) <= x))
+    for start in range(0, n_samples, _BLOCK):
+        alive = walks[: min(_BLOCK, n_samples - start)]
+        alive[:] = 0.0
+        for a, s in zip(shrink, sd):
+            z = noise[: len(alive)]
+            rng.standard_normal(out=z)
+            alive *= a
+            z *= s
+            alive += z
+            below = alive <= x
+            n = int(np.count_nonzero(below))
+            if n < len(alive):
+                alive[:n] = alive[below]
+                alive = alive[:n]
+                if n == 0:
+                    break
+        hits += len(alive)
     p = hits / n_samples
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)
     return p, se

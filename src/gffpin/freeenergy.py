@@ -213,8 +213,8 @@ def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: Diso
 
 def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
                      rng: np.random.Generator, h_grid: np.ndarray, sweeps: int, burn_in: int,
-                     observables: dict | None = None,
-                     observe_at: float | None = None) -> Ladder:
+                     observables: dict | None = None, observe_at: float | None = None,
+                     start: np.ndarray | None = None) -> Ladder:
     """Integrate the contact total along the h-grid with warm-started chains.
 
     log Z(h_j) - log Z(h_grid[0]) = int E_{h'}[sum delta] dh' (trapezoid);
@@ -222,41 +222,43 @@ def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
     contacts are counted; frame contacts of the range are a deterministic
     additive term served by boundary_contact_term.  The extra observables
     are recorded at the grid point closest to observe_at (default: the last
-    one).
+    one).  The first chain starts from `start`, the harmonic extension of
+    params.bc (solved here if not given).
     """
+    if start is None:
+        start = fields.harmonic_extension(geom, params.m, params.bc).values
     obs_j = len(h_grid) - 1
     if observe_at is not None:
         obs_j = int(np.argmin(np.abs(h_grid - observe_at)))
     return integrate_ladder(
         lambda h, f: pinning.GibbsChain(geom, replace(params, h=h), omega, f, rng),
-        h_grid, lambda rec: rec.contacts_window,
-        fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
-        burn_in // 3, observables=[observables if j == obs_j else None
-                                   for j in range(len(h_grid))])
+        h_grid, lambda rec: rec.contacts_window, start, sweeps, burn_in, burn_in // 3,
+        observables=[observables if j == obs_j else None for j in range(len(h_grid))])
 
 
 def _anchored_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
                     rng: np.random.Generator, targets, sweeps: int, burn_in: int,
-                    coupling: bool, shift: np.ndarray | None = None,
-                    observables: dict | None = None):
+                    coupling: bool, observables: dict | None = None):
     """log Z and its SE at each target h, anchored at h = 0.
 
     The coupling leg gives log Z(0) (taken as exactly 0 without it); one
     h-leg then runs through 0 and every target, and log Z(target) =
     leg(target) - leg(0) + log Z(0).  The observables are recorded at the
-    last target.  Returns the values, their SEs, the h-leg and the targets'
-    positions on it.
+    last target.  The harmonic extension of params.bc is solved once, as
+    the start field of both legs.  Returns the values, their SEs, the h-leg
+    and the targets' positions on it.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     grid = _ti_h_grid(targets)
     zero = int(np.searchsorted(grid, 0.0))
     pos = np.searchsorted(grid, np.round(targets, 12))
     params0 = replace(params, h=0.0)
+    shift = fields.harmonic_extension(geom, params.m, params.bc).values
     base, base_se = 0.0, 0.0
     if coupling:
         base, base_se = coupling_log_z(geom, params0, omega, rng, sweeps, burn_in, shift=shift)
     leg = ti_log_partition(geom, params0, omega, rng, grid, sweeps, burn_in,
-                           observables=observables, observe_at=targets[-1])
+                           observables=observables, observe_at=targets[-1], start=shift)
     log_z = leg.log_z[pos] - leg.log_z[zero] + base
     leg_var = np.abs(leg.log_z_se[pos] ** 2 - leg.log_z_se[zero] ** 2)
     return log_z, np.sqrt(leg_var + base_se ** 2), leg, pos
@@ -356,7 +358,6 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
     om_rng = rngmod.stream(master_seed, tag, "omega", r)
     ch_rng = rngmod.stream(master_seed, tag, "chain", r)
     bc = fields.sample_boundary_infinite_massive(geom, m, bc_rng, cov=boundary_cov)
-    ext = fields.harmonic_extension(geom, m, bc)
     omega = sample_disorder(geom, GAUSSIAN, om_rng)
     params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
     tmask = geom.tilde_mask
@@ -365,8 +366,7 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
         return float(np.sum(f[tmask] ** 2))
 
     log_z, _, leg, pos = _anchored_log_z(geom, params, omega, ch_rng, [h], sweeps, burn_in,
-                                         coupling=True, shift=ext.values,
-                                         observables={"sumsq": density_stat})
+                                         coupling=True, observables={"sumsq": density_stat})
     log_z = log_z[0] + boundary_contact_term(geom, params, omega, "tilde")
     sumsq = leg.records[pos[0]].extra["sumsq"]
     freq = float(np.mean(sumsq >= threshold))

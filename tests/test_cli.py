@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from gffpin import cli, experiments
-from gffpin.errors import ConfigError
+from gffpin import cli, experiments, pinning
+from gffpin.errors import ConfigError, DomainError
 
 
 def test_registry_contains_required_experiments():
@@ -94,6 +94,15 @@ def test_bad_replica_count_exits_2(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "replicas >= 2" in err and "got 1" in err
+
+
+def test_bad_replica_count_fails_before_any_chain(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the replica count was checked")
+
+    monkeypatch.setattr(pinning, "run_chain", no_chain)
+    with pytest.raises(DomainError, match=r"replicas >= 1 \(got 0\)"):
+        experiments.run_experiment("thermo-consistency", {"replicas": 0})
 
 
 def test_run_experiment_rejects_unknown_keys():

@@ -268,6 +268,47 @@ def test_bridge_bounds_small():
     assert p <= 0.8 * (x + math.log(k)) ** 2 / k + 4 * se
 
 
+GATE_CELLS = [(k, x) for k in (25, 100, 400) for x in (1.0, 2.0, 5.0, 10.0)]
+
+
+def _bridge_z(variances, x, n, r) -> float:
+    """Sampler against the transfer operator, in binomial SEs of the operator's value."""
+    exact = fields.bridge_positivity_transfer(variances, x)
+    p, _ = fields.bridge_positivity_probability(variances, x, n, r)
+    return (p - exact) / math.sqrt(exact * (1.0 - exact) / n)
+
+
+@pytest.mark.parametrize("k,x", GATE_CELLS)
+def test_bridge_sampler_matches_transfer_on_gate_cells(k, x):
+    z = _bridge_z([1.0] * k, x, 20_000, rng.stream(265, "bridge-oracle", k, x))
+    assert abs(z) < 4.0
+
+
+def test_bridge_sampler_matches_transfer_unequal_variances():
+    v = [0.5 + i / 24 for i in range(25)]  # 0.5 up to 1.5
+    for x in (0.5, 2.0, 5.0):  # 70 000 walks fill one block and start a second
+        assert abs(_bridge_z(v, x, 70_000, rng.stream(266, "bridge-oracle-var", x))) < 4.0
+
+
+def test_bridge_transfer_exact_cases():
+    assert fields.bridge_positivity_transfer([1.0], 0.0) == 1.0
+    assert fields.bridge_positivity_transfer([0.7], 3.0) == 1.0
+    # X_1 = B_1 ~ N(0, 1/2) for two unit steps, so P[B_1 <= x] = Phi(sqrt(2) x)
+    for x in (0.0, 0.5, 2.0):
+        exact = 0.5 * math.erfc(-x)
+        assert abs(fields.bridge_positivity_transfer([1.0, 1.0], x) - exact) < 1e-5
+    # the barrier at 0 for equal steps: Sparre Andersen, P = 1/k
+    for k in (5, 25):
+        assert abs(fields.bridge_positivity_transfer([1.0] * k, 0.0) - 1.0 / k) < 1e-5
+
+
+@pytest.mark.parametrize("variances,x", [([], 1.0), ([3.0] * 4, 1.0), ([0.3] * 10, 1.0),
+                                         ([1.0] * 10, -1.0)])
+def test_bridge_transfer_rejects_bad_input(variances, x):
+    with pytest.raises(DomainError):
+        fields.bridge_positivity_transfer(variances, x)
+
+
 @pytest.mark.parametrize("n_samples", [0, -5])
 def test_bridge_rejects_bad_sample_counts(n_samples):
     with pytest.raises(DomainError, match="sample"):
@@ -283,15 +324,16 @@ def _digest(*arrays) -> str:
 
 # Outputs recorded bit for bit.  Calls in one list share one stream, so each also pins how
 # many numbers the calls before it drew.  n = 3000 (N = 8) and 150 (N = 32) are not
-# multiples of a block's rows, and bridges block 65536 // k rows at a time.
+# multiples of a block's rows.  Bridges run 65536 walks per block and stop at the barrier;
+# k = 1 draws nothing.
 PINNED_DIRICHLET = {
     8: (0.0, [(3000, "40a3f2a679fa14f2"), (1, "c36f8cba91111547")]),
     32: (0.3, [(150, "b5d02524b3bfcb1c"), (1, "60a4eff9212f8609")]),
 }
 PINNED_BRIDGES = [  # (k, x, n_samples, (p, se))
     (1, 0.5, 70000, (1.0, 1.4285714285714285e-05)),
-    (25, 2.0, 6000, (0.4126666666666667, 0.0063557439754509835)),
-    (400, 5.0, 1000, (0.154, 0.011414201680362931)),
+    (25, 2.0, 6000, (0.4121666666666667, 0.006354595522868411)),
+    (400, 5.0, 1000, (0.155, 0.011444430960078356)),
 ]
 PINNED_STACKS = [  # N = 64, m = 1e-5 (k = 2): digest of (values, xi, j), barrier margin
     ("6d277ca10d99d680", 2.4959750094988515),
@@ -317,13 +359,32 @@ def test_pinned_bridges():
     got = [(k, x, n, fields.bridge_positivity_probability([1.0] * k, x, n, r))
            for k, x, n, _ in PINNED_BRIDGES]
     assert got == PINNED_BRIDGES
-    assert r.standard_normal() == -1.2729855894022448
+    assert r.standard_normal() == -1.3582996772817735
     # unequal step variances, 0.5 up to 1.5
     r = rng.stream(261, "pin-bridge-var")
     v = [0.5 + i / 24 for i in range(25)]
-    assert fields.bridge_positivity_probability(v, 2.0, 3000, r) == (0.4146666666666667,
-                                                                     0.008994780379424173)
-    assert r.standard_normal() == -0.783990434714449
+    assert fields.bridge_positivity_probability(v, 2.0, 3000, r) == (0.419, 0.009008125961227081)
+    assert r.standard_normal() == -0.5360100410714418
+
+
+class CountingRng:
+    """A generator that counts the normals drawn through standard_normal(out=...)."""
+
+    def __init__(self, r):
+        self.r, self.normals = r, 0
+
+    def standard_normal(self, out):
+        self.normals += out.size
+        return self.r.standard_normal(out=out)
+
+
+def test_bridges_stop_at_the_barrier():
+    # all k steps of 10 000 walks would be 4.0 M normals; most walks cross x = 1 early, so
+    # they draw 408 337 (9.8x fewer), and the exact count pins where each one stopped
+    r = CountingRng(rng.stream(267, "bridge-count"))
+    assert fields.bridge_positivity_probability([1.0] * 400, 1.0, 10_000, r)[0] == 0.0128
+    assert r.normals == 408_337
+    assert r.normals < 1_000_000
 
 
 def test_pinned_scale_stacks():

@@ -200,6 +200,17 @@ def test_doubling_gap_bit_identical():
                    "gap": -1.2535025747172934, "gap_se": 2.2859188299237565}
 
 
+def test_one_extension_solve_per_anchoring(monkeypatch):
+    # each of the 4 replica jobs (2 replicas at 2 sizes) solves its boundary's extension once,
+    # and both of its legs start from it
+    calls = []
+    solve = freeenergy.fields.harmonic_extension
+    monkeypatch.setattr(freeenergy.fields, "harmonic_extension",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4, burn_in=2)
+    assert len(calls) == 4
+
+
 def test_stream_audit_survives_the_process_pool():
     ids = []
     for threads in (1, 2):
