@@ -25,10 +25,21 @@ from .errors import ConfigError, GffpinError
 
 
 def _threads(args) -> int:
+    """--threads, else GFFPIN_THREADS, else 1; anything but an integer >= 1 is refused."""
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GFFPIN_THREADS")
-    return max(1, int(env)) if env else 1
+        source, value = "--threads", args.threads
+    else:
+        env = os.environ.get("GFFPIN_THREADS")
+        if not env:
+            return 1
+        source = "GFFPIN_THREADS"
+        try:
+            value = int(env)
+        except ValueError:
+            raise ConfigError(f"GFFPIN_THREADS must be an integer >= 1 (got {env!r})") from None
+    if value < 1:
+        raise ConfigError(f"{source} must be an integer >= 1 (got {value})")
+    return value
 
 
 def _resolve_config(args) -> dict:
@@ -103,12 +114,13 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    threads = _threads(args)
     out = _prepare_outdir(args.out, True)
     all_ok = True
     t0 = time.time()
     for name in experiments.acceptance_names():
         exp = experiments.REGISTRY[name]
-        result = experiments.run_experiment(name, {"threads": _threads(args)})
+        result = experiments.run_experiment(name, {"threads": threads})
         ok = bool(result.passed)
         all_ok &= ok
         print(f"criterion {exp.acceptance:2d} [{'PASS' if ok else 'FAIL'}] "

@@ -33,10 +33,6 @@ class NumericError(GffpinError):
         self.residual = residual
 
 
-class GeometryMismatchError(GffpinError):
-    """Two objects built on different boxes (or masses) were combined."""
-
-
 class ContractError(GffpinError):
     """Required precomputed data (scale stack, extension, ...) is missing."""
 

@@ -14,6 +14,7 @@ recorded seeds; the calibration entries remain runnable to re-derive them.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -54,30 +55,16 @@ class Experiment:
 
 
 class Accumulator:
-    """Mergeable (count, mean, M2) accumulator; merging is associative and
-    order-independent, so replica streams can be reduced in any order."""
+    """Running (count, mean, M2) accumulator (Welford's update)."""
 
-    def __init__(self, n=0, mean=0.0, m2=0.0):
-        self.n, self.mean, self.m2 = n, mean, m2
+    def __init__(self):
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
     def add(self, x: float) -> "Accumulator":
         self.n += 1
         d = x - self.mean
         self.mean += d / self.n
         self.m2 += d * (x - self.mean)
-        return self
-
-    def merge(self, other: "Accumulator") -> "Accumulator":
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
-            return self
-        n = self.n + other.n
-        d = other.mean - self.mean
-        self.mean += d * other.n / n
-        self.m2 += other.m2 + d * d * self.n * other.n / n
-        self.n = n
         return self
 
     @property
@@ -360,12 +347,12 @@ def _run_thermo(cfg) -> ExperimentResult:
 def _run_massive_comparison(cfg) -> ExperimentResult:
     res = ExperimentResult("massive-comparison", None)
     seed, N, h, m = cfg["seed"], cfg["N"], cfg["h"], cfg["m"]
+    fm = kernels.f_of_m(m)  # first: it rejects m outside (0, 1] before any chain runs
     pure = freeenergy.pure_free_energy_estimate(h, N, seed, sweeps=cfg["sweeps"],
                                                 burn_in=cfg["burn_in"])
     mass = freeenergy.massive_shifted_free_energy_estimate(0.0, h, m, 0.0, N, seed,
                                                            sweeps=cfg["sweeps"],
                                                            burn_in=cfg["burn_in"])
-    fm = kernels.f_of_m(m)
     se = math.hypot(pure.se, mass.se)
     ok = mass.value <= pure.value + fm + 3.0 * se
     res.lines = [_line(ok, f"F(0,{h},{m},0) = {mass.value:.5f} <= F({h}) + f(m) = "
@@ -794,16 +781,34 @@ def acceptance_names() -> list[str]:
     return [name for _, name in sorted(pairs)]
 
 
+def _fits(value, default) -> bool:
+    """Whether an override may replace a default: an int default takes an int,
+    a float default an int or a float, any other default a value of its own
+    type; a bool fits none, since no setting is a flag."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, numbers.Integral):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, numbers.Real):
+        return isinstance(value, numbers.Real)
+    return isinstance(value, type(default))
+
+
 def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult:
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown experiment {name!r}; registry: {known}")
     exp = REGISTRY[name]
     overrides = overrides or {}
-    unknown = sorted(set(overrides) - set(exp.defaults) - {"seed", "threads"})
+    defaults = {"threads": 1, **exp.defaults}  # every entry has an int seed
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
-        known = ", ".join(sorted(set(exp.defaults) | {"seed", "threads"}))
-        raise ConfigError(f"unknown config key(s) {', '.join(unknown)} for {name!r}; known: {known}")
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)} for {name!r}; "
+                          f"known: {', '.join(sorted(defaults))}")
+    wrong = [f"{key} = {value!r} (the default is {defaults[key]!r})"
+             for key, value in sorted(overrides.items()) if not _fits(value, defaults[key])]
+    if wrong:
+        raise ConfigError(f"config value(s) of the wrong type for {name!r}: {'; '.join(wrong)}")
     cfg = {**exp.defaults, **overrides}
     t0 = time.time()
     with rngmod.audit_streams() as audit:

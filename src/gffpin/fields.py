@@ -2,10 +2,12 @@
 
 Zero-boundary (Dirichlet) and massive fields are drawn exactly in the sine
 eigenbasis; boundary data for the infinite-volume massive field comes from a
-dense Cholesky of the translation-invariant Green covariance; arbitrary
-boundary conditions are folded in by adding the (massive-)harmonic extension,
-which is how the boundary-shift identity P^{m,bc}[phi in .] = P^m[phi + H in .]
-is realized.  The multiscale stack cuts the field into independent layers
+dense Cholesky of the translation-invariant Green covariance.  Boundary data
+enters only through its (massive-)harmonic extension H, by the boundary-shift
+identity P^{m,bc}[phi in .] = P^m[phi + H in .]: the samplers here draw
+zero-boundary fields, and code that needs boundary data adds H.values itself
+(the chains start from H, the coupling leg takes it as the free field's
+mean).  The multiscale stack cuts the field into independent layers
 whose covariances are the time slices of the heat kernel, and the Gaussian
 bridge utility prices the cost of staying below a barrier.
 
@@ -31,7 +33,7 @@ import numpy as np
 from scipy import fft
 
 from . import kernels
-from .errors import DomainError, GeometryMismatchError, NumericError
+from .errors import DomainError, NumericError
 from .lattice import BoxGeometry, ScaleIndex, scale_index
 
 _BLOCK = 1 << 16  # float64 values per block of the batched samplers (walks, for bridges)
@@ -50,10 +52,8 @@ def boundary_indices(geom: BoxGeometry) -> np.ndarray:
 class BoundaryCondition:
     """Boundary data on the 4N frame sites (row-major site order)."""
 
-    kind: str  # zero | constant | explicit | sampled-infinite-massive
+    kind: str  # zero | explicit | sampled-infinite-massive
     values: np.ndarray | None = None
-    constant: float = 0.0
-    seed: tuple | None = None
     jitter: float = 0.0
 
     def grid(self, geom: BoxGeometry) -> np.ndarray:
@@ -61,9 +61,6 @@ class BoundaryCondition:
         out = np.zeros((geom.side, geom.side))
         mask = geom.boundary_mask
         if self.kind == "zero":
-            return out
-        if self.kind == "constant":
-            out[mask] = self.constant
             return out
         if self.values is None or self.values.shape != (int(mask.sum()),):
             raise DomainError("explicit boundary condition needs one value per boundary site")
@@ -73,17 +70,11 @@ class BoundaryCondition:
     def max_abs(self) -> float:
         if self.kind == "zero":
             return 0.0
-        if self.kind == "constant":
-            return abs(self.constant)
         return float(np.max(np.abs(self.values)))
 
 
 def zero_bc() -> BoundaryCondition:
     return BoundaryCondition("zero")
-
-
-def constant_bc(c: float) -> BoundaryCondition:
-    return BoundaryCondition("constant", constant=float(c))
 
 
 def explicit_bc(values: np.ndarray) -> BoundaryCondition:
@@ -106,13 +97,6 @@ class ScaleStack:
     def k(self) -> int:
         return self.grid.k
 
-    def partial(self, i: int) -> np.ndarray:
-        if not 0 <= i <= self.k:
-            raise DomainError(f"partial sum index {i} outside 0..{self.k}")
-        if i == 0:
-            return np.zeros_like(self.xi[0])
-        return self.xi[:i].sum(axis=0)
-
     def partials(self) -> np.ndarray:
         """All phi_i stacked, shape (k, N+1, N+1)."""
         return np.cumsum(self.xi, axis=0)
@@ -131,20 +115,6 @@ class FieldSample:
     m: float
     bc: BoundaryCondition
     stack: ScaleStack | None = None
-    shift: np.ndarray | None = None  # harmonic extension already added, if any
-
-    def interior(self) -> np.ndarray:
-        return self.values[1:-1, 1:-1]
-
-
-def sample_dirichlet_field(geom: BoxGeometry, m: float, rng: np.random.Generator) -> FieldSample:
-    """Exact zero-boundary sample: independent N(0, 1/(lam_i+lam_j+m^2)) modes."""
-    basis = kernels.spectral_basis(geom.N)
-    scale = 1.0 / np.sqrt(basis.lam2d + m * m)
-    z = rng.standard_normal(scale.shape)
-    values = np.zeros((geom.side, geom.side))
-    values[1:-1, 1:-1] = kernels.dst2(z * scale)
-    return FieldSample(geom, values, float(m), zero_bc())
 
 
 def sample_dirichlet_interior(geom: BoxGeometry, m: float, n: int,
@@ -187,9 +157,9 @@ def _laplacian(grid: np.ndarray) -> np.ndarray:
             - 4.0 * grid[1:-1, 1:-1])
 
 
-def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition,
-                       residual_tol: float = 1e-10) -> HarmonicExtension:
-    """Sparse solve of (Delta - m^2) H = 0 with pinned boundary rows."""
+def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition) -> HarmonicExtension:
+    """Sparse solve of (Delta - m^2) H = 0 with pinned boundary rows; the
+    solution must satisfy the equation to 1e-10 at every interior site."""
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
     if bc.kind == "zero":
@@ -207,8 +177,8 @@ def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition,
     H = bgrid.copy()
     H[1:-1, 1:-1] = sol.reshape(n - 1, n - 1)
     resid = float(np.max(np.abs(_laplacian(H) - m * m * H[1:-1, 1:-1])))
-    if not np.isfinite(resid) or resid > residual_tol:
-        raise NumericError(f"harmonic extension residual {resid:.3e} above {residual_tol:.1e}",
+    if not np.isfinite(resid) or resid > 1e-10:
+        raise NumericError(f"harmonic extension residual {resid:.3e} above 1e-10",
                            residual=resid)
     return HarmonicExtension(geom, float(m), bc, H, resid)
 
@@ -251,30 +221,18 @@ def harmonic_extension_mc(geom: BoxGeometry, m: float, bc: BoundaryCondition, si
     return {"sites": list(sites), "mean": np.array(means), "se": np.array(ses)}
 
 
-def shift_by_extension(sample: FieldSample, ext: HarmonicExtension) -> FieldSample:
-    """phi + H: turns a zero-boundary sample into one with the extension's boundary."""
-    if sample.geom.N != ext.geom.N:
-        raise GeometryMismatchError(f"field on N={sample.geom.N} but extension on N={ext.geom.N}")
-    if sample.m != ext.m:
-        raise GeometryMismatchError(f"field mass {sample.m} but extension mass {ext.m}")
-    return FieldSample(sample.geom, sample.values + ext.values, sample.m, ext.bc,
-                       stack=sample.stack, shift=ext.values)
-
-
 # ---------------------------------------------------------------------------
 # boundary sampling for the infinite-volume massive field
 # ---------------------------------------------------------------------------
 
 def sample_boundary_infinite_massive(geom: BoxGeometry, m: float, rng: np.random.Generator,
-                                     cov: np.ndarray | None = None,
-                                     seed: tuple | None = None) -> BoundaryCondition:
+                                     cov: np.ndarray | None = None) -> BoundaryCondition:
     """Joint draw of the 4N frame values under the infinite-volume massive law.
 
     Covariance G^m(x - y) between frame sites, dense Cholesky; a tiny
     diagonal jitter is added (and recorded) if the factorization needs it.
     Combined with a zero-boundary sample plus the harmonic shift, this
-    reproduces the infinite-volume field on the whole box.  The generator's
-    stream identity can be passed as `seed` for the record.
+    reproduces the infinite-volume field on the whole box.
     """
     if m <= 0:
         raise DomainError("infinite-volume boundary sampling needs m > 0")
@@ -287,8 +245,7 @@ def sample_boundary_infinite_massive(geom: BoxGeometry, m: float, rng: np.random
         jitter = 1e-12 * float(np.trace(cov)) / cov.shape[0]
         chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
     values = chol @ rng.standard_normal(cov.shape[0])
-    return BoundaryCondition("sampled-infinite-massive", values=values, jitter=jitter,
-                             seed=seed)
+    return BoundaryCondition("sampled-infinite-massive", values=values, jitter=jitter)
 
 
 def boundary_covariance(geom: BoxGeometry, m: float) -> np.ndarray:
@@ -306,18 +263,15 @@ def boundary_covariance(geom: BoxGeometry, m: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sample_scale_stack(geom: BoxGeometry, m: float, rng: np.random.Generator,
-                       min_scales: int = 3,
-                       grid: kernels.ScaleTimeGrid | None = None) -> FieldSample:
+                       grid: kernels.ScaleTimeGrid) -> FieldSample:
     """Zero-boundary sample built as a sum of independent scale layers.
 
-    Layer i has covariance Q*_i (the i-th heat-kernel time slice), sampled
-    per sine mode; the sum is distributed exactly as the massive field, so
-    the stack is a coupling of the field with its own decomposition.  A
-    given grid must be built for the mass m.
+    Layer i has covariance Q*_i (the i-th heat-kernel time slice of `grid`),
+    sampled per sine mode; the sum is distributed exactly as the massive
+    field, so the stack is a coupling of the field with its own
+    decomposition.  The grid must be built for the mass m.
     """
-    if grid is None:
-        grid = kernels.scale_time_grid(m, min_scales=min_scales)
-    elif grid.m != m:
+    if grid.m != m:
         raise DomainError(f"scale-time grid built for m = {grid.m}, sample asked at m = {m}")
     sd, jmap = _stack_tables(geom, grid)
     xi = np.zeros((grid.k, geom.side, geom.side))

@@ -111,16 +111,16 @@ def band_probability_grid(geom: BoxGeometry, m: float, u: float,
     return np.maximum(p, 0.0)
 
 
-def _ti_h_grid(targets, step: float = 0.03, max_points: int = 40) -> np.ndarray:
-    """Integration grid through 0 and every target, spaced at most `step`
-    (coarsened to cap the number of chains on wide ranges)."""
+def _ti_h_grid(targets) -> np.ndarray:
+    """Integration grid through 0 and every target, spaced at most 0.03
+    (coarsened to at most 40 steps on wide ranges)."""
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     pts = set(np.round(targets, 12))
     pts.add(0.0)
     lo = min(0.0, float(targets.min()))
     hi = max(0.0, float(targets.max()))
     if hi > lo:
-        step = max(step, (hi - lo) / max_points)
+        step = max(0.03, (hi - lo) / 40)
         n = max(2, int(math.ceil((hi - lo) / step)) + 1)
         pts.update(np.round(np.linspace(lo, hi, n), 12))
     return np.array(sorted(pts))
@@ -460,10 +460,13 @@ def desk_mass(N: int) -> float:
     return math.log(N) ** 0.25 / N
 
 
-def desk_height(N: int, alpha: float = 0.75) -> float:
+_ALPHA = 0.75  # the schedule's exponent: u(N) and the few-contacts cutoff (log N)^((1+alpha)/2)
+
+
+def desk_height(N: int) -> float:
     """Laboratory analogue of the substrate height u(N)."""
     return (math.sqrt(2.0 / math.pi) * math.log(N)
-            - (2.0 + alpha) / (2.0 * math.sqrt(2.0 * math.pi)) * math.log(math.log(N)))
+            - (2.0 + _ALPHA) / (2.0 * math.sqrt(2.0 * math.pi)) * math.log(math.log(N)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +475,8 @@ def desk_height(N: int, alpha: float = 0.75) -> float:
 
 def copolymer_critical_point(spec: DisorderSpec, rho: float) -> float:
     """Critical bias of the co-membrane model: lambda(-2 rho) / (2 rho)."""
-    if not 0.0 < rho < spec.beta_bar / 2.0:
-        raise DomainError(f"rho must lie in (0, beta_bar/2) (got {rho})")
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite (got {rho})")
     return log_mgf(spec, -2.0 * rho)[0] / (2.0 * rho)
 
 
@@ -481,21 +484,20 @@ def copolymer_critical_point(spec: DisorderSpec, rho: float) -> float:
 # conditioned contact statistics
 # ---------------------------------------------------------------------------
 
-def conditioned_contact_statistics(N: int, master_seed: int, m: float | None = None,
-                                   u: float | None = None, samples: int = 400,
-                                   alpha: float = 0.75, barrier_offset: float = 10.0) -> dict:
+def conditioned_contact_statistics(N: int, master_seed: int, samples: int = 400) -> dict:
     """Contact totals of the multiscale field near the extremal height.
 
-    Zero-boundary scale stacks at the laboratory schedule; reports plain and
-    trajectory-restricted contact totals, their conditional versions given
-    the few-contacts event, the second-moment (Paley-Zygmund) ratio, and the
-    histogram of pairwise decorrelation scales among restricted contacts.
+    Zero-boundary scale stacks at the laboratory schedule (m = desk_mass(N),
+    u = desk_height(N)); reports plain and trajectory-restricted contact
+    totals, their conditional versions given the few-contacts event, the
+    second-moment (Paley-Zygmund) ratio, and the histogram of pairwise
+    decorrelation scales among restricted contacts.
     The barrier event relaxes the asymptotic 100 gamma loglog N slack of the
     extremal barrier to gamma loglog N.
     """
     geom = build_box(N)
-    m = desk_mass(N) if m is None else m
-    u = desk_height(N, alpha) if u is None else u
+    m = desk_mass(N)
+    u = desk_height(N)
     grid = kernels.scale_time_grid(m, min_scales=0)
     window = sub_box_mask(geom, 2.0)
     rng = rngmod.stream(master_seed, "ccs")
@@ -506,7 +508,7 @@ def conditioned_contact_statistics(N: int, master_seed: int, m: float | None = N
     x1g, x2g = geom.coords
     for i in range(samples):
         s = fields.sample_scale_stack(geom, m, rng, grid=grid)
-        contacts, restricted = pinning.restricted_contacts(s, u, window, barrier_offset)
+        contacts, restricted = pinning.restricted_contacts(s, u, window)
         L[i] = contacts.sum()
         Lp[i] = restricted.sum()
         margins[i] = fields.stack_barrier_margin(s.stack, window, GAMMA)
@@ -518,7 +520,7 @@ def conditioned_contact_statistics(N: int, master_seed: int, m: float | None = N
             for jv in pair_scale_index(grid.k, d[iu]):
                 j_hist[int(jv)] = j_hist.get(int(jv), 0) + 1
     an = margins <= GAMMA * math.log(math.log(N))
-    few = L <= math.log(N) ** ((1.0 + alpha) / 2.0)
+    few = L <= math.log(N) ** ((1.0 + _ALPHA) / 2.0)
     cond = an & few
     out = {
         "k": grid.k, "m": m, "u": u, "samples": samples,

@@ -93,8 +93,8 @@ def spectral_basis(N: int) -> SpectralBasis:
 # infinite-volume massive Green function
 # ---------------------------------------------------------------------------
 
-def _log_panels(lo: float, hi: float, per_decade: int = 40) -> np.ndarray:
-    n = max(8, int(per_decade * math.log10(hi / lo)))
+def _log_panels(lo: float, hi: float) -> np.ndarray:
+    n = max(8, int(40 * math.log10(hi / lo)))  # 40 panels per decade
     return np.geomspace(lo, hi, n + 1)
 
 
@@ -138,12 +138,12 @@ def green_massive_infinite(x, m: float) -> float:
     return val / math.pi
 
 
-def heat_diag_time_integral(T: float, m: float, per_decade: int = 40) -> float:
+def heat_diag_time_integral(T: float, m: float) -> float:
     """int_T^inf e^{-m^2 t} P_t(0,0) dt, by panelled Gauss quadrature."""
     tmax = 60.0 / (m * m)
     if T >= tmax:
         return 0.0
-    edges = _log_panels(max(T, 1e-10), tmax, per_decade)
+    edges = _log_panels(max(T, 1e-10), tmax)
     if T == 0.0:
         edges = np.concatenate([[0.0], edges])
 
@@ -167,7 +167,7 @@ def green_massive_infinite_time(x, m: float) -> float:
     return _panel_integral(f, edges)
 
 
-def green_offset_table(m: float, extent: int, fft_size: int | None = None) -> np.ndarray:
+def green_offset_table(m: float, extent: int) -> np.ndarray:
     """G^m(0, (d1,d2)) for 0 <= d1,d2 <= extent, via a large-torus FFT.
 
     The torus Green function differs from the plane one by wrap-around images
@@ -177,10 +177,8 @@ def green_offset_table(m: float, extent: int, fft_size: int | None = None) -> np
     """
     if m <= 0:
         raise DomainError("offset table needs m > 0")
-    if fft_size is None:
-        need = max(4 * extent, int(40.0 / m))
-        fft_size = 1 << max(8, int(math.ceil(math.log2(need))))
-    M = fft_size
+    need = max(4 * extent, int(40.0 / m))
+    M = 1 << max(8, int(math.ceil(math.log2(need))))
     theta = 2.0 * np.pi * np.arange(M) / M
     denom = m * m + (2.0 - 2.0 * np.cos(theta))[:, None] + (2.0 - 2.0 * np.cos(theta))[None, :]
     g = np.fft.ifft2(1.0 / denom).real
@@ -193,11 +191,11 @@ def green_offset_table(m: float, extent: int, fft_size: int | None = None) -> np
 
 @dataclass(frozen=True)
 class GreenTable:
-    """Dense symmetric covariance table over a list of sites.
+    """Dense symmetric covariance table over the interior sites.
 
-    sites holds linear indices into the (N+1)^2 grid; table[a, b] is the
-    Green function between sites[a] and sites[b].  kind records which Green
-    function this is.
+    sites holds their linear indices into the (N+1)^2 grid, in row-major
+    order; table[a, b] is the Green function between sites[a] and sites[b].
+    kind records which Green function this is.
     """
 
     N: int
@@ -206,40 +204,35 @@ class GreenTable:
     sites: np.ndarray
     table: np.ndarray
 
-    def value(self, a: int, b: int) -> float:
-        return float(self.table[a, b])
-
 
 def _interior_indices(geom: BoxGeometry) -> np.ndarray:
     return np.flatnonzero(geom.interior_mask.ravel())
 
 
-def _site_mode_matrix(geom: BoxGeometry, sites: np.ndarray) -> np.ndarray:
-    """Rows phi_modes(site) of shape (len(sites), (N-1)^2); boundary rows are zero."""
-    basis = spectral_basis(geom.N)
-    x1, x2 = geom.site(np.asarray(sites))
-    n = geom.N
-    rows = np.zeros((len(sites), (n - 1) ** 2))
-    inside = (x1 > 0) & (x1 < n) & (x2 > 0) & (x2 < n)
-    if np.any(inside):
-        s1 = basis.modes[x1[inside] - 1]
-        s2 = basis.modes[x2[inside] - 1]
-        rows[inside] = (s1[:, :, None] * s2[:, None, :]).reshape(inside.sum(), -1)
-    return rows
+def _mode_diag(geom: BoxGeometry, w: np.ndarray) -> np.ndarray:
+    """sum_ij phi_ij(x)^2 w_ij for mode weights w, on the whole grid (0 on the frame).
+
+    The diagonal of the covariance with those weights, at cost O(N^3).
+    """
+    b = spectral_basis(geom.N).modes ** 2  # b[u-1, i-1] = phi_i(u)^2 (1D)
+    out = np.zeros((geom.side, geom.side))
+    out[1:-1, 1:-1] = b @ w @ b.T
+    return out
 
 
-def green_dirichlet(geom: BoxGeometry, m: float = 0.0, sites=None) -> GreenTable:
-    """G^{m,*} over the requested sites (default: all interior), spectrally.
+def green_dirichlet(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
+    """G^{m,*} over all interior sites, spectrally.
 
-    G^{m,*}(x,y) = sum_{ij} phi_ij(x) phi_ij(y) / (lam_i + lam_j + m^2);
-    rows/columns at boundary sites are identically zero.
+    G^{m,*}(x,y) = sum_{ij} phi_ij(x) phi_ij(y) / (lam_i + lam_j + m^2).
     """
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
-    sites = _interior_indices(geom) if sites is None else np.asarray(sites, dtype=np.int64)
+    sites = _interior_indices(geom)
     basis = spectral_basis(geom.N)
     w = 1.0 / (basis.lam2d + m * m)
-    phi = _site_mode_matrix(geom, sites)
+    x1, x2 = geom.site(sites)
+    # rows phi_ij(site), shape (len(sites), (N-1)^2)
+    phi = (basis.modes[x1 - 1][:, :, None] * basis.modes[x2 - 1][:, None, :]).reshape(len(sites), -1)
     table = (phi * w.ravel()[None, :]) @ phi.T
     table = 0.5 * (table + table.T)
     return GreenTable(geom.N, float(m), "dirichlet", sites, table)
@@ -249,13 +242,7 @@ def green_dirichlet_diag(geom: BoxGeometry, m: float = 0.0) -> np.ndarray:
     """G^{m,*}(x,x) on the whole grid (0 on the boundary), cost O(N^3)."""
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
-    basis = spectral_basis(geom.N)
-    w = 1.0 / (basis.lam2d + m * m)
-    b = basis.modes ** 2  # b[u-1, i-1] = phi_i(u)^2 (1D)
-    diag_interior = b @ w @ b.T
-    out = np.zeros((geom.side, geom.side))
-    out[1:-1, 1:-1] = diag_interior
-    return out
+    return _mode_diag(geom, 1.0 / (spectral_basis(geom.N).lam2d + m * m))
 
 
 def dirichlet_precision(geom: BoxGeometry, m: float = 0.0) -> sparse.csr_matrix:
@@ -281,30 +268,27 @@ def dirichlet_precision(geom: BoxGeometry, m: float = 0.0) -> sparse.csr_matrix:
     return mat.tocsr()
 
 
-def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0, sites=None) -> GreenTable:
+def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     """Oracle route: direct sparse solve of (m^2 - Delta) with Dirichlet rows.
 
-    The unit right-hand sides of the interior sites are solved 64 columns at
-    a time, each block written straight into the table, which is then
-    symmetrized block by block in place.
+    The unit right-hand sides of the interior sites (row-major, the order of
+    the precision's rows) are solved 64 columns at a time, each block written
+    straight into the table, which is then symmetrized block by block in place.
     """
     from scipy.sparse.linalg import splu
 
-    sites = _interior_indices(geom) if sites is None else np.asarray(sites, dtype=np.int64)
+    sites = _interior_indices(geom)
     lu = splu(dirichlet_precision(geom, m).tocsc())
-    x1, x2 = geom.site(sites)
-    n = geom.N
-    inside = np.flatnonzero((x1 > 0) & (x1 < n) & (x2 > 0) & (x2 < n))
-    pos = (x1[inside] - 1) * (n - 1) + (x2[inside] - 1)
-    table = np.zeros((len(sites), len(sites)))
+    size = len(sites)
+    table = np.zeros((size, size))
     cols = 64
-    for start in range(0, len(inside), cols):
-        block = slice(start, start + cols)
-        rhs = np.zeros(((n - 1) ** 2, len(pos[block])))
-        rhs[pos[block], np.arange(rhs.shape[1])] = 1.0
-        table[np.ix_(inside, inside[block])] = lu.solve(rhs)[pos]
-    for a in range(0, len(sites), cols):
-        for b in range(a, len(sites), cols):
+    for start in range(0, size, cols):
+        width = min(cols, size - start)
+        rhs = np.zeros((size, width))
+        rhs[start + np.arange(width), np.arange(width)] = 1.0
+        table[:, start : start + width] = lu.solve(rhs)
+    for a in range(0, size, cols):
+        for b in range(a, size, cols):
             upper = table[a : a + cols, b : b + cols]
             lower = table[b : b + cols, a : a + cols]
             mean = 0.5 * (upper + lower.T)
@@ -317,16 +301,18 @@ def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0, sites=None) -> Gree
 # f(m): the free-energy cost of adding mass
 # ---------------------------------------------------------------------------
 
-def f_of_m(m: float, n_gauss: int = 24, depth: int = 18) -> float:
+def f_of_m(m: float) -> float:
     """f(m) = 1/2 int_{[0,1]^2} log(1 + m^2 / (4 sin^2(pi x/2) + 4 sin^2(pi y/2))).
 
-    Tensor Gauss panels, geometrically refined toward the origin where the
-    integrand has its (integrable) logarithmic singularity.  Increasing in m.
+    Tensor 24-point Gauss panels, geometrically refined toward the origin
+    (down to 2^-18, two panels per halving) where the integrand has its
+    (integrable) logarithmic singularity.  Increasing in m.
     """
     if not 0.0 < m <= 1.0:
         raise DomainError(f"f(m) is defined for m in (0, 1] (got {m})")
+    depth = 18
     edges = np.concatenate([[0.0], np.geomspace(2.0 ** -depth, 1.0, 2 * depth + 1)])
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
     a, b = edges[:-1], edges[1:]
     x = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * nodes[None, :]).ravel()
     w = (0.5 * (b - a)[:, None] * weights[None, :]).ravel()
@@ -383,13 +369,6 @@ class ScaleTimeGrid:
         return top - bot
 
 
-def scale_count(m: float) -> int:
-    """floor(G^m(0,0)), the number of unit-variance scales available at mass m."""
-    if m <= 0:
-        raise DomainError("scale count needs m > 0")
-    return int(math.floor(heat_diag_time_integral(0.0, m)))
-
-
 def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
     """Solve int_{t_i}^inf e^{-m^2 t} P_t(0,0) dt = i for i = 1..k-1.
 
@@ -434,22 +413,9 @@ def slice_mode_weights(geom: BoxGeometry, grid: ScaleTimeGrid, i: int) -> np.nda
     return (top - bot) / rate
 
 
-def covariance_slice(geom: BoxGeometry, grid: ScaleTimeGrid, i: int, sites=None) -> GreenTable:
-    """Covariance table of the i-th scale field over the requested sites."""
-    w = slice_mode_weights(geom, grid, i)
-    sites = _interior_indices(geom) if sites is None else np.asarray(sites, dtype=np.int64)
-    phi = _site_mode_matrix(geom, sites)
-    table = (phi * w.ravel()[None, :]) @ phi.T
-    return GreenTable(geom.N, grid.m, f"slice-{i}", sites, 0.5 * (table + table.T))
-
-
 def covariance_slice_diag(geom: BoxGeometry, grid: ScaleTimeGrid, i: int) -> np.ndarray:
-    w = slice_mode_weights(geom, grid, i)
-    basis = spectral_basis(geom.N)
-    b = basis.modes ** 2
-    out = np.zeros((geom.side, geom.side))
-    out[1:-1, 1:-1] = b @ w @ b.T
-    return out
+    """Variance of the i-th scale field on the whole grid (0 on the boundary)."""
+    return _mode_diag(geom, slice_mode_weights(geom, grid, i))
 
 
 def split_mode_weights(geom: BoxGeometry, m: float, t_split: float) -> tuple[np.ndarray, np.ndarray]:
@@ -463,14 +429,9 @@ def split_mode_weights(geom: BoxGeometry, m: float, t_split: float) -> tuple[np.
 
 
 def split_diag(geom: BoxGeometry, m: float, t_split: float) -> tuple[np.ndarray, np.ndarray]:
-    basis = spectral_basis(geom.N)
-    b = basis.modes ** 2
-    out = []
-    for w in split_mode_weights(geom, m, t_split):
-        d = np.zeros((geom.side, geom.side))
-        d[1:-1, 1:-1] = b @ w @ b.T
-        out.append(d)
-    return out[0], out[1]
+    """Variances of the rough and local fields of the split, on the whole grid."""
+    rough, local = split_mode_weights(geom, m, t_split)
+    return _mode_diag(geom, rough), _mode_diag(geom, local)
 
 
 # ---------------------------------------------------------------------------

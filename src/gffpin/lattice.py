@@ -1,10 +1,10 @@
 """Geometry of the box {0,...,N}^2.
 
-Site classification (boundary, interior, near-boundary ring), the l^1
-distance to the boundary, the inner sub-boxes used to keep observables away
-from the boundary, the coarse-graining cell tiling with its four parity
-classes, and the scale index j(x) used by the multiscale field
-decomposition.
+Site classification (boundary, interior, the interaction range {1..N}^2),
+the l^1 distance to the boundary, the inner sub-boxes used to keep
+observables away from the boundary, the coarse-graining cell tiling with the
+window around each cell, and the scale indices j(x) and j(x, y) used by the
+multiscale field decomposition.
 
 Sites are stored row-major: linear index = x1 * (N+1) + x2, which is also
 the flat index of a numpy array of shape (N+1, N+1).  All per-site arrays in
@@ -45,13 +45,11 @@ class BoxGeometry:
         interior = ~boundary
         # l1 distance to the boundary frame reduces to the min coordinate gap
         dist = np.minimum.reduce([x1, x2, n - x1, n - x2])
-        near = interior & (dist == 1)
         tilde = (x1 >= 1) & (x2 >= 1)
         object.__setattr__(self, "_x1", x1)
         object.__setattr__(self, "_x2", x2)
         object.__setattr__(self, "_boundary", boundary)
         object.__setattr__(self, "_interior", interior)
-        object.__setattr__(self, "_near_boundary", near)
         object.__setattr__(self, "_tilde", tilde)
         object.__setattr__(self, "_dist", dist)
 
@@ -63,11 +61,6 @@ class BoxGeometry:
     @property
     def interior_mask(self) -> np.ndarray:
         return self._interior
-
-    @property
-    def near_boundary_mask(self) -> np.ndarray:
-        """The ring just inside the boundary (every interior site adjacent to it)."""
-        return self._near_boundary
 
     @property
     def tilde_mask(self) -> np.ndarray:
@@ -83,21 +76,10 @@ class BoxGeometry:
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         return self._x1, self._x2
 
-    # -- index maps --
-    def index(self, x1, x2) -> np.ndarray:
-        return np.asarray(x1) * self.side + np.asarray(x2)
-
+    # -- index map --
     def site(self, idx) -> tuple[np.ndarray, np.ndarray]:
         idx = np.asarray(idx)
         return idx // self.side, idx % self.side
-
-    def counts(self) -> dict:
-        return {
-            "sites": self.nsites,
-            "boundary": int(self._boundary.sum()),
-            "interior": int(self._interior.sum()),
-            "tilde": int(self._tilde.sum()),
-        }
 
 
 def build_box(N: int) -> BoxGeometry:
@@ -134,17 +116,6 @@ def sub_box_mask(geom: BoxGeometry, exponent: float) -> np.ndarray:
     return (x1 >= lo) & (x1 <= hi) & (x2 >= lo) & (x2 <= hi)
 
 
-def inner_window(geom: BoxGeometry, margin: int) -> np.ndarray:
-    """Mask of sites at coordinate distance >= margin from the box edge.
-
-    Laboratory stand-in for the asymptotic inner boxes when those are empty.
-    """
-    if margin < 0 or 2 * margin >= geom.N:
-        raise EmptySubBoxError(f"margin {margin} leaves no sites in a box of side {geom.N}")
-    x1, x2 = geom.coords
-    return (x1 >= margin) & (x1 <= geom.N - margin) & (x2 >= margin) & (x2 <= geom.N - margin)
-
-
 @dataclass(frozen=True)
 class Cell:
     """One coarse-graining cell and its surrounding window.
@@ -165,22 +136,6 @@ class CellTiling:
     N1: int
     k: int
     cells: tuple[Cell, ...]
-
-    def parity_class(self, i: int) -> list[Cell]:
-        """Cells whose index parities match the two dyadic digits of i-1 (i in 1..4)."""
-        if i not in (1, 2, 3, 4):
-            raise TilingError(f"parity class index must be in 1..4 (got {i})")
-        a1, a2 = (i - 1) % 2, (i - 1) // 2
-        return [c for c in self.cells if c.y[0] % 2 == a1 and c.y[1] % 2 == a2]
-
-    @property
-    def covered_sites(self) -> int:
-        return (self.k - 1) ** 2 * self.N1 ** 2
-
-    @property
-    def uncovered_sites(self) -> int:
-        """Sites of Lambda~_N in no cell; always at most 2*N*N1."""
-        return self.N ** 2 - self.covered_sites
 
 
 def cell_tiling(geom: BoxGeometry, N1: int) -> CellTiling:
@@ -227,12 +182,6 @@ def scale_index(geom: BoxGeometry, k: int) -> ScaleIndex:
     j = k - _ceil_guard(np.log(d) / TWO_PI)
     j = np.clip(j, 0, k).astype(np.int64)
     return ScaleIndex(k, j)
-
-
-def scale_index_value(k: int, d: float) -> int:
-    """Scalar j for a site at l1 distance d from the boundary."""
-    d = max(float(d), 1.0)
-    return int(np.clip(k - _ceil_guard(np.array(math.log(d) / TWO_PI)), 0, k))
 
 
 def pair_scale_index(k: int, dist: np.ndarray) -> np.ndarray:

@@ -101,14 +101,13 @@ def _charges(params: PinningParams, omega: DisorderField) -> tuple[np.ndarray, f
     return omega.values + params.h, -2.0 * params.rho
 
 
-def energy(sample: FieldSample, omega: DisorderField, params: PinningParams,
-           interaction: str = "tilde") -> float:
-    """Interaction part of the Hamiltonian, on the (possibly shifted) field.
+def energy(sample: FieldSample, omega: DisorderField, params: PinningParams) -> float:
+    """Interaction part of the Hamiltonian on the range {1..N}^2.
 
     The Gaussian part lives in the sampler/MCMC; this is the exponent of the
     density against the free measure.
     """
-    mask = _interaction_mask(sample.geom, interaction)
+    mask = sample.geom.tilde_mask
     w, c = _charges(params, omega)
     return c * float(np.sum(w[mask & _indicators(sample.values, params)]))
 
@@ -298,10 +297,10 @@ class GibbsChain:
 
 
 def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
-               rng: np.random.Generator, extra_bands: tuple[Band, ...] = ()) -> GibbsChain:
+               rng: np.random.Generator) -> GibbsChain:
     """Fresh chain started from the harmonic extension of the boundary data."""
     ext = harmonic_extension(geom, params.m, params.bc)
-    return GibbsChain(geom, params, omega, ext.values.copy(), rng, extra_bands=extra_bands)
+    return GibbsChain(geom, params, omega, ext.values.copy(), rng)
 
 
 def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
@@ -338,8 +337,9 @@ class ChainRecord:
         return mean, math.sqrt(var * max(self.iact, 1.0) / n)
 
 
-def integrated_autocorrelation(series: np.ndarray, cap: int | None = None) -> float:
-    """Initial-positive-sequence IACT estimate (in units of recorded samples)."""
+def integrated_autocorrelation(series: np.ndarray) -> float:
+    """Initial-positive-sequence IACT estimate (in units of recorded samples),
+    summed over lags below n/4."""
     x = np.asarray(series, dtype=float)
     n = len(x)
     if n < 8 or np.allclose(x, x[0]):
@@ -350,8 +350,7 @@ def integrated_autocorrelation(series: np.ndarray, cap: int | None = None) -> fl
         return 1.0
     rho = acov / acov[0]
     tau = 1.0
-    cap = cap or n // 4
-    for t in range(1, cap):
+    for t in range(1, n // 4):
         if rho[t] <= 0:
             break
         tau += 2.0 * rho[t]
@@ -360,16 +359,16 @@ def integrated_autocorrelation(series: np.ndarray, cap: int | None = None) -> fl
 
 def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
               rng: np.random.Generator, sweeps: int, burn_in: int = 0, thinning: int = 1,
-              window_mask: np.ndarray | None = None, chain: GibbsChain | None = None,
-              interaction: str = "tilde", observables: dict | None = None) -> ChainRecord:
+              chain: GibbsChain | None = None, interaction: str = "tilde",
+              observables: dict | None = None) -> ChainRecord:
     """Run (or continue) a chain; record observables every `thinning` sweeps.
 
-    Deterministic given the generator state.  The window mask (default: the
-    interaction range) is where the contact total is counted; `observables`
-    maps names to callables field -> float for extra per-record statistics.
-    A chain passed in must run at `params` and `omega`.  Each record finds
-    the charged sites once and takes the contact total, the contact fraction
-    and the interaction energy from them.
+    Deterministic given the generator state.  The contact total is counted
+    on the interaction range; `observables` maps names to callables
+    field -> float for extra per-record statistics.  A chain passed in must
+    run at `params` and `omega`.  Each record finds the charged sites once
+    and takes the contact total, the contact fraction and the interaction
+    energy from them.
     """
     if burn_in < 0:
         raise DomainError("burn-in must be >= 0")
@@ -380,7 +379,6 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     if chain is None:
         chain = make_chain(geom, params, omega, rng)
     mask = _interaction_mask(geom, interaction)
-    wmask = mask if window_mask is None else window_mask
     n_tilde = int(mask.sum())
     weights, scale = _charges(params, omega)
     if burn_in:
@@ -393,8 +391,9 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
         heat_bath_sweep(chain, thinning)
         delta = _indicators(chain.field, params)
         charged = delta & mask
-        L[i] = np.count_nonzero(delta & wmask)
-        frac[i] = np.count_nonzero(charged) / n_tilde
+        count = np.count_nonzero(charged)
+        L[i] = count
+        frac[i] = count / n_tilde
         en[i] = scale * float(np.sum(weights[charged]))
         for name, fn in (observables or {}).items():
             extra[name].append(fn(chain.field))
@@ -413,8 +412,8 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
 # exact small-system partition function
 # ---------------------------------------------------------------------------
 
-def _gauss_band_integral(mu: float, var: float, s: float, u: float, n_panels: int = 80) -> float:
-    """E[e^{s 1_band}(phi)] for phi ~ N(mu, var), by panelled quadrature."""
+def _gauss_band_integral(mu: float, var: float, s: float, u: float) -> float:
+    """E[e^{s 1_band}(phi)] for phi ~ N(mu, var): 32-point Gauss on 80 panels per piece."""
     sd = math.sqrt(var)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     lo, hi = mu - 40 * sd, mu + 40 * sd
@@ -424,7 +423,7 @@ def _gauss_band_integral(mu: float, var: float, s: float, u: float, n_panels: in
         a, b = max(a, lo), min(b, hi)
         if b <= a:
             continue
-        edges = np.linspace(a, b, n_panels + 1)
+        edges = np.linspace(a, b, 81)
         p, q = edges[:-1], edges[1:]
         t = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * nodes[None, :]
         w = 0.5 * (q - p)[:, None] * weights[None, :]
@@ -434,13 +433,13 @@ def _gauss_band_integral(mu: float, var: float, s: float, u: float, n_panels: in
     return total
 
 
-def exact_partition_small(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
-                          interaction: str = "interior") -> float:
+def exact_partition_small(geom: BoxGeometry, params: PinningParams,
+                          omega: DisorderField) -> float:
     """log Z by direct quadrature; ground truth for one interior site (N = 2).
 
-    Square boxes only realize Gaussian dimension one; dimension two is served
-    by log_partition_quadrature on an explicit precision system.  With the
-    'tilde' range the deterministic boundary contacts of the frame are added.
+    The interaction acts on the interior site alone, the range the
+    integration ladders count.  Square boxes realize only Gaussian dimension
+    one: N = 2 has one interior site and N = 3 already has four.
     """
     n_int = (geom.N - 1) ** 2
     if n_int > 2:
@@ -452,65 +451,18 @@ def exact_partition_small(geom: BoxGeometry, params: PinningParams, omega: Disor
     mu = float(bgrid[0, 1] + bgrid[2, 1] + bgrid[1, 0] + bgrid[1, 2]) / (4.0 + params.m ** 2)
     var = 1.0 / (4.0 + params.m ** 2)
     s_grid = site_weights(params, omega)
-    log_z = math.log(_gauss_band_integral(mu, var, float(s_grid[1, 1]), params.u))
-    if interaction == "tilde":
-        delta_b = contact_indicators(bgrid, params.u)
-        mask = geom.tilde_mask & geom.boundary_mask
-        log_z += float(np.sum(s_grid[mask & delta_b]))
-    return log_z
-
-
-def log_partition_quadrature(precision: np.ndarray, mean: np.ndarray, s: np.ndarray,
-                             u: float, n_panels: int = 60) -> float:
-    """log E[e^{sum_i s_i 1_band(phi_i)}] for a 1- or 2-dim Gaussian.
-
-    Direct tensor quadrature against the N(mean, precision^-1) density.
-    """
-    prec = np.atleast_2d(np.asarray(precision, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    d = prec.shape[0]
-    if d > 2:
-        raise UnsupportedGeometryError("quadrature supports dimension <= 2")
-    cov = np.linalg.inv(prec)
-    if d == 1:
-        return math.log(_gauss_band_integral(mean[0], cov[0, 0], s[0], u, n_panels))
-    sds = np.sqrt(np.diag(cov))
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-
-    def axis_points(mu_i, sd_i):
-        lo, hi = mu_i - 12 * sd_i, mu_i + 12 * sd_i
-        cuts = sorted({lo, u - 1.0, u + 1.0, hi})
-        xs, ws = [], []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            a, b = max(a, lo), min(b, hi)
-            if b <= a:
-                continue
-            edges = np.linspace(a, b, n_panels + 1)
-            p, q = edges[:-1], edges[1:]
-            xs.append((0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * nodes[None, :]).ravel())
-            ws.append((0.5 * (q - p)[:, None] * weights[None, :]).ravel())
-        return np.concatenate(xs), np.concatenate(ws)
-
-    x0, w0 = axis_points(mean[0], sds[0])
-    x1, w1 = axis_points(mean[1], sds[1])
-    g0 = x0[:, None] - mean[0]
-    g1 = x1[None, :] - mean[1]
-    quad_form = prec[0, 0] * g0 ** 2 + 2 * prec[0, 1] * g0 * g1 + prec[1, 1] * g1 ** 2
-    dens = np.exp(-0.5 * quad_form) * math.sqrt(np.linalg.det(prec)) / (2 * math.pi)
-    bump = np.exp(s[0] * (np.abs(x0[:, None] - u) <= 1.0) + s[1] * (np.abs(x1[None, :] - u) <= 1.0))
-    return math.log(float(np.einsum("i,j,ij->", w0, w1, dens * bump)))
+    return math.log(_gauss_band_integral(mu, var, float(s_grid[1, 1]), params.u))
 
 
 # ---------------------------------------------------------------------------
 # restricted contacts
 # ---------------------------------------------------------------------------
 
-def restricted_contacts(sample: FieldSample, u: float, window_mask: np.ndarray,
-                        barrier_offset: float = 10.0) -> tuple[np.ndarray, np.ndarray]:
+def restricted_contacts(sample: FieldSample, u: float,
+                        window_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the contacts in the window, and of those among them whose scale
-    trajectory stays below the line u*i/k + offset at every scale; their sums
-    are the contact totals L and L'."""
+    trajectory stays below the line u*i/k + 10 at every scale; their sums are
+    the contact totals L and L'."""
     if sample.stack is None:
         raise ContractError("restricted contacts need a field carrying its scale stack")
     delta = contact_indicators(sample.values, u) & window_mask
@@ -518,5 +470,5 @@ def restricted_contacts(sample: FieldSample, u: float, window_mask: np.ndarray,
     k = sample.stack.k
     below = np.ones_like(delta)
     for i in range(1, k + 1):
-        below &= partials[i - 1] <= u * i / k + barrier_offset
+        below &= partials[i - 1] <= u * i / k + 10.0
     return delta, delta & below

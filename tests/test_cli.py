@@ -105,6 +105,44 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
         experiments.run_experiment("thermo-consistency", {"replicas": 0})
 
 
+@pytest.mark.parametrize("argv,env,needle", [
+    (["run", "copolymer", "--set", "sweeps=1e3"], None, "sweeps"),
+    (["run", "copolymer", "--set", "burn_in=true"], None, "burn_in"),
+    (["run", "copolymer", "--set", "seed=1.5"], None, "seed"),
+    (["run", "penalty-cost", "--set", "samples=2.5"], None, "samples"),
+    (["run", "sampler-exactness", "--set", "samples=1e3"], None, "samples"),
+    (["run", "copolymer"], "two", "GFFPIN_THREADS"),
+    (["run", "copolymer"], "0", "GFFPIN_THREADS"),
+    (["run", "copolymer", "--threads", "-3"], None, "--threads"),
+    (["verify", "--threads", "0"], None, "--threads"),
+    (["run", "massive-comparison", "--set", "m=1.5"], None, "got 1.5"),
+    (["run", "massive-comparison", "--set", "m=0"], None, "got 0"),
+], ids=["int-as-float", "int-as-bool", "seed-as-float", "penalty-samples", "exactness-samples",
+        "env-not-int", "env-zero", "threads-negative", "verify-threads-zero", "mass-above-1",
+        "mass-zero"])
+def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, env, needle):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the bad value was refused")
+
+    monkeypatch.setattr(pinning, "run_chain", no_chain)
+    if env is None:
+        monkeypatch.delenv("GFFPIN_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GFFPIN_THREADS", env)
+    assert cli.main(argv) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_float_default_takes_an_int(monkeypatch):
+    # m = 1 passes the type check and f(m)'s domain, so the first chain is reached
+    def first_chain(*args, **kwargs):
+        raise RuntimeError("first chain")
+
+    monkeypatch.setattr(pinning, "run_chain", first_chain)
+    with pytest.raises(RuntimeError, match="first chain"):
+        experiments.run_experiment("massive-comparison", {"m": 1, "threads": 1})
+
+
 def test_run_experiment_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="sweepz"):
         experiments.run_experiment("exact-small-box", {"sweepz": 5, "seed": 1})
@@ -120,22 +158,3 @@ def test_stream_audit_recorded():
     res = experiments.run_experiment("density-typicality", {"samples": 800})
     assert len(res.streams) == 3  # one stream per family mass
     assert all(s.startswith(str(res.config["seed"])) for s in res.streams)
-
-
-def test_accumulator_merge_order_independent():
-    import numpy as np
-
-    rs = np.random.default_rng(5)
-    xs = rs.standard_normal(300)
-    a = experiments.Accumulator()
-    for x in xs:
-        a.add(float(x))
-    parts = [experiments.Accumulator() for _ in range(4)]
-    for i, x in enumerate(xs):
-        parts[i % 4].add(float(x))
-    merged = experiments.Accumulator()
-    for p in (parts[2], parts[0], parts[3], parts[1]):  # arbitrary order
-        merged.merge(p)
-    assert merged.n == a.n
-    assert merged.mean == pytest.approx(a.mean, abs=1e-12)
-    assert merged.var == pytest.approx(a.var, rel=1e-10)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from gffpin import fields, kernels, lattice, rng
-from gffpin.errors import DomainError, GeometryMismatchError
+from gffpin.errors import DomainError
 
 
 def test_single_site_law():
     g = lattice.build_box(2)
     r = rng.stream(1, "single")
-    vals = np.array([fields.sample_dirichlet_field(g, 0.0, r).values[1, 1] for _ in range(20000)])
+    vals = np.array([fields.sample_dirichlet_interior(g, 0.0, 1, r)[0][0, 0] for _ in range(20000)])
     assert abs(vals.mean()) < 4 * 0.5 / math.sqrt(len(vals))
     assert abs(vals.var() - 0.25) < 5 * 0.25 * math.sqrt(2 / len(vals))
 
@@ -39,23 +39,23 @@ def test_variance_matches_green():
 
 
 def test_boundary_is_exact():
+    # phi + H for a zero-boundary phi carries the boundary data exactly
     g = lattice.build_box(8)
-    s = fields.sample_dirichlet_field(g, 0.1, rng.stream(4, "b"))
-    assert np.all(s.values[g.boundary_mask] == 0.0)
-    bc = fields.constant_bc(2.5)
-    ext = fields.harmonic_extension(g, 0.1, bc)
-    shifted = fields.shift_by_extension(s, ext)
-    assert np.abs(shifted.values[g.boundary_mask] - 2.5).max() < 1e-12
+    phi = np.zeros((g.side, g.side))
+    phi[1:-1, 1:-1] = fields.sample_dirichlet_interior(g, 0.1, 1, rng.stream(4, "b"))[0]
+    ext = fields.harmonic_extension(g, 0.1, fields.explicit_bc(np.full(4 * 8, 2.5)))
+    shifted = phi + ext.values
+    assert np.abs(shifted[g.boundary_mask] - 2.5).max() < 1e-12
 
 
 def test_harmonic_extension_constant():
     g = lattice.build_box(8)
-    ext = fields.harmonic_extension(g, 0.0, fields.constant_bc(3.0))
+    ext = fields.harmonic_extension(g, 0.0, fields.explicit_bc(np.full(4 * 8, 3.0)))
     assert np.abs(ext.values - 3.0).max() < 1e-10
     # massive with one interior site: H(center) = 4c/(4+m^2)
     g2 = lattice.build_box(2)
     m = 0.7
-    ext2 = fields.harmonic_extension(g2, m, fields.constant_bc(1.0))
+    ext2 = fields.harmonic_extension(g2, m, fields.explicit_bc(np.full(4 * 2, 1.0)))
     assert abs(ext2.values[1, 1] - 4.0 / (4.0 + m * m)) < 1e-12
 
 
@@ -78,23 +78,6 @@ def test_harmonic_extension_mc_agreement():
                                       rng.stream(6, "mc-walk"))
     for i, s in enumerate([(8, 8), (4, 12)]):
         assert abs(mc["mean"][i] - ext.values[s]) < 4 * mc["se"][i]
-
-
-def test_shift_identity_and_mismatch():
-    g = lattice.build_box(8)
-    s = fields.sample_dirichlet_field(g, 0.0, rng.stream(7, "s"))
-    ext0 = fields.harmonic_extension(g, 0.0, fields.zero_bc())
-    assert np.array_equal(fields.shift_by_extension(s, ext0).values, s.values)
-    other = fields.harmonic_extension(lattice.build_box(10), 0.0, fields.zero_bc())
-    with pytest.raises(GeometryMismatchError):
-        fields.shift_by_extension(s, other)
-    # contacts of the shifted field are the band indicators of phi + H
-    bc = fields.constant_bc(1.2)
-    ext = fields.harmonic_extension(g, 0.0, bc)
-    shifted = fields.shift_by_extension(s, ext)
-    u = 0.5
-    direct = np.abs(s.values + ext.values - u) <= 1.0
-    assert np.array_equal(np.abs(shifted.values - u) <= 1.0, direct)
 
 
 def test_boundary_sampling_covariance():
@@ -135,7 +118,7 @@ def test_infinite_volume_pipeline():
     for i in range(n):
         bc = fields.sample_boundary_infinite_massive(g, m, r, cov=cov)
         ext = fields.harmonic_extension(g, m, bc)
-        vals[i] = fields.sample_dirichlet_field(g, m, r).values[8, 8] + ext.values[8, 8]
+        vals[i] = fields.sample_dirichlet_interior(g, m, 1, r)[0][7, 7] + ext.values[8, 8]
     target = kernels.green_massive_infinite((0, 0), m)
     assert abs(vals.var() - target) < 5 * target * math.sqrt(2.0 / n)
     assert abs(vals.mean()) < 4 * math.sqrt(target / n)
@@ -192,12 +175,13 @@ def test_spatial_markov_resampling():
     n = 4000
     vals = np.empty(n)
     for i in range(n):
-        outer = fields.sample_dirichlet_field(g, 0.0, r)
-        patch = outer.values[4:13, 4:13]
+        outer = np.zeros((g.side, g.side))
+        outer[1:-1, 1:-1] = fields.sample_dirichlet_interior(g, 0.0, 1, r)[0]
+        patch = outer[4:13, 4:13]
         bc_vals = np.concatenate([patch[sub.boundary_mask]])
         ext = fields.harmonic_extension(sub, 0.0, fields.explicit_bc(patch[sub.boundary_mask]))
-        inner = fields.sample_dirichlet_field(sub, 0.0, r)
-        vals[i] = ext.values[4, 4] + inner.values[4, 4]
+        inner = fields.sample_dirichlet_interior(sub, 0.0, 1, r)[0]
+        vals[i] = ext.values[4, 4] + inner[3, 3]
     target = kernels.green_dirichlet_diag(g, 0.0)[8, 8]
     assert abs(vals.var() - target) < 5 * target * math.sqrt(2.0 / n)
 
@@ -211,8 +195,10 @@ def test_scale_stack_consistency():
     assert np.abs(s.stack.xi.sum(axis=0) - s.values).max() < 1e-10
     assert s.stack.k == grid.k
     # partial sums telescope
-    assert np.abs(s.stack.partial(grid.k) - s.values).max() < 1e-10
-    assert np.all(s.stack.partial(0) == 0.0)
+    partials = s.stack.partials()
+    assert partials.shape == s.stack.xi.shape
+    assert np.array_equal(partials[0], s.stack.xi[0])
+    assert np.abs(partials[-1] - s.values).max() < 1e-10
 
 
 def test_scale_stack_variance_profile():
@@ -433,11 +419,6 @@ def test_stack_tables_are_read_only_and_kept_per_box_and_grid():
         assert len(fields._STACK_TABLES) <= fields._STACK_TABLES_MAX
 
 
-def test_stack_requires_valid_grid():
-    with pytest.raises(Exception):
-        fields.sample_scale_stack(lattice.build_box(8), 0.3, rng.stream(18, "x"))
-
-
 def test_stack_rejects_a_grid_for_another_mass():
     grid = kernels.scale_time_grid(1e-5, min_scales=1)
     with pytest.raises(DomainError, match="0.3"):
@@ -451,23 +432,3 @@ def test_explicit_bc_validates_length():
     bad = fields.explicit_bc(np.zeros(5))
     with pytest.raises(DomainError):
         bad.grid(g)
-
-
-def test_shifted_sample_keeps_stack_identity():
-    g = lattice.build_box(8)
-    m = 0.01
-    grid = kernels.scale_time_grid(m, min_scales=1)
-    s = fields.sample_scale_stack(g, m, rng.stream(19, "shift"), grid=grid)
-    ext = fields.harmonic_extension(g, m, fields.constant_bc(0.7))
-    shifted = fields.shift_by_extension(s, ext)
-    # the stack still sums to the field minus the extension
-    resid = shifted.stack.xi.sum(axis=0) - (shifted.values - ext.values)
-    assert np.abs(resid).max() < 1e-10
-
-
-def test_disorder_domain_guard():
-    from gffpin import disorder
-
-    spec = disorder.DisorderSpec("gaussian", beta_bar=0.5)
-    with pytest.raises(DomainError):
-        disorder.log_mgf(spec, 1.5)

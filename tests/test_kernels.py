@@ -132,16 +132,17 @@ def test_green_dirichlet_center_small():
 @pytest.mark.parametrize("N,m", [(6, 0.0), (8, 0.3), (16, 0.05), (64, 0.1)])
 def test_green_dirichlet_two_routes(N, m):
     g = lattice.build_box(N)
-    sites = None
-    if N > 16:
-        rs = np.random.default_rng(0)
-        sites = rs.choice(np.flatnonzero(g.interior_mask.ravel()), size=40, replace=False)
-    a = kernels.green_dirichlet(g, m, sites)
-    b = kernels.green_dirichlet_solve(g, m, sites)
-    assert np.abs(a.table - b.table).max() < 1e-9
-    # symmetric PSD
-    eig = np.linalg.eigvalsh(a.table)
-    assert eig.min() > -1e-10
+    b = kernels.green_dirichlet_solve(g, m)
+    assert np.array_equal(b.sites, np.flatnonzero(g.interior_mask.ravel()))
+    # the spectral diagonal at every size, the spectral table where it is small
+    assert np.abs(kernels.green_dirichlet_diag(g, m)[g.interior_mask] - np.diag(b.table)).max() < 1e-9
+    if N <= 16:
+        a = kernels.green_dirichlet(g, m)
+        assert np.array_equal(a.sites, b.sites)
+        assert np.abs(a.table - b.table).max() < 1e-9
+        # symmetric PSD
+        eig = np.linalg.eigvalsh(a.table)
+        assert eig.min() > -1e-10
 
 
 def test_green_dirichlet_solve_working_set():
@@ -158,12 +159,6 @@ def test_green_dirichlet_solve_working_set():
     assert peak < 1.5 * b.table.nbytes
     assert np.array_equal(b.table, b.table.T)
     assert np.abs(b.table - kernels.green_dirichlet(g, 0.3).table).max() < 1e-10
-    # frame sites get zero rows and columns on both routes
-    sites = np.concatenate([np.flatnonzero(g.boundary_mask.ravel())[:70],
-                            np.flatnonzero(g.interior_mask.ravel())[::7]])
-    a, b = kernels.green_dirichlet(g, 0.3, sites), kernels.green_dirichlet_solve(g, 0.3, sites)
-    assert np.all(b.table[:70] == 0.0) and np.all(b.table[:, :70] == 0.0)
-    assert np.abs(a.table - b.table).max() < 1e-10
 
 
 def test_green_dirichlet_precision_identity():
@@ -229,7 +224,9 @@ def test_f_of_m_asymptotics():
 def test_scale_grid_requires_small_mass():
     with pytest.raises(MassTooLargeError):
         kernels.scale_time_grid(0.3)
-    assert kernels.scale_count(1e-2) == 1
+    with pytest.raises(MassTooLargeError):
+        kernels.scale_time_grid(1e-2)
+    assert kernels.scale_time_grid(1e-2, min_scales=1).k == 1
 
 
 def test_scale_grid_slices():
@@ -250,8 +247,9 @@ def test_scale_grid_log_times():
 
 
 def test_scale_count_log_law():
+    # the grid's scale count k = floor(G^m(0,0)) follows log(1/m) / 2pi
     for m in (1e-2, 1e-3, 1e-4, 1e-5):
-        k = kernels.scale_count(m)
+        k = kernels.scale_time_grid(m, min_scales=1).k
         assert abs(k + math.log(m) / TWO_PI) <= 2.0
 
 
@@ -262,17 +260,20 @@ def test_degenerate_grid():
 
 
 def test_slices_telescope_to_green():
+    # every slice is PSD (nonnegative mode weights); weights and variances sum to G^{m,*}
     g = lattice.build_box(12)
     m = 1e-8
     grid = kernels.scale_time_grid(m)
-    total = np.zeros_like(kernels.covariance_slice(g, grid, 1).table)
+    weights = np.zeros((g.N - 1, g.N - 1))
+    total = np.zeros((g.side, g.side))
     for i in range(1, grid.k + 1):
-        table = kernels.covariance_slice(g, grid, i)
-        eig = np.linalg.eigvalsh(table.table)
-        assert eig.min() > -1e-12
-        total += table.table
-    exact = kernels.green_dirichlet(g, m).table
-    assert np.abs(total - exact).max() < 1e-7
+        w = kernels.slice_mode_weights(g, grid, i)
+        assert w.min() >= 0.0
+        weights += w
+        total += kernels.covariance_slice_diag(g, grid, i)
+    basis = kernels.spectral_basis(g.N)
+    assert np.abs(weights * (basis.lam2d + m * m) - 1.0).max() < 1e-7
+    assert np.abs(total - kernels.green_dirichlet_diag(g, m)).max() < 1e-7
 
 
 def test_slice_variance_bounds():
@@ -301,6 +302,6 @@ def test_slice_index_errors():
     grid = kernels.scale_time_grid(1e-8)
     g = lattice.build_box(8)
     with pytest.raises(DomainError):
-        kernels.covariance_slice(g, grid, 0)
+        kernels.covariance_slice_diag(g, grid, 0)
     with pytest.raises(DomainError):
-        kernels.covariance_slice(g, grid, grid.k + 1)
+        kernels.covariance_slice_diag(g, grid, grid.k + 1)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from gffpin.errors import EmptySubBoxError, InvalidGeometryError, TilingError
 
 def test_counts_small():
     g = lattice.build_box(2)
-    c = g.counts()
-    assert c["interior"] == 1
-    assert c["boundary"] == 8
+    assert g.interior_mask.sum() == 1
+    assert g.boundary_mask.sum() == 8
     x1, x2 = g.coords
     assert g.interior_mask[1, 1]
     assert not g.interior_mask[0, 1]
@@ -20,19 +20,17 @@ def test_counts_small():
 @pytest.mark.parametrize("N", [2, 3, 4, 7, 16, 64])
 def test_cardinalities(N):
     g = lattice.build_box(N)
-    c = g.counts()
-    assert c["sites"] == (N + 1) ** 2
-    assert c["boundary"] == 4 * N
-    assert c["interior"] == (N - 1) ** 2
-    assert c["tilde"] == N ** 2
-    # boundary and interior partition the box; the near ring sits inside
+    assert g.nsites == g.boundary_mask.size == (N + 1) ** 2
+    assert g.boundary_mask.sum() == 4 * N
+    assert g.interior_mask.sum() == (N - 1) ** 2
+    assert g.tilde_mask.sum() == N ** 2
+    # boundary and interior partition the box
     assert not np.any(g.boundary_mask & g.interior_mask)
     assert np.all(g.boundary_mask | g.interior_mask)
-    assert np.all(g.near_boundary_mask <= g.interior_mask)
 
 
 def test_interior_64():
-    assert lattice.build_box(64).counts()["interior"] == 3969
+    assert lattice.build_box(64).interior_mask.sum() == 3969
 
 
 def test_invalid_geometry():
@@ -58,9 +56,9 @@ def test_distance_brute_force(N):
 
 def test_index_roundtrip():
     g = lattice.build_box(5)
-    idx = g.index(3, 4)
-    assert idx == 3 * 6 + 4
+    idx = 3 * 6 + 4  # row-major
     assert g.site(idx) == (3, 4)
+    assert g.coords[0].ravel()[idx] == 3 and g.coords[1].ravel()[idx] == 4
 
 
 def test_sub_box_empty_at_small_sizes():
@@ -77,14 +75,6 @@ def test_sub_box_wide_nonempty():
     assert mask.sum() == (hi - lo + 1) ** 2
     # inward rounding: the margin is at least N (log N)^-2
     assert lo >= 32 * math.log(32) ** -2
-
-
-def test_inner_window():
-    g = lattice.build_box(8)
-    w = lattice.inner_window(g, 2)
-    assert w.sum() == 25
-    with pytest.raises(EmptySubBoxError):
-        lattice.inner_window(g, 4)
 
 
 def test_tiling_example():
@@ -113,22 +103,19 @@ def test_tiling_disjoint_cover(N, N1):
         cover[cell.cell_slice] += 1
     assert cover.max() == 1
     covered = int((cover == 1).sum())
-    assert covered == t.covered_sites
+    assert covered == (t.k - 1) ** 2 * N1 ** 2
     # the uncovered part of {1..N}^2 is a thin frame
     uncovered = int(g.tilde_mask.sum()) - covered
-    assert uncovered == t.uncovered_sites <= 2 * N * N1
+    assert uncovered <= 2 * N * N1
     assert np.all(cover[~g.tilde_mask] == 0)
-    # parity classes partition the cells and their windows do not overlap inside
-    total = 0
-    for i in (1, 2, 3, 4):
-        cls = t.parity_class(i)
-        total += len(cls)
+    # cells of one index parity class have windows that do not overlap inside
+    for a1, a2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
         interior_cover = np.zeros((N + 1, N + 1), dtype=int)
-        for cell in cls:
-            w1, w2 = cell.window_slice
-            interior_cover[w1.start + 1 : w1.stop - 1, w2.start + 1 : w2.stop - 1] += 1
+        for cell in t.cells:
+            if (cell.y[0] % 2, cell.y[1] % 2) == (a1, a2):
+                w1, w2 = cell.window_slice
+                interior_cover[w1.start + 1 : w1.stop - 1, w2.start + 1 : w2.stop - 1] += 1
         assert interior_cover.max() <= 1
-    assert total == (t.k - 1) ** 2
 
 
 def test_window_inside_box():
@@ -140,14 +127,20 @@ def test_window_inside_box():
         assert 0 <= w2.start and w2.stop <= 17
 
 
+def _scale_index_at(k: int, d: float) -> int:
+    """j for one site at l1 distance d from the boundary (scale_index reads only distances)."""
+    return int(lattice.scale_index(SimpleNamespace(dist_boundary=np.array([[d]])), k).j[0, 0])
+
+
 def test_scale_index_examples():
     # d = ceil(e^{2 pi 3}) sits in scale band 3
     d = math.ceil(math.exp(2 * math.pi * 3))
-    assert lattice.scale_index_value(10, d) == 7
+    assert _scale_index_at(10, d) == 7
     # far sites clamp to zero
-    assert lattice.scale_index_value(4, math.exp(2 * math.pi * 4) * 2) == 0
-    # adjacent to the boundary: full depth
-    assert lattice.scale_index_value(3, 1) == 3
+    assert _scale_index_at(4, math.exp(2 * math.pi * 4) * 2) == 0
+    # adjacent to the boundary, and on it: full depth
+    assert _scale_index_at(3, 1) == 3
+    assert _scale_index_at(3, 0) == 3
 
 
 def test_scale_index_monotone():

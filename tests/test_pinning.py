@@ -12,6 +12,12 @@ def _zero_omega(g):
     return disorder.DisorderField(g, disorder.GAUSSIAN, np.zeros((g.side, g.side)))
 
 
+def _chain(g, params, om, r, extra_bands):
+    """A chain with extra bands, started like make_chain's from the harmonic extension."""
+    start = fields.harmonic_extension(g, params.m, params.bc).values.copy()
+    return pinning.GibbsChain(g, params, om, start, r, extra_bands=extra_bands)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         pinning.PinningParams(model="other")
@@ -129,7 +135,7 @@ def test_pinned_trajectory(label):
     g = lattice.build_box(8)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(230, "pin-om"))
     params = pinning.PinningParams(**kwargs)
-    chain = pinning.make_chain(g, params, om, rng.stream(231, "pin", label), extra_bands=extra)
+    chain = _chain(g, params, om, rng.stream(231, "pin", label), extra)
     rec = pinning.run_chain(g, params, om, chain.rng, sweeps=200, thinning=200, chain=chain)
     f = rec.final_field
     got = (f.sum(), f[3, 4], f[5, 2], rec.contacts_window[-1])
@@ -231,7 +237,7 @@ def test_contact_fraction_monotone_in_h():
 def test_boundary_never_changes():
     g = lattice.build_box(8)
     om = _zero_omega(g)
-    bc = fields.constant_bc(1.3)
+    bc = fields.explicit_bc(np.full(4 * 8, 1.3))
     params = pinning.PinningParams(h=0.5, bc=bc)
     chain = pinning.make_chain(g, params, om, rng.stream(210, "bc"))
     before = chain.field[g.boundary_mask].copy()
@@ -288,22 +294,6 @@ def test_quenched_jensen_small():
     assert logs.mean() <= z0 + 3 * se
 
 
-def test_quadrature_two_site():
-    # hand-built 2-site chain: precision [[2,-1],[-1,2]], checked against MC
-    prec = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    s = np.array([0.8, -0.4])
-    logz = pinning.log_partition_quadrature(prec, np.zeros(2), s, 0.0)
-    cov = np.linalg.inv(prec)
-    r = rng.stream(215, "quad2")
-    draws = r.multivariate_normal(np.zeros(2), cov, size=400000)
-    w = np.exp(s[0] * (np.abs(draws[:, 0]) <= 1) + s[1] * (np.abs(draws[:, 1]) <= 1))
-    mc = math.log(w.mean())
-    se = w.std() / w.mean() / math.sqrt(len(w))
-    assert abs(logz - mc) < 4 * se
-    with pytest.raises(UnsupportedGeometryError):
-        pinning.log_partition_quadrature(np.eye(3), np.zeros(3), np.zeros(3), 0.0)
-
-
 def test_copolymer_symmetry_at_zero():
     # no disorder, h = 0: the lower-solvent indicator has mean 1/2 inside
     g = lattice.build_box(8)
@@ -337,7 +327,7 @@ def test_restricted_contacts():
     s.values = s.stack.xi.sum(axis=0)
     _, restricted = pinning.restricted_contacts(s, 0.0, window)
     assert not restricted.any()
-    plain = fields.sample_dirichlet_field(g, 0.1, r)
+    plain = fields.FieldSample(g, s.values, m, fields.zero_bc())  # no stack
     with pytest.raises(ContractError):
         pinning.restricted_contacts(plain, 0.0, window)
 
@@ -390,7 +380,7 @@ def test_pinned_records(label):
     g = lattice.build_box(8)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(240, "id-om"))
     params = pinning.PinningParams(**kwargs)
-    chain = pinning.make_chain(g, params, om, rng.stream(241, "id", label), extra_bands=extra)
+    chain = _chain(g, params, om, rng.stream(241, "id", label), extra)
     rec = pinning.run_chain(g, params, om, chain.rng, sweeps=12, burn_in=6, thinning=3,
                             chain=chain, observables={"sumsq": lambda f: float(np.sum(f ** 2))})
     got = (rec.energy.tolist(), rec.contact_fraction.tolist(), rec.extra["sumsq"].tolist(),
