@@ -104,9 +104,6 @@ def window_sums(values: np.ndarray, radius: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CellEventResult:
     triggered: bool
-    max_window: float
-    threshold: float
-    window_sites: int
     structurally_false: bool = False
 
 
@@ -117,8 +114,7 @@ def event_E_cell(omega: DisorderField, cell: Cell, beta: float = 1.0) -> CellEve
     r = default_radius(N1)
     thr = default_mean_threshold(omega.spec, beta, N1)
     block = omega.values[cell.cell_slice]
-    mx = float(window_sums(block, r).max())
-    return CellEventResult(mx >= thr, mx, thr, int(_diamond_kernel(r).sum()))
+    return CellEventResult(float(window_sums(block, r).max()) >= thr)
 
 
 def event_C_cell(contacts: np.ndarray, cell: Cell) -> CellEventResult:
@@ -133,19 +129,17 @@ def event_C_cell(contacts: np.ndarray, cell: Cell) -> CellEventResult:
     thr = default_cluster_threshold(N1)
     sites = int(_diamond_kernel(r).sum())
     block = contacts[cell.cell_slice].astype(float)
-    mx = float(window_sums(block, r).max())
-    return CellEventResult(mx >= thr, mx, thr, sites, structurally_false=thr > sites)
+    return CellEventResult(float(window_sums(block, r).max()) >= thr,
+                           structurally_false=thr > sites)
 
 
 @dataclass(frozen=True)
 class PenaltyResult:
     value: float
     count: int
-    flags: tuple
 
 
 def penalty_f(omega: DisorderField, tiling: CellTiling, beta: float) -> PenaltyResult:
     """f(omega) = exp(-2 * number of cells whose mean event fires)."""
-    flags = tuple(event_E_cell(omega, cell, beta=beta).triggered for cell in tiling.cells)
-    count = int(sum(flags))
-    return PenaltyResult(math.exp(-2.0 * count), count, flags)
+    count = sum(event_E_cell(omega, cell, beta=beta).triggered for cell in tiling.cells)
+    return PenaltyResult(math.exp(-2.0 * count), count)

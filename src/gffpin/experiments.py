@@ -348,19 +348,24 @@ def _run_massive_comparison(cfg) -> ExperimentResult:
     res = ExperimentResult("massive-comparison", None)
     seed, N, h, m = cfg["seed"], cfg["N"], cfg["h"], cfg["m"]
     fm = kernels.f_of_m(m)  # first: it rejects m outside (0, 1] before any chain runs
-    pure = freeenergy.pure_free_energy_estimate(h, N, seed, sweeps=cfg["sweeps"],
-                                                burn_in=cfg["burn_in"])
-    mass = freeenergy.massive_shifted_free_energy_estimate(0.0, h, m, 0.0, N, seed,
-                                                           sweeps=cfg["sweeps"],
-                                                           burn_in=cfg["burn_in"])
-    se = math.hypot(pure.se, mass.se)
-    ok = mass.value <= pure.value + fm + 3.0 * se
-    res.lines = [_line(ok, f"F(0,{h},{m},0) = {mass.value:.5f} <= F({h}) + f(m) = "
-                           f"{pure.value:.5f} + {fm:.5f} (+3se = {3 * se:.5f})")]
+    geom = lattice.build_box(N)
+    est = {}
+    for label, mass in (("pure", 0.0), ("massive", m)):
+        curve = freeenergy.free_energy_curve(geom, GAUSSIAN, 0.0, [h], seed, m=mass,
+                                             sweeps=cfg["sweeps"], burn_in=cfg["burn_in"],
+                                             tag=label)
+        est[label] = float(curve.value[0]), float(curve.se[0])
+    (pure, pure_se), (massive, massive_se) = est["pure"], est["massive"]
+    se = math.hypot(pure_se, massive_se)
+    ok = massive <= pure + fm + 3.0 * se
+    res.lines = [_line(ok, f"F(0,{h},{m},0) = {massive:.5f} <= F({h}) + f(m) = "
+                           f"{pure:.5f} + {fm:.5f} (+3se = {3 * se:.5f})")]
     res.passed = ok
-    from .io import estimate_record
-    res.records = [{"massive": mass.value, "pure": pure.value, "f_m": fm, "se": se},
-                   estimate_record(pure), estimate_record(mass)]
+    common = {"N": N, "method": "thermodynamic-integration", "replicas": 1, "seed": seed}
+    res.records = [{"massive": massive, "pure": pure, "f_m": fm, "se": se},
+                   {"params": {"beta": 0.0, "h": h}, "value": pure, "se": pure_se, **common},
+                   {"params": {"beta": 0.0, "h": h, "m": m, "u": 0.0}, "value": massive,
+                    "se": massive_se, **common}]
     return res
 
 
@@ -809,6 +814,8 @@ def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult
              for key, value in sorted(overrides.items()) if not _fits(value, defaults[key])]
     if wrong:
         raise ConfigError(f"config value(s) of the wrong type for {name!r}: {'; '.join(wrong)}")
+    if overrides.get("threads", 1) < 1:
+        raise ConfigError(f"threads must be an integer >= 1 (got {overrides['threads']})")
     cfg = {**exp.defaults, **overrides}
     t0 = time.time()
     with rngmod.audit_streams() as audit:

@@ -104,16 +104,14 @@ class ScaleStack:
 
 @dataclass
 class FieldSample:
-    """One realization of the field with its boundary record.
+    """One realization of the zero-boundary field.
 
-    values holds the full grid including boundary sites; for zero-boundary
-    samples the stack (when present) sums exactly to values.
+    values holds the full grid including boundary sites; the stack (when
+    present) sums exactly to values.
     """
 
     geom: BoxGeometry
     values: np.ndarray
-    m: float
-    bc: BoundaryCondition
     stack: ScaleStack | None = None
 
 
@@ -144,9 +142,6 @@ def sample_dirichlet_interior(geom: BoxGeometry, m: float, n: int,
 class HarmonicExtension:
     """Solution of Delta H = m^2 H inside with H = bc on the frame."""
 
-    geom: BoxGeometry
-    m: float
-    bc: BoundaryCondition
     values: np.ndarray
     residual: float
 
@@ -163,7 +158,7 @@ def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition) -> Ha
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
     if bc.kind == "zero":
-        return HarmonicExtension(geom, float(m), bc, np.zeros((geom.side, geom.side)), 0.0)
+        return HarmonicExtension(np.zeros((geom.side, geom.side)), 0.0)
     bgrid = bc.grid(geom)
     n = geom.N
     rhs = np.zeros((n - 1, n - 1))
@@ -180,7 +175,7 @@ def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition) -> Ha
     if not np.isfinite(resid) or resid > 1e-10:
         raise NumericError(f"harmonic extension residual {resid:.3e} above 1e-10",
                            residual=resid)
-    return HarmonicExtension(geom, float(m), bc, H, resid)
+    return HarmonicExtension(H, resid)
 
 
 def harmonic_extension_mc(geom: BoxGeometry, m: float, bc: BoundaryCondition, sites,
@@ -281,7 +276,7 @@ def sample_scale_stack(geom: BoxGeometry, m: float, rng: np.random.Generator,
         xi[i, 1:-1, 1:-1] = kernels.dst2(z)
     stack = ScaleStack(grid, jmap, xi)
     values = xi.sum(axis=0)
-    return FieldSample(geom, values, float(m), zero_bc(), stack=stack)
+    return FieldSample(geom, values, stack=stack)
 
 
 _STACK_TABLES: dict[tuple, tuple[np.ndarray, ScaleIndex]] = {}

@@ -8,10 +8,10 @@ t at fixed parameters (Z(0) = 1 exactly), the reward h (the h-derivative of
 log Z is the exact contact total) and the soft-wall strength of the height
 restriction.  Free energies at a target h are anchored at h = 0: coupling
 leg there, then one h-leg through 0 and every target.  On top sit the
-replica-averaged free-energy curve, the massive comparison, the
-finite-volume criterion with its typical-density event, the doubling
-(sub-additivity) check, the laboratory-scale schedule and the copolymer
-critical point.
+replica-averaged free-energy curve (massless or massive, substrate at
+height 0), the finite-volume criterion with its typical-density event and
+the doubling (sub-additivity) check, which share one replica fan-out, the
+laboratory-scale schedule and the copolymer critical point.
 """
 
 from __future__ import annotations
@@ -35,25 +35,12 @@ GAMMA = 2.0 * math.sqrt(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FreeEnergyEstimate:
-    value: float
-    se: float
-    N: int
-    method: str
-    params: dict
-    replicas: int
-    seed: int
-
-
-@dataclass
 class FreeEnergyCurve:
-    """Per-site free energy along an h-grid, with the TI contact densities."""
+    """Per-site free energy along an h-grid."""
 
     h: np.ndarray
     value: np.ndarray
     se: np.ndarray
-    density: np.ndarray
-    density_se: np.ndarray
 
     def second_differences(self) -> tuple[np.ndarray, np.ndarray]:
         d2 = self.value[2:] - 2.0 * self.value[1:-1] + self.value[:-2]
@@ -79,15 +66,14 @@ class CriterionReport:
 class Ladder:
     """One warm-started integration ladder.
 
-    density[j] is the mean of the integrand at the j-th grid point, with
-    standard error density_se[j]; increments[j] is the trapezoid over the
-    j-th segment, with variance increment_var[j]; log_z and log_z_se
+    density[j] is the mean of the integrand at the j-th grid point;
+    increments[j] is the trapezoid over the j-th segment, with variance
+    increment_var[j] from the points' standard errors; log_z and log_z_se
     accumulate them from 0 at the first point.  records[j] is the chain
     record of point j (None where the integrand is exact and no chain ran).
     """
 
     density: np.ndarray
-    density_se: np.ndarray
     increments: np.ndarray
     increment_var: np.ndarray
     log_z: np.ndarray
@@ -127,16 +113,14 @@ def _ti_h_grid(targets) -> np.ndarray:
 
 
 def boundary_contact_term(geom: BoxGeometry, params: pinning.PinningParams,
-                          omega: DisorderField, interaction: str) -> float:
+                          omega: DisorderField) -> float:
     """Deterministic part of the interaction from frame sites of the range.
 
     With the canonical {1..N}^2 range the two far edges sit on the boundary,
     so their contacts are functions of the boundary data alone and
     contribute sum s_x delta(bc_x) to log Z exactly.
     """
-    mask = pinning._interaction_mask(geom, interaction) & geom.boundary_mask
-    if not np.any(mask):
-        return 0.0
+    mask = geom.tilde_mask & geom.boundary_mask
     bgrid = params.bc.grid(geom)
     delta = pinning.contact_indicators(bgrid, params.u)
     s = pinning.site_weights(params, omega)
@@ -163,23 +147,22 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
     first = 0 if exact_first is None else 1
     if exact_first is not None:
         density[0] = exact_first
-    field, done = np.array(start, dtype=float), 0
+    field = np.array(start, dtype=float)
     for j in range(first, n):
         chain = chain_at(float(grid[j]), field)
-        chain.sweeps_done = done
         rec = pinning.run_chain(chain.geom, chain.params, chain.omega, chain.rng, sweeps=sweeps,
                                 burn_in=burn_in if j == first else warm_burn, thinning=2,
                                 chain=chain, interaction="interior",
                                 observables=observables[j] if observables else None)
         density[j], density_se[j] = rec.mean_se(integrand(rec))
         records[j] = rec
-        field, done = chain.field, chain.sweeps_done
+        field = chain.field
     half = 0.5 * np.diff(grid)
     increments = half * (density[:-1] + density[1:])
     increment_var = half ** 2 * (density_se[:-1] ** 2 + density_se[1:] ** 2)
     log_z = np.concatenate([[0.0], np.cumsum(increments)])
     log_z_se = np.sqrt(np.concatenate([[0.0], np.cumsum(increment_var)]))
-    return Ladder(density, density_se, increments, increment_var, log_z, log_z_se, records)
+    return Ladder(density, increments, increment_var, log_z, log_z_se, records)
 
 
 def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
@@ -265,9 +248,10 @@ def _anchored_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: Dis
 
 
 def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targets,
-                      master_seed: int, m: float = 0.0, u: float = 0.0, replicas: int = 1,
-                      sweeps: int = 600, burn_in: int = 300, tag: str = "fe") -> FreeEnergyCurve:
-    """Per-site free energy at each target h, replica-averaged over disorder.
+                      master_seed: int, sweeps: int, burn_in: int, m: float = 0.0,
+                      replicas: int = 1, tag: str = "fe") -> FreeEnergyCurve:
+    """Per-site free energy at each target h, replica-averaged over disorder,
+    with the substrate at height 0.
 
     Anchoring: log Z(h=0) is 0 exactly for beta = 0 and comes from the
     coupling integration otherwise; the h-leg then sweeps every target in a
@@ -279,57 +263,23 @@ def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targ
     n2 = geom.N ** 2
     vals = np.zeros((replicas, len(targets)))
     ses = np.zeros((replicas, len(targets)))
-    dens = np.zeros((replicas, len(targets)))
-    dens_se = np.zeros((replicas, len(targets)))
     for r in range(replicas):
         rep_rng = rngmod.stream(master_seed, tag, "replica", r)
         if beta > 0:
             omega = sample_disorder(geom, spec, rngmod.stream(master_seed, tag, "omega", r))
         else:
             omega = DisorderField(geom, spec, np.zeros((geom.side, geom.side)))
-        params0 = pinning.PinningParams(beta=beta, h=0.0, m=m, u=u)
-        log_z, log_z_se, leg, pos = _anchored_log_z(geom, params0, omega, rep_rng, targets,
-                                                    sweeps, burn_in, coupling=beta > 0)
+        params0 = pinning.PinningParams(beta=beta, h=0.0, m=m)
+        log_z, log_z_se, _, _ = _anchored_log_z(geom, params0, omega, rep_rng, targets,
+                                                sweeps, burn_in, coupling=beta > 0)
         vals[r] = log_z / n2
         ses[r] = log_z_se / n2
-        dens[r] = leg.density[pos] / n2
-        dens_se[r] = leg.density_se[pos] / n2
     value = vals.mean(axis=0)
     if replicas > 1:
         se = np.sqrt(vals.var(ddof=1, axis=0) / replicas + (ses ** 2).mean(axis=0) / replicas)
     else:
         se = ses[0]
-    return FreeEnergyCurve(targets, value, se,
-                           dens.mean(axis=0), np.sqrt((dens_se ** 2).mean(axis=0) / replicas))
-
-
-def _curve_to_estimate(curve: FreeEnergyCurve, idx: int, N: int, method: str, params: dict,
-                       replicas: int, seed: int) -> FreeEnergyEstimate:
-    return FreeEnergyEstimate(float(curve.value[idx]), float(curve.se[idx]), N, method,
-                              params, replicas, seed)
-
-
-def pure_free_energy_estimate(h: float, N: int, master_seed: int, sweeps: int = 600,
-                              burn_in: int = 300) -> FreeEnergyEstimate:
-    """Homogeneous model (beta = 0) free energy by thermodynamic integration."""
-    geom = build_box(N)
-    curve = free_energy_curve(geom, GAUSSIAN, 0.0, [h], master_seed,
-                              sweeps=sweeps, burn_in=burn_in, tag="pure")
-    return _curve_to_estimate(curve, 0, N, "thermodynamic-integration",
-                              {"beta": 0.0, "h": h}, 1, master_seed)
-
-
-def massive_shifted_free_energy_estimate(beta: float, h: float, m: float, u: float, N: int,
-                                         master_seed: int, sweeps: int = 600,
-                                         burn_in: int = 300) -> FreeEnergyEstimate:
-    """Free energy of the massive model with substrate shifted to height u."""
-    if m <= 0:
-        raise DomainError("massive estimator needs m > 0")
-    geom = build_box(N)
-    curve = free_energy_curve(geom, GAUSSIAN, beta, [h], master_seed, m=m, u=u,
-                              sweeps=sweeps, burn_in=burn_in, tag="massive")
-    return _curve_to_estimate(curve, 0, N, "thermodynamic-integration",
-                              {"beta": beta, "h": h, "m": m, "u": u}, 1, master_seed)
+    return FreeEnergyCurve(targets, value, se)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +317,7 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
 
     log_z, _, leg, pos = _anchored_log_z(geom, params, omega, ch_rng, [h], sweeps, burn_in,
                                          coupling=True, observables={"sumsq": density_stat})
-    log_z = log_z[0] + boundary_contact_term(geom, params, omega, "tilde")
+    log_z = log_z[0] + boundary_contact_term(geom, params, omega)
     sumsq = leg.records[pos[0]].extra["sumsq"]
     freq = float(np.mean(sumsq >= threshold))
     log_event = math.log(max(freq, 0.5 / len(sumsq)))
@@ -396,9 +346,23 @@ def _map_replicas(jobs, threads: int):
     return [out for out, _ in done]
 
 
+def _box_replicas(beta: float, h: float, m: float, u: float, K: float, N: int,
+                  master_seed: int, tag: str, replicas: int, sweeps: int, burn_in: int,
+                  threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """log Z' and the D-event frequency of each (boundary, disorder) replica in the
+    box of side N, streams keyed by tag."""
+    geom = build_box(N)
+    cov = fields.boundary_covariance(geom, m)
+    thr = density_event_threshold(N, m, K)
+    jobs = [(geom, beta, h, m, u, thr, master_seed, tag, r, sweeps, burn_in, cov)
+            for r in range(replicas)]
+    pairs = _map_replicas(jobs, threads)
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
 def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float, N: int,
-                            master_seed: int, replicas: int = 6, sweeps: int = 500,
-                            burn_in: int = 300, threads: int = 1) -> CriterionReport:
+                            master_seed: int, replicas: int, sweeps: int, burn_in: int,
+                            threads: int = 1) -> CriterionReport:
     """Laboratory version of the finite-volume lower-bound certificate.
 
     Estimates (1/N^2) E_bc E_omega log E^{m,bc}[exp(sum (beta w - lambda + h)
@@ -409,14 +373,8 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
         raise DomainError("criterion needs m > 0")
     if replicas < 1:
         raise DomainError(f"finite_volume_criterion needs replicas >= 1 (got {replicas})")
-    geom = build_box(N)
-    cov = fields.boundary_covariance(geom, m)
-    thr = density_event_threshold(N, m, K)
-    jobs = [(geom, beta, h, m, u, thr, master_seed, "fvc", r, sweeps, burn_in, cov)
-            for r in range(replicas)]
-    pairs = _map_replicas(jobs, threads)
-    vals = np.array([p[0] for p in pairs])
-    freqs = np.array([p[1] for p in pairs])
+    vals, freqs = _box_replicas(beta, h, m, u, K, N, master_seed, "fvc", replicas, sweeps,
+                                burn_in, threads)
     n2 = N * N
     est = float(vals.mean()) / n2
     se = float(vals.std(ddof=1)) / math.sqrt(replicas) / n2 if replicas > 1 else float("inf")
@@ -427,7 +385,7 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
 
 
 def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
-                 master_seed: int, replicas: int = 8, sweeps: int = 500, burn_in: int = 300,
+                 master_seed: int, replicas: int, sweeps: int, burn_in: int,
                  threads: int = 1) -> dict:
     """E log Z' at sizes N and 2N and the sub-additivity gap E_2N - 4 E_N.
 
@@ -439,12 +397,8 @@ def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
                           f"(got {replicas})")
     out = {}
     for label, size in (("small", N), ("large", 2 * N)):
-        geom = build_box(size)
-        cov = fields.boundary_covariance(geom, m)
-        thr = density_event_threshold(size, m, K)
-        jobs = [(geom, beta, h, m, u, thr, master_seed, f"dbl-{label}", r, sweeps, burn_in, cov)
-                for r in range(replicas)]
-        vals = np.array([p[0] for p in _map_replicas(jobs, threads)])
+        vals, _ = _box_replicas(beta, h, m, u, K, size, master_seed, f"dbl-{label}", replicas,
+                                sweeps, burn_in, threads)
         out[label] = (float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(replicas))
     gap = out["large"][0] - 4.0 * out["small"][0]
     gap_se = math.sqrt(out["large"][1] ** 2 + 16.0 * out["small"][1] ** 2)
@@ -484,7 +438,7 @@ def copolymer_critical_point(spec: DisorderSpec, rho: float) -> float:
 # conditioned contact statistics
 # ---------------------------------------------------------------------------
 
-def conditioned_contact_statistics(N: int, master_seed: int, samples: int = 400) -> dict:
+def conditioned_contact_statistics(N: int, master_seed: int, samples: int) -> dict:
     """Contact totals of the multiscale field near the extremal height.
 
     Zero-boundary scale stacks at the laboratory schedule (m = desk_mass(N),
@@ -542,7 +496,7 @@ def conditioned_contact_statistics(N: int, master_seed: int, samples: int = 400)
 # ---------------------------------------------------------------------------
 
 def height_restriction_logp(beta: float, h: float, N: int, master_seed: int,
-                            sweeps: int = 200, burn_in: int = 150) -> dict:
+                            sweeps: int, burn_in: int) -> dict:
     """(1/N^2) log of the Gibbs probability that all heights stay in
     [-|log h|^2, |log h|^2], by thermodynamic integration in a soft wall.
 

@@ -41,19 +41,6 @@ def _csv_cell(c) -> str:
     return str(c)
 
 
-def estimate_record(est) -> dict:
-    """Canonical JSON record for a free-energy estimate."""
-    return {
-        "params": est.params,
-        "N": est.N,
-        "method": est.method,
-        "value": est.value,
-        "se": est.se,
-        "replicas": est.replicas,
-        "seed": est.seed,
-    }
-
-
 def git_describe() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],

@@ -193,20 +193,12 @@ def green_offset_table(m: float, extent: int) -> np.ndarray:
 class GreenTable:
     """Dense symmetric covariance table over the interior sites.
 
-    sites holds their linear indices into the (N+1)^2 grid, in row-major
-    order; table[a, b] is the Green function between sites[a] and sites[b].
-    kind records which Green function this is.
+    table[a, b] is the Dirichlet Green function between the a-th and the
+    b-th interior site, the sites taken in row-major order of the
+    (N+1, N+1) grid (the order of geom.interior_mask's True entries).
     """
 
-    N: int
-    m: float
-    kind: str
-    sites: np.ndarray
     table: np.ndarray
-
-
-def _interior_indices(geom: BoxGeometry) -> np.ndarray:
-    return np.flatnonzero(geom.interior_mask.ravel())
 
 
 def _mode_diag(geom: BoxGeometry, w: np.ndarray) -> np.ndarray:
@@ -227,7 +219,7 @@ def green_dirichlet(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     """
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
-    sites = _interior_indices(geom)
+    sites = np.flatnonzero(geom.interior_mask.ravel())
     basis = spectral_basis(geom.N)
     w = 1.0 / (basis.lam2d + m * m)
     x1, x2 = geom.site(sites)
@@ -235,7 +227,7 @@ def green_dirichlet(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     phi = (basis.modes[x1 - 1][:, :, None] * basis.modes[x2 - 1][:, None, :]).reshape(len(sites), -1)
     table = (phi * w.ravel()[None, :]) @ phi.T
     table = 0.5 * (table + table.T)
-    return GreenTable(geom.N, float(m), "dirichlet", sites, table)
+    return GreenTable(table)
 
 
 def green_dirichlet_diag(geom: BoxGeometry, m: float = 0.0) -> np.ndarray:
@@ -277,9 +269,8 @@ def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     """
     from scipy.sparse.linalg import splu
 
-    sites = _interior_indices(geom)
     lu = splu(dirichlet_precision(geom, m).tocsc())
-    size = len(sites)
+    size = (geom.N - 1) ** 2
     table = np.zeros((size, size))
     cols = 64
     for start in range(0, size, cols):
@@ -294,7 +285,7 @@ def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
             mean = 0.5 * (upper + lower.T)
             upper[...] = mean
             lower[...] = mean.T
-    return GreenTable(geom.N, float(m), "dirichlet", sites, table)
+    return GreenTable(table)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +336,13 @@ class ScaleTimeGrid:
 
     Interior slices of int e^{-m^2 t} P_t(0,0) dt carry unit mass; the last
     slice carries the fractional remainder G^m(0,0) - (k-1) in [1, 2) -- or
-    less than 1 if the grid was built in the degenerate regime floor(G) < 1.
+    less than 1 if the grid was built in the degenerate regime floor(G) < 1,
+    where k = 1.
     """
 
     m: float
     k: int
     times: np.ndarray  # t_1 .. t_{k-1}, possibly empty
-    green_zero: float
-    degenerate: bool
 
     def slice_bounds(self, i: int) -> tuple[float, float]:
         """(t_i, t_{i-1}) for slice i in 1..k."""
@@ -396,7 +386,7 @@ def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
             math.log(1e-9), hi, xtol=1e-13, rtol=8.9e-16,
         )
         times.append(math.exp(sol))
-    return ScaleTimeGrid(float(m), k, np.array(times), G, degenerate=k_raw < 1)
+    return ScaleTimeGrid(float(m), k, np.array(times))
 
 
 def slice_mode_weights(geom: BoxGeometry, grid: ScaleTimeGrid, i: int) -> np.ndarray:

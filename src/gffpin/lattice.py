@@ -2,9 +2,8 @@
 
 Site classification (boundary, interior, the interaction range {1..N}^2),
 the l^1 distance to the boundary, the inner sub-boxes used to keep
-observables away from the boundary, the coarse-graining cell tiling with the
-window around each cell, and the scale indices j(x) and j(x, y) used by the
-multiscale field decomposition.
+observables away from the boundary, the coarse-graining cell tiling, and the
+scale indices j(x) and j(x, y) used by the multiscale field decomposition.
 
 Sites are stored row-major: linear index = x1 * (N+1) + x2, which is also
 the flat index of a numpy array of shape (N+1, N+1).  All per-site arrays in
@@ -32,13 +31,11 @@ class BoxGeometry:
 
     N: int
     side: int = field(init=False)
-    nsites: int = field(init=False)
 
     def __post_init__(self):
         if self.N < 2:
             raise InvalidGeometryError(f"N must be >= 2 (got {self.N}): no interior sites")
         object.__setattr__(self, "side", self.N + 1)
-        object.__setattr__(self, "nsites", (self.N + 1) ** 2)
         n, side = self.N, self.side
         x1, x2 = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
         boundary = (x1 == 0) | (x1 == n) | (x2 == 0) | (x2 == n)
@@ -118,23 +115,15 @@ def sub_box_mask(geom: BoxGeometry, exponent: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Cell:
-    """One coarse-graining cell and its surrounding window.
-
-    The cell is the N1 x N1 block of sites centred at N1*y (shifted +1/2),
-    the window is the box of side 2*N1 whose lower corner sits at N1*(y-1).
-    Slices index arrays of shape (N+1, N+1).
-    """
+    """One coarse-graining cell: the N1 x N1 block of sites centred at N1*y
+    (shifted +1/2); the slice indexes arrays of shape (N+1, N+1)."""
 
     y: tuple[int, int]
     cell_slice: tuple[slice, slice]
-    window_slice: tuple[slice, slice]
 
 
 @dataclass(frozen=True)
 class CellTiling:
-    N: int
-    N1: int
-    k: int
     cells: tuple[Cell, ...]
 
 
@@ -154,10 +143,8 @@ def cell_tiling(geom: BoxGeometry, N1: int) -> CellTiling:
         for y2 in range(1, k):
             c1 = slice(N1 * y1 - half + 1, N1 * y1 + half + 1)
             c2 = slice(N1 * y2 - half + 1, N1 * y2 + half + 1)
-            w1 = slice(N1 * (y1 - 1), N1 * (y1 + 1) + 1)
-            w2 = slice(N1 * (y2 - 1), N1 * (y2 + 1) + 1)
-            cells.append(Cell((y1, y2), (c1, c2), (w1, w2)))
-    return CellTiling(geom.N, N1, k, tuple(cells))
+            cells.append(Cell((y1, y2), (c1, c2)))
+    return CellTiling(tuple(cells))
 
 
 def _ceil_guard(v: np.ndarray) -> np.ndarray:
@@ -167,7 +154,6 @@ def _ceil_guard(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScaleIndex:
-    k: int
     j: np.ndarray  # shaped (N+1, N+1), integer in [0, k]
 
 
@@ -181,7 +167,7 @@ def scale_index(geom: BoxGeometry, k: int) -> ScaleIndex:
     d = np.maximum(geom.dist_boundary, 1)
     j = k - _ceil_guard(np.log(d) / TWO_PI)
     j = np.clip(j, 0, k).astype(np.int64)
-    return ScaleIndex(k, j)
+    return ScaleIndex(j)
 
 
 def pair_scale_index(k: int, dist: np.ndarray) -> np.ndarray:

@@ -270,7 +270,6 @@ class GibbsChain:
     rng: np.random.Generator
     extra_bands: tuple[Band, ...] = ()
     coupling: float = 1.0
-    sweeps_done: int = 0
 
     def __post_init__(self):
         self._sigma = 1.0 / math.sqrt(4.0 + self.params.m ** 2)
@@ -312,7 +311,6 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
             mu = flat[nbrs].sum(axis=0)
             mu /= denom
             flat[sites] = sample_banded_conditional(chain.rng, mu, chain._sigma, layout)
-        chain.sweeps_done += 1
     return chain
 
 
@@ -320,13 +318,11 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
 class ChainRecord:
     """Thinned observable stream from one chain run."""
 
-    sweeps: np.ndarray
     contacts_window: np.ndarray
     contact_fraction: np.ndarray
     energy: np.ndarray
     extra: dict
     iact: float
-    final_field: np.ndarray
 
     def mean_se(self, series: np.ndarray) -> tuple[float, float]:
         n = len(series)
@@ -366,9 +362,9 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     Deterministic given the generator state.  The contact total is counted
     on the interaction range; `observables` maps names to callables
     field -> float for extra per-record statistics.  A chain passed in must
-    run at `params` and `omega`.  Each record finds the charged sites once
-    and takes the contact total, the contact fraction and the interaction
-    energy from them.
+    run at `params` and `omega`; it holds the final field afterwards.  Each
+    record finds the charged sites once and takes the contact total, the
+    contact fraction and the interaction energy from them.
     """
     if burn_in < 0:
         raise DomainError("burn-in must be >= 0")
@@ -384,7 +380,6 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     if burn_in:
         heat_bath_sweep(chain, burn_in)
     n_rec = sweeps // thinning
-    recorded = chain.sweeps_done + thinning * np.arange(1, n_rec + 1)
     L, frac, en = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
     extra = {name: [] for name in (observables or {})}
     for i in range(n_rec):
@@ -398,13 +393,11 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
         for name, fn in (observables or {}).items():
             extra[name].append(fn(chain.field))
     return ChainRecord(
-        sweeps=recorded,
         contacts_window=L,
         contact_fraction=frac,
         energy=en,
         extra={k: np.array(v) for k, v in extra.items()},
         iact=integrated_autocorrelation(L),
-        final_field=chain.field.copy(),
     )
 
 
@@ -438,13 +431,13 @@ def exact_partition_small(geom: BoxGeometry, params: PinningParams,
     """log Z by direct quadrature; ground truth for one interior site (N = 2).
 
     The interaction acts on the interior site alone, the range the
-    integration ladders count.  Square boxes realize only Gaussian dimension
-    one: N = 2 has one interior site and N = 3 already has four.
+    integration ladders count.  A square box has one interior site at N = 2
+    and at least four beyond, so N = 2 is the only box this supports.
     """
-    n_int = (geom.N - 1) ** 2
-    if n_int > 2:
+    if geom.N != 2:
         raise UnsupportedGeometryError(
-            f"exact partition supports <= 2 interior sites (N={geom.N} has {n_int})")
+            f"exact partition supports only the one-site box N = 2 "
+            f"(N={geom.N} has {(geom.N - 1) ** 2} interior sites)")
     if params.model != "pinning":
         raise UnsupportedGeometryError("exact small partition implemented for the pinning model")
     bgrid = params.bc.grid(geom)

@@ -117,9 +117,11 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["verify", "--threads", "0"], None, "--threads"),
     (["run", "massive-comparison", "--set", "m=1.5"], None, "got 1.5"),
     (["run", "massive-comparison", "--set", "m=0"], None, "got 0"),
+    (["run", "subadditivity", "--set", "threads=0"], None, "threads"),
+    (["run", "finite-volume-criterion", "--set", "threads=-4"], None, "threads"),
 ], ids=["int-as-float", "int-as-bool", "seed-as-float", "penalty-samples", "exactness-samples",
         "env-not-int", "env-zero", "threads-negative", "verify-threads-zero", "mass-above-1",
-        "mass-zero"])
+        "mass-zero", "set-threads-zero", "set-threads-negative"])
 def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, env, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the bad value was refused")

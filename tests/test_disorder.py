@@ -71,6 +71,7 @@ def test_event_e_monotone_in_omega():
     g = lattice.build_box(16)
     t = lattice.cell_tiling(g, 4)
     r = rng.stream(108, "mono")
+    radius = disorder.default_radius(4)
     for trial in range(20):
         om = disorder.sample_disorder(g, disorder.GAUSSIAN, r)
         cell = t.cells[trial % len(t.cells)]
@@ -82,7 +83,9 @@ def test_event_e_monotone_in_omega():
             disorder.DisorderField(g, disorder.GAUSSIAN, bumped), cell, beta=0.8)
         if before.triggered:
             assert after.triggered
-        assert after.max_window >= before.max_window - 1e-12
+        top_before = disorder.window_sums(om.values[cell.cell_slice], radius).max()
+        top_after = disorder.window_sums(bumped[cell.cell_slice], radius).max()
+        assert top_after >= top_before - 1e-12
 
 
 def test_event_c_structural_flag():
@@ -92,8 +95,9 @@ def test_event_c_structural_flag():
     none = np.zeros((9, 9), dtype=bool)
     res = disorder.event_C_cell(none, cell)
     assert not res.triggered
-    # at this cell side the cluster threshold exceeds the window: flagged
-    assert res.structurally_false == (res.threshold > res.window_sites)
+    # flagged exactly when the cluster threshold exceeds the l1 ball's 2r^2 + 2r + 1 sites
+    r = disorder.default_radius(2)
+    assert res.structurally_false == (disorder.default_cluster_threshold(2) > 2 * r * r + 2 * r + 1)
     allc = np.ones((9, 9), dtype=bool)
     res2 = disorder.event_C_cell(allc, cell)
     assert res2.triggered and not res2.structurally_false

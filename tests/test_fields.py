@@ -424,7 +424,7 @@ def test_stack_rejects_a_grid_for_another_mass():
     with pytest.raises(DomainError, match="0.3"):
         fields.sample_scale_stack(lattice.build_box(16), 0.3, rng.stream(18, "m"), grid=grid)
     s = fields.sample_scale_stack(lattice.build_box(16), 1e-5, rng.stream(18, "m"), grid=grid)
-    assert s.m == grid.m == 1e-5
+    assert s.stack.grid is grid
 
 
 def test_explicit_bc_validates_length():

@@ -58,23 +58,23 @@ def test_negative_h_estimate_nonpositive():
     assert est_curve.value[0] > -2.0  # crude bound: value >= -|h|
 
 
-def test_massive_estimator_validates():
-    with pytest.raises(DomainError):
-        freeenergy.massive_shifted_free_energy_estimate(0.0, 0.1, 0.0, 0.0, 8, 1)
+def _massive_log_z(u: float, seed: int, sweeps: int, burn_in: int) -> tuple[float, float]:
+    """log Z(h = 0.4) - log Z(0) at beta = 0, m = 0.5, substrate height u, N = 8."""
+    g = lattice.build_box(8)
+    om = disorder.DisorderField(g, disorder.GAUSSIAN, np.zeros((g.side, g.side)))
+    leg = freeenergy.ti_log_partition(g, pinning.PinningParams(m=0.5, u=u), om,
+                                      rng.stream(seed, "massive-u"), freeenergy._ti_h_grid([0.4]),
+                                      sweeps=sweeps, burn_in=burn_in)
+    return float(leg.log_z[-1]), float(leg.log_z_se[-1])
 
 
 def test_massive_estimator_high_substrate_empty():
-    est = freeenergy.massive_shifted_free_energy_estimate(0.0, 0.4, 0.5, 50.0, 8, 405,
-                                                          sweeps=300, burn_in=100)
-    assert abs(est.value) < 1e-6  # the band is never touched
+    value, _ = _massive_log_z(50.0, 405, sweeps=300, burn_in=100)
+    assert abs(value) < 1e-6  # the band is never touched
 
 
 def test_massive_monotone_in_u():
-    vals = []
-    for u in (0.0, 1.0, 2.0):
-        est = freeenergy.massive_shifted_free_energy_estimate(0.0, 0.4, 0.5, u, 8, 406,
-                                                              sweeps=500, burn_in=200)
-        vals.append((est.value, est.se))
+    vals = [_massive_log_z(u, 406, sweeps=500, burn_in=200) for u in (0.0, 1.0, 2.0)]
     for (v1, s1), (v2, s2) in zip(vals[:-1], vals[1:]):
         assert v2 <= v1 + 3 * math.hypot(s1, s2)
 
@@ -111,9 +111,7 @@ def test_boundary_contact_term():
     params = pinning.PinningParams(beta=0.0, h=0.7, u=0.0)
     # zero boundary values are contacts at u = 0: the 2N-1 = 7 frame sites of
     # the canonical range each contribute h
-    term = freeenergy.boundary_contact_term(g, params, om, "tilde")
-    assert term == pytest.approx(7 * 0.7)
-    assert freeenergy.boundary_contact_term(g, params, om, "interior") == 0.0
+    assert freeenergy.boundary_contact_term(g, params, om) == pytest.approx(7 * 0.7)
 
 
 def test_height_restriction_cost_shrinks():
@@ -167,18 +165,12 @@ def test_free_energy_curve_bit_identical():
                                         sweeps=20, burn_in=10)
     assert pure.value.tolist() == [0.0, 0.05035714285714375, 0.10174107142856251]
     assert pure.se.tolist() == [0.0, 0.0009861031266641218, 0.0012188035993212388]
-    assert pure.density.tolist() == [0.4875, 0.4875, 0.5375]
-    assert pure.density_se.tolist() == [0.022745573439926968, 0.018162078931419474,
-                                        0.010206207261596574]
     quenched = freeenergy.free_energy_curve(g, disorder.GAUSSIAN, 0.5, [0.0, 0.1, 0.2], 247,
                                             replicas=2, sweeps=20, burn_in=10)
     assert quenched.value.tolist() == [-0.13629096204018643, -0.08620167632589734,
                                        -0.036045426325895774]
     assert quenched.se.tolist() == [0.031844870665787076, 0.03234026460126307,
                                     0.031030942359696074]
-    assert quenched.density.tolist() == [0.490625, 0.496875, 0.49375]
-    assert quenched.density_se.tolist() == [0.019235609700645195, 0.017486353806452748,
-                                            0.013819269959814168]
 
 
 def test_height_restriction_bit_identical():

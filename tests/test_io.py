@@ -1,6 +1,6 @@
 import numpy as np
 
-from gffpin import io
+from gffpin import experiments, io
 
 
 def test_jsonl_and_csv(tmp_path):
@@ -29,11 +29,14 @@ def test_git_describe_ignores_the_callers_directory(tmp_path, monkeypatch):
 
 
 def test_estimate_record_shape():
-    from gffpin.freeenergy import FreeEnergyEstimate
-
-    est = FreeEnergyEstimate(0.1, 0.01, 16, "thermodynamic-integration",
-                             {"beta": 0.0, "h": 0.2}, 3, 42)
-    rec = io.estimate_record(est)
+    # massive-comparison's pure and massive estimate records
+    res = experiments.run_experiment("massive-comparison",
+                                     {"N": 4, "sweeps": 4, "burn_in": 2, "seed": 42})
+    summary, pure, massive = res.records
     # no revision or timing key: the run's stamp line carries both
-    assert set(rec) == {"params", "N", "method", "value", "se", "replicas", "seed"}
-    assert rec["N"] == 16 and rec["replicas"] == 3
+    for rec in (pure, massive):
+        assert set(rec) == {"params", "N", "method", "value", "se", "replicas", "seed"}
+        assert rec["N"] == 4 and rec["replicas"] == 1 and rec["seed"] == 42
+    assert pure["params"] == {"beta": 0.0, "h": 0.3}
+    assert massive["params"] == {"beta": 0.0, "h": 0.3, "m": 0.3, "u": 0.0}
+    assert (pure["value"], massive["value"]) == (summary["pure"], summary["massive"])

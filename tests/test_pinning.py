@@ -30,20 +30,20 @@ def test_params_validation():
 def test_energy_examples():
     g = lattice.build_box(4)
     om = _zero_omega(g)
-    far = fields.FieldSample(g, np.full((5, 5), 50.0), 0.0, fields.zero_bc())
+    far = fields.FieldSample(g, np.full((5, 5), 50.0))
     assert pinning.energy(far, om, pinning.PinningParams(h=1.0)) == 0.0
     # single contact with omega = 0, beta = 1, h = 1/2: weight -lambda(1) + 1/2 = 0
     vals = np.full((5, 5), 50.0)
     vals[2, 2] = 0.0
-    one = fields.FieldSample(g, vals, 0.0, fields.zero_bc())
+    one = fields.FieldSample(g, vals)
     e = pinning.energy(one, om, pinning.PinningParams(beta=1.0, h=0.5))
     assert abs(e) < 1e-15
     # copolymer with a positive field has no lower-solvent sites
-    pos = fields.FieldSample(g, np.full((5, 5), 2.0), 0.0, fields.zero_bc())
+    pos = fields.FieldSample(g, np.full((5, 5), 2.0))
     cop = pinning.PinningParams(model="copolymer", rho=0.5, h=0.3)
     assert pinning.energy(pos, om, cop) == 0.0
     # sign(0) counts as the upper half-plane
-    zero = fields.FieldSample(g, np.zeros((5, 5)), 0.0, fields.zero_bc())
+    zero = fields.FieldSample(g, np.zeros((5, 5)))
     assert pinning.energy(zero, om, cop) == 0.0
 
 
@@ -137,9 +137,8 @@ def test_pinned_trajectory(label):
     params = pinning.PinningParams(**kwargs)
     chain = _chain(g, params, om, rng.stream(231, "pin", label), extra)
     rec = pinning.run_chain(g, params, om, chain.rng, sweeps=200, thinning=200, chain=chain)
-    f = rec.final_field
+    f = chain.field
     got = (f.sum(), f[3, 4], f[5, 2], rec.contacts_window[-1])
-    assert rec.sweeps[-1] == 200
     assert np.allclose(got, expected, rtol=0.0, atol=1e-10), (got, expected)
 
 
@@ -200,10 +199,11 @@ def test_run_chain_deterministic():
     g = lattice.build_box(8)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(205, "om"))
     params = pinning.PinningParams(beta=0.5, h=0.2)
-    a = pinning.run_chain(g, params, om, rng.stream(206, "run"), sweeps=50, burn_in=10)
-    b = pinning.run_chain(g, params, om, rng.stream(206, "run"), sweeps=50, burn_in=10)
+    chains = [pinning.make_chain(g, params, om, rng.stream(206, "run")) for _ in range(2)]
+    a, b = (pinning.run_chain(g, params, om, c.rng, sweeps=50, burn_in=10, chain=c)
+            for c in chains)
     assert np.array_equal(a.contacts_window, b.contacts_window)
-    assert np.array_equal(a.final_field, b.final_field)
+    assert np.array_equal(chains[0].field, chains[1].field)
     assert np.array_equal(a.energy, b.energy)
 
 
@@ -249,8 +249,9 @@ def test_energy_bookkeeping_matches_recompute():
     g = lattice.build_box(8)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(211, "e"))
     params = pinning.PinningParams(beta=0.4, h=0.3)
-    rec = pinning.run_chain(g, params, om, rng.stream(212, "er"), sweeps=20, burn_in=5)
-    sample = fields.FieldSample(g, rec.final_field, 0.0, fields.zero_bc())
+    chain = pinning.make_chain(g, params, om, rng.stream(212, "er"))
+    rec = pinning.run_chain(g, params, om, chain.rng, sweeps=20, burn_in=5, chain=chain)
+    sample = fields.FieldSample(g, chain.field)
     assert abs(rec.energy[-1] - pinning.energy(sample, om, params)) < 1e-8
 
 
@@ -261,8 +262,10 @@ def test_exact_partition_examples():
     p = 2 * special.ndtr(2.0) - 1
     assert abs(logz - math.log(1 + (math.e - 1) * p)) < 1e-9
     assert pinning.exact_partition_small(g, pinning.PinningParams(h=0.0), om) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(UnsupportedGeometryError):
-        pinning.exact_partition_small(lattice.build_box(4), pinning.PinningParams(), om)
+    for N, sites in ((3, 4), (4, 9)):
+        with pytest.raises(UnsupportedGeometryError,
+                           match=rf"only the one-site box N = 2 \(N={N} has {sites} interior"):
+            pinning.exact_partition_small(lattice.build_box(N), pinning.PinningParams(), om)
 
 
 def test_exact_partition_annealing_identity():
@@ -327,7 +330,7 @@ def test_restricted_contacts():
     s.values = s.stack.xi.sum(axis=0)
     _, restricted = pinning.restricted_contacts(s, 0.0, window)
     assert not restricted.any()
-    plain = fields.FieldSample(g, s.values, m, fields.zero_bc())  # no stack
+    plain = fields.FieldSample(g, s.values)  # no stack
     with pytest.raises(ContractError):
         pinning.restricted_contacts(plain, 0.0, window)
 
@@ -386,7 +389,6 @@ def test_pinned_records(label):
     got = (rec.energy.tolist(), rec.contact_fraction.tolist(), rec.extra["sumsq"].tolist(),
            rec.contacts_window.tolist())
     assert got == expected
-    assert rec.sweeps.tolist() == [9, 12, 15, 18]
 
 
 def _chain_pair(g, om, seed):
