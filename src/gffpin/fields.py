@@ -34,7 +34,7 @@ from scipy import fft
 
 from . import kernels
 from .errors import DomainError, NumericError
-from .lattice import BoxGeometry, ScaleIndex, scale_index
+from .lattice import BoxGeometry, scale_index
 
 _BLOCK = 1 << 16  # float64 values per block of the batched samplers (walks, for bridges)
 
@@ -90,7 +90,7 @@ class ScaleStack:
     """Independent layers xi_1..xi_k with partial sums phi_i = xi_1 + ... + xi_i."""
 
     grid: kernels.ScaleTimeGrid
-    jmap: ScaleIndex
+    jmap: np.ndarray  # j(x), (N+1, N+1)
     xi: np.ndarray  # (k, N+1, N+1)
 
     @property
@@ -279,12 +279,12 @@ def sample_scale_stack(geom: BoxGeometry, m: float, rng: np.random.Generator,
     return FieldSample(geom, values, stack=stack)
 
 
-_STACK_TABLES: dict[tuple, tuple[np.ndarray, ScaleIndex]] = {}
+_STACK_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _STACK_TABLES_MAX = 16
 
 
 def _stack_tables(geom: BoxGeometry,
-                  grid: kernels.ScaleTimeGrid) -> tuple[np.ndarray, ScaleIndex]:
+                  grid: kernels.ScaleTimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode standard deviations of slices 1..k, shape (k, N-1, N-1), and j(x).
 
     Both depend only on the box size and the grid, so they are computed once
@@ -296,7 +296,7 @@ def _stack_tables(geom: BoxGeometry,
     if tables is None:
         sd = np.sqrt([kernels.slice_mode_weights(geom, grid, i) for i in range(1, grid.k + 1)])
         jmap = scale_index(geom, grid.k)
-        sd.flags.writeable = jmap.j.flags.writeable = False
+        sd.flags.writeable = jmap.flags.writeable = False
         if len(_STACK_TABLES) >= _STACK_TABLES_MAX:
             _STACK_TABLES.clear()
         tables = _STACK_TABLES.setdefault(key, (sd, jmap))
@@ -311,7 +311,7 @@ def stack_barrier_margin(stack: ScaleStack, mask: np.ndarray, slope: float) -> f
     sample-by-sample.
     """
     partials = stack.partials()
-    j = stack.jmap.j
+    j = stack.jmap
     worst = -np.inf
     for i in range(1, stack.k + 1):
         sel = mask & (j <= i)

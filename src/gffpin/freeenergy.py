@@ -4,14 +4,14 @@ Thermodynamic integration is the estimator of record, and every leg of it
 runs on one warm-started ladder (integrate_ladder): a chain per grid point,
 each started from the previous chain's field, with the recorded integrand
 integrated by the trapezoid rule.  Three legs use it: the coupling constant
-t at fixed parameters (Z(0) = 1 exactly), the reward h (the h-derivative of
-log Z is the exact contact total) and the soft-wall strength of the height
-restriction.  Free energies at a target h are anchored at h = 0: coupling
-leg there, then one h-leg through 0 and every target.  On top sit the
-replica-averaged free-energy curve (massless or massive, substrate at
-height 0), the finite-volume criterion with its typical-density event and
-the doubling (sub-additivity) check, which share one replica fan-out, the
-laboratory-scale schedule and the copolymer critical point.
+t at fixed parameters (Z(0) = 1 exactly, so one leg reaches any target), the
+reward h (the h-derivative of log Z is the exact contact total) and the
+soft-wall strength of the height restriction.  The free-energy curve is
+anchored at h = 0: coupling leg there, then one h-leg through 0 and every
+target.  The finite-volume criterion and the doubling (sub-additivity)
+check share one replica fan-out, each replica one coupling leg at its
+target.  Also here: the laboratory-scale schedule and the copolymer
+critical point.
 """
 
 from __future__ import annotations
@@ -85,14 +85,12 @@ class Ladder:
 # thermodynamic integration core
 # ---------------------------------------------------------------------------
 
-def band_probability_grid(geom: BoxGeometry, m: float, u: float,
-                          shift: np.ndarray | None = None) -> np.ndarray:
-    """P(phi_x in [u-1, u+1]) sitewise under the free (possibly shifted) field."""
+def band_probability_grid(geom: BoxGeometry, m: float, u: float, shift: np.ndarray) -> np.ndarray:
+    """P(phi_x in [u-1, u+1]) sitewise under the free field of mean `shift`."""
     var = kernels.green_dirichlet_diag(geom, m)
     sd = np.sqrt(np.maximum(var, 1e-300))
-    mu = np.zeros_like(sd) if shift is None else shift
-    hi = (u + 1.0 - mu) / sd
-    lo = (u - 1.0 - mu) / sd
+    hi = (u + 1.0 - shift) / sd
+    lo = (u - 1.0 - shift) / sd
     p = np.where(var > 0, special.ndtr(hi) - special.ndtr(lo), 0.0)
     return np.maximum(p, 0.0)
 
@@ -128,7 +126,7 @@ def boundary_contact_term(geom: BoxGeometry, params: pinning.PinningParams,
 
 
 def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, sweeps: int,
-                     burn_in: int, warm_burn: int, observables: list | None = None,
+                     burn_in: int, warm_burn: int, observables: dict | None = None,
                      exact_first: float | None = None) -> Ladder:
     """Warm-started chains along `grid`, the integrand integrated by the trapezoid rule.
 
@@ -136,10 +134,10 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
     a copy of `start` for the first chain, the previous chain's field after
     it.  The first chain burns in for `burn_in` sweeps, later ones for
     `warm_burn`; each then records every 2 sweeps over `sweeps` sweeps, the
-    contacts counted on the interior, with observables[j] (if any) as the
-    extra observables at point j.  integrand(record) is the series whose
-    mean is the integrand.  With exact_first, the integrand at grid[0] is
-    that value with zero error and no chain runs there.
+    contacts counted on the interior, with the extra `observables` (if any)
+    at every point.  integrand(record) is the series whose mean is the
+    integrand.  With exact_first, the integrand at grid[0] is that value
+    with zero error and no chain runs there.
     """
     n = len(grid)
     density, density_se = np.zeros(n), np.zeros(n)
@@ -152,8 +150,7 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
         chain = chain_at(float(grid[j]), field)
         rec = pinning.run_chain(chain.geom, chain.params, chain.omega, chain.rng, sweeps=sweeps,
                                 burn_in=burn_in if j == first else warm_burn, thinning=2,
-                                chain=chain, interaction="interior",
-                                observables=observables[j] if observables else None)
+                                chain=chain, interaction="interior", observables=observables)
         density[j], density_se[j] = rec.mean_se(integrand(rec))
         records[j] = rec
         field = chain.field
@@ -165,86 +162,56 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
     return Ladder(density, increments, increment_var, log_z, log_z_se, records)
 
 
+def _coupling_ladder(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
+                     rng: np.random.Generator, sweeps: int, burn_in: int,
+                     observables: dict | None = None) -> Ladder:
+    """The coupling ladder t = 0 .. 1 at `params`; its last point is the target measure.
+
+    The grid has max(12, len(_ti_h_grid([params.h]))) points, so at beta = 0
+    it is the h-leg from 0 to h reparametrised by t h.  The first chain
+    starts from the harmonic extension of params.bc, the free field's mean.
+    """
+    shift = fields.harmonic_extension(geom, params.m, params.bc).values
+    mask = geom.interior_mask
+    s_grid = pinning.site_weights(params, omega)
+    p_grid = band_probability_grid(geom, params.m, params.u, shift)
+    n_t = max(12, len(_ti_h_grid([params.h])))
+    return integrate_ladder(
+        lambda t, f: pinning.GibbsChain(geom, params, omega, f, rng, coupling=t),
+        np.linspace(0.0, 1.0, n_t), lambda rec: rec.energy, shift, sweeps, burn_in,
+        max(burn_in // 3, 20), observables=observables,
+        exact_first=float(np.sum(s_grid[mask] * p_grid[mask])))
+
+
 def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
-                   rng: np.random.Generator, sweeps: int, burn_in: int, n_t: int = 12,
-                   shift: np.ndarray | None = None) -> tuple[float, float]:
+                   rng: np.random.Generator, sweeps: int, burn_in: int) -> tuple[float, float]:
     """log Z at the parameters of `params` by coupling-constant integration.
 
     Z(t) = E[exp(t sum_x s_x delta_x)] interpolates from Z(0) = 1 (an exact
-    anchor) to the target, and d/dt log Z(t) is the interaction energy under
-    the partially coupled measure.  At t = 0 the integrand is the explicit
-    Gaussian value sum_x s_x p_x; chains supply the rest of the t-grid.
-    `shift` is the free field's mean, the harmonic extension of params.bc
-    (solved here if not given); the first chain starts from it.
+    anchor, whatever h) to the target, and d/dt log Z(t) is the interaction
+    energy under the partially coupled measure.  At t = 0 the integrand is
+    the explicit Gaussian value sum_x s_x p_x; chains supply the rest of the
+    t-grid, max(12, len(_ti_h_grid([params.h]))) points from 0 to 1.
     """
-    if shift is None:
-        shift = fields.harmonic_extension(geom, params.m, params.bc).values
-    mask = geom.interior_mask
-    s_grid = pinning.site_weights(params, omega)
-    p_grid = band_probability_grid(geom, params.m, params.u, shift=shift)
-
-    def s_total(f: np.ndarray) -> float:
-        return float(np.sum(s_grid[mask & (np.abs(f - params.u) <= 1.0)]))
-
-    ladder = integrate_ladder(
-        lambda t, f: pinning.GibbsChain(geom, params, omega, f, rng, coupling=t),
-        np.linspace(0.0, 1.0, n_t), lambda rec: rec.extra["s_total"], shift, sweeps, burn_in,
-        max(burn_in // 3, 20), observables=[{"s_total": s_total}] * n_t,
-        exact_first=float(np.sum(s_grid[mask] * p_grid[mask])))
+    ladder = _coupling_ladder(geom, params, omega, rng, sweeps, burn_in)
     return float(np.sum(ladder.increments)), math.sqrt(float(np.sum(ladder.increment_var)))
 
 
 def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
-                     rng: np.random.Generator, h_grid: np.ndarray, sweeps: int, burn_in: int,
-                     observables: dict | None = None, observe_at: float | None = None,
-                     start: np.ndarray | None = None) -> Ladder:
+                     rng: np.random.Generator, h_grid: np.ndarray, sweeps: int,
+                     burn_in: int) -> Ladder:
     """Integrate the contact total along the h-grid with warm-started chains.
 
     log Z(h_j) - log Z(h_grid[0]) = int E_{h'}[sum delta] dh' (trapezoid);
     the boundary condition, mass and height live in params.  Only interior
     contacts are counted; frame contacts of the range are a deterministic
-    additive term served by boundary_contact_term.  The extra observables
-    are recorded at the grid point closest to observe_at (default: the last
-    one).  The first chain starts from `start`, the harmonic extension of
-    params.bc (solved here if not given).
+    additive term served by boundary_contact_term.  The first chain starts
+    from the harmonic extension of params.bc.
     """
-    if start is None:
-        start = fields.harmonic_extension(geom, params.m, params.bc).values
-    obs_j = len(h_grid) - 1
-    if observe_at is not None:
-        obs_j = int(np.argmin(np.abs(h_grid - observe_at)))
+    start = fields.harmonic_extension(geom, params.m, params.bc).values
     return integrate_ladder(
         lambda h, f: pinning.GibbsChain(geom, replace(params, h=h), omega, f, rng),
-        h_grid, lambda rec: rec.contacts_window, start, sweeps, burn_in, burn_in // 3,
-        observables=[observables if j == obs_j else None for j in range(len(h_grid))])
-
-
-def _anchored_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
-                    rng: np.random.Generator, targets, sweeps: int, burn_in: int,
-                    coupling: bool, observables: dict | None = None):
-    """log Z and its SE at each target h, anchored at h = 0.
-
-    The coupling leg gives log Z(0) (taken as exactly 0 without it); one
-    h-leg then runs through 0 and every target, and log Z(target) =
-    leg(target) - leg(0) + log Z(0).  The observables are recorded at the
-    last target.  The harmonic extension of params.bc is solved once, as
-    the start field of both legs.  Returns the values, their SEs, the h-leg
-    and the targets' positions on it.
-    """
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    grid = _ti_h_grid(targets)
-    zero = int(np.searchsorted(grid, 0.0))
-    pos = np.searchsorted(grid, np.round(targets, 12))
-    params0 = replace(params, h=0.0)
-    shift = fields.harmonic_extension(geom, params.m, params.bc).values
-    base, base_se = 0.0, 0.0
-    if coupling:
-        base, base_se = coupling_log_z(geom, params0, omega, rng, sweeps, burn_in, shift=shift)
-    leg = ti_log_partition(geom, params0, omega, rng, grid, sweeps, burn_in,
-                           observables=observables, observe_at=targets[-1], start=shift)
-    log_z = leg.log_z[pos] - leg.log_z[zero] + base
-    leg_var = np.abs(leg.log_z_se[pos] ** 2 - leg.log_z_se[zero] ** 2)
-    return log_z, np.sqrt(leg_var + base_se ** 2), leg, pos
+        h_grid, lambda rec: rec.contacts_window, start, sweeps, burn_in, burn_in // 3)
 
 
 def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targets,
@@ -254,12 +221,16 @@ def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targ
     with the substrate at height 0.
 
     Anchoring: log Z(h=0) is 0 exactly for beta = 0 and comes from the
-    coupling integration otherwise; the h-leg then sweeps every target in a
-    single warm-started pass per replica.
+    coupling integration otherwise; one h-leg through 0 and every target then
+    gives log Z(target) = leg(target) - leg(0) + log Z(0), in a single
+    warm-started pass per replica.
     """
     if replicas < 1:
         raise DomainError(f"free_energy_curve needs replicas >= 1 (got {replicas})")
     targets = np.atleast_1d(np.asarray(h_targets, dtype=float))
+    grid = _ti_h_grid(targets)
+    zero = int(np.searchsorted(grid, 0.0))
+    pos = np.searchsorted(grid, np.round(targets, 12))
     n2 = geom.N ** 2
     vals = np.zeros((replicas, len(targets)))
     ses = np.zeros((replicas, len(targets)))
@@ -270,10 +241,13 @@ def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targ
         else:
             omega = DisorderField(geom, spec, np.zeros((geom.side, geom.side)))
         params0 = pinning.PinningParams(beta=beta, h=0.0, m=m)
-        log_z, log_z_se, _, _ = _anchored_log_z(geom, params0, omega, rep_rng, targets,
-                                                sweeps, burn_in, coupling=beta > 0)
-        vals[r] = log_z / n2
-        ses[r] = log_z_se / n2
+        base, base_se = 0.0, 0.0
+        if beta > 0:
+            base, base_se = coupling_log_z(geom, params0, omega, rep_rng, sweeps, burn_in)
+        leg = ti_log_partition(geom, params0, omega, rep_rng, grid, sweeps, burn_in)
+        vals[r] = (leg.log_z[pos] - leg.log_z[zero] + base) / n2
+        leg_var = np.abs(leg.log_z_se[pos] ** 2 - leg.log_z_se[zero] ** 2)
+        ses[r] = np.sqrt(leg_var + base_se ** 2) / n2
     value = vals.mean(axis=0)
     if replicas > 1:
         se = np.sqrt(vals.var(ddof=1, axis=0) / replicas + (ses ** 2).mean(axis=0) / replicas)
@@ -299,10 +273,11 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
     D is the event sum phi^2 >= threshold over the interaction range (see
     density_event_threshold, computed once per box size by the caller).
 
-    log Z' = coupling leg at h = 0 + h-leg + exact frame-contact term + log
-    of the D-event frequency under the target measure.  The event factor is
-    exact in the sampling limit and downward-biased at finite budgets, which
-    is the conservative side for the positivity verdict.
+    log Z' = one coupling ladder at the target parameters + exact frame-contact
+    term + log of the D-event frequency under the target measure, the
+    ladder's last point.  The event factor is exact in the sampling limit and
+    downward-biased at finite budgets, which is the conservative side for the
+    positivity verdict.
     """
     bc_rng = rngmod.stream(master_seed, tag, "bc", r)
     om_rng = rngmod.stream(master_seed, tag, "omega", r)
@@ -315,13 +290,13 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
     def density_stat(f: np.ndarray) -> float:
         return float(np.sum(f[tmask] ** 2))
 
-    log_z, _, leg, pos = _anchored_log_z(geom, params, omega, ch_rng, [h], sweeps, burn_in,
-                                         coupling=True, observables={"sumsq": density_stat})
-    log_z = log_z[0] + boundary_contact_term(geom, params, omega)
-    sumsq = leg.records[pos[0]].extra["sumsq"]
+    ladder = _coupling_ladder(geom, params, omega, ch_rng, sweeps, burn_in,
+                              observables={"sumsq": density_stat})
+    log_z = float(np.sum(ladder.increments)) + boundary_contact_term(geom, params, omega)
+    sumsq = ladder.records[-1].extra["sumsq"]
     freq = float(np.mean(sumsq >= threshold))
     log_event = math.log(max(freq, 0.5 / len(sumsq)))
-    return float(log_z) + log_event, freq
+    return log_z + log_event, freq
 
 
 def _replica_job(args) -> tuple[tuple[float, float], list[str]]:
@@ -522,7 +497,7 @@ def height_restriction_logp(beta: float, h: float, N: int, master_seed: int,
                                             extra_bands=(pinning.Band(-b, b, kappa),)),
         kappas, lambda rec: rec.extra["out"],
         fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
-        burn_in // 2, observables=[{"out": outside}] * len(kappas))
+        burn_in // 2, observables={"out": outside})
     counts = ladder.density
     # the trapezoid integral, plus the count's e^-kappa decay beyond the grid
     logp = -(float(np.sum(ladder.increments)) + float(counts[-1])) / (N * N)

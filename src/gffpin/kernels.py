@@ -216,18 +216,36 @@ def green_dirichlet(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     """G^{m,*} over all interior sites, spectrally.
 
     G^{m,*}(x,y) = sum_{ij} phi_ij(x) phi_ij(y) / (lam_i + lam_j + m^2).
+    The table is filled 64 rows at a time, each block weighted and
+    multiplied straight into it, then symmetrized block by block in place.
     """
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
     sites = np.flatnonzero(geom.interior_mask.ravel())
     basis = spectral_basis(geom.N)
-    w = 1.0 / (basis.lam2d + m * m)
+    w = (1.0 / (basis.lam2d + m * m)).ravel()
     x1, x2 = geom.site(sites)
     # rows phi_ij(site), shape (len(sites), (N-1)^2)
     phi = (basis.modes[x1 - 1][:, :, None] * basis.modes[x2 - 1][:, None, :]).reshape(len(sites), -1)
-    table = (phi * w.ravel()[None, :]) @ phi.T
-    table = 0.5 * (table + table.T)
+    size = len(sites)
+    table = np.empty((size, size))
+    rows = 64
+    for start in range(0, size, rows):
+        np.matmul(phi[start : start + rows] * w, phi.T, out=table[start : start + rows])
+    _symmetrize_blocks(table, rows)
     return GreenTable(table)
+
+
+def _symmetrize_blocks(table: np.ndarray, block: int) -> None:
+    """table <- (table + table.T) / 2 in place, one pair of block x block tiles at a time."""
+    size = table.shape[0]
+    for a in range(0, size, block):
+        for b in range(a, size, block):
+            upper = table[a : a + block, b : b + block]
+            lower = table[b : b + block, a : a + block]
+            mean = 0.5 * (upper + lower.T)
+            upper[...] = mean
+            lower[...] = mean.T
 
 
 def green_dirichlet_diag(geom: BoxGeometry, m: float = 0.0) -> np.ndarray:
@@ -278,13 +296,7 @@ def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
         rhs = np.zeros((size, width))
         rhs[start + np.arange(width), np.arange(width)] = 1.0
         table[:, start : start + width] = lu.solve(rhs)
-    for a in range(0, size, cols):
-        for b in range(a, size, cols):
-            upper = table[a : a + cols, b : b + cols]
-            lower = table[b : b + cols, a : a + cols]
-            mean = 0.5 * (upper + lower.T)
-            upper[...] = mean
-            lower[...] = mean.T
+    _symmetrize_blocks(table, cols)
     return GreenTable(table)
 
 

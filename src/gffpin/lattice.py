@@ -152,13 +152,9 @@ def _ceil_guard(v: np.ndarray) -> np.ndarray:
     return np.ceil(v - 1e-9)
 
 
-@dataclass(frozen=True)
-class ScaleIndex:
-    j: np.ndarray  # shaped (N+1, N+1), integer in [0, k]
-
-
-def scale_index(geom: BoxGeometry, k: int) -> ScaleIndex:
-    """j(x) = (k - ceil(log d(x,boundary) / 2pi))_+ clamped to [0, k].
+def scale_index(geom: BoxGeometry, k: int) -> np.ndarray:
+    """j(x) = (k - ceil(log d(x,boundary) / 2pi))_+ clamped to [0, k], int64 of
+    shape (N+1, N+1).
 
     Boundary sites (d = 0) get j = k, matching the d = 1 value.
     """
@@ -166,8 +162,7 @@ def scale_index(geom: BoxGeometry, k: int) -> ScaleIndex:
         raise InvalidGeometryError(f"scale count must be >= 1 (got {k})")
     d = np.maximum(geom.dist_boundary, 1)
     j = k - _ceil_guard(np.log(d) / TWO_PI)
-    j = np.clip(j, 0, k).astype(np.int64)
-    return ScaleIndex(j)
+    return np.clip(j, 0, k).astype(np.int64)
 
 
 def pair_scale_index(k: int, dist: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .fields import BoundaryCondition, FieldSample, harmonic_extension, zero_bc
 from .lattice import BoxGeometry
 
 _Z_FAR = 38.0  # standard-normal quantile beyond which mass is below 1e-300
+_BAND_NODES, _BAND_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 @dataclass(frozen=True)
@@ -408,7 +409,6 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
 def _gauss_band_integral(mu: float, var: float, s: float, u: float) -> float:
     """E[e^{s 1_band}(phi)] for phi ~ N(mu, var): 32-point Gauss on 80 panels per piece."""
     sd = math.sqrt(var)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
     lo, hi = mu - 40 * sd, mu + 40 * sd
     cuts = sorted({lo, u - 1.0, u + 1.0, hi})
     total = 0.0
@@ -418,8 +418,8 @@ def _gauss_band_integral(mu: float, var: float, s: float, u: float) -> float:
             continue
         edges = np.linspace(a, b, 81)
         p, q = edges[:-1], edges[1:]
-        t = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * nodes[None, :]
-        w = 0.5 * (q - p)[:, None] * weights[None, :]
+        t = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * _BAND_NODES[None, :]
+        w = 0.5 * (q - p)[:, None] * _BAND_WEIGHTS[None, :]
         dens = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
         bump = np.where(np.abs(t - u) <= 1.0, math.exp(s), 1.0)
         total += float(np.sum(w * dens * bump))

@@ -211,7 +211,7 @@ def test_scale_stack_variance_profile():
     for i in range(1, grid.k + 1):
         cum += kernels.covariance_slice_diag(g, grid, i)
         for x in ((32, 32), (8, 8), (2, 2)):
-            excess = cum[x] - max(i - jmap.j[x], 0)
+            excess = cum[x] - max(i - jmap[x], 0)
             assert abs(excess) < 3.0
 
 
@@ -382,7 +382,7 @@ def test_pinned_scale_stacks():
     got = []
     for _ in PINNED_STACKS:
         s = fields.sample_scale_stack(g, 1e-5, r, grid=grid)
-        got.append((_digest(s.values, s.stack.xi, s.stack.jmap.j),
+        got.append((_digest(s.values, s.stack.xi, s.stack.jmap),
                     fields.stack_barrier_margin(s.stack, window, 0.5)))
     assert got == PINNED_STACKS
 
@@ -406,9 +406,9 @@ def test_stack_tables_are_read_only_and_kept_per_box_and_grid():
             s = fields.sample_scale_stack(geom, grid.m, rng.stream(263, geom.N, gi, rep), grid=grid)
             ref = _uncached_layers(geom, grid, rng.stream(263, geom.N, gi, rep))
             assert np.array_equal(s.stack.xi, ref)
-            assert np.array_equal(s.stack.jmap.j, lattice.scale_index(geom, grid.k).j)
+            assert np.array_equal(s.stack.jmap, lattice.scale_index(geom, grid.k))
             with pytest.raises(ValueError):
-                s.stack.jmap.j[1, 1] = 0
+                s.stack.jmap[1, 1] = 0
             sd, _ = fields._stack_tables(geom, grid)
             with pytest.raises(ValueError):
                 sd[0, 0, 0] = 1.0

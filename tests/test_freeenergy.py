@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import disorder, freeenergy, kernels, lattice, pinning, rng
+from gffpin import disorder, fields, freeenergy, kernels, lattice, pinning, rng
 from gffpin.errors import DomainError
 
 
@@ -148,8 +148,8 @@ def test_ladders_bit_identical():
     g = lattice.build_box(4)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(242, "id-om4"))
     got = freeenergy.coupling_log_z(g, pinning.PinningParams(beta=0.5, h=0.2), om,
-                                    rng.stream(243, "id-cz"), sweeps=20, burn_in=10, n_t=4)
-    assert got == (1.5626694885851902, 0.02944038203907919)
+                                    rng.stream(243, "id-cz"), sweeps=20, burn_in=10)
+    assert got == (1.5924750705476984, 0.029026091380634274)  # the 12-point t-grid
     ti = freeenergy.ti_log_partition(g, pinning.PinningParams(beta=0.5), om,
                                      rng.stream(244, "id-ti"), np.array([0.0, 0.1, 0.2]),
                                      sweeps=20, burn_in=10)
@@ -184,20 +184,65 @@ def test_height_restriction_bit_identical():
 def test_doubling_gap_bit_identical():
     out = freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4,
                                   burn_in=2)
-    assert out == {"small": (2.7786339207027173, 0.11028391792049375),
-                   "large": (9.861033108093576, 2.2429498915869006),
-                   "gap": -1.2535025747172934, "gap_se": 2.2859188299237565}
+    assert out == {"small": (2.745658407505288, 0.11378136506348577),
+                   "large": (10.146094636429904, 2.3940626648019494),
+                   "gap": -0.8365389935912475, "gap_se": 2.436939725879566}
 
 
 def test_one_extension_solve_per_anchoring(monkeypatch):
     # each of the 4 replica jobs (2 replicas at 2 sizes) solves its boundary's extension once,
-    # and both of its legs start from it
+    # and its coupling ladder starts from it
     calls = []
     solve = freeenergy.fields.harmonic_extension
     monkeypatch.setattr(freeenergy.fields, "harmonic_extension",
                         lambda *a, **kw: calls.append(1) or solve(*a, **kw))
     freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4, burn_in=2)
     assert len(calls) == 4
+
+
+def test_one_coupling_ladder_per_replica(monkeypatch):
+    # each replica job runs one ladder at its target: at h = 0.3 the 12-point t-grid, a chain
+    # at each of the 11 points past the exact first one, the contacts' D-event read at t = 1
+    calls = []
+    run = freeenergy.pinning.run_chain
+    monkeypatch.setattr(freeenergy.pinning, "run_chain",
+                        lambda *a, **kw: calls.append(kw["observables"]) or run(*a, **kw))
+    freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4, burn_in=2)
+    assert len(calls) == 4 * 11
+    assert all(list(obs) == ["sumsq"] for obs in calls)
+
+
+def test_criterion_ladder_against_exact_small_box():
+    # the steep case: at h = 2 the ladder takes the h-leg's 41-point spacing, not 12 points
+    g = lattice.build_box(2)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(311, "om"))
+    bc = fields.explicit_bc(np.array([0.4, -0.3, 0.9, 0.2, -0.5, 0.7, 0.1, -0.2]))
+    params = pinning.PinningParams(beta=0.5, h=2.0, m=0.3, u=0.2, bc=bc)
+    exact = pinning.exact_partition_small(g, params, om)
+    ladder = freeenergy._coupling_ladder(g, params, om, rng.stream(312, "c"), sweeps=600,
+                                         burn_in=100)
+    assert len(ladder.density) == 41
+    assert abs(ladder.log_z[-1] - exact) < 4 * ladder.log_z_se[-1]
+
+
+def test_coupling_leg_at_beta_zero_is_the_h_leg(monkeypatch):
+    # at beta = 0 the site weight is h, so the coupling leg at h runs the h-leg's grid
+    # reparametrised by t h, and agrees with the h-leg from 0 to h
+    grids = []
+    ladder = freeenergy.integrate_ladder
+    monkeypatch.setattr(freeenergy, "integrate_ladder",
+                        lambda chain_at, grid, *a, **kw: grids.append(grid) or ladder(chain_at, grid,
+                                                                                       *a, **kw))
+    g = lattice.build_box(8)
+    om = disorder.DisorderField(g, disorder.GAUSSIAN, np.zeros((g.side, g.side)))
+    h = 2.0
+    value, se = freeenergy.coupling_log_z(g, pinning.PinningParams(h=h), om, rng.stream(321, "c"),
+                                          sweeps=200, burn_in=100)
+    h_grid = freeenergy._ti_h_grid([h])
+    leg = freeenergy.ti_log_partition(g, pinning.PinningParams(), om, rng.stream(322, "t"), h_grid,
+                                      sweeps=200, burn_in=100)
+    np.testing.assert_allclose(grids[0] * h, h_grid, rtol=0, atol=1e-12)
+    assert abs(value - leg.log_z[-1]) < 4 * math.hypot(se, leg.log_z_se[-1])
 
 
 def test_stream_audit_survives_the_process_pool():

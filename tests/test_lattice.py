@@ -111,7 +111,7 @@ def test_tiling_disjoint_cover(N, N1):
 
 def _scale_index_at(k: int, d: float) -> int:
     """j for one site at l1 distance d from the boundary (scale_index reads only distances)."""
-    return int(lattice.scale_index(SimpleNamespace(dist_boundary=np.array([[d]])), k).j[0, 0])
+    return int(lattice.scale_index(SimpleNamespace(dist_boundary=np.array([[d]])), k)[0, 0])
 
 
 def test_scale_index_examples():
@@ -127,14 +127,14 @@ def test_scale_index_examples():
 
 def test_scale_index_monotone():
     g = lattice.build_box(64)
-    s = lattice.scale_index(g, 5)
+    j = lattice.scale_index(g, 5)
     d = g.dist_boundary
     for dv in range(1, 32):
         sel_near = d == dv
         sel_far = d == dv + 1
         if sel_near.any() and sel_far.any():
-            assert s.j[sel_near].min() >= s.j[sel_far].max()
-    assert s.j.min() >= 0 and s.j.max() <= 5
+            assert j[sel_near].min() >= j[sel_far].max()
+    assert j.dtype == np.int64 and j.min() >= 0 and j.max() <= 5
 
 
 def test_pair_scale_index():
