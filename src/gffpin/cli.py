@@ -7,8 +7,9 @@
 
 `run` executes one registry experiment and persists the resolved config,
 JSONL records and CSV tables; `verify` runs the whole acceptance suite and
-prints one verdict line per criterion.  GFFPIN_THREADS is the fallback for
---threads.
+prints one verdict line per criterion (with --out, each criterion's stamp,
+which carries its config, records and tables).  Each command starts
+results.jsonl afresh.  GFFPIN_THREADS is the fallback for --threads.
 """
 
 from __future__ import annotations
@@ -57,18 +58,19 @@ def _resolve_config(args) -> dict:
 
 
 def _prepare_outdir(path: str | None, force: bool) -> Path | None:
+    """The output directory, made if needed, without an earlier results.jsonl."""
     if path is None:
         return None
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to reuse)")
     out.mkdir(parents=True, exist_ok=True)
+    (out / "results.jsonl").unlink(missing_ok=True)
     return out
 
 
-def _persist(result: experiments.ExperimentResult, out: Path | None) -> None:
-    if out is None:
-        return
+def _persist(result: experiments.ExperimentResult, out: Path) -> None:
+    """Append the run's stamp and records to results.jsonl and write its tables."""
     stamp = {
         "experiment": result.name,
         "passed": result.passed,
@@ -77,9 +79,6 @@ def _persist(result: experiments.ExperimentResult, out: Path | None) -> None:
         "config": result.config,
         "streams": result.streams,
     }
-    Path(out / "config.resolved").write_text(
-        cfgmod.render_config(result.config, header=f"resolved config for {result.name}"),
-        encoding="utf-8")
     for rec in [stamp] + list(result.records):
         io.append_jsonl(out / "results.jsonl", rec)
     for name, (header, rows) in result.tables.items():
@@ -98,7 +97,11 @@ def _cmd_run(args) -> int:
     for line in result.lines:
         print(line)
     print(f"{result.name}: wall time {result.wall_time:.1f} s")
-    _persist(result, out)
+    if out is not None:
+        (out / "config.resolved").write_text(
+            cfgmod.render_config(result.config, header=f"resolved config for {result.name}"),
+            encoding="utf-8")
+        _persist(result, out)
     if result.passed is None:
         return 0
     return 0 if result.passed else 1

@@ -50,9 +50,9 @@ def boundary_indices(geom: BoxGeometry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Boundary data on the 4N frame sites (row-major site order)."""
+    """Boundary data on the 4N frame sites (row-major site order); values None
+    is the zero boundary."""
 
-    kind: str  # zero | explicit | sampled-infinite-massive
     values: np.ndarray | None = None
     jitter: float = 0.0
 
@@ -60,25 +60,21 @@ class BoundaryCondition:
         """Boundary values placed on the (N+1, N+1) grid, zero inside."""
         out = np.zeros((geom.side, geom.side))
         mask = geom.boundary_mask
-        if self.kind == "zero":
+        if self.values is None:
             return out
-        if self.values is None or self.values.shape != (int(mask.sum()),):
+        if self.values.shape != (int(mask.sum()),):
             raise DomainError("explicit boundary condition needs one value per boundary site")
         out[mask] = self.values
         return out
 
     def max_abs(self) -> float:
-        if self.kind == "zero":
+        if self.values is None:
             return 0.0
         return float(np.max(np.abs(self.values)))
 
 
-def zero_bc() -> BoundaryCondition:
-    return BoundaryCondition("zero")
-
-
 def explicit_bc(values: np.ndarray) -> BoundaryCondition:
-    return BoundaryCondition("explicit", values=np.asarray(values, dtype=float))
+    return BoundaryCondition(np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition) -> Ha
     solution must satisfy the equation to 1e-10 at every interior site."""
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
-    if bc.kind == "zero":
+    if bc.values is None:
         return HarmonicExtension(np.zeros((geom.side, geom.side)), 0.0)
     bgrid = bc.grid(geom)
     n = geom.N
@@ -221,18 +217,17 @@ def harmonic_extension_mc(geom: BoxGeometry, m: float, bc: BoundaryCondition, si
 # ---------------------------------------------------------------------------
 
 def sample_boundary_infinite_massive(geom: BoxGeometry, m: float, rng: np.random.Generator,
-                                     cov: np.ndarray | None = None) -> BoundaryCondition:
+                                     cov: np.ndarray) -> BoundaryCondition:
     """Joint draw of the 4N frame values under the infinite-volume massive law.
 
-    Covariance G^m(x - y) between frame sites, dense Cholesky; a tiny
-    diagonal jitter is added (and recorded) if the factorization needs it.
-    Combined with a zero-boundary sample plus the harmonic shift, this
-    reproduces the infinite-volume field on the whole box.
+    cov is boundary_covariance(geom, m), the covariance G^m(x - y) between
+    frame sites; dense Cholesky, with a tiny diagonal jitter added (and
+    recorded) if the factorization needs it.  Combined with a zero-boundary
+    sample plus the harmonic shift, this reproduces the infinite-volume field
+    on the whole box.
     """
     if m <= 0:
         raise DomainError("infinite-volume boundary sampling needs m > 0")
-    if cov is None:
-        cov = boundary_covariance(geom, m)
     jitter = 0.0
     try:
         chol = np.linalg.cholesky(cov)
@@ -240,7 +235,7 @@ def sample_boundary_infinite_massive(geom: BoxGeometry, m: float, rng: np.random
         jitter = 1e-12 * float(np.trace(cov)) / cov.shape[0]
         chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
     values = chol @ rng.standard_normal(cov.shape[0])
-    return BoundaryCondition("sampled-infinite-massive", values=values, jitter=jitter)
+    return BoundaryCondition(values, jitter=jitter)
 
 
 def boundary_covariance(geom: BoxGeometry, m: float) -> np.ndarray:

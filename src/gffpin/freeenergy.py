@@ -16,6 +16,7 @@ critical point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -46,20 +47,6 @@ class FreeEnergyCurve:
         d2 = self.value[2:] - 2.0 * self.value[1:-1] + self.value[:-2]
         se = np.sqrt(self.se[2:] ** 2 + 4.0 * self.se[1:-1] ** 2 + self.se[:-2] ** 2)
         return d2, se
-
-
-@dataclass
-class CriterionReport:
-    N: int
-    m: float
-    u: float
-    K: float
-    estimate: float
-    se: float
-    penalty: float
-    verdict: str
-    margin: float
-    event_frequency: float
 
 
 @dataclass
@@ -266,9 +253,10 @@ def density_event_threshold(N: int, m: float, K: float) -> float:
 
 
 def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
-                   threshold: float, master_seed: int, tag: str, r: int, sweeps: int,
-                   burn_in: int, boundary_cov: np.ndarray | None) -> tuple[float, float]:
-    """One (boundary, disorder) replica of log E^{m,bc}[e^{interaction} 1_D].
+                   threshold: float, master_seed: int, tag: str, sweeps: int, burn_in: int,
+                   boundary_cov: np.ndarray, r: int) -> tuple[tuple[float, float], list[str]]:
+    """One (boundary, disorder) replica of log E^{m,bc}[e^{interaction} 1_D], with the
+    D-event frequency, and the ids of the streams it drew.
 
     D is the event sum phi^2 >= threshold over the interaction range (see
     density_event_threshold, computed once per box size by the caller).
@@ -279,65 +267,53 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
     downward-biased at finite budgets, which is the conservative side for the
     positivity verdict.
     """
-    bc_rng = rngmod.stream(master_seed, tag, "bc", r)
-    om_rng = rngmod.stream(master_seed, tag, "omega", r)
-    ch_rng = rngmod.stream(master_seed, tag, "chain", r)
-    bc = fields.sample_boundary_infinite_massive(geom, m, bc_rng, cov=boundary_cov)
-    omega = sample_disorder(geom, GAUSSIAN, om_rng)
-    params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
-    tmask = geom.tilde_mask
-
-    def density_stat(f: np.ndarray) -> float:
-        return float(np.sum(f[tmask] ** 2))
-
-    ladder = _coupling_ladder(geom, params, omega, ch_rng, sweeps, burn_in,
-                              observables={"sumsq": density_stat})
-    log_z = float(np.sum(ladder.increments)) + boundary_contact_term(geom, params, omega)
-    sumsq = ladder.records[-1].extra["sumsq"]
-    freq = float(np.mean(sumsq >= threshold))
-    log_event = math.log(max(freq, 0.5 / len(sumsq)))
-    return log_z + log_event, freq
-
-
-def _replica_job(args) -> tuple[tuple[float, float], list[str]]:
     with rngmod.audit_streams() as audit:
-        out = _replica_log_z(*args)
-    return out, audit.consumed
+        bc_rng = rngmod.stream(master_seed, tag, "bc", r)
+        om_rng = rngmod.stream(master_seed, tag, "omega", r)
+        ch_rng = rngmod.stream(master_seed, tag, "chain", r)
+        bc = fields.sample_boundary_infinite_massive(geom, m, bc_rng, cov=boundary_cov)
+        omega = sample_disorder(geom, GAUSSIAN, om_rng)
+        params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
+        tmask = geom.tilde_mask
 
+        def density_stat(f: np.ndarray) -> float:
+            return float(np.sum(f[tmask] ** 2))
 
-def _map_replicas(jobs, threads: int):
-    """Replica fan-out: independent (boundary, disorder) jobs over a process
-    pool when threads > 1, serially otherwise; results merge order-free.
-    Each job's stream ids join the active audit in job order either way."""
-    if threads <= 1 or len(jobs) <= 1:
-        done = [_replica_job(j) for j in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(_replica_job, jobs))
-    for _, ids in done:
-        rngmod.record_streams(ids)
-    return [out for out, _ in done]
+        ladder = _coupling_ladder(geom, params, omega, ch_rng, sweeps, burn_in,
+                                  observables={"sumsq": density_stat})
+        log_z = float(np.sum(ladder.increments)) + boundary_contact_term(geom, params, omega)
+        sumsq = ladder.records[-1].extra["sumsq"]
+        freq = float(np.mean(sumsq >= threshold))
+        log_event = math.log(max(freq, 0.5 / len(sumsq)))
+    return (log_z + log_event, freq), audit.consumed
 
 
 def _box_replicas(beta: float, h: float, m: float, u: float, K: float, N: int,
                   master_seed: int, tag: str, replicas: int, sweeps: int, burn_in: int,
                   threads: int) -> tuple[np.ndarray, np.ndarray]:
     """log Z' and the D-event frequency of each (boundary, disorder) replica in the
-    box of side N, streams keyed by tag."""
+    box of side N, streams keyed by tag: one job per replica, over a process pool
+    when threads > 1; the jobs' stream ids join the active audit in replica order.
+    """
     geom = build_box(N)
-    cov = fields.boundary_covariance(geom, m)
-    thr = density_event_threshold(N, m, K)
-    jobs = [(geom, beta, h, m, u, thr, master_seed, tag, r, sweeps, burn_in, cov)
-            for r in range(replicas)]
-    pairs = _map_replicas(jobs, threads)
-    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    job = functools.partial(_replica_log_z, geom, beta, h, m, u,
+                            density_event_threshold(N, m, K), master_seed, tag, sweeps, burn_in,
+                            fields.boundary_covariance(geom, m))
+    if threads <= 1 or replicas <= 1:
+        done = [job(r) for r in range(replicas)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(job, range(replicas)))
+    for _, ids in done:
+        rngmod.record_streams(ids)
+    return np.array([out[0] for out, _ in done]), np.array([out[1] for out, _ in done])
 
 
 def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float, N: int,
                             master_seed: int, replicas: int, sweeps: int, burn_in: int,
-                            threads: int = 1) -> CriterionReport:
+                            threads: int = 1) -> dict:
     """Laboratory version of the finite-volume lower-bound certificate.
 
     Estimates (1/N^2) E_bc E_omega log E^{m,bc}[exp(sum (beta w - lambda + h)
@@ -356,7 +332,8 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
     penalty = K * m * m
     margin = est - penalty
     verdict = "positive" if margin > 3.0 * se else "negative"
-    return CriterionReport(N, m, u, K, est, se, penalty, verdict, margin, float(freqs.mean()))
+    return {"N": N, "m": m, "u": u, "K": K, "estimate": est, "se": se, "penalty": penalty,
+            "verdict": verdict, "margin": margin, "event_frequency": float(freqs.mean())}
 
 
 def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
@@ -494,7 +471,7 @@ def height_restriction_logp(beta: float, h: float, N: int, master_seed: int,
 
     ladder = integrate_ladder(
         lambda kappa, f: pinning.GibbsChain(geom, params, omega, f, rng,
-                                            extra_bands=(pinning.Band(-b, b, kappa),)),
+                                            extra_bands=((-b, b, kappa),)),
         kappas, lambda rec: rec.extra["out"],
         fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
         burn_in // 2, observables={"out": outside})

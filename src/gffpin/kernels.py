@@ -30,7 +30,6 @@ from .lattice import BoxGeometry
 if TYPE_CHECKING:
     from scipy import sparse
 
-TWO_PI = 2.0 * math.pi
 _IVE_SWITCH = 5e7  # above this time scipy's ive underflows internally; use asymptotics
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -384,8 +383,7 @@ def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
     k_raw = int(math.floor(G))
     if k_raw < min_scales:
         raise MassTooLargeError(
-            f"G^m(0,0) = {G:.4f} gives only {k_raw} unit scales at m = {m}; "
-            f"need >= {min_scales} (m <= ~{math.exp(-TWO_PI * min_scales):.2e} for the default)"
+            f"G^m(0,0) = {G:.4f} gives only {k_raw} unit scales at m = {m}; need >= {min_scales}"
         )
     from scipy import optimize
 

@@ -26,52 +26,33 @@ TWO_PI = 2.0 * math.pi
 class BoxGeometry:
     """The box Lambda_N = {0,...,N}^2 with precomputed site classification.
 
-    Immutable after construction; safe to share between workers.
+    Immutable after construction; safe to share between workers.  The masks
+    and the l1 distance to the boundary are (N+1, N+1) arrays: tilde_mask is
+    Lambda~_N = {1,...,N}^2, the canonical interaction range, and
+    dist_boundary is 0 on the boundary itself.  Equality, hash and repr see
+    only N and side = N + 1.
     """
 
     N: int
     side: int = field(init=False)
+    boundary_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    interior_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    tilde_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    dist_boundary: np.ndarray = field(init=False, repr=False, compare=False)
+    coords: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 2:
             raise InvalidGeometryError(f"N must be >= 2 (got {self.N}): no interior sites")
-        object.__setattr__(self, "side", self.N + 1)
-        n, side = self.N, self.side
+        n, side = self.N, self.N + 1
         x1, x2 = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
         boundary = (x1 == 0) | (x1 == n) | (x2 == 0) | (x2 == n)
-        interior = ~boundary
         # l1 distance to the boundary frame reduces to the min coordinate gap
         dist = np.minimum.reduce([x1, x2, n - x1, n - x2])
-        tilde = (x1 >= 1) & (x2 >= 1)
-        object.__setattr__(self, "_x1", x1)
-        object.__setattr__(self, "_x2", x2)
-        object.__setattr__(self, "_boundary", boundary)
-        object.__setattr__(self, "_interior", interior)
-        object.__setattr__(self, "_tilde", tilde)
-        object.__setattr__(self, "_dist", dist)
-
-    # -- masks, all shaped (N+1, N+1) --
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        return self._boundary
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return self._interior
-
-    @property
-    def tilde_mask(self) -> np.ndarray:
-        """Lambda~_N = {1,...,N}^2, the canonical interaction range."""
-        return self._tilde
-
-    @property
-    def dist_boundary(self) -> np.ndarray:
-        """d(x, boundary) in the l1 metric, 0 on the boundary itself."""
-        return self._dist
-
-    @property
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._x1, self._x2
+        for name, value in (("side", side), ("boundary_mask", boundary),
+                            ("interior_mask", ~boundary), ("tilde_mask", (x1 >= 1) & (x2 >= 1)),
+                            ("dist_boundary", dist), ("coords", (x1, x2))):
+            object.__setattr__(self, name, value)
 
     # -- index map --
     def site(self, idx) -> tuple[np.ndarray, np.ndarray]:

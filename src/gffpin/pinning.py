@@ -36,7 +36,7 @@ from scipy import special
 
 from .disorder import DisorderField, log_mgf
 from .errors import ContractError, DomainError, UnsupportedGeometryError
-from .fields import BoundaryCondition, FieldSample, harmonic_extension, zero_bc
+from .fields import BoundaryCondition, FieldSample, harmonic_extension
 from .lattice import BoxGeometry
 
 _Z_FAR = 38.0  # standard-normal quantile beyond which mass is below 1e-300
@@ -54,7 +54,7 @@ class PinningParams:
     u: float = 0.0
     model: str = "pinning"
     rho: float = 0.0
-    bc: BoundaryCondition = dc_field(default_factory=zero_bc)
+    bc: BoundaryCondition = dc_field(default_factory=BoundaryCondition)
 
     def __post_init__(self):
         if self.model not in ("pinning", "copolymer"):
@@ -116,15 +116,6 @@ def energy(sample: FieldSample, omega: DisorderField, params: PinningParams) -> 
 # ---------------------------------------------------------------------------
 # exact sampling of piecewise-reweighted Gaussian conditionals
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Band:
-    """Height band [lo, hi] carrying per-site log-weight (grid or scalar)."""
-
-    lo: float
-    hi: float
-    logw: np.ndarray | float
-
 
 @dataclass
 class _Workspace:
@@ -269,18 +260,17 @@ class GibbsChain:
     omega: DisorderField
     field: np.ndarray
     rng: np.random.Generator
-    extra_bands: tuple[Band, ...] = ()
+    extra_bands: tuple[tuple[float, float, float], ...] = ()
     coupling: float = 1.0
 
     def __post_init__(self):
         self._sigma = 1.0 / math.sqrt(4.0 + self.params.m ** 2)
+        w, scale = _charges(self.params, self.omega)
         if self.params.model == "pinning":
-            band = Band(self.params.u - 1.0, self.params.u + 1.0,
-                        self.coupling * site_weights(self.params, self.omega))
+            lo, hi = self.params.u - 1.0, self.params.u + 1.0
         else:
-            band = Band(-math.inf, 0.0,
-                        -2.0 * self.coupling * self.params.rho * (self.omega.values + self.params.h))
-        bands = (band,) + tuple(self.extra_bands)
+            lo, hi = -math.inf, 0.0
+        bands = ((lo, hi, self.coupling * scale * w),) + tuple(self.extra_bands)
         self.field = np.ascontiguousarray(self.field, dtype=float)
         side = self.geom.side
         x1, x2 = self.geom.coords
@@ -290,9 +280,8 @@ class GibbsChain:
             mask = inter & ((x1 + x2) % 2 == c)
             sites = np.flatnonzero(mask)
             nbrs = sites + np.array([[-side], [side], [-1], [1]])
-            layout = band_layout(
-                [(b.lo, b.hi, np.asarray(b.logw)[mask] if np.ndim(b.logw) else float(b.logw))
-                 for b in bands])
+            layout = band_layout([(a, b, np.asarray(logw)[mask] if np.ndim(logw) else float(logw))
+                                  for a, b, logw in bands])
             self._colours.append((sites, nbrs, layout))
 
 

@@ -58,6 +58,25 @@ def test_run_refuses_nonempty_out(tmp_path, capsys):
     assert rc == 0
 
 
+def _stamps(out):
+    records = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    return [r for r in records if "experiment" in r]
+
+
+def test_reused_out_holds_only_the_last_command(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "exact-small-box", "--out", str(out)]) == 0
+    assert cli.main(["run", "exact-small-box", "--out", str(out), "--force", "--seed", "5"]) == 0
+    assert [s["config"]["seed"] for s in _stamps(out)] == [5]
+    assert "seed = 5" in (out / "config.resolved").read_text()
+    monkeypatch.setattr(experiments, "acceptance_names", lambda: ["exact-small-box"])
+    verify = tmp_path / "verify"
+    for _ in range(2):
+        assert cli.main(["verify", "--out", str(verify)]) == 0
+    assert [s["experiment"] for s in _stamps(verify)] == ["exact-small-box"]
+    assert not (verify / "config.resolved").exists()  # each stamp carries its config
+
+
 def test_set_overrides(tmp_path, capsys):
     rc = cli.main(["run", "density-typicality", "--set", "samples=2000"])
     assert rc == 0

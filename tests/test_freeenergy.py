@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import disorder, fields, freeenergy, kernels, lattice, pinning, rng
+from gffpin import disorder, experiments, fields, freeenergy, kernels, lattice, pinning, rng
 from gffpin.errors import DomainError
 
 
@@ -88,8 +88,18 @@ def test_finite_volume_penalty_dominates():
     # K -> infinity turns the verdict negative at fixed budget
     rep = freeenergy.finite_volume_criterion(0.0, 0.5, 0.4, 0.0, 1e9, 8, 408,
                                              replicas=2, sweeps=150, burn_in=100)
-    assert rep.verdict == "negative"
-    assert rep.penalty > rep.estimate
+    assert rep["verdict"] == "negative"
+    assert rep["penalty"] > rep["estimate"]
+
+
+def test_criterion_returns_the_record_it_writes():
+    rep = freeenergy.finite_volume_criterion(0.0, 2.0, 0.3, 0.2, 10.0, 4, 7, replicas=2,
+                                             sweeps=4, burn_in=2)
+    res = experiments.run_experiment("finite-volume-criterion",
+                                     {"N": 4, "replicas": 2, "sweeps": 4, "burn_in": 2})
+    assert isinstance(rep, dict) and isinstance(res.records[0], dict)
+    assert set(res.records[0]) == set(rep) == {
+        "N", "m", "u", "K", "estimate", "se", "penalty", "verdict", "margin", "event_frequency"}
 
 
 def test_conditioned_contact_statistics():
@@ -137,10 +147,10 @@ def test_doubling_gap_threads_consistent():
 def test_finite_volume_localized_positive():
     rep = freeenergy.finite_volume_criterion(0.0, 2.0, 0.3, 0.2, 10.0, 8, 412,
                                              replicas=3, sweeps=200, burn_in=120)
-    assert rep.verdict == "positive"
+    assert rep["verdict"] == "positive"
     rep2 = freeenergy.finite_volume_criterion(0.0, -3.0, 0.3, 0.2, 10.0, 8, 413,
                                               replicas=3, sweeps=200, burn_in=120)
-    assert rep2.verdict == "negative"
+    assert rep2["verdict"] == "negative"
 
 
 def test_ladders_bit_identical():

@@ -227,6 +227,16 @@ def test_scale_grid_requires_small_mass():
     assert kernels.scale_time_grid(1e-2, min_scales=1).k == 1
 
 
+def test_too_few_scales_message_states_no_false_bound():
+    # one unit scale holds up to m ~ 0.0106 (brentq on heat_diag_time_integral), where an
+    # exp(-2 pi) hint claimed m <= 1.87e-03; the message states G and the needed count only
+    assert kernels.heat_diag_time_integral(0.0, 0.0223) < 1.0
+    with pytest.raises(MassTooLargeError) as err:
+        kernels.scale_time_grid(0.0223, min_scales=1)
+    message = str(err.value)
+    assert "need >= 1" in message and "m <=" not in message
+
+
 def test_scale_grid_slices():
     grid = kernels.scale_time_grid(1e-8)
     assert grid.k == 3

@@ -8,6 +8,12 @@ from gffpin import lattice
 from gffpin.errors import EmptySubBoxError, InvalidGeometryError, TilingError
 
 
+def test_box_compares_hashes_and_prints_by_size():
+    a, b = lattice.build_box(8), lattice.build_box(8)
+    assert a == b and hash(a) == hash(b) and a != lattice.build_box(9)
+    assert repr(a) == "BoxGeometry(N=8, side=9)"
+
+
 def test_counts_small():
     g = lattice.build_box(2)
     assert g.interior_mask.sum() == 1

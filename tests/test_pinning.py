@@ -120,7 +120,7 @@ def test_band_layout_scalar_and_per_site():
 PINNED_TRAJECTORIES = {
     "plain": (dict(beta=0.5, h=0.1), (),
               (-12.109433942803765, -0.4133122049231355, 0.19731995057361823, 61.0)),
-    "wall": (dict(beta=0.5, h=0.1, m=0.3), (pinning.Band(-0.5, 0.5, 2.0),),
+    "wall": (dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
              (6.873458031301729, -0.13180245438533722, -0.07086990649874295, 61.0)),
     "copolymer": (dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
                   (-0.3424054266505683, -0.11171145843956137, -0.10002129940274052, 25.0)),
@@ -363,7 +363,7 @@ PINNED_RECORDS = {
         [0.875, 0.84375, 0.8125, 0.9375],
         [27.70680524972591, 27.82008521053203, 36.071820981750975, 13.181631731599513],
         [56.0, 54.0, 52.0, 60.0])),
-    "wall": (dict(beta=0.5, h=0.1, m=0.3), (pinning.Band(-0.5, 0.5, 2.0),), (
+    "wall": (dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
         [1.7664823209950726, 3.6117424637471127, 1.8559740219553924, 1.719817927391344],
         [1.0, 0.96875, 0.984375, 0.984375],
         [4.296984783384325, 7.357074383655516, 5.053888629807622, 5.668185476368389],

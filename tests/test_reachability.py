@@ -16,8 +16,7 @@ read of its name exists in the library outside its own definition, or
 anywhere in the benchmark or the tools.  Types are not inferred, so a member
 that shares its name with a reached one passes unseen.  The members allowed
 beside those are listed below with their reasons: oracle members (with the
-test that uses each), classes written whole to results.jsonl (every member
-is then output), and stored fault records.
+test that uses each) and stored fault records.
 """
 
 from __future__ import annotations
@@ -45,11 +44,6 @@ ORACLES = {
 MEMBER_ORACLES = {
     "kernels.ScaleTimeGrid.slice_mass":
         "tests/test_kernels.py::test_scale_grid_slices",
-}
-
-# class written whole to results.jsonl -> the function that writes its __dict__
-WHOLE_RECORDS = {
-    "freeenergy.CriterionReport": "experiments._run_finite_volume",
 }
 
 # member kept as a record of a numerical fault -> the function that stores it
@@ -213,9 +207,7 @@ def test_every_oracle_is_public_unreached_and_used_by_its_test():
 
 def test_every_member_is_reached_or_allowed():
     members, reached = members_and_reached()
-    excused = set(MEMBER_ORACLES) | set(FAULT_RECORDS)
-    whole = tuple(f"{cls}." for cls in WHOLE_RECORDS)
-    unreached = sorted(m for m in members - reached - excused if not m.startswith(whole))
+    unreached = sorted(members - reached - set(MEMBER_ORACLES) - set(FAULT_RECORDS))
     assert not unreached, f"class members nothing reaches: {', '.join(unreached)}"
 
 
@@ -225,18 +217,6 @@ def test_every_member_oracle_is_unreached_and_used_by_its_test():
         assert name in members, f"oracle member {name} does not exist"
         assert name not in reached, f"oracle member {name} is reached; drop it from MEMBER_ORACLES"
         assert _test_uses(test_id, name.split(".")[-1]), f"{test_id} does not use {name}"
-
-
-def test_every_whole_record_is_written_by_its_function():
-    members, reached = members_and_reached()
-    for cls, writer in WHOLE_RECORDS.items():
-        own = {m for m in members if m.startswith(f"{cls}.")}
-        assert own, f"{cls} is not a public class with members"
-        assert own - reached, f"every member of {cls} is reached; drop it from WHOLE_RECORDS"
-        fn = _function(writer)
-        assert fn is not None, f"{writer} does not exist"
-        assert any(n.attr == "__dict__" for n in _attribute_reads(fn)), \
-            f"{writer} does not write a __dict__"
 
 
 def test_every_fault_record_is_stored_and_unread():
