@@ -8,14 +8,14 @@
 `run` executes one registry experiment and persists the resolved config,
 JSONL records and CSV tables; `verify` runs the whole acceptance suite and
 prints one verdict line per criterion (with --out, each criterion's stamp,
-which carries its config, records and tables).  Each command starts
-results.jsonl afresh.  GFFPIN_THREADS is the fallback for --threads.
+which carries its config, records and tables).  --seed S and --threads T are
+short for --set seed=S and --set threads=T.  Each command first removes the
+results.jsonl, config.resolved and CSV tables an earlier command left in --out.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,24 +23,6 @@ from pathlib import Path
 from . import config as cfgmod
 from . import experiments, io
 from .errors import ConfigError, GffpinError
-
-
-def _threads(args) -> int:
-    """--threads, else GFFPIN_THREADS, else 1; anything but an integer >= 1 is refused."""
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    else:
-        env = os.environ.get("GFFPIN_THREADS")
-        if not env:
-            return 1
-        source = "GFFPIN_THREADS"
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"GFFPIN_THREADS must be an integer >= 1 (got {env!r})") from None
-    if value < 1:
-        raise ConfigError(f"{source} must be an integer >= 1 (got {value})")
-    return value
 
 
 def _resolve_config(args) -> dict:
@@ -54,18 +36,21 @@ def _resolve_config(args) -> dict:
         cfg[key.strip()] = cfgmod.parse_value(val)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if args.threads is not None:
+        cfg["threads"] = args.threads
     return cfg
 
 
 def _prepare_outdir(path: str | None, force: bool) -> Path | None:
-    """The output directory, made if needed, without an earlier results.jsonl."""
+    """The output directory, made if needed, without the files an earlier command wrote."""
     if path is None:
         return None
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to reuse)")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "results.jsonl").unlink(missing_ok=True)
+    for old in [out / "results.jsonl", out / "config.resolved", *out.glob("*.csv")]:
+        old.unlink(missing_ok=True)
     return out
 
 
@@ -86,14 +71,9 @@ def _persist(result: experiments.ExperimentResult, out: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = _resolve_config(args)
-        out = _prepare_outdir(args.out, args.force)
-        cfg.setdefault("threads", _threads(args))
-        result = experiments.run_experiment(args.experiment, cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _resolve_config(args)
+    out = _prepare_outdir(args.out, args.force)
+    result = experiments.run_experiment(args.experiment, cfg)
     for line in result.lines:
         print(line)
     print(f"{result.name}: wall time {result.wall_time:.1f} s")
@@ -102,9 +82,7 @@ def _cmd_run(args) -> int:
             cfgmod.render_config(result.config, header=f"resolved config for {result.name}"),
             encoding="utf-8")
         _persist(result, out)
-    if result.passed is None:
-        return 0
-    return 0 if result.passed else 1
+    return 1 if result.passed is False else 0
 
 
 def _cmd_list(_args) -> int:
@@ -117,13 +95,13 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = _threads(args)
+    overrides = {} if args.threads is None else {"threads": args.threads}
     out = _prepare_outdir(args.out, True)
     all_ok = True
     t0 = time.time()
     for name in experiments.acceptance_names():
         exp = experiments.REGISTRY[name]
-        result = experiments.run_experiment(name, {"threads": threads})
+        result = experiments.run_experiment(name, overrides)
         ok = bool(result.passed)
         all_ok &= ok
         print(f"criterion {exp.acceptance:2d} [{'PASS' if ok else 'FAIL'}] "

@@ -6,6 +6,11 @@ from streams keyed by (seed, experiment, purpose, replica), so a rerun with
 the same resolved configuration reproduces every number bit-for-bit on the
 same platform.
 
+An experiment function takes the resolved config and returns
+(checks, records, tables).  A check is (ok, text), with ok True, False or
+None for an info line; run_experiment prints each check as one line and
+passes the run when every check with a verdict holds (None when none has).
+
 Frozen constants (the density-event offset K and the bridge envelope C)
 come from the calibration experiments in this module, run once at the
 recorded seeds; the calibration entries remain runnable to re-derive them.
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -36,12 +41,12 @@ FROZEN_DENSITY_C_CAP = 1.0    # family constant cap for the typicality criterion
 class ExperimentResult:
     name: str
     passed: bool | None
-    lines: list = dc_field(default_factory=list)
-    records: list = dc_field(default_factory=list)
-    tables: dict = dc_field(default_factory=dict)
-    wall_time: float = 0.0
-    config: dict = dc_field(default_factory=dict)
-    streams: list = dc_field(default_factory=list)
+    lines: list
+    records: list
+    tables: dict
+    wall_time: float
+    config: dict
+    streams: list
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ class Experiment:
     description: str
     statement: str
     defaults: dict
-    fn: object
+    fn: object  # cfg -> (checks, records, tables)
     acceptance: int | None = None  # criterion number when part of the gate
 
 
@@ -85,36 +90,31 @@ def _line(ok: bool | None, text: str) -> str:
 # 1. exact small box
 # ---------------------------------------------------------------------------
 
-def _run_exact_small_box(cfg) -> ExperimentResult:
-    res = ExperimentResult("exact-small-box", None)
+def _run_exact_small_box(cfg):
     checks = []
     g2 = lattice.build_box(2)
     g_center = kernels.green_dirichlet(g2, 0.0).table[0, 0]
-    checks.append(("G*(center) = 1/4 at N=2", abs(g_center - 0.25) < 1e-12))
+    checks.append((abs(g_center - 0.25) < 1e-12, "G*(center) = 1/4 at N=2"))
     for m in (0.5, 1.0, 2.0):
         gm = kernels.green_dirichlet(g2, m).table[0, 0]
-        checks.append((f"G*(center) = 1/(4+m^2) at m={m}", abs(gm - 1.0 / (4 + m * m)) < 1e-12))
+        checks.append((abs(gm - 1.0 / (4 + m * m)) < 1e-12, f"G*(center) = 1/(4+m^2) at m={m}"))
     om = DisorderField(g2, GAUSSIAN, np.zeros((3, 3)))
     params = pinning.PinningParams(beta=0.0, h=1.0)
     logz = pinning.exact_partition_small(g2, params, om)
     p = 2.0 * special.ndtr(2.0) - 1.0
     ref = math.log(1.0 + (math.e - 1.0) * p)
-    checks.append((f"log Z(N=2, h=1) = log(1+(e-1)(2Phi(2)-1)) [{logz:.9f} vs {ref:.9f}]",
-                   abs(logz - ref) < 1e-9))
+    checks.append((abs(logz - ref) < 1e-9,
+                   f"log Z(N=2, h=1) = log(1+(e-1)(2Phi(2)-1)) [{logz:.9f} vs {ref:.9f}]"))
     logz0 = pinning.exact_partition_small(g2, pinning.PinningParams(beta=0.0, h=0.0), om)
-    checks.append(("Z = 1 exactly at h = 0", abs(logz0) < 1e-12))
-    res.passed = all(ok for _, ok in checks)
-    res.lines = [_line(ok, t) for t, ok in checks]
-    res.records = [{"check": t, "ok": ok} for t, ok in checks]
-    return res
+    checks.append((abs(logz0) < 1e-12, "Z = 1 exactly at h = 0"))
+    return checks, [{"check": t, "ok": ok} for ok, t in checks], {}
 
 
 # ---------------------------------------------------------------------------
 # 2. Green asymptotics
 # ---------------------------------------------------------------------------
 
-def _run_green_asymptotics(cfg) -> ExperimentResult:
-    res = ExperimentResult("green-asymptotics", None)
+def _run_green_asymptotics(cfg):
     masses = [1e-1, 1e-2, 1e-3, 1e-4]
     rows = []
     resid_inf = []
@@ -123,7 +123,6 @@ def _run_green_asymptotics(cfg) -> ExperimentResult:
         ref = -math.log(m) / (2.0 * math.pi)
         resid_inf.append(G - ref)
         rows.append((m, G, ref, G - ref))
-    res.tables["green_infinite"] = (["m", "G(0,0)", "log(1/m)/2pi", "residual"], rows)
     drift_inf = (max(resid_inf) - min(resid_inf)) / abs(np.mean(resid_inf))
     ok_inf = max(abs(r) for r in resid_inf) < 2.0 and drift_inf < 0.20
     dir_rows = []
@@ -138,26 +137,25 @@ def _run_green_asymptotics(cfg) -> ExperimentResult:
             w = max(w, float(np.abs(diag[mask] - ref).max()))
         worst[N] = w
         dir_rows.append((N, w))
-    res.tables["green_dirichlet_residual"] = (["N", "max_abs_residual"], dir_rows)
     vals = list(worst.values())
     drift_dir = (max(vals) - min(vals)) / np.mean(vals)
     ok_dir = max(vals) < 2.0 and drift_dir < 0.20
-    res.lines = [
-        _line(ok_inf, f"infinite-volume residual {np.mean(resid_inf):.5f}, drift {drift_inf:.2%}"),
-        _line(ok_dir, f"Dirichlet residual max {max(vals):.5f}, drift across N {drift_dir:.2%}"),
+    checks = [
+        (ok_inf, f"infinite-volume residual {np.mean(resid_inf):.5f}, drift {drift_inf:.2%}"),
+        (ok_dir, f"Dirichlet residual max {max(vals):.5f}, drift across N {drift_dir:.2%}"),
     ]
-    res.passed = ok_inf and ok_dir
-    res.records = [{"resid_infinite": resid_inf, "resid_dirichlet": worst,
-                    "drift_infinite": drift_inf, "drift_dirichlet": drift_dir}]
-    return res
+    records = [{"resid_infinite": resid_inf, "resid_dirichlet": worst,
+                "drift_infinite": drift_inf, "drift_dirichlet": drift_dir}]
+    return checks, records, {
+        "green_infinite": (["m", "G(0,0)", "log(1/m)/2pi", "residual"], rows),
+        "green_dirichlet_residual": (["N", "max_abs_residual"], dir_rows)}
 
 
 # ---------------------------------------------------------------------------
 # 3. f(m) asymptotics
 # ---------------------------------------------------------------------------
 
-def _run_f_asymptotics(cfg) -> ExperimentResult:
-    res = ExperimentResult("f-asymptotics", None)
+def _run_f_asymptotics(cfg):
     ratios = []
     rows = []
     for m in (1e-1, 1e-2, 1e-3):
@@ -166,26 +164,24 @@ def _run_f_asymptotics(cfg) -> ExperimentResult:
         ratios.append((f - asym) / (m * m))
         rows.append((m, f, asym, ratios[-1]))
     drift = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
-    ok_drift = drift < 0.20 and all(np.isfinite(ratios))
     f_pan = kernels.f_of_m(0.5)
     f_adp = kernels.f_of_m_adaptive(0.5)
-    ok_dual = abs(f_pan - f_adp) < 1e-9
-    res.tables["f_asymptotics"] = (["m", "f(m)", "m^2|log m|/4pi", "residual/m^2"], rows)
-    res.lines = [
-        _line(ok_drift, f"residual/m^2 = {np.mean(ratios):.5f}, drift {drift:.2%}"),
-        _line(ok_dual, f"dual quadrature at m=0.5: |{f_pan:.12f} - {f_adp:.12f}| = {abs(f_pan - f_adp):.2e}"),
+    checks = [
+        (drift < 0.20 and all(np.isfinite(ratios)),
+         f"residual/m^2 = {np.mean(ratios):.5f}, drift {drift:.2%}"),
+        (abs(f_pan - f_adp) < 1e-9,
+         f"dual quadrature at m=0.5: |{f_pan:.12f} - {f_adp:.12f}| = {abs(f_pan - f_adp):.2e}"),
     ]
-    res.passed = ok_drift and ok_dual
-    res.records = [{"ratios": ratios, "drift": drift, "dual_diff": abs(f_pan - f_adp)}]
-    return res
+    records = [{"ratios": ratios, "drift": drift, "dual_diff": abs(f_pan - f_adp)}]
+    return checks, records, {
+        "f_asymptotics": (["m", "f(m)", "m^2|log m|/4pi", "residual/m^2"], rows)}
 
 
 # ---------------------------------------------------------------------------
 # 4. sampler exactness
 # ---------------------------------------------------------------------------
 
-def _run_sampler_exactness(cfg) -> ExperimentResult:
-    res = ExperimentResult("sampler-exactness", None)
+def _run_sampler_exactness(cfg):
     seed = cfg["seed"]
     n = cfg["samples"]
     g = lattice.build_box(8)
@@ -195,7 +191,6 @@ def _run_sampler_exactness(cfg) -> ExperimentResult:
     exact = kernels.green_dirichlet(g, 0.0).table
     se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact ** 2) / n)
     z = np.abs(emp - exact) / se
-    ok_cov = float(z.max()) < 5.0
     # the scale slices telescope to the Dirichlet Green function at the laboratory mass, and
     # the spectral sampler's probe variances match its diagonal (the "stack" stream tag and
     # table name stay, so the output matches earlier runs)
@@ -207,7 +202,6 @@ def _run_sampler_exactness(cfg) -> ExperimentResult:
         diag_sum += kernels.covariance_slice_diag(g32, grid, i)
     exact32 = kernels.green_dirichlet_diag(g32, m)
     tele = float(np.abs(diag_sum - exact32).max())
-    ok_tele = tele < 1e-7
     r2 = rngmod.stream(seed, "sampler-exactness", "stack")
     n2 = cfg["stack_samples"]
     probes = [(16, 16), (8, 8), (4, 4), (2, 2), (24, 10)]
@@ -225,54 +219,48 @@ def _run_sampler_exactness(cfg) -> ExperimentResult:
         zs = abs(a.var - target) / var_se
         stack_rows.append((p[0], p[1], a.var, target, zs))
         ok_stack &= zs < 5.0
-    res.tables["stack_variances"] = (["x1", "x2", "empirical", "exact", "z"], stack_rows)
-    res.lines = [
-        _line(ok_cov, f"N=8 covariance: max |z| = {float(z.max()):.2f} over {z.size} entries ({n} samples)"),
-        _line(ok_tele, f"slice telescoping N=32 m=0.3: max error {tele:.2e}"),
-        _line(ok_stack, f"N=32 m=0.3 sampler variances at probes: max z = {max(rw[4] for rw in stack_rows):.2f}"),
+    checks = [
+        (float(z.max()) < 5.0,
+         f"N=8 covariance: max |z| = {float(z.max()):.2f} over {z.size} entries ({n} samples)"),
+        (tele < 1e-7, f"slice telescoping N=32 m=0.3: max error {tele:.2e}"),
+        (ok_stack, f"N=32 m=0.3 sampler variances at probes: max z = "
+                   f"{max(rw[4] for rw in stack_rows):.2f}"),
     ]
-    res.passed = ok_cov and ok_tele and ok_stack
-    res.records = [{"max_z_cov": float(z.max()), "telescoping": tele}]
-    return res
+    records = [{"max_z_cov": float(z.max()), "telescoping": tele}]
+    return checks, records, {
+        "stack_variances": (["x1", "x2", "empirical", "exact", "z"], stack_rows)}
 
 
 # ---------------------------------------------------------------------------
 # 5. harmonic extension
 # ---------------------------------------------------------------------------
 
-def _run_harmonic_extension(cfg) -> ExperimentResult:
-    res = ExperimentResult("harmonic-extension", None)
+def _run_harmonic_extension(cfg):
     seed = cfg["seed"]
     g = lattice.build_box(16)
     r = rngmod.stream(seed, "harmonic", "bc")
     bc = fields.explicit_bc(r.standard_normal(4 * 16))
     m = 0.2
     ext = fields.harmonic_extension(g, m, bc)
-    ok_resid = ext.residual < 1e-10
     sites = [(8, 8), (3, 3), (12, 5), (1, 14), (6, 11)]
     mc = fields.harmonic_extension_mc(g, m, bc, sites, cfg["walks"],
                                       rngmod.stream(seed, "harmonic", "mc"))
     zs = []
     for i, s in enumerate(sites):
         zs.append(abs(mc["mean"][i] - ext.values[s]) / mc["se"][i])
-    ok_mc = max(zs) < 4.0
-    okmax = ext.values.max() <= bc.max_abs() + 1e-12
-    res.lines = [
-        _line(ok_resid, f"solver residual {ext.residual:.2e}"),
-        _line(ok_mc, f"walk representation at 5 probes: max z = {max(zs):.2f}"),
-        _line(okmax, "maximum principle |H| <= max |bc|"),
+    checks = [
+        (ext.residual < 1e-10, f"solver residual {ext.residual:.2e}"),
+        (max(zs) < 4.0, f"walk representation at 5 probes: max z = {max(zs):.2f}"),
+        (ext.values.max() <= bc.max_abs() + 1e-12, "maximum principle |H| <= max |bc|"),
     ]
-    res.passed = ok_resid and ok_mc and okmax
-    res.records = [{"residual": ext.residual, "mc_z": zs}]
-    return res
+    return checks, [{"residual": ext.residual, "mc_z": zs}], {}
 
 
 # ---------------------------------------------------------------------------
 # 6. bridge lemma
 # ---------------------------------------------------------------------------
 
-def _run_bridge(cfg) -> ExperimentResult:
-    res = ExperimentResult("bridge-lemma", None)
+def _run_bridge(cfg):
     seed = cfg["seed"]
     n = cfg["bridges"]
     C = FROZEN_BRIDGE_C
@@ -287,27 +275,23 @@ def _run_bridge(cfg) -> ExperimentResult:
             cell_ok = (p >= lower - 4.0 * se) and (p <= upper + 4.0 * se)
             ok &= cell_ok
             rows.append((k, x, p, se, lower, upper, cell_ok))
-    res.tables["bridge_cells"] = (["k", "x", "estimate", "se", "lower", "upper", "ok"], rows)
-    res.lines = [_line(ok, f"12 cells inside [1-e^(-x^2/k), C(x+log k)^2/k] with frozen C={C}")]
-    res.passed = ok
-    res.records = [{"cells": rows}]
-    return res
+    checks = [(ok, f"12 cells inside [1-e^(-x^2/k), C(x+log k)^2/k] with frozen C={C}")]
+    return checks, [{"cells": rows}], {
+        "bridge_cells": (["k", "x", "estimate", "se", "lower", "upper", "ok"], rows)}
 
 
 # ---------------------------------------------------------------------------
 # 7. thermodynamic consistency
 # ---------------------------------------------------------------------------
 
-def _run_thermo(cfg) -> ExperimentResult:
-    res = ExperimentResult("thermo-consistency", None)
+def _run_thermo(cfg):
     if cfg["replicas"] < 1:  # before the beta = 0 curve, which runs one replica whatever is set
         raise DomainError(f"thermo-consistency needs replicas >= 1 (got {cfg['replicas']})")
     seed = cfg["seed"]
     N = cfg["N"]
     geom = lattice.build_box(N)
     h_grid = np.round(np.arange(0.0, 0.36, 0.05), 10)
-    lines = []
-    ok_all = True
+    checks = []
     curves = {}
     for beta, reps in ((0.0, 1), (0.5, cfg["replicas"])):
         curve = freeenergy.free_energy_curve(geom, GAUSSIAN, beta, h_grid, seed,
@@ -315,38 +299,30 @@ def _run_thermo(cfg) -> ExperimentResult:
                                              burn_in=cfg["burn_in"], tag=f"thermo-{beta}")
         curves[beta] = curve
         d2, d2se = curve.second_differences()
-        ok_convex = bool(np.all(d2 >= -3.0 * d2se))
-        ok_monotone = bool(np.all(np.diff(curve.value) >= -3.0 * np.hypot(curve.se[1:], curve.se[:-1])))
-        ok_all &= ok_convex and ok_monotone
-        lines.append(_line(ok_convex, f"beta={beta}: convexity, min d2/se = "
-                                      f"{float((d2 / np.maximum(d2se, 1e-300)).min()):.2f}"))
-        lines.append(_line(ok_monotone, f"beta={beta}: nondecreasing in h"))
-    ok_zero = abs(curves[0.0].value[0]) == 0.0
-    ok_all &= ok_zero
-    lines.append(_line(ok_zero, "pure F(0) = 0 exactly"))
+        checks.append((bool(np.all(d2 >= -3.0 * d2se)),
+                       f"beta={beta}: convexity, min d2/se = "
+                       f"{float((d2 / np.maximum(d2se, 1e-300)).min()):.2f}"))
+        checks.append((bool(np.all(np.diff(curve.value)
+                                   >= -3.0 * np.hypot(curve.se[1:], curve.se[:-1]))),
+                       f"beta={beta}: nondecreasing in h"))
+    checks.append((abs(curves[0.0].value[0]) == 0.0, "pure F(0) = 0 exactly"))
     i3 = int(np.searchsorted(h_grid, 0.30))
     fq = curves[0.5].value[i3]
     fa = curves[0.0].value[i3]
     se = math.hypot(curves[0.5].se[i3], curves[0.0].se[i3])
-    ok_anneal = fq <= fa + 3.0 * se
-    ok_all &= ok_anneal
-    lines.append(_line(ok_anneal, f"quenched {fq:.4f} <= annealed {fa:.4f} + 3se ({se:.4f})"))
-    res.tables["curves"] = (["beta", "h", "F", "se"],
-                            [(b, float(h), float(v), float(s))
-                             for b, c in curves.items()
-                             for h, v, s in zip(c.h, c.value, c.se)])
-    res.lines = lines
-    res.passed = bool(ok_all)
-    res.records = [{"beta": b, "h": c.h, "F": c.value, "se": c.se} for b, c in curves.items()]
-    return res
+    checks.append((fq <= fa + 3.0 * se, f"quenched {fq:.4f} <= annealed {fa:.4f} + 3se ({se:.4f})"))
+    records = [{"beta": b, "h": c.h, "F": c.value, "se": c.se} for b, c in curves.items()]
+    return checks, records, {
+        "curves": (["beta", "h", "F", "se"],
+                   [(b, float(h), float(v), float(s))
+                    for b, c in curves.items() for h, v, s in zip(c.h, c.value, c.se)])}
 
 
 # ---------------------------------------------------------------------------
 # 8. massive comparison
 # ---------------------------------------------------------------------------
 
-def _run_massive_comparison(cfg) -> ExperimentResult:
-    res = ExperimentResult("massive-comparison", None)
+def _run_massive_comparison(cfg):
     seed, N, h, m = cfg["seed"], cfg["N"], cfg["h"], cfg["m"]
     fm = kernels.f_of_m(m)  # first: it rejects m outside (0, 1] before any chain runs
     geom = lattice.build_box(N)
@@ -358,24 +334,22 @@ def _run_massive_comparison(cfg) -> ExperimentResult:
         est[label] = float(curve.value[0]), float(curve.se[0])
     (pure, pure_se), (massive, massive_se) = est["pure"], est["massive"]
     se = math.hypot(pure_se, massive_se)
-    ok = massive <= pure + fm + 3.0 * se
-    res.lines = [_line(ok, f"F(0,{h},{m},0) = {massive:.5f} <= F({h}) + f(m) = "
-                           f"{pure:.5f} + {fm:.5f} (+3se = {3 * se:.5f})")]
-    res.passed = ok
+    checks = [(massive <= pure + fm + 3.0 * se,
+               f"F(0,{h},{m},0) = {massive:.5f} <= F({h}) + f(m) = "
+               f"{pure:.5f} + {fm:.5f} (+3se = {3 * se:.5f})")]
     common = {"N": N, "method": "thermodynamic-integration", "replicas": 1, "seed": seed}
-    res.records = [{"massive": massive, "pure": pure, "f_m": fm, "se": se},
-                   {"params": {"beta": 0.0, "h": h}, "value": pure, "se": pure_se, **common},
-                   {"params": {"beta": 0.0, "h": h, "m": m, "u": 0.0}, "value": massive,
-                    "se": massive_se, **common}]
-    return res
+    records = [{"massive": massive, "pure": pure, "f_m": fm, "se": se},
+               {"params": {"beta": 0.0, "h": h}, "value": pure, "se": pure_se, **common},
+               {"params": {"beta": 0.0, "h": h, "m": m, "u": 0.0}, "value": massive,
+                "se": massive_se, **common}]
+    return checks, records, {}
 
 
 # ---------------------------------------------------------------------------
 # 9. density typicality
 # ---------------------------------------------------------------------------
 
-def _run_density_typicality(cfg) -> ExperimentResult:
-    res = ExperimentResult("density-typicality", None)
+def _run_density_typicality(cfg):
     seed, K = cfg["seed"], cfg["K"]
     rows = []
     cs = []
@@ -391,18 +365,14 @@ def _run_density_typicality(cfg) -> ExperimentResult:
         cs.append(c)
         rows.append((m, N, freq, c))
     c_star = max(cs)
-    stable = max(cs) / min(cs) < 1.2
-    ok = c_star <= FROZEN_DENSITY_C_CAP and stable
-    res.tables["typicality"] = (["m", "N", "frequency", "fitted_C"], rows)
-    res.lines = [_line(ok, f"family constant C* = {c_star:.3f} (cap {FROZEN_DENSITY_C_CAP}), "
-                           f"stability {max(cs) / min(cs):.3f} < 1.2, K = {K}")]
-    res.passed = bool(ok)
-    res.records = [{"rows": rows, "C_star": c_star}]
-    return res
+    checks = [(c_star <= FROZEN_DENSITY_C_CAP and max(cs) / min(cs) < 1.2,
+               f"family constant C* = {c_star:.3f} (cap {FROZEN_DENSITY_C_CAP}), "
+               f"stability {max(cs) / min(cs):.3f} < 1.2, K = {K}")]
+    return checks, [{"rows": rows, "C_star": c_star}], {
+        "typicality": (["m", "N", "frequency", "fitted_C"], rows)}
 
 
-def _run_density_calibrate(cfg) -> ExperimentResult:
-    res = ExperimentResult("density-calibrate", None)
+def _run_density_calibrate(cfg):
     seed, N = cfg["seed"], cfg["N"]
     m = freeenergy.desk_mass(N)
     g = lattice.build_box(N)
@@ -424,19 +394,17 @@ def _run_density_calibrate(cfg) -> ExperimentResult:
         rows.append((float(K), freq))
         if k_star is None and freq >= target:
             k_star = float(K)
-    res.tables["calibration"] = (["K", "frequency"], rows)
-    res.lines = [_line(None, f"smallest K with freq >= {target:.4f} at N={N}, m={m:.5f}: {k_star}"),
-                 _line(None, f"frozen default in use: {FROZEN_DENSITY_K}")]
-    res.records = [{"K_star": k_star, "target": target, "N": N, "m": m}]
-    return res
+    checks = [(None, f"smallest K with freq >= {target:.4f} at N={N}, m={m:.5f}: {k_star}"),
+              (None, f"frozen default in use: {FROZEN_DENSITY_K}")]
+    return checks, [{"K_star": k_star, "target": target, "N": N, "m": m}], {
+        "calibration": (["K", "frequency"], rows)}
 
 
 # ---------------------------------------------------------------------------
 # 10. extremal event
 # ---------------------------------------------------------------------------
 
-def _run_extremal_event(cfg) -> ExperimentResult:
-    res = ExperimentResult("extremal-event", None)
+def _run_extremal_event(cfg):
     seed, N = cfg["seed"], cfg["N"]
     m = freeenergy.desk_mass(N)
     g = lattice.build_box(N)
@@ -451,28 +419,24 @@ def _run_extremal_event(cfg) -> ExperimentResult:
     t_star = freeenergy.GAMMA * math.log(math.log(N))
     offsets = [-1.0, -0.5, 0.0, 0.5, 1.0, t_star]
     freqs = [float(np.mean(margins <= t)) for t in offsets]
-    ok_freq = freqs[-1] >= 0.99
-    ok_mono = bool(np.all(np.diff(freqs) >= 0.0))
-    res.tables["extremal"] = (["offset", "frequency"], list(zip(offsets, freqs)))
-    res.lines = [
-        _line(ok_freq, f"relaxed barrier (offset {t_star:.2f}): frequency {freqs[-1]:.4f} >= 0.99 "
-                       f"({n} stacks, k={grid.k})"),
-        _line(ok_mono, "frequency nondecreasing in the additive offset (shared samples)"),
-        _line(None, f"observed margin quantiles 50/99/100%: "
-                    f"{np.percentile(margins, 50):.3f} / {np.percentile(margins, 99):.3f} / "
-                    f"{margins.max():.3f}"),
+    checks = [
+        (freqs[-1] >= 0.99, f"relaxed barrier (offset {t_star:.2f}): frequency {freqs[-1]:.4f} "
+                            f">= 0.99 ({n} stacks, k={grid.k})"),
+        (bool(np.all(np.diff(freqs) >= 0.0)),
+         "frequency nondecreasing in the additive offset (shared samples)"),
+        (None, f"observed margin quantiles 50/99/100%: "
+               f"{np.percentile(margins, 50):.3f} / {np.percentile(margins, 99):.3f} / "
+               f"{margins.max():.3f}"),
     ]
-    res.passed = ok_freq and ok_mono
-    res.records = [{"offsets": offsets, "freqs": freqs, "k": grid.k}]
-    return res
+    return checks, [{"offsets": offsets, "freqs": freqs, "k": grid.k}], {
+        "extremal": (["offset", "frequency"], list(zip(offsets, freqs)))}
 
 
 # ---------------------------------------------------------------------------
 # 11. copolymer
 # ---------------------------------------------------------------------------
 
-def _run_copolymer(cfg) -> ExperimentResult:
-    res = ExperimentResult("copolymer", None)
+def _run_copolymer(cfg):
     seed, N, rho = cfg["seed"], cfg["N"], cfg["rho"]
     ok_g = abs(freeenergy.copolymer_critical_point(GAUSSIAN, rho) - rho) < 1e-12
     ref_b = math.log(math.cosh(2 * rho)) / (2 * rho)
@@ -487,74 +451,63 @@ def _run_copolymer(cfg) -> ExperimentResult:
         rec = pinning.run_chain(g, params, om, rngmod.stream(seed, "cop-chain", label),
                                 sweeps=cfg["sweeps"], burn_in=cfg["burn_in"], thinning=2)
         fracs[label], ses[label] = rec.mean_se(rec.contact_fraction)
-    ok_high = fracs["at_2hc"] + 3 * ses["at_2hc"] < 0.05
-    ok_zero = fracs["at_0"] - 3 * ses["at_0"] > 0.20
-    res.lines = [
-        _line(ok_g, f"gaussian critical point = rho exactly ({rho})"),
-        _line(ok_b, f"bernoulli critical point = log cosh(2 rho)/(2 rho) = {ref_b:.12f}"),
-        _line(ok_high, f"lower-solvent fraction at h=2 rho: {fracs['at_2hc']:.4f} < 0.05"),
-        _line(ok_zero, f"lower-solvent fraction at h=0: {fracs['at_0']:.4f} > 0.20"),
+    checks = [
+        (ok_g, f"gaussian critical point = rho exactly ({rho})"),
+        (ok_b, f"bernoulli critical point = log cosh(2 rho)/(2 rho) = {ref_b:.12f}"),
+        (fracs["at_2hc"] + 3 * ses["at_2hc"] < 0.05,
+         f"lower-solvent fraction at h=2 rho: {fracs['at_2hc']:.4f} < 0.05"),
+        (fracs["at_0"] - 3 * ses["at_0"] > 0.20,
+         f"lower-solvent fraction at h=0: {fracs['at_0']:.4f} > 0.20"),
     ]
-    res.passed = ok_g and ok_b and ok_high and ok_zero
-    res.records = [{"fracs": fracs, "ses": ses}]
-    return res
+    return checks, [{"fracs": fracs, "ses": ses}], {}
 
 
 # ---------------------------------------------------------------------------
 # 12. sub-additivity
 # ---------------------------------------------------------------------------
 
-def _run_subadditivity(cfg) -> ExperimentResult:
-    res = ExperimentResult("subadditivity", None)
+def _run_subadditivity(cfg):
     out = freeenergy.doubling_gap(cfg["beta"], cfg["h"], cfg["m"], 0.0, cfg["K"],
                                   cfg["N"], cfg["seed"], replicas=cfg["replicas"],
                                   sweeps=cfg["sweeps"], burn_in=cfg["burn_in"],
-                                  threads=cfg.get("threads", 1))
-    ok = out["gap"] >= -3.0 * out["gap_se"]
-    res.lines = [_line(ok, f"E log Z'({2 * cfg['N']}) - 4 E log Z'({cfg['N']}) = "
-                           f"{out['gap']:.2f} >= -3 se ({out['gap_se']:.2f})")]
-    res.passed = bool(ok)
-    res.records = [out]
-    return res
+                                  threads=cfg["threads"])
+    checks = [(out["gap"] >= -3.0 * out["gap_se"],
+               f"E log Z'({2 * cfg['N']}) - 4 E log Z'({cfg['N']}) = "
+               f"{out['gap']:.2f} >= -3 se ({out['gap_se']:.2f})")]
+    return checks, [out], {}
 
 
 # ---------------------------------------------------------------------------
 # exploratory experiments (not part of the gate)
 # ---------------------------------------------------------------------------
 
-def _run_pure_free_energy(cfg) -> ExperimentResult:
-    res = ExperimentResult("pure-free-energy", None)
+def _run_pure_free_energy(cfg):
     geom = lattice.build_box(cfg["N"])
     h_grid = np.round(np.arange(cfg["h_min"], cfg["h_max"] + 1e-12, cfg["h_step"]), 10)
     curve = freeenergy.free_energy_curve(geom, GAUSSIAN, 0.0, h_grid, cfg["seed"],
                                          sweeps=cfg["sweeps"], burn_in=cfg["burn_in"],
                                          tag="pure-grid")
-    res.tables["pure_free_energy"] = (["h", "value", "se"],
-                                      [(float(h), float(v), float(s))
-                                       for h, v, s in zip(curve.h, curve.value, curve.se)])
     ratio = [float(v * math.sqrt(abs(math.log(h))) / h) for h, v in zip(curve.h, curve.value) if h > 0]
-    res.lines = [_line(None, f"F * sqrt|log h| / h along the grid: "
-                             f"{', '.join(f'{x:.3f}' for x in ratio)}")]
-    res.records = [{"h": curve.h, "value": curve.value, "se": curve.se}]
-    return res
+    checks = [(None, f"F * sqrt|log h| / h along the grid: "
+                     f"{', '.join(f'{x:.3f}' for x in ratio)}")]
+    return checks, [{"h": curve.h, "value": curve.value, "se": curve.se}], {
+        "pure_free_energy": (["h", "value", "se"],
+                             [(float(h), float(v), float(s))
+                              for h, v, s in zip(curve.h, curve.value, curve.se)])}
 
 
-def _run_finite_volume(cfg) -> ExperimentResult:
-    res = ExperimentResult("finite-volume-criterion", None)
+def _run_finite_volume(cfg):
     rep = freeenergy.finite_volume_criterion(cfg["beta"], cfg["h"], cfg["m"], cfg["u"],
                                              cfg["K"], cfg["N"], cfg["seed"],
                                              replicas=cfg["replicas"], sweeps=cfg["sweeps"],
-                                             burn_in=cfg["burn_in"],
-                                             threads=cfg.get("threads", 1))
-    res.lines = [_line(None, f"verdict: {rep['verdict']} (estimate {rep['estimate']:.4f} "
-                             f"+- {rep['se']:.4f}, penalty {rep['penalty']:.4f}, "
-                             f"event freq {rep['event_frequency']:.3f})")]
-    res.records = [rep]
-    return res
+                                             burn_in=cfg["burn_in"], threads=cfg["threads"])
+    checks = [(None, f"verdict: {rep['verdict']} (estimate {rep['estimate']:.4f} "
+                     f"+- {rep['se']:.4f}, penalty {rep['penalty']:.4f}, "
+                     f"event freq {rep['event_frequency']:.3f})")]
+    return checks, [rep], {}
 
 
-def _run_wall_restriction(cfg) -> ExperimentResult:
-    res = ExperimentResult("wall-restriction", None)
+def _run_wall_restriction(cfg):
     rows = []
     prev = None
     monotone = True
@@ -565,29 +518,26 @@ def _run_wall_restriction(cfg) -> ExperimentResult:
         if prev is not None and out["logp_per_site"] < prev:
             monotone = False
         prev = out["logp_per_site"]
-    res.tables["wall"] = (["h", "barrier", "logp_per_site"], rows)
-    res.lines = [_line(None, "restriction cost per site shrinks as h decreases: "
-                             + ("yes" if monotone else "no"))]
-    res.records = [{"rows": rows, "monotone": monotone}]
-    return res
+    checks = [(None, "restriction cost per site shrinks as h decreases: "
+                     + ("yes" if monotone else "no"))]
+    return checks, [{"rows": rows, "monotone": monotone}], {
+        "wall": (["h", "barrier", "logp_per_site"], rows)}
 
 
-def _run_contact_statistics(cfg) -> ExperimentResult:
-    res = ExperimentResult("contact-statistics", None)
+def _run_contact_statistics(cfg):
     out = freeenergy.conditioned_contact_statistics(cfg["N"], cfg["seed"],
                                                     samples=cfg["samples"])
-    res.lines = [
-        _line(None, f"E[L] = {out['mean_L']:.2f} (se {out['se_L']:.2f}), "
-                    f"E[L'] = {out['mean_Lp']:.2f} <= E[L]"),
-        _line(None, f"Paley-Zygmund ratio E[L'^2]/E[L']^2 = {out['paley_zygmund_ratio']:.2f}"),
-        _line(None, f"barrier event frequency {out['an_frequency']:.3f}, "
-                    f"decorrelation-scale histogram {out['j_histogram']}"),
+    checks = [
+        (None, f"E[L] = {out['mean_L']:.2f} (se {out['se_L']:.2f}), "
+               f"E[L'] = {out['mean_Lp']:.2f} <= E[L]"),
+        (None, f"Paley-Zygmund ratio E[L'^2]/E[L']^2 = {out['paley_zygmund_ratio']:.2f}"),
+        (None, f"barrier event frequency {out['an_frequency']:.3f}, "
+               f"decorrelation-scale histogram {out['j_histogram']}"),
     ]
-    res.records = [out]
-    return res
+    return checks, [out], {}
 
 
-def _run_cluster_probability(cfg) -> ExperimentResult:
+def _run_cluster_probability(cfg):
     """Frequency of a contact cluster in the central cell of a double box,
     against the variance-split bound shape evaluated numerically.
 
@@ -597,7 +547,6 @@ def _run_cluster_probability(cfg) -> ExperimentResult:
     """
     from .disorder import event_C_cell
 
-    res = ExperimentResult("cluster-probability", None)
     N1, h, seed = cfg["N1"], cfg["h"], cfg["seed"]
     g = lattice.build_box(2 * N1)
     tiling = lattice.cell_tiling(g, N1)
@@ -621,22 +570,20 @@ def _run_cluster_probability(cfg) -> ExperimentResult:
     block = q1[center.cell_slice]
     v_prime = float(block.min())
     v_max = float(kernels.green_dirichlet_diag(g, 0.0)[center.cell_slice].max())
-    res.lines = [
-        _line(None, f"cluster frequency {hits.mean:.4f} (se {hits.se:.4f}) at N1={N1}, h={h}"),
-        _line(None, f"V = max G*(x,x) = {v_max:.4f} vs log(N1)/2pi = "
-                    f"{math.log(N1) / (2 * math.pi):.4f}"),
-        _line(None, f"long-time variance V' = {v_prime:.3e}"
-                    + (" (split time beyond box relaxation: bound degenerate here)"
-                       if v_prime < 1e-6 else "")),
-        _line(None, f"cluster threshold structurally unreachable: {structural}"),
+    checks = [
+        (None, f"cluster frequency {hits.mean:.4f} (se {hits.se:.4f}) at N1={N1}, h={h}"),
+        (None, f"V = max G*(x,x) = {v_max:.4f} vs log(N1)/2pi = "
+               f"{math.log(N1) / (2 * math.pi):.4f}"),
+        (None, f"long-time variance V' = {v_prime:.3e}"
+               + (" (split time beyond box relaxation: bound degenerate here)"
+                  if v_prime < 1e-6 else "")),
+        (None, f"cluster threshold structurally unreachable: {structural}"),
     ]
-    res.records = [{"frequency": hits.mean, "se": hits.se, "v_prime": v_prime,
-                    "v_max": v_max, "structural": structural}]
-    return res
+    return checks, [{"frequency": hits.mean, "se": hits.se, "v_prime": v_prime,
+                     "v_max": v_max, "structural": structural}], {}
 
 
-def _run_penalty_cost(cfg) -> ExperimentResult:
-    res = ExperimentResult("penalty-cost", None)
+def _run_penalty_cost(cfg):
     N, N1, beta = cfg["N"], cfg["N1"], cfg["beta"]
     g = lattice.build_box(N)
     til = lattice.cell_tiling(g, N1)
@@ -648,13 +595,12 @@ def _run_penalty_cost(cfg) -> ExperimentResult:
         p = penalty_f(om, til, beta)
         inv.add(1.0 / p.value)
         counts.add(p.count)
-    res.lines = [
-        _line(None, f"E[1/f(omega)] = {inv.mean:.4f} (se {inv.se:.4f}) over "
-                    f"{len(til.cells)} cells; mean flagged cells {counts.mean:.3f}"),
-        _line(None, f"(1/N^2) log E[1/f] = {math.log(max(inv.mean, 1e-300)) / N ** 2:.3e}"),
+    checks = [
+        (None, f"E[1/f(omega)] = {inv.mean:.4f} (se {inv.se:.4f}) over "
+               f"{len(til.cells)} cells; mean flagged cells {counts.mean:.3f}"),
+        (None, f"(1/N^2) log E[1/f] = {math.log(max(inv.mean, 1e-300)) / N ** 2:.3e}"),
     ]
-    res.records = [{"mean_inverse": inv.mean, "se": inv.se, "mean_count": counts.mean}]
-    return res
+    return checks, [{"mean_inverse": inv.mean, "se": inv.se, "mean_count": counts.mean}], {}
 
 
 # ---------------------------------------------------------------------------
@@ -817,13 +763,14 @@ def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult
              for key, value in sorted(overrides.items()) if not _fits(value, defaults[key])]
     if wrong:
         raise ConfigError(f"config value(s) of the wrong type for {name!r}: {'; '.join(wrong)}")
-    if overrides.get("threads", 1) < 1:
-        raise ConfigError(f"threads must be an integer >= 1 (got {overrides['threads']})")
-    cfg = {**exp.defaults, **overrides}
+    cfg = {**defaults, **overrides}
+    if cfg["threads"] < 1:
+        raise ConfigError(f"threads must be an integer >= 1 (got {cfg['threads']})")
     t0 = time.time()
     with rngmod.audit_streams() as audit:
-        result: ExperimentResult = exp.fn(cfg)
-    result.wall_time = time.time() - t0
-    result.config = cfg
-    result.streams = audit.consumed
-    return result
+        checks, records, tables = exp.fn(cfg)
+    wall_time = time.time() - t0
+    verdicts = [ok for ok, _ in checks if ok is not None]
+    return ExperimentResult(name, all(verdicts) if verdicts else None,
+                            [_line(ok, text) for ok, text in checks], records, tables,
+                            wall_time, cfg, audit.consumed)

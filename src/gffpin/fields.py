@@ -216,18 +216,15 @@ def harmonic_extension_mc(geom: BoxGeometry, m: float, bc: BoundaryCondition, si
 # boundary sampling for the infinite-volume massive field
 # ---------------------------------------------------------------------------
 
-def sample_boundary_infinite_massive(geom: BoxGeometry, m: float, rng: np.random.Generator,
-                                     cov: np.ndarray) -> BoundaryCondition:
+def sample_boundary_infinite_massive(cov: np.ndarray, rng: np.random.Generator) -> BoundaryCondition:
     """Joint draw of the 4N frame values under the infinite-volume massive law.
 
-    cov is boundary_covariance(geom, m), the covariance G^m(x - y) between
-    frame sites; dense Cholesky, with a tiny diagonal jitter added (and
-    recorded) if the factorization needs it.  Combined with a zero-boundary
-    sample plus the harmonic shift, this reproduces the infinite-volume field
-    on the whole box.
+    cov is boundary_covariance(geom, m), which refuses m <= 0: the covariance
+    G^m(x - y) between frame sites.  Dense Cholesky, with a tiny diagonal
+    jitter added (and recorded) if the factorization needs it.  Combined with
+    a zero-boundary sample plus the harmonic shift, this reproduces the
+    infinite-volume field on the whole box.
     """
-    if m <= 0:
-        raise DomainError("infinite-volume boundary sampling needs m > 0")
     jitter = 0.0
     try:
         chol = np.linalg.cholesky(cov)

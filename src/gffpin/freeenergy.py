@@ -271,7 +271,7 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
         bc_rng = rngmod.stream(master_seed, tag, "bc", r)
         om_rng = rngmod.stream(master_seed, tag, "omega", r)
         ch_rng = rngmod.stream(master_seed, tag, "chain", r)
-        bc = fields.sample_boundary_infinite_massive(geom, m, bc_rng, cov=boundary_cov)
+        bc = fields.sample_boundary_infinite_massive(boundary_cov, bc_rng)
         omega = sample_disorder(geom, GAUSSIAN, om_rng)
         params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
         tmask = geom.tilde_mask

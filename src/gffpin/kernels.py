@@ -63,11 +63,12 @@ class SpectralBasis:
 
     lam[i-1] = 2(1 - cos(i pi / N)), modes S[u-1, i-1] = sqrt(2/N) sin(i pi u / N).
     S is orthogonal, so S a S^T applies the 2D transform to a mode-space matrix.
+    Equality, hash and repr see only N.
     """
 
     N: int
-    lam: np.ndarray = field(init=False)
-    modes: np.ndarray = field(init=False)
+    lam: np.ndarray = field(init=False, repr=False, compare=False)
+    modes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.N

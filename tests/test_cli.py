@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -77,22 +78,45 @@ def test_reused_out_holds_only_the_last_command(tmp_path, monkeypatch, capsys):
     assert not (verify / "config.resolved").exists()  # each stamp carries its config
 
 
+def test_force_removes_what_an_earlier_run_wrote(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "f-asymptotics", "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert cli.main(["run", "exact-small-box", "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved", "notes.txt",
+                                                    "results.jsonl"]
+    assert [s["experiment"] for s in _stamps(out)] == ["exact-small-box"]
+
+
+def test_threads_flag_is_the_threads_setting(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["run", "exact-small-box", "--out", str(out), "--set", "threads=2", "--threads", "3"]
+    assert cli.main(argv) == 0
+    assert [s["config"]["threads"] for s in _stamps(out)] == [3]
+    assert "threads = 3" in (out / "config.resolved").read_text()
+
+
+@pytest.mark.parametrize("checks,passed,tags", [
+    ([(True, "a"), (None, "b")], True, ["PASS", "info"]),
+    ([(True, "a"), (False, "b")], False, ["PASS", "FAIL"]),
+    ([(None, "a"), (None, "b")], None, ["info", "info"]),
+], ids=["pass-and-info", "one-fail", "info-only"])
+def test_runner_derives_lines_and_verdict_from_checks(monkeypatch, checks, passed, tags):
+    exp = experiments.REGISTRY["exact-small-box"]
+    fake = dataclasses.replace(exp, fn=lambda cfg: (checks, [{"n": 1}], {"t": (["x"], [(1,)])}))
+    monkeypatch.setitem(experiments.REGISTRY, exp.name, fake)
+    res = experiments.run_experiment(exp.name, {"seed": 3})
+    assert res.passed is passed
+    assert res.lines == [f"[{tag}] {text}" for tag, (_, text) in zip(tags, checks)]
+    assert (res.name, res.records, res.tables) == (exp.name, [{"n": 1}], {"t": (["x"], [(1,)])})
+    assert res.config == {"seed": 3, "threads": 1}
+
+
 def test_set_overrides(tmp_path, capsys):
     rc = cli.main(["run", "density-typicality", "--set", "samples=2000"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("GFFPIN_THREADS", "3")
-
-    class Args:
-        threads = None
-
-    assert cli._threads(Args()) == 3
-    Args.threads = 2
-    assert cli._threads(Args()) == 2
 
 
 def test_config_file_input(tmp_path, capsys):
@@ -124,32 +148,26 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
         experiments.run_experiment("thermo-consistency", {"replicas": 0})
 
 
-@pytest.mark.parametrize("argv,env,needle", [
-    (["run", "copolymer", "--set", "sweeps=1e3"], None, "sweeps"),
-    (["run", "copolymer", "--set", "burn_in=true"], None, "burn_in"),
-    (["run", "copolymer", "--set", "seed=1.5"], None, "seed"),
-    (["run", "penalty-cost", "--set", "samples=2.5"], None, "samples"),
-    (["run", "sampler-exactness", "--set", "samples=1e3"], None, "samples"),
-    (["run", "copolymer"], "two", "GFFPIN_THREADS"),
-    (["run", "copolymer"], "0", "GFFPIN_THREADS"),
-    (["run", "copolymer", "--threads", "-3"], None, "--threads"),
-    (["verify", "--threads", "0"], None, "--threads"),
-    (["run", "massive-comparison", "--set", "m=1.5"], None, "got 1.5"),
-    (["run", "massive-comparison", "--set", "m=0"], None, "got 0"),
-    (["run", "subadditivity", "--set", "threads=0"], None, "threads"),
-    (["run", "finite-volume-criterion", "--set", "threads=-4"], None, "threads"),
+@pytest.mark.parametrize("argv,needle", [
+    (["run", "copolymer", "--set", "sweeps=1e3"], "sweeps"),
+    (["run", "copolymer", "--set", "burn_in=true"], "burn_in"),
+    (["run", "copolymer", "--set", "seed=1.5"], "seed"),
+    (["run", "penalty-cost", "--set", "samples=2.5"], "samples"),
+    (["run", "sampler-exactness", "--set", "samples=1e3"], "samples"),
+    (["run", "copolymer", "--threads", "-3"], "threads must be an integer >= 1 (got -3)"),
+    (["verify", "--threads", "0"], "threads must be an integer >= 1 (got 0)"),
+    (["run", "massive-comparison", "--set", "m=1.5"], "got 1.5"),
+    (["run", "massive-comparison", "--set", "m=0"], "got 0"),
+    (["run", "subadditivity", "--set", "threads=0"], "threads"),
+    (["run", "finite-volume-criterion", "--set", "threads=-4"], "threads"),
 ], ids=["int-as-float", "int-as-bool", "seed-as-float", "penalty-samples", "exactness-samples",
-        "env-not-int", "env-zero", "threads-negative", "verify-threads-zero", "mass-above-1",
-        "mass-zero", "set-threads-zero", "set-threads-negative"])
-def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, env, needle):
+        "threads-negative", "verify-threads-zero", "mass-above-1", "mass-zero",
+        "set-threads-zero", "set-threads-negative"])
+def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the bad value was refused")
 
     monkeypatch.setattr(pinning, "run_chain", no_chain)
-    if env is None:
-        monkeypatch.delenv("GFFPIN_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("GFFPIN_THREADS", env)
     assert cli.main(argv) == 2
     assert needle in capsys.readouterr().err
 

@@ -86,7 +86,7 @@ def test_boundary_sampling_covariance():
     r = rng.stream(8, "bc")
     cov = fields.boundary_covariance(g, m)
     n = 6000
-    draws = np.array([fields.sample_boundary_infinite_massive(g, m, r, cov=cov).values
+    draws = np.array([fields.sample_boundary_infinite_massive(cov, r).values
                       for _ in range(n)])
     g00 = kernels.green_massive_infinite((0, 0), m)
     ge1 = kernels.green_massive_infinite((1, 0), m)
@@ -116,7 +116,7 @@ def test_infinite_volume_pipeline():
     n = 4000
     vals = np.empty(n)
     for i in range(n):
-        bc = fields.sample_boundary_infinite_massive(g, m, r, cov=cov)
+        bc = fields.sample_boundary_infinite_massive(cov, r)
         ext = fields.harmonic_extension(g, m, bc)
         vals[i] = fields.sample_dirichlet_interior(g, m, 1, r)[0][7, 7] + ext.values[8, 8]
     target = kernels.green_massive_infinite((0, 0), m)
@@ -133,7 +133,7 @@ def test_cov_h_identity():
     n = 4000
     hval = np.empty(n)
     for i in range(n):
-        bc = fields.sample_boundary_infinite_massive(g, m, r, cov=cov)
+        bc = fields.sample_boundary_infinite_massive(cov, r)
         hval[i] = fields.harmonic_extension(g, m, bc).values[8, 8]
     total = hval.var() + kernels.green_dirichlet_diag(g, m)[8, 8]
     target = kernels.green_massive_infinite((0, 0), m)

@@ -45,6 +45,13 @@ def test_spectral_basis_orthonormal():
     assert 0 < basis.lam[0] and basis.lam[-1] < 4.0
 
 
+def test_spectral_basis_compares_hashes_and_prints_by_size():
+    a, b = kernels.SpectralBasis(8), kernels.SpectralBasis(8)
+    assert a == b and a != kernels.SpectralBasis(9)
+    assert hash(a) == hash(b)
+    assert repr(a) == "SpectralBasis(N=8)"
+
+
 def test_chapman_kolmogorov():
     s, t = 0.4, 0.9
     x = np.arange(-40, 41)

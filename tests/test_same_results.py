@@ -10,10 +10,11 @@ same_results = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_results)
 
 
-def _run_dir(path: Path, records, streams, wall_time=1.0, table="h,value\n0.1,0.25\n"):
+def _run_dir(path: Path, records, streams, wall_time=1.0, table="h,value\n0.1,0.25\n",
+             passed=None, config=None):
     path.mkdir()
     stamp = {"experiment": "x", "wall_time": wall_time, "git": f"rev-{wall_time}",
-             "streams": streams}
+             "streams": streams, "passed": passed, "config": config or {"seed": 1, "threads": 1}}
     lines = [json.dumps(r, sort_keys=True) for r in [stamp] + records]
     (path / "results.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (path / "curve.csv").write_text(table, encoding="utf-8")
@@ -48,3 +49,24 @@ def test_changed_table_is_reported(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
                       table="h,value\n0.1,0.26\n")
     assert same_results.compare(parent, change).startswith("table curve.csv differs")
+
+
+def test_changed_verdict_is_reported(parent, tmp_path):
+    change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
+                      passed=True)
+    assert same_results.compare(parent, change) == "stamp passed differs: parent None, change True"
+
+
+def test_changed_config_is_reported(parent, tmp_path):
+    change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
+                      config={"seed": 1, "threads": 2})
+    assert same_results.compare(parent, change).startswith("stamp config differs")
+
+
+def test_printed_lines_compare_all_but_the_wall_time():
+    parent = "[PASS] gap 1.00\nx: wall time 3.0 s\n"
+    assert same_results.compare_printed(parent, "[PASS] gap 1.00\nx: wall time 9.1 s\n") is None
+    assert same_results.compare_printed(parent, "[FAIL] gap 1.00\nx: wall time 3.0 s\n") \
+        .startswith("printed line 1 differs")
+    assert same_results.compare_printed(parent, "x: wall time 3.0 s\n") == (
+        "printed line 1 is only on the parent side")

@@ -6,10 +6,12 @@ The parent's committed files are exported (`git archive`, through
 bench_pairs.export) into a temporary directory; the working tree runs as it
 is, uncommitted changes included.  Both sides run `gffpin run EXPERIMENT`
 with the same --set and --threads arguments, each into its own temporary
---out directory.  They must agree byte for byte on every results.jsonl line
-after the first (the stamp, whose wall time and revision differ by nature),
-on the stamp's list of consumed random streams, and on every CSV table.
-The first difference is printed; the exit status is 0 only on a full match.
+--out directory.  They must agree on every key of the first results.jsonl
+line (the stamp: verdict, config, consumed random streams) except its wall
+time and revision, which differ by nature; byte for byte on every later
+results.jsonl line and every CSV table; on every printed line but the final
+wall-time line; and on the exit status.  The first difference is printed;
+the exit status is 0 only on a full match.
 """
 
 from __future__ import annotations
@@ -38,11 +40,19 @@ def compare(parent: Path, change: Path) -> str | None:
     """The first difference between two `gffpin run --out` directories, or None."""
     lines_p = (parent / "results.jsonl").read_text(encoding="utf-8").splitlines()
     lines_c = (change / "results.jsonl").read_text(encoding="utf-8").splitlines()
-    streams_p = json.loads(lines_p[0])["streams"]
-    streams_c = json.loads(lines_c[0])["streams"]
-    for k, (sp, sc) in enumerate(zip_longest(streams_p, streams_c)):
-        if sp != sc:
+    stamp_p, stamp_c = json.loads(lines_p[0]), json.loads(lines_c[0])
+    for key in sorted((stamp_p.keys() | stamp_c.keys()) - {"wall_time", "git"}):
+        if key not in stamp_p or key not in stamp_c:
+            side = "parent" if key in stamp_p else "change"
+            return f"stamp key {key} is only on the {side} side"
+        vp, vc = stamp_p[key], stamp_c[key]
+        if vp == vc:
+            continue
+        if key == "streams":
+            k, (sp, sc) = next((k, pair) for k, pair in enumerate(zip_longest(vp, vc))
+                               if pair[0] != pair[1])
             return f"stamp streams differ at entry {k}: parent {sp!r}, change {sc!r}"
+        return f"stamp {key} differs: parent {vp!r}, change {vc!r}"
     for n, (lp, lc) in enumerate(zip_longest(lines_p[1:], lines_c[1:]), start=2):
         if lp is None or lc is None:
             side = "parent" if lc is None else "change"
@@ -58,6 +68,19 @@ def compare(parent: Path, change: Path) -> str | None:
         tc = (change / name).read_text(encoding="utf-8")
         if tp != tc:
             return f"table {name} differs " + _first_diff(tp, tc)
+    return None
+
+
+def compare_printed(parent: str, change: str) -> str | None:
+    """The first difference between two runs' standard output, or None; the
+    last line, the run's wall time, is left out."""
+    lines_p, lines_c = parent.splitlines()[:-1], change.splitlines()[:-1]
+    for n, (lp, lc) in enumerate(zip_longest(lines_p, lines_c), start=1):
+        if lp is None or lc is None:
+            side = "parent" if lc is None else "change"
+            return f"printed line {n} is only on the {side} side"
+        if lp != lc:
+            return f"printed line {n} differs " + _first_diff(lp, lc)
     return None
 
 
@@ -85,15 +108,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
         tmp = Path(tmp)
         export(args.parent, tmp / "parent")
-        codes = {}
+        procs = {}
         for side, root in (("parent", tmp / "parent"), ("change", ROOT)):
-            proc = run(root, args, tmp / f"out-{side}")
-            codes[side] = proc.returncode
+            proc = procs[side] = run(root, args, tmp / f"out-{side}")
             print(f"{side}: exit {proc.returncode}")
             if proc.returncode not in (0, 1):
                 print(proc.stderr, file=sys.stderr)
                 return 2
-        diff = compare(tmp / "out-parent", tmp / "out-change")
+        codes = {side: proc.returncode for side, proc in procs.items()}
+        diff = (compare(tmp / "out-parent", tmp / "out-change")
+                or compare_printed(procs["parent"].stdout, procs["change"].stdout))
         if diff is None and codes["parent"] != codes["change"]:
             diff = f"exit status {codes['parent']} on the parent, {codes['change']} on the change"
         if diff:
@@ -101,7 +125,8 @@ def main(argv=None) -> int:
             return 1
         out = tmp / "out-change"
         lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
-        print(f"IDENTICAL: {len(lines) - 1} result lines, "
+        print(f"IDENTICAL: {len(procs['change'].stdout.splitlines()) - 1} printed lines, "
+              f"{len(lines) - 1} result lines, "
               f"{len(json.loads(lines[0])['streams'])} streams, "
               f"{len(list(out.glob('*.csv')))} tables")
         return 0
