@@ -9,8 +9,10 @@
 JSONL records and CSV tables; `verify` runs the whole acceptance suite and
 prints one verdict line per criterion (with --out, each criterion's stamp,
 which carries its config, records and tables).  --seed S and --threads T are
-short for --set seed=S and --set threads=T.  Each command first removes the
-results.jsonl, config.resolved and CSV tables an earlier command left in --out.
+short for --set seed=S and --set threads=T.  Before it writes its first
+result, each command removes the results.jsonl, config.resolved and CSV tables
+an earlier command left in --out; a command refused before that (a bad
+setting, say) leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -41,17 +43,21 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
-def _prepare_outdir(path: str | None, force: bool) -> Path | None:
-    """The output directory, made if needed, without the files an earlier command wrote."""
+def _outdir(path: str | None, force: bool) -> Path | None:
+    """The output directory, refused when nonempty without force; nothing is written."""
     if path is None:
         return None
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to reuse)")
+    return out
+
+
+def _clear_outdir(out: Path) -> None:
+    """Make the output directory if needed and remove the files an earlier command wrote."""
     out.mkdir(parents=True, exist_ok=True)
     for old in [out / "results.jsonl", out / "config.resolved", *out.glob("*.csv")]:
         old.unlink(missing_ok=True)
-    return out
 
 
 def _persist(result: experiments.ExperimentResult, out: Path) -> None:
@@ -72,12 +78,13 @@ def _persist(result: experiments.ExperimentResult, out: Path) -> None:
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    out = _prepare_outdir(args.out, args.force)
+    out = _outdir(args.out, args.force)
     result = experiments.run_experiment(args.experiment, cfg)
     for line in result.lines:
         print(line)
     print(f"{result.name}: wall time {result.wall_time:.1f} s")
     if out is not None:
+        _clear_outdir(out)
         (out / "config.resolved").write_text(
             cfgmod.render_config(result.config, header=f"resolved config for {result.name}"),
             encoding="utf-8")
@@ -96,10 +103,10 @@ def _cmd_list(_args) -> int:
 
 def _cmd_verify(args) -> int:
     overrides = {} if args.threads is None else {"threads": args.threads}
-    out = _prepare_outdir(args.out, True)
+    out = _outdir(args.out, True)
     all_ok = True
     t0 = time.time()
-    for name in experiments.acceptance_names():
+    for k, name in enumerate(experiments.acceptance_names()):
         exp = experiments.REGISTRY[name]
         result = experiments.run_experiment(name, overrides)
         ok = bool(result.passed)
@@ -110,6 +117,8 @@ def _cmd_verify(args) -> int:
             for line in result.lines:
                 print(f"    {line}")
         if out is not None:
+            if k == 0:
+                _clear_outdir(out)
             _persist(result, out)
     print(f"acceptance suite: {'PASS' if all_ok else 'FAIL'} "
           f"({time.time() - t0:.1f} s total)")

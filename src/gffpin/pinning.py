@@ -1,26 +1,38 @@
-"""The pinning Gibbs measure and its exact heat-bath dynamics.
+"""The pinning Gibbs measure and its heat-bath / reflection dynamics.
 
 The interaction rewards sites whose height (after any boundary shift) lies
 in the band [u-1, u+1]; the co-membrane variant instead charges sites in the
 lower half-plane.  Both are instances of a density with piecewise-constant
 per-site log-weights in the height, so the single-site conditional is a
-mixture of truncated Gaussians and can be sampled exactly: the chain is
-rejection-free and in detailed balance with the target at every sweep.  A
-checkerboard schedule turns a sweep into two vectorized half-updates.
+mixture of truncated Gaussians, N(mu, sigma^2) reweighted by w.  A
+checkerboard schedule turns a sweep into two vectorized half-updates.  The
+sweeps run_chain makes alternate, starting with a heat-bath sweep and keeping
+the parity on the chain; heat_bath_sweep makes heat-bath sweeps only.  A heat-bath
+half-update draws every site of its colour exactly from its conditional.  A
+reflection half-update (Creutz's Metropolised overrelaxation) proposes
+y = 2 mu - x and keeps it with probability min(1, w(y) / w(x)): the map is
+its own inverse, has unit Jacobian and preserves N(mu, sigma^2), so this is a
+Metropolis-Hastings step with an exact acceptance ratio.  Either half-update
+therefore leaves the conditional, and with it the target, invariant.  The
+reflections suppress the random walk of the slow modes (Adler 1981) at about
+a third of a heat-bath half-update's cost; the heat-bath sweeps keep the
+chain ergodic.
 
 Only the conditional means change between sweeps: band edges are global and
 the per-site band weights are fixed for a chain, so each chain builds one
 `BandLayout` per checkerboard colour (sorted edges, relative interval
 weights) together with the colour's flat site and neighbour indices.  A
-half-update then evaluates the normal CDF once per site and edge and draws
-two uniforms per site with one rng.random(2n) call: the first n pick the
-intervals, the last n the heights inside them.  Each layout owns the
-sampler's workspace (the z/Phi grid with its constant far rows, the gather
-offsets, the interval masses), built on its first call and rebuilt only when
-it is called at another site count; a layout, like the chain holding it, is
-therefore not for concurrent use.  run_chain finds a record's charged sites
-once and takes the contact total, the contact fraction and the energy from
-them, with the energy weights computed once per call.
+heat-bath half-update then evaluates the normal CDF once per site and edge
+and draws two uniforms per site with one rng.random(2n) call: the first n
+pick the intervals, the last n the heights inside them; a reflection
+half-update looks up both points' interval weights and draws one uniform per
+site with one rng.random(n) call.  Each layout owns the heat-bath sampler's
+workspace (the z/Phi grid with its constant far rows, the gather offsets, the
+interval masses), built on its first call and rebuilt only when it is called
+at another site count; a layout, like the chain holding it, is therefore not
+for concurrent use.  run_chain finds a record's charged sites once and takes
+the contact total, the contact fraction and the energy from them, with the
+energy weights computed once per call.
 
 Extra bands can be stacked on the same chain (a soft wall at |phi| <= b is
 how the height-restriction probability is integrated thermodynamically).
@@ -242,6 +254,26 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     return v
 
 
+def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, x: np.ndarray,
+                    bands: BandLayout) -> np.ndarray:
+    """One Metropolised reflection of x in the law sample_banded_conditional draws from.
+
+    Proposes y = 2 mu - x, which maps N(mu, sigma^2) onto itself with unit
+    Jacobian and is its own inverse, so keeping y with probability
+    min(1, w(y) / w(x)), w the layout's weight of the interval holding the
+    point, leaves the reweighted law invariant.  Consumes rng.random(n).
+    """
+    n = mu.shape[0]
+    y = mu + mu
+    y -= x
+    edges = bands.edges[:, 0]
+    cols = 0 if bands.weights.shape[1] == 1 else np.arange(n)  # one column serves all
+    wx = bands.weights[np.searchsorted(edges, x), cols]
+    wy = bands.weights[np.searchsorted(edges, y), cols]
+    wx *= rng.random(n)
+    return np.where(wx < wy, y, x)
+
+
 # ---------------------------------------------------------------------------
 # chains
 # ---------------------------------------------------------------------------
@@ -250,9 +282,12 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
 class GibbsChain:
     """MCMC state: the current field (boundary pinned), parameters, disorder.
 
-    Interior sites are refreshed exactly from their single-site conditionals,
+    Interior sites are updated from their single-site conditionals,
     Normal(sum of neighbours / (4 + m^2), 1 / (4 + m^2)) reweighted by the
     model's bands, in a checkerboard schedule; the boundary never changes.
+    The chain keeps the parity of the sweeps run_chain makes: its first,
+    third, ... sweeps are heat-bath sweeps, the others Metropolised reflection
+    sweeps.
     """
 
     geom: BoxGeometry
@@ -275,6 +310,7 @@ class GibbsChain:
         side = self.geom.side
         x1, x2 = self.geom.coords
         inter = self.geom.interior_mask
+        self._reflect_next = False
         self._colours = []
         for c in (0, 1):
             mask = inter & ((x1 + x2) % 2 == c)
@@ -293,7 +329,8 @@ def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
 
 
 def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
-    """n_sweeps full checkerboard sweeps, each refreshing every interior site."""
+    """n_sweeps full checkerboard heat-bath sweeps, each drawing every interior
+    site exactly from its conditional."""
     flat = chain.field.reshape(-1, copy=False)
     denom = 4.0 + chain.params.m ** 2
     for _ in range(n_sweeps):
@@ -302,6 +339,29 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
             mu /= denom
             flat[sites] = sample_banded_conditional(chain.rng, mu, chain._sigma, layout)
     return chain
+
+
+def _reflection_sweep(chain: GibbsChain) -> None:
+    """One full checkerboard sweep moving each interior site x to 2 mu - x (mu its
+    conditional mean) with the Metropolis probability of its band weights."""
+    flat = chain.field.reshape(-1, copy=False)
+    denom = 4.0 + chain.params.m ** 2
+    for sites, nbrs, layout in chain._colours:
+        mu = flat[nbrs].sum(axis=0)
+        mu /= denom
+        flat[sites] = _reflect_banded(chain.rng, mu, flat[sites], layout)
+
+
+def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:
+    """n_sweeps sweeps of the chain's schedule: heat-bath and reflection sweeps in
+    turn, the chain's first a heat-bath sweep.  The parity lives on the chain, so
+    a + b sweeps in one call equal a sweeps then b."""
+    for _ in range(n_sweeps):
+        if chain._reflect_next:
+            _reflection_sweep(chain)
+        else:
+            heat_bath_sweep(chain)
+        chain._reflect_next = not chain._reflect_next
 
 
 @dataclass
@@ -352,9 +412,11 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     Deterministic given the generator state.  The contact total is counted
     on the interaction range; `observables` maps names to callables
     field -> float for extra per-record statistics.  A chain passed in must
-    run at `params` and `omega`; it holds the final field afterwards.  Each
-    record finds the charged sites once and takes the contact total, the
-    contact fraction and the interaction energy from them.
+    run at `params` and `omega`; it holds the final field afterwards.  Burn-in
+    and recorded sweeps alike alternate between heat-bath and reflection
+    sweeps, in the parity the chain holds.  Each record finds the charged
+    sites once and takes the contact total, the contact fraction and the
+    interaction energy from them.
     """
     if burn_in < 0:
         raise DomainError("burn-in must be >= 0")
@@ -368,12 +430,12 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     n_tilde = int(mask.sum())
     weights, scale = _charges(params, omega)
     if burn_in:
-        heat_bath_sweep(chain, burn_in)
+        _alternating_sweeps(chain, burn_in)
     n_rec = sweeps // thinning
     L, frac, en = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
     extra = {name: [] for name in (observables or {})}
     for i in range(n_rec):
-        heat_bath_sweep(chain, thinning)
+        _alternating_sweeps(chain, thinning)
         delta = _indicators(chain.field, params)
         charged = delta & mask
         count = np.count_nonzero(charged)

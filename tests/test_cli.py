@@ -88,6 +88,23 @@ def test_force_removes_what_an_earlier_run_wrote(tmp_path, capsys):
     assert [s["experiment"] for s in _stamps(out)] == ["exact-small-box"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--threads", "0"],
+    ["run", "copolymer", "--force", "--set", "sweeps=1e3"],
+    ["run", "copolymer", "--force", "--set", "sweeps=7", "--set", "burn_in=0"],
+    ["run", "no-such-experiment", "--force"],
+], ids=["verify-threads-zero", "run-wrong-type", "run-refused-inside", "run-unknown"])
+def test_refused_command_leaves_out_untouched(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert cli.main(["run", "f-asymptotics", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    missing = tmp_path / "missing"
+    assert cli.main(argv + ["--out", str(missing)]) == 2
+    assert not missing.exists()
+
+
 def test_threads_flag_is_the_threads_setting(tmp_path, capsys):
     out = tmp_path / "run"
     argv = ["run", "exact-small-box", "--out", str(out), "--set", "threads=2", "--threads", "3"]

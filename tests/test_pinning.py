@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
 from gffpin import disorder, fields, kernels, lattice, pinning, rng
@@ -105,6 +106,51 @@ def test_banded_conditional_matches_density():
         assert ks.pvalue > 0.005, (mu, sigma, bands, ks)
 
 
+# band lists of the reflection test, by the weight w drawn for them
+_REFLECT_BANDS = {
+    "scalar": lambda w: [(-1.0, 1.0, w)],
+    "wall": lambda w: [(-1.0, 1.0, w), (-0.5, 0.5, -0.5 * w)],
+    "copolymer": lambda w: [(-math.inf, 0.0, w)],
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_REFLECT_BANDS) + ["per-site"]),
+       mu=st.floats(-12.0, 12.0), sigma=st.floats(0.3, 1.0), w=st.floats(-30.0, 30.0))
+@example(kind="scalar", mu=2.0, sigma=0.5, w=30.0)     # mu outside the band: most kept stay
+@example(kind="scalar", mu=-9.0, sigma=0.5, w=30.0)    # mu 16 sd below the band
+@example(kind="scalar", mu=1.5, sigma=0.5, w=-30.0)
+@example(kind="wall", mu=0.4, sigma=0.5, w=30.0)
+@example(kind="copolymer", mu=3.0, sigma=0.5, w=30.0)  # mu above the half-line
+@example(kind="copolymer", mu=-9.0, sigma=0.5, w=-30.0)
+@example(kind="per-site", mu=1.5, sigma=0.5, w=30.0)
+def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
+    # exact draws, one Metropolised reflection each, the same law after (KS), and
+    # every moved site at the mirror image of where it was, to rounding (2 mu - x
+    # is rounded once and its mirror once more)
+    n = 200_000
+    r = rng.stream(260, "reflect", kind, mu, sigma, w)
+    if kind == "per-site":
+        # two weights alternating over the sites: each half has its own law
+        groups = [(slice(0, n, 2), [(-1.0, 1.0, w)]), (slice(1, n, 2), [(-1.0, 1.0, -0.5 * w)])]
+        logw = np.tile([w, -0.5 * w], n // 2)
+        layout = pinning.band_layout([(-1.0, 1.0, logw)])
+    else:
+        bands = _REFLECT_BANDS[kind](w)
+        groups = [(slice(None), bands)]
+        layout = pinning.band_layout(bands)
+    m = np.full(n, mu)
+    x = pinning.sample_banded_conditional(r, m, sigma, layout)
+    y = pinning._reflect_banded(r, m, x, layout)
+    moved = y != x
+    back, was = (m + m - y)[moved], x[moved]
+    assert np.all(np.abs(back - was) <= 4 * np.spacing(np.maximum(2 * abs(mu), np.abs(was))))
+    # about 45 KS tests per run: 1e-4 each keeps a false alarm below 0.5 % per run
+    for sites, group_bands in groups:
+        ks = stats.ks_1samp(y[sites], _banded_cdf(mu, sigma, group_bands))
+        assert ks.pvalue > 1e-4, (kind, mu, sigma, w, moved.mean(), ks)
+
+
 def test_band_layout_scalar_and_per_site():
     # scalar bands give one weight column, per-site bands one per site
     lay = pinning.band_layout([(-1.0, 1.0, 2.0), (-math.inf, 0.0, -1.0)])
@@ -119,18 +165,19 @@ def test_band_layout_scalar_and_per_site():
 # label -> (params, extra bands, (field sum, phi[3, 4], phi[5, 2], L) after 200 sweeps)
 PINNED_TRAJECTORIES = {
     "plain": (dict(beta=0.5, h=0.1), (),
-              (-12.109433942803765, -0.4133122049231355, 0.19731995057361823, 61.0)),
+              (26.242455092466912, 0.5971894051091633, 1.0526126805585954, 54.0)),
     "wall": (dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
-             (6.873458031301729, -0.13180245438533722, -0.07086990649874295, 61.0)),
+             (-1.7814870602415043, -0.1412327429899255, -0.06169872214877703, 64.0)),
     "copolymer": (dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
-                  (-0.3424054266505683, -0.11171145843956137, -0.10002129940274052, 25.0)),
+                  (18.227929131302993, 0.3436565687474137, 0.5726167446222128, 9.0)),
 }
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_TRAJECTORIES))
 def test_pinned_trajectory(label):
-    # the chain's random-number consumption and band layout are part of its
-    # contract: these values pin 200 sweeps from fixed streams
+    # the chain's random-number consumption, band layout and heat-bath /
+    # reflection schedule are part of its contract: these values pin 200 sweeps
+    # from fixed streams
     kwargs, extra, expected = PINNED_TRAJECTORIES[label]
     g = lattice.build_box(8)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(230, "pin-om"))
@@ -171,6 +218,36 @@ def test_stationary_law_single_site():
     target = math.e * p / (math.e * p + 1 - p)
     mean, se = rec.mean_se(rec.contact_fraction)
     assert abs(mean - target) < 4 * max(se, math.sqrt(target * (1 - target) / len(rec.contact_fraction)))
+
+
+def test_alternating_chain_single_site_off_centre():
+    # boundary 0.7 puts the one site's conditional mean at 0.7, off the band's centre,
+    # so reflection sweeps reject some moves; the contact fraction stays exact
+    g = lattice.build_box(2)
+    params = pinning.PinningParams(beta=0.0, h=1.0, bc=fields.explicit_bc(np.full(8, 0.7)))
+    rec = pinning.run_chain(g, params, _zero_omega(g), rng.stream(219, "off"), sweeps=40000,
+                            burn_in=200, interaction="interior")
+    p = special.ndtr((1.0 - 0.7) / 0.5) - special.ndtr((-1.0 - 0.7) / 0.5)
+    target = math.e * p / (math.e * p + 1 - p)
+    mean, se = rec.mean_se(rec.contact_fraction)
+    assert abs(mean - target) < 4 * max(se, math.sqrt(target * (1 - target) / len(rec.contact_fraction)))
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 4), (3, 2), (2, 3), (0, 5)])
+def test_alternating_sweeps_split_anywhere(a, b):
+    # the heat-bath / reflection parity lives on the chain: a + b sweeps at once
+    # equal a sweeps then b, bit for bit, and run_chain keeps that schedule
+    g = lattice.build_box(8)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(254, "split-om"))
+    params = pinning.PinningParams(beta=0.5, h=0.1, m=0.3)
+    one, two, three = (_chain(g, params, om, rng.stream(255, "split"), ((-0.5, 0.5, 2.0),))
+                       for _ in range(3))
+    pinning._alternating_sweeps(one, a + b)
+    pinning._alternating_sweeps(two, a)
+    pinning._alternating_sweeps(two, b)
+    pinning.run_chain(g, params, om, three.rng, sweeps=b, burn_in=a, chain=three)
+    assert np.array_equal(one.field, two.field) and np.array_equal(one.field, three.field)
+    assert one.rng.random() == two.rng.random() == three.rng.random()
 
 
 def test_saturated_reward_pins_to_band():
@@ -359,20 +436,20 @@ def test_run_chain_rejects_bad_budgets(kwargs):
 # values of 4 records every 3 sweeps after 6 burn-in sweeps, recorded bit for bit
 PINNED_RECORDS = {
     "plain": (dict(beta=0.5, h=0.1), (), (
-        [4.524936867591867, 1.4572632164127564, 2.192686567147748, 1.6856093203201428],
-        [0.875, 0.84375, 0.8125, 0.9375],
-        [27.70680524972591, 27.82008521053203, 36.071820981750975, 13.181631731599513],
-        [56.0, 54.0, 52.0, 60.0])),
+        [3.5495015762754183, 2.824330423618143, 5.187238404172577, 3.8087530228082875],
+        [0.96875, 0.9375, 0.890625, 0.953125],
+        [10.203959759113403, 18.12102170915328, 20.900117486873608, 15.181953999842037],
+        [62.0, 60.0, 57.0, 61.0])),
     "wall": (dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
-        [1.7664823209950726, 3.6117424637471127, 1.8559740219553924, 1.719817927391344],
-        [1.0, 0.96875, 0.984375, 0.984375],
-        [4.296984783384325, 7.357074383655516, 5.053888629807622, 5.668185476368389],
-        [64.0, 62.0, 63.0, 63.0])),
+        [1.8257660519331824, 1.7664823209950726, 1.8257660519331824, 1.7664823209950726],
+        [0.984375, 1.0, 0.984375, 1.0],
+        [6.525529595955981, 4.729965712446707, 5.6063650624908545, 4.444941746926228],
+        [63.0, 64.0, 63.0, 64.0])),
     "copolymer": (dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
-        [5.3724021502643176, 2.5916168568507763, 2.9283848442782316, 0.9093323136505134],
-        [0.28125, 0.28125, 0.28125, 0.359375],
-        [15.447099520698718, 16.922128638203965, 25.755502943245332, 20.510169587992163],
-        [18.0, 18.0, 18.0, 23.0])),
+        [3.974160191044336, 2.3600191627729403, -6.225424006960021, 2.539892276056376],
+        [0.28125, 0.109375, 0.328125, 0.328125],
+        [19.17792491194058, 30.805631997026534, 10.443257382707326, 14.96458147981147],
+        [18.0, 7.0, 21.0, 21.0])),
 }
 
 

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,38 @@ def test_printed_lines_compare_all_but_the_wall_time():
         .startswith("printed line 1 differs")
     assert same_results.compare_printed(parent, "x: wall time 3.0 s\n") == (
         "printed line 1 is only on the parent side")
+
+
+def _proc(code, stderr=""):
+    return subprocess.CompletedProcess([], code, stdout="", stderr=stderr)
+
+
+def test_two_alike_refusals_match():
+    err = "Traceback line\nerror: too few scales at N=64\n"
+    assert same_results.compare_refusals(_proc(2, err), _proc(2, err + "\n")) is None
+
+
+@pytest.mark.parametrize("parent,change,start", [
+    (_proc(2, "error: a\n"), _proc(0), "only the parent side was refused: exit 2 on the parent"),
+    (_proc(1), _proc(2, "error: a\n"), "only the change side was refused: exit 1 on the parent"),
+    (_proc(2, "error: a\n"), _proc(3, "error: a\n"), "both refused, with exit 2 on the parent"),
+    (_proc(2, "error: a\n"), _proc(2, "error: b\n"), "refused with another message"),
+], ids=["parent-only", "change-only", "other-status", "other-message"])
+def test_other_refusal_pairings_differ(parent, change, start):
+    assert same_results.compare_refusals(parent, change).startswith(start)
+
+
+def test_both_sides_run_when_the_parent_refuses(monkeypatch, tmp_path, capsys):
+    # the parent's refusal no longer stops the comparison before the change side runs
+    ran = []
+
+    def fake_run(root, args, out):
+        ran.append(root)
+        return _proc(2, "error: refused\n")
+
+    monkeypatch.setattr(same_results, "run", fake_run)
+    monkeypatch.setitem(sys.modules, "bench_pairs",
+                        types.SimpleNamespace(export=lambda rev, dest: dest.mkdir()))
+    assert same_results.main(["--parent", "HEAD", "extremal-event"]) == 0
+    assert len(ran) == 2 and ran[1] == same_results.ROOT
+    assert "IDENTICAL: both refused with exit 2: error: refused" in capsys.readouterr().out

@@ -10,7 +10,10 @@ with the same --set and --threads arguments, each into its own temporary
 line (the stamp: verdict, config, consumed random streams) except its wall
 time and revision, which differ by nature; byte for byte on every later
 results.jsonl line and every CSV table; on every printed line but the final
-wall-time line; and on the exit status.  The first difference is printed;
+wall-time line; and on the exit status.  Both sides always run: a side that
+exits with a status other than 0 or 1 was refused, and two refusals match
+when their exit status and the last line of their standard error agree, while
+a refusal on one side only is a difference.  The first difference is printed;
 the exit status is 0 only on a full match.
 """
 
@@ -84,6 +87,28 @@ def compare_printed(parent: str, change: str) -> str | None:
     return None
 
 
+def _last_line(text: str) -> str:
+    lines = text.strip().splitlines()
+    return lines[-1] if lines else ""
+
+
+def compare_refusals(parent: subprocess.CompletedProcess,
+                     change: subprocess.CompletedProcess) -> str | None:
+    """None when both runs were refused alike (the same exit status and the same
+    last line of standard error), else the difference; for runs of which at
+    least one was refused (exit status other than 0 or 1)."""
+    exits = f"exit {parent.returncode} on the parent, {change.returncode} on the change"
+    if parent.returncode in (0, 1) or change.returncode in (0, 1):
+        side = "change" if parent.returncode in (0, 1) else "parent"
+        return f"only the {side} side was refused: {exits}"
+    if parent.returncode != change.returncode:
+        return f"both refused, with {exits}"
+    err_p, err_c = _last_line(parent.stderr), _last_line(change.stderr)
+    if err_p != err_c:
+        return f"refused with another message:\n  parent: {err_p!r}\n  change: {err_c!r}"
+    return None
+
+
 def run(root: Path, args, out: Path) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "gffpin.cli", "run", args.experiment, "--out", str(out)]
     for item in args.set or []:
@@ -112,9 +137,14 @@ def main(argv=None) -> int:
         for side, root in (("parent", tmp / "parent"), ("change", ROOT)):
             proc = procs[side] = run(root, args, tmp / f"out-{side}")
             print(f"{side}: exit {proc.returncode}")
-            if proc.returncode not in (0, 1):
-                print(proc.stderr, file=sys.stderr)
-                return 2
+        if any(proc.returncode not in (0, 1) for proc in procs.values()):
+            diff = compare_refusals(procs["parent"], procs["change"])
+            if diff:
+                print(f"DIFFERENT: {diff}")
+                return 1
+            print(f"IDENTICAL: both refused with exit {procs['change'].returncode}: "
+                  f"{_last_line(procs['change'].stderr)}")
+            return 0
         codes = {side: proc.returncode for side, proc in procs.items()}
         diff = (compare(tmp / "out-parent", tmp / "out-change")
                 or compare_printed(procs["parent"].stdout, procs["change"].stdout))
