@@ -34,7 +34,9 @@ class NumericError(GffpinError):
 
 
 class ContractError(GffpinError):
-    """Required precomputed data (scale stack, extension, ...) is missing."""
+    """A call's inputs break its contract: required precomputed data (scale
+    stack, extension, ...) is missing, or a chain comes with arguments other
+    than its own."""
 
 
 class UnsupportedGeometryError(GffpinError):

@@ -21,18 +21,28 @@ chain ergodic.
 Only the conditional means change between sweeps: band edges are global and
 the per-site band weights are fixed for a chain, so each chain builds one
 `BandLayout` per checkerboard colour (sorted edges, relative interval
-weights) together with the colour's flat site and neighbour indices.  A
-heat-bath half-update then evaluates the normal CDF once per site and edge
-and draws two uniforms per site with one rng.random(2n) call: the first n
-pick the intervals, the last n the heights inside them; a reflection
-half-update looks up both points' interval weights and draws one uniform per
-site with one rng.random(n) call.  Each layout owns the heat-bath sampler's
-workspace (the z/Phi grid with its constant far rows, the gather offsets, the
-interval masses), built on its first call and rebuilt only when it is called
-at another site count; a layout, like the chain holding it, is therefore not
-for concurrent use.  run_chain finds a record's charged sites once and takes
-the contact total, the contact fraction and the energy from them, with the
-energy weights computed once per call.
+weights, and a site-major flat copy of the weights with per-site base
+indices for the reflection's lookups) together with the colour's flat site
+and neighbour indices and its gather buffers: a half-update takes the
+neighbours' heights into one buffer (np.take), sums them into the
+conditional means in another (np.add.reduce) and writes its draws back with
+put.  A heat-bath half-update then evaluates two normal CDFs, Phi(z) and
+Phi(-z), per site and edge and draws two uniforms per site with one
+rng.random call into a buffer: the first n pick the intervals, the last n
+the heights inside them; a reflection half-update looks up both points'
+interval weights and draws one uniform per site with one rng.random(n)
+call.  Each layout owns the heat-bath sampler's workspace (the z/Phi grid
+with its constant far rows, the gather offsets, the interval masses, the
+uniforms) and every view a call works through (the grid's edge rows, the
+mass rows, the halves of the uniforms, the rows the gather fills), built on
+its first call and rebuilt, views included, only when it is called at
+another site count; a layout, like the chain holding it, is therefore not
+for concurrent use.  None of this changes a float operation or a draw: the
+running interval sums are row adds in add.accumulate's order.  run_chain
+gathers a record's interaction-range heights through indices found once per
+call, finds the charged sites among them once and takes the contact total,
+the contact fraction and the energy from them, with the energy weights
+computed once per call.
 
 Extra bands can be stacked on the same chain (a soft wall at |phi| <= b is
 how the height-restriction probability is integrated thermodynamically).
@@ -129,37 +139,43 @@ def energy(sample: FieldSample, omega: DisorderField, params: PinningParams) -> 
 # exact sampling of piecewise-reweighted Gaussian conditionals
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _Workspace:
-    """Buffers of one sampler call at a fixed site count n.
+    """Buffers of one sampler call at a fixed site count n, and views into them.
 
-    grid holds z, Phi(z) and Phi(-z) (planes) at -far, every edge and +far
-    (rows) for each site (columns); its two far rows never change.  offsets
+    The grid, which flat holds flattened, holds z, Phi(z) and Phi(-z)
+    (planes) at -far, every edge and +far (rows) for each site (columns);
+    its two far rows never change.  offsets
     are the flat positions of (za, zb, Phi(za), Phi(zb), Phi(-za), Phi(-zb))
-    within interval 0, so interval j sits j * n further on.
+    within interval 0, so interval j sits j * n further on; ends receives
+    them.  mass holds the interval masses, then their running sums; draws
+    receives the 2n uniforms (rng.random(out=draws)).  The views a call
+    works through are made here once: the grid's inner (edge) rows, its
+    neighbouring-row pairs, the mass rows, the two halves of draws and the
+    rows of ends.  A call at another site count builds a new workspace, and
+    with it every view.
     """
 
-    n: int
-    grid: np.ndarray
-    flat: np.ndarray
-    offsets: np.ndarray
-    index: np.ndarray
-    ends: np.ndarray
-    mass: np.ndarray
-    mirrored: np.ndarray
-    pick: np.ndarray
-    flip: np.ndarray
-
-
-def _workspace(k: int, n: int) -> _Workspace:
-    grid = np.empty((3, k, n))
-    grid[:, 0] = _FAR_LO
-    grid[:, -1] = _FAR_HI
-    planes = n * np.array([[0], [1], [k], [k + 1], [2 * k], [2 * k + 1]])
-    offsets = planes + np.arange(n)
-    return _Workspace(n, grid, grid.reshape(-1), offsets, np.empty_like(offsets),
-                      np.empty((6, n)), np.empty((k - 1, n)), np.empty((k - 1, n)),
-                      np.empty(n, dtype=offsets.dtype), np.empty(n, dtype=bool))
+    def __init__(self, k: int, n: int):
+        self.n = n
+        grid = np.empty((3, k, n))
+        grid[:, 0] = _FAR_LO
+        grid[:, -1] = _FAR_HI
+        self.flat = grid.reshape(-1)
+        z, p, q = grid
+        self.edge_rows = (z[1:-1], p[1:-1], q[1:-1])
+        self.neighbour_rows = (p[1:], p[:-1], q[:-1], q[1:])
+        planes = n * np.array([[0], [1], [k], [k + 1], [2 * k], [2 * k + 1]])
+        self.offsets = planes + np.arange(n)
+        self.index = np.empty_like(self.offsets)
+        self.ends = np.empty((6, n))
+        self.end_rows = tuple(self.ends)
+        self.mass = np.empty((k - 1, n))
+        self.mass_rows = tuple(self.mass)
+        self.mirrored = np.empty((k - 1, n))
+        self.draws = np.empty(2 * n)
+        self.halves = (self.draws[:n], self.draws[n:])
+        self.pick = np.empty(n, dtype=self.offsets.dtype)
+        self.flip = np.empty(n, dtype=bool)
 
 
 @dataclass
@@ -169,14 +185,23 @@ class BandLayout:
     The finite band edges (a column, sorted) split the real line into
     len(edges) + 1 intervals; weights[j, i] = exp(logw - max over j) is the
     relative weight of interval j at site i (one column serves every site
-    when all bands are scalar).  The layout also owns the sampler's buffers,
-    rebuilt whenever it is called at another site count, so one layout must
-    not be shared between threads.
+    when all bands are scalar).  For the reflection's lookups the layout
+    also keeps the edges as a row, the weights site-major and flat (interval
+    j of site i at i * intervals + j) and the per-site base index i *
+    intervals (None when one column serves every site).  The layout owns
+    the sampler's buffers too, rebuilt whenever it is called at another site
+    count, so one layout must not be shared between threads.
     """
 
     edges: np.ndarray
     weights: np.ndarray
     workspace: _Workspace | None = dc_field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        intervals, columns = self.weights.shape
+        self._edge_row = self.edges[:, 0]
+        self._site_major = np.ascontiguousarray(self.weights.T).reshape(-1)
+        self._base = None if columns == 1 else np.arange(columns) * intervals
 
 
 def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLayout:
@@ -213,31 +238,34 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     n = mu.shape[0]
     ws = bands.workspace
     if ws is None or ws.n != n:
-        ws = bands.workspace = _workspace(bands.edges.shape[0] + 2, n)
-    z, p, q = ws.grid
-    ze = z[1:-1]
+        ws = bands.workspace = _Workspace(bands.edges.shape[0] + 2, n)
+    ze, pe, qe = ws.edge_rows
     np.subtract(bands.edges, mu, out=ze)
     ze /= sigma
     np.maximum(ze, -_Z_FAR, out=ze)
     np.minimum(ze, _Z_FAR, out=ze)
-    special.ndtr(ze, out=p[1:-1])
-    special.ndtr(np.negative(ze, out=q[1:-1]), out=q[1:-1])
+    special.ndtr(ze, out=pe)
+    special.ndtr(np.negative(ze, out=qe), out=qe)
+    p_hi, p_lo, q_lo, q_hi = ws.neighbour_rows
     cum = ws.mass
-    np.subtract(p[1:], p[:-1], out=cum)
-    np.maximum(cum, np.subtract(q[:-1], q[1:], out=ws.mirrored), out=cum)
+    np.subtract(p_hi, p_lo, out=cum)
+    np.maximum(cum, np.subtract(q_lo, q_hi, out=ws.mirrored), out=cum)
     cum *= bands.weights
-    np.add.accumulate(cum, axis=0, out=cum)
-    draws = rng.random(2 * n)
-    u, t = draws[:n], draws[n:]
-    u *= np.maximum(cum[-1], 1e-300)
+    rows = ws.mass_rows
+    for prev, row in zip(rows, rows[1:]):  # running sums, in add.accumulate's order
+        row += prev
+    rng.random(out=ws.draws)
+    u, t = ws.halves
+    total = rows[-1]
+    u *= np.maximum(total, 1e-300, out=total)
     # the interval is the number of running sums below u; u is below the last one, the total
     pick = ws.pick
     pick.fill(0)
-    for row in cum[:-1]:
+    for row in rows[:-1]:
         pick += np.less(row, u, out=ws.flip)
     pick *= n
-    za, zb, pa, pb, qa, qb = ends = ws.ends
-    np.take(ws.flat, np.add(ws.offsets, pick, out=ws.index), out=ends, mode="clip")
+    za, zb, pa, pb, qa, qb = ws.end_rows
+    np.take(ws.flat, np.add(ws.offsets, pick, out=ws.index), out=ws.ends, mode="clip")
     flip = np.greater(za, np.negative(zb, out=u), out=ws.flip)
     np.copyto(pa, qb, where=flip)  # the lower end of the inverted CDF
     np.copyto(pb, qa, where=flip)  # and its upper end
@@ -263,14 +291,16 @@ def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, x: np.ndarray,
     min(1, w(y) / w(x)), w the layout's weight of the interval holding the
     point, leaves the reweighted law invariant.  Consumes rng.random(n).
     """
-    n = mu.shape[0]
     y = mu + mu
     y -= x
-    edges = bands.edges[:, 0]
-    cols = 0 if bands.weights.shape[1] == 1 else np.arange(n)  # one column serves all
-    wx = bands.weights[np.searchsorted(edges, x), cols]
-    wy = bands.weights[np.searchsorted(edges, y), cols]
-    wx *= rng.random(n)
+    at_x = bands._edge_row.searchsorted(x)
+    at_y = bands._edge_row.searchsorted(y)
+    if bands._base is not None:
+        at_x += bands._base
+        at_y += bands._base
+    wx = bands._site_major.take(at_x)
+    wy = bands._site_major.take(at_y)
+    wx *= rng.random(mu.shape[0])
     return np.where(wx < wy, y, x)
 
 
@@ -318,7 +348,9 @@ class GibbsChain:
             nbrs = sites + np.array([[-side], [side], [-1], [1]])
             layout = band_layout([(a, b, np.asarray(logw)[mask] if np.ndim(logw) else float(logw))
                                   for a, b, logw in bands])
-            self._colours.append((sites, nbrs, layout))
+            # gather buffers: the neighbours' heights, their conditional mean, the sites' heights
+            self._colours.append((sites, nbrs, layout, np.empty(nbrs.shape), np.empty(sites.size),
+                                  np.empty(sites.size)))
 
 
 def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
@@ -334,11 +366,18 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
     flat = chain.field.reshape(-1, copy=False)
     denom = 4.0 + chain.params.m ** 2
     for _ in range(n_sweeps):
-        for sites, nbrs, layout in chain._colours:
-            mu = flat[nbrs].sum(axis=0)
-            mu /= denom
-            flat[sites] = sample_banded_conditional(chain.rng, mu, chain._sigma, layout)
+        for sites, nbrs, layout, near, mu, _ in chain._colours:
+            _conditional_means(flat, nbrs, near, mu, denom)
+            flat.put(sites, sample_banded_conditional(chain.rng, mu, chain._sigma, layout))
     return chain
+
+
+def _conditional_means(flat: np.ndarray, nbrs: np.ndarray, near: np.ndarray, mu: np.ndarray,
+                       denom: float) -> None:
+    """Gather the neighbours' heights into near and their sum / denom into mu."""
+    np.take(flat, nbrs, out=near, mode="clip")
+    np.add.reduce(near, axis=0, out=mu)
+    mu /= denom
 
 
 def _reflection_sweep(chain: GibbsChain) -> None:
@@ -346,10 +385,10 @@ def _reflection_sweep(chain: GibbsChain) -> None:
     conditional mean) with the Metropolis probability of its band weights."""
     flat = chain.field.reshape(-1, copy=False)
     denom = 4.0 + chain.params.m ** 2
-    for sites, nbrs, layout in chain._colours:
-        mu = flat[nbrs].sum(axis=0)
-        mu /= denom
-        flat[sites] = _reflect_banded(chain.rng, mu, flat[sites], layout)
+    for sites, nbrs, layout, near, mu, x in chain._colours:
+        _conditional_means(flat, nbrs, near, mu, denom)
+        np.take(flat, sites, out=x, mode="clip")
+        flat.put(sites, _reflect_banded(chain.rng, mu, x, layout))
 
 
 def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:
@@ -412,11 +451,13 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     Deterministic given the generator state.  The contact total is counted
     on the interaction range; `observables` maps names to callables
     field -> float for extra per-record statistics.  A chain passed in must
-    run at `params` and `omega`; it holds the final field afterwards.  Burn-in
+    come with its own geom, params, omega and rng (the very objects; anything
+    else raises ContractError); it holds the final field afterwards.  Burn-in
     and recorded sweeps alike alternate between heat-bath and reflection
-    sweeps, in the parity the chain holds.  Each record finds the charged
-    sites once and takes the contact total, the contact fraction and the
-    interaction energy from them.
+    sweeps, in the parity the chain holds.  Each record gathers the heights
+    of the interaction range, through site indices found once per call,
+    finds the charged sites among them once and takes the contact total, the
+    contact fraction and the interaction energy from them.
     """
     if burn_in < 0:
         raise DomainError("burn-in must be >= 0")
@@ -426,9 +467,14 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
         raise DomainError(f"sweeps ({sweeps}) must be a multiple of thinning ({thinning})")
     if chain is None:
         chain = make_chain(geom, params, omega, rng)
-    mask = _interaction_mask(geom, interaction)
-    n_tilde = int(mask.sum())
+    for name, arg in (("geom", geom), ("params", params), ("omega", omega), ("rng", rng)):
+        if arg is not getattr(chain, name):
+            raise ContractError(f"run_chain was given another {name} than the chain's own; "
+                                f"pass chain.{name}")
+    in_range = np.flatnonzero(_interaction_mask(geom, interaction))
     weights, scale = _charges(params, omega)
+    weights = weights.reshape(-1)[in_range]
+    heights = np.empty(in_range.size)
     if burn_in:
         _alternating_sweeps(chain, burn_in)
     n_rec = sweeps // thinning
@@ -436,11 +482,11 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     extra = {name: [] for name in (observables or {})}
     for i in range(n_rec):
         _alternating_sweeps(chain, thinning)
-        delta = _indicators(chain.field, params)
-        charged = delta & mask
+        np.take(chain.field.reshape(-1, copy=False), in_range, out=heights, mode="clip")
+        charged = _indicators(heights, params)
         count = np.count_nonzero(charged)
         L[i] = count
-        frac[i] = count / n_tilde
+        frac[i] = count / in_range.size
         en[i] = scale * float(np.sum(weights[charged]))
         for name, fn in (observables or {}).items():
             extra[name].append(fn(chain.field))

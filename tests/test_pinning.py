@@ -489,20 +489,26 @@ def test_alternating_chains_keep_their_own_fields():
 
 
 def test_scalar_layout_serves_any_site_count():
-    # one scalar-weight layout called at changing sizes draws what a fresh one draws,
-    # and hands back arrays that share no memory with its workspace
+    # one scalar-weight layout called at changing sizes (7, 112, then 7 again) draws what
+    # a fresh one draws, in both half-updates, and hands back arrays that share no memory
+    # with its workspace; every view into the workspace is rebuilt at the new size
     bands = [(-1.0, 1.0, 1.5), (-math.inf, 0.0, -0.5)]
     reused = pinning.band_layout(bands)
     for n in (0, 1, 7, 112, 7):
         mu = np.linspace(-2.0, 2.0, n)
-        got = pinning.sample_banded_conditional(rng.stream(252, "ws", n), mu, 0.5, reused)
-        want = pinning.sample_banded_conditional(rng.stream(252, "ws", n), mu, 0.5,
-                                                 pinning.band_layout(bands))
+        got_r, want_r = rng.stream(252, "ws", n), rng.stream(252, "ws", n)
+        fresh = pinning.band_layout(bands)
+        got = pinning.sample_banded_conditional(got_r, mu, 0.5, reused)
+        want = pinning.sample_banded_conditional(want_r, mu, 0.5, fresh)
         assert got.shape == (n,)
         assert np.array_equal(got, want)
+        assert np.array_equal(pinning._reflect_banded(got_r, mu, got, reused),
+                              pinning._reflect_banded(want_r, mu, want, fresh))
         buffers = [b for b in vars(reused.workspace).values() if isinstance(b, np.ndarray)]
         assert buffers and not any(np.shares_memory(got, b) for b in buffers)
         assert not np.shares_memory(got, mu)
+        views = [v for t in vars(reused.workspace).values() if isinstance(t, tuple) for v in t]
+        assert views and all(v.shape[-1] == n for v in views)
 
 
 def test_empty_colour_class_still_samples():
@@ -510,8 +516,62 @@ def test_empty_colour_class_still_samples():
     g = lattice.build_box(2)
     params = pinning.PinningParams(h=1.0)
     chain = pinning.make_chain(g, params, _zero_omega(g), rng.stream(253, "empty"))
-    assert sorted(len(sites) for sites, _, _ in chain._colours) == [0, 1]
+    assert sorted(len(sites) for sites, *_ in chain._colours) == [0, 1]
     before = chain.field.copy()
     pinning.heat_bath_sweep(chain, 3)
     assert chain.field[1, 1] != before[1, 1] and np.isfinite(chain.field[1, 1])
     assert np.array_equal(chain.field[g.boundary_mask], before[g.boundary_mask])
+
+
+@pytest.mark.parametrize("name", ["geom", "params", "omega", "rng"])
+def test_run_chain_refuses_another_chains_arguments(name):
+    # an equal but other object is refused too, before any sweep: the chain would
+    # sample at its own params and draw from its own rng whatever the call says
+    g = lattice.build_box(6)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(256, "own-om"))
+    params = pinning.PinningParams(beta=0.5, h=0.1)
+    chain = pinning.make_chain(g, params, om, rng.stream(257, "own"))
+    args = dict(geom=g, params=params, omega=om, rng=chain.rng)
+    args[name] = {"geom": lambda: lattice.build_box(6),
+                  "params": lambda: pinning.PinningParams(beta=0.5, h=0.1),
+                  "omega": lambda: disorder.DisorderField(g, disorder.GAUSSIAN, om.values.copy()),
+                  "rng": lambda: rng.stream(257, "own")}[name]()
+    before, state = chain.field.copy(), _state(chain.rng)
+    with pytest.raises(ContractError, match=rf"another {name} than the chain's own"):
+        pinning.run_chain(args["geom"], args["params"], args["omega"], args["rng"], sweeps=4,
+                          chain=chain)
+    assert np.array_equal(chain.field, before) and _state(chain.rng) == state
+
+
+def _state(gen):
+    """The generator's state with its arrays as lists, so that states compare with ==."""
+    def plain(v):
+        return {k: plain(x) for k, x in v.items()} if isinstance(v, dict) else np.asarray(v).tolist()
+    return plain(gen.bit_generator.state)
+
+
+# finite edges -> band list of the layout, its weights scalar or per site
+_EDGE_BANDS = {
+    1: lambda w: [(-math.inf, 0.0, w)],
+    2: lambda w: [(-1.0, 1.0, w)],
+    4: lambda w: [(-1.0, 1.0, w), (-0.5, 0.5, -0.5 * w)],
+}
+
+
+@pytest.mark.parametrize("per_site", [False, True], ids=["scalar", "per-site"])
+@pytest.mark.parametrize("edges", sorted(_EDGE_BANDS))
+def test_half_updates_draw_what_they_promise(edges, per_site):
+    # a heat-bath half-update consumes rng.random(2n) and a reflection rng.random(n),
+    # no more and no less, whatever the layout
+    n = 37
+    w = np.linspace(-3.0, 3.0, n) if per_site else 1.5
+    layout = pinning.band_layout(_EDGE_BANDS[edges](w))
+    assert layout.edges.shape == (edges, 1)
+    mu = np.linspace(-2.5, 2.5, n)
+    r, twin = rng.stream(258, "draws", edges, per_site), rng.stream(258, "draws", edges, per_site)
+    x = pinning.sample_banded_conditional(r, mu, 0.5, layout)
+    twin.random(2 * n)
+    assert _state(r) == _state(twin)
+    pinning._reflect_banded(r, mu, x, layout)
+    twin.random(n)
+    assert _state(r) == _state(twin)

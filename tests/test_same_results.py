@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from gffpin import experiments
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "same_results.py"
 _spec = importlib.util.spec_from_file_location("same_results", _PATH)
 same_results = importlib.util.module_from_spec(_spec)
@@ -108,3 +110,39 @@ def test_both_sides_run_when_the_parent_refuses(monkeypatch, tmp_path, capsys):
     assert same_results.main(["--parent", "HEAD", "extremal-event"]) == 0
     assert len(ran) == 2 and ran[1] == same_results.ROOT
     assert "IDENTICAL: both refused with exit 2: error: refused" in capsys.readouterr().out
+
+
+def test_all_runs_cover_every_registered_experiment():
+    # a new experiment cannot be left out of --all
+    assert sorted({name for name, _, _ in same_results.RUNS}) == sorted(experiments.REGISTRY)
+    assert all(experiments.REGISTRY[name].defaults.keys() >= {item.split("=")[0] for item in sets}
+               for name, sets, _ in same_results.RUNS)
+
+
+def test_all_prints_one_line_per_run_and_fails_on_any_difference(monkeypatch, capsys):
+    ran = []
+
+    def fake_run(root, args, out):
+        ran.append((args.experiment, tuple(args.set), args.threads))
+        message = "error: b" if root == same_results.ROOT and args.threads == 2 else "error: a"
+        return _proc(2, message)
+
+    monkeypatch.setattr(same_results, "run", fake_run)
+    monkeypatch.setitem(sys.modules, "bench_pairs",
+                        types.SimpleNamespace(export=lambda rev, dest: dest.mkdir()))
+    assert same_results.main(["--parent", "HEAD", "--all"]) == 1
+    assert ran[::2] == ran[1::2] == [(e, tuple(s), t) for e, s, t in same_results.RUNS]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(same_results.RUNS) + 1
+    threaded = [line for line in lines if "--threads 2" in line]
+    assert len(threaded) == 2 and all("DIFFERENT: refused with another message" in line
+                                      for line in threaded)
+    assert lines[-1] == f"{len(same_results.RUNS) - 2} of {len(same_results.RUNS)} runs identical"
+
+
+@pytest.mark.parametrize("argv", [[], ["x", "--all"], ["--all", "--threads", "2"]],
+                         ids=["neither", "both", "all-with-threads"])
+def test_all_or_one_experiment(argv):
+    with pytest.raises(SystemExit) as exc:
+        same_results.main(["--parent", "HEAD"] + argv)
+    assert exc.value.code == 2

@@ -1,6 +1,13 @@
 """Check that a parent revision and the working tree write the same results.
 
     python3 tools/same_results.py --parent HEAD thermo-consistency --set replicas=2 --threads 2
+    python3 tools/same_results.py --parent HEAD --all
+
+--all runs every row of RUNS instead of one experiment: each registered
+experiment, at its defaults where those are quick and at a small budget
+otherwise, subadditivity and finite-volume-criterion also at --threads 2,
+subadditivity also at N = 8.  It prints one line per run and exits 0 only
+when every run matches.
 
 The parent's committed files are exported (`git archive`, through
 bench_pairs.export) into a temporary directory; the working tree runs as it
@@ -29,6 +36,33 @@ from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# (experiment, --set items, --threads) per run of --all; every registered experiment
+# appears, at defaults where those are quick
+RUNS = [
+    ("exact-small-box", [], None),
+    ("green-asymptotics", [], None),
+    ("f-asymptotics", [], None),
+    ("harmonic-extension", [], None),
+    ("penalty-cost", [], None),
+    ("sampler-exactness", ["samples=20000", "stack_samples=5000"], None),
+    ("bridge-lemma", ["bridges=20000"], None),
+    ("thermo-consistency", ["N=16", "replicas=2", "sweeps=60", "burn_in=30"], None),
+    ("massive-comparison", ["N=16", "sweeps=100", "burn_in=50"], None),
+    ("density-typicality", ["samples=2000"], None),
+    ("extremal-event", ["samples=100"], None),
+    ("copolymer", ["N=16", "sweeps=200", "burn_in=50"], None),
+    ("subadditivity", ["replicas=2", "sweeps=40", "burn_in=20"], None),
+    ("subadditivity", ["replicas=2", "sweeps=40", "burn_in=20"], 2),
+    ("subadditivity", ["N=8", "replicas=3", "sweeps=30", "burn_in=20"], None),
+    ("pure-free-energy", ["N=16", "sweeps=60", "burn_in=30"], None),
+    ("finite-volume-criterion", ["N=16", "replicas=2", "sweeps=40", "burn_in=20"], None),
+    ("finite-volume-criterion", ["N=16", "replicas=2", "sweeps=40", "burn_in=20"], 2),
+    ("density-calibrate", ["N=64", "samples=300"], None),
+    ("wall-restriction", ["N=16", "sweeps=40", "burn_in=20"], None),
+    ("contact-statistics", ["N=16", "samples=50"], None),
+    ("cluster-probability", ["samples=50", "burn_in=50"], None),
+]
 
 
 def _first_diff(a: str, b: str, width: int = 60) -> str:
@@ -119,47 +153,69 @@ def run(root: Path, args, out: Path) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
 
 
+def check(parent_root: Path, args, tmp: Path) -> tuple[bool, str]:
+    """Run args.experiment on both sides into tmp; whether they match, and the
+    IDENTICAL / DIFFERENT line that says so."""
+    procs = {side: run(root, args, tmp / f"out-{side}")
+             for side, root in (("parent", parent_root), ("change", ROOT))}
+    if any(proc.returncode not in (0, 1) for proc in procs.values()):
+        diff = compare_refusals(procs["parent"], procs["change"])
+        if diff:
+            return False, f"DIFFERENT: {diff}"
+        return True, (f"IDENTICAL: both refused with exit {procs['change'].returncode}: "
+                      f"{_last_line(procs['change'].stderr)}")
+    codes = {side: proc.returncode for side, proc in procs.items()}
+    diff = (compare(tmp / "out-parent", tmp / "out-change")
+            or compare_printed(procs["parent"].stdout, procs["change"].stdout))
+    if diff is None and codes["parent"] != codes["change"]:
+        diff = f"exit status {codes['parent']} on the parent, {codes['change']} on the change"
+    if diff:
+        return False, f"DIFFERENT: {diff}"
+    out = tmp / "out-change"
+    lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    return True, (f"IDENTICAL: exit {codes['change']}, "
+                  f"{len(procs['change'].stdout.splitlines()) - 1} printed lines, "
+                  f"{len(lines) - 1} result lines, "
+                  f"{len(json.loads(lines[0])['streams'])} streams, "
+                  f"{len(list(out.glob('*.csv')))} tables")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("experiment")
+    parser.add_argument("experiment", nargs="?")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE")
     parser.add_argument("--threads", type=int)
+    parser.add_argument("--all", action="store_true", help="run every row of RUNS")
     args = parser.parse_args(argv)
+    if args.all == (args.experiment is not None):
+        parser.error("name one experiment or pass --all")
+    if args.all and (args.set or args.threads is not None):
+        parser.error("--all takes its settings from RUNS")
 
     from bench_pairs import export
 
     with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
         tmp = Path(tmp)
         export(args.parent, tmp / "parent")
-        procs = {}
-        for side, root in (("parent", tmp / "parent"), ("change", ROOT)):
-            proc = procs[side] = run(root, args, tmp / f"out-{side}")
-            print(f"{side}: exit {proc.returncode}")
-        if any(proc.returncode not in (0, 1) for proc in procs.values()):
-            diff = compare_refusals(procs["parent"], procs["change"])
-            if diff:
-                print(f"DIFFERENT: {diff}")
-                return 1
-            print(f"IDENTICAL: both refused with exit {procs['change'].returncode}: "
-                  f"{_last_line(procs['change'].stderr)}")
-            return 0
-        codes = {side: proc.returncode for side, proc in procs.items()}
-        diff = (compare(tmp / "out-parent", tmp / "out-change")
-                or compare_printed(procs["parent"].stdout, procs["change"].stdout))
-        if diff is None and codes["parent"] != codes["change"]:
-            diff = f"exit status {codes['parent']} on the parent, {codes['change']} on the change"
-        if diff:
-            print(f"DIFFERENT: {diff}")
-            return 1
-        out = tmp / "out-change"
-        lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
-        print(f"IDENTICAL: {len(procs['change'].stdout.splitlines()) - 1} printed lines, "
-              f"{len(lines) - 1} result lines, "
-              f"{len(json.loads(lines[0])['streams'])} streams, "
-              f"{len(list(out.glob('*.csv')))} tables")
-        return 0
+        if not args.all:
+            ok, line = check(tmp / "parent", args, tmp)
+            print(line)
+            return 0 if ok else 1
+        results = []
+        for k, (experiment, sets, threads) in enumerate(RUNS):
+            label = " ".join([experiment] + [f"--set {item}" for item in sets]
+                             + [f"--threads {threads}"] * (threads is not None))
+            run_dir = tmp / f"run-{k}"
+            run_dir.mkdir()
+            ok, line = check(tmp / "parent", argparse.Namespace(
+                experiment=experiment, set=sets, threads=threads), run_dir)
+            results.append(ok)
+            flat = "; ".join(part.strip() for part in line.splitlines())  # one line per run
+            print(f"{label}: {flat}", flush=True)
+        print(f"{sum(results)} of {len(results)} runs identical")
+        return 0 if all(results) else 1
 
 
 if __name__ == "__main__":
