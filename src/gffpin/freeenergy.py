@@ -410,7 +410,7 @@ def conditioned_contact_statistics(N: int, master_seed: int, samples: int) -> di
     L = np.zeros(samples)
     Lp = np.zeros(samples)
     margins = np.zeros(samples)
-    j_hist: dict[int, int] = {}
+    j_hist = np.zeros(grid.k + 1, dtype=np.int64)
     x1g, x2g = geom.coords
     for i in range(samples):
         s = fields.sample_scale_stack(geom, m, rng, grid=grid)
@@ -423,8 +423,7 @@ def conditioned_contact_statistics(N: int, master_seed: int, samples: int) -> di
         if len(xs1) >= 2:
             d = np.abs(xs1[:, None] - xs1[None, :]) + np.abs(xs2[:, None] - xs2[None, :])
             iu = np.triu_indices(len(xs1), k=1)
-            for jv in pair_scale_index(grid.k, d[iu]):
-                j_hist[int(jv)] = j_hist.get(int(jv), 0) + 1
+            j_hist += np.bincount(pair_scale_index(grid.k, d[iu]), minlength=grid.k + 1)
     an = margins <= GAMMA * math.log(math.log(N))
     few = L <= math.log(N) ** ((1.0 + _ALPHA) / 2.0)
     cond = an & few
@@ -436,7 +435,7 @@ def conditioned_contact_statistics(N: int, master_seed: int, samples: int) -> di
         "an_frequency": float(an.mean()),
         "cond_frequency": float(cond.mean()),
         "mean_L_given_cond": float(L[cond].mean()) if cond.any() else float("nan"),
-        "j_histogram": dict(sorted(j_hist.items())),
+        "j_histogram": {j: int(c) for j, c in enumerate(j_hist) if c},
     }
     first = out["mean_Lp"]
     out["paley_zygmund_ratio"] = out["mean_Lp_sq"] / first ** 2 if first > 0 else float("inf")

@@ -216,8 +216,10 @@ def green_dirichlet(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     """G^{m,*} over all interior sites, spectrally.
 
     G^{m,*}(x,y) = sum_{ij} phi_ij(x) phi_ij(y) / (lam_i + lam_j + m^2).
-    The table is filled 64 rows at a time, each block weighted and
-    multiplied straight into it, then symmetrized block by block in place.
+    The table is built in 64 x 64 tiles, each tile's rows and columns taken
+    from the two 1-D sine bases: only the tiles on and above the diagonal
+    are computed, each mirrored below it, and the diagonal tiles are
+    symmetrized in place.  No site-by-mode matrix is formed.
     """
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
@@ -225,14 +227,20 @@ def green_dirichlet(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     basis = spectral_basis(geom.N)
     w = (1.0 / (basis.lam2d + m * m)).ravel()
     x1, x2 = geom.site(sites)
-    # rows phi_ij(site), shape (len(sites), (N-1)^2)
-    phi = (basis.modes[x1 - 1][:, :, None] * basis.modes[x2 - 1][:, None, :]).reshape(len(sites), -1)
+    m1, m2 = basis.modes[x1 - 1], basis.modes[x2 - 1]  # phi_ij(site) = m1[site, i] m2[site, j]
     size = len(sites)
     table = np.empty((size, size))
-    rows = 64
-    for start in range(0, size, rows):
-        np.matmul(phi[start : start + rows] * w, phi.T, out=table[start : start + rows])
-    _symmetrize_blocks(table, rows)
+    tile = 64
+    for a in range(0, size, tile):
+        weighted = (m1[a : a + tile, :, None] * m2[a : a + tile, None, :]).reshape(-1, w.size) * w
+        for b in range(a, size, tile):
+            phi = (m1[b : b + tile, :, None] * m2[b : b + tile, None, :]).reshape(-1, w.size)
+            block = table[a : a + tile, b : b + tile]
+            np.matmul(weighted, phi.T, out=block)
+            if b == a:
+                block[...] = 0.5 * (block + block.T)
+            else:
+                table[b : b + tile, a : a + tile] = block.T
     return GreenTable(table)
 
 

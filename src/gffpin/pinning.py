@@ -19,25 +19,22 @@ a third of a heat-bath half-update's cost; the heat-bath sweeps keep the
 chain ergodic.
 
 Only the conditional means change between sweeps: band edges are global and
-the per-site band weights are fixed for a chain, so each chain builds one
-`BandLayout` per checkerboard colour (sorted edges, relative interval
-weights, and a site-major flat copy of the weights with per-site base
-indices for the reflection's lookups) together with the colour's flat site
-and neighbour indices and its gather buffers: a half-update takes the
-neighbours' heights into one buffer (np.take), sums them into the
-conditional means in another (np.add.reduce) and writes its draws back with
-put.  A heat-bath half-update then evaluates two normal CDFs, Phi(z) and
-Phi(-z), per site and edge and draws two uniforms per site with one
-rng.random call into a buffer: the first n pick the intervals, the last n
-the heights inside them; a reflection half-update looks up both points'
-interval weights and draws one uniform per site with one rng.random(n)
-call.  Each layout owns the heat-bath sampler's workspace (the z/Phi grid
-with its constant far rows, the gather offsets, the interval masses, the
-uniforms) and every view a call works through (the grid's edge rows, the
-mass rows, the halves of the uniforms, the rows the gather fills), built on
-its first call and rebuilt, views included, only when it is called at
-another site count; a layout, like the chain holding it, is therefore not
-for concurrent use.  None of this changes a float operation or a draw: the
+the per-site band weights are fixed for a chain, so each chain keeps, per
+checkerboard colour, the flat site and neighbour indices and one
+`BandLayout`, built once at the colour's site count (set by the per-site
+weights of the model's band; scalar bands are broadcast over the sites).  The
+layout holds everything the colour's half-updates work in: edges and
+weights, the reflection's flat lookups, the heat-bath sampler's grid, masses
+and uniforms, every view into them and the gather buffers; a call at another
+site count is refused.  A half-update takes the neighbours' heights into one
+buffer (np.take), sums them into the conditional means in another
+(np.add.reduce) and writes its draws back with put.  A heat-bath half-update
+evaluates two normal CDFs, Phi(z) and Phi(-z), per site and edge and draws
+two uniforms per site with one rng.random call into a buffer: the first n
+pick the intervals, the last n the heights inside them; a reflection
+half-update looks up both points' interval weights and draws one uniform per
+site with one rng.random(n) call.  A layout, like the chain holding it, is
+not for concurrent use.  None of this changes a float operation or a draw: the
 running interval sums are row adds in add.accumulate's order.  run_chain
 gathers a record's interaction-range heights through indices found once per
 call, finds the charged sites among them once and takes the contact total,
@@ -97,11 +94,6 @@ def contact_indicators(values: np.ndarray, u: float) -> np.ndarray:
     return np.abs(values - u) <= 1.0
 
 
-def sign_indicators(values: np.ndarray) -> np.ndarray:
-    """Delta_x = 1 iff phi_x < 0 (sign(0) counts as +1)."""
-    return values < 0.0
-
-
 def _interaction_mask(geom: BoxGeometry, interaction: str) -> np.ndarray:
     if interaction == "tilde":
         return geom.tilde_mask
@@ -111,10 +103,11 @@ def _interaction_mask(geom: BoxGeometry, interaction: str) -> np.ndarray:
 
 
 def _indicators(values: np.ndarray, params: PinningParams) -> np.ndarray:
-    """Sites the model's interaction charges: contacts, or the lower half-plane."""
+    """Sites the model's interaction charges: contacts, or the lower half-plane
+    (phi_x < 0; phi_x = 0 is not charged)."""
     if params.model == "pinning":
         return contact_indicators(values, params.u)
-    return sign_indicators(values)
+    return values < 0.0
 
 
 def _charges(params: PinningParams, omega: DisorderField) -> tuple[np.ndarray, float]:
@@ -139,24 +132,38 @@ def energy(sample: FieldSample, omega: DisorderField, params: PinningParams) -> 
 # exact sampling of piecewise-reweighted Gaussian conditionals
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """Buffers of one sampler call at a fixed site count n, and views into them.
+# (z, Phi(z), Phi(-z)) at the two far ends of every site's z-grid
+_FAR_LO = np.array([[-_Z_FAR], [special.ndtr(-_Z_FAR)], [special.ndtr(_Z_FAR)]])
+_FAR_HI = np.array([[_Z_FAR], [special.ndtr(_Z_FAR)], [special.ndtr(-_Z_FAR)]])
 
-    The grid, which flat holds flattened, holds z, Phi(z) and Phi(-z)
-    (planes) at -far, every edge and +far (rows) for each site (columns);
-    its two far rows never change.  offsets
-    are the flat positions of (za, zb, Phi(za), Phi(zb), Phi(-za), Phi(-zb))
-    within interval 0, so interval j sits j * n further on; ends receives
-    them.  mass holds the interval masses, then their running sums; draws
-    receives the 2n uniforms (rng.random(out=draws)).  The views a call
-    works through are made here once: the grid's inner (edge) rows, its
-    neighbouring-row pairs, the mass rows, the two halves of draws and the
-    rows of ends.  A call at another site count builds a new workspace, and
-    with it every view.
+
+class BandLayout:
+    """Interval layout of a band list at its site count n, and every buffer and
+    view a half-update works in; built once, for the life of a chain.
+
+    The finite band edges (a column, sorted) split the real line into
+    len(edges) + 1 intervals; weights[j, i] = exp(logw - max over j) is the
+    relative weight of interval j at site i.  The reflection looks weights up
+    in edge_row and site_major (interval j of site i at base[i] + j).  The
+    heat-bath draw works in the grid (flat holds it flattened): z, Phi(z) and
+    Phi(-z) (planes) at -far, every edge and +far (rows) for each site
+    (columns), its far rows constant.  offsets are the flat positions of (za,
+    zb, Phi(za), Phi(zb), Phi(-za), Phi(-zb)) within interval 0, so interval
+    j sits j * n further on; ends receives them.  mass holds the interval
+    masses, then their running sums; draws receives the 2n uniforms.  near,
+    mu and x are the colour's gather buffers (the neighbours' heights, the
+    conditional means, the sites' heights).  Not for concurrent use.
     """
 
-    def __init__(self, k: int, n: int):
+    def __init__(self, edges: np.ndarray, weights: np.ndarray):
+        intervals, n = weights.shape
         self.n = n
+        self.edges = edges
+        self.weights = weights
+        self.edge_row = edges[:, 0]
+        self.site_major = np.ascontiguousarray(weights.T).reshape(-1)
+        self.base = np.arange(n) * intervals
+        k = intervals + 1  # grid rows: -far, every edge, +far
         grid = np.empty((3, k, n))
         grid[:, 0] = _FAR_LO
         grid[:, -1] = _FAR_HI
@@ -169,48 +176,29 @@ class _Workspace:
         self.index = np.empty_like(self.offsets)
         self.ends = np.empty((6, n))
         self.end_rows = tuple(self.ends)
-        self.mass = np.empty((k - 1, n))
+        self.mass = np.empty((intervals, n))
         self.mass_rows = tuple(self.mass)
-        self.mirrored = np.empty((k - 1, n))
+        self.mirrored = np.empty((intervals, n))
         self.draws = np.empty(2 * n)
         self.halves = (self.draws[:n], self.draws[n:])
         self.pick = np.empty(n, dtype=self.offsets.dtype)
         self.flip = np.empty(n, dtype=bool)
-
-
-@dataclass
-class BandLayout:
-    """Interval layout of a band list, fixed for the life of a chain.
-
-    The finite band edges (a column, sorted) split the real line into
-    len(edges) + 1 intervals; weights[j, i] = exp(logw - max over j) is the
-    relative weight of interval j at site i (one column serves every site
-    when all bands are scalar).  For the reflection's lookups the layout
-    also keeps the edges as a row, the weights site-major and flat (interval
-    j of site i at i * intervals + j) and the per-site base index i *
-    intervals (None when one column serves every site).  The layout owns
-    the sampler's buffers too, rebuilt whenever it is called at another site
-    count, so one layout must not be shared between threads.
-    """
-
-    edges: np.ndarray
-    weights: np.ndarray
-    workspace: _Workspace | None = dc_field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        intervals, columns = self.weights.shape
-        self._edge_row = self.edges[:, 0]
-        self._site_major = np.ascontiguousarray(self.weights.T).reshape(-1)
-        self._base = None if columns == 1 else np.arange(columns) * intervals
+        self.near = np.empty((4, n))
+        self.mu = np.empty(n)
+        self.x = np.empty(n)
 
 
 def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLayout:
-    """Layout of (lo, hi, logw) bands, logw per site (1-D) or scalar."""
+    """Layout of (lo, hi, logw) bands, logw per site (1-D) or scalar; the per-site
+    weights set the site count and scalar ones are broadcast over the sites."""
+    sizes = [np.size(w) for _, _, w in bands if np.ndim(w)]
+    if not sizes:
+        raise ContractError("a band layout needs a band with per-site weights: "
+                            "they set its site count")
     edges = sorted({e for lo, hi, _ in bands for e in (lo, hi) if math.isfinite(e)})
     lows = [-math.inf] + edges
     highs = edges + [math.inf]
-    n_sites = max([np.size(w) for _, _, w in bands if np.ndim(w)], default=1)
-    logw = np.zeros((len(lows), n_sites))
+    logw = np.zeros((len(lows), max(sizes)))
     for lo, hi, w in bands:
         cover = np.array([(lo <= a) and (b <= hi) for a, b in zip(lows, highs)])
         if np.any(cover):
@@ -219,9 +207,9 @@ def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLay
     return BandLayout(np.array(edges, dtype=float)[:, None], np.exp(logw))
 
 
-# (z, Phi(z), Phi(-z)) at the two far ends of every site's z-grid
-_FAR_LO = np.array([[-_Z_FAR], [special.ndtr(-_Z_FAR)], [special.ndtr(_Z_FAR)]])
-_FAR_HI = np.array([[_Z_FAR], [special.ndtr(_Z_FAR)], [special.ndtr(-_Z_FAR)]])
+def _refuse_other_size(mu: np.ndarray, bands: BandLayout) -> None:
+    if mu.shape[0] != bands.n:
+        raise ContractError(f"a band layout of {bands.n} sites was called at {mu.shape[0]}")
 
 
 def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: float,
@@ -233,40 +221,38 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     values invert the CDF inside the chosen interval, through the mirrored
     tail when that one is better conditioned.  Consumes rng.random(2n): the
     first n uniforms pick the interval, the last n the position inside it.
-    Works in the layout's workspace and returns a new array.
+    Works in the layout's buffers and returns a new array; a mu of another
+    length than the layout's site count is refused before any draw.
     """
-    n = mu.shape[0]
-    ws = bands.workspace
-    if ws is None or ws.n != n:
-        ws = bands.workspace = _Workspace(bands.edges.shape[0] + 2, n)
-    ze, pe, qe = ws.edge_rows
+    _refuse_other_size(mu, bands)
+    ze, pe, qe = bands.edge_rows
     np.subtract(bands.edges, mu, out=ze)
     ze /= sigma
     np.maximum(ze, -_Z_FAR, out=ze)
     np.minimum(ze, _Z_FAR, out=ze)
     special.ndtr(ze, out=pe)
     special.ndtr(np.negative(ze, out=qe), out=qe)
-    p_hi, p_lo, q_lo, q_hi = ws.neighbour_rows
-    cum = ws.mass
+    p_hi, p_lo, q_lo, q_hi = bands.neighbour_rows
+    cum = bands.mass
     np.subtract(p_hi, p_lo, out=cum)
-    np.maximum(cum, np.subtract(q_lo, q_hi, out=ws.mirrored), out=cum)
+    np.maximum(cum, np.subtract(q_lo, q_hi, out=bands.mirrored), out=cum)
     cum *= bands.weights
-    rows = ws.mass_rows
+    rows = bands.mass_rows
     for prev, row in zip(rows, rows[1:]):  # running sums, in add.accumulate's order
         row += prev
-    rng.random(out=ws.draws)
-    u, t = ws.halves
+    rng.random(out=bands.draws)
+    u, t = bands.halves
     total = rows[-1]
     u *= np.maximum(total, 1e-300, out=total)
     # the interval is the number of running sums below u; u is below the last one, the total
-    pick = ws.pick
+    pick = bands.pick
     pick.fill(0)
     for row in rows[:-1]:
-        pick += np.less(row, u, out=ws.flip)
-    pick *= n
-    za, zb, pa, pb, qa, qb = ws.end_rows
-    np.take(ws.flat, np.add(ws.offsets, pick, out=ws.index), out=ws.ends, mode="clip")
-    flip = np.greater(za, np.negative(zb, out=u), out=ws.flip)
+        pick += np.less(row, u, out=bands.flip)
+    pick *= bands.n
+    za, zb, pa, pb, qa, qb = bands.end_rows
+    np.take(bands.flat, np.add(bands.offsets, pick, out=bands.index), out=bands.ends, mode="clip")
+    flip = np.greater(za, np.negative(zb, out=u), out=bands.flip)
     np.copyto(pa, qb, where=flip)  # the lower end of the inverted CDF
     np.copyto(pb, qa, where=flip)  # and its upper end
     pb -= pa
@@ -291,15 +277,15 @@ def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, x: np.ndarray,
     min(1, w(y) / w(x)), w the layout's weight of the interval holding the
     point, leaves the reweighted law invariant.  Consumes rng.random(n).
     """
+    _refuse_other_size(mu, bands)
     y = mu + mu
     y -= x
-    at_x = bands._edge_row.searchsorted(x)
-    at_y = bands._edge_row.searchsorted(y)
-    if bands._base is not None:
-        at_x += bands._base
-        at_y += bands._base
-    wx = bands._site_major.take(at_x)
-    wy = bands._site_major.take(at_y)
+    at_x = bands.edge_row.searchsorted(x)
+    at_y = bands.edge_row.searchsorted(y)
+    at_x += bands.base
+    at_y += bands.base
+    wx = bands.site_major.take(at_x)
+    wy = bands.site_major.take(at_y)
     wx *= rng.random(mu.shape[0])
     return np.where(wx < wy, y, x)
 
@@ -348,9 +334,7 @@ class GibbsChain:
             nbrs = sites + np.array([[-side], [side], [-1], [1]])
             layout = band_layout([(a, b, np.asarray(logw)[mask] if np.ndim(logw) else float(logw))
                                   for a, b, logw in bands])
-            # gather buffers: the neighbours' heights, their conditional mean, the sites' heights
-            self._colours.append((sites, nbrs, layout, np.empty(nbrs.shape), np.empty(sites.size),
-                                  np.empty(sites.size)))
+            self._colours.append((sites, nbrs, layout))
 
 
 def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
@@ -366,18 +350,18 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
     flat = chain.field.reshape(-1, copy=False)
     denom = 4.0 + chain.params.m ** 2
     for _ in range(n_sweeps):
-        for sites, nbrs, layout, near, mu, _ in chain._colours:
-            _conditional_means(flat, nbrs, near, mu, denom)
-            flat.put(sites, sample_banded_conditional(chain.rng, mu, chain._sigma, layout))
+        for sites, nbrs, layout in chain._colours:
+            _conditional_means(flat, nbrs, layout, denom)
+            flat.put(sites, sample_banded_conditional(chain.rng, layout.mu, chain._sigma, layout))
     return chain
 
 
-def _conditional_means(flat: np.ndarray, nbrs: np.ndarray, near: np.ndarray, mu: np.ndarray,
+def _conditional_means(flat: np.ndarray, nbrs: np.ndarray, layout: BandLayout,
                        denom: float) -> None:
-    """Gather the neighbours' heights into near and their sum / denom into mu."""
-    np.take(flat, nbrs, out=near, mode="clip")
-    np.add.reduce(near, axis=0, out=mu)
-    mu /= denom
+    """Gather the neighbours' heights into layout.near and their sum / denom into layout.mu."""
+    np.take(flat, nbrs, out=layout.near, mode="clip")
+    np.add.reduce(layout.near, axis=0, out=layout.mu)
+    layout.mu /= denom
 
 
 def _reflection_sweep(chain: GibbsChain) -> None:
@@ -385,10 +369,10 @@ def _reflection_sweep(chain: GibbsChain) -> None:
     conditional mean) with the Metropolis probability of its band weights."""
     flat = chain.field.reshape(-1, copy=False)
     denom = 4.0 + chain.params.m ** 2
-    for sites, nbrs, layout, near, mu, x in chain._colours:
-        _conditional_means(flat, nbrs, near, mu, denom)
-        np.take(flat, sites, out=x, mode="clip")
-        flat.put(sites, _reflect_banded(chain.rng, mu, x, layout))
+    for sites, nbrs, layout in chain._colours:
+        _conditional_means(flat, nbrs, layout, denom)
+        np.take(flat, sites, out=layout.x, mode="clip")
+        flat.put(sites, _reflect_banded(chain.rng, layout.mu, layout.x, layout))
 
 
 def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:

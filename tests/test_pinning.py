@@ -80,6 +80,12 @@ def _banded_cdf(mu, sigma, bands):
     return cdf
 
 
+def _first_band_per_site(bands, n):
+    """The band list with its first band's weight given to each of n sites."""
+    (lo, hi, w), *rest = bands
+    return [(lo, hi, np.full(n, w))] + rest
+
+
 def test_banded_conditional_matches_density():
     # exact sampler vs the piecewise-reweighted Gaussian CDF (KS test)
     r = rng.stream(201, "band")
@@ -98,9 +104,8 @@ def test_banded_conditional_matches_density():
     ]
     for mu, sigma, bands in cases:
         n = 20000
-        vec = [(lo, hi, np.full(n, w)) for lo, hi, w in bands]
-        draws = pinning.sample_banded_conditional(r, np.full(n, mu), sigma,
-                                                  pinning.band_layout(vec))
+        draws = pinning.sample_banded_conditional(
+            r, np.full(n, mu), sigma, pinning.band_layout(_first_band_per_site(bands, n)))
         assert np.all(np.isfinite(draws))
         ks = stats.ks_1samp(draws, _banded_cdf(mu, sigma, bands))
         assert ks.pvalue > 0.005, (mu, sigma, bands, ks)
@@ -138,7 +143,7 @@ def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
     else:
         bands = _REFLECT_BANDS[kind](w)
         groups = [(slice(None), bands)]
-        layout = pinning.band_layout(bands)
+        layout = pinning.band_layout(_first_band_per_site(bands, n))
     m = np.full(n, mu)
     x = pinning.sample_banded_conditional(r, m, sigma, layout)
     y = pinning._reflect_banded(r, m, x, layout)
@@ -152,10 +157,11 @@ def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
 
 
 def test_band_layout_scalar_and_per_site():
-    # scalar bands give one weight column, per-site bands one per site
-    lay = pinning.band_layout([(-1.0, 1.0, 2.0), (-math.inf, 0.0, -1.0)])
+    # per-site bands give one weight column per site; a scalar band is spread over them
+    lay = pinning.band_layout([(-1.0, 1.0, np.full(3, 2.0)), (-math.inf, 0.0, -1.0)])
     assert lay.edges.ravel().tolist() == [-1.0, 0.0, 1.0]
-    assert np.allclose(lay.weights[:, 0], np.exp(np.array([-1.0, 1.0, 2.0, 0.0]) - 2.0))
+    assert lay.weights.shape == (4, 3)
+    assert np.allclose(lay.weights.T, np.exp(np.array([-1.0, 1.0, 2.0, 0.0]) - 2.0))
     per_site = pinning.band_layout([(-1.0, 1.0, np.array([0.5, -3.0]))])
     assert per_site.weights.shape == (3, 2)
     assert np.allclose(per_site.weights[1], [1.0, math.exp(-3.0)])
@@ -488,27 +494,39 @@ def test_alternating_chains_keep_their_own_fields():
         assert np.array_equal(a.field, b.field)
 
 
-def test_scalar_layout_serves_any_site_count():
-    # one scalar-weight layout called at changing sizes (7, 112, then 7 again) draws what
-    # a fresh one draws, in both half-updates, and hands back arrays that share no memory
-    # with its workspace; every view into the workspace is rebuilt at the new size
-    bands = [(-1.0, 1.0, 1.5), (-math.inf, 0.0, -0.5)]
+def test_layout_refuses_another_site_count():
+    # a layout serves the site count it was built at: called again there it draws what a
+    # fresh one draws, in both half-updates, and hands back arrays that share no memory
+    # with its buffers; called at any other count it refuses before it draws
+    bands = [(-1.0, 1.0, np.full(7, 1.5)), (-math.inf, 0.0, -0.5)]
     reused = pinning.band_layout(bands)
-    for n in (0, 1, 7, 112, 7):
-        mu = np.linspace(-2.0, 2.0, n)
-        got_r, want_r = rng.stream(252, "ws", n), rng.stream(252, "ws", n)
+    mu = np.linspace(-2.0, 2.0, 7)
+    for rep in range(2):
+        got_r, want_r = rng.stream(252, "ws", rep), rng.stream(252, "ws", rep)
         fresh = pinning.band_layout(bands)
         got = pinning.sample_banded_conditional(got_r, mu, 0.5, reused)
         want = pinning.sample_banded_conditional(want_r, mu, 0.5, fresh)
-        assert got.shape == (n,)
         assert np.array_equal(got, want)
         assert np.array_equal(pinning._reflect_banded(got_r, mu, got, reused),
                               pinning._reflect_banded(want_r, mu, want, fresh))
-        buffers = [b for b in vars(reused.workspace).values() if isinstance(b, np.ndarray)]
+        buffers = [b for b in vars(reused).values() if isinstance(b, np.ndarray)]
         assert buffers and not any(np.shares_memory(got, b) for b in buffers)
         assert not np.shares_memory(got, mu)
-        views = [v for t in vars(reused.workspace).values() if isinstance(t, tuple) for v in t]
-        assert views and all(v.shape[-1] == n for v in views)
+    r = rng.stream(252, "ws", "other")
+    before = _state(r)
+    for n in (0, 1, 6, 8, 112):
+        other = np.linspace(-2.0, 2.0, n)
+        with pytest.raises(ContractError, match=rf"layout of 7 sites was called at {n}\b"):
+            pinning.sample_banded_conditional(r, other, 0.5, reused)
+        with pytest.raises(ContractError, match=rf"layout of 7 sites was called at {n}\b"):
+            pinning._reflect_banded(r, other, other, reused)
+    assert _state(r) == before
+
+
+def test_band_layout_refuses_bands_without_per_site_weights():
+    # the per-site weights set a layout's site count, so a list of scalar bands has none
+    with pytest.raises(ContractError, match="per-site weights"):
+        pinning.band_layout([(-1.0, 1.0, 1.5), (-math.inf, 0.0, -0.5)])
 
 
 def test_empty_colour_class_still_samples():
@@ -550,7 +568,7 @@ def _state(gen):
     return plain(gen.bit_generator.state)
 
 
-# finite edges -> band list of the layout, its weights scalar or per site
+# finite edges -> band list of the layout, given its first band's per-site weights
 _EDGE_BANDS = {
     1: lambda w: [(-math.inf, 0.0, w)],
     2: lambda w: [(-1.0, 1.0, w)],
@@ -564,7 +582,7 @@ def test_half_updates_draw_what_they_promise(edges, per_site):
     # a heat-bath half-update consumes rng.random(2n) and a reflection rng.random(n),
     # no more and no less, whatever the layout
     n = 37
-    w = np.linspace(-3.0, 3.0, n) if per_site else 1.5
+    w = np.linspace(-3.0, 3.0, n) if per_site else np.full(n, 1.5)
     layout = pinning.band_layout(_EDGE_BANDS[edges](w))
     assert layout.edges.shape == (edges, 1)
     mu = np.linspace(-2.5, 2.5, n)

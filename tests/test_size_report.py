@@ -22,6 +22,14 @@ class Plain:
     x: int
 
 
+class Built:
+    def __init__(self, edges, weights=None, *rest, scale=1.0, **extra):
+        self.edges = edges
+
+    def method(self, y):
+        return y
+
+
 @dataclass(frozen=True)
 class Record:
     a: int
@@ -41,6 +49,7 @@ class _Hidden:
 
 def test_counts_of_a_synthetic_module():
     # public's a, b, c (not *args, **kwargs); Record's a, b, d (not the init=False field);
-    # nothing from the plain class, the methods or the private names
+    # Built's edges, weights, scale (its __init__ without self, *rest, **extra); nothing
+    # from the plain class without an __init__, the methods or the private names
     assert size_report.count([MODULE, "X = 1\n"]) == {
-        "src lines": len(MODULE.splitlines()) + 1, "public names": 3, "settable values": 6}
+        "src lines": len(MODULE.splitlines()) + 1, "public names": 4, "settable values": 9}

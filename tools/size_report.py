@@ -4,8 +4,9 @@
 
 src lines: physical lines of src/gffpin/*.py.  Public names: module-level `def` and
 `class` names without a leading underscore.  Settable values: the positional and keyword-only
-parameters of public module-level functions plus the constructor fields of public
-dataclasses (init=False fields excluded).  --parent counts the committed files of REV too."""
+parameters of public module-level functions, plus the constructor fields of public
+dataclasses (init=False fields excluded), plus the `__init__` parameters (self excluded) of
+the other public classes.  --parent counts the committed files of REV too."""
 
 from __future__ import annotations
 
@@ -24,6 +25,12 @@ def _init_field(node: ast.AST) -> bool:
         k.arg == "init" and getattr(k.value, "value", None) is False for k in value.keywords))
 
 
+def _parameters(node: ast.FunctionDef) -> int:
+    """The positional and keyword-only parameters of a function (not *args, **kwargs)."""
+    a = node.args
+    return len(a.posonlyargs + a.args + a.kwonlyargs)
+
+
 def count(sources: list[str]) -> dict[str, int]:
     """The three counts over the given module sources."""
     out = {"src lines": 0, "public names": 0, "settable values": 0}
@@ -33,10 +40,13 @@ def count(sources: list[str]) -> dict[str, int]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
                 out["public names"] += 1
                 if isinstance(node, ast.FunctionDef):
-                    a = node.args
-                    out["settable values"] += len(a.posonlyargs + a.args + a.kwonlyargs)
+                    out["settable values"] += _parameters(node)
                 elif any("dataclass" in ast.unparse(d) for d in node.decorator_list):
                     out["settable values"] += sum(map(_init_field, node.body))
+                else:
+                    out["settable values"] += sum(_parameters(f) - 1 for f in node.body if
+                                                  isinstance(f, ast.FunctionDef)
+                                                  and f.name == "__init__")
     return out
 
 
