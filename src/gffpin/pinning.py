@@ -5,18 +5,23 @@ in the band [u-1, u+1]; the co-membrane variant instead charges sites in the
 lower half-plane.  Both are instances of a density with piecewise-constant
 per-site log-weights in the height, so the single-site conditional is a
 mixture of truncated Gaussians, N(mu, sigma^2) reweighted by w.  A
-checkerboard schedule turns a sweep into two vectorized half-updates.  The
-sweeps run_chain makes alternate, starting with a heat-bath sweep and keeping
-the parity on the chain; heat_bath_sweep makes heat-bath sweeps only.  A heat-bath
-half-update draws every site of its colour exactly from its conditional.  A
-reflection half-update (Creutz's Metropolised overrelaxation) proposes
-y = 2 mu - x and keeps it with probability min(1, w(y) / w(x)): the map is
-its own inverse, has unit Jacobian and preserves N(mu, sigma^2), so this is a
-Metropolis-Hastings step with an exact acceptance ratio.  Either half-update
-therefore leaves the conditional, and with it the target, invariant.  The
-reflections suppress the random walk of the slow modes (Adler 1981) at about
-a third of a heat-bath half-update's cost; the heat-bath sweeps keep the
-chain ergodic.
+checkerboard schedule turns a sweep into two vectorized half-updates.
+run_chain's sweeps run in cycles of one heat-bath sweep followed by
+k = max(1, N // 4) reflection sweeps on a box of side N, the phase within
+the cycle kept on the chain; heat_bath_sweep makes heat-bath sweeps only.  A
+heat-bath half-update draws every site of its colour exactly from its
+conditional.  A reflection half-update (Creutz's Metropolised
+overrelaxation) proposes y = 2 mu - x and keeps it with probability
+min(1, w(y) / w(x)): the map is its own inverse, has unit Jacobian and
+preserves N(mu, sigma^2), so this is a Metropolis-Hastings step with an exact
+acceptance ratio.  Either half-update therefore leaves the conditional, and
+with it the target, invariant.  The reflections suppress the random walk of
+the slow modes (Adler 1981) at about a third of a heat-bath half-update's
+cost; the heat-bath sweeps keep the chain ergodic.  The best number of
+reflections per heat-bath sweep grows with the correlation length (Wolff
+1992), about N here.  In a small box the conditional means barely move
+between sweeps, so two reflections nearly cancel: boxes with N <= 7 keep one
+reflection per heat-bath sweep.
 
 Only the conditional means change between sweeps: band edges are global and
 the per-site band weights are fixed for a chain, so each chain keeps, per
@@ -59,6 +64,7 @@ from .fields import BoundaryCondition, FieldSample, harmonic_extension
 from .lattice import BoxGeometry
 
 _Z_FAR = 38.0  # standard-normal quantile beyond which mass is below 1e-300
+_SOKAL_C = 5.0  # Sokal's window constant: adequate for roughly exponential decay
 _BAND_NODES, _BAND_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -301,9 +307,10 @@ class GibbsChain:
     Interior sites are updated from their single-site conditionals,
     Normal(sum of neighbours / (4 + m^2), 1 / (4 + m^2)) reweighted by the
     model's bands, in a checkerboard schedule; the boundary never changes.
-    The chain keeps the parity of the sweeps run_chain makes: its first,
-    third, ... sweeps are heat-bath sweeps, the others Metropolised reflection
-    sweeps.
+    The chain keeps the phase of the sweeps run_chain makes, in cycles of one
+    heat-bath sweep and then k = max(1, N // 4) Metropolised reflection
+    sweeps: 1:1 up to N = 7, where two reflections nearly cancel, 1:4 at
+    N = 16, 1:8 at N = 32.
     """
 
     geom: BoxGeometry
@@ -326,7 +333,8 @@ class GibbsChain:
         side = self.geom.side
         x1, x2 = self.geom.coords
         inter = self.geom.interior_mask
-        self._reflect_next = False
+        self._reflections = max(1, self.geom.N // 4)
+        self._phase = 0  # sweeps into the current cycle; 0 runs the heat-bath sweep
         self._colours = []
         for c in (0, 1):
             mask = inter & ((x1 + x2) % 2 == c)
@@ -376,15 +384,16 @@ def _reflection_sweep(chain: GibbsChain) -> None:
 
 
 def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:
-    """n_sweeps sweeps of the chain's schedule: heat-bath and reflection sweeps in
-    turn, the chain's first a heat-bath sweep.  The parity lives on the chain, so
-    a + b sweeps in one call equal a sweeps then b."""
+    """n_sweeps sweeps of the chain's schedule: a heat-bath sweep at phase 0, a
+    reflection sweep at each of the cycle's other chain._reflections phases.
+    The phase lives on the chain, so a + b sweeps in one call equal a sweeps
+    then b."""
     for _ in range(n_sweeps):
-        if chain._reflect_next:
+        if chain._phase:
             _reflection_sweep(chain)
         else:
             heat_bath_sweep(chain)
-        chain._reflect_next = not chain._reflect_next
+        chain._phase = (chain._phase + 1) % (1 + chain._reflections)
 
 
 @dataclass
@@ -395,35 +404,35 @@ class ChainRecord:
     contact_fraction: np.ndarray
     energy: np.ndarray
     extra: dict
-    iact: float
 
     def mean_se(self, series: np.ndarray) -> tuple[float, float]:
+        """Mean of a recorded series and its SE, from the series' own IACT."""
         n = len(series)
         mean = float(series.mean())
         if n < 4:
             return mean, float("inf")
         var = float(series.var(ddof=1))
-        return mean, math.sqrt(var * max(self.iact, 1.0) / n)
+        return mean, math.sqrt(var * integrated_autocorrelation(series) / n)
 
 
 def integrated_autocorrelation(series: np.ndarray) -> float:
-    """Initial-positive-sequence IACT estimate (in units of recorded samples),
-    summed over lags below n/4."""
+    """IACT of one series in recorded samples, with Sokal's automatic window.
+
+    tau(M) = 1 + 2 sum_{t=1}^{M} rho(t) is read at the smallest window M with
+    M >= 5 tau(M) (Madras & Sokal 1988), or at lag n/2 when no window comes
+    within n/2 lags; at least 1, and 1 for a constant series.
+    """
     x = np.asarray(series, dtype=float)
     n = len(x)
-    if n < 8 or np.allclose(x, x[0]):
+    if n < 2 or x.min() == x.max():
         return 1.0
     x = x - x.mean()
-    acov = np.correlate(x, x, mode="full")[n - 1 :] / n
-    if acov[0] <= 0:
-        return 1.0
-    rho = acov / acov[0]
-    tau = 1.0
-    for t in range(1, n // 4):
-        if rho[t] <= 0:
-            break
-        tau += 2.0 * rho[t]
-    return float(tau)
+    size = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, size)
+    acov = np.fft.irfft(f * np.conj(f), size)[: n // 2 + 1]
+    tau = 1.0 + 2.0 * np.cumsum(acov[1:] / acov[0])
+    window = np.flatnonzero(np.arange(1, len(tau) + 1) >= _SOKAL_C * tau)
+    return max(float(tau[window[0] if window.size else -1]), 1.0)
 
 
 def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
@@ -437,11 +446,13 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     field -> float for extra per-record statistics.  A chain passed in must
     come with its own geom, params, omega and rng (the very objects; anything
     else raises ContractError); it holds the final field afterwards.  Burn-in
-    and recorded sweeps alike alternate between heat-bath and reflection
-    sweeps, in the parity the chain holds.  Each record gathers the heights
-    of the interaction range, through site indices found once per call,
-    finds the charged sites among them once and takes the contact total, the
-    contact fraction and the interaction energy from them.
+    and recorded sweeps alike run the chain's cycle of one heat-bath sweep
+    and k = max(1, N // 4) reflection sweeps, from the phase the chain holds;
+    boxes with N <= 7 keep 1:1, since there two reflections nearly cancel.
+    Each record gathers the heights of the interaction range, through site
+    indices found once per call, finds the charged sites among them once and
+    takes the contact total, the contact fraction and the interaction energy
+    from them.
     """
     if burn_in < 0:
         raise DomainError("burn-in must be >= 0")
@@ -479,7 +490,6 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
         contact_fraction=frac,
         energy=en,
         extra={k: np.array(v) for k, v in extra.items()},
-        iact=integrated_autocorrelation(L),
     )
 
 

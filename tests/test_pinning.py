@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import special, stats
+from scipy import signal, special, stats
 
 from gffpin import disorder, fields, kernels, lattice, pinning, rng
 from gffpin.errors import ContractError, DomainError, UnsupportedGeometryError
@@ -168,14 +168,22 @@ def test_band_layout_scalar_and_per_site():
     assert np.allclose(per_site.weights[[0, 2]], [[math.exp(-0.5), 1.0]] * 2)
 
 
-# label -> (params, extra bands, (field sum, phi[3, 4], phi[5, 2], L) after 200 sweeps)
+# label -> (N, params, extra bands, (field sum, phi[3, 4], phi[5, 2], L) after 200 sweeps).
+# The N = 7 entries run one reflection sweep per heat-bath sweep, as every box with
+# N <= 7 does; they were pinned before the cycle grew with N and pass unchanged.
 PINNED_TRAJECTORIES = {
-    "plain": (dict(beta=0.5, h=0.1), (),
-              (26.242455092466912, 0.5971894051091633, 1.0526126805585954, 54.0)),
-    "wall": (dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
-             (-1.7814870602415043, -0.1412327429899255, -0.06169872214877703, 64.0)),
-    "copolymer": (dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
-                  (18.227929131302993, 0.3436565687474137, 0.5726167446222128, 9.0)),
+    "plain": (8, dict(beta=0.5, h=0.1), (),
+              (18.499523244511693, 0.6758811893314001, 0.6313631141300724, 56.0)),
+    "wall": (8, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
+             (2.7137420028022214, -0.3996131098303079, -0.04928506369431085, 64.0)),
+    "copolymer": (8, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
+                  (28.22015495655345, 1.4548552865243116, 1.2585240033428877, 11.0)),
+    "plain-N7": (7, dict(beta=0.5, h=0.1), (),
+                 (11.683845818111411, -0.007940637143554197, 1.1053104920549872, 44.0)),
+    "wall-N7": (7, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
+                (6.38038325431251, -0.376836086864746, -0.31526743603072394, 49.0)),
+    "copolymer-N7": (7, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
+                     (16.118497466247895, 1.0858647294177535, 1.1679553257067068, 10.0)),
 }
 
 
@@ -184,8 +192,8 @@ def test_pinned_trajectory(label):
     # the chain's random-number consumption, band layout and heat-bath /
     # reflection schedule are part of its contract: these values pin 200 sweeps
     # from fixed streams
-    kwargs, extra, expected = PINNED_TRAJECTORIES[label]
-    g = lattice.build_box(8)
+    N, kwargs, extra, expected = PINNED_TRAJECTORIES[label]
+    g = lattice.build_box(N)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(230, "pin-om"))
     params = pinning.PinningParams(**kwargs)
     chain = _chain(g, params, om, rng.stream(231, "pin", label), extra)
@@ -239,21 +247,58 @@ def test_alternating_chain_single_site_off_centre():
     assert abs(mean - target) < 4 * max(se, math.sqrt(target * (1 - target) / len(rec.contact_fraction)))
 
 
-@pytest.mark.parametrize("a,b", [(1, 1), (1, 4), (3, 2), (2, 3), (0, 5)])
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 4), (3, 2), (2, 3), (0, 5), (4, 7), (7, 6), (6, 11)])
 def test_alternating_sweeps_split_anywhere(a, b):
-    # the heat-bath / reflection parity lives on the chain: a + b sweeps at once
-    # equal a sweeps then b, bit for bit, and run_chain keeps that schedule
+    # the phase in the cycle of one heat-bath and k reflection sweeps lives on the
+    # chain: a + b sweeps at once equal a sweeps then b, bit for bit, and run_chain
+    # keeps that schedule; at N = 8 (k = 2) and N = 16 (k = 4) the splits cross cycles
+    for N, k in ((8, 2), (16, 4)):
+        g = lattice.build_box(N)
+        om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(254, "split-om"))
+        params = pinning.PinningParams(beta=0.5, h=0.1, m=0.3)
+        one, two, three = (_chain(g, params, om, rng.stream(255, "split"), ((-0.5, 0.5, 2.0),))
+                           for _ in range(3))
+        assert one._reflections == k
+        pinning._alternating_sweeps(one, a + b)
+        pinning._alternating_sweeps(two, a)
+        pinning._alternating_sweeps(two, b)
+        pinning.run_chain(g, params, om, three.rng, sweeps=b, burn_in=a, chain=three)
+        assert np.array_equal(one.field, two.field) and np.array_equal(one.field, three.field)
+        assert one._phase == two._phase == three._phase == (a + b) % (1 + k)
+        assert one.rng.random() == two.rng.random() == three.rng.random()
+
+
+def test_schedule_counts_sweeps_of_each_kind():
+    # one heat-bath sweep, then max(1, N // 4) reflection sweeps: the heat-bath sweeps
+    # draw 2 uniforms per interior site, the reflections 1
+    for N, heat_baths in ((2, 4), (7, 4), (8, 3), (16, 2), (32, 1)):
+        g = lattice.build_box(N)
+        params = pinning.PinningParams(h=1.0)
+        chain = pinning.make_chain(g, params, _zero_omega(g), rng.stream(259, "count", N))
+        twin = rng.stream(259, "count", N)
+        pinning._alternating_sweeps(chain, 8)
+        twin.random((2 * heat_baths + 8 - heat_baths) * (N - 1) ** 2)
+        assert _state(chain.rng) == _state(twin), N
+
+
+def test_cycle_keeps_the_heat_bath_law():
+    # at N = 8 (two reflections per heat-bath sweep) the contact fraction of
+    # run_chain's chain agrees with a heat-bath-only chain of the same length
     g = lattice.build_box(8)
-    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(254, "split-om"))
-    params = pinning.PinningParams(beta=0.5, h=0.1, m=0.3)
-    one, two, three = (_chain(g, params, om, rng.stream(255, "split"), ((-0.5, 0.5, 2.0),))
-                       for _ in range(3))
-    pinning._alternating_sweeps(one, a + b)
-    pinning._alternating_sweeps(two, a)
-    pinning._alternating_sweeps(two, b)
-    pinning.run_chain(g, params, om, three.rng, sweeps=b, burn_in=a, chain=three)
-    assert np.array_equal(one.field, two.field) and np.array_equal(one.field, three.field)
-    assert one.rng.random() == two.rng.random() == three.rng.random()
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(262, "inv-om"))
+    params = pinning.PinningParams(beta=0.5, h=0.1)
+    sweeps, thinning = 12000, 2
+    rec = pinning.run_chain(g, params, om, rng.stream(263, "inv", "cycle"), sweeps=sweeps,
+                            burn_in=200, thinning=thinning)
+    chain = pinning.make_chain(g, params, om, rng.stream(263, "inv", "heat-bath"))
+    pinning.heat_bath_sweep(chain, 200)
+    frac = np.empty(sweeps // thinning)
+    for i in range(len(frac)):
+        pinning.heat_bath_sweep(chain, thinning)
+        frac[i] = pinning.contact_indicators(chain.field[g.tilde_mask], params.u).mean()
+    m1, s1 = rec.mean_se(rec.contact_fraction)
+    m2, s2 = rec.mean_se(frac)
+    assert abs(m1 - m2) < 4 * math.hypot(s1, s2), (m1, s1, m2, s2)
 
 
 def test_saturated_reward_pins_to_band():
@@ -426,6 +471,48 @@ def test_iact_reasonable():
     assert pinning.integrated_autocorrelation(iid) < 2.0
 
 
+def _ar1(a, n, seed):
+    """AR(1) series x_t = a x_{t-1} + e_t started in its stationary law."""
+    e = np.random.default_rng(seed).standard_normal(n)
+    e[0] /= math.sqrt(1.0 - a * a)
+    return signal.lfilter([1.0], [1.0, -a], e)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.8, 0.95])
+def test_iact_matches_ar1(a):
+    # tau = (1 + a) / (1 - a) to 10 %, on series of 20000 tau: the windowed estimate's
+    # relative SD is about sqrt(20 tau / n), 3 %
+    tau = (1.0 + a) / (1.0 - a)
+    x = _ar1(a, int(20000 * tau), seed=int(100 * a))
+    assert pinning.integrated_autocorrelation(x) == pytest.approx(tau, rel=0.1)
+
+
+def test_mean_se_uses_each_series_own_iact():
+    # an i.i.d. series next to a strongly correlated one in the same record: each
+    # SE carries its own series' IACT, not the contact total's
+    n = 40000
+    iid, slow = np.random.default_rng(7).standard_normal(n), _ar1(0.9, n, seed=8)
+    rec = pinning.ChainRecord(contacts_window=slow, contact_fraction=iid, energy=slow, extra={})
+    _, se_iid = rec.mean_se(iid)
+    _, se_slow = rec.mean_se(slow)
+    assert se_iid == pytest.approx(iid.std(ddof=1) / math.sqrt(n), rel=0.1)
+    assert se_slow == pytest.approx(slow.std(ddof=1) * math.sqrt(19.0 / n), rel=0.15)
+
+
+def test_iact_of_constant_and_short_series():
+    # a constant series has SE 0 and no error; one too short for any lag gives an infinite SE
+    rec = pinning.ChainRecord(contacts_window=np.zeros(3), contact_fraction=np.zeros(3),
+                              energy=np.zeros(3), extra={})
+    for value in (0.0, 0.1, 64.0):
+        const = np.full(500, value)
+        assert pinning.integrated_autocorrelation(const) == 1.0
+        assert rec.mean_se(const) == (value, 0.0)
+    assert rec.mean_se(np.array([1.0, 2.0, 4.0]))[1] == math.inf
+    # no window within n/2 lags: tau is read at the last lag, not refused
+    trend = np.arange(200.0)
+    assert 1.0 < pinning.integrated_autocorrelation(trend) < math.inf
+
+
 @pytest.mark.parametrize("kwargs", [dict(sweeps=0), dict(sweeps=-3), dict(thinning=0),
                                     dict(thinning=-1),
                                     # not a whole number of records: refused, not rounded
@@ -438,32 +525,48 @@ def test_run_chain_rejects_bad_budgets(kwargs):
                           **args)
 
 
-# label -> (params, extra bands, (energy, contact fraction, sum phi^2, L) per record), the
-# values of 4 records every 3 sweeps after 6 burn-in sweeps, recorded bit for bit
+# label -> (N, params, extra bands, (energy, contact fraction, sum phi^2, L) per record), the
+# values of 4 records every 3 sweeps after 6 burn-in sweeps, recorded bit for bit; the
+# N = 7 entries, like PINNED_TRAJECTORIES', keep the one-to-one schedule and its values
 PINNED_RECORDS = {
-    "plain": (dict(beta=0.5, h=0.1), (), (
-        [3.5495015762754183, 2.824330423618143, 5.187238404172577, 3.8087530228082875],
-        [0.96875, 0.9375, 0.890625, 0.953125],
-        [10.203959759113403, 18.12102170915328, 20.900117486873608, 15.181953999842037],
-        [62.0, 60.0, 57.0, 61.0])),
-    "wall": (dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
-        [1.8257660519331824, 1.7664823209950726, 1.8257660519331824, 1.7664823209950726],
-        [0.984375, 1.0, 0.984375, 1.0],
-        [6.525529595955981, 4.729965712446707, 5.6063650624908545, 4.444941746926228],
-        [63.0, 64.0, 63.0, 64.0])),
-    "copolymer": (dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
-        [3.974160191044336, 2.3600191627729403, -6.225424006960021, 2.539892276056376],
-        [0.28125, 0.109375, 0.328125, 0.328125],
-        [19.17792491194058, 30.805631997026534, 10.443257382707326, 14.96458147981147],
-        [18.0, 7.0, 21.0, 21.0])),
+    "plain": (8, dict(beta=0.5, h=0.1), (), (
+        [2.962662386765161, 5.0905908513750475, 3.6138777037455676, 4.271663928838818],
+        [0.90625, 0.84375, 0.90625, 0.84375],
+        [18.881008758625466, 23.031806483891643, 22.9807264621386, 26.9242940177246],
+        [58.0, 54.0, 58.0, 54.0])),
+    "wall": (8, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
+        [1.7335917254181914, 1.8257660519331824, 1.7664823209950726, 1.7664823209950726],
+        [0.984375, 0.984375, 1.0, 1.0],
+        [5.108238536753093, 6.926326248549413, 4.340278595092852, 3.2290776431548593],
+        [63.0, 63.0, 64.0, 64.0])),
+    "copolymer": (8, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
+        [4.664126485867397, 4.848984486145552, 2.82792425367477, 5.0730585750942545],
+        [0.171875, 0.15625, 0.203125, 0.1875],
+        [25.191026450221294, 19.10995637325918, 15.427976495894658, 21.04946223843875],
+        [11.0, 10.0, 13.0, 12.0])),
+    "plain-N7": (7, dict(beta=0.5, h=0.1), (), (
+        [1.4155503626833912, 3.4013483086458773, 2.9254057048713102, 3.0114063843512238],
+        [0.9795918367346939, 0.9591836734693877, 0.8775510204081632, 0.9387755102040817],
+        [7.942003195270027, 12.795422437030936, 20.436129792024722, 11.73186754681359],
+        [48.0, 47.0, 43.0, 46.0])),
+    "wall-N7": (7, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
+        [1.9729545231409862, 1.9729545231409862, 1.9729545231409862, 1.9729545231409862],
+        [1.0, 1.0, 1.0, 1.0],
+        [3.89928940670685, 2.7386229615765396, 2.9852901705448756, 3.022858027870028],
+        [49.0, 49.0, 49.0, 49.0])),
+    "copolymer-N7": (7, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
+        [3.7810556752063285, 4.187544803266348, 5.3961228244266914, 5.163375372376574],
+        [0.30612244897959184, 0.32653061224489793, 0.46938775510204084, 0.2653061224489796],
+        [16.24310825383098, 8.682690144201644, 14.212868655016843, 7.7532728357502565],
+        [15.0, 16.0, 23.0, 13.0])),
 }
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_RECORDS))
 def test_pinned_records(label):
     # every recorded series is part of the chain's contract, to the last bit
-    kwargs, extra, expected = PINNED_RECORDS[label]
-    g = lattice.build_box(8)
+    N, kwargs, extra, expected = PINNED_RECORDS[label]
+    g = lattice.build_box(N)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(240, "id-om"))
     params = pinning.PinningParams(**kwargs)
     chain = _chain(g, params, om, rng.stream(241, "id", label), extra)
