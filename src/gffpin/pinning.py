@@ -64,7 +64,6 @@ from .fields import BoundaryCondition, FieldSample, harmonic_extension
 from .lattice import BoxGeometry
 
 _Z_FAR = 38.0  # standard-normal quantile beyond which mass is below 1e-300
-_SOKAL_C = 5.0  # Sokal's window constant: adequate for roughly exponential decay
 _BAND_NODES, _BAND_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -416,11 +415,12 @@ class ChainRecord:
 
 
 def integrated_autocorrelation(series: np.ndarray) -> float:
-    """IACT of one series in recorded samples, with Sokal's automatic window.
+    """Initial-positive-sequence IACT of one series, in recorded samples.
 
-    tau(M) = 1 + 2 sum_{t=1}^{M} rho(t) is read at the smallest window M with
-    M >= 5 tau(M) (Madras & Sokal 1988), or at lag n/2 when no window comes
-    within n/2 lags; at least 1, and 1 for a constant series.
+    tau = 1 + 2 sum_{t=1}^{T-1} rho(t), T the first lag with rho(T) <= 0.  The
+    autocovariances of the centred series, with divisor n, sum to zero over
+    the lags -(n-1) .. n-1, so such a lag always exists and the sum needs no
+    lag cap.  At least 1, and 1 for a constant series.
     """
     x = np.asarray(series, dtype=float)
     n = len(x)
@@ -429,10 +429,9 @@ def integrated_autocorrelation(series: np.ndarray) -> float:
     x = x - x.mean()
     size = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(x, size)
-    acov = np.fft.irfft(f * np.conj(f), size)[: n // 2 + 1]
-    tau = 1.0 + 2.0 * np.cumsum(acov[1:] / acov[0])
-    window = np.flatnonzero(np.arange(1, len(tau) + 1) >= _SOKAL_C * tau)
-    return max(float(tau[window[0] if window.size else -1]), 1.0)
+    rho = np.fft.irfft(f * np.conj(f), size)[1:n] / float(x @ x)
+    stop = np.flatnonzero(rho <= 0.0)[0]
+    return max(1.0 + 2.0 * float(rho[:stop].sum()), 1.0)
 
 
 def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,

@@ -478,13 +478,35 @@ def _ar1(a, n, seed):
     return signal.lfilter([1.0], [1.0, -a], e)
 
 
-@pytest.mark.parametrize("a", [0.0, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("a", [0.5, 0.8, 0.95])
 def test_iact_matches_ar1(a):
-    # tau = (1 + a) / (1 - a) to 10 %, on series of 20000 tau: the windowed estimate's
-    # relative SD is about sqrt(20 tau / n), 3 %
+    # tau = (1 + a) / (1 - a) to 10 %, on series of 20000 tau (i.i.d. input is
+    # test_iact_reasonable's)
     tau = (1.0 + a) / (1.0 - a)
     x = _ar1(a, int(20000 * tau), seed=int(100 * a))
     assert pinning.integrated_autocorrelation(x) == pytest.approx(tau, rel=0.1)
+
+
+def test_iact_bias_at_ladder_length():
+    # a ladder point holds 200-300 records; on 400 AR(1) series of 250 records at
+    # a = 0.9 (tau = 19, 13 tau long) the mean estimate reads about 0.85 tau, its
+    # spread over seeds about 0.03.  Sokal's window (c = 5) reads 0.61 tau here:
+    # an estimator that low would shrink every ladder SE and fails this check.
+    est = [pinning.integrated_autocorrelation(_ar1(0.9, 250, seed=s)) for s in range(400)]
+    assert 0.75 * 19.0 < np.mean(est) < 19.0
+
+
+def test_iact_sums_past_a_quarter_of_the_series():
+    # a ramp's autocorrelation first turns non-positive at lag 74 of 200: the sum
+    # runs to there (69.6), where a cap at n/4 lags would stop at 63.0
+    x = np.arange(200.0)
+    xc = x - x.mean()
+    rho = np.correlate(xc, xc, mode="full")[200:] / (xc @ xc)
+    first = int(np.flatnonzero(rho <= 0.0)[0])
+    assert first > 50
+    tau = pinning.integrated_autocorrelation(x)
+    assert tau == pytest.approx(1.0 + 2.0 * rho[:first].sum(), rel=1e-12)
+    assert tau > 1.0 + 2.0 * rho[:49].sum() + 6.0
 
 
 def test_mean_se_uses_each_series_own_iact():
@@ -508,9 +530,8 @@ def test_iact_of_constant_and_short_series():
         assert pinning.integrated_autocorrelation(const) == 1.0
         assert rec.mean_se(const) == (value, 0.0)
     assert rec.mean_se(np.array([1.0, 2.0, 4.0]))[1] == math.inf
-    # no window within n/2 lags: tau is read at the last lag, not refused
-    trend = np.arange(200.0)
-    assert 1.0 < pinning.integrated_autocorrelation(trend) < math.inf
+    # two values: the lag-1 autocorrelation is -1/2, so tau is 1
+    assert pinning.integrated_autocorrelation(np.array([1.0, 3.0])) == 1.0
 
 
 @pytest.mark.parametrize("kwargs", [dict(sweeps=0), dict(sweeps=-3), dict(thinning=0),
