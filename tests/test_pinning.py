@@ -170,7 +170,9 @@ def test_band_layout_scalar_and_per_site():
 
 # label -> (N, params, extra bands, (field sum, phi[3, 4], phi[5, 2], L) after 200 sweeps).
 # The N = 7 entries run one reflection sweep per heat-bath sweep, as every box with
-# N <= 7 does; they were pinned before the cycle grew with N and pass unchanged.
+# N <= 7 does; they were pinned before the cycle grew with N and pass unchanged.  The
+# N = 16 (four reflection sweeps per heat-bath sweep) and N = 32 (eight) entries pin the
+# benchmark's chain sizes; they were pinned before the half-updates were fused.
 PINNED_TRAJECTORIES = {
     "plain": (8, dict(beta=0.5, h=0.1), (),
               (18.499523244511693, 0.6758811893314001, 0.6313631141300724, 56.0)),
@@ -184,6 +186,18 @@ PINNED_TRAJECTORIES = {
                 (6.38038325431251, -0.376836086864746, -0.31526743603072394, 49.0)),
     "copolymer-N7": (7, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
                      (16.118497466247895, 1.0858647294177535, 1.1679553257067068, 10.0)),
+    "plain-N16": (16, dict(beta=0.5, h=0.1), (),
+                  (-7.016710893950004, 0.4373912141153533, -0.8560826313328531, 229.0)),
+    "wall-N16": (16, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
+                 (3.971241257866806, -0.3686493449634866, 0.05156613471073852, 254.0)),
+    "copolymer-N16": (16, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
+                      (96.63608717433914, 1.1296952669855793, 0.4733225470867335, 56.0)),
+    "plain-N32": (32, dict(beta=0.5, h=0.1), (),
+                  (-621.5110921950209, -0.4163742972566509, -0.6202638775332792, 684.0)),
+    "wall-N32": (32, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
+                 (-12.679217004745915, 0.21683938577276235, -0.11244283480178718, 1013.0)),
+    "copolymer-N32": (32, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
+                      (531.8818869270244, 1.2450237564391897, -0.3423668698919786, 210.0)),
 }
 
 
@@ -548,7 +562,8 @@ def test_run_chain_rejects_bad_budgets(kwargs):
 
 # label -> (N, params, extra bands, (energy, contact fraction, sum phi^2, L) per record), the
 # values of 4 records every 3 sweeps after 6 burn-in sweeps, recorded bit for bit; the
-# N = 7 entries, like PINNED_TRAJECTORIES', keep the one-to-one schedule and its values
+# N = 7 entries, like PINNED_TRAJECTORIES', keep the one-to-one schedule and its values;
+# the N = 16 and N = 32 entries, like theirs, were pinned before the half-updates were fused
 PINNED_RECORDS = {
     "plain": (8, dict(beta=0.5, h=0.1), (), (
         [2.962662386765161, 5.0905908513750475, 3.6138777037455676, 4.271663928838818],
@@ -580,6 +595,36 @@ PINNED_RECORDS = {
         [0.30612244897959184, 0.32653061224489793, 0.46938775510204084, 0.2653061224489796],
         [16.24310825383098, 8.682690144201644, 14.212868655016843, 7.7532728357502565],
         [15.0, 16.0, 23.0, 13.0])),
+    "plain-N16": (16, dict(beta=0.5, h=0.1), (), (
+        [3.3382199128641945, 4.120684893581062, 6.969747564573132, 6.19326665600779],
+        [0.91796875, 0.8828125, 0.84765625, 0.8125],
+        [80.91327553843476, 99.8027698468841, 123.22083186250384, 146.53080044759344],
+        [235.0, 226.0, 217.0, 208.0])),
+    "wall-N16": (16, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
+        [-0.44146609254285973, -1.812143117660793, -2.1937110128944752, 0.30928494034335685],
+        [0.984375, 1.0, 0.9921875, 0.984375],
+        [24.4904711105124, 20.98637248659891, 22.878347294812446, 28.676406122901156],
+        [252.0, 256.0, 254.0, 252.0])),
+    "copolymer-N16": (16, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
+        [32.009326618020474, 18.030677925088913, 22.890626576359384, 22.906273940180114],
+        [0.27734375, 0.328125, 0.23046875, 0.31640625],
+        [102.51044168219687, 95.71785917305455, 131.9026371866379, 116.38329952955417],
+        [71.0, 84.0, 59.0, 81.0])),
+    "plain-N32": (32, dict(beta=0.5, h=0.1), (), (
+        [22.6724501772509, 33.39407509401472, 31.260082173904774, 23.362975547468473],
+        [0.7763671875, 0.771484375, 0.7626953125, 0.7685546875],
+        [661.7742249151663, 672.7730569474572, 755.1859085642091, 737.0352052656767],
+        [795.0, 790.0, 781.0, 787.0])),
+    "wall-N32": (32, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
+        [-24.00253797420139, -24.801785599409666, -24.865110662191146, -26.04562361729217],
+        [0.9931640625, 0.9853515625, 0.982421875, 0.9892578125],
+        [96.70752874127973, 115.56520521779959, 115.01914152986696, 115.64249359572253],
+        [1017.0, 1009.0, 1006.0, 1013.0])),
+    "copolymer-N32": (32, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
+        [99.04049018918913, 111.57324142055815, 103.73298094698347, 77.7944659293251],
+        [0.314453125, 0.32421875, 0.306640625, 0.26171875],
+        [451.8138007963231, 491.44609939538793, 485.3336429527479, 566.6747600457106],
+        [322.0, 332.0, 314.0, 268.0])),
 }
 
 
