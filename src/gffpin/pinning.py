@@ -29,17 +29,25 @@ checkerboard colour, the flat site and neighbour indices and one
 `BandLayout`, built once at the colour's site count (set by the per-site
 weights of the model's band; scalar bands are broadcast over the sites).  The
 layout holds everything the colour's half-updates work in: edges and
-weights, the reflection's flat lookups, the heat-bath sampler's grid, masses
-and uniforms, every view into them and the gather buffers; a call at another
-site count is refused.  A half-update takes the neighbours' heights into one
-buffer (np.take), sums them into the conditional means in another
-(np.add.reduce) and writes its draws back with put.  A heat-bath half-update
-evaluates two normal CDFs, Phi(z) and Phi(-z), per site and edge and draws
-two uniforms per site with one rng.random call into a buffer: the first n
-pick the intervals, the last n the heights inside them; a reflection
-half-update looks up both points' interval weights and draws one uniform per
-site with one rng.random(n) call.  A layout, like the chain holding it, is
-not for concurrent use.  None of this changes a float operation or a draw: the
+weights, the reflection's flat lookups and its (x, y) buffer pair, the
+heat-bath sampler's grid, masses and uniforms, every view into them and the
+gather buffers; a call at another site count is refused.  Since a
+half-update touches only a few hundred sites, its cost is the number of
+numpy calls it makes, so each call works in place in these buffers, through
+ndarray methods rather than the np.* wrappers.  A half-update takes the
+neighbours' heights into one buffer (take), sums them into the conditional
+means in another (np.add.reduce) and writes its draws back with put.  A
+heat-bath half-update evaluates two normal CDFs, Phi(z) and Phi(-z), per
+site and edge and draws two uniforms per site with one rng.random call into
+a buffer: the first n pick the intervals (one comparison of every running
+sum with them, one count), the last n the heights inside them.  A
+reflection half-update gathers the sites' heights x into row 0 of the
+layout's (2, n) buffer pair and writes 2 mu - x into row 1, finds both
+points' interval weights with one searchsorted and one take over the pair,
+draws one uniform per site with one rng.random call and copies the accepted
+sites from row 1 into row 0, which it writes back: 14 numpy calls from the
+first gather to the put.  A layout, like the chain holding it, is not for
+concurrent use.  None of this changes a float operation or a draw: the
 running interval sums are row adds in add.accumulate's order.  run_chain
 gathers a record's interaction-range heights through indices found once per
 call, finds the charged sites among them once and takes the contact total,
@@ -53,6 +61,7 @@ how the height-restriction probability is integrated thermodynamically).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -148,16 +157,23 @@ class BandLayout:
 
     The finite band edges (a column, sorted) split the real line into
     len(edges) + 1 intervals; weights[j, i] = exp(logw - max over j) is the
-    relative weight of interval j at site i.  The reflection looks weights up
-    in edge_row and site_major (interval j of site i at base[i] + j).  The
-    heat-bath draw works in the grid (flat holds it flattened): z, Phi(z) and
-    Phi(-z) (planes) at -far, every edge and +far (rows) for each site
-    (columns), its far rows constant.  offsets are the flat positions of (za,
-    zb, Phi(za), Phi(zb), Phi(-za), Phi(-zb)) within interval 0, so interval
-    j sits j * n further on; ends receives them.  mass holds the interval
-    masses, then their running sums; draws receives the 2n uniforms.  near,
-    mu and x are the colour's gather buffers (the neighbours' heights, the
-    conditional means, the sites' heights).  Not for concurrent use.
+    relative weight of interval j at site i.  The reflection works on the
+    (2, n) buffer pair xy, its rows x (the sites' heights) and y (their
+    mirror images 2 mu - x), and looks up both rows' weights at once: one
+    searchsorted of xy in edge_row gives each point's interval j, base2 (two
+    rows of i * intervals) moves it to site i's column of site_major, and
+    one take puts the weights into wxy (rows wx and wy).  uniforms receives
+    its n uniforms and accept the sites where u w(x) < w(y).  The heat-bath
+    draw works in the grid (flat holds it flattened): z, Phi(z) and Phi(-z)
+    (planes) at -far, every edge and +far (rows) for each site (columns), its
+    far rows constant.  offsets are the flat positions of (za, zb, Phi(za),
+    Phi(zb), Phi(-za), Phi(-zb)) within interval 0, so interval j sits j * n
+    further on; ends receives them.  mass holds the interval masses, then
+    their running sums, lower_sums all of them but the total; below receives
+    their comparison with the uniforms that pick the interval; draws
+    receives the 2n uniforms.  near and mu are the colour's gather buffers
+    for the neighbours' heights and the conditional means; a reflection
+    sweep gathers the sites' heights into x.  Not for concurrent use.
     """
 
     def __init__(self, edges: np.ndarray, weights: np.ndarray):
@@ -167,7 +183,7 @@ class BandLayout:
         self.weights = weights
         self.edge_row = edges[:, 0]
         self.site_major = np.ascontiguousarray(weights.T).reshape(-1)
-        self.base = np.arange(n) * intervals
+        self.base2 = np.tile(np.arange(n) * intervals, (2, 1))
         k = intervals + 1  # grid rows: -far, every edge, +far
         grid = np.empty((3, k, n))
         grid[:, 0] = _FAR_LO
@@ -183,6 +199,8 @@ class BandLayout:
         self.end_rows = tuple(self.ends)
         self.mass = np.empty((intervals, n))
         self.mass_rows = tuple(self.mass)
+        self.lower_sums = self.mass[:-1]
+        self.below = np.empty((intervals - 1, n), dtype=bool)
         self.mirrored = np.empty((intervals, n))
         self.draws = np.empty(2 * n)
         self.halves = (self.draws[:n], self.draws[n:])
@@ -190,7 +208,12 @@ class BandLayout:
         self.flip = np.empty(n, dtype=bool)
         self.near = np.empty((4, n))
         self.mu = np.empty(n)
-        self.x = np.empty(n)
+        self.xy = np.empty((2, n))
+        self.x, self.y = self.xy
+        self.wxy = np.empty((2, n))
+        self.wx, self.wy = self.wxy
+        self.uniforms = np.empty(n)
+        self.accept = np.empty(n, dtype=bool)
 
 
 def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLayout:
@@ -251,12 +274,11 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     u *= np.maximum(total, 1e-300, out=total)
     # the interval is the number of running sums below u; u is below the last one, the total
     pick = bands.pick
-    pick.fill(0)
-    for row in rows[:-1]:
-        pick += np.less(row, u, out=bands.flip)
+    np.add.reduce(np.less(bands.lower_sums, u, out=bands.below), axis=0, out=pick,
+                  dtype=pick.dtype)
     pick *= bands.n
     za, zb, pa, pb, qa, qb = bands.end_rows
-    np.take(bands.flat, np.add(bands.offsets, pick, out=bands.index), out=bands.ends, mode="clip")
+    bands.flat.take(np.add(bands.offsets, pick, out=bands.index), out=bands.ends, mode="clip")
     flip = np.greater(za, np.negative(zb, out=u), out=bands.flip)
     np.copyto(pa, qb, where=flip)  # the lower end of the inverted CDF
     np.copyto(pb, qa, where=flip)  # and its upper end
@@ -281,18 +303,28 @@ def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, x: np.ndarray,
     Jacobian and is its own inverse, so keeping y with probability
     min(1, w(y) / w(x)), w the layout's weight of the interval holding the
     point, leaves the reweighted law invariant.  Consumes rng.random(n).
+
+    Works on the layout's (x, y) buffer pair: x goes into row 0, bands.x (a
+    reflection sweep gathers it there, and then nothing is copied), and
+    2 mu - x into row 1, so one searchsorted over both rows and one take find
+    both points' weights.  The accepted sites are copied from row 1 into row
+    0, and row 0 is returned: the layout's buffer, not a fresh array, valid
+    until the layout's next reflection.  An x of the caller's own is left
+    untouched.
     """
     _refuse_other_size(mu, bands)
-    y = mu + mu
-    y -= x
-    at_x = bands.edge_row.searchsorted(x)
-    at_y = bands.edge_row.searchsorted(y)
-    at_x += bands.base
-    at_y += bands.base
-    wx = bands.site_major.take(at_x)
-    wy = bands.site_major.take(at_y)
-    wx *= rng.random(mu.shape[0])
-    return np.where(wx < wy, y, x)
+    x_row, y = bands.x, bands.y
+    if x is not x_row:
+        np.copyto(x_row, x)
+    np.add(mu, mu, out=y)
+    y -= x_row
+    at = bands.edge_row.searchsorted(bands.xy)
+    at += bands.base2
+    bands.site_major.take(at, out=bands.wxy, mode="clip")
+    wx = bands.wx
+    wx *= rng.random(out=bands.uniforms)
+    np.copyto(x_row, y, where=np.less(wx, bands.wy, out=bands.accept))
+    return x_row
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +385,10 @@ def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
 
 def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
     """n_sweeps full checkerboard heat-bath sweeps, each drawing every interior
-    site exactly from its conditional."""
+    site exactly from its conditional; a negative or non-integer n_sweeps is
+    refused before any draw."""
+    if isinstance(n_sweeps, bool) or not isinstance(n_sweeps, numbers.Integral) or n_sweeps < 0:
+        raise DomainError(f"n_sweeps must be an integer >= 0 (got {n_sweeps!r})")
     flat = chain.field.reshape(-1, copy=False)
     denom = 4.0 + chain.params.m ** 2
     for _ in range(n_sweeps):
@@ -366,7 +401,7 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
 def _conditional_means(flat: np.ndarray, nbrs: np.ndarray, layout: BandLayout,
                        denom: float) -> None:
     """Gather the neighbours' heights into layout.near and their sum / denom into layout.mu."""
-    np.take(flat, nbrs, out=layout.near, mode="clip")
+    flat.take(nbrs, out=layout.near, mode="clip")
     np.add.reduce(layout.near, axis=0, out=layout.mu)
     layout.mu /= denom
 
@@ -378,7 +413,7 @@ def _reflection_sweep(chain: GibbsChain) -> None:
     denom = 4.0 + chain.params.m ** 2
     for sites, nbrs, layout in chain._colours:
         _conditional_means(flat, nbrs, layout, denom)
-        np.take(flat, sites, out=layout.x, mode="clip")
+        flat.take(sites, out=layout.x, mode="clip")
         flat.put(sites, _reflect_banded(chain.rng, layout.mu, layout.x, layout))
 
 
@@ -469,6 +504,7 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     weights, scale = _charges(params, omega)
     weights = weights.reshape(-1)[in_range]
     heights = np.empty(in_range.size)
+    flat = chain.field.reshape(-1, copy=False)
     if burn_in:
         _alternating_sweeps(chain, burn_in)
     n_rec = sweeps // thinning
@@ -476,12 +512,12 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     extra = {name: [] for name in (observables or {})}
     for i in range(n_rec):
         _alternating_sweeps(chain, thinning)
-        np.take(chain.field.reshape(-1, copy=False), in_range, out=heights, mode="clip")
+        flat.take(in_range, out=heights, mode="clip")
         charged = _indicators(heights, params)
         count = np.count_nonzero(charged)
         L[i] = count
         frac[i] = count / in_range.size
-        en[i] = scale * float(np.sum(weights[charged]))
+        en[i] = scale * float(weights[charged].sum())
         for name, fn in (observables or {}).items():
             extra[name].append(fn(chain.field))
     return ChainRecord(

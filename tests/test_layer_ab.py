@@ -1,0 +1,27 @@
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "layer_ab.py"
+_spec = importlib.util.spec_from_file_location("layer_ab", _PATH)
+layer_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layer_ab)
+
+
+def test_tiny_budget_against_head_names_every_layer():
+    proc = subprocess.run([sys.executable, str(_PATH), "--parent", "HEAD", "--repeats", "2",
+                           "--sweeps", "1"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    names = [name for name, *_ in layer_ab.layers(1)]
+    assert len(names) == 8
+    for name in names:
+        row = next(r for r in rows if r.startswith(name + " "))
+        assert row.split()[-1].endswith("/2"), row
+
+
+def test_refuses_an_empty_budget():
+    proc = subprocess.run([sys.executable, str(_PATH), "--parent", "HEAD", "--repeats", "0"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "--repeats and --sweeps must be >= 1" in proc.stderr

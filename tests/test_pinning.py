@@ -648,6 +648,25 @@ def _chain_pair(g, om, seed):
     return [pinning.make_chain(g, params, om, rng.stream(seed, "alias", i)) for i in range(2)]
 
 
+def test_heat_bath_sweep_refuses_bad_sweep_counts():
+    # a negative or non-integer count is refused before any draw; zero runs nothing and a
+    # numpy integer counts like an int
+    g = lattice.build_box(6)
+    chain = pinning.make_chain(g, pinning.PinningParams(h=0.5), _zero_omega(g),
+                               rng.stream(259, "n-sweeps"))
+    before, state = chain.field.copy(), _state(chain.rng)
+    for n_sweeps in (-1, 1.0, 2.5, "3", True, None):
+        with pytest.raises(DomainError, match=r"n_sweeps must be an integer >= 0"):
+            pinning.heat_bath_sweep(chain, n_sweeps)
+    pinning.heat_bath_sweep(chain, 0)
+    assert np.array_equal(chain.field, before) and _state(chain.rng) == state
+    twin = pinning.make_chain(g, pinning.PinningParams(h=0.5), _zero_omega(g),
+                              rng.stream(259, "n-sweeps"))
+    pinning.heat_bath_sweep(chain, np.int64(2))
+    pinning.heat_bath_sweep(twin, 2)
+    assert np.array_equal(chain.field, twin.field)
+
+
 def test_alternating_chains_keep_their_own_fields():
     # two chains of the same shape, swept in turn, end where each ends alone
     g = lattice.build_box(12)
@@ -665,8 +684,9 @@ def test_alternating_chains_keep_their_own_fields():
 
 def test_layout_refuses_another_site_count():
     # a layout serves the site count it was built at: called again there it draws what a
-    # fresh one draws, in both half-updates, and hands back arrays that share no memory
-    # with its buffers; called at any other count it refuses before it draws
+    # fresh one draws, in both half-updates, and its heat-bath draws share no memory with
+    # its buffers (a reflection hands back the layout's x row, as its docstring says);
+    # called at any other count it refuses before it draws
     bands = [(-1.0, 1.0, np.full(7, 1.5)), (-math.inf, 0.0, -0.5)]
     reused = pinning.band_layout(bands)
     mu = np.linspace(-2.0, 2.0, 7)

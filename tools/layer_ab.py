@@ -1,0 +1,176 @@
+"""In-process A/B timing of the chain and sampler layers: a parent revision
+beside the working tree.
+
+    python3 tools/layer_ab.py --parent HEAD
+    python3 tools/layer_ab.py --parent HEAD~1 --repeats 41 --sweeps 100
+
+The parent's committed files are exported (`git archive`, through
+bench_pairs.export) into a temporary directory, and its src/gffpin is
+imported as the package gffpin_parent beside the
+working tree's gffpin (uncommitted changes included), so both run in one
+process on inputs drawn from the same streams.  Every layer is timed in
+process CPU time (time.process_time).  Within a repeat the layers run one
+after the other, each on both sides back to back, and the side that goes
+first alternates from repeat to repeat, so a drift in the machine's speed
+falls on both.  Per layer the tool prints each side's median time per sweep
+or call, the median of the per-repeat ratios tree / parent, their quartiles
+and interquartile range, and the number of repeats the tree wins (a strictly
+lower time).
+
+Layers: a heat-bath sweep, a reflection sweep and a run_chain sweep (its
+cycle of heat-bath and reflection sweeps) at N = 16 and N = 32, on one
+disorder draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per
+repeat; one spectral sample (sample_dirichlet_interior, N = 32, m = 0.3),
+timed over --sweeps calls; one Green table (green_dirichlet, N = 32, m = 0.3).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (16, 32)
+MASS = 0.3
+MODULES = ("disorder", "fields", "kernels", "lattice", "pinning", "rng")
+
+
+def _chain(pkg, N: int):
+    g = pkg.lattice.build_box(N)
+    om = pkg.disorder.sample_disorder(g, pkg.disorder.GAUSSIAN, pkg.rng.stream(1, "ab-om", N))
+    params = pkg.pinning.PinningParams(beta=0.5, h=0.1)
+    return pkg.pinning.make_chain(g, params, om, pkg.rng.stream(1, "ab-chain", N))
+
+
+def _heat_bath(pkg, N: int, sweeps: int):
+    chain = _chain(pkg, N)
+    return lambda: pkg.pinning.heat_bath_sweep(chain, sweeps)
+
+
+def _reflection(pkg, N: int, sweeps: int):
+    chain = _chain(pkg, N)
+
+    def run():
+        for _ in range(sweeps):
+            pkg.pinning._reflection_sweep(chain)
+    return run
+
+
+def _run_chain(pkg, N: int, sweeps: int):
+    chain = _chain(pkg, N)
+    return lambda: pkg.pinning.run_chain(chain.geom, chain.params, chain.omega, chain.rng,
+                                         sweeps=sweeps, chain=chain)
+
+
+def _spectral(pkg, sweeps: int):
+    g, r = pkg.lattice.build_box(32), pkg.rng.stream(1, "ab-spectral")
+
+    def run():
+        for _ in range(sweeps):
+            pkg.fields.sample_dirichlet_interior(g, MASS, 1, r)
+    return run
+
+
+def _green(pkg):
+    g = pkg.lattice.build_box(32)
+    return lambda: pkg.kernels.green_dirichlet(g, MASS)
+
+
+def layers(sweeps: int) -> list[tuple[str, str, int, object]]:
+    """(name, unit, units per repeat, pkg -> thunk) per layer."""
+    out = []
+    for kind, build in (("heat-bath sweep", _heat_bath), ("reflection sweep", _reflection),
+                        ("run_chain sweep", _run_chain)):
+        out += [(f"{kind} N={N}", "sweep", sweeps,
+                 lambda pkg, N=N, build=build: build(pkg, N, sweeps)) for N in SIZES]
+    out.append(("spectral sample N=32", "call", sweeps, lambda pkg: _spectral(pkg, sweeps)))
+    out.append(("green table N=32", "call", 1, _green))
+    return out
+
+
+def _cpu(thunk) -> float:
+    start = time.process_time()
+    thunk()
+    return time.process_time() - start
+
+
+def measure(parent, tree, repeats: int, sweeps: int) -> list[dict]:
+    """Per layer, both sides' per-unit times over the repeats, interleaved."""
+    specs = layers(sweeps)
+    thunks = [(build(parent), build(tree)) for _, _, _, build in specs]
+    for pair in thunks:  # warm-up: first-call caches and set-up on both sides
+        for thunk in pair:
+            thunk()
+    times = np.empty((len(specs), repeats, 2))
+    for r in range(repeats):
+        for i, pair in enumerate(thunks):
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            for side in order:
+                times[i, r, side] = _cpu(pair[side])
+    return [{"layer": name, "unit": unit, "parent": times[i, :, 0] / units,
+             "tree": times[i, :, 1] / units}
+            for i, (name, unit, units, _) in enumerate(specs)]
+
+
+def summary_rows(results: list[dict]) -> list[str]:
+    rows = [f"{'layer':<22} {'unit':>5} {'parent us':>10} {'tree us':>10} {'ratio':>7} "
+            f"{'q25':>7} {'q75':>7} {'IQR':>7} {'wins':>6}"]
+    for res in results:
+        a, b = res["parent"], res["tree"]
+        ratio = b / np.where(a > 0, a, np.nan)
+        q25, q50, q75 = np.nanpercentile(ratio, [25, 50, 75])
+        wins = int(np.sum(b < a))
+        rows.append(f"{res['layer']:<22} {res['unit']:>5} {1e6 * np.median(a):>10.1f} "
+                    f"{1e6 * np.median(b):>10.1f} {q50:>7.3f} {q25:>7.3f} {q75:>7.3f} "
+                    f"{q75 - q25:>7.3f} {f'{wins}/{len(a)}':>6}")
+    return rows
+
+
+def load(package: str):
+    """The package with the modules the layers use imported (the parent's must be
+    imported while its files exist)."""
+    for name in MODULES:
+        importlib.import_module(f"{package}.{name}")
+    return importlib.import_module(package)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="revision to compare against, e.g. HEAD")
+    ap.add_argument("--repeats", type=int, default=21, help="interleaved repeats (default 21)")
+    ap.add_argument("--sweeps", type=int, default=200,
+                    help="sweeps (or spectral samples) per repeat of a layer (default 200)")
+    args = ap.parse_args(argv)
+    if args.repeats < 1 or args.sweeps < 1:
+        ap.error("--repeats and --sweeps must be >= 1")
+    from bench_pairs import export, git
+
+    rev = git("rev-parse", "--short", args.parent)
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="layer-ab-") as tmp:
+        export(rev, Path(tmp) / "parent")
+        (Path(tmp) / "parent" / "src" / "gffpin").rename(Path(tmp) / "gffpin_parent")
+        sys.path.insert(0, tmp)
+        try:
+            parent = load("gffpin_parent")
+        finally:
+            sys.path.remove(tmp)
+    tree = load("gffpin")
+    if Path(tree.__file__).resolve().parent != ROOT / "src" / "gffpin":
+        raise SystemExit(f"the tree's gffpin was not imported from {ROOT / 'src'}")
+    results = measure(parent, tree, args.repeats, args.sweeps)
+    print(f"parent {rev} against the working tree: process CPU, {args.repeats} interleaved "
+          f"repeats, {args.sweeps} sweeps per repeat; ratio = tree / parent, median of the "
+          f"repeats, with its quartiles")
+    print("\n".join(summary_rows(results)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
