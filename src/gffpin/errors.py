@@ -40,7 +40,8 @@ class ContractError(GffpinError):
 
 
 class UnsupportedGeometryError(GffpinError):
-    """Exact small-system routine called on a system that is not small."""
+    """A routine called on a system it does not cover: an exact small-system
+    routine on a box that is not small, or a pinning-model one on the co-membrane."""
 
 
 class ConfigError(GffpinError):

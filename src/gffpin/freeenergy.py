@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import fields, kernels, pinning, rng as rngmod
 from .disorder import GAUSSIAN, DisorderField, DisorderSpec, log_mgf, sample_disorder
@@ -72,16 +71,6 @@ class Ladder:
 # thermodynamic integration core
 # ---------------------------------------------------------------------------
 
-def band_probability_grid(geom: BoxGeometry, m: float, u: float, shift: np.ndarray) -> np.ndarray:
-    """P(phi_x in [u-1, u+1]) sitewise under the free field of mean `shift`."""
-    var = kernels.green_dirichlet_diag(geom, m)
-    sd = np.sqrt(np.maximum(var, 1e-300))
-    hi = (u + 1.0 - shift) / sd
-    lo = (u - 1.0 - shift) / sd
-    p = np.where(var > 0, special.ndtr(hi) - special.ndtr(lo), 0.0)
-    return np.maximum(p, 0.0)
-
-
 def _ti_h_grid(targets) -> np.ndarray:
     """Integration grid through 0 and every target, spaced at most 0.03
     (coarsened to at most 40 steps on wide ranges)."""
@@ -95,21 +84,6 @@ def _ti_h_grid(targets) -> np.ndarray:
         n = max(2, int(math.ceil((hi - lo) / step)) + 1)
         pts.update(np.round(np.linspace(lo, hi, n), 12))
     return np.array(sorted(pts))
-
-
-def boundary_contact_term(geom: BoxGeometry, params: pinning.PinningParams,
-                          omega: DisorderField) -> float:
-    """Deterministic part of the interaction from frame sites of the range.
-
-    With the canonical {1..N}^2 range the two far edges sit on the boundary,
-    so their contacts are functions of the boundary data alone and
-    contribute sum s_x delta(bc_x) to log Z exactly.
-    """
-    mask = geom.tilde_mask & geom.boundary_mask
-    bgrid = params.bc.grid(geom)
-    delta = pinning.contact_indicators(bgrid, params.u)
-    s = pinning.site_weights(params, omega)
-    return float(np.sum(s[mask & delta]))
 
 
 def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, sweeps: int,
@@ -158,16 +132,14 @@ def _coupling_ladder(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
     it is the h-leg from 0 to h reparametrised by t h.  The first chain
     starts from the harmonic extension of params.bc, the free field's mean.
     """
+    pinning._pinning_model_only(params, "the coupling ladder")
     shift = fields.harmonic_extension(geom, params.m, params.bc).values
-    mask = geom.interior_mask
-    s_grid = pinning.site_weights(params, omega)
-    p_grid = band_probability_grid(geom, params.m, params.u, shift)
     n_t = max(12, len(_ti_h_grid([params.h])))
     return integrate_ladder(
         lambda t, f: pinning.GibbsChain(geom, params, omega, f, rng, coupling=t),
         np.linspace(0.0, 1.0, n_t), lambda rec: rec.energy, shift, sweeps, burn_in,
         max(burn_in // 3, 20), observables=observables,
-        exact_first=float(np.sum(s_grid[mask] * p_grid[mask])))
+        exact_first=pinning.free_interaction_mean(geom, params, omega, shift))
 
 
 def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
@@ -177,8 +149,9 @@ def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: Diso
     Z(t) = E[exp(t sum_x s_x delta_x)] interpolates from Z(0) = 1 (an exact
     anchor, whatever h) to the target, and d/dt log Z(t) is the interaction
     energy under the partially coupled measure.  At t = 0 the integrand is
-    the explicit Gaussian value sum_x s_x p_x; chains supply the rest of the
-    t-grid, max(12, len(_ti_h_grid([params.h]))) points from 0 to 1.
+    the explicit Gaussian value sum_x s_x p_x (pinning.free_interaction_mean);
+    chains supply the rest of the t-grid, max(12, len(_ti_h_grid([params.h])))
+    points from 0 to 1.  The co-membrane model is refused before any draw.
     """
     ladder = _coupling_ladder(geom, params, omega, rng, sweeps, burn_in)
     return float(np.sum(ladder.increments)), math.sqrt(float(np.sum(ladder.increment_var)))
@@ -192,9 +165,11 @@ def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
     log Z(h_j) - log Z(h_grid[0]) = int E_{h'}[sum delta] dh' (trapezoid);
     the boundary condition, mass and height live in params.  Only interior
     contacts are counted; frame contacts of the range are a deterministic
-    additive term served by boundary_contact_term.  The first chain starts
-    from the harmonic extension of params.bc.
+    additive term served by pinning.boundary_contact_term.  The first chain
+    starts from the harmonic extension of params.bc.  The co-membrane model,
+    whose h-derivative is not the contact total, is refused before any draw.
     """
+    pinning._pinning_model_only(params, "the h-leg")
     start = fields.harmonic_extension(geom, params.m, params.bc).values
     return integrate_ladder(
         lambda h, f: pinning.GibbsChain(geom, replace(params, h=h), omega, f, rng),
@@ -281,7 +256,8 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
 
         ladder = _coupling_ladder(geom, params, omega, ch_rng, sweeps, burn_in,
                                   observables={"sumsq": density_stat})
-        log_z = float(np.sum(ladder.increments)) + boundary_contact_term(geom, params, omega)
+        log_z = (float(np.sum(ladder.increments))
+                 + pinning.boundary_contact_term(geom, params, omega))
         sumsq = ladder.records[-1].extra["sumsq"]
         freq = float(np.mean(sumsq >= threshold))
         log_event = math.log(max(freq, 0.5 / len(sumsq)))

@@ -2,10 +2,11 @@
 
 The interaction rewards sites whose height (after any boundary shift) lies
 in the band [u-1, u+1]; the co-membrane variant instead charges sites in the
-lower half-plane.  Both are instances of a density with piecewise-constant
-per-site log-weights in the height, so the single-site conditional is a
-mixture of truncated Gaussians, N(mu, sigma^2) reweighted by w.  A
-checkerboard schedule turns a sweep into two vectorized half-updates.
+lower half-plane, and _interaction alone tells the two apart.  Both are
+instances of a density with piecewise-constant per-site log-weights in the
+height, so the single-site conditional is a mixture of truncated Gaussians,
+N(mu, sigma^2) reweighted by w.  A checkerboard schedule turns a sweep into
+two vectorized half-updates.
 run_chain's sweeps run in cycles of one heat-bath sweep followed by
 k = max(1, N // 4) reflection sweeps on a box of side N, the phase within
 the cycle kept on the chain; heat_bath_sweep makes heat-bath sweeps only.  A
@@ -67,6 +68,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import special
 
+from . import kernels
 from .disorder import DisorderField, log_mgf
 from .errors import ContractError, DomainError, UnsupportedGeometryError
 from .fields import BoundaryCondition, FieldSample, harmonic_extension
@@ -98,14 +100,29 @@ class PinningParams:
             raise DomainError("copolymer needs rho > 0")
 
 
-def site_weights(params: PinningParams, omega: DisorderField) -> np.ndarray:
-    """Per-site log-weight s_x of a contact: beta*omega_x - lambda(beta) + h."""
-    lam = log_mgf(omega.spec, params.beta)[0]
-    return params.beta * omega.values - lam + params.h
-
-
 def contact_indicators(values: np.ndarray, u: float) -> np.ndarray:
     return np.abs(values - u) <= 1.0
+
+
+def _interaction(params: PinningParams, omega: DisorderField) -> tuple:
+    """(lo, hi, w, scale, charged) of the model's interaction: its energy is
+    scale * (sum of w over the sites that charged(heights) marks), all of them
+    with heights in [lo, hi].  Pinning: contacts |phi_x - u| <= 1, each charged
+    beta*omega_x - lambda(beta) + h.  Co-membrane: the lower half-plane
+    phi_x < 0 (phi_x = 0 is not charged), each charged -2 rho (omega_x + h)."""
+    if params.model == "pinning":
+        u = params.u
+        lam = log_mgf(omega.spec, params.beta)[0]
+        return (u - 1.0, u + 1.0, params.beta * omega.values - lam + params.h, 1.0,
+                lambda values: contact_indicators(values, u))
+    return -math.inf, 0.0, omega.values + params.h, -2.0 * params.rho, lambda values: values < 0.0
+
+
+def _pinning_model_only(params: PinningParams, what: str) -> None:
+    """Refuse the co-membrane model in a routine that computes the pinning model."""
+    if params.model != "pinning":
+        raise UnsupportedGeometryError(f"{what} is implemented for the pinning model only "
+                                       f"(got model={params.model!r})")
 
 
 def _interaction_mask(geom: BoxGeometry, interaction: str) -> np.ndarray:
@@ -116,30 +133,41 @@ def _interaction_mask(geom: BoxGeometry, interaction: str) -> np.ndarray:
     raise DomainError(f"unknown interaction range {interaction!r}")
 
 
-def _indicators(values: np.ndarray, params: PinningParams) -> np.ndarray:
-    """Sites the model's interaction charges: contacts, or the lower half-plane
-    (phi_x < 0; phi_x = 0 is not charged)."""
-    if params.model == "pinning":
-        return contact_indicators(values, params.u)
-    return values < 0.0
-
-
-def _charges(params: PinningParams, omega: DisorderField) -> tuple[np.ndarray, float]:
-    """(w, c) with interaction energy c * (sum of w over the charged sites)."""
-    if params.model == "pinning":
-        return site_weights(params, omega), 1.0
-    return omega.values + params.h, -2.0 * params.rho
-
-
 def energy(sample: FieldSample, omega: DisorderField, params: PinningParams) -> float:
     """Interaction part of the Hamiltonian on the range {1..N}^2.
 
     The Gaussian part lives in the sampler/MCMC; this is the exponent of the
     density against the free measure.
     """
-    mask = sample.geom.tilde_mask
-    w, c = _charges(params, omega)
-    return c * float(np.sum(w[mask & _indicators(sample.values, params)]))
+    _, _, w, scale, charged = _interaction(params, omega)
+    return scale * float(np.sum(w[sample.geom.tilde_mask & charged(sample.values)]))
+
+
+def boundary_contact_term(geom: BoxGeometry, params: PinningParams,
+                          omega: DisorderField) -> float:
+    """Deterministic part of the interaction from frame sites of the range.
+
+    With the canonical {1..N}^2 range the two far edges sit on the boundary,
+    so their charged sites are functions of the boundary data alone and add
+    their charges to log Z exactly.
+    """
+    _, _, w, scale, charged = _interaction(params, omega)
+    mask = geom.tilde_mask & geom.boundary_mask & charged(params.bc.grid(geom))
+    return scale * float(np.sum(w[mask]))
+
+
+def free_interaction_mean(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
+                          shift: np.ndarray) -> float:
+    """Mean interaction energy on the interior under the free field of mean `shift`:
+    the charges times the sitewise probability of the charged band, summed.  This
+    is the coupling ladder's exact integrand at t = 0."""
+    lo, hi, w, scale, _ = _interaction(params, omega)
+    var = kernels.green_dirichlet_diag(geom, params.m)
+    sd = np.sqrt(np.maximum(var, 1e-300))
+    p = special.ndtr((hi - shift) / sd) - special.ndtr((lo - shift) / sd)
+    p = np.maximum(np.where(var > 0, p, 0.0), 0.0)
+    mask = geom.interior_mask
+    return scale * float(np.sum(w[mask] * p[mask]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,27 +323,23 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     return v
 
 
-def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, x: np.ndarray,
-                    bands: BandLayout) -> np.ndarray:
-    """One Metropolised reflection of x in the law sample_banded_conditional draws from.
+def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, bands: BandLayout) -> np.ndarray:
+    """One Metropolised reflection of bands.x in the law sample_banded_conditional draws from.
 
     Proposes y = 2 mu - x, which maps N(mu, sigma^2) onto itself with unit
     Jacobian and is its own inverse, so keeping y with probability
     min(1, w(y) / w(x)), w the layout's weight of the interval holding the
     point, leaves the reweighted law invariant.  Consumes rng.random(n).
 
-    Works on the layout's (x, y) buffer pair: x goes into row 0, bands.x (a
-    reflection sweep gathers it there, and then nothing is copied), and
-    2 mu - x into row 1, so one searchsorted over both rows and one take find
-    both points' weights.  The accepted sites are copied from row 1 into row
-    0, and row 0 is returned: the layout's buffer, not a fresh array, valid
-    until the layout's next reflection.  An x of the caller's own is left
-    untouched.
+    Works on the layout's (x, y) buffer pair: the caller puts x into row 0,
+    bands.x (a reflection sweep gathers it there), and 2 mu - x goes into row
+    1, so one searchsorted over both rows and one take find both points'
+    weights.  The accepted sites are copied from row 1 into row 0, and row 0
+    is returned: the layout's buffer, not a fresh array, valid until the
+    layout's next reflection.
     """
     _refuse_other_size(mu, bands)
     x_row, y = bands.x, bands.y
-    if x is not x_row:
-        np.copyto(x_row, x)
     np.add(mu, mu, out=y)
     y -= x_row
     at = bands.edge_row.searchsorted(bands.xy)
@@ -354,11 +378,7 @@ class GibbsChain:
 
     def __post_init__(self):
         self._sigma = 1.0 / math.sqrt(4.0 + self.params.m ** 2)
-        w, scale = _charges(self.params, self.omega)
-        if self.params.model == "pinning":
-            lo, hi = self.params.u - 1.0, self.params.u + 1.0
-        else:
-            lo, hi = -math.inf, 0.0
+        lo, hi, w, scale, _ = _interaction(self.params, self.omega)
         bands = ((lo, hi, self.coupling * scale * w),) + tuple(self.extra_bands)
         self.field = np.ascontiguousarray(self.field, dtype=float)
         side = self.geom.side
@@ -414,7 +434,7 @@ def _reflection_sweep(chain: GibbsChain) -> None:
     for sites, nbrs, layout in chain._colours:
         _conditional_means(flat, nbrs, layout, denom)
         flat.take(sites, out=layout.x, mode="clip")
-        flat.put(sites, _reflect_banded(chain.rng, layout.mu, layout.x, layout))
+        flat.put(sites, _reflect_banded(chain.rng, layout.mu, layout))
 
 
 def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:
@@ -501,7 +521,7 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
             raise ContractError(f"run_chain was given another {name} than the chain's own; "
                                 f"pass chain.{name}")
     in_range = np.flatnonzero(_interaction_mask(geom, interaction))
-    weights, scale = _charges(params, omega)
+    _, _, weights, scale, charged_at = _interaction(params, omega)
     weights = weights.reshape(-1)[in_range]
     heights = np.empty(in_range.size)
     flat = chain.field.reshape(-1, copy=False)
@@ -513,7 +533,7 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     for i in range(n_rec):
         _alternating_sweeps(chain, thinning)
         flat.take(in_range, out=heights, mode="clip")
-        charged = _indicators(heights, params)
+        charged = charged_at(heights)
         count = np.count_nonzero(charged)
         L[i] = count
         frac[i] = count / in_range.size
@@ -532,11 +552,12 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
 # exact small-system partition function
 # ---------------------------------------------------------------------------
 
-def _gauss_band_integral(mu: float, var: float, s: float, u: float) -> float:
+def _gauss_band_integral(mu: float, var: float, s: float, band_lo: float, band_hi: float,
+                         charged) -> float:
     """E[e^{s 1_band}(phi)] for phi ~ N(mu, var): 32-point Gauss on 80 panels per piece."""
     sd = math.sqrt(var)
     lo, hi = mu - 40 * sd, mu + 40 * sd
-    cuts = sorted({lo, u - 1.0, u + 1.0, hi})
+    cuts = sorted({lo, band_lo, band_hi, hi})
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         a, b = max(a, lo), min(b, hi)
@@ -547,7 +568,7 @@ def _gauss_band_integral(mu: float, var: float, s: float, u: float) -> float:
         t = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * _BAND_NODES[None, :]
         w = 0.5 * (q - p)[:, None] * _BAND_WEIGHTS[None, :]
         dens = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-        bump = np.where(np.abs(t - u) <= 1.0, math.exp(s), 1.0)
+        bump = np.where(charged(t), math.exp(s), 1.0)
         total += float(np.sum(w * dens * bump))
     return total
 
@@ -564,13 +585,12 @@ def exact_partition_small(geom: BoxGeometry, params: PinningParams,
         raise UnsupportedGeometryError(
             f"exact partition supports only the one-site box N = 2 "
             f"(N={geom.N} has {(geom.N - 1) ** 2} interior sites)")
-    if params.model != "pinning":
-        raise UnsupportedGeometryError("exact small partition implemented for the pinning model")
+    _pinning_model_only(params, "the exact small partition function")
     bgrid = params.bc.grid(geom)
     mu = float(bgrid[0, 1] + bgrid[2, 1] + bgrid[1, 0] + bgrid[1, 2]) / (4.0 + params.m ** 2)
     var = 1.0 / (4.0 + params.m ** 2)
-    s_grid = site_weights(params, omega)
-    return math.log(_gauss_band_integral(mu, var, float(s_grid[1, 1]), params.u))
+    lo, hi, w, scale, charged = _interaction(params, omega)
+    return math.log(_gauss_band_integral(mu, var, scale * float(w[1, 1]), lo, hi, charged))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gffpin import disorder, experiments, fields, freeenergy, kernels, lattice, pinning, rng
-from gffpin.errors import DomainError
+from gffpin.errors import DomainError, UnsupportedGeometryError
 
 
 def test_desk_schedule():
@@ -121,7 +121,36 @@ def test_boundary_contact_term():
     params = pinning.PinningParams(beta=0.0, h=0.7, u=0.0)
     # zero boundary values are contacts at u = 0: the 2N-1 = 7 frame sites of
     # the canonical range each contribute h
-    assert freeenergy.boundary_contact_term(g, params, om) == pytest.approx(7 * 0.7)
+    assert pinning.boundary_contact_term(g, params, om) == pytest.approx(7 * 0.7)
+    # the co-membrane charges the lower half-plane only, as its chains do: a zero
+    # boundary has no charged site, and a boundary at -1 charges the frame sites as
+    # energy() charges them
+    cop = pinning.PinningParams(model="copolymer", rho=0.5, h=0.7)
+    assert pinning.boundary_contact_term(g, cop, om) == 0.0
+    low = pinning.PinningParams(model="copolymer", rho=0.5, h=0.7,
+                                bc=fields.explicit_bc(np.full(16, -1.0)))
+    frame = fields.FieldSample(g, low.bc.grid(g))
+    assert pinning.boundary_contact_term(g, low, om) == pinning.energy(frame, om, low)
+    assert pinning.boundary_contact_term(g, low, om) == pytest.approx(7 * -2 * 0.5 * 0.7)
+
+
+def test_pinning_routines_refuse_the_co_membrane():
+    # the ladders integrate the pinning model's contact total and energy, and the
+    # one-site quadrature its band: each refuses the co-membrane before any draw
+    g = lattice.build_box(4)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(1, "x"))
+    params = pinning.PinningParams(model="copolymer", rho=0.5, h=1.0)
+    g2 = lattice.build_box(2)
+    om2 = disorder.sample_disorder(g2, disorder.GAUSSIAN, rng.stream(1, "x", 2))
+    r, twin = rng.stream(330, "co-membrane"), rng.stream(330, "co-membrane")
+    for call in (
+            lambda: freeenergy.coupling_log_z(g, params, om, r, sweeps=40, burn_in=10),
+            lambda: freeenergy.ti_log_partition(g, params, om, r, np.array([0.0, 1.0]),
+                                                sweeps=40, burn_in=10),
+            lambda: pinning.exact_partition_small(g2, params, om2)):
+        with pytest.raises(UnsupportedGeometryError, match="pinning model only.*copolymer"):
+            call()
+    assert r.random() == twin.random()
 
 
 def test_height_restriction_cost_shrinks():

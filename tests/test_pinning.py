@@ -146,7 +146,8 @@ def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
         layout = pinning.band_layout(_first_band_per_site(bands, n))
     m = np.full(n, mu)
     x = pinning.sample_banded_conditional(r, m, sigma, layout)
-    y = pinning._reflect_banded(r, m, x, layout)
+    layout.x[:] = x
+    y = pinning._reflect_banded(r, m, layout)
     moved = y != x
     back, was = (m + m - y)[moved], x[moved]
     assert np.all(np.abs(back - was) <= 4 * np.spacing(np.maximum(2 * abs(mu), np.abs(was))))
@@ -408,6 +409,25 @@ def test_exact_partition_examples():
         with pytest.raises(UnsupportedGeometryError,
                            match=rf"only the one-site box N = 2 \(N={N} has {sites} interior"):
             pinning.exact_partition_small(lattice.build_box(N), pinning.PinningParams(), om)
+
+
+def test_exact_one_site_routes_agree():
+    # two exact routes to the one-site log Z: the quadrature, and log(1 + (e^s - 1) p)
+    # with p the band probability under the free field, which free_interaction_mean
+    # (the coupling ladder's t = 0 integrand) returns when the charge is 1
+    g = lattice.build_box(2)
+    r = rng.stream(264, "one-site")
+    for _ in range(50):
+        beta, h, m, u = r.uniform([0.0, -3.0, 0.0, -2.0], [1.5, 3.0, 1.0, 2.0])
+        bc = fields.explicit_bc(r.normal(0.0, 1.5, 8))
+        om = disorder.sample_disorder(g, disorder.GAUSSIAN, r)
+        shift = fields.harmonic_extension(g, m, bc).values
+        unit = pinning.PinningParams(h=1.0, m=m, u=u, bc=bc)
+        p = pinning.free_interaction_mean(g, unit, om, shift)
+        s = beta * om.values[1, 1] - 0.5 * beta ** 2 + h
+        params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
+        logz = pinning.exact_partition_small(g, params, om)
+        assert abs(logz - math.log1p(math.expm1(s) * p)) < 1e-12, (beta, h, m, u)
 
 
 def test_exact_partition_annealing_identity():
@@ -696,8 +716,9 @@ def test_layout_refuses_another_site_count():
         got = pinning.sample_banded_conditional(got_r, mu, 0.5, reused)
         want = pinning.sample_banded_conditional(want_r, mu, 0.5, fresh)
         assert np.array_equal(got, want)
-        assert np.array_equal(pinning._reflect_banded(got_r, mu, got, reused),
-                              pinning._reflect_banded(want_r, mu, want, fresh))
+        reused.x[:], fresh.x[:] = got, want
+        assert np.array_equal(pinning._reflect_banded(got_r, mu, reused),
+                              pinning._reflect_banded(want_r, mu, fresh))
         buffers = [b for b in vars(reused).values() if isinstance(b, np.ndarray)]
         assert buffers and not any(np.shares_memory(got, b) for b in buffers)
         assert not np.shares_memory(got, mu)
@@ -708,7 +729,7 @@ def test_layout_refuses_another_site_count():
         with pytest.raises(ContractError, match=rf"layout of 7 sites was called at {n}\b"):
             pinning.sample_banded_conditional(r, other, 0.5, reused)
         with pytest.raises(ContractError, match=rf"layout of 7 sites was called at {n}\b"):
-            pinning._reflect_banded(r, other, other, reused)
+            pinning._reflect_banded(r, other, reused)
     assert _state(r) == before
 
 
@@ -776,9 +797,9 @@ def test_half_updates_draw_what_they_promise(edges, per_site):
     assert layout.edges.shape == (edges, 1)
     mu = np.linspace(-2.5, 2.5, n)
     r, twin = rng.stream(258, "draws", edges, per_site), rng.stream(258, "draws", edges, per_site)
-    x = pinning.sample_banded_conditional(r, mu, 0.5, layout)
+    layout.x[:] = pinning.sample_banded_conditional(r, mu, 0.5, layout)
     twin.random(2 * n)
     assert _state(r) == _state(twin)
-    pinning._reflect_banded(r, mu, x, layout)
+    pinning._reflect_banded(r, mu, layout)
     twin.random(n)
     assert _state(r) == _state(twin)

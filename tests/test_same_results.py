@@ -31,6 +31,11 @@ def parent(tmp_path):
     return _run_dir(tmp_path / "parent", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"])
 
 
+def test_runs_cover_every_registered_experiment():
+    # --all promises every registered experiment, so a bit-for-bit check misses none
+    assert {name for name, _, _ in same_results.RUNS} == set(experiments.REGISTRY)
+
+
 def test_same_output_matches_despite_stamp_time_and_revision(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
                       wall_time=2.0)

@@ -15,13 +15,19 @@ first alternates from repeat to repeat, so a drift in the machine's speed
 falls on both.  Per layer the tool prints each side's median time per sweep
 or call, the median of the per-repeat ratios tree / parent, their quartiles
 and interquartile range, and the number of repeats the tree wins (a strictly
-lower time).
+lower time).  The sweep layers also show the tree's median in ns per
+interior site.
 
 Layers: a heat-bath sweep, a reflection sweep and a run_chain sweep (its
 cycle of heat-bath and reflection sweeps) at N = 16 and N = 32, on one
 disorder draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per
 repeat; one spectral sample (sample_dirichlet_interior, N = 32, m = 0.3),
-timed over --sweeps calls; one Green table (green_dirichlet, N = 32, m = 0.3).
+timed over --sweeps calls; one Green table (green_dirichlet, N = 32, m = 0.3);
+one ladder point (integrate_ladder on the 2-point coupling grid t = 0, 1 with
+an exact first point, so one chain runs: N = 8, beta = 0.5, h = 0.1, 100
+recorded sweeps after 20 burn-in); one bridge block (bridge_positivity_probability,
+65 536 walks of 100 unit steps below x = 2).  The ladder point and the bridge
+block run at these fixed budgets whatever --sweeps says.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32)
 MASS = 0.3
-MODULES = ("disorder", "fields", "kernels", "lattice", "pinning", "rng")
+MODULES = ("disorder", "fields", "freeenergy", "kernels", "lattice", "pinning", "rng")
+LADDER_N, LADDER_SWEEPS, LADDER_BURN = 8, 100, 20
+BRIDGE_WALKS, BRIDGE_STEPS, BRIDGE_X = 1 << 16, 100, 2.0
 
 
 def _chain(pkg, N: int):
@@ -82,15 +90,36 @@ def _green(pkg):
     return lambda: pkg.kernels.green_dirichlet(g, MASS)
 
 
-def layers(sweeps: int) -> list[tuple[str, str, int, object]]:
-    """(name, unit, units per repeat, pkg -> thunk) per layer."""
+def _ladder_point(pkg):
+    chain = _chain(pkg, LADDER_N)
+    start = chain.field.copy()
+
+    def chain_at(t, field):
+        return pkg.pinning.GibbsChain(chain.geom, chain.params, chain.omega, field, chain.rng,
+                                      coupling=t)
+    return lambda: pkg.freeenergy.integrate_ladder(
+        chain_at, np.array([0.0, 1.0]), lambda rec: rec.energy, start, LADDER_SWEEPS,
+        LADDER_BURN, LADDER_BURN, exact_first=0.0)
+
+
+def _bridge_block(pkg):
+    r = pkg.rng.stream(1, "ab-bridge")
+    return lambda: pkg.fields.bridge_positivity_probability([1.0] * BRIDGE_STEPS, BRIDGE_X,
+                                                            BRIDGE_WALKS, r)
+
+
+def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
+    """(name, unit, units per repeat, interior sites per unit or None, pkg -> thunk)
+    per layer."""
     out = []
     for kind, build in (("heat-bath sweep", _heat_bath), ("reflection sweep", _reflection),
                         ("run_chain sweep", _run_chain)):
-        out += [(f"{kind} N={N}", "sweep", sweeps,
+        out += [(f"{kind} N={N}", "sweep", sweeps, (N - 1) ** 2,
                  lambda pkg, N=N, build=build: build(pkg, N, sweeps)) for N in SIZES]
-    out.append(("spectral sample N=32", "call", sweeps, lambda pkg: _spectral(pkg, sweeps)))
-    out.append(("green table N=32", "call", 1, _green))
+    out.append(("spectral sample N=32", "call", sweeps, None, lambda pkg: _spectral(pkg, sweeps)))
+    out.append(("green table N=32", "call", 1, None, _green))
+    out.append((f"ladder point N={LADDER_N}", "call", 1, None, _ladder_point))
+    out.append(("bridge block", "call", 1, None, _bridge_block))
     return out
 
 
@@ -103,7 +132,7 @@ def _cpu(thunk) -> float:
 def measure(parent, tree, repeats: int, sweeps: int) -> list[dict]:
     """Per layer, both sides' per-unit times over the repeats, interleaved."""
     specs = layers(sweeps)
-    thunks = [(build(parent), build(tree)) for _, _, _, build in specs]
+    thunks = [(build(parent), build(tree)) for *_, build in specs]
     for pair in thunks:  # warm-up: first-call caches and set-up on both sides
         for thunk in pair:
             thunk()
@@ -113,22 +142,23 @@ def measure(parent, tree, repeats: int, sweeps: int) -> list[dict]:
             order = (0, 1) if r % 2 == 0 else (1, 0)
             for side in order:
                 times[i, r, side] = _cpu(pair[side])
-    return [{"layer": name, "unit": unit, "parent": times[i, :, 0] / units,
+    return [{"layer": name, "unit": unit, "sites": sites, "parent": times[i, :, 0] / units,
              "tree": times[i, :, 1] / units}
-            for i, (name, unit, units, _) in enumerate(specs)]
+            for i, (name, unit, units, sites, _) in enumerate(specs)]
 
 
 def summary_rows(results: list[dict]) -> list[str]:
-    rows = [f"{'layer':<22} {'unit':>5} {'parent us':>10} {'tree us':>10} {'ratio':>7} "
-            f"{'q25':>7} {'q75':>7} {'IQR':>7} {'wins':>6}"]
+    rows = [f"{'layer':<22} {'unit':>5} {'parent us':>10} {'tree us':>10} {'ns/site':>8} "
+            f"{'ratio':>7} {'q25':>7} {'q75':>7} {'IQR':>7} {'wins':>6}"]
     for res in results:
         a, b = res["parent"], res["tree"]
         ratio = b / np.where(a > 0, a, np.nan)
         q25, q50, q75 = np.nanpercentile(ratio, [25, 50, 75])
         wins = int(np.sum(b < a))
+        per_site = f"{1e9 * np.median(b) / res['sites']:.1f}" if res["sites"] else "-"
         rows.append(f"{res['layer']:<22} {res['unit']:>5} {1e6 * np.median(a):>10.1f} "
-                    f"{1e6 * np.median(b):>10.1f} {q50:>7.3f} {q25:>7.3f} {q75:>7.3f} "
-                    f"{q75 - q25:>7.3f} {f'{wins}/{len(a)}':>6}")
+                    f"{1e6 * np.median(b):>10.1f} {per_site:>8} {q50:>7.3f} {q25:>7.3f} "
+                    f"{q75:>7.3f} {q75 - q25:>7.3f} {f'{wins}/{len(a)}':>6}")
     return rows
 
 
