@@ -215,32 +215,29 @@ def _mode_diag(geom: BoxGeometry, w: np.ndarray) -> np.ndarray:
 def green_dirichlet(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     """G^{m,*} over all interior sites, spectrally.
 
-    G^{m,*}(x,y) = sum_{ij} phi_ij(x) phi_ij(y) / (lam_i + lam_j + m^2).
-    The table is built in 64 x 64 tiles, each tile's rows and columns taken
-    from the two 1-D sine bases: only the tiles on and above the diagonal
-    are computed, each mirrored below it, and the diagonal tiles are
-    symmetrized in place.  No site-by-mode matrix is formed.
+    G^{m,*}(x,y) = sum_{ij} phi_ij(x) phi_ij(y) / (lam_i + lam_j + m^2), with
+    phi_ij(x) = S[x1, i] S[x2, j] separable, so the sum splits into two GEMMs:
+    A[x1, y1, j] = sum_i S[x1, i] S[y1, i] w_ij, then
+    G[(x1, x2), (y1, y2)] = sum_j A[x1, y1, j] S[x2, j] S[y2, j], one product
+    per row x1, at cost O(N^5) in all.  Only the (x1, y1) blocks with y1 >= x1
+    are computed, each mirrored below the diagonal, and the y1 = x1 blocks are
+    symmetrized in place, so the table is exactly symmetric.
     """
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
-    sites = np.flatnonzero(geom.interior_mask.ravel())
     basis = spectral_basis(geom.N)
-    w = (1.0 / (basis.lam2d + m * m)).ravel()
-    x1, x2 = geom.site(sites)
-    m1, m2 = basis.modes[x1 - 1], basis.modes[x2 - 1]  # phi_ij(site) = m1[site, i] m2[site, j]
-    size = len(sites)
-    table = np.empty((size, size))
-    tile = 64
-    for a in range(0, size, tile):
-        weighted = (m1[a : a + tile, :, None] * m2[a : a + tile, None, :]).reshape(-1, w.size) * w
-        for b in range(a, size, tile):
-            phi = (m1[b : b + tile, :, None] * m2[b : b + tile, None, :]).reshape(-1, w.size)
-            block = table[a : a + tile, b : b + tile]
-            np.matmul(weighted, phi.T, out=block)
-            if b == a:
-                block[...] = 0.5 * (block + block.T)
-            else:
-                table[b : b + tile, a : a + tile] = block.T
+    s, n = basis.modes, geom.N - 1
+    pairs = (s[:, None, :] * s[None, :, :]).reshape(n * n, n)  # pairs[(u, v), i] = S[u, i] S[v, i]
+    a = (pairs @ (1.0 / (basis.lam2d + m * m))).reshape(n, n, n)  # a[x1, y1, j]
+    pairs_t = np.ascontiguousarray(pairs.T)
+    table = np.empty((n * n, n * n))
+    t4 = table.reshape(n, n, n, n)  # t4[x1, x2, y1, y2]
+    for x1 in range(n):
+        block = (a[x1, x1:] @ pairs_t).reshape(n - x1, n, n)  # block[y1 - x1, x2, y2]
+        diag = block[0]
+        diag[...] = 0.5 * (diag + diag.T)
+        t4[x1, :, x1:, :] = block.transpose(1, 0, 2)
+        t4[x1 + 1 :, :, x1, :] = block[1:].transpose(0, 2, 1)
     return GreenTable(table)
 
 
@@ -289,13 +286,15 @@ def dirichlet_precision(geom: BoxGeometry, m: float = 0.0) -> sparse.csr_matrix:
 def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
     """Oracle route: direct sparse solve of (m^2 - Delta) with Dirichlet rows.
 
+    SuperLU factors the SPD precision under the symmetric minimum-degree
+    ordering of A^T + A, which fills less than its default column ordering.
     The unit right-hand sides of the interior sites (row-major, the order of
     the precision's rows) are solved 64 columns at a time, each block written
     straight into the table, which is then symmetrized block by block in place.
     """
     from scipy.sparse.linalg import splu
 
-    lu = splu(dirichlet_precision(geom, m).tocsc())
+    lu = splu(dirichlet_precision(geom, m).tocsc(), permc_spec="MMD_AT_PLUS_A")
     size = (geom.N - 1) ** 2
     table = np.zeros((size, size))
     cols = 64
@@ -317,10 +316,17 @@ def f_of_m(m: float) -> float:
 
     Tensor 24-point Gauss panels, geometrically refined toward the origin
     (down to 2^-18, two panels per halving) where the integrand has its
-    (integrable) logarithmic singularity.  Increasing in m.
+    (integrable) logarithmic singularity.  Increasing in m.  The quadrature
+    is memoized per m, as spectral_basis is per N; a bad m raises on every
+    call.
     """
     if not 0.0 < m <= 1.0:
         raise DomainError(f"f(m) is defined for m in (0, 1] (got {m})")
+    return _f_of_m_panels(m)
+
+
+@lru_cache(maxsize=32)  # behind f_of_m, which stays a plain function that tracers can wrap
+def _f_of_m_panels(m: float) -> float:
     depth = 18
     edges = np.concatenate([[0.0], np.geomspace(2.0 ** -depth, 1.0, 2 * depth + 1)])
     nodes, weights = np.polynomial.legendre.leggauss(24)
@@ -385,6 +391,8 @@ def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
     By default requires k = floor(G^m(0,0)) >= 3 and raises MassTooLargeError
     otherwise; callers running deliberately shallow decompositions (a single
     slice is still an exact sampling of the field) may lower min_scales.
+    Only a grid with k > 1 root-finds (brentq), so only such a grid loads
+    scipy.optimize; every laboratory mass gives k = 1.
     """
     if m <= 0:
         raise DomainError("scale grid needs m > 0")
@@ -394,17 +402,18 @@ def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
         raise MassTooLargeError(
             f"G^m(0,0) = {G:.4f} gives only {k_raw} unit scales at m = {m}; need >= {min_scales}"
         )
-    from scipy import optimize
-
     k = max(1, k_raw)
     times = []
-    hi = math.log(60.0 / (m * m))
-    for i in range(1, k):
-        sol = optimize.brentq(
-            lambda logt, i=i: heat_diag_time_integral(math.exp(logt), m) - i,
-            math.log(1e-9), hi, xtol=1e-13, rtol=8.9e-16,
-        )
-        times.append(math.exp(sol))
+    if k > 1:
+        from scipy import optimize
+
+        hi = math.log(60.0 / (m * m))
+        for i in range(1, k):
+            sol = optimize.brentq(
+                lambda logt, i=i: heat_diag_time_integral(math.exp(logt), m) - i,
+                math.log(1e-9), hi, xtol=1e-13, rtol=8.9e-16,
+            )
+            times.append(math.exp(sol))
     return ScaleTimeGrid(float(m), k, np.array(times))
 
 

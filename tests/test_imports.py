@@ -28,6 +28,16 @@ from gffpin import freeenergy
 freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4, burn_in=2)
 """
 
+STACK = """
+from gffpin import fields, freeenergy, kernels, lattice, rng
+geom = lattice.build_box(256)
+m = freeenergy.desk_mass(256)
+grid = kernels.scale_time_grid(m, min_scales=1)
+assert grid.k == 1
+stack = fields.sample_scale_stack(geom, m, rng.stream(0, "imports", "stack"), grid=grid)
+fields.stack_barrier_margin(stack.stack, lattice.sub_box_mask(geom, 2.0), freeenergy.GAMMA)
+"""
+
 
 def _loaded_after(code: str, modules: list[str]) -> list[str]:
     probe = (f"import json, sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
@@ -45,3 +55,8 @@ def test_chain_path_loads_no_heavy_scipy_subpackage():
 
 def test_doubling_path_loads_no_quadrature_solver_or_filter():
     assert _loaded_after(DOUBLING, ["scipy.ndimage", "scipy.integrate", "scipy.optimize"]) == []
+
+
+def test_one_scale_stack_path_loads_no_root_finder():
+    # only a grid with k > 1 root-finds; every laboratory mass gives k = 1
+    assert _loaded_after(STACK, ["scipy.optimize"]) == []

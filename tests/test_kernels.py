@@ -136,16 +136,18 @@ def test_green_dirichlet_center_small():
         assert abs(kernels.green_dirichlet(g, m).table[0, 0] - 1.0 / (4 + m * m)) < 1e-12
 
 
-@pytest.mark.parametrize("N,m", [(6, 0.0), (8, 0.3), (16, 0.05), (64, 0.1)])
+@pytest.mark.parametrize("N,m", [(6, 0.0), (8, 0.3), (16, 0.05), (32, 0.3), (64, 0.1)])
 def test_green_dirichlet_two_routes(N, m):
     g = lattice.build_box(N)
     b = kernels.green_dirichlet_solve(g, m)
-    # the spectral diagonal at every size, the spectral table where it is small
+    # the spectral diagonal at every size, the whole spectral table up to N = 32
     assert np.abs(kernels.green_dirichlet_diag(g, m)[g.interior_mask] - np.diag(b.table)).max() < 1e-9
-    if N <= 16:
+    if N <= 32:
         a = kernels.green_dirichlet(g, m)
-        assert np.abs(a.table - b.table).max() < 1e-9
-        # symmetric PSD
+        assert np.abs(a.table - b.table).max() < 1e-12
+        # exactly symmetric (the y1 >= x1 blocks are mirrored, so no last-bit asymmetry
+        # survives the GEMMs) and PSD
+        assert np.array_equal(a.table, a.table.T)
         eig = np.linalg.eigvalsh(a.table)
         assert eig.min() > -1e-10
 
@@ -159,8 +161,9 @@ def test_green_dirichlet_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 7.4 MB table and a few 64-site tiles of mode rows: 9.5 MB measured, where the
-    # full site-by-mode matrix beside the table took 15.4 MB
+    # the 7.4 MB table, one row of (x1, y1) blocks and the (N-1)^3 sine-pair arrays:
+    # 8.6 MB measured, where 64-site tiles of mode rows took 9.5 MB and the full
+    # site-by-mode matrix beside the table 15.4 MB
     assert peak < 1.5 * table.nbytes
     assert np.array_equal(table, table.T)
 
@@ -174,8 +177,9 @@ def test_green_dirichlet_solve_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 7.4 MB table and one 64-column block: 9.0 MB measured, where a dense identity
-    # right-hand side and its solution took 37 MB
+    # the 7.4 MB table and one 64-column block: 8.4 MB measured under the minimum-degree
+    # ordering (9.0 MB under SuperLU's default), where a dense identity right-hand side
+    # and its solution took 37 MB
     assert peak < 1.5 * b.table.nbytes
     assert np.array_equal(b.table, b.table.T)
     assert np.abs(b.table - kernels.green_dirichlet(g, 0.3).table).max() < 1e-10
@@ -224,6 +228,13 @@ def test_f_of_m_domain_and_limits():
     # monotone increasing
     vals = [kernels.f_of_m(m) for m in (0.1, 0.3, 0.6, 1.0)]
     assert np.all(np.diff(vals) > 0)
+
+
+def test_f_of_m_memo_keeps_value_and_refusal():
+    assert kernels.f_of_m(0.37) == kernels.f_of_m(0.37) == kernels._f_of_m_panels.__wrapped__(0.37)
+    for _ in range(2):  # a refused m is refused on every call, never cached
+        with pytest.raises(DomainError):
+            kernels.f_of_m(1.5)
 
 
 def test_f_of_m_dual_quadrature():

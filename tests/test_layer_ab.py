@@ -15,7 +15,8 @@ def test_tiny_budget_against_head_names_every_layer():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
     names = [name for name, *_ in layer_ab.layers(1)]
-    assert len(names) == 10 and {"ladder point N=8", "bridge block"} <= set(names)
+    assert len(names) == 11
+    assert {"green table N=32", "green solve N=32", "ladder point N=8", "bridge block"} <= set(names)
     for name in names:
         row = next(r for r in rows if r.startswith(name + " "))
         assert row.split()[-1].endswith("/2"), row

@@ -22,11 +22,12 @@ Layers: a heat-bath sweep, a reflection sweep and a run_chain sweep (its
 cycle of heat-bath and reflection sweeps) at N = 16 and N = 32, on one
 disorder draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per
 repeat; one spectral sample (sample_dirichlet_interior, N = 32, m = 0.3),
-timed over --sweeps calls; one Green table (green_dirichlet, N = 32, m = 0.3);
-one ladder point (integrate_ladder on the 2-point coupling grid t = 0, 1 with
-an exact first point, so one chain runs: N = 8, beta = 0.5, h = 0.1, 100
-recorded sweeps after 20 burn-in); one bridge block (bridge_positivity_probability,
-65 536 walks of 100 unit steps below x = 2).  The ladder point and the bridge
+timed over --sweeps calls; one Green table by each route (green_dirichlet and
+the sparse solve green_dirichlet_solve, N = 32, m = 0.3); one ladder point
+(integrate_ladder on the 2-point coupling grid t = 0, 1 with an exact first
+point, so one chain runs: N = 8, beta = 0.5, h = 0.1, 100 recorded sweeps after
+20 burn-in); one bridge block (bridge_positivity_probability, 65 536 walks of
+100 unit steps below x = 2).  The ladder point and the bridge
 block run at these fixed budgets whatever --sweeps says.
 """
 
@@ -90,6 +91,11 @@ def _green(pkg):
     return lambda: pkg.kernels.green_dirichlet(g, MASS)
 
 
+def _green_solve(pkg):
+    g = pkg.lattice.build_box(32)
+    return lambda: pkg.kernels.green_dirichlet_solve(g, MASS)
+
+
 def _ladder_point(pkg):
     chain = _chain(pkg, LADDER_N)
     start = chain.field.copy()
@@ -118,6 +124,7 @@ def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
                  lambda pkg, N=N, build=build: build(pkg, N, sweeps)) for N in SIZES]
     out.append(("spectral sample N=32", "call", sweeps, None, lambda pkg: _spectral(pkg, sweeps)))
     out.append(("green table N=32", "call", 1, None, _green))
+    out.append(("green solve N=32", "call", 1, None, _green_solve))
     out.append((f"ladder point N={LADDER_N}", "call", 1, None, _ladder_point))
     out.append(("bridge block", "call", 1, None, _bridge_block))
     return out
