@@ -11,9 +11,10 @@ An experiment function takes the resolved config and returns
 None for an info line; run_experiment prints each check as one line and
 passes the run when every check with a verdict holds (None when none has).
 
-Frozen constants (the density-event offset K and the bridge envelope C)
-come from the calibration experiments in this module, run once at the
-recorded seeds; the calibration entries remain runnable to re-derive them.
+Frozen constants: the density-event offset K comes from density-calibrate,
+run once at its recorded seed, and that entry re-derives it.  The bridge
+envelope C was fitted once; no bridge calibration entry was ever registered,
+so nothing in this module re-derives C.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .disorder import (BERNOULLI, GAUSSIAN, DisorderField, penalty_f,
                        sample_disorder)
 from .errors import ConfigError, DomainError
 
-# calibrated once and frozen; re-derivable via the *-calibrate experiments
+# calibrated once and frozen; only K is re-derivable, via density-calibrate
 FROZEN_DENSITY_K = 0.35       # smallest grid value with typical-density freq >= target at N=256
 FROZEN_BRIDGE_C = 0.80        # envelope constant, 20% above the largest fitted cell value
 FROZEN_DENSITY_C_CAP = 1.0    # family constant cap for the typicality criterion
@@ -206,8 +207,8 @@ def _run_sampler_exactness(cfg):
     n2 = cfg["stack_samples"]
     probes = [(16, 16), (8, 8), (4, 4), (2, 2), (24, 10)]
     acc = {p: Accumulator() for p in probes}
-    for _ in range(n2 // 500):
-        s = fields.sample_dirichlet_interior(g32, m, 500, r2)
+    for start in range(0, n2, 500):
+        s = fields.sample_dirichlet_interior(g32, m, min(500, n2 - start), r2)
         for (x1, x2) in probes:
             for v in s[:, x1 - 1, x2 - 1]:
                 acc[(x1, x2)].add(float(v))
@@ -294,7 +295,7 @@ def _run_thermo(cfg):
     checks = []
     curves = {}
     for beta, reps in ((0.0, 1), (0.5, cfg["replicas"])):
-        curve = freeenergy.free_energy_curve(geom, GAUSSIAN, beta, h_grid, seed,
+        curve = freeenergy.free_energy_curve(geom, beta, h_grid, seed,
                                              replicas=reps, sweeps=cfg["sweeps"],
                                              burn_in=cfg["burn_in"], tag=f"thermo-{beta}")
         curves[beta] = curve
@@ -328,7 +329,7 @@ def _run_massive_comparison(cfg):
     geom = lattice.build_box(N)
     est = {}
     for label, mass in (("pure", 0.0), ("massive", m)):
-        curve = freeenergy.free_energy_curve(geom, GAUSSIAN, 0.0, [h], seed, m=mass,
+        curve = freeenergy.free_energy_curve(geom, 0.0, [h], seed, m=mass,
                                              sweeps=cfg["sweeps"], burn_in=cfg["burn_in"],
                                              tag=label)
         est[label] = float(curve.value[0]), float(curve.se[0])
@@ -349,6 +350,16 @@ def _run_massive_comparison(cfg):
 # 9. density typicality
 # ---------------------------------------------------------------------------
 
+def _sums_of_squares(g, m, n, r) -> np.ndarray:
+    """sum phi^2 over the interior for each of n Dirichlet samples, drawn 250 at a
+    time; the draws do not depend on the block size."""
+    sums = np.empty(n)
+    for start in range(0, n, 250):
+        s = fields.sample_dirichlet_interior(g, m, min(250, n - start), r)
+        sums[start : start + s.shape[0]] = (s ** 2).sum(axis=(1, 2))
+    return sums
+
+
 def _run_density_typicality(cfg):
     seed, K = cfg["seed"], cfg["K"]
     rows = []
@@ -357,17 +368,18 @@ def _run_density_typicality(cfg):
         N = math.ceil((1.0 / m) * math.log(1.0 / m) ** 0.25)
         g = lattice.build_box(N)
         r = rngmod.stream(seed, "density", m)
-        s = fields.sample_dirichlet_interior(g, m, cfg["samples"], r)
-        stats = (s ** 2).sum(axis=(1, 2))
+        stats = _sums_of_squares(g, m, cfg["samples"], r)
         thr = freeenergy.density_event_threshold(N, m, K)
         freq = float(np.mean(stats >= thr))
         c = (1.0 - freq) * math.sqrt(math.log(N))
         cs.append(c)
         rows.append((m, N, freq, c))
     c_star = max(cs)
-    checks = [(c_star <= FROZEN_DENSITY_C_CAP and max(cs) / min(cs) < 1.2,
+    # a mass whose every sample meets the event fits C = 0, against which no C is stable
+    stability = c_star / min(cs) if min(cs) > 0 else math.inf
+    checks = [(c_star <= FROZEN_DENSITY_C_CAP and stability < 1.2,
                f"family constant C* = {c_star:.3f} (cap {FROZEN_DENSITY_C_CAP}), "
-               f"stability {max(cs) / min(cs):.3f} < 1.2, K = {K}")]
+               f"stability {stability:.3f} < 1.2, K = {K}")]
     return checks, [{"rows": rows, "C_star": c_star}], {
         "typicality": (["m", "N", "frequency", "fitted_C"], rows)}
 
@@ -377,14 +389,7 @@ def _run_density_calibrate(cfg):
     m = freeenergy.desk_mass(N)
     g = lattice.build_box(N)
     r = rngmod.stream(seed, "density-calibrate")
-    stats = []
-    done = 0
-    while done < cfg["samples"]:
-        b = min(250, cfg["samples"] - done)
-        s = fields.sample_dirichlet_interior(g, m, b, r)
-        stats.append((s ** 2).sum(axis=(1, 2)))
-        done += b
-    stats = np.concatenate(stats)
+    stats = _sums_of_squares(g, m, cfg["samples"], r)
     target = 1.0 - 1.0 / math.sqrt(math.log(N))
     rows = []
     k_star = None
@@ -484,7 +489,7 @@ def _run_subadditivity(cfg):
 def _run_pure_free_energy(cfg):
     geom = lattice.build_box(cfg["N"])
     h_grid = np.round(np.arange(cfg["h_min"], cfg["h_max"] + 1e-12, cfg["h_step"]), 10)
-    curve = freeenergy.free_energy_curve(geom, GAUSSIAN, 0.0, h_grid, cfg["seed"],
+    curve = freeenergy.free_energy_curve(geom, 0.0, h_grid, cfg["seed"],
                                          sweeps=cfg["sweeps"], burn_in=cfg["burn_in"],
                                          tag="pure-grid")
     ratio = [float(v * math.sqrt(abs(math.log(h))) / h) for h, v in zip(curve.h, curve.value) if h > 0]
@@ -737,15 +742,20 @@ def acceptance_names() -> list[str]:
 
 def _fits(value, default) -> bool:
     """Whether an override may replace a default: an int default takes an int,
-    a float default an int or a float, any other default a value of its own
-    type; a bool fits none, since no setting is a flag."""
+    a float default an int or a finite float, any other default a value of its
+    own type; a bool fits none, since no setting is a flag."""
     if isinstance(value, bool):
         return False
     if isinstance(default, numbers.Integral):
         return isinstance(value, numbers.Integral)
     if isinstance(default, numbers.Real):
-        return isinstance(value, numbers.Real)
+        return isinstance(value, numbers.Real) and math.isfinite(value)
     return isinstance(value, type(default))
+
+
+# smallest value of each count setting, wherever an experiment has one: a sample
+# variance or standard error needs two draws
+_LEAST = {"threads": 1, "samples": 1, "stack_samples": 2, "walks": 2}
 
 
 def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult:
@@ -762,10 +772,14 @@ def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult
     wrong = [f"{key} = {value!r} (the default is {defaults[key]!r})"
              for key, value in sorted(overrides.items()) if not _fits(value, defaults[key])]
     if wrong:
-        raise ConfigError(f"config value(s) of the wrong type for {name!r}: {'; '.join(wrong)}")
+        raise ConfigError(f"config value(s) of the wrong type or not finite for {name!r}: "
+                          f"{'; '.join(wrong)}")
     cfg = {**defaults, **overrides}
-    if cfg["threads"] < 1:
-        raise ConfigError(f"threads must be an integer >= 1 (got {cfg['threads']})")
+    if not 0 <= cfg["seed"] < 2 ** 64:  # rng.stream_key packs the seed into 8 unsigned bytes
+        raise ConfigError(f"seed must be an integer in [0, 2^64) (got {cfg['seed']})")
+    for key, least in _LEAST.items():
+        if key in cfg and cfg[key] < least:
+            raise ConfigError(f"{key} must be an integer >= {least} (got {cfg[key]})")
     t0 = time.time()
     with rngmod.audit_streams() as audit:
         checks, records, tables = exp.fn(cfg)

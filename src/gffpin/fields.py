@@ -169,8 +169,7 @@ def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition) -> Ha
     H[1:-1, 1:-1] = sol.reshape(n - 1, n - 1)
     resid = float(np.max(np.abs(_laplacian(H) - m * m * H[1:-1, 1:-1])))
     if not np.isfinite(resid) or resid > 1e-10:
-        raise NumericError(f"harmonic extension residual {resid:.3e} above 1e-10",
-                           residual=resid)
+        raise NumericError(f"harmonic extension residual {resid:.3e} above 1e-10")
     return HarmonicExtension(H, resid)
 
 

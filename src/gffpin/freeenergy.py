@@ -176,11 +176,11 @@ def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
         h_grid, lambda rec: rec.contacts_window, start, sweeps, burn_in, burn_in // 3)
 
 
-def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targets,
-                      master_seed: int, sweeps: int, burn_in: int, m: float = 0.0,
+def free_energy_curve(geom: BoxGeometry, beta: float, h_targets, master_seed: int,
+                      sweeps: int, burn_in: int, m: float = 0.0,
                       replicas: int = 1, tag: str = "fe") -> FreeEnergyCurve:
-    """Per-site free energy at each target h, replica-averaged over disorder,
-    with the substrate at height 0.
+    """Per-site free energy at each target h, replica-averaged over Gaussian
+    disorder, with the substrate at height 0.
 
     Anchoring: log Z(h=0) is 0 exactly for beta = 0 and comes from the
     coupling integration otherwise; one h-leg through 0 and every target then
@@ -199,9 +199,9 @@ def free_energy_curve(geom: BoxGeometry, spec: DisorderSpec, beta: float, h_targ
     for r in range(replicas):
         rep_rng = rngmod.stream(master_seed, tag, "replica", r)
         if beta > 0:
-            omega = sample_disorder(geom, spec, rngmod.stream(master_seed, tag, "omega", r))
+            omega = sample_disorder(geom, GAUSSIAN, rngmod.stream(master_seed, tag, "omega", r))
         else:
-            omega = DisorderField(geom, spec, np.zeros((geom.side, geom.side)))
+            omega = DisorderField(geom, GAUSSIAN, np.zeros((geom.side, geom.side)))
         params0 = pinning.PinningParams(beta=beta, h=0.0, m=m)
         base, base_se = 0.0, 0.0
         if beta > 0:

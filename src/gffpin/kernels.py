@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 from scipy.fft import dstn
 
-from .errors import DomainError, MassTooLargeError
+from .errors import DomainError
 from .lattice import BoxGeometry
 
 if TYPE_CHECKING:
@@ -388,7 +388,7 @@ class ScaleTimeGrid:
 def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
     """Solve int_{t_i}^inf e^{-m^2 t} P_t(0,0) dt = i for i = 1..k-1.
 
-    By default requires k = floor(G^m(0,0)) >= 3 and raises MassTooLargeError
+    By default requires k = floor(G^m(0,0)) >= 3 and raises DomainError
     otherwise; callers running deliberately shallow decompositions (a single
     slice is still an exact sampling of the field) may lower min_scales.
     Only a grid with k > 1 root-finds (brentq), so only such a grid loads
@@ -399,7 +399,7 @@ def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
     G = heat_diag_time_integral(0.0, m)
     k_raw = int(math.floor(G))
     if k_raw < min_scales:
-        raise MassTooLargeError(
+        raise DomainError(
             f"G^m(0,0) = {G:.4f} gives only {k_raw} unit scales at m = {m}; need >= {min_scales}"
         )
     k = max(1, k_raw)

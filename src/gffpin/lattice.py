@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySubBoxError, InvalidGeometryError, TilingError
+from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,7 +43,7 @@ class BoxGeometry:
 
     def __post_init__(self):
         if self.N < 2:
-            raise InvalidGeometryError(f"N must be >= 2 (got {self.N}): no interior sites")
+            raise DomainError(f"N must be >= 2 (got {self.N}): no interior sites")
         n, side = self.N, self.N + 1
         x1, x2 = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
         boundary = (x1 == 0) | (x1 == n) | (x2 == 0) | (x2 == n)
@@ -81,7 +81,7 @@ def sub_box_interval(geom: BoxGeometry, exponent: float) -> tuple[int, int]:
     frac = math.log(geom.N) ** (-exponent)
     lo, hi = _inward_interval(geom.N, frac)
     if lo > hi:
-        raise EmptySubBoxError(
+        raise DomainError(
             f"inner box with margin N(log N)^-{exponent} is empty at N={geom.N} "
             f"(needs (log N)^-{exponent} < 1/2, i.e. N > {math.exp(2.0 ** (1.0 / exponent)):.3g})"
         )
@@ -112,12 +112,12 @@ def cell_tiling(geom: BoxGeometry, N1: int) -> CellTiling:
     """Tile the box with disjoint N1-cells indexed by y in [1, k-1]^2."""
     N1 = int(N1)
     if N1 < 2 or N1 % 2 != 0:
-        raise TilingError(f"cell side must be a positive even integer (got {N1})")
+        raise DomainError(f"cell side must be a positive even integer (got {N1})")
     if geom.N % N1 != 0:
-        raise TilingError(f"N={geom.N} is not a multiple of the cell side N1={N1}")
+        raise DomainError(f"N={geom.N} is not a multiple of the cell side N1={N1}")
     k = geom.N // N1
     if k < 2:
-        raise TilingError(f"need at least 2 cells per side (N={geom.N}, N1={N1})")
+        raise DomainError(f"need at least 2 cells per side (N={geom.N}, N1={N1})")
     half = N1 // 2
     cells = []
     for y1 in range(1, k):
@@ -140,7 +140,7 @@ def scale_index(geom: BoxGeometry, k: int) -> np.ndarray:
     Boundary sites (d = 0) get j = k, matching the d = 1 value.
     """
     if k < 1:
-        raise InvalidGeometryError(f"scale count must be >= 1 (got {k})")
+        raise DomainError(f"scale count must be >= 1 (got {k})")
     d = np.maximum(geom.dist_boundary, 1)
     j = k - _ceil_guard(np.log(d) / TWO_PI)
     return np.clip(j, 0, k).astype(np.int64)

@@ -70,7 +70,7 @@ from scipy import special
 
 from . import kernels
 from .disorder import DisorderField, log_mgf
-from .errors import ContractError, DomainError, UnsupportedGeometryError
+from .errors import DomainError
 from .fields import BoundaryCondition, FieldSample, harmonic_extension
 from .lattice import BoxGeometry
 
@@ -121,8 +121,8 @@ def _interaction(params: PinningParams, omega: DisorderField) -> tuple:
 def _pinning_model_only(params: PinningParams, what: str) -> None:
     """Refuse the co-membrane model in a routine that computes the pinning model."""
     if params.model != "pinning":
-        raise UnsupportedGeometryError(f"{what} is implemented for the pinning model only "
-                                       f"(got model={params.model!r})")
+        raise DomainError(f"{what} is implemented for the pinning model only "
+                          f"(got model={params.model!r})")
 
 
 def _interaction_mask(geom: BoxGeometry, interaction: str) -> np.ndarray:
@@ -249,8 +249,8 @@ def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLay
     weights set the site count and scalar ones are broadcast over the sites."""
     sizes = [np.size(w) for _, _, w in bands if np.ndim(w)]
     if not sizes:
-        raise ContractError("a band layout needs a band with per-site weights: "
-                            "they set its site count")
+        raise DomainError("a band layout needs a band with per-site weights: "
+                          "they set its site count")
     edges = sorted({e for lo, hi, _ in bands for e in (lo, hi) if math.isfinite(e)})
     lows = [-math.inf] + edges
     highs = edges + [math.inf]
@@ -265,7 +265,7 @@ def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLay
 
 def _refuse_other_size(mu: np.ndarray, bands: BandLayout) -> None:
     if mu.shape[0] != bands.n:
-        raise ContractError(f"a band layout of {bands.n} sites was called at {mu.shape[0]}")
+        raise DomainError(f"a band layout of {bands.n} sites was called at {mu.shape[0]}")
 
 
 def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: float,
@@ -499,7 +499,7 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     on the interaction range; `observables` maps names to callables
     field -> float for extra per-record statistics.  A chain passed in must
     come with its own geom, params, omega and rng (the very objects; anything
-    else raises ContractError); it holds the final field afterwards.  Burn-in
+    else raises DomainError); it holds the final field afterwards.  Burn-in
     and recorded sweeps alike run the chain's cycle of one heat-bath sweep
     and k = max(1, N // 4) reflection sweeps, from the phase the chain holds;
     boxes with N <= 7 keep 1:1, since there two reflections nearly cancel.
@@ -518,8 +518,8 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
         chain = make_chain(geom, params, omega, rng)
     for name, arg in (("geom", geom), ("params", params), ("omega", omega), ("rng", rng)):
         if arg is not getattr(chain, name):
-            raise ContractError(f"run_chain was given another {name} than the chain's own; "
-                                f"pass chain.{name}")
+            raise DomainError(f"run_chain was given another {name} than the chain's own; "
+                              f"pass chain.{name}")
     in_range = np.flatnonzero(_interaction_mask(geom, interaction))
     _, _, weights, scale, charged_at = _interaction(params, omega)
     weights = weights.reshape(-1)[in_range]
@@ -582,7 +582,7 @@ def exact_partition_small(geom: BoxGeometry, params: PinningParams,
     and at least four beyond, so N = 2 is the only box this supports.
     """
     if geom.N != 2:
-        raise UnsupportedGeometryError(
+        raise DomainError(
             f"exact partition supports only the one-site box N = 2 "
             f"(N={geom.N} has {(geom.N - 1) ** 2} interior sites)")
     _pinning_model_only(params, "the exact small partition function")
@@ -603,7 +603,7 @@ def restricted_contacts(sample: FieldSample, u: float,
     trajectory stays below the line u*i/k + 10 at every scale; their sums are
     the contact totals L and L'."""
     if sample.stack is None:
-        raise ContractError("restricted contacts need a field carrying its scale stack")
+        raise DomainError("restricted contacts need a field carrying its scale stack")
     delta = contact_indicators(sample.values, u) & window_mask
     partials = sample.stack.partials()
     k = sample.stack.k

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gffpin import cli, experiments, pinning
+from gffpin import cli, experiments, fields, lattice, pinning, rng as rngmod
 from gffpin.errors import ConfigError, DomainError
 
 
@@ -177,16 +177,69 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["run", "massive-comparison", "--set", "m=0"], "got 0"),
     (["run", "subadditivity", "--set", "threads=0"], "threads"),
     (["run", "finite-volume-criterion", "--set", "threads=-4"], "threads"),
+    (["run", "harmonic-extension", "--seed", "-1"], "seed must be an integer in [0, 2^64) (got -1)"),
+    (["run", "harmonic-extension", "--seed", str(2 ** 64)],
+     f"seed must be an integer in [0, 2^64) (got {2 ** 64})"),
+    (["run", "massive-comparison", "--set", "h=inf"], "not finite for 'massive-comparison': h = inf"),
+    (["run", "massive-comparison", "--set", "h=nan"], "not finite for 'massive-comparison': h = nan"),
+    (["run", "finite-volume-criterion", "--set", "h=nan"], "h = nan (the default is 2.0)"),
+    (["run", "sampler-exactness", "--set", "samples=0"], "samples must be an integer >= 1 (got 0)"),
+    (["run", "sampler-exactness", "--set", "stack_samples=1"],
+     "stack_samples must be an integer >= 2 (got 1)"),
+    (["run", "density-calibrate", "--set", "samples=0"], "samples must be an integer >= 1 (got 0)"),
+    (["run", "density-typicality", "--set", "samples=0"], "samples must be an integer >= 1 (got 0)"),
+    (["run", "harmonic-extension", "--set", "walks=1"], "walks must be an integer >= 2 (got 1)"),
 ], ids=["int-as-float", "int-as-bool", "seed-as-float", "penalty-samples", "exactness-samples",
         "threads-negative", "verify-threads-zero", "mass-above-1", "mass-zero",
-        "set-threads-zero", "set-threads-negative"])
+        "set-threads-zero", "set-threads-negative", "seed-negative", "seed-2-to-64", "h-inf",
+        "h-nan", "criterion-h-nan", "exactness-samples-zero", "stack-samples-one",
+        "calibrate-samples-zero", "typicality-samples-zero", "walks-one"])
 def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the bad value was refused")
 
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was drawn before the bad value was refused")
+
     monkeypatch.setattr(pinning, "run_chain", no_chain)
+    monkeypatch.setattr(rngmod, "stream", no_stream)
     assert cli.main(argv) == 2
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("density-typicality", {"samples": 1}),
+    ("sampler-exactness", {"samples": 1, "stack_samples": 2}),
+    ("harmonic-extension", {"walks": 2}),
+], ids=["typicality-one-sample", "exactness-least", "two-walks"])
+def test_least_budgets_reach_a_verdict(name, overrides):
+    # one sample can put every draw of a mass in the density event (fitted C = 0)
+    result = experiments.run_experiment(name, overrides)
+    assert result.passed is not None and all("nan" not in line for line in result.lines)
+
+
+def test_stack_samples_draws_the_last_partial_batch(monkeypatch):
+    # 700 is one whole batch of 500 and a partial one of 200; all 700 are drawn
+    drawn = []
+    sample = fields.sample_dirichlet_interior
+
+    def counted(geom, m, n, r):
+        if geom.N == 32:
+            drawn.append(n)
+        return sample(geom, m, n, r)
+
+    monkeypatch.setattr(fields, "sample_dirichlet_interior", counted)
+    experiments.run_experiment("sampler-exactness", {"samples": 10, "stack_samples": 700})
+    assert drawn == [500, 200]
+
+
+def test_density_sums_do_not_depend_on_the_block():
+    # criterion 9 sums phi^2 250 samples at a time; the sums equal those of one batch
+    g = lattice.build_box(27)
+    chunked = experiments._sums_of_squares(g, 0.05, 600, rngmod.stream(9, "density-block"))
+    batch = fields.sample_dirichlet_interior(g, 0.05, 600, rngmod.stream(9, "density-block"))
+    assert chunked.tolist() == (batch ** 2).sum(axis=(1, 2)).tolist()
 
 
 def test_float_default_takes_an_int(monkeypatch):

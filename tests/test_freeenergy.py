@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gffpin import disorder, experiments, fields, freeenergy, kernels, lattice, pinning, rng
-from gffpin.errors import DomainError, UnsupportedGeometryError
+from gffpin.errors import DomainError
 
 
 def test_desk_schedule():
@@ -42,8 +42,7 @@ def test_ti_against_exact_small_box():
 
 def test_pure_curve_anchored_and_monotone():
     g = lattice.build_box(8)
-    curve = freeenergy.free_energy_curve(g, disorder.GAUSSIAN, 0.0, [0.0, 0.1, 0.2],
-                                         401, sweeps=400, burn_in=150)
+    curve = freeenergy.free_energy_curve(g, 0.0, [0.0, 0.1, 0.2], 401, sweeps=400, burn_in=150)
     assert curve.value[0] == 0.0  # exact anchor
     assert np.all(np.diff(curve.value) >= 0.0)  # contact densities are nonnegative
     assert np.all(curve.value >= -3 * curve.se)  # nonnegativity diagnostic
@@ -52,8 +51,8 @@ def test_pure_curve_anchored_and_monotone():
 
 
 def test_negative_h_estimate_nonpositive():
-    est_curve = freeenergy.free_energy_curve(lattice.build_box(8), disorder.GAUSSIAN,
-                                             0.0, [-2.0], 402, sweeps=300, burn_in=150)
+    est_curve = freeenergy.free_energy_curve(lattice.build_box(8), 0.0, [-2.0], 402,
+                                             sweeps=300, burn_in=150)
     assert est_curve.value[0] < 0.0
     assert est_curve.value[0] > -2.0  # crude bound: value >= -|h|
 
@@ -148,7 +147,7 @@ def test_pinning_routines_refuse_the_co_membrane():
             lambda: freeenergy.ti_log_partition(g, params, om, r, np.array([0.0, 1.0]),
                                                 sweeps=40, burn_in=10),
             lambda: pinning.exact_partition_small(g2, params, om2)):
-        with pytest.raises(UnsupportedGeometryError, match="pinning model only.*copolymer"):
+        with pytest.raises(DomainError, match="pinning model only.*copolymer"):
             call()
     assert r.random() == twin.random()
 
@@ -200,11 +199,11 @@ def test_ladders_bit_identical():
 def test_free_energy_curve_bit_identical():
     # beta = 0 runs the h-leg alone; beta > 0 adds the 11-segment coupling leg per replica
     g = lattice.build_box(4)
-    pure = freeenergy.free_energy_curve(g, disorder.GAUSSIAN, 0.0, [0.0, 0.1, 0.2], 247,
+    pure = freeenergy.free_energy_curve(g, 0.0, [0.0, 0.1, 0.2], 247,
                                         sweeps=20, burn_in=10)
     assert pure.value.tolist() == [0.0, 0.051607142857143753, 0.10375000000000627]
     assert pure.se.tolist() == [0.0, 0.000691604168964542, 0.0009514504382807145]
-    quenched = freeenergy.free_energy_curve(g, disorder.GAUSSIAN, 0.5, [0.0, 0.1, 0.2], 247,
+    quenched = freeenergy.free_energy_curve(g, 0.5, [0.0, 0.1, 0.2], 247,
                                             replicas=2, sweeps=20, burn_in=10)
     assert quenched.value.tolist() == [-0.13442408634685515, -0.08712497920399423,
                                        -0.03839730063256767]
@@ -296,7 +295,7 @@ def test_stream_audit_survives_the_process_pool():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: freeenergy.free_energy_curve(lattice.build_box(4), disorder.GAUSSIAN, 0.5, [0.1], 1,
+    lambda: freeenergy.free_energy_curve(lattice.build_box(4), 0.5, [0.1], 1,
                                          replicas=0, sweeps=4, burn_in=2),
     lambda: freeenergy.finite_volume_criterion(0.0, 0.5, 0.4, 0.0, 1.0, 4, 1, replicas=0,
                                                sweeps=4, burn_in=2),

@@ -6,7 +6,7 @@ import pytest
 from scipy import special
 
 from gffpin import kernels, lattice
-from gffpin.errors import DomainError, MassTooLargeError
+from gffpin.errors import DomainError
 
 TWO_PI = 2 * math.pi
 
@@ -253,9 +253,9 @@ def test_f_of_m_asymptotics():
 # ---------------------------------------------------------------------------
 
 def test_scale_grid_requires_small_mass():
-    with pytest.raises(MassTooLargeError):
+    with pytest.raises(DomainError, match=r"gives only 0 unit scales at m = 0.3; need >= 3"):
         kernels.scale_time_grid(0.3)
-    with pytest.raises(MassTooLargeError):
+    with pytest.raises(DomainError, match=r"gives only 1 unit scales at m = 0.01; need >= 3"):
         kernels.scale_time_grid(1e-2)
     assert kernels.scale_time_grid(1e-2, min_scales=1).k == 1
 
@@ -264,7 +264,7 @@ def test_too_few_scales_message_states_no_false_bound():
     # one unit scale holds up to m ~ 0.0106 (brentq on heat_diag_time_integral), where an
     # exp(-2 pi) hint claimed m <= 1.87e-03; the message states G and the needed count only
     assert kernels.heat_diag_time_integral(0.0, 0.0223) < 1.0
-    with pytest.raises(MassTooLargeError) as err:
+    with pytest.raises(DomainError, match=r"unit scales at m = 0.0223; need >= 1") as err:
         kernels.scale_time_grid(0.0223, min_scales=1)
     message = str(err.value)
     assert "need >= 1" in message and "m <=" not in message

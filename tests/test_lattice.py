@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gffpin import lattice
-from gffpin.errors import EmptySubBoxError, InvalidGeometryError, TilingError
+from gffpin.errors import DomainError
 
 
 def test_box_compares_hashes_and_prints_by_size():
@@ -40,7 +40,7 @@ def test_interior_64():
 
 
 def test_invalid_geometry():
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(DomainError, match=r"N must be >= 2 \(got 1\): no interior sites"):
         lattice.build_box(1)
 
 
@@ -69,7 +69,7 @@ def test_index_roundtrip():
 
 def test_sub_box_empty_at_small_sizes():
     g = lattice.build_box(256)
-    with pytest.raises(EmptySubBoxError):
+    with pytest.raises(DomainError, match=r"inner box with margin N\(log N\)\^-0.125 is empty at N=256"):
         lattice.sub_box_interval(g, 1.0 / 8.0)
 
 
@@ -95,7 +95,7 @@ def test_tiling_example():
 
 def test_tiling_divisibility_error():
     g = lattice.build_box(8)
-    with pytest.raises(TilingError):
+    with pytest.raises(DomainError, match=r"cell side must be a positive even integer \(got 3\)"):
         lattice.cell_tiling(g, 3)
 
 

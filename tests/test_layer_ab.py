@@ -14,6 +14,8 @@ def test_tiny_budget_against_head_names_every_layer():
                            "--sweeps", "1"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
+    assert rows[1] == ("BLAS threads: OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, "
+                       "MKL_NUM_THREADS=1")
     names = [name for name, *_ in layer_ab.layers(1)]
     assert len(names) == 11
     assert {"green table N=32", "green solve N=32", "ladder point N=8", "bridge block"} <= set(names)

@@ -29,9 +29,20 @@ point, so one chain runs: N = 8, beta = 0.5, h = 0.1, 100 recorded sweeps after
 20 burn-in); one bridge block (bridge_positivity_probability, 65 536 walks of
 100 unit steps below x = 2).  The ladder point and the bridge
 block run at these fixed budgets whatever --sweeps says.
+
+Run as a script, the tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy loads, as perfbench/run.py does, so the
+Green-table layers count one BLAS thread's CPU; its header prints the setting.
 """
 
 from __future__ import annotations
+
+import os
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":  # an import (a test's, say) leaves its process's environment alone
+    for _var in BLAS_VARS:
+        os.environ[_var] = "1"
 
 import argparse
 import importlib
@@ -205,6 +216,8 @@ def main(argv=None) -> int:
     print(f"parent {rev} against the working tree: process CPU, {args.repeats} interleaved "
           f"repeats, {args.sweeps} sweeps per repeat; ratio = tree / parent, median of the "
           f"repeats, with its quartiles")
+    print("BLAS threads: " + ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                                       for var in BLAS_VARS))
     print("\n".join(summary_rows(results)))
     return 0
 
