@@ -285,6 +285,17 @@ def _run_bridge(cfg):
 # 7. thermodynamic consistency
 # ---------------------------------------------------------------------------
 
+def _within_se(ok: bool, text: str, se) -> tuple[bool, str]:
+    """A check that allows its standard errors some slack holds only where they are
+    finite: with one that is not, at too small a budget, it fails and its line
+    names that standard error."""
+    se = np.atleast_1d(np.asarray(se, dtype=float))
+    bad = se[~np.isfinite(se)]
+    if bad.size:
+        return False, f"{text}; se {bad[0]:.4f} is not finite"
+    return ok, text
+
+
 def _run_thermo(cfg):
     if cfg["replicas"] < 1:  # before the beta = 0 curve, which runs one replica whatever is set
         raise DomainError(f"thermo-consistency needs replicas >= 1 (got {cfg['replicas']})")
@@ -300,18 +311,19 @@ def _run_thermo(cfg):
                                              burn_in=cfg["burn_in"], tag=f"thermo-{beta}")
         curves[beta] = curve
         d2, d2se = curve.second_differences()
-        checks.append((bool(np.all(d2 >= -3.0 * d2se)),
-                       f"beta={beta}: convexity, min d2/se = "
-                       f"{float((d2 / np.maximum(d2se, 1e-300)).min()):.2f}"))
-        checks.append((bool(np.all(np.diff(curve.value)
-                                   >= -3.0 * np.hypot(curve.se[1:], curve.se[:-1]))),
-                       f"beta={beta}: nondecreasing in h"))
+        checks.append(_within_se(bool(np.all(d2 >= -3.0 * d2se)),
+                                 f"beta={beta}: convexity, min d2/se = "
+                                 f"{float((d2 / np.maximum(d2se, 1e-300)).min()):.2f}", d2se))
+        step_se = np.hypot(curve.se[1:], curve.se[:-1])
+        checks.append(_within_se(bool(np.all(np.diff(curve.value) >= -3.0 * step_se)),
+                                 f"beta={beta}: nondecreasing in h", step_se))
     checks.append((abs(curves[0.0].value[0]) == 0.0, "pure F(0) = 0 exactly"))
     i3 = int(np.searchsorted(h_grid, 0.30))
     fq = curves[0.5].value[i3]
     fa = curves[0.0].value[i3]
     se = math.hypot(curves[0.5].se[i3], curves[0.0].se[i3])
-    checks.append((fq <= fa + 3.0 * se, f"quenched {fq:.4f} <= annealed {fa:.4f} + 3se ({se:.4f})"))
+    checks.append(_within_se(fq <= fa + 3.0 * se,
+                             f"quenched {fq:.4f} <= annealed {fa:.4f} + 3se ({se:.4f})", se))
     records = [{"beta": b, "h": c.h, "F": c.value, "se": c.se} for b, c in curves.items()]
     return checks, records, {
         "curves": (["beta", "h", "F", "se"],
@@ -335,9 +347,9 @@ def _run_massive_comparison(cfg):
         est[label] = float(curve.value[0]), float(curve.se[0])
     (pure, pure_se), (massive, massive_se) = est["pure"], est["massive"]
     se = math.hypot(pure_se, massive_se)
-    checks = [(massive <= pure + fm + 3.0 * se,
-               f"F(0,{h},{m},0) = {massive:.5f} <= F({h}) + f(m) = "
-               f"{pure:.5f} + {fm:.5f} (+3se = {3 * se:.5f})")]
+    checks = [_within_se(massive <= pure + fm + 3.0 * se,
+                         f"F(0,{h},{m},0) = {massive:.5f} <= F({h}) + f(m) = "
+                         f"{pure:.5f} + {fm:.5f} (+3se = {3 * se:.5f})", se)]
     common = {"N": N, "method": "thermodynamic-integration", "replicas": 1, "seed": seed}
     records = [{"massive": massive, "pure": pure, "f_m": fm, "se": se},
                {"params": {"beta": 0.0, "h": h}, "value": pure, "se": pure_se, **common},

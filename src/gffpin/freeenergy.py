@@ -87,7 +87,7 @@ def _ti_h_grid(targets) -> np.ndarray:
 
 
 def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, sweeps: int,
-                     burn_in: int, warm_burn: int, observables: dict | None = None,
+                     burn_in: int, warm_burn: int, observables: list | None = None,
                      exact_first: float | None = None) -> Ladder:
     """Warm-started chains along `grid`, the integrand integrated by the trapezoid rule.
 
@@ -95,10 +95,13 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
     a copy of `start` for the first chain, the previous chain's field after
     it.  The first chain burns in for `burn_in` sweeps, later ones for
     `warm_burn`; each then records every 2 sweeps over `sweeps` sweeps, the
-    contacts counted on the interior, with the extra `observables` (if any)
-    at every point.  integrand(record) is the series whose mean is the
-    integrand.  With exact_first, the integrand at grid[0] is that value
-    with zero error and no chain runs there.
+    contacts counted on the interior.  observables, if given, holds one entry
+    per grid point: the extra observables of that point's chain (a dict of
+    name -> callable, as run_chain takes), or None for none, so a statistic
+    that only one point's record is read for is taken at that point alone.
+    integrand(record) is the series whose mean is the integrand.  With
+    exact_first, the integrand at grid[0] is that value with zero error and
+    no chain runs there.
     """
     n = len(grid)
     density, density_se = np.zeros(n), np.zeros(n)
@@ -111,7 +114,8 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
         chain = chain_at(float(grid[j]), field)
         rec = pinning.run_chain(chain.geom, chain.params, chain.omega, chain.rng, sweeps=sweeps,
                                 burn_in=burn_in if j == first else warm_burn, thinning=2,
-                                chain=chain, interaction="interior", observables=observables)
+                                chain=chain, interaction="interior",
+                                observables=observables[j] if observables else None)
         density[j], density_se[j] = rec.mean_se(integrand(rec))
         records[j] = rec
         field = chain.field
@@ -131,6 +135,8 @@ def _coupling_ladder(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
     The grid has max(12, len(_ti_h_grid([params.h]))) points, so at beta = 0
     it is the h-leg from 0 to h reparametrised by t h.  The first chain
     starts from the harmonic extension of params.bc, the free field's mean.
+    The extra `observables`, if any, are recorded at the last point only,
+    the target measure.
     """
     pinning._pinning_model_only(params, "the coupling ladder")
     shift = fields.harmonic_extension(geom, params.m, params.bc).values
@@ -138,7 +144,7 @@ def _coupling_ladder(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
     return integrate_ladder(
         lambda t, f: pinning.GibbsChain(geom, params, omega, f, rng, coupling=t),
         np.linspace(0.0, 1.0, n_t), lambda rec: rec.energy, shift, sweeps, burn_in,
-        max(burn_in // 3, 20), observables=observables,
+        max(burn_in // 3, 20), observables=[None] * (n_t - 1) + [observables],
         exact_first=pinning.free_interaction_mean(geom, params, omega, shift))
 
 
@@ -403,10 +409,14 @@ def conditioned_contact_statistics(N: int, master_seed: int, samples: int) -> di
     an = margins <= GAMMA * math.log(math.log(N))
     few = L <= math.log(N) ** ((1.0 + _ALPHA) / 2.0)
     cond = an & few
+
+    def se(x: np.ndarray) -> float:  # of the mean; inf from one sample, like Accumulator.se
+        return float(x.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+
     out = {
         "k": grid.k, "m": m, "u": u, "samples": samples,
-        "mean_L": float(L.mean()), "se_L": float(L.std(ddof=1) / math.sqrt(samples)),
-        "mean_Lp": float(Lp.mean()), "se_Lp": float(Lp.std(ddof=1) / math.sqrt(samples)),
+        "mean_L": float(L.mean()), "se_L": se(L),
+        "mean_Lp": float(Lp.mean()), "se_Lp": se(Lp),
         "mean_Lp_sq": float((Lp ** 2).mean()),
         "an_frequency": float(an.mean()),
         "cond_frequency": float(cond.mean()),
@@ -449,7 +459,7 @@ def height_restriction_logp(beta: float, h: float, N: int, master_seed: int,
                                             extra_bands=((-b, b, kappa),)),
         kappas, lambda rec: rec.extra["out"],
         fields.harmonic_extension(geom, params.m, params.bc).values, sweeps, burn_in,
-        burn_in // 2, observables={"out": outside})
+        burn_in // 2, observables=[{"out": outside}] * len(kappas))
     counts = ladder.density
     # the trapezoid integral, plus the count's e^-kappa decay beyond the grid
     logp = -(float(np.sum(ladder.increments)) + float(counts[-1])) / (N * N)

@@ -25,35 +25,43 @@ between sweeps, so two reflections nearly cancel: boxes with N <= 7 keep one
 reflection per heat-bath sweep.
 
 Only the conditional means change between sweeps: band edges are global and
-the per-site band weights are fixed for a chain, so each chain keeps, per
-checkerboard colour, the flat site and neighbour indices and one
-`BandLayout`, built once at the colour's site count (set by the per-site
-weights of the model's band; scalar bands are broadcast over the sites).  The
-layout holds everything the colour's half-updates work in: edges and
-weights, the reflection's flat lookups and its (x, y) buffer pair, the
+the per-site band weights are fixed for a chain.  Each checkerboard colour
+has one table of flat indices, its sites' four neighbours and the sites
+themselves, built once per box size and shared by every chain of that size,
+and each chain keeps one `BandLayout` per colour, built at the colour's site
+count (set by the per-site weights of the model's band; scalar bands are
+broadcast over the sites).  The layout holds everything the colour's
+half-updates work in: edges and weights, the reflection's flat lookups, the
 heat-bath sampler's grid, masses and uniforms, every view into them and the
-gather buffers; a call at another site count is refused.  Since a
+gather buffer; a call at another site count is refused.  Since a
 half-update touches only a few hundred sites, its cost is the number of
 numpy calls it makes, so each call works in place in these buffers, through
-ndarray methods rather than the np.* wrappers.  A half-update takes the
-neighbours' heights into one buffer (take), sums them into the conditional
-means in another (np.add.reduce) and writes its draws back with put.  A
-heat-bath half-update evaluates two normal CDFs, Phi(z) and Phi(-z), per
-site and edge and draws two uniforms per site with one rng.random call into
-a buffer: the first n pick the intervals (one comparison of every running
-sum with them, one count), the last n the heights inside them.  A
-reflection half-update gathers the sites' heights x into row 0 of the
-layout's (2, n) buffer pair and writes 2 mu - x into row 1, finds both
-points' interval weights with one searchsorted and one take over the pair,
-draws one uniform per site with one rng.random call and copies the accepted
-sites from row 1 into row 0, which it writes back: 14 numpy calls from the
-first gather to the put.  A layout, like the chain holding it, is not for
+ndarray methods rather than the np.* wrappers, and a masked copy is a
+putmask.  A half-update takes the neighbours' heights into the gather buffer
+(take), sums them into the conditional means (np.add.reduce) and writes its
+draws back with put.  A heat-bath half-update evaluates two normal CDFs,
+Phi(z) and Phi(-z), per site and edge and draws two uniforms per site with
+one rng.random call into a buffer: the first n pick the intervals (one
+comparison of every running sum with them, one count), the last n the
+heights inside them.  A reflection half-update takes the neighbours' and the
+sites' heights with one take into rows 0-4 of the layout's (6, n) gather
+buffer, whose rows 4 and 5 are its (x, y) pair, and writes 2 mu - x into row
+5; it finds both points' interval weights with one searchsorted and one take
+over the pair, draws one uniform per site with one rng.random call and
+copies the accepted sites from row 5 into row 4, which it writes back: 13
+numpy calls from the gather to the put.  A reflection sweep takes the flat
+view of the field once.  A layout, like the chain holding it, is not for
 concurrent use.  None of this changes a float operation or a draw: the
-running interval sums are row adds in add.accumulate's order.  run_chain
-gathers a record's interaction-range heights through indices found once per
-call, finds the charged sites among them once and takes the contact total,
-the contact fraction and the energy from them, with the energy weights
-computed once per call.
+running interval sums are row adds in add.accumulate's order.
+
+run_chain gathers each record's interaction-range heights, through indices
+found once per call, into a row of a block of at most _RECORD_BLOCK records
+and _BLOCK_VALUES heights.
+Once a block is full (or the run ends) it finds the charged sites of all its
+rows in one vector pass, counts them and divides by the range's size; each
+row's energy is its own sum of the charged sites' weights, so every series
+is what one record at a time would give, bit for bit.  Extra observables are
+evaluated per record, on the live field.
 
 Extra bands can be stacked on the same chain (a soft wall at |phi| <= b is
 how the height-restriction probability is integrated thermodynamically).
@@ -61,6 +69,7 @@ how the height-restriction probability is integrated thermodynamically).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field
@@ -76,6 +85,10 @@ from .lattice import BoxGeometry
 
 _Z_FAR = 38.0  # standard-normal quantile beyond which mass is below 1e-300
 _BAND_NODES, _BAND_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# run_chain scores at most _RECORD_BLOCK records at once, and at most _BLOCK_VALUES heights (128
+# KiB): a larger block's vector pass costs more per record than it saves, its temporaries no
+# longer fitting the cache
+_RECORD_BLOCK, _BLOCK_VALUES = 64, 16384
 
 
 @dataclass(frozen=True)
@@ -199,9 +212,10 @@ class BandLayout:
     further on; ends receives them.  mass holds the interval masses, then
     their running sums, lower_sums all of them but the total; below receives
     their comparison with the uniforms that pick the interval; draws
-    receives the 2n uniforms.  near and mu are the colour's gather buffers
-    for the neighbours' heights and the conditional means; a reflection
-    sweep gathers the sites' heights into x.  Not for concurrent use.
+    receives the 2n uniforms.  gather is the colour's (6, n) gather buffer:
+    rows 0-3 (near) the neighbours' heights, rows 4-5 the pair xy, so one
+    take fills near_x (rows 0-4) with the neighbours' and the sites'
+    heights; mu receives the conditional means.  Not for concurrent use.
     """
 
     def __init__(self, edges: np.ndarray, weights: np.ndarray):
@@ -234,9 +248,9 @@ class BandLayout:
         self.halves = (self.draws[:n], self.draws[n:])
         self.pick = np.empty(n, dtype=self.offsets.dtype)
         self.flip = np.empty(n, dtype=bool)
-        self.near = np.empty((4, n))
+        self.gather = np.empty((6, n))
+        self.near, self.near_x, self.xy = self.gather[:4], self.gather[:5], self.gather[4:]
         self.mu = np.empty(n)
-        self.xy = np.empty((2, n))
         self.x, self.y = self.xy
         self.wxy = np.empty((2, n))
         self.wx, self.wy = self.wxy
@@ -308,14 +322,14 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     za, zb, pa, pb, qa, qb = bands.end_rows
     bands.flat.take(np.add(bands.offsets, pick, out=bands.index), out=bands.ends, mode="clip")
     flip = np.greater(za, np.negative(zb, out=u), out=bands.flip)
-    np.copyto(pa, qb, where=flip)  # the lower end of the inverted CDF
-    np.copyto(pb, qa, where=flip)  # and its upper end
+    np.putmask(pa, flip, qb)  # the lower end of the inverted CDF
+    np.putmask(pb, flip, qa)  # and its upper end
     pb -= pa
     pb *= t
     pb += pa
     np.maximum(pb, 1e-320, out=pb)
     v = special.ndtri(np.minimum(pb, 1.0 - 1e-16, out=pb))
-    np.negative(v, out=v, where=flip)
+    np.putmask(v, flip, np.negative(v, out=u))
     np.maximum(v, za, out=v)
     np.minimum(v, zb, out=v)
     v *= sigma
@@ -347,7 +361,7 @@ def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, bands: BandLayout)
     bands.site_major.take(at, out=bands.wxy, mode="clip")
     wx = bands.wx
     wx *= rng.random(out=bands.uniforms)
-    np.copyto(x_row, y, where=np.less(wx, bands.wy, out=bands.accept))
+    np.putmask(x_row, np.less(wx, bands.wy, out=bands.accept), y)
     return x_row
 
 
@@ -377,23 +391,37 @@ class GibbsChain:
     coupling: float = 1.0
 
     def __post_init__(self):
-        self._sigma = 1.0 / math.sqrt(4.0 + self.params.m ** 2)
+        self._denom = 4.0 + self.params.m ** 2
+        self._sigma = 1.0 / math.sqrt(self._denom)
         lo, hi, w, scale, _ = _interaction(self.params, self.omega)
         bands = ((lo, hi, self.coupling * scale * w),) + tuple(self.extra_bands)
         self.field = np.ascontiguousarray(self.field, dtype=float)
-        side = self.geom.side
-        x1, x2 = self.geom.coords
-        inter = self.geom.interior_mask
         self._reflections = max(1, self.geom.N // 4)
         self._phase = 0  # sweeps into the current cycle; 0 runs the heat-bath sweep
         self._colours = []
-        for c in (0, 1):
-            mask = inter & ((x1 + x2) % 2 == c)
-            sites = np.flatnonzero(mask)
-            nbrs = sites + np.array([[-side], [side], [-1], [1]])
-            layout = band_layout([(a, b, np.asarray(logw)[mask] if np.ndim(logw) else float(logw))
-                                  for a, b, logw in bands])
-            self._colours.append((sites, nbrs, layout))
+        for table in _colour_indices(self.geom):  # (sites, neighbours, both, layout) per colour
+            # a copy: take and put copy a read-only index array on every call
+            index = table.copy()
+            sites = index[4]
+            layout = band_layout([(a, b, np.asarray(logw).take(sites) if np.ndim(logw)
+                                   else float(logw)) for a, b, logw in bands])
+            self._colours.append((sites, index[:4], index, layout))
+
+
+@functools.lru_cache(maxsize=None)
+def _colour_indices(geom: BoxGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Per checkerboard colour of the interior, the read-only (5, n) table of flat
+    indices: rows 0-3 the sites' four neighbours, row 4 the sites.  A box's geometry
+    is set by its size, so the tables are built once per size."""
+    side = geom.side
+    x1, x2 = geom.coords
+    out = []
+    for c in (0, 1):
+        sites = np.flatnonzero(geom.interior_mask & ((x1 + x2) % 2 == c))
+        index = sites + np.array([[-side], [side], [-1], [1], [0]])
+        index.flags.writeable = False
+        out.append(index)
+    return tuple(out)
 
 
 def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
@@ -410,30 +438,28 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
     if isinstance(n_sweeps, bool) or not isinstance(n_sweeps, numbers.Integral) or n_sweeps < 0:
         raise DomainError(f"n_sweeps must be an integer >= 0 (got {n_sweeps!r})")
     flat = chain.field.reshape(-1, copy=False)
-    denom = 4.0 + chain.params.m ** 2
     for _ in range(n_sweeps):
-        for sites, nbrs, layout in chain._colours:
-            _conditional_means(flat, nbrs, layout, denom)
+        for sites, nbrs, _, layout in chain._colours:
+            flat.take(nbrs, out=layout.near, mode="clip")
+            _conditional_means(layout, chain._denom)
             flat.put(sites, sample_banded_conditional(chain.rng, layout.mu, chain._sigma, layout))
     return chain
 
 
-def _conditional_means(flat: np.ndarray, nbrs: np.ndarray, layout: BandLayout,
-                       denom: float) -> None:
-    """Gather the neighbours' heights into layout.near and their sum / denom into layout.mu."""
-    flat.take(nbrs, out=layout.near, mode="clip")
+def _conditional_means(layout: BandLayout, denom: float) -> None:
+    """The sum of the neighbours' heights in layout.near, over denom, into layout.mu."""
     np.add.reduce(layout.near, axis=0, out=layout.mu)
     layout.mu /= denom
 
 
-def _reflection_sweep(chain: GibbsChain) -> None:
-    """One full checkerboard sweep moving each interior site x to 2 mu - x (mu its
-    conditional mean) with the Metropolis probability of its band weights."""
-    flat = chain.field.reshape(-1, copy=False)
-    denom = 4.0 + chain.params.m ** 2
-    for sites, nbrs, layout in chain._colours:
-        _conditional_means(flat, nbrs, layout, denom)
-        flat.take(sites, out=layout.x, mode="clip")
+def _reflection_sweep(chain: GibbsChain, flat: np.ndarray) -> None:
+    """One full checkerboard sweep of the chain's field, flat its flat view, moving
+    each interior site x to 2 mu - x (mu its conditional mean) with the Metropolis
+    probability of its band weights.  One take per colour gathers the neighbours'
+    heights and the sites' own into the layout's gather buffer."""
+    for sites, _, index, layout in chain._colours:
+        flat.take(index, out=layout.near_x, mode="clip")
+        _conditional_means(layout, chain._denom)
         flat.put(sites, _reflect_banded(chain.rng, layout.mu, layout))
 
 
@@ -441,10 +467,12 @@ def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:
     """n_sweeps sweeps of the chain's schedule: a heat-bath sweep at phase 0, a
     reflection sweep at each of the cycle's other chain._reflections phases.
     The phase lives on the chain, so a + b sweeps in one call equal a sweeps
-    then b."""
+    then b.  The heat-bath sweeps go through heat_bath_sweep, whose calls a
+    profiler wrapping the module's public functions counts."""
+    flat = chain.field.reshape(-1, copy=False)
     for _ in range(n_sweeps):
         if chain._phase:
-            _reflection_sweep(chain)
+            _reflection_sweep(chain, flat)
         else:
             heat_bath_sweep(chain)
         chain._phase = (chain._phase + 1) % (1 + chain._reflections)
@@ -504,9 +532,11 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     and k = max(1, N // 4) reflection sweeps, from the phase the chain holds;
     boxes with N <= 7 keep 1:1, since there two reflections nearly cancel.
     Each record gathers the heights of the interaction range, through site
-    indices found once per call, finds the charged sites among them once and
-    takes the contact total, the contact fraction and the interaction energy
-    from them.
+    indices found once per call, into a row of a block of records; per block
+    the charged sites of every row are found at once, and each record's
+    contact total, contact fraction and interaction energy taken from its
+    row.  Every series is 1-D, one entry per record; extra observables are
+    evaluated per record on the live field.
     """
     if burn_in < 0:
         raise DomainError("burn-in must be >= 0")
@@ -523,23 +553,28 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     in_range = np.flatnonzero(_interaction_mask(geom, interaction))
     _, _, weights, scale, charged_at = _interaction(params, omega)
     weights = weights.reshape(-1)[in_range]
-    heights = np.empty(in_range.size)
     flat = chain.field.reshape(-1, copy=False)
     if burn_in:
         _alternating_sweeps(chain, burn_in)
     n_rec = sweeps // thinning
     L, frac, en = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
-    extra = {name: [] for name in (observables or {})}
-    for i in range(n_rec):
-        _alternating_sweeps(chain, thinning)
-        flat.take(in_range, out=heights, mode="clip")
+    observables = observables or {}
+    extra = {name: [] for name in observables}
+    block = np.empty((max(1, min(n_rec, _RECORD_BLOCK, _BLOCK_VALUES // in_range.size)),
+                      in_range.size))
+    for start in range(0, n_rec, len(block)):
+        stop = min(start + len(block), n_rec)
+        heights = block[:stop - start]
+        for row in heights:
+            _alternating_sweeps(chain, thinning)
+            flat.take(in_range, out=row, mode="clip")
+            for name, fn in observables.items():
+                extra[name].append(fn(chain.field))
         charged = charged_at(heights)
-        count = np.count_nonzero(charged)
-        L[i] = count
-        frac[i] = count / in_range.size
-        en[i] = scale * float(weights[charged].sum())
-        for name, fn in (observables or {}).items():
-            extra[name].append(fn(chain.field))
+        counts = np.count_nonzero(charged, axis=1)
+        L[start:stop] = counts
+        frac[start:stop] = counts / in_range.size
+        en[start:stop] = [scale * float(weights[row].sum()) for row in charged]
     return ChainRecord(
         contacts_window=L,
         contact_fraction=frac,

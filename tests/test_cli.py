@@ -219,6 +219,35 @@ def test_least_budgets_reach_a_verdict(name, overrides):
     assert result.passed is not None and all("nan" not in line for line in result.lines)
 
 
+@pytest.mark.parametrize("sets", [
+    ["N=2", "replicas=1", "sweeps=2", "burn_in=1"],
+    ["N=8", "replicas=2", "sweeps=4", "burn_in=2"],
+], ids=["thermo-one-site", "thermo-four-sweeps"])
+def test_thermo_checks_fail_on_infinite_se(capsys, sets):
+    # too few records for an SE: a check with 3 se of slack would hold whatever the estimates
+    argv = ["run", "thermo-consistency"] + [a for s in sets for a in ("--set", s)]
+    assert cli.main(argv) == 1
+    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert checks.pop(4) == "[PASS] pure F(0) = 0 exactly"
+    assert len(checks) == 5
+    assert all(line.startswith("[FAIL]") and line.endswith("; se inf is not finite")
+               for line in checks), checks
+
+
+def test_massive_comparison_fails_on_infinite_se(capsys):
+    assert cli.main(["run", "massive-comparison", "--set", "N=2", "--set", "sweeps=2",
+                     "--set", "burn_in=1"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] F(0,0.3,0.3,0)" in out and "(+3se = inf); se inf is not finite" in out
+
+
+def test_one_sample_contact_statistics_reads_se_inf():
+    # as Accumulator.se reads one draw, not the nan of a one-sample std
+    result = experiments.run_experiment("contact-statistics", {"samples": 1})
+    assert result.records[0]["se_L"] == result.records[0]["se_Lp"] == float("inf")
+    assert "(se inf)" in result.lines[0]
+
+
 def test_stack_samples_draws_the_last_partial_batch(monkeypatch):
     # 700 is one whole batch of 500 and a partial one of 200; all 700 are drawn
     drawn = []

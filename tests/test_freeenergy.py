@@ -240,14 +240,25 @@ def test_one_extension_solve_per_anchoring(monkeypatch):
 
 def test_one_coupling_ladder_per_replica(monkeypatch):
     # each replica job runs one ladder at its target: at h = 0.3 the 12-point t-grid, a chain
-    # at each of the 11 points past the exact first one, the contacts' D-event read at t = 1
+    # at each of the 11 points past the exact first one.  The D statistic is recorded at t = 1
+    # alone, the one point whose record is read, and every call returns 1-D series of its
+    # record count, which a caller pooling the records of each run_chain call relies on
     calls = []
     run = freeenergy.pinning.run_chain
-    monkeypatch.setattr(freeenergy.pinning, "run_chain",
-                        lambda *a, **kw: calls.append(kw["observables"]) or run(*a, **kw))
+
+    def spy(*a, **kw):
+        rec = run(*a, **kw)
+        calls.append((kw["observables"], kw["sweeps"] // kw["thinning"], rec))
+        return rec
+
+    monkeypatch.setattr(freeenergy.pinning, "run_chain", spy)
     freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4, burn_in=2)
     assert len(calls) == 4 * 11
-    assert all(list(obs) == ["sumsq"] for obs in calls)
+    for k, (obs, n_rec, rec) in enumerate(calls):
+        assert list(obs or {}) == (["sumsq"] if k % 11 == 10 else [])
+        assert list(rec.extra) == list(obs or {})
+        for series in (rec.contacts_window, rec.energy, *rec.extra.values()):
+            assert series.shape == (n_rec,) and n_rec == 2
 
 
 def test_criterion_ladder_against_exact_small_box():

@@ -388,6 +388,56 @@ def test_boundary_never_changes():
     assert np.array_equal(chain.field[g.boundary_mask], before)
 
 
+def _records_one_at_a_time(chain, n_rec, thinning, interaction, observables):
+    """run_chain's series by its per-record formulas: after each thinning interval gather the
+    range's heights, find the charged sites, count them and sum their weights."""
+    in_range = np.flatnonzero(pinning._interaction_mask(chain.geom, interaction))
+    _, _, weights, scale, charged_at = pinning._interaction(chain.params, chain.omega)
+    weights = weights.reshape(-1)[in_range]
+    L, frac, en, extra = [], [], [], {name: [] for name in observables}
+    for _ in range(n_rec):
+        pinning._alternating_sweeps(chain, thinning)
+        charged = charged_at(chain.field.reshape(-1)[in_range])
+        count = np.count_nonzero(charged)
+        L.append(float(count))
+        frac.append(count / in_range.size)
+        en.append(scale * float(weights[charged].sum()))
+        for name, fn in observables.items():
+            extra[name].append(fn(chain.field))
+    return L, frac, en, extra
+
+
+@pytest.mark.parametrize("N", [6, 20])
+@pytest.mark.parametrize("interaction", ["tilde", "interior"])
+@pytest.mark.parametrize("kwargs", [dict(beta=0.5, h=0.1), dict(model="copolymer", rho=0.5, h=0.2,
+                                                                   beta=0.5)],
+                         ids=["pinning", "copolymer"])
+def test_record_blocks_match_one_record_at_a_time(kwargs, interaction, N):
+    # run_chain scores its records a block at a time (N = 6: blocks of the most records, N = 20:
+    # of the most heights); over two whole blocks and a remainder every series equals the
+    # one-record-at-a-time formulas' bit for bit
+    g = lattice.build_box(N)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(213, "blocks-om"))
+    params = pinning.PinningParams(**kwargs)
+    n_range = int(pinning._interaction_mask(g, interaction).sum())
+    rows = min(pinning._RECORD_BLOCK, pinning._BLOCK_VALUES // n_range)
+    assert (rows == pinning._RECORD_BLOCK) == (N == 6)
+    n_rec, thinning = 2 * rows + 5, 2
+    observables = {"sumsq": lambda f: float(np.sum(f ** 2))}
+    got_chain, want_chain = (pinning.make_chain(g, params, om, rng.stream(214, "blocks"))
+                             for _ in range(2))
+    rec = pinning.run_chain(g, params, om, got_chain.rng, sweeps=n_rec * thinning,
+                            thinning=thinning, chain=got_chain, interaction=interaction,
+                            observables=observables)
+    L, frac, en, extra = _records_one_at_a_time(want_chain, n_rec, thinning, interaction,
+                                                observables)
+    assert rec.contacts_window.tolist() == L
+    assert rec.contact_fraction.tolist() == frac
+    assert rec.energy.tolist() == en
+    assert rec.extra["sumsq"].tolist() == extra["sumsq"]
+    assert np.array_equal(got_chain.field, want_chain.field)
+
+
 def test_energy_bookkeeping_matches_recompute():
     g = lattice.build_box(8)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(211, "e"))

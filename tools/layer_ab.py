@@ -26,9 +26,14 @@ timed over --sweeps calls; one Green table by each route (green_dirichlet and
 the sparse solve green_dirichlet_solve, N = 32, m = 0.3); one ladder point
 (integrate_ladder on the 2-point coupling grid t = 0, 1 with an exact first
 point, so one chain runs: N = 8, beta = 0.5, h = 0.1, 100 recorded sweeps after
-20 burn-in); one bridge block (bridge_positivity_probability, 65 536 walks of
-100 unit steps below x = 2).  The ladder point and the bridge
-block run at these fixed budgets whatever --sweeps says.
+20 burn-in); one coupling ladder (the doubling check's replica job,
+_replica_log_z, at N = 16 and criterion 12's beta = 0.5, h = 0.3, m = 0.3,
+u = 0: a random massive boundary and disorder, then chains at the 11 points
+past the exact first one of the 12-point t-grid, 100 recorded sweeps after 50
+burn-in, and the density statistic D on the target measure); one bridge block
+(bridge_positivity_probability, 65 536 walks of 100 unit steps below x = 2).
+The ladder point, the coupling ladder and the bridge block run at these fixed
+budgets whatever --sweeps says.
 
 Run as a script, the tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 before numpy loads, as perfbench/run.py does, so the
@@ -46,6 +51,7 @@ if __name__ == "__main__":  # an import (a test's, say) leaves its process's env
 
 import argparse
 import importlib
+import inspect
 import sys
 import tempfile
 import time
@@ -56,8 +62,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32)
 MASS = 0.3
-MODULES = ("disorder", "fields", "freeenergy", "kernels", "lattice", "pinning", "rng")
+MODULES = ("disorder", "experiments", "fields", "freeenergy", "kernels", "lattice", "pinning",
+           "rng")
 LADDER_N, LADDER_SWEEPS, LADDER_BURN = 8, 100, 20
+COUPLING_N, COUPLING_SWEEPS, COUPLING_BURN = 16, 100, 50
 BRIDGE_WALKS, BRIDGE_STEPS, BRIDGE_X = 1 << 16, 100, 2.0
 
 
@@ -75,10 +83,14 @@ def _heat_bath(pkg, N: int, sweeps: int):
 
 def _reflection(pkg, N: int, sweeps: int):
     chain = _chain(pkg, N)
+    sweep = pkg.pinning._reflection_sweep
+    # revisions that take the field's flat view once per run of sweeps pass it to each sweep
+    args = (chain,) if len(inspect.signature(sweep).parameters) == 1 else (
+        chain, chain.field.reshape(-1))
 
     def run():
         for _ in range(sweeps):
-            pkg.pinning._reflection_sweep(chain)
+            sweep(*args)
     return run
 
 
@@ -119,6 +131,16 @@ def _ladder_point(pkg):
         LADDER_BURN, LADDER_BURN, exact_first=0.0)
 
 
+def _coupling_ladder(pkg):
+    beta, h, m, u = 0.5, 0.3, 0.3, 0.0
+    g = pkg.lattice.build_box(COUPLING_N)
+    threshold = pkg.freeenergy.density_event_threshold(COUPLING_N, m,
+                                                       pkg.experiments.FROZEN_DENSITY_K)
+    cov = pkg.fields.boundary_covariance(g, m)
+    return lambda: pkg.freeenergy._replica_log_z(g, beta, h, m, u, threshold, 1, "ab-coupling",
+                                                 COUPLING_SWEEPS, COUPLING_BURN, cov, 0)
+
+
 def _bridge_block(pkg):
     r = pkg.rng.stream(1, "ab-bridge")
     return lambda: pkg.fields.bridge_positivity_probability([1.0] * BRIDGE_STEPS, BRIDGE_X,
@@ -137,6 +159,7 @@ def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
     out.append(("green table N=32", "call", 1, None, _green))
     out.append(("green solve N=32", "call", 1, None, _green_solve))
     out.append((f"ladder point N={LADDER_N}", "call", 1, None, _ladder_point))
+    out.append((f"coupling ladder N={COUPLING_N}", "call", 1, None, _coupling_ladder))
     out.append(("bridge block", "call", 1, None, _bridge_block))
     return out
 
