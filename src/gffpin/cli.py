@@ -9,10 +9,11 @@
 JSONL records and CSV tables; `verify` runs the whole acceptance suite and
 prints one verdict line per criterion (with --out, each criterion's stamp,
 which carries its config, records and tables).  --seed S and --threads T are
-short for --set seed=S and --set threads=T.  Before it writes its first
-result, each command removes the results.jsonl, config.resolved and CSV tables
-an earlier command left in --out; a command refused before that (a bad
-setting, say) leaves --out as it was.
+short for --set seed=S and --set threads=T, refused where the experiment has
+no such setting; `verify --threads T` sets threads in criterion 12 only, and
+checks T before criterion 1 runs.  Before it writes its first result, each
+command removes the results.jsonl, config.resolved and CSV tables an earlier
+command left in --out; a command refused before that leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ def _resolve_config(args) -> dict:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         cfg[key.strip()] = cfgmod.parse_value(val)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
+    cfg.update((key, getattr(args, key)) for key in ("seed", "threads")
+               if getattr(args, key) is not None)
     return cfg
 
 
@@ -102,17 +101,19 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {} if args.threads is None else {"threads": args.threads}
+    criteria = [experiments.REGISTRY[name] for name in experiments.acceptance_names()]
+    # threads only where a criterion has it; every config is checked before any runs
+    configs = [exp.resolve({"threads": args.threads} if args.threads is not None
+                           and "threads" in exp.defaults else {}) for exp in criteria]
     out = _outdir(args.out, True)
     all_ok = True
     t0 = time.time()
-    for k, name in enumerate(experiments.acceptance_names()):
-        exp = experiments.REGISTRY[name]
-        result = experiments.run_experiment(name, overrides)
+    for k, (exp, cfg) in enumerate(zip(criteria, configs)):
+        result = experiments.run_experiment(exp.name, cfg)
         ok = bool(result.passed)
         all_ok &= ok
         print(f"criterion {exp.acceptance:2d} [{'PASS' if ok else 'FAIL'}] "
-              f"{name} ({result.wall_time:.1f} s)")
+              f"{exp.name} ({result.wall_time:.1f} s)")
         if not ok:
             for line in result.lines:
                 print(f"    {line}")

@@ -6,10 +6,11 @@ from streams keyed by (seed, experiment, purpose, replica), so a rerun with
 the same resolved configuration reproduces every number bit-for-bit on the
 same platform.
 
-An experiment function takes the resolved config and returns
-(checks, records, tables).  A check is (ok, text), with ok True, False or
-None for an info line; run_experiment prints each check as one line and
-passes the run when every check with a verdict holds (None when none has).
+An experiment function takes the resolved config and returns (checks, records,
+tables); its entry's defaults are the settings it reads, the only keys
+accepted.  A check is (ok, text), with ok True, False or None for an info line;
+run_experiment prints each check as one line and passes the run when every
+check with a verdict holds (None when none has).
 
 Frozen constants: the density-event offset K comes from density-calibrate,
 run once at its recorded seed, and that entry re-derives it.  The bridge
@@ -58,6 +59,26 @@ class Experiment:
     defaults: dict
     fn: object  # cfg -> (checks, records, tables)
     acceptance: int | None = None  # criterion number when part of the gate
+
+    def resolve(self, overrides: dict) -> dict:
+        """The defaults with the overrides in; a ConfigError for an unknown key or a bad value."""
+        defaults, name = self.defaults, self.name
+        unknown = sorted(set(overrides) - set(defaults))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(unknown)} for {name!r}; " + (
+                f"known: {', '.join(sorted(defaults))}" if defaults else "it takes no settings"))
+        wrong = [f"{key} = {value!r} (the default is {defaults[key]!r})"
+                 for key, value in sorted(overrides.items()) if not _fits(value, defaults[key])]
+        if wrong:
+            raise ConfigError(f"config value(s) of the wrong type or not finite for {name!r}: "
+                              f"{'; '.join(wrong)}")
+        cfg = {**defaults, **overrides}
+        if "seed" in cfg and not 0 <= cfg["seed"] < 2 ** 64:  # stream_key packs it in 8 bytes
+            raise ConfigError(f"seed must be an integer in [0, 2^64) (got {cfg['seed']})")
+        for key, least in _LEAST.items():
+            if key in cfg and cfg[key] < least:
+                raise ConfigError(f"{key} must be an integer >= {least} (got {cfg[key]})")
+        return cfg
 
 
 class Accumulator:
@@ -635,17 +656,17 @@ _register(
     "exact-small-box",
     "one-interior-site identities for the Green function and partition function",
     "G*(center)=1/4 and 1/(4+m^2) at N=2; log Z(N=2,b=0,h=1) = log(1+(e-1)(2 Phi(2)-1))",
-    {"seed": 20260801}, _run_exact_small_box, acceptance=1)
+    {}, _run_exact_small_box, acceptance=1)
 _register(
     "green-asymptotics",
     "log-law residuals of the massive and Dirichlet Green functions",
     "|G^m(0,0) - log(1/m)/2pi| and |G^{m,*}(x,x) - log(min(1/m, d))/2pi| bounded, stable",
-    {"seed": 20260802}, _run_green_asymptotics, acceptance=2)
+    {}, _run_green_asymptotics, acceptance=2)
 _register(
     "f-asymptotics",
     "mass-cost integral f(m) against its m^2 log(1/m) law",
     "|f(m) - m^2 |log m| / 4pi| / m^2 stable over three decades; dual quadratures agree to 1e-9",
-    {"seed": 20260803}, _run_f_asymptotics, acceptance=3)
+    {}, _run_f_asymptotics, acceptance=3)
 _register(
     "sampler-exactness",
     "spectral sampler covariance and scale-slice telescoping",
@@ -696,7 +717,7 @@ _register(
     "doubling inequality for the boundary-averaged restricted partition function",
     "E log Z'(2N) >= 4 E log Z'(N) within 3 se at N = 16 -> 32",
     {"seed": 20260812, "N": 16, "beta": 0.5, "h": 0.3, "m": 0.3, "K": FROZEN_DENSITY_K,
-     "replicas": 8, "sweeps": 400, "burn_in": 200},
+     "replicas": 8, "sweeps": 400, "burn_in": 200, "threads": 1},
     _run_subadditivity, acceptance=12)
 
 _register(
@@ -711,7 +732,7 @@ _register(
     "positivity certificate from one finite box with stationary boundary",
     "(1/N^2) E log E^{m,bc}[e^{interaction} 1_D] - K m^2 > 0 certifies F > 0",
     {"seed": 20260821, "N": 32, "beta": 0.0, "h": 2.0, "m": 0.3, "u": 0.2,
-     "K": 10.0, "replicas": 4, "sweeps": 400, "burn_in": 250},
+     "K": 10.0, "replicas": 4, "sweeps": 400, "burn_in": 250, "threads": 1},
     _run_finite_volume)
 _register(
     "density-calibrate",
@@ -772,26 +793,9 @@ _LEAST = {"threads": 1, "samples": 1, "stack_samples": 2, "walks": 2}
 
 def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult:
     if name not in REGISTRY:
-        known = ", ".join(sorted(REGISTRY))
-        raise ConfigError(f"unknown experiment {name!r}; registry: {known}")
+        raise ConfigError(f"unknown experiment {name!r}; registry: {', '.join(sorted(REGISTRY))}")
     exp = REGISTRY[name]
-    overrides = overrides or {}
-    defaults = {"threads": 1, **exp.defaults}  # every entry has an int seed
-    unknown = sorted(set(overrides) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {', '.join(unknown)} for {name!r}; "
-                          f"known: {', '.join(sorted(defaults))}")
-    wrong = [f"{key} = {value!r} (the default is {defaults[key]!r})"
-             for key, value in sorted(overrides.items()) if not _fits(value, defaults[key])]
-    if wrong:
-        raise ConfigError(f"config value(s) of the wrong type or not finite for {name!r}: "
-                          f"{'; '.join(wrong)}")
-    cfg = {**defaults, **overrides}
-    if not 0 <= cfg["seed"] < 2 ** 64:  # rng.stream_key packs the seed into 8 unsigned bytes
-        raise ConfigError(f"seed must be an integer in [0, 2^64) (got {cfg['seed']})")
-    for key, least in _LEAST.items():
-        if key in cfg and cfg[key] < least:
-            raise ConfigError(f"{key} must be an integer >= {least} (got {cfg[key]})")
+    cfg = exp.resolve(overrides or {})
     t0 = time.time()
     with rngmod.audit_streams() as audit:
         checks, records, tables = exp.fn(cfg)

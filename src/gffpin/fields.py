@@ -2,14 +2,14 @@
 
 Zero-boundary (Dirichlet) and massive fields are drawn exactly in the sine
 eigenbasis; boundary data for the infinite-volume massive field comes from a
-dense Cholesky of the translation-invariant Green covariance.  Boundary data
-enters only through its (massive-)harmonic extension H, by the boundary-shift
-identity P^{m,bc}[phi in .] = P^m[phi + H in .]: the samplers here draw
-zero-boundary fields, and code that needs boundary data adds H.values itself
-(the chains start from H, the coupling leg takes it as the free field's
-mean).  The multiscale stack cuts the field into independent layers
-whose covariances are the time slices of the heat kernel, and the Gaussian
-bridge utility prices the cost of staying below a barrier.
+dense Cholesky of the translation-invariant Green covariance, memoized per box
+size and mass.  Boundary data enters only through its (massive-)harmonic
+extension H, by the boundary-shift identity P^{m,bc}[phi in .] = P^m[phi + H
+in .]: the samplers here draw zero-boundary fields, and code that needs
+boundary data adds H.values itself (the chains start from H, the coupling leg
+takes it as the free field's mean).  The multiscale stack cuts the field into
+independent layers whose covariances are the time slices of the heat kernel,
+and the Gaussian bridge utility prices the cost of staying below a barrier.
 
 The batched samplers work in a working set of _BLOCK float64 values
 (0.5 MB), drawn with `rng.standard_normal(out=...)` straight into a reused
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft
@@ -235,13 +236,17 @@ def sample_boundary_infinite_massive(cov: np.ndarray, rng: np.random.Generator) 
 
 
 def boundary_covariance(geom: BoxGeometry, m: float) -> np.ndarray:
-    """Covariance matrix of the frame sites under the infinite-volume law."""
+    """Covariance of the frame sites under the infinite-volume law; read-only, memoized."""
+    return _boundary_covariance(geom, m)
+
+
+@lru_cache(maxsize=16)  # behind boundary_covariance, a plain function tracers can wrap
+def _boundary_covariance(geom: BoxGeometry, m: float) -> np.ndarray:
     table = kernels.green_offset_table(m, geom.N)
-    idx = boundary_indices(geom)
-    x1, x2 = geom.site(idx)
-    d1 = np.abs(x1[:, None] - x1[None, :])
-    d2 = np.abs(x2[:, None] - x2[None, :])
-    return table[d1, d2]
+    x1, x2 = geom.site(boundary_indices(geom))
+    cov = table[np.abs(x1[:, None] - x1[None, :]), np.abs(x2[:, None] - x2[None, :])]
+    cov.flags.writeable = False
+    return cov
 
 
 # ---------------------------------------------------------------------------

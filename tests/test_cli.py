@@ -39,12 +39,13 @@ def test_list_command(capsys):
 
 def test_run_persists_outputs(tmp_path, capsys):
     out = tmp_path / "run1"
-    rc = cli.main(["run", "exact-small-box", "--out", str(out), "--seed", "99"])
+    rc = cli.main(["run", "bridge-lemma", "--out", str(out), "--seed", "99",
+                   "--set", "bridges=2000"])
     assert rc == 0
     resolved = (out / "config.resolved").read_text()
     assert "seed = 99" in resolved
     records = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
-    assert records[0]["experiment"] == "exact-small-box"
+    assert records[0]["experiment"] == "bridge-lemma"
     assert records[0]["passed"] is True
     assert "config" in records[0]
 
@@ -66,8 +67,10 @@ def _stamps(out):
 
 def test_reused_out_holds_only_the_last_command(tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
-    assert cli.main(["run", "exact-small-box", "--out", str(out)]) == 0
-    assert cli.main(["run", "exact-small-box", "--out", str(out), "--force", "--seed", "5"]) == 0
+    small = ["--set", "bridges=2000"]
+    assert cli.main(["run", "bridge-lemma", "--out", str(out)] + small) == 0
+    assert cli.main(["run", "bridge-lemma", "--out", str(out), "--force", "--seed", "5"]
+                    + small) == 0
     assert [s["config"]["seed"] for s in _stamps(out)] == [5]
     assert "seed = 5" in (out / "config.resolved").read_text()
     monkeypatch.setattr(experiments, "acceptance_names", lambda: ["exact-small-box"])
@@ -107,10 +110,30 @@ def test_refused_command_leaves_out_untouched(tmp_path, capsys, argv):
 
 def test_threads_flag_is_the_threads_setting(tmp_path, capsys):
     out = tmp_path / "run"
-    argv = ["run", "exact-small-box", "--out", str(out), "--set", "threads=2", "--threads", "3"]
+    argv = ["run", "subadditivity", "--out", str(out), "--set", "N=4", "--set", "replicas=2",
+            "--set", "sweeps=4", "--set", "burn_in=2", "--set", "threads=1", "--threads", "2"]
     assert cli.main(argv) == 0
-    assert [s["config"]["threads"] for s in _stamps(out)] == [3]
-    assert "threads = 3" in (out / "config.resolved").read_text()
+    assert [s["config"]["threads"] for s in _stamps(out)] == [2]
+    assert "threads = 2" in (out / "config.resolved").read_text()
+
+
+def test_verify_gives_threads_to_the_criteria_that_take_it(monkeypatch, capsys):
+    # every criterion runs a stand-in that keeps its config; only criterion 12 has threads
+    seen = {}
+
+    def keeping(name):
+        def fn(cfg):
+            seen[name] = cfg
+            return [(True, "ok")], [], {}
+        return fn
+
+    for name in experiments.acceptance_names():
+        fake = dataclasses.replace(experiments.REGISTRY[name], fn=keeping(name))
+        monkeypatch.setitem(experiments.REGISTRY, name, fake)
+    assert cli.main(["verify", "--threads", "2"]) == 0
+    assert len(seen) == 12
+    assert {name for name, cfg in seen.items() if "threads" in cfg} == {"subadditivity"}
+    assert seen["subadditivity"]["threads"] == 2
 
 
 @pytest.mark.parametrize("checks,passed,tags", [
@@ -119,14 +142,14 @@ def test_threads_flag_is_the_threads_setting(tmp_path, capsys):
     ([(None, "a"), (None, "b")], None, ["info", "info"]),
 ], ids=["pass-and-info", "one-fail", "info-only"])
 def test_runner_derives_lines_and_verdict_from_checks(monkeypatch, checks, passed, tags):
-    exp = experiments.REGISTRY["exact-small-box"]
+    exp = experiments.REGISTRY["bridge-lemma"]
     fake = dataclasses.replace(exp, fn=lambda cfg: (checks, [{"n": 1}], {"t": (["x"], [(1,)])}))
     monkeypatch.setitem(experiments.REGISTRY, exp.name, fake)
     res = experiments.run_experiment(exp.name, {"seed": 3})
     assert res.passed is passed
     assert res.lines == [f"[{tag}] {text}" for tag, (_, text) in zip(tags, checks)]
     assert (res.name, res.records, res.tables) == (exp.name, [{"n": 1}], {"t": (["x"], [(1,)])})
-    assert res.config == {"seed": 3, "threads": 1}
+    assert res.config == {"seed": 3, "bridges": 1_000_000}
 
 
 def test_set_overrides(tmp_path, capsys):
@@ -171,7 +194,11 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["run", "copolymer", "--set", "seed=1.5"], "seed"),
     (["run", "penalty-cost", "--set", "samples=2.5"], "samples"),
     (["run", "sampler-exactness", "--set", "samples=1e3"], "samples"),
-    (["run", "copolymer", "--threads", "-3"], "threads must be an integer >= 1 (got -3)"),
+    (["run", "subadditivity", "--threads", "-3"], "threads must be an integer >= 1 (got -3)"),
+    (["run", "bridge-lemma", "--threads", "2"],
+     "unknown config key(s) threads for 'bridge-lemma'; known: bridges, seed"),
+    (["run", "exact-small-box", "--seed", "5"],
+     "unknown config key(s) seed for 'exact-small-box'; it takes no settings"),
     (["verify", "--threads", "0"], "threads must be an integer >= 1 (got 0)"),
     (["run", "massive-comparison", "--set", "m=1.5"], "got 1.5"),
     (["run", "massive-comparison", "--set", "m=0"], "got 0"),
@@ -190,10 +217,10 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["run", "density-typicality", "--set", "samples=0"], "samples must be an integer >= 1 (got 0)"),
     (["run", "harmonic-extension", "--set", "walks=1"], "walks must be an integer >= 2 (got 1)"),
 ], ids=["int-as-float", "int-as-bool", "seed-as-float", "penalty-samples", "exactness-samples",
-        "threads-negative", "verify-threads-zero", "mass-above-1", "mass-zero",
-        "set-threads-zero", "set-threads-negative", "seed-negative", "seed-2-to-64", "h-inf",
-        "h-nan", "criterion-h-nan", "exactness-samples-zero", "stack-samples-one",
-        "calibrate-samples-zero", "typicality-samples-zero", "walks-one"])
+        "threads-negative", "threads-unknown", "seed-unknown", "verify-threads-zero",
+        "mass-above-1", "mass-zero", "set-threads-zero", "set-threads-negative", "seed-negative",
+        "seed-2-to-64", "h-inf", "h-nan", "criterion-h-nan", "exactness-samples-zero",
+        "stack-samples-one", "calibrate-samples-zero", "typicality-samples-zero", "walks-one"])
 def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the bad value was refused")
@@ -278,12 +305,12 @@ def test_float_default_takes_an_int(monkeypatch):
 
     monkeypatch.setattr(pinning, "run_chain", first_chain)
     with pytest.raises(RuntimeError, match="first chain"):
-        experiments.run_experiment("massive-comparison", {"m": 1, "threads": 1})
+        experiments.run_experiment("massive-comparison", {"m": 1, "seed": 1})
 
 
 def test_run_experiment_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="sweepz"):
-        experiments.run_experiment("exact-small-box", {"sweepz": 5, "seed": 1})
+        experiments.run_experiment("copolymer", {"sweepz": 5, "seed": 1})
 
 
 def test_run_reproducibility(tmp_path):

@@ -17,12 +17,19 @@ anywhere in the benchmark or the tools.  Types are not inferred, so a member
 that shares its name with a reached one passes unseen.  The members allowed
 beside those are listed below with their reasons: oracle members (with the
 test that uses each) and stored fault records.
+
+Every setting does something: the config keys that run_experiment accepts for
+a registry entry are exactly the `cfg[...]` keys its experiment function reads,
+found by parsing the function.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from gffpin import experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gffpin"
@@ -229,3 +236,36 @@ def test_every_fault_record_is_stored_and_unread():
         attr = name.split(".")[-1]
         assert any(isinstance(n, ast.keyword) and n.arg == attr for n in ast.walk(fn)), \
             f"{writer} does not store {name}"
+
+
+def _config_reads(fn: ast.FunctionDef) -> set[str]:
+    """The keys an experiment function reads from its config, its first parameter;
+    every read of the config must be a subscript by a string literal."""
+    cfg = fn.args.args[0].arg
+    names = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == cfg]
+    reads = [n.slice for n in ast.walk(fn) if isinstance(n, ast.Subscript)
+             and isinstance(n.value, ast.Name) and n.value.id == cfg]
+    assert len(reads) == len(names) and all(isinstance(k, ast.Constant) for k in reads), \
+        f"{fn.name} uses its config other than as cfg['key']"
+    return {k.value for k in reads}
+
+
+def test_every_accepted_setting_is_read(monkeypatch):
+    functions = {n.name: n for n in _parse_package()["experiments"].body
+                 if isinstance(n, ast.FunctionDef)}
+    mismatched = {}
+    for name, exp in sorted(experiments.REGISTRY.items()):
+        accepted = {}
+
+        def keep(cfg, accepted=accepted):
+            accepted.update(cfg)
+            return [], [], {}
+
+        monkeypatch.setitem(experiments.REGISTRY, name, dataclasses.replace(exp, fn=keep))
+        experiments.run_experiment(name)  # the config it resolves holds every accepted key
+        reads = _config_reads(functions[exp.fn.__name__])
+        if set(accepted) != reads:
+            mismatched[name] = (sorted(set(accepted) - reads), sorted(reads - set(accepted)))
+    unread = sum(len(extra) for extra, _ in mismatched.values())
+    assert not mismatched, (f"{unread} accepted values unread; per experiment "
+                            f"(accepted but unread, read but not accepted): {mismatched}")

@@ -39,47 +39,65 @@ def test_runs_cover_every_registered_experiment():
 def test_same_output_matches_despite_stamp_time_and_revision(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
                       wall_time=2.0)
-    assert same_results.compare(parent, change) is None
+    assert same_results.compare(parent, change) == []
 
 
 def test_changed_record_is_reported(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.12500000000000003]}, {"gap": -1.5}],
                       ["a", "b"])
-    diff = same_results.compare(parent, change)
+    diff, = same_results.compare(parent, change)
     assert diff.startswith("results.jsonl line 2 differs")
 
 
 def test_changed_stream_list_is_reported(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "c"])
-    assert same_results.compare(parent, change) == (
-        "stamp streams differ at entry 1: parent 'b', change 'c'")
+    assert same_results.compare(parent, change) == [
+        "stamp streams differ at entry 1: parent 'b', change 'c'"]
 
 
 def test_changed_table_is_reported(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
                       table="h,value\n0.1,0.26\n")
-    assert same_results.compare(parent, change).startswith("table curve.csv differs")
+    diff, = same_results.compare(parent, change)
+    assert diff.startswith("table curve.csv differs")
 
 
 def test_changed_verdict_is_reported(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
                       passed=True)
-    assert same_results.compare(parent, change) == "stamp passed differs: parent None, change True"
+    assert same_results.compare(parent, change) == [
+        "stamp passed differs: parent None, change True"]
 
 
 def test_changed_config_is_reported(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
                       config={"seed": 1, "threads": 2})
-    assert same_results.compare(parent, change).startswith("stamp config differs")
+    diff, = same_results.compare(parent, change)
+    assert diff.startswith("stamp config differs")
+
+
+def test_every_difference_is_reported(parent, tmp_path):
+    # the config differs and so does a later record: both are named, stamp first
+    change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -2.5}, {"n": 1}],
+                      ["a", "b"], passed=True, config={"seed": 1})
+    diffs = same_results.compare(parent, change)
+    assert diffs[:2] == ["stamp config differs: parent {'seed': 1, 'threads': 1}, "
+                         "change {'seed': 1}",
+                         "stamp passed differs: parent None, change True"]
+    assert diffs[2].startswith("results.jsonl line 3 differs")
+    assert diffs[3:] == ["results.jsonl line 4 is only on the change side"]
 
 
 def test_printed_lines_compare_all_but_the_wall_time():
     parent = "[PASS] gap 1.00\nx: wall time 3.0 s\n"
-    assert same_results.compare_printed(parent, "[PASS] gap 1.00\nx: wall time 9.1 s\n") is None
-    assert same_results.compare_printed(parent, "[FAIL] gap 1.00\nx: wall time 3.0 s\n") \
-        .startswith("printed line 1 differs")
-    assert same_results.compare_printed(parent, "x: wall time 3.0 s\n") == (
-        "printed line 1 is only on the parent side")
+    assert same_results.compare_printed(parent, "[PASS] gap 1.00\nx: wall time 9.1 s\n") == []
+    diff, = same_results.compare_printed(parent, "[FAIL] gap 1.00\nx: wall time 3.0 s\n")
+    assert diff.startswith("printed line 1 differs")
+    assert same_results.compare_printed(parent, "x: wall time 3.0 s\n") == [
+        "printed line 1 is only on the parent side"]
+    assert same_results.compare_printed("a\nb\nc\nx: wall time 1 s\n", "b\nx: wall time 1 s\n") == [
+        "printed line 1 differs " + same_results._first_diff("a", "b"),
+        "printed lines 2-3 are only on the parent side"]
 
 
 def _proc(code, stderr=""):

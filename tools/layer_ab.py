@@ -51,7 +51,6 @@ if __name__ == "__main__":  # an import (a test's, say) leaves its process's env
 
 import argparse
 import importlib
-import inspect
 import sys
 import tempfile
 import time
@@ -83,14 +82,11 @@ def _heat_bath(pkg, N: int, sweeps: int):
 
 def _reflection(pkg, N: int, sweeps: int):
     chain = _chain(pkg, N)
-    sweep = pkg.pinning._reflection_sweep
-    # revisions that take the field's flat view once per run of sweeps pass it to each sweep
-    args = (chain,) if len(inspect.signature(sweep).parameters) == 1 else (
-        chain, chain.field.reshape(-1))
+    sweep, flat = pkg.pinning._reflection_sweep, chain.field.reshape(-1)
 
     def run():
         for _ in range(sweeps):
-            sweep(*args)
+            sweep(chain, flat)
     return run
 
 

@@ -1,6 +1,6 @@
 """Check that a parent revision and the working tree write the same results.
 
-    python3 tools/same_results.py --parent HEAD thermo-consistency --set replicas=2 --threads 2
+    python3 tools/same_results.py --parent HEAD subadditivity --set replicas=2 --threads 2
     python3 tools/same_results.py --parent HEAD --all
 
 --all runs every row of RUNS instead of one experiment: each registered
@@ -20,8 +20,10 @@ results.jsonl line and every CSV table; on every printed line but the final
 wall-time line; and on the exit status.  Both sides always run: a side that
 exits with a status other than 0 or 1 was refused, and two refusals match
 when their exit status and the last line of their standard error agree, while
-a refusal on one side only is a difference.  The first difference is printed;
-the exit status is 0 only on a full match.
+a refusal on one side only is a difference.  Every difference is printed, one
+DIFFERENT line each: the stamp's keys one by one, then the results.jsonl lines,
+the tables, the printed lines and the exit status.  The exit status is 0 only
+on a full match.
 """
 
 from __future__ import annotations
@@ -73,52 +75,60 @@ def _first_diff(a: str, b: str, width: int = 60) -> str:
             f"  change: ...{b[lo:i + width]!r}")
 
 
-def compare(parent: Path, change: Path) -> str | None:
-    """The first difference between two `gffpin run --out` directories, or None."""
+def _line_diffs(label: str, lines_p: list[str], lines_c: list[str], start: int) -> list[str]:
+    """One difference per line the two sides write unlike, and one for the lines
+    that only one side writes; the lines are numbered from start."""
+    out = [f"{label} {n} differs " + _first_diff(lp, lc)
+           for n, (lp, lc) in enumerate(zip(lines_p, lines_c), start=start) if lp != lc]
+    side, extra = ("parent", lines_p) if len(lines_p) > len(lines_c) else ("change", lines_c)
+    first, last = start + min(len(lines_p), len(lines_c)), start + len(extra) - 1
+    if first == last:
+        out.append(f"{label} {first} is only on the {side} side")
+    elif first < last:
+        out.append(f"{label}s {first}-{last} are only on the {side} side")
+    return out
+
+
+def compare(parent: Path, change: Path) -> list[str]:
+    """Every difference between two `gffpin run --out` directories (none on a match):
+    the stamp's keys one by one, then the later results.jsonl lines, then the tables."""
     lines_p = (parent / "results.jsonl").read_text(encoding="utf-8").splitlines()
     lines_c = (change / "results.jsonl").read_text(encoding="utf-8").splitlines()
     stamp_p, stamp_c = json.loads(lines_p[0]), json.loads(lines_c[0])
+    diffs = []
     for key in sorted((stamp_p.keys() | stamp_c.keys()) - {"wall_time", "git"}):
         if key not in stamp_p or key not in stamp_c:
             side = "parent" if key in stamp_p else "change"
-            return f"stamp key {key} is only on the {side} side"
+            diffs.append(f"stamp key {key} is only on the {side} side")
+            continue
         vp, vc = stamp_p[key], stamp_c[key]
         if vp == vc:
             continue
         if key == "streams":
             k, (sp, sc) = next((k, pair) for k, pair in enumerate(zip_longest(vp, vc))
                                if pair[0] != pair[1])
-            return f"stamp streams differ at entry {k}: parent {sp!r}, change {sc!r}"
-        return f"stamp {key} differs: parent {vp!r}, change {vc!r}"
-    for n, (lp, lc) in enumerate(zip_longest(lines_p[1:], lines_c[1:]), start=2):
-        if lp is None or lc is None:
-            side = "parent" if lc is None else "change"
-            return f"results.jsonl line {n} is only on the {side} side"
-        if lp != lc:
-            return f"results.jsonl line {n} differs " + _first_diff(lp, lc)
+            diffs.append(f"stamp streams differ at entry {k}: parent {sp!r}, change {sc!r}")
+        else:
+            diffs.append(f"stamp {key} differs: parent {vp!r}, change {vc!r}")
+    diffs += _line_diffs("results.jsonl line", lines_p[1:], lines_c[1:], start=2)
     tables = sorted({p.name for p in parent.glob("*.csv")} | {p.name for p in change.glob("*.csv")})
     for name in tables:
         if not (parent / name).exists() or not (change / name).exists():
             side = "parent" if (parent / name).exists() else "change"
-            return f"table {name} is only on the {side} side"
+            diffs.append(f"table {name} is only on the {side} side")
+            continue
         tp = (parent / name).read_text(encoding="utf-8")
         tc = (change / name).read_text(encoding="utf-8")
         if tp != tc:
-            return f"table {name} differs " + _first_diff(tp, tc)
-    return None
+            diffs.append(f"table {name} differs " + _first_diff(tp, tc))
+    return diffs
 
 
-def compare_printed(parent: str, change: str) -> str | None:
-    """The first difference between two runs' standard output, or None; the
+def compare_printed(parent: str, change: str) -> list[str]:
+    """Every difference between two runs' standard output (none on a match); the
     last line, the run's wall time, is left out."""
-    lines_p, lines_c = parent.splitlines()[:-1], change.splitlines()[:-1]
-    for n, (lp, lc) in enumerate(zip_longest(lines_p, lines_c), start=1):
-        if lp is None or lc is None:
-            side = "parent" if lc is None else "change"
-            return f"printed line {n} is only on the {side} side"
-        if lp != lc:
-            return f"printed line {n} differs " + _first_diff(lp, lc)
-    return None
+    return _line_diffs("printed line", parent.splitlines()[:-1], change.splitlines()[:-1],
+                       start=1)
 
 
 def _last_line(text: str) -> str:
@@ -155,7 +165,7 @@ def run(root: Path, args, out: Path) -> subprocess.CompletedProcess:
 
 def check(parent_root: Path, args, tmp: Path) -> tuple[bool, str]:
     """Run args.experiment on both sides into tmp; whether they match, and the
-    IDENTICAL / DIFFERENT line that says so."""
+    IDENTICAL line or the DIFFERENT lines, one per difference, that say so."""
     procs = {side: run(root, args, tmp / f"out-{side}")
              for side, root in (("parent", parent_root), ("change", ROOT))}
     if any(proc.returncode not in (0, 1) for proc in procs.values()):
@@ -165,12 +175,13 @@ def check(parent_root: Path, args, tmp: Path) -> tuple[bool, str]:
         return True, (f"IDENTICAL: both refused with exit {procs['change'].returncode}: "
                       f"{_last_line(procs['change'].stderr)}")
     codes = {side: proc.returncode for side, proc in procs.items()}
-    diff = (compare(tmp / "out-parent", tmp / "out-change")
-            or compare_printed(procs["parent"].stdout, procs["change"].stdout))
-    if diff is None and codes["parent"] != codes["change"]:
-        diff = f"exit status {codes['parent']} on the parent, {codes['change']} on the change"
-    if diff:
-        return False, f"DIFFERENT: {diff}"
+    diffs = (compare(tmp / "out-parent", tmp / "out-change")
+             + compare_printed(procs["parent"].stdout, procs["change"].stdout))
+    if codes["parent"] != codes["change"]:
+        diffs.append(f"exit status {codes['parent']} on the parent, "
+                     f"{codes['change']} on the change")
+    if diffs:
+        return False, "\n".join(f"DIFFERENT: {diff}" for diff in diffs)
     out = tmp / "out-change"
     lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
     return True, (f"IDENTICAL: exit {codes['change']}, "
