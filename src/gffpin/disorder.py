@@ -6,7 +6,8 @@ that is finite for every beta; contact sites see the exponentially tilted
 law.  The cell events flag windows with an atypically high disorder mean
 (the penalized configurations) or an atypically dense cluster of contacts,
 each at the default radius and threshold of the cell side, and the penalty
-multiplies the partition function by e^{-2} per flagged cell.
+multiplies the partition function by e^{-2} per flagged cell; it finds them
+all with one convolution over the stacked cells.
 """
 
 from __future__ import annotations
@@ -95,10 +96,12 @@ def _diamond_kernel(radius: int) -> np.ndarray:
 
 
 def window_sums(values: np.ndarray, radius: int) -> np.ndarray:
-    """Sliding l1-ball sums over a cell block (no wrap: sums stop at the cell edge)."""
+    """Sliding l1-ball sums over a cell block, or over each block of a stack of
+    them along the leading axes (no wrap: sums stop at the cell edge)."""
     from scipy import ndimage
 
-    return ndimage.convolve(values, _diamond_kernel(radius), mode="constant", cval=0.0)
+    kernel = _diamond_kernel(radius)[(None,) * (values.ndim - 2)]
+    return ndimage.convolve(values, kernel, mode="constant", cval=0.0)
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,8 @@ class CellEventResult:
 
 
 def event_E_cell(omega: DisorderField, cell: Cell, beta: float = 1.0) -> CellEventResult:
-    """Some window inside the cell has disorder sum >= threshold, with the
-    default radius and mean threshold at the cell side and beta."""
+    """Some window inside the cell has disorder sum >= threshold, at the default
+    radius and mean threshold of the cell side and beta; penalty_f's oracle."""
     N1 = cell.cell_slice[0].stop - cell.cell_slice[0].start
     r = default_radius(N1)
     thr = default_mean_threshold(omega.spec, beta, N1)
@@ -140,6 +143,12 @@ class PenaltyResult:
 
 
 def penalty_f(omega: DisorderField, tiling: CellTiling, beta: float) -> PenaltyResult:
-    """f(omega) = exp(-2 * number of cells whose mean event fires)."""
-    count = sum(event_E_cell(omega, cell, beta=beta).triggered for cell in tiling.cells)
+    """f(omega) = exp(-2 * number of cells whose mean event fires): one convolution
+    over the (cells, N1, N1) stack of the tiling's cells, so no window crosses a
+    cell; event_E_cell, one cell at a time, is the oracle."""
+    block = np.stack([omega.values[cell.cell_slice] for cell in tiling.cells])
+    N1 = block.shape[-1]
+    sums = window_sums(block, default_radius(N1))
+    thr = default_mean_threshold(omega.spec, beta, N1)
+    count = int(np.count_nonzero(sums.max(axis=(1, 2)) >= thr))
     return PenaltyResult(math.exp(-2.0 * count), count)

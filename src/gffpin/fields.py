@@ -21,7 +21,7 @@ normal goes to which walk, and so every bridge output, depends on _BLOCK.
 Their second route is a deterministic transfer operator on a grid.  A scale
 stack takes each slice's per-mode standard deviations and the scale index
 j(x) from a small cache of read-only tables, computed once per box size and
-scale-time grid.
+scale-time grid; its barrier margin is one masked maximum per scale.
 """
 
 from __future__ import annotations
@@ -95,8 +95,11 @@ class ScaleStack:
         return self.grid.k
 
     def partials(self) -> np.ndarray:
-        """All phi_i stacked, shape (k, N+1, N+1)."""
-        return np.cumsum(self.xi, axis=0)
+        """All phi_i stacked, shape (k, N+1, N+1), by row adds: np.cumsum's sums."""
+        out = self.xi.copy()
+        for i in range(1, self.k):
+            out[i] += out[i - 1]
+        return out
 
 
 @dataclass
@@ -304,16 +307,19 @@ def stack_barrier_margin(stack: ScaleStack, mask: np.ndarray, slope: float) -> f
 
     The extremal event A_N(threshold) is {margin <= threshold}; computing the
     margin once makes the event's monotonicity in the threshold exact
-    sample-by-sample.
+    sample-by-sample.  phi_i is a running sum, one add per scale; each scale
+    fills one buffer with its margin, puts -inf off the selection (the mask
+    alone at i = k, as j <= k) and takes one maximum, -inf if none is left.
     """
-    partials = stack.partials()
     j = stack.jmap
     worst = -np.inf
-    for i in range(1, stack.k + 1):
-        sel = mask & (j <= i)
-        if not np.any(sel):
-            continue
-        margin = partials[i - 1][sel] - slope * (i - j[sel])
+    running = None
+    for i, layer in enumerate(stack.xi, start=1):
+        running = layer if running is None else running + layer
+        margin = np.subtract(i, j, dtype=float)
+        margin *= slope
+        np.subtract(running, margin, out=margin)
+        np.putmask(margin, ~mask if i == stack.k else ~mask | (j > i), -np.inf)
         worst = max(worst, float(margin.max()))
     return worst
 

@@ -36,23 +36,24 @@ heat-bath sampler's grid, masses and uniforms, every view into them and the
 gather buffer; a call at another site count is refused.  Since a
 half-update touches only a few hundred sites, its cost is the number of
 numpy calls it makes, so each call works in place in these buffers, through
-ndarray methods rather than the np.* wrappers, and a masked copy is a
-putmask.  A half-update takes the neighbours' heights into the gather buffer
-(take), sums them into the conditional means (np.add.reduce) and writes its
-draws back with put.  A heat-bath half-update evaluates two normal CDFs,
-Phi(z) and Phi(-z), per site and edge and draws two uniforms per site with
-one rng.random call into a buffer: the first n pick the intervals (one
-comparison of every running sum with them, one count), the last n the
-heights inside them.  A reflection half-update takes the neighbours' and the
-sites' heights with one take into rows 0-4 of the layout's (6, n) gather
-buffer, whose rows 4 and 5 are its (x, y) pair, and writes 2 mu - x into row
-5; it finds both points' interval weights with one searchsorted and one take
-over the pair, draws one uniform per site with one rng.random call and
-copies the accepted sites from row 5 into row 4, which it writes back: 13
-numpy calls from the gather to the put.  A reflection sweep takes the flat
-view of the field once.  A layout, like the chain holding it, is not for
-concurrent use.  None of this changes a float operation or a draw: the
-running interval sums are row adds in add.accumulate's order.
+ndarray methods rather than the np.* wrappers, with 0-d array scalar
+operands, and a masked copy is a putmask.  A half-update takes the
+neighbours' heights into the gather buffer (take), sums them into the
+conditional means (np.add.reduce) and writes its draws back with put.  A
+heat-bath half-update evaluates two normal CDFs, Phi(z) and Phi(-z), per
+site and edge and draws two uniforms per site with one rng.random call into
+a buffer: the first n pick the intervals (one comparison of every running
+sum with them, one count), the last n the heights inside them.  A
+reflection half-update takes the neighbours' and the sites' heights with
+one take into rows 0-4 of the layout's (6, n) gather buffer, whose rows 4
+and 5 are its (x, y) pair, and writes 2 mu - x into row 5; it finds both
+points' interval weights with one searchsorted and one take over the pair,
+draws one uniform per site with one rng.random call and copies the accepted
+sites from row 5 into row 4, which it writes back: 13 numpy calls from the
+gather to the put.  A reflection sweep takes the flat view of the field
+once.  A layout, like the chain holding it, is not for concurrent use.
+None of this changes a float operation or a draw: the running interval sums
+are row adds in add.accumulate's order.
 
 run_chain gathers each record's interaction-range heights, through indices
 found once per call, into a row of a block of at most _RECORD_BLOCK records
@@ -190,6 +191,9 @@ def free_interaction_mean(geom: BoxGeometry, params: PinningParams, omega: Disor
 # (z, Phi(z), Phi(-z)) at the two far ends of every site's z-grid
 _FAR_LO = np.array([[-_Z_FAR], [special.ndtr(-_Z_FAR)], [special.ndtr(_Z_FAR)]])
 _FAR_HI = np.array([[_Z_FAR], [special.ndtr(_Z_FAR)], [special.ndtr(-_Z_FAR)]])
+# the heat-bath draw's scalar operands as 0-d arrays: numpy converts a float operand on every call
+_Z_LO, _Z_HI = np.array(-_Z_FAR), np.array(_Z_FAR)
+_MASS_FLOOR, _P_FLOOR, _P_CEIL = np.array(1e-300), np.array(1e-320), np.array(1.0 - 1e-16)
 
 
 class BandLayout:
@@ -282,8 +286,8 @@ def _refuse_other_size(mu: np.ndarray, bands: BandLayout) -> None:
         raise DomainError(f"a band layout of {bands.n} sites was called at {mu.shape[0]}")
 
 
-def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: float,
-                              bands: BandLayout) -> np.ndarray:
+def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray,
+                              sigma: float | np.ndarray, bands: BandLayout) -> np.ndarray:
     """Exact draw from N(mu, sigma^2) reweighted by the layout's band weights.
 
     Phi(z) and its mirror Phi(-z) are evaluated once per site and edge; their
@@ -292,14 +296,15 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     tail when that one is better conditioned.  Consumes rng.random(2n): the
     first n uniforms pick the interval, the last n the position inside it.
     Works in the layout's buffers and returns a new array; a mu of another
-    length than the layout's site count is refused before any draw.
+    length than the layout's site count is refused before any draw.  sigma
+    is a float or, as a chain passes it, a 0-d array.
     """
     _refuse_other_size(mu, bands)
     ze, pe, qe = bands.edge_rows
     np.subtract(bands.edges, mu, out=ze)
     ze /= sigma
-    np.maximum(ze, -_Z_FAR, out=ze)
-    np.minimum(ze, _Z_FAR, out=ze)
+    np.maximum(ze, _Z_LO, out=ze)
+    np.minimum(ze, _Z_HI, out=ze)
     special.ndtr(ze, out=pe)
     special.ndtr(np.negative(ze, out=qe), out=qe)
     p_hi, p_lo, q_lo, q_hi = bands.neighbour_rows
@@ -313,7 +318,7 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     rng.random(out=bands.draws)
     u, t = bands.halves
     total = rows[-1]
-    u *= np.maximum(total, 1e-300, out=total)
+    u *= np.maximum(total, _MASS_FLOOR, out=total)
     # the interval is the number of running sums below u; u is below the last one, the total
     pick = bands.pick
     np.add.reduce(np.less(bands.lower_sums, u, out=bands.below), axis=0, out=pick,
@@ -327,8 +332,8 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray, sigma: f
     pb -= pa
     pb *= t
     pb += pa
-    np.maximum(pb, 1e-320, out=pb)
-    v = special.ndtri(np.minimum(pb, 1.0 - 1e-16, out=pb))
+    np.maximum(pb, _P_FLOOR, out=pb)
+    v = special.ndtri(np.minimum(pb, _P_CEIL, out=pb))
     np.putmask(v, flip, np.negative(v, out=u))
     np.maximum(v, za, out=v)
     np.minimum(v, zb, out=v)
@@ -391,8 +396,8 @@ class GibbsChain:
     coupling: float = 1.0
 
     def __post_init__(self):
-        self._denom = 4.0 + self.params.m ** 2
-        self._sigma = 1.0 / math.sqrt(self._denom)
+        self._denom = np.array(4.0 + self.params.m ** 2)  # 0-d, like sigma: numpy need not convert
+        self._sigma = np.array(1.0 / math.sqrt(self._denom))
         lo, hi, w, scale, _ = _interaction(self.params, self.omega)
         bands = ((lo, hi, self.coupling * scale * w),) + tuple(self.extra_bands)
         self.field = np.ascontiguousarray(self.field, dtype=float)
@@ -446,7 +451,7 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
     return chain
 
 
-def _conditional_means(layout: BandLayout, denom: float) -> None:
+def _conditional_means(layout: BandLayout, denom: np.ndarray) -> None:
     """The sum of the neighbours' heights in layout.near, over denom, into layout.mu."""
     np.add.reduce(layout.near, axis=0, out=layout.mu)
     layout.mu /= denom

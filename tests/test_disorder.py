@@ -113,6 +113,24 @@ def test_penalty_formula():
     res2 = disorder.penalty_f(big, t, beta=1.0)
     assert res2.count == len(t.cells)
     assert res2.value == pytest.approx(math.exp(-2 * len(t.cells)))
+    # a window sum equal to the threshold fires
+    tie = np.zeros((17, 17))
+    tie[t.cells[4].cell_slice][1, 1] = disorder.default_mean_threshold(disorder.GAUSSIAN, 1.0, 4)
+    res3 = disorder.penalty_f(disorder.DisorderField(g, disorder.GAUSSIAN, tie), t, beta=1.0)
+    assert res3.count == 1
+
+
+@pytest.mark.parametrize("N,N1", [(16, 4), (64, 8), (256, 16)])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0])
+def test_penalty_counts_the_cells_where_the_event_fires(N, N1, beta):
+    # one convolution over the stacked cells against event_E_cell, cell by cell
+    g = lattice.build_box(N)
+    t = lattice.cell_tiling(g, N1)
+    r = rng.stream(2401, "penalty-oracle", N, beta)
+    for _ in range(30):
+        om = disorder.sample_disorder(g, disorder.GAUSSIAN, r)
+        fired = sum(disorder.event_E_cell(om, cell, beta=beta).triggered for cell in t.cells)
+        assert disorder.penalty_f(om, t, beta).count == fired
 
 
 def test_penalty_inverse_factorizes():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import fields, kernels, lattice, rng
+from gffpin import fields, freeenergy, kernels, lattice, rng
 from gffpin.errors import DomainError
 
 
@@ -199,6 +199,44 @@ def test_scale_stack_consistency():
     assert partials.shape == s.stack.xi.shape
     assert np.array_equal(partials[0], s.stack.xi[0])
     assert np.abs(partials[-1] - s.values).max() < 1e-10
+
+
+def _stack_grid(k: int) -> kernels.ScaleTimeGrid:
+    """A scale-time grid with k scales: the laboratory mass at N = 256 gives one,
+    tiny masses more."""
+    m = {1: freeenergy.desk_mass(256), 2: 1e-6, 3: 1e-9}[k]
+    grid = kernels.scale_time_grid(m, min_scales=1)
+    assert grid.k == k
+    return grid
+
+
+def _margin_by_definition(stack, mask, slope) -> float:
+    """stack_barrier_margin's docstring, site by site: np.cumsum partials, each scale
+    i and each masked site x with i >= j(x)."""
+    partials = np.cumsum(stack.xi, axis=0)
+    worst = -math.inf
+    for i in range(1, stack.k + 1):
+        for x in zip(*np.nonzero(mask)):
+            if i >= stack.jmap[x]:
+                worst = max(worst, partials[i - 1][x] - slope * (i - stack.jmap[x]))
+    return worst
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stack_margin_and_partials_match_their_definitions(k):
+    g = lattice.build_box(64)
+    grid = _stack_grid(k)
+    masks = [lattice.sub_box_mask(g, e) for e in (1.0, 2.0, 4.0)]
+    empty = np.zeros((g.side, g.side), dtype=bool)
+    r = rng.stream(2401, "margin-oracle", k)
+    for _ in range(2):
+        s = fields.sample_scale_stack(g, grid.m, r, grid=grid).stack
+        assert np.array_equal(s.partials(), np.cumsum(s.xi, axis=0))
+        for slope in (0.0, freeenergy.GAMMA):
+            for mask in masks:
+                assert fields.stack_barrier_margin(s, mask, slope) == \
+                    _margin_by_definition(s, mask, slope)
+            assert fields.stack_barrier_margin(s, empty, slope) == -math.inf
 
 
 def test_scale_stack_variance_profile():

@@ -45,6 +45,8 @@ ORACLES = {
         "tests/test_fields.py::test_bridge_sampler_matches_transfer_on_gate_cells",
     "pinning.energy":
         "tests/test_pinning.py::test_energy_bookkeeping_matches_recompute",
+    "disorder.event_E_cell":
+        "tests/test_disorder.py::test_penalty_counts_the_cells_where_the_event_fires",
 }
 
 # oracle member -> the test that uses it as the reference for reached code

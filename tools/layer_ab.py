@@ -31,9 +31,14 @@ _replica_log_z, at N = 16 and criterion 12's beta = 0.5, h = 0.3, m = 0.3,
 u = 0: a random massive boundary and disorder, then chains at the 11 points
 past the exact first one of the 12-point t-grid, 100 recorded sweeps after 50
 burn-in, and the density statistic D on the target measure); one bridge block
-(bridge_positivity_probability, 65 536 walks of 100 unit steps below x = 2).
-The ladder point, the coupling ladder and the bridge block run at these fixed
-budgets whatever --sweeps says.
+(bridge_positivity_probability, 65 536 walks of 100 unit steps below x = 2);
+one stack margin (sample_scale_stack at N = 256 and desk_mass(256), then
+stack_barrier_margin over the sub_box_mask(g, 2.0) window at slope GAMMA),
+timed over 20 calls; one penalty (penalty_f on the N1 = 4 tiling of N = 16 at
+beta = 1, as the samplers workload runs it), timed over 100 calls on
+disorder drawn beforehand.  The ladder point, the coupling ladder, the bridge
+block, the stack margin and the penalty run at these fixed budgets whatever
+--sweeps says.
 
 Run as a script, the tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 before numpy loads, as perfbench/run.py does, so the
@@ -66,6 +71,8 @@ MODULES = ("disorder", "experiments", "fields", "freeenergy", "kernels", "lattic
 LADDER_N, LADDER_SWEEPS, LADDER_BURN = 8, 100, 20
 COUPLING_N, COUPLING_SWEEPS, COUPLING_BURN = 16, 100, 50
 BRIDGE_WALKS, BRIDGE_STEPS, BRIDGE_X = 1 << 16, 100, 2.0
+STACK_N, STACK_CALLS = 256, 20
+PENALTY_N, PENALTY_N1, PENALTY_BETA, PENALTY_CALLS = 16, 4, 1.0, 100
 
 
 def _chain(pkg, N: int):
@@ -143,6 +150,32 @@ def _bridge_block(pkg):
                                                             BRIDGE_WALKS, r)
 
 
+def _stack_margin(pkg):
+    g = pkg.lattice.build_box(STACK_N)
+    m = pkg.freeenergy.desk_mass(STACK_N)
+    grid = pkg.kernels.scale_time_grid(m, min_scales=1)
+    window, r = pkg.lattice.sub_box_mask(g, 2.0), pkg.rng.stream(1, "ab-stack")
+
+    def run():
+        for _ in range(STACK_CALLS):
+            s = pkg.fields.sample_scale_stack(g, m, r, grid)
+            pkg.fields.stack_barrier_margin(s.stack, window, pkg.freeenergy.GAMMA)
+    return run
+
+
+def _penalty(pkg):
+    g = pkg.lattice.build_box(PENALTY_N)
+    tiling = pkg.lattice.cell_tiling(g, PENALTY_N1)
+    r = pkg.rng.stream(1, "ab-penalty")
+    omegas = [pkg.disorder.sample_disorder(g, pkg.disorder.GAUSSIAN, r)
+              for _ in range(PENALTY_CALLS)]
+
+    def run():
+        for om in omegas:
+            pkg.disorder.penalty_f(om, tiling, PENALTY_BETA)
+    return run
+
+
 def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
     """(name, unit, units per repeat, interior sites per unit or None, pkg -> thunk)
     per layer."""
@@ -157,6 +190,8 @@ def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
     out.append((f"ladder point N={LADDER_N}", "call", 1, None, _ladder_point))
     out.append((f"coupling ladder N={COUPLING_N}", "call", 1, None, _coupling_ladder))
     out.append(("bridge block", "call", 1, None, _bridge_block))
+    out.append((f"stack margin N={STACK_N}", "call", STACK_CALLS, None, _stack_margin))
+    out.append((f"penalty N={PENALTY_N}", "call", PENALTY_CALLS, None, _penalty))
     return out
 
 
