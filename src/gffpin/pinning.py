@@ -39,7 +39,8 @@ numpy calls it makes, so each call works in place in these buffers, through
 ndarray methods rather than the np.* wrappers, with 0-d array scalar
 operands, and a masked copy is a putmask.  A half-update takes the
 neighbours' heights into the gather buffer (take), sums them into the
-conditional means (np.add.reduce) and writes its draws back with put.  A
+conditional means (np.add.reduce) and writes its draws back by index
+assignment, flat[sites] = draws (half the cost of put at N = 32).  A
 heat-bath half-update evaluates two normal CDFs, Phi(z) and Phi(-z), per
 site and edge and draws two uniforms per site with one rng.random call into
 a buffer: the first n pick the intervals (one comparison of every running
@@ -47,11 +48,14 @@ sum with them, one count), the last n the heights inside them.  A
 reflection half-update takes the neighbours' and the sites' heights with
 one take into rows 0-4 of the layout's (6, n) gather buffer, whose rows 4
 and 5 are its (x, y) pair, and writes 2 mu - x into row 5; it finds both
-points' interval weights with one searchsorted and one take over the pair,
-draws one uniform per site with one rng.random call and copies the accepted
-sites from row 5 into row 4, which it writes back: 13 numpy calls from the
-gather to the put.  A reflection sweep takes the flat view of the field
-once.  A layout, like the chain holding it, is not for concurrent use.
+points' intervals by counting the edges strictly below each point of the
+pair (one comparison with the column of edges and one np.add.reduce over
+it, in place of a binary search whose data-dependent branches mispredict)
+and their weights with one take, draws one uniform per site with one
+rng.random call and copies the accepted sites from row 5 into row 4, which
+it writes back: 14 numpy calls from the gather to the write-back.  A
+reflection sweep takes the flat view of the field once.  A layout, like the
+chain holding it, is not for concurrent use.
 None of this changes a float operation or a draw: the running interval sums
 are row adds in add.accumulate's order.
 
@@ -204,22 +208,25 @@ class BandLayout:
     len(edges) + 1 intervals; weights[j, i] = exp(logw - max over j) is the
     relative weight of interval j at site i.  The reflection works on the
     (2, n) buffer pair xy, its rows x (the sites' heights) and y (their
-    mirror images 2 mu - x), and looks up both rows' weights at once: one
-    searchsorted of xy in edge_row gives each point's interval j, base2 (two
-    rows of i * intervals) moves it to site i's column of site_major, and
-    one take puts the weights into wxy (rows wx and wy).  uniforms receives
-    its n uniforms and accept the sites where u w(x) < w(y).  The heat-bath
-    draw works in the grid (flat holds it flattened): z, Phi(z) and Phi(-z)
-    (planes) at -far, every edge and +far (rows) for each site (columns), its
-    far rows constant.  offsets are the flat positions of (za, zb, Phi(za),
-    Phi(zb), Phi(-za), Phi(-zb)) within interval 0, so interval j sits j * n
-    further on; ends receives them.  mass holds the interval masses, then
-    their running sums, lower_sums all of them but the total; below receives
-    their comparison with the uniforms that pick the interval; draws
-    receives the 2n uniforms.  gather is the colour's (6, n) gather buffer:
-    rows 0-3 (near) the neighbours' heights, rows 4-5 the pair xy, so one
-    take fills near_x (rows 0-4) with the neighbours' and the sites'
-    heights; mu receives the conditional means.  Not for concurrent use.
+    mirror images 2 mu - x), and looks up both rows' weights at once: the
+    (edges, 1, 1) edge_column is compared with xy into below_xy, and the
+    count of edges strictly below each point, summed over the edges into at,
+    is its interval j (for a height that is not NaN, the index a left
+    searchsorted of the edges finds); base2 (two rows of i * intervals) moves
+    it to site i's column of site_major, and one take puts the weights into
+    wxy (rows wx and wy).  uniforms receives its n uniforms and accept the
+    sites where u w(x) < w(y).  The heat-bath draw works in the grid (flat
+    holds it flattened): z, Phi(z) and Phi(-z) (planes) at -far, every edge
+    and +far (rows) for each site (columns), its far rows constant.  offsets
+    are the flat positions of (za, zb, Phi(za), Phi(zb), Phi(-za), Phi(-zb))
+    within interval 0, so interval j sits j * n further on; ends receives
+    them.  mass holds the interval masses, then their running sums,
+    lower_sums all of them but the total; below receives their comparison
+    with the uniforms that pick the interval; draws receives the 2n
+    uniforms.  gather is the colour's (6, n) gather buffer: rows 0-3 (near)
+    the neighbours' heights, rows 4-5 the pair xy, so one take fills near_x
+    (rows 0-4) with the neighbours' and the sites' heights; mu receives the
+    conditional means.  Not for concurrent use.
     """
 
     def __init__(self, edges: np.ndarray, weights: np.ndarray):
@@ -227,7 +234,7 @@ class BandLayout:
         self.n = n
         self.edges = edges
         self.weights = weights
-        self.edge_row = edges[:, 0]
+        self.edge_column = edges[:, :, None]
         self.site_major = np.ascontiguousarray(weights.T).reshape(-1)
         self.base2 = np.tile(np.arange(n) * intervals, (2, 1))
         k = intervals + 1  # grid rows: -far, every edge, +far
@@ -256,6 +263,8 @@ class BandLayout:
         self.near, self.near_x, self.xy = self.gather[:4], self.gather[:5], self.gather[4:]
         self.mu = np.empty(n)
         self.x, self.y = self.xy
+        self.below_xy = np.empty((intervals - 1, 2, n), dtype=bool)
+        self.at = np.empty((2, n), dtype=self.base2.dtype)
         self.wxy = np.empty((2, n))
         self.wx, self.wy = self.wxy
         self.uniforms = np.empty(n)
@@ -352,16 +361,18 @@ def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, bands: BandLayout)
 
     Works on the layout's (x, y) buffer pair: the caller puts x into row 0,
     bands.x (a reflection sweep gathers it there), and 2 mu - x goes into row
-    1, so one searchsorted over both rows and one take find both points'
-    weights.  The accepted sites are copied from row 1 into row 0, and row 0
-    is returned: the layout's buffer, not a fresh array, valid until the
-    layout's next reflection.
+    1, so one count of the edges below each point of both rows and one take
+    find both points' weights.  The accepted sites are copied from row 1 into
+    row 0, and row 0 is returned: the layout's buffer, not a fresh array,
+    valid until the layout's next reflection.
     """
     _refuse_other_size(mu, bands)
     x_row, y = bands.x, bands.y
     np.add(mu, mu, out=y)
     y -= x_row
-    at = bands.edge_row.searchsorted(bands.xy)
+    at = bands.at
+    np.add.reduce(np.less(bands.edge_column, bands.xy, out=bands.below_xy), axis=0, out=at,
+                  dtype=at.dtype)
     at += bands.base2
     bands.site_major.take(at, out=bands.wxy, mode="clip")
     wx = bands.wx
@@ -405,7 +416,8 @@ class GibbsChain:
         self._phase = 0  # sweeps into the current cycle; 0 runs the heat-bath sweep
         self._colours = []
         for table in _colour_indices(self.geom):  # (sites, neighbours, both, layout) per colour
-            # a copy: take and put copy a read-only index array on every call
+            # a copy: take copies a read-only index array on every call (index assignment
+            # does not)
             index = table.copy()
             sites = index[4]
             layout = band_layout([(a, b, np.asarray(logw).take(sites) if np.ndim(logw)
@@ -447,7 +459,7 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
         for sites, nbrs, _, layout in chain._colours:
             flat.take(nbrs, out=layout.near, mode="clip")
             _conditional_means(layout, chain._denom)
-            flat.put(sites, sample_banded_conditional(chain.rng, layout.mu, chain._sigma, layout))
+            flat[sites] = sample_banded_conditional(chain.rng, layout.mu, chain._sigma, layout)
     return chain
 
 
@@ -465,7 +477,7 @@ def _reflection_sweep(chain: GibbsChain, flat: np.ndarray) -> None:
     for sites, _, index, layout in chain._colours:
         flat.take(index, out=layout.near_x, mode="clip")
         _conditional_means(layout, chain._denom)
-        flat.put(sites, _reflect_banded(chain.rng, layout.mu, layout))
+        flat[sites] = _reflect_banded(chain.rng, layout.mu, layout)
 
 
 def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:

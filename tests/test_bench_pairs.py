@@ -86,3 +86,29 @@ def test_summary_records_raw_medians_of_run_medians():
     assert all("not a metric" in r for r in raw)
     assert raw[0].split()[-3:] == ["3", "2", "0.667"]
     assert rows[-1].startswith("failed/attempted ops")
+
+
+def test_summary_applies_each_end_to_end_bound():
+    # wall_s may be 20 % worse (lower-better) and ess_L_per_cpu_s 25 % (higher-better), as
+    # BENCHMARK.json bounds them; a parent IQR wider than the bound leaves the rule unresolved
+    def verdict(metric, parent, change):
+        entry = bench_pairs.summarize(_runs(metric, parent), _runs(metric, change))[metric]
+        return entry["bound"], entry["worse_beyond_bound"]
+
+    assert verdict("wall_s", [1.0, 1.0, 1.0], [1.3, 1.3, 1.3]) == (0.2, "yes")
+    assert verdict("wall_s", [1.0, 1.0, 1.0], [1.15, 1.15, 1.15]) == (0.2, "no")
+    assert verdict("wall_s", [1.0, 1.0, 1.0], [0.5, 0.5, 0.5]) == (0.2, "no")
+    assert verdict("wall_s", [0.7, 1.0, 1.3], [2.0, 2.0, 2.0]) == (0.2, "unresolved")
+    assert verdict("wall_s", [0.7, 1.0, 1.3], [0.9, 0.9, 0.9]) == (0.2, "unresolved")
+    # a wide parent spread is resolved when every run of the change beats every parent run
+    assert verdict("wall_s", [0.7, 1.0, 1.3], [0.6, 0.65, 0.69]) == (0.2, "no")
+    assert verdict("ess_L_per_cpu_s", [100.0] * 3, [70.0] * 3) == (0.25, "yes")
+    assert verdict("ess_L_per_cpu_s", [100.0] * 3, [80.0] * 3) == (0.25, "no")
+    assert verdict("ess_L_per_cpu_s", [100.0] * 3, [300.0] * 3) == (0.25, "no")
+    # per-layer metrics carry no bound, nor do metrics BENCHMARK.json does not declare
+    summary = bench_pairs.summarize(_runs("pinning.sweeps", [1.0, 2.0]),
+                                    _runs("pinning.sweeps", [1.0, 2.0]))
+    assert "worse_beyond_bound" not in summary["pinning.sweeps"]
+    rows = bench_pairs.summary_rows(bench_pairs.summarize(_runs("wall_s", [1.0, 1.0]),
+                                                          _runs("wall_s", [1.3, 1.3])))
+    assert rows[0].split()[4] == "worse>bound" and rows[1].split()[4] == "yes"

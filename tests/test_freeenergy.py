@@ -227,6 +227,16 @@ def test_doubling_gap_bit_identical():
                    "gap": -2.2094274319722693, "gap_se": 2.781931486551492}
 
 
+def test_doubling_gap_bit_identical_at_the_benchmark_boxes():
+    # the doubling workload's boxes, N = 16 and 32: 4 and 8 reflection sweeps per heat-bath
+    # sweep on a random massive boundary (N = 4 and 8 above run 1 : 1 and 1 : 2)
+    out = freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.35, 16, 249, replicas=2, sweeps=8,
+                                  burn_in=4)
+    assert out == {"small": (42.570796368815216, 3.1183541428069854),
+                   "large": (165.78413931411617, 5.605570427302325),
+                   "gap": -4.49904616114469, "gap_se": 13.675106609267447}
+
+
 def test_one_extension_solve_per_anchoring(monkeypatch):
     # each of the 4 replica jobs (2 replicas at 2 sizes) solves its boundary's extension once,
     # and its coupling ladder starts from it

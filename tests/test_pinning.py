@@ -853,3 +853,42 @@ def test_half_updates_draw_what_they_promise(edges, per_site):
     pinning._reflect_banded(r, mu, layout)
     twin.random(n)
     assert _state(r) == _state(twin)
+
+
+def _reflect_reference(r, mu, layout):
+    """The reflection of layout.x by its definition: each point's interval by a left
+    searchsorted of the sorted edges, its weight read per site, one uniform per site."""
+    x = layout.x.copy()
+    y = mu + mu - x
+    at = np.searchsorted(layout.edges[:, 0], np.stack([x, y]), side="left")
+    sites = np.arange(layout.n)
+    wx, wy = layout.weights[at[0], sites], layout.weights[at[1], sites]
+    return np.where(wx * r.random(layout.n) < wy, y, x)
+
+
+@pytest.mark.parametrize("per_site", [False, True], ids=["scalar", "per-site"])
+@pytest.mark.parametrize("edges", sorted(_EDGE_BANDS))
+def test_reflection_lookup_is_a_left_searchsorted(edges, per_site):
+    # the reflection counts the edges strictly below each point of its (x, y) pair; on
+    # heights exactly on every edge, one ulp either side, +-0.0 and +-inf that count is
+    # the interval a left searchsorted finds, and the reflection keeps, bit for bit,
+    # what the searchsorted reference keeps from the same generator state.  mu = -0.0
+    # mirrors each height onto its negative, -0.0 included, so y visits them too
+    cuts = sorted({e for lo, hi, _ in _EDGE_BANDS[edges](1.0) for e in (lo, hi)
+                   if math.isfinite(e)})
+    x = np.array([v for e in cuts for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+                 + [0.0, -0.0, np.inf, -np.inf])
+    n = x.size
+    w = np.linspace(-3.0, 3.0, n) if per_site else np.full(n, 1.5)
+    layout = pinning.band_layout(_EDGE_BANDS[edges](w))
+    assert layout.edges[:, 0].tolist() == cuts
+    for mu in (np.full(n, -0.0), np.full(n, 0.25)):
+        got_r, want_r = (rng.stream(259, "lookup", edges, per_site) for _ in range(2))
+        layout.x[:] = x
+        want = _reflect_reference(want_r, mu, layout)
+        xy = np.stack([x, mu + mu - x])
+        got = pinning._reflect_banded(got_r, mu, layout)
+        assert np.array_equal(layout.at - layout.base2,
+                              np.searchsorted(layout.edges[:, 0], xy, side="left"))
+        assert got.tobytes() == want.tobytes()
+        assert _state(got_r) == _state(want_r)

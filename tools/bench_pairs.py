@@ -15,14 +15,20 @@ replacing an earlier entry of the same name: every run's result and run
 information, and per metric each side's quartiles, the ratio of the medians,
 the number of pairs the change wins (ties count for neither side; the
 direction comes from BENCHMARK.json) and whether the medians differ by more
-than the parent's interquartile range; under "failed_share", each side's
-failed and attempted operations summed over its runs; under "raw", each
-side's median over runs of every run's median raw pass wall time, pass CPU
-time, reference speed factor and raw set-up time (these are not metrics: they
-tell a change in the reference speed, which rescales every reference-second
+than the parent's interquartile range; per end-to-end metric also its
+"bound" and the no-regression rule, under "worse_beyond_bound": "yes" where
+the change's median is worse than the parent's by more than the metric's
+bound in BENCHMARK.json (a fraction of the parent's median), "no" where it is
+not, and "unresolved" where the parent's interquartile range is wider than
+the bound, so the runs cannot tell, unless every run of the change reads
+better than every run of the parent; under "failed_share", each side's failed
+and attempted operations summed over its runs; under "raw", each side's
+median over runs of every run's median raw pass wall time, pass CPU time,
+reference speed factor and raw set-up time (these are not metrics: they tell
+a change in the reference speed, which rescales every reference-second
 metric, from a change in the code's own time).  The summary is also printed,
-one row per metric, then the raw rows.  Nothing under perfbench/ is written
-to.
+one row per metric (the no-regression rule under worse>bound), then the raw
+rows.  Nothing under perfbench/ is written to.
 """
 
 from __future__ import annotations
@@ -92,6 +98,20 @@ def directions() -> dict[str, str]:
     return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
 
+def worse_beyond_bound(sign: float, parent: np.ndarray, change: np.ndarray,
+                       bound: float) -> str:
+    """The no-regression rule on the two sides' runs, sign +1 where higher is better
+    and -1 where lower is: "yes" or "no" as the change's median is worse than the
+    parent's by more than bound * |parent median|, or "unresolved" where the parent's
+    interquartile range is wider than that, unless every run of the change reads
+    better than every run of the parent ("no")."""
+    q25, q50, q75 = np.percentile(parent, [25, 50, 75])
+    allowed = bound * abs(q50)
+    if q75 - q25 > allowed:
+        return "no" if np.min(sign * change) > np.max(sign * parent) else "unresolved"
+    return "yes" if sign * (q50 - np.median(change)) > allowed else "no"
+
+
 def failed_share(runs: list[dict]) -> dict:
     failed = sum(r["result"]["failed"] for r in runs)
     attempted = sum(r["result"]["attempted"] for r in runs)
@@ -116,6 +136,7 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
     """Per metric, the comparison of the two sides; under "failed_share", their op
     counts; under "raw", their raw_medians."""
     better = directions()
+    bound = {m["name"]: m["bound"] for m in benchmark()["end_to_end"]}
     out = {}
     for name in parent[0]["result"]["metrics"]:
         a = np.array([r["result"]["metrics"][name]["value"] for r in parent])
@@ -129,6 +150,9 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
             entry["change_wins"] = int(np.sum(sign * (b - a) > 0))
             entry["parent_wins"] = int(np.sum(sign * (b - a) < 0))
             entry["median_gap_exceeds_parent_iqr"] = bool(abs(qb[1] - qa[1]) > qa[2] - qa[0])
+            if name in bound:
+                entry["bound"] = bound[name]
+                entry["worse_beyond_bound"] = worse_beyond_bound(sign, a, b, bound[name])
         out[name] = entry
     out["failed_share"] = {"parent": failed_share(parent), "change": failed_share(change)}
     out["raw"] = {"parent": raw_medians(parent), "change": raw_medians(change)}
@@ -138,7 +162,8 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
 def summary_rows(summary: dict) -> list[str]:
     """The summary as text: a header, one row per metric, one per raw median, then the
     failed operations."""
-    rows = [f"{'metric':<50} {'parent':>12} {'change':>12} {'ratio':>7} {'wins':>6}  gap>IQR"]
+    rows = [f"{'metric':<50} {'parent':>12} {'change':>12} {'ratio':>7} {'worse>bound':>11} "
+            f"{'wins':>6}  gap>IQR"]
     for name, e in summary.items():
         if name in ("failed_share", "raw"):
             continue
@@ -146,7 +171,8 @@ def summary_rows(summary: dict) -> list[str]:
         wins = f"{e['change_wins']}/{e['pairs']}" if "change_wins" in e else "-"
         gap = {True: "yes", False: "no"}.get(e.get("median_gap_exceeds_parent_iqr"), "-")
         rows.append(f"{name:<50} {e['parent_quartiles'][1]:>12.6g} {e['change_quartiles'][1]:>12.6g} "
-                    f"{'-' if ratio is None else f'{ratio:.3f}':>7} {wins:>6}  {gap}")
+                    f"{'-' if ratio is None else f'{ratio:.3f}':>7} "
+                    f"{e.get('worse_beyond_bound', '-'):>11} {wins:>6}  {gap}")
     for key in RAW:
         a, b = summary["raw"]["parent"][key], summary["raw"]["change"][key]
         if a is not None and b is not None:

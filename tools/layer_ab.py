@@ -26,18 +26,19 @@ timed over --sweeps calls; one Green table by each route (green_dirichlet and
 the sparse solve green_dirichlet_solve, N = 32, m = 0.3); one ladder point
 (integrate_ladder on the 2-point coupling grid t = 0, 1 with an exact first
 point, so one chain runs: N = 8, beta = 0.5, h = 0.1, 100 recorded sweeps after
-20 burn-in); one coupling ladder (the doubling check's replica job,
-_replica_log_z, at N = 16 and criterion 12's beta = 0.5, h = 0.3, m = 0.3,
-u = 0: a random massive boundary and disorder, then chains at the 11 points
-past the exact first one of the 12-point t-grid, 100 recorded sweeps after 50
-burn-in, and the density statistic D on the target measure); one bridge block
-(bridge_positivity_probability, 65 536 walks of 100 unit steps below x = 2);
-one stack margin (sample_scale_stack at N = 256 and desk_mass(256), then
-stack_barrier_margin over the sub_box_mask(g, 2.0) window at slope GAMMA),
-timed over 20 calls; one penalty (penalty_f on the N1 = 4 tiling of N = 16 at
-beta = 1, as the samplers workload runs it), timed over 100 calls on
-disorder drawn beforehand.  The ladder point, the coupling ladder, the bridge
-block, the stack margin and the penalty run at these fixed budgets whatever
+20 burn-in); one coupling ladder at each of the doubling check's box
+sizes N = 16 and 32 (its replica job, _replica_log_z, at criterion 12's
+beta = 0.5, h = 0.3, m = 0.3, u = 0: a random massive boundary and disorder,
+then chains at the 11 points past the exact first one of the 12-point t-grid,
+100 recorded sweeps after 50 burn-in at both sizes, and the density statistic
+D on the target measure); one bridge block (bridge_positivity_probability,
+65 536 walks of 100 unit steps below x = 2); one stack margin
+(sample_scale_stack at N = 256 and desk_mass(256), then stack_barrier_margin
+over the sub_box_mask(g, 2.0) window at slope GAMMA), timed over 20 calls;
+one penalty (penalty_f on the N1 = 4 tiling of N = 16 at beta = 1, as the
+samplers workload runs it), timed over 100 calls on disorder drawn
+beforehand.  The ladder point, the coupling ladders, the bridge block, the
+stack margin and the penalty run at these fixed budgets whatever
 --sweeps says.
 
 Run as a script, the tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
@@ -69,7 +70,7 @@ MASS = 0.3
 MODULES = ("disorder", "experiments", "fields", "freeenergy", "kernels", "lattice", "pinning",
            "rng")
 LADDER_N, LADDER_SWEEPS, LADDER_BURN = 8, 100, 20
-COUPLING_N, COUPLING_SWEEPS, COUPLING_BURN = 16, 100, 50
+COUPLING_SIZES, COUPLING_SWEEPS, COUPLING_BURN = (16, 32), 100, 50
 BRIDGE_WALKS, BRIDGE_STEPS, BRIDGE_X = 1 << 16, 100, 2.0
 STACK_N, STACK_CALLS = 256, 20
 PENALTY_N, PENALTY_N1, PENALTY_BETA, PENALTY_CALLS = 16, 4, 1.0, 100
@@ -134,11 +135,10 @@ def _ladder_point(pkg):
         LADDER_BURN, LADDER_BURN, exact_first=0.0)
 
 
-def _coupling_ladder(pkg):
+def _coupling_ladder(pkg, N: int):
     beta, h, m, u = 0.5, 0.3, 0.3, 0.0
-    g = pkg.lattice.build_box(COUPLING_N)
-    threshold = pkg.freeenergy.density_event_threshold(COUPLING_N, m,
-                                                       pkg.experiments.FROZEN_DENSITY_K)
+    g = pkg.lattice.build_box(N)
+    threshold = pkg.freeenergy.density_event_threshold(N, m, pkg.experiments.FROZEN_DENSITY_K)
     cov = pkg.fields.boundary_covariance(g, m)
     return lambda: pkg.freeenergy._replica_log_z(g, beta, h, m, u, threshold, 1, "ab-coupling",
                                                  COUPLING_SWEEPS, COUPLING_BURN, cov, 0)
@@ -188,7 +188,8 @@ def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
     out.append(("green table N=32", "call", 1, None, _green))
     out.append(("green solve N=32", "call", 1, None, _green_solve))
     out.append((f"ladder point N={LADDER_N}", "call", 1, None, _ladder_point))
-    out.append((f"coupling ladder N={COUPLING_N}", "call", 1, None, _coupling_ladder))
+    out += [(f"coupling ladder N={N}", "call", 1, None, lambda pkg, N=N: _coupling_ladder(pkg, N))
+            for N in COUPLING_SIZES]
     out.append(("bridge block", "call", 1, None, _bridge_block))
     out.append((f"stack margin N={STACK_N}", "call", STACK_CALLS, None, _stack_margin))
     out.append((f"penalty N={PENALTY_N}", "call", PENALTY_CALLS, None, _penalty))
