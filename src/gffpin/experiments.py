@@ -520,6 +520,11 @@ def _run_subadditivity(cfg):
 # ---------------------------------------------------------------------------
 
 def _run_pure_free_energy(cfg):
+    if cfg["h_step"] <= 0:
+        raise ConfigError(f"h_step must be > 0 (got {cfg['h_step']})")
+    if cfg["h_min"] > cfg["h_max"]:
+        raise ConfigError(f"h_min must be <= h_max (got h_min = {cfg['h_min']}, "
+                          f"h_max = {cfg['h_max']})")
     geom = lattice.build_box(cfg["N"])
     h_grid = np.round(np.arange(cfg["h_min"], cfg["h_max"] + 1e-12, cfg["h_step"]), 10)
     curve = freeenergy.free_energy_curve(geom, 0.0, h_grid, cfg["seed"],

@@ -4,12 +4,14 @@ Zero-boundary (Dirichlet) and massive fields are drawn exactly in the sine
 eigenbasis; boundary data for the infinite-volume massive field comes from a
 dense Cholesky of the translation-invariant Green covariance, memoized per box
 size and mass.  Boundary data enters only through its (massive-)harmonic
-extension H, by the boundary-shift identity P^{m,bc}[phi in .] = P^m[phi + H
-in .]: the samplers here draw zero-boundary fields, and code that needs
-boundary data adds H.values itself (the chains start from H, the coupling leg
-takes it as the free field's mean).  The multiscale stack cuts the field into
-independent layers whose covariances are the time slices of the heat kernel,
-and the Gaussian bridge utility prices the cost of staying below a barrier.
+extension H, solved in the same sine basis (two transforms and one division
+per mode, no sparse factorisation), by the boundary-shift identity
+P^{m,bc}[phi in .] = P^m[phi + H in .]: the samplers here draw zero-boundary
+fields, and code that needs boundary data adds H.values itself (the chains
+start from H, the coupling leg takes it as the free field's mean).  The
+multiscale stack cuts the field into independent layers whose covariances
+are the time slices of the heat kernel, and the Gaussian bridge utility
+prices the cost of staying below a barrier.
 
 The batched samplers work in a working set of _BLOCK float64 values
 (0.5 MB), drawn with `rng.standard_normal(out=...)` straight into a reused
@@ -153,8 +155,13 @@ def _laplacian(grid: np.ndarray) -> np.ndarray:
 
 
 def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition) -> HarmonicExtension:
-    """Sparse solve of (Delta - m^2) H = 0 with pinned boundary rows; the
-    solution must satisfy the equation to 1e-10 at every interior site."""
+    """(m^2 - Delta) H = 0 inside with H = bc on the frame, solved in the sine basis.
+
+    The frame values next to the interior form the right-hand side b of
+    (m^2 - Delta_D) H = b on the interior, which the sine basis diagonalises:
+    H = dst2(dst2(b) / (lam2d + m^2)).  The solution must satisfy the equation
+    to 1e-10 at every interior site.
+    """
     if m < 0:
         raise DomainError(f"mass must be >= 0 (got {m})")
     if bc.values is None:
@@ -166,11 +173,8 @@ def harmonic_extension(geom: BoxGeometry, m: float, bc: BoundaryCondition) -> Ha
     rhs[-1, :] += bgrid[n, 1:-1]
     rhs[:, 0] += bgrid[1:-1, 0]
     rhs[:, -1] += bgrid[1:-1, n]
-    from scipy.sparse.linalg import spsolve
-
-    sol = spsolve(kernels.dirichlet_precision(geom, m), rhs.ravel())
     H = bgrid.copy()
-    H[1:-1, 1:-1] = sol.reshape(n - 1, n - 1)
+    H[1:-1, 1:-1] = kernels.dst2(kernels.dst2(rhs) / (kernels.spectral_basis(n).lam2d + m * m))
     resid = float(np.max(np.abs(_laplacian(H) - m * m * H[1:-1, 1:-1])))
     if not np.isfinite(resid) or resid > 1e-10:
         raise NumericError(f"harmonic extension residual {resid:.3e} above 1e-10")

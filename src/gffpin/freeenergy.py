@@ -196,6 +196,8 @@ def free_energy_curve(geom: BoxGeometry, beta: float, h_targets, master_seed: in
     if replicas < 1:
         raise DomainError(f"free_energy_curve needs replicas >= 1 (got {replicas})")
     targets = np.atleast_1d(np.asarray(h_targets, dtype=float))
+    if targets.size == 0:
+        raise DomainError("free_energy_curve needs at least one target h")
     grid = _ti_h_grid(targets)
     zero = int(np.searchsorted(grid, 0.0))
     pos = np.searchsorted(grid, np.round(targets, 12))

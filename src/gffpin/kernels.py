@@ -261,7 +261,8 @@ def green_dirichlet_diag(geom: BoxGeometry, m: float = 0.0) -> np.ndarray:
 
 
 def dirichlet_precision(geom: BoxGeometry, m: float = 0.0) -> sparse.csr_matrix:
-    """Sparse (m^2 - Delta) restricted to interior sites (Dirichlet rows dropped)."""
+    """Sparse (m^2 - Delta) restricted to interior sites (Dirichlet rows dropped): the
+    matrix the solve route green_dirichlet_solve factors."""
     from scipy import sparse
 
     n = geom.N
@@ -334,8 +335,13 @@ def _f_of_m_panels(m: float) -> float:
     x = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * nodes[None, :]).ravel()
     w = (0.5 * (b - a)[:, None] * weights[None, :]).ravel()
     s = np.sin(0.5 * np.pi * x) ** 2
-    integrand = np.log1p(m * m / (4.0 * (s[:, None] + s[None, :])))
-    return 0.5 * float(np.einsum("i,j,ij->", w, w, integrand))
+    # the 888 x 888 integrand log1p(m^2 / (4 (s_i + s_j))) in one buffer: the
+    # same ufuncs in the same order as the plain expression, so the same bits
+    t = np.add.outer(s, s)
+    t *= 4.0
+    np.divide(m * m, t, out=t)
+    np.log1p(t, out=t)
+    return 0.5 * float(np.einsum("i,j,ij->", w, w, t))
 
 
 def f_of_m_adaptive(m: float) -> float:

@@ -96,7 +96,10 @@ def test_force_removes_what_an_earlier_run_wrote(tmp_path, capsys):
     ["run", "copolymer", "--force", "--set", "sweeps=1e3"],
     ["run", "copolymer", "--force", "--set", "sweeps=7", "--set", "burn_in=0"],
     ["run", "no-such-experiment", "--force"],
-], ids=["verify-threads-zero", "run-wrong-type", "run-refused-inside", "run-unknown"])
+    ["run", "pure-free-energy", "--force", "--set", "h_step=0"],
+    ["run", "pure-free-energy", "--force", "--set", "h_min=0.3", "--set", "h_max=0.05"],
+], ids=["verify-threads-zero", "run-wrong-type", "run-refused-inside", "run-unknown",
+        "h-step-zero", "h-range-reversed"])
 def test_refused_command_leaves_out_untouched(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert cli.main(["run", "f-asymptotics", "--out", str(out)]) == 0
@@ -216,11 +219,15 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["run", "density-calibrate", "--set", "samples=0"], "samples must be an integer >= 1 (got 0)"),
     (["run", "density-typicality", "--set", "samples=0"], "samples must be an integer >= 1 (got 0)"),
     (["run", "harmonic-extension", "--set", "walks=1"], "walks must be an integer >= 2 (got 1)"),
+    (["run", "pure-free-energy", "--set", "h_step=-0.05"], "h_step must be > 0 (got -0.05)"),
+    (["run", "pure-free-energy", "--set", "h_min=0.3", "--set", "h_max=0.05"],
+     "h_min must be <= h_max (got h_min = 0.3, h_max = 0.05)"),
 ], ids=["int-as-float", "int-as-bool", "seed-as-float", "penalty-samples", "exactness-samples",
         "threads-negative", "threads-unknown", "seed-unknown", "verify-threads-zero",
         "mass-above-1", "mass-zero", "set-threads-zero", "set-threads-negative", "seed-negative",
         "seed-2-to-64", "h-inf", "h-nan", "criterion-h-nan", "exactness-samples-zero",
-        "stack-samples-one", "calibrate-samples-zero", "typicality-samples-zero", "walks-one"])
+        "stack-samples-one", "calibrate-samples-zero", "typicality-samples-zero", "walks-one",
+        "h-step-negative", "h-range-reversed"])
 def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the bad value was refused")

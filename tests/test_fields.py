@@ -69,6 +69,26 @@ def test_harmonic_extension_max_principle():
         assert ext.residual < 1e-10
 
 
+@pytest.mark.parametrize("N", [2, 3, 8, 33])
+@pytest.mark.parametrize("m", [0.0, 1e-3, 0.3])
+def test_harmonic_extension_matches_the_sparse_solve(N, m):
+    # reference route: the sparse (m^2 - Delta) on the interior, frame values on the right
+    from scipy.sparse.linalg import spsolve
+
+    g = lattice.build_box(N)
+    bc = fields.explicit_bc(rng.stream(13, "sparse-ref", N).standard_normal(4 * N))
+    bgrid = bc.grid(g)
+    rhs = np.zeros((N - 1, N - 1))
+    rhs[0, :] += bgrid[0, 1:-1]
+    rhs[-1, :] += bgrid[N, 1:-1]
+    rhs[:, 0] += bgrid[1:-1, 0]
+    rhs[:, -1] += bgrid[1:-1, N]
+    ref = spsolve(kernels.dirichlet_precision(g, m), rhs.ravel()).reshape(N - 1, N - 1)
+    ext = fields.harmonic_extension(g, m, bc)
+    assert np.abs(ext.values[1:-1, 1:-1] - ref).max() < 1e-12
+    assert np.array_equal(ext.values[g.boundary_mask], bgrid[g.boundary_mask])
+
+
 def test_harmonic_extension_mc_agreement():
     g = lattice.build_box(16)
     r = rng.stream(6, "mc")

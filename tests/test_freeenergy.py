@@ -329,3 +329,12 @@ def test_bad_replica_counts_raise(call):
     # the curve and the criterion need one replica; the doubling SE needs two
     with pytest.raises(DomainError, match="replicas"):
         call()
+
+
+def test_empty_target_list_raises_before_any_draw(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was drawn before the empty target list was refused")
+
+    monkeypatch.setattr(rng, "stream", no_stream)
+    with pytest.raises(DomainError, match="at least one target h"):
+        freeenergy.free_energy_curve(lattice.build_box(4), 0.5, [], 1, sweeps=4, burn_in=2)

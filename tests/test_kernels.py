@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gffpin import kernels, lattice
+from gffpin import freeenergy, kernels, lattice
 from gffpin.errors import DomainError
 
 TWO_PI = 2 * math.pi
@@ -235,6 +235,26 @@ def test_f_of_m_memo_keeps_value_and_refusal():
     for _ in range(2):  # a refused m is refused on every call, never cached
         with pytest.raises(DomainError):
             kernels.f_of_m(1.5)
+
+
+def test_f_of_m_keeps_its_bits():
+    # the floats of the panel quadrature as the plain-expression integrand gave them
+    assert kernels.f_of_m(0.3) == 0.024507214290849753
+    assert kernels.f_of_m(0.5) == 0.05754968293187644
+    assert kernels.f_of_m(freeenergy.desk_mass(256)) == 2.1015675664651362e-05
+
+
+def test_f_of_m_working_set():
+    kernels._f_of_m_panels.__wrapped__(0.3)  # warms the Gauss nodes outside the trace
+    tracemalloc.start()
+    try:
+        kernels._f_of_m_panels.__wrapped__(0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 888 x 888 integrand buffer (6.3 MB): 6.5 MB measured, where the plain
+    # expression held a temporary beside it and peaked at 12.6 MB
+    assert peak < 1.2 * 888 * 888 * 8
 
 
 def test_f_of_m_dual_quadrature():

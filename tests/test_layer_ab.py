@@ -17,10 +17,10 @@ def test_tiny_budget_against_head_names_every_layer():
     assert rows[1] == ("BLAS threads: OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, "
                        "MKL_NUM_THREADS=1")
     names = [name for name, *_ in layer_ab.layers(1)]
-    assert len(names) == 15
-    assert {"green table N=32", "green solve N=32", "ladder point N=8", "coupling ladder N=16",
-            "coupling ladder N=32", "bridge block", "stack margin N=256",
-            "penalty N=16"} <= set(names)
+    assert len(names) == 16
+    assert {"green table N=32", "green solve N=32", "harmonic extension N=32",
+            "ladder point N=8", "coupling ladder N=16", "coupling ladder N=32", "bridge block",
+            "stack margin N=256", "penalty N=16"} <= set(names)
     for name in names:
         row = next(r for r in rows if r.startswith(name + " "))
         assert row.split()[-1].endswith("/2"), row

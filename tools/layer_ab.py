@@ -23,7 +23,9 @@ cycle of heat-bath and reflection sweeps) at N = 16 and N = 32, on one
 disorder draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per
 repeat; one spectral sample (sample_dirichlet_interior, N = 32, m = 0.3),
 timed over --sweeps calls; one Green table by each route (green_dirichlet and
-the sparse solve green_dirichlet_solve, N = 32, m = 0.3); one ladder point
+the sparse solve green_dirichlet_solve, N = 32, m = 0.3); one harmonic
+extension (harmonic_extension at N = 32, m = 0.3, on one boundary drawn from
+the infinite-volume massive law), timed over 20 calls; one ladder point
 (integrate_ladder on the 2-point coupling grid t = 0, 1 with an exact first
 point, so one chain runs: N = 8, beta = 0.5, h = 0.1, 100 recorded sweeps after
 20 burn-in); one coupling ladder at each of the doubling check's box
@@ -37,9 +39,9 @@ D on the target measure); one bridge block (bridge_positivity_probability,
 over the sub_box_mask(g, 2.0) window at slope GAMMA), timed over 20 calls;
 one penalty (penalty_f on the N1 = 4 tiling of N = 16 at beta = 1, as the
 samplers workload runs it), timed over 100 calls on disorder drawn
-beforehand.  The ladder point, the coupling ladders, the bridge block, the
-stack margin and the penalty run at these fixed budgets whatever
---sweeps says.
+beforehand.  The extension, the ladder point, the coupling ladders, the
+bridge block, the stack margin and the penalty run at these fixed budgets
+whatever --sweeps says.
 
 Run as a script, the tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 before numpy loads, as perfbench/run.py does, so the
@@ -73,6 +75,7 @@ LADDER_N, LADDER_SWEEPS, LADDER_BURN = 8, 100, 20
 COUPLING_SIZES, COUPLING_SWEEPS, COUPLING_BURN = (16, 32), 100, 50
 BRIDGE_WALKS, BRIDGE_STEPS, BRIDGE_X = 1 << 16, 100, 2.0
 STACK_N, STACK_CALLS = 256, 20
+EXTENSION_N, EXTENSION_CALLS = 32, 20
 PENALTY_N, PENALTY_N1, PENALTY_BETA, PENALTY_CALLS = 16, 4, 1.0, 100
 
 
@@ -121,6 +124,17 @@ def _green(pkg):
 def _green_solve(pkg):
     g = pkg.lattice.build_box(32)
     return lambda: pkg.kernels.green_dirichlet_solve(g, MASS)
+
+
+def _extension(pkg):
+    g = pkg.lattice.build_box(EXTENSION_N)
+    bc = pkg.fields.sample_boundary_infinite_massive(pkg.fields.boundary_covariance(g, MASS),
+                                                     pkg.rng.stream(1, "ab-extension"))
+
+    def run():
+        for _ in range(EXTENSION_CALLS):
+            pkg.fields.harmonic_extension(g, MASS, bc)
+    return run
 
 
 def _ladder_point(pkg):
@@ -187,6 +201,7 @@ def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
     out.append(("spectral sample N=32", "call", sweeps, None, lambda pkg: _spectral(pkg, sweeps)))
     out.append(("green table N=32", "call", 1, None, _green))
     out.append(("green solve N=32", "call", 1, None, _green_solve))
+    out.append((f"harmonic extension N={EXTENSION_N}", "call", EXTENSION_CALLS, None, _extension))
     out.append((f"ladder point N={LADDER_N}", "call", 1, None, _ladder_point))
     out += [(f"coupling ladder N={N}", "call", 1, None, lambda pkg, N=N: _coupling_ladder(pkg, N))
             for N in COUPLING_SIZES]
@@ -221,7 +236,7 @@ def measure(parent, tree, repeats: int, sweeps: int) -> list[dict]:
 
 
 def summary_rows(results: list[dict]) -> list[str]:
-    rows = [f"{'layer':<22} {'unit':>5} {'parent us':>10} {'tree us':>10} {'ns/site':>8} "
+    rows = [f"{'layer':<24} {'unit':>5} {'parent us':>10} {'tree us':>10} {'ns/site':>8} "
             f"{'ratio':>7} {'q25':>7} {'q75':>7} {'IQR':>7} {'wins':>6}"]
     for res in results:
         a, b = res["parent"], res["tree"]
@@ -229,7 +244,7 @@ def summary_rows(results: list[dict]) -> list[str]:
         q25, q50, q75 = np.nanpercentile(ratio, [25, 50, 75])
         wins = int(np.sum(b < a))
         per_site = f"{1e9 * np.median(b) / res['sites']:.1f}" if res["sites"] else "-"
-        rows.append(f"{res['layer']:<22} {res['unit']:>5} {1e6 * np.median(a):>10.1f} "
+        rows.append(f"{res['layer']:<24} {res['unit']:>5} {1e6 * np.median(a):>10.1f} "
                     f"{1e6 * np.median(b):>10.1f} {per_site:>8} {q50:>7.3f} {q25:>7.3f} "
                     f"{q75:>7.3f} {q75 - q25:>7.3f} {f'{wins}/{len(a)}':>6}")
     return rows
