@@ -519,12 +519,18 @@ def _run_subadditivity(cfg):
 # exploratory experiments (not part of the gate)
 # ---------------------------------------------------------------------------
 
+_H_GRID_MAX = 1000  # ladder points; the default grid has 6
+
+
 def _run_pure_free_energy(cfg):
     if cfg["h_step"] <= 0:
         raise ConfigError(f"h_step must be > 0 (got {cfg['h_step']})")
     if cfg["h_min"] > cfg["h_max"]:
         raise ConfigError(f"h_min must be <= h_max (got h_min = {cfg['h_min']}, "
                           f"h_max = {cfg['h_max']})")
+    if (cfg["h_max"] + 1e-12 - cfg["h_min"]) / cfg["h_step"] > _H_GRID_MAX:  # np.arange's length
+        raise ConfigError(f"h_step = {cfg['h_step']} gives more than {_H_GRID_MAX} grid points "
+                          f"over [h_min, h_max] = [{cfg['h_min']}, {cfg['h_max']}]")
     geom = lattice.build_box(cfg["N"])
     h_grid = np.round(np.arange(cfg["h_min"], cfg["h_max"] + 1e-12, cfg["h_step"]), 10)
     curve = freeenergy.free_energy_curve(geom, 0.0, h_grid, cfg["seed"],

@@ -6,10 +6,12 @@ finite volume, the spectral integral f(m) controlling the cost of adding
 mass, and the decreasing time grid that slices the Green function into
 unit-variance covariance layers.
 
-Every quantity has two independent computation routes (spectral vs direct
-solve, Fourier vs time integration); the tests use each as the oracle for
-the other, which substitutes for the unnamed constants of the asymptotic
-statements.
+Every quantity has two independent computation routes (spectral vs block
+elimination, Fourier vs time integration, a 2D tensor quadrature vs a closed
+inner integral); the tests use each as the oracle for the other, which
+substitutes for the unnamed constants of the asymptotic statements.  Only
+green_massive_infinite loads scipy.integrate, and nothing here loads
+scipy.sparse.
 """
 
 from __future__ import annotations
@@ -18,20 +20,17 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special
 from scipy.fft import dstn
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .lattice import BoxGeometry
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 _IVE_SWITCH = 5e7  # above this time scipy's ive underflows internally; use asymptotics
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_F_ORACLE_HALVINGS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -260,51 +259,37 @@ def green_dirichlet_diag(geom: BoxGeometry, m: float = 0.0) -> np.ndarray:
     return _mode_diag(geom, 1.0 / (spectral_basis(geom.N).lam2d + m * m))
 
 
-def dirichlet_precision(geom: BoxGeometry, m: float = 0.0) -> sparse.csr_matrix:
-    """Sparse (m^2 - Delta) restricted to interior sites (Dirichlet rows dropped): the
-    matrix the solve route green_dirichlet_solve factors."""
-    from scipy import sparse
-
-    n = geom.N
-    idx = -np.ones((geom.side, geom.side), dtype=np.int64)
-    ii = np.arange((n - 1) ** 2)
-    idx[1:-1, 1:-1] = ii.reshape(n - 1, n - 1)
-    rows, cols, vals = [ii, ], [ii, ], [np.full((n - 1) ** 2, 4.0 + m * m)]
-    for d1, d2 in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        src = idx[1:-1, 1:-1]
-        nbr = idx[1 + d1 : geom.side - 1 + d1, 1 + d2 : geom.side - 1 + d2]
-        ok = nbr >= 0
-        rows.append(src[ok].ravel())
-        cols.append(nbr[ok].ravel())
-        vals.append(np.full(int(ok.sum()), -1.0))
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=((n - 1) ** 2, (n - 1) ** 2),
-    )
-    return mat.tocsr()
-
-
 def green_dirichlet_solve(geom: BoxGeometry, m: float = 0.0) -> GreenTable:
-    """Oracle route: direct sparse solve of (m^2 - Delta) with Dirichlet rows.
+    """Oracle route: direct solve of (m^2 - Delta) with Dirichlet rows, by block elimination.
 
-    SuperLU factors the SPD precision under the symmetric minimum-degree
-    ordering of A^T + A, which fills less than its default column ordering.
-    The unit right-hand sides of the interior sites (row-major, the order of
-    the precision's rows) are solved 64 columns at a time, each block written
-    straight into the table, which is then symmetrized block by block in place.
+    With the interior sites in row-major order the matrix is block
+    tridiagonal, one n x n block per grid row (n = N - 1): B = (4 + m^2) I - J
+    on the diagonal, J the adjacency of the path {1, ..., n}, and -I beside it.
+    Elimination keeps the dense inverses E_i of the Schur complements
+    D_0 = B, D_i = B - E_{i-1}.  The identity's block rows are swept forward,
+    Y_i = I_i + E_{i-1} Y_{i-1} (nonzero only in the first i + 1 block
+    columns), and back, X_i = E_i (Y_i + X_{i+1}), in the table itself, which
+    is then symmetrized block by block in place.  Only site-basis arithmetic
+    enters, no sine mode, so the route is independent of green_dirichlet.
     """
-    from scipy.sparse.linalg import splu
-
-    lu = splu(dirichlet_precision(geom, m).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    size = (geom.N - 1) ** 2
-    table = np.zeros((size, size))
-    cols = 64
-    for start in range(0, size, cols):
-        width = min(cols, size - start)
-        rhs = np.zeros((size, width))
-        rhs[start + np.arange(width), np.arange(width)] = 1.0
-        table[:, start : start + width] = lu.solve(rhs)
-    _symmetrize_blocks(table, cols)
+    if m < 0:
+        raise DomainError(f"mass must be >= 0 (got {m})")
+    n = geom.N - 1
+    b = (4.0 + m * m) * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    e = np.empty((n, n, n))
+    e[0] = np.linalg.inv(b)
+    for i in range(1, n):
+        e[i] = np.linalg.inv(b - e[i - 1])
+    table = np.zeros((n * n, n * n))
+    np.fill_diagonal(table, 1.0)
+    rows = table.reshape(n, n, n * n)  # rows[x1, x2, column]
+    for i in range(1, n):
+        rows[i, :, : i * n] += e[i - 1] @ rows[i - 1, :, : i * n]
+    rows[n - 1] = e[n - 1] @ rows[n - 1]
+    for i in range(n - 2, -1, -1):
+        rows[i] += rows[i + 1]
+        rows[i] = e[i] @ rows[i]
+    _symmetrize_blocks(table, 64)
     return GreenTable(table)
 
 
@@ -345,17 +330,36 @@ def _f_of_m_panels(m: float) -> float:
 
 
 def f_of_m_adaptive(m: float) -> float:
-    """Same integral by scipy's adaptive 2D quadrature (oracle route)."""
+    """Oracle route: f(m) with its inner integral in closed form, the outer one adaptive.
+
+    (1/pi) int_0^pi log(c + 2 - 2 cos theta) d theta = 2 asinh(sqrt(c)/2) does
+    the y-integral, leaving
+    f(m) = int_0^1 [asinh(sqrt(m^2/4 + v^2)) - asinh(v)] dx,  v = sin(pi x/2),
+    an analytic integrand, evaluated without cancellation as
+    asinh((m^2/4) / (u sqrt(1 + v^2) + v sqrt(1 + u^2))), u = sqrt(m^2/4 + v^2).
+    16-point Gauss panels, graded geometrically toward 0 from m/8, are all
+    halved until two successive estimates agree to 1e-14; NumericError past
+    _F_ORACLE_HALVINGS halvings.
+    """
     if not 0.0 < m <= 1.0:
         raise DomainError(f"f(m) is defined for m in (0, 1] (got {m})")
+    q = 0.25 * m * m
 
-    def f(x, y):
-        return 0.5 * np.log1p(m * m / (4.0 * (np.sin(0.5 * np.pi * x) ** 2 + np.sin(0.5 * np.pi * y) ** 2)))
+    def f(x):
+        v = np.sin(0.5 * np.pi * x)
+        u = np.sqrt(q + v * v)
+        return np.arcsinh(q / (u * np.sqrt(1.0 + v * v) + v * np.sqrt(1.0 + u * u)))
 
-    from scipy import integrate
-
-    val, _ = integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11)
-    return val
+    edges = np.concatenate([[0.0], np.geomspace(m / 8.0, 1.0, math.ceil(math.log2(8.0 / m)) + 1)])
+    est = _panel_integral(f, edges)
+    for _ in range(_F_ORACLE_HALVINGS):
+        halved = np.empty(2 * len(edges) - 1)
+        halved[0::2], halved[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+        edges, prev, est = halved, est, _panel_integral(f, halved)
+        if abs(est - prev) <= 1e-14:
+            return est
+    raise NumericError(f"f(m) oracle at m = {m}: no two estimates within 1e-14 after "
+                       f"{_F_ORACLE_HALVINGS} halvings")
 
 
 # ---------------------------------------------------------------------------

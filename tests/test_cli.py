@@ -98,8 +98,10 @@ def test_force_removes_what_an_earlier_run_wrote(tmp_path, capsys):
     ["run", "no-such-experiment", "--force"],
     ["run", "pure-free-energy", "--force", "--set", "h_step=0"],
     ["run", "pure-free-energy", "--force", "--set", "h_min=0.3", "--set", "h_max=0.05"],
+    ["run", "pure-free-energy", "--force", "--set", "h_step=1e-300"],
+    ["run", "pure-free-energy", "--force", "--set", "h_step=1e-7"],
 ], ids=["verify-threads-zero", "run-wrong-type", "run-refused-inside", "run-unknown",
-        "h-step-zero", "h-range-reversed"])
+        "h-step-zero", "h-range-reversed", "h-step-1e-300", "h-step-1e-7"])
 def test_refused_command_leaves_out_untouched(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert cli.main(["run", "f-asymptotics", "--out", str(out)]) == 0
@@ -222,12 +224,16 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["run", "pure-free-energy", "--set", "h_step=-0.05"], "h_step must be > 0 (got -0.05)"),
     (["run", "pure-free-energy", "--set", "h_min=0.3", "--set", "h_max=0.05"],
      "h_min must be <= h_max (got h_min = 0.3, h_max = 0.05)"),
+    (["run", "pure-free-energy", "--set", "h_step=1e-300"],
+     "h_step = 1e-300 gives more than 1000 grid points over [h_min, h_max] = [0.05, 0.3]"),
+    (["run", "pure-free-energy", "--set", "h_step=1e-7"],
+     "h_step = 1e-07 gives more than 1000 grid points over [h_min, h_max] = [0.05, 0.3]"),
 ], ids=["int-as-float", "int-as-bool", "seed-as-float", "penalty-samples", "exactness-samples",
         "threads-negative", "threads-unknown", "seed-unknown", "verify-threads-zero",
         "mass-above-1", "mass-zero", "set-threads-zero", "set-threads-negative", "seed-negative",
         "seed-2-to-64", "h-inf", "h-nan", "criterion-h-nan", "exactness-samples-zero",
         "stack-samples-one", "calibrate-samples-zero", "typicality-samples-zero", "walks-one",
-        "h-step-negative", "h-range-reversed"])
+        "h-step-negative", "h-range-reversed", "h-step-1e-300", "h-step-1e-7"])
 def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the bad value was refused")

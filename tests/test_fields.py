@@ -71,7 +71,7 @@ def test_harmonic_extension_max_principle():
 
 @pytest.mark.parametrize("N", [2, 3, 8, 33])
 @pytest.mark.parametrize("m", [0.0, 1e-3, 0.3])
-def test_harmonic_extension_matches_the_sparse_solve(N, m):
+def test_harmonic_extension_matches_the_sparse_solve(N, m, sparse_precision):
     # reference route: the sparse (m^2 - Delta) on the interior, frame values on the right
     from scipy.sparse.linalg import spsolve
 
@@ -83,7 +83,7 @@ def test_harmonic_extension_matches_the_sparse_solve(N, m):
     rhs[-1, :] += bgrid[N, 1:-1]
     rhs[:, 0] += bgrid[1:-1, 0]
     rhs[:, -1] += bgrid[1:-1, N]
-    ref = spsolve(kernels.dirichlet_precision(g, m), rhs.ravel()).reshape(N - 1, N - 1)
+    ref = spsolve(sparse_precision(N, m), rhs.ravel()).reshape(N - 1, N - 1)
     ext = fields.harmonic_extension(g, m, bc)
     assert np.abs(ext.values[1:-1, 1:-1] - ref).max() < 1e-12
     assert np.array_equal(ext.values[g.boundary_mask], bgrid[g.boundary_mask])

@@ -38,6 +38,25 @@ stack = fields.sample_scale_stack(geom, m, rng.stream(0, "imports", "stack"), gr
 fields.stack_barrier_margin(stack.stack, lattice.sub_box_mask(geom, 2.0), freeenergy.GAMMA)
 """
 
+SAMPLERS = """
+from gffpin import disorder, fields, freeenergy, kernels, lattice, rng
+g8, g16, g256 = (lattice.build_box(n) for n in (8, 16, 256))
+fields.sample_dirichlet_interior(g8, 0.0, 4, rng.stream(0, "imports", "dirichlet", 8))
+fields.sample_dirichlet_interior(g8, 0.3, 4, rng.stream(0, "imports", "dirichlet", 8, "m"))
+m = freeenergy.desk_mass(256)
+grid = kernels.scale_time_grid(m, min_scales=1)
+stack = fields.sample_scale_stack(g256, m, rng.stream(0, "imports", "stack"), grid=grid)
+fields.stack_barrier_margin(stack.stack, lattice.sub_box_mask(g256, 2.0), freeenergy.GAMMA)
+fields.bridge_positivity_probability([1.0] * 10, 2.0, 64, rng.stream(0, "imports", "bridge"))
+kernels.green_dirichlet(g8, 0.3)
+kernels.green_dirichlet_solve(g8, 0.3)
+kernels.green_dirichlet_diag(g16, 0.0)
+kernels.f_of_m(0.5)
+kernels.f_of_m_adaptive(0.5)
+omega = disorder.sample_disorder(g16, disorder.GAUSSIAN, rng.stream(0, "imports", "omega"))
+disorder.penalty_f(omega, lattice.cell_tiling(g16, 4), 1.0)
+"""
+
 
 def _loaded_after(code: str, modules: list[str]) -> list[str]:
     probe = (f"import json, sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
@@ -64,3 +83,11 @@ def test_doubling_path_loads_no_quadrature_solver_or_filter():
 def test_one_scale_stack_path_loads_no_root_finder():
     # only a grid with k > 1 root-finds; every laboratory mass gives k = 1
     assert _loaded_after(STACK, ["scipy.optimize"]) == []
+
+
+def test_exact_sampler_path_loads_no_sparse_solver_quadrature_or_root_finder():
+    # both oracle routes (the Green table's block elimination, f(m)'s closed inner
+    # integral) run on numpy alone
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg"]
+    assert _loaded_after(SAMPLERS, heavy + ["scipy.special", "scipy.fft"]) == ["scipy.special",
+                                                                               "scipy.fft"]

@@ -6,7 +6,7 @@ import pytest
 from scipy import special
 
 from gffpin import freeenergy, kernels, lattice
-from gffpin.errors import DomainError
+from gffpin.errors import DomainError, NumericError
 
 TWO_PI = 2 * math.pi
 
@@ -136,7 +136,8 @@ def test_green_dirichlet_center_small():
         assert abs(kernels.green_dirichlet(g, m).table[0, 0] - 1.0 / (4 + m * m)) < 1e-12
 
 
-@pytest.mark.parametrize("N,m", [(6, 0.0), (8, 0.3), (16, 0.05), (32, 0.3), (64, 0.1)])
+@pytest.mark.parametrize("N,m", [(2, 0.0), (3, 0.3), (6, 0.0), (8, 0.3), (16, 0.05), (32, 0.3),
+                                 (64, 0.1)])
 def test_green_dirichlet_two_routes(N, m):
     g = lattice.build_box(N)
     b = kernels.green_dirichlet_solve(g, m)
@@ -170,27 +171,32 @@ def test_green_dirichlet_working_set():
 
 def test_green_dirichlet_solve_working_set():
     g = lattice.build_box(32)
-    kernels.green_dirichlet_solve(g, 0.3)  # loads scipy.sparse.linalg outside the trace
+    kernels.green_dirichlet_solve(g, 0.3)  # a first call outside the trace warms numpy.linalg
     tracemalloc.start()
     try:
         b = kernels.green_dirichlet_solve(g, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 7.4 MB table and one 64-column block: 8.4 MB measured under the minimum-degree
-    # ordering (9.0 MB under SuperLU's default), where a dense identity right-hand side
-    # and its solution took 37 MB
+    # the 7.4 MB table, the (N-1)^3 Schur-complement inverses and one block row's
+    # product, written back into the table: 8.0 MB measured, where SuperLU's 64-column
+    # blocks took 8.4 MB and a dense identity right-hand side with its solution 37 MB
     assert peak < 1.5 * b.table.nbytes
     assert np.array_equal(b.table, b.table.T)
     assert np.abs(b.table - kernels.green_dirichlet(g, 0.3).table).max() < 1e-10
 
 
-def test_green_dirichlet_precision_identity():
+def test_green_dirichlet_solve_refuses_a_negative_mass():
+    with pytest.raises(DomainError):
+        kernels.green_dirichlet_solve(lattice.build_box(4), -0.1)
+
+
+def test_green_dirichlet_precision_identity(sparse_precision):
     # (m^2 - Delta) applied to a Green column gives the unit mass
     g = lattice.build_box(10)
     m = 0.2
     table = kernels.green_dirichlet(g, m)
-    prec = kernels.dirichlet_precision(g, m)
+    prec = sparse_precision(g.N, m)
     resid = prec @ table.table - np.eye(table.table.shape[0])
     assert np.abs(resid).max() < 1e-9
 
@@ -259,6 +265,31 @@ def test_f_of_m_working_set():
 
 def test_f_of_m_dual_quadrature():
     assert abs(kernels.f_of_m(0.5) - kernels.f_of_m_adaptive(0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0])
+def test_f_of_m_adaptive_matches_the_2d_integral(m):
+    # reference route: scipy's adaptive 2D quadrature of the defining integrand
+    from scipy import integrate
+
+    def f(x, y):
+        return 0.5 * np.log1p(m * m / (4.0 * (np.sin(0.5 * np.pi * x) ** 2
+                                              + np.sin(0.5 * np.pi * y) ** 2)))
+
+    ref, _ = integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+    assert abs(kernels.f_of_m_adaptive(m) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0.0, -0.1, 1.5, math.nan])
+def test_f_of_m_adaptive_domain(m):
+    with pytest.raises(DomainError):
+        kernels.f_of_m_adaptive(m)
+
+
+def test_f_of_m_adaptive_raises_past_its_halving_cap(monkeypatch):
+    monkeypatch.setattr(kernels, "_F_ORACLE_HALVINGS", 0)
+    with pytest.raises(NumericError):
+        kernels.f_of_m_adaptive(0.5)
 
 
 def test_f_of_m_asymptotics():

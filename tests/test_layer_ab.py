@@ -17,8 +17,8 @@ def test_tiny_budget_against_head_names_every_layer():
     assert rows[1] == ("BLAS threads: OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, "
                        "MKL_NUM_THREADS=1")
     names = [name for name, *_ in layer_ab.layers(1)]
-    assert len(names) == 16
-    assert {"green table N=32", "green solve N=32", "harmonic extension N=32",
+    assert len(names) == 17
+    assert {"green table N=32", "green solve N=32", "f oracle m=0.5", "harmonic extension N=32",
             "ladder point N=8", "coupling ladder N=16", "coupling ladder N=32", "bridge block",
             "stack margin N=256", "penalty N=16"} <= set(names)
     for name in names:

@@ -23,9 +23,11 @@ cycle of heat-bath and reflection sweeps) at N = 16 and N = 32, on one
 disorder draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per
 repeat; one spectral sample (sample_dirichlet_interior, N = 32, m = 0.3),
 timed over --sweeps calls; one Green table by each route (green_dirichlet and
-the sparse solve green_dirichlet_solve, N = 32, m = 0.3); one harmonic
-extension (harmonic_extension at N = 32, m = 0.3, on one boundary drawn from
-the infinite-volume massive law), timed over 20 calls; one ladder point
+the block elimination green_dirichlet_solve, N = 32, m = 0.3); one f(m) by its
+oracle route (f_of_m_adaptive at m = 0.5, as the samplers workload calls it),
+timed over 20 calls; one harmonic extension (harmonic_extension at N = 32,
+m = 0.3, on one boundary drawn from the infinite-volume massive law), timed
+over 20 calls; one ladder point
 (integrate_ladder on the 2-point coupling grid t = 0, 1 with an exact first
 point, so one chain runs: N = 8, beta = 0.5, h = 0.1, 100 recorded sweeps after
 20 burn-in); one coupling ladder at each of the doubling check's box
@@ -39,9 +41,9 @@ D on the target measure); one bridge block (bridge_positivity_probability,
 over the sub_box_mask(g, 2.0) window at slope GAMMA), timed over 20 calls;
 one penalty (penalty_f on the N1 = 4 tiling of N = 16 at beta = 1, as the
 samplers workload runs it), timed over 100 calls on disorder drawn
-beforehand.  The extension, the ladder point, the coupling ladders, the
-bridge block, the stack margin and the penalty run at these fixed budgets
-whatever --sweeps says.
+beforehand.  The f(m) oracle, the extension, the ladder point, the coupling
+ladders, the bridge block, the stack margin and the penalty run at these
+fixed budgets whatever --sweeps says.
 
 Run as a script, the tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 before numpy loads, as perfbench/run.py does, so the
@@ -76,6 +78,7 @@ COUPLING_SIZES, COUPLING_SWEEPS, COUPLING_BURN = (16, 32), 100, 50
 BRIDGE_WALKS, BRIDGE_STEPS, BRIDGE_X = 1 << 16, 100, 2.0
 STACK_N, STACK_CALLS = 256, 20
 EXTENSION_N, EXTENSION_CALLS = 32, 20
+F_ORACLE_M, F_ORACLE_CALLS = 0.5, 20
 PENALTY_N, PENALTY_N1, PENALTY_BETA, PENALTY_CALLS = 16, 4, 1.0, 100
 
 
@@ -124,6 +127,13 @@ def _green(pkg):
 def _green_solve(pkg):
     g = pkg.lattice.build_box(32)
     return lambda: pkg.kernels.green_dirichlet_solve(g, MASS)
+
+
+def _f_oracle(pkg):
+    def run():
+        for _ in range(F_ORACLE_CALLS):
+            pkg.kernels.f_of_m_adaptive(F_ORACLE_M)
+    return run
 
 
 def _extension(pkg):
@@ -201,6 +211,7 @@ def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
     out.append(("spectral sample N=32", "call", sweeps, None, lambda pkg: _spectral(pkg, sweeps)))
     out.append(("green table N=32", "call", 1, None, _green))
     out.append(("green solve N=32", "call", 1, None, _green_solve))
+    out.append((f"f oracle m={F_ORACLE_M}", "call", F_ORACLE_CALLS, None, _f_oracle))
     out.append((f"harmonic extension N={EXTENSION_N}", "call", EXTENSION_CALLS, None, _extension))
     out.append((f"ladder point N={LADDER_N}", "call", 1, None, _ladder_point))
     out += [(f"coupling ladder N={N}", "call", 1, None, lambda pkg, N=N: _coupling_ladder(pkg, N))
