@@ -8,10 +8,10 @@ t at fixed parameters (Z(0) = 1 exactly, so one leg reaches any target), the
 reward h (the h-derivative of log Z is the exact contact total) and the
 soft-wall strength of the height restriction.  The free-energy curve is
 anchored at h = 0: coupling leg there, then one h-leg through 0 and every
-target.  The finite-volume criterion and the doubling (sub-additivity)
-check share one replica fan-out, each replica one coupling leg at its
-target.  Also here: the laboratory-scale schedule and the copolymer
-critical point.
+target.  The curve, the finite-volume criterion and the doubling
+(sub-additivity) check share one replica fan-out and one mean-and-SE rule;
+in the latter two each replica is one coupling leg at its target.  Also
+here: the laboratory-scale schedule and the copolymer critical point.
 """
 
 from __future__ import annotations
@@ -182,6 +182,57 @@ def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
         h_grid, lambda rec: rec.contacts_window, start, sweeps, burn_in, burn_in // 3)
 
 
+# ---------------------------------------------------------------------------
+# replica averages: free-energy curve, finite-volume criterion, doubling
+# ---------------------------------------------------------------------------
+
+def _fan_out(job, replicas: int, threads: int = 1) -> list:
+    """job(r) for each replica r in its own stream audit, over a process pool when
+    threads > 1; returns the outputs and adds the stream ids to the audit in replica order."""
+    if threads <= 1 or replicas <= 1:
+        done = [_audited(job, r) for r in range(replicas)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(functools.partial(_audited, job), range(replicas)))
+    for _, ids in done:
+        rngmod.record_streams(ids)
+    return [out for out, _ in done]
+
+
+def _audited(job, r: int) -> tuple:
+    """job(r) and the ids of the streams it drew."""
+    with rngmod.audit_streams() as audit:
+        return job(r), audit.consumed
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Mean of independent values and its SE std(ddof=1)/sqrt(n), inf from one value."""
+    return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(len(x)) if len(x) > 1 else math.inf
+
+
+def _curve_replica(geom: BoxGeometry, beta: float, m: float, targets: np.ndarray,
+                   master_seed: int, tag: str, sweeps: int, burn_in: int, r: int) -> tuple:
+    """One disorder replica of free_energy_curve: per-site log Z at the targets, ladder SEs."""
+    grid = _ti_h_grid(targets)
+    zero = int(np.searchsorted(grid, 0.0))
+    pos = np.searchsorted(grid, np.round(targets, 12))
+    n2 = geom.N ** 2
+    rep_rng = rngmod.stream(master_seed, tag, "replica", r)
+    if beta > 0:
+        omega = sample_disorder(geom, GAUSSIAN, rngmod.stream(master_seed, tag, "omega", r))
+    else:
+        omega = DisorderField(geom, GAUSSIAN, np.zeros((geom.side, geom.side)))
+    params0 = pinning.PinningParams(beta=beta, h=0.0, m=m)
+    base, base_se = 0.0, 0.0
+    if beta > 0:
+        base, base_se = coupling_log_z(geom, params0, omega, rep_rng, sweeps, burn_in)
+    leg = ti_log_partition(geom, params0, omega, rep_rng, grid, sweeps, burn_in)
+    leg_var = np.abs(leg.log_z_se[pos] ** 2 - leg.log_z_se[zero] ** 2)
+    return (leg.log_z[pos] - leg.log_z[zero] + base) / n2, np.sqrt(leg_var + base_se ** 2) / n2
+
+
 def free_energy_curve(geom: BoxGeometry, beta: float, h_targets, master_seed: int,
                       sweeps: int, burn_in: int, m: float = 0.0,
                       replicas: int = 1, tag: str = "fe") -> FreeEnergyCurve:
@@ -198,37 +249,17 @@ def free_energy_curve(geom: BoxGeometry, beta: float, h_targets, master_seed: in
     targets = np.atleast_1d(np.asarray(h_targets, dtype=float))
     if targets.size == 0:
         raise DomainError("free_energy_curve needs at least one target h")
-    grid = _ti_h_grid(targets)
-    zero = int(np.searchsorted(grid, 0.0))
-    pos = np.searchsorted(grid, np.round(targets, 12))
-    n2 = geom.N ** 2
-    vals = np.zeros((replicas, len(targets)))
-    ses = np.zeros((replicas, len(targets)))
-    for r in range(replicas):
-        rep_rng = rngmod.stream(master_seed, tag, "replica", r)
-        if beta > 0:
-            omega = sample_disorder(geom, GAUSSIAN, rngmod.stream(master_seed, tag, "omega", r))
-        else:
-            omega = DisorderField(geom, GAUSSIAN, np.zeros((geom.side, geom.side)))
-        params0 = pinning.PinningParams(beta=beta, h=0.0, m=m)
-        base, base_se = 0.0, 0.0
-        if beta > 0:
-            base, base_se = coupling_log_z(geom, params0, omega, rep_rng, sweeps, burn_in)
-        leg = ti_log_partition(geom, params0, omega, rep_rng, grid, sweeps, burn_in)
-        vals[r] = (leg.log_z[pos] - leg.log_z[zero] + base) / n2
-        leg_var = np.abs(leg.log_z_se[pos] ** 2 - leg.log_z_se[zero] ** 2)
-        ses[r] = np.sqrt(leg_var + base_se ** 2) / n2
+    rows = _fan_out(functools.partial(_curve_replica, geom, beta, m, targets, master_seed, tag,
+                                      sweeps, burn_in), replicas)
+    vals, ses = (np.array(col) for col in zip(*rows))
     value = vals.mean(axis=0)
     if replicas > 1:
+        # the mean(ses^2) term counts the chain noise twice (ROADMAP item 1 drops it)
         se = np.sqrt(vals.var(ddof=1, axis=0) / replicas + (ses ** 2).mean(axis=0) / replicas)
     else:
         se = ses[0]
     return FreeEnergyCurve(targets, value, se)
 
-
-# ---------------------------------------------------------------------------
-# finite-volume criterion and doubling inequality
-# ---------------------------------------------------------------------------
 
 def density_event_threshold(N: int, m: float, K: float) -> float:
     """N^2 (2 f(m)/m^2 - K), the typical-density cutoff for sum phi^2."""
@@ -237,9 +268,9 @@ def density_event_threshold(N: int, m: float, K: float) -> float:
 
 def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
                    threshold: float, master_seed: int, tag: str, sweeps: int, burn_in: int,
-                   boundary_cov: np.ndarray, r: int) -> tuple[tuple[float, float], list[str]]:
+                   boundary_cov: np.ndarray, r: int) -> tuple[float, float]:
     """One (boundary, disorder) replica of log E^{m,bc}[e^{interaction} 1_D], with the
-    D-event frequency, and the ids of the streams it drew.
+    D-event frequency.
 
     D is the event sum phi^2 >= threshold over the interaction range (see
     density_event_threshold, computed once per box size by the caller).
@@ -250,49 +281,37 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
     downward-biased at finite budgets, which is the conservative side for the
     positivity verdict.
     """
-    with rngmod.audit_streams() as audit:
-        bc_rng = rngmod.stream(master_seed, tag, "bc", r)
-        om_rng = rngmod.stream(master_seed, tag, "omega", r)
-        ch_rng = rngmod.stream(master_seed, tag, "chain", r)
-        bc = fields.sample_boundary_infinite_massive(boundary_cov, bc_rng)
-        omega = sample_disorder(geom, GAUSSIAN, om_rng)
-        params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
-        tmask = geom.tilde_mask
+    bc_rng = rngmod.stream(master_seed, tag, "bc", r)
+    om_rng = rngmod.stream(master_seed, tag, "omega", r)
+    ch_rng = rngmod.stream(master_seed, tag, "chain", r)
+    bc = fields.sample_boundary_infinite_massive(boundary_cov, bc_rng)
+    omega = sample_disorder(geom, GAUSSIAN, om_rng)
+    params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
+    tmask = geom.tilde_mask
 
-        def density_stat(f: np.ndarray) -> float:
-            return float(np.sum(f[tmask] ** 2))
+    def density_stat(f: np.ndarray) -> float:
+        return float(np.sum(f[tmask] ** 2))
 
-        ladder = _coupling_ladder(geom, params, omega, ch_rng, sweeps, burn_in,
-                                  observables={"sumsq": density_stat})
-        log_z = (float(np.sum(ladder.increments))
-                 + pinning.boundary_contact_term(geom, params, omega))
-        sumsq = ladder.records[-1].extra["sumsq"]
-        freq = float(np.mean(sumsq >= threshold))
-        log_event = math.log(max(freq, 0.5 / len(sumsq)))
-    return (log_z + log_event, freq), audit.consumed
+    ladder = _coupling_ladder(geom, params, omega, ch_rng, sweeps, burn_in,
+                              observables={"sumsq": density_stat})
+    log_z = (float(np.sum(ladder.increments))
+             + pinning.boundary_contact_term(geom, params, omega))
+    sumsq = ladder.records[-1].extra["sumsq"]
+    freq = float(np.mean(sumsq >= threshold))
+    return log_z + math.log(max(freq, 0.5 / len(sumsq))), freq
 
 
-def _box_replicas(beta: float, h: float, m: float, u: float, K: float, N: int,
+def _box_estimate(beta: float, h: float, m: float, u: float, K: float, N: int,
                   master_seed: int, tag: str, replicas: int, sweeps: int, burn_in: int,
-                  threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """log Z' and the D-event frequency of each (boundary, disorder) replica in the
-    box of side N, streams keyed by tag: one job per replica, over a process pool
-    when threads > 1; the jobs' stream ids join the active audit in replica order.
-    """
+                  threads: int) -> tuple[float, float, float]:
+    """Replica mean of log Z' in the box of side N, its SE and the mean D-event frequency;
+    one (boundary, disorder) replica per job of the fan-out, streams keyed by tag."""
     geom = build_box(N)
     job = functools.partial(_replica_log_z, geom, beta, h, m, u,
                             density_event_threshold(N, m, K), master_seed, tag, sweeps, burn_in,
                             fields.boundary_covariance(geom, m))
-    if threads <= 1 or replicas <= 1:
-        done = [job(r) for r in range(replicas)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(job, range(replicas)))
-    for _, ids in done:
-        rngmod.record_streams(ids)
-    return np.array([out[0] for out, _ in done]), np.array([out[1] for out, _ in done])
+    vals, freqs = (np.array(col) for col in zip(*_fan_out(job, replicas, threads)))
+    return *_mean_se(vals), float(freqs.mean())
 
 
 def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float, N: int,
@@ -308,16 +327,15 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
         raise DomainError("criterion needs m > 0")
     if replicas < 1:
         raise DomainError(f"finite_volume_criterion needs replicas >= 1 (got {replicas})")
-    vals, freqs = _box_replicas(beta, h, m, u, K, N, master_seed, "fvc", replicas, sweeps,
-                                burn_in, threads)
+    mean, mean_se, freq = _box_estimate(beta, h, m, u, K, N, master_seed, "fvc", replicas,
+                                        sweeps, burn_in, threads)
     n2 = N * N
-    est = float(vals.mean()) / n2
-    se = float(vals.std(ddof=1)) / math.sqrt(replicas) / n2 if replicas > 1 else float("inf")
+    est, se = mean / n2, mean_se / n2
     penalty = K * m * m
     margin = est - penalty
     verdict = "positive" if margin > 3.0 * se else "negative"
     return {"N": N, "m": m, "u": u, "K": K, "estimate": est, "se": se, "penalty": penalty,
-            "verdict": verdict, "margin": margin, "event_frequency": float(freqs.mean())}
+            "verdict": verdict, "margin": margin, "event_frequency": freq}
 
 
 def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
@@ -331,11 +349,9 @@ def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
     if replicas < 2:
         raise DomainError(f"doubling_gap needs replicas >= 2 for its standard error "
                           f"(got {replicas})")
-    out = {}
-    for label, size in (("small", N), ("large", 2 * N)):
-        vals, _ = _box_replicas(beta, h, m, u, K, size, master_seed, f"dbl-{label}", replicas,
-                                sweeps, burn_in, threads)
-        out[label] = (float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(replicas))
+    out = {label: _box_estimate(beta, h, m, u, K, size, master_seed, f"dbl-{label}", replicas,
+                                sweeps, burn_in, threads)[:2]
+           for label, size in (("small", N), ("large", 2 * N))}
     gap = out["large"][0] - 4.0 * out["small"][0]
     gap_se = math.sqrt(out["large"][1] ** 2 + 16.0 * out["small"][1] ** 2)
     return {"small": out["small"], "large": out["large"], "gap": gap, "gap_se": gap_se}
@@ -411,14 +427,10 @@ def conditioned_contact_statistics(N: int, master_seed: int, samples: int) -> di
     an = margins <= GAMMA * math.log(math.log(N))
     few = L <= math.log(N) ** ((1.0 + _ALPHA) / 2.0)
     cond = an & few
-
-    def se(x: np.ndarray) -> float:  # of the mean; inf from one sample, like Accumulator.se
-        return float(x.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-
+    (mean_L, se_L), (mean_Lp, se_Lp) = _mean_se(L), _mean_se(Lp)
     out = {
         "k": grid.k, "m": m, "u": u, "samples": samples,
-        "mean_L": float(L.mean()), "se_L": se(L),
-        "mean_Lp": float(Lp.mean()), "se_Lp": se(Lp),
+        "mean_L": mean_L, "se_L": se_L, "mean_Lp": mean_Lp, "se_Lp": se_Lp,
         "mean_Lp_sq": float((Lp ** 2).mean()),
         "an_frequency": float(an.mean()),
         "cond_frequency": float(cond.mean()),

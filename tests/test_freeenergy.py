@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -304,15 +305,38 @@ def test_coupling_leg_at_beta_zero_is_the_h_leg(monkeypatch):
     assert abs(value - leg.log_z[-1]) < 4 * math.hypot(se, leg.log_z_se[-1])
 
 
+def _stream_ids(call) -> list[str]:
+    with rng.audit_streams() as audit:
+        call()
+    return audit.consumed
+
+
 def test_stream_audit_survives_the_process_pool():
-    ids = []
+    # replica by replica, small box then large: each replica's bc, omega and chain streams
+    expected = [f"246/dbl-{label}/{kind}/{r}" for label in ("small", "large") for r in (0, 1)
+                for kind in ("bc", "omega", "chain")]
+    for threads in (1, 2):
+        assert _stream_ids(lambda: freeenergy.doubling_gap(
+            0.5, 0.3, 0.3, 0.0, 0.05, 4, 246, replicas=2, sweeps=4, burn_in=2,
+            threads=threads)) == expected
+    # the curve's replicas: each replica's chain stream, then its disorder
+    assert _stream_ids(lambda: freeenergy.free_energy_curve(
+        lattice.build_box(4), 0.5, [0.1], 246, replicas=2, sweeps=4, burn_in=2)) == [
+        "246/fe/replica/0", "246/fe/omega/0", "246/fe/replica/1", "246/fe/omega/1"]
+
+
+def test_curve_replica_job_through_the_process_pool():
+    # the curve's replica job pickles, and a pool of 2 gives the serial rows and stream ids
+    job = functools.partial(freeenergy._curve_replica, lattice.build_box(4), 0.5, 0.0,
+                            np.array([0.1, 0.2]), 248, "fe", 4, 2)
+    runs = []
     for threads in (1, 2):
         with rng.audit_streams() as audit:
-            freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 246, replicas=2, sweeps=4,
-                                    burn_in=2, threads=threads)
-        ids.append(audit.consumed)
-    assert len(ids[0]) == 12  # bc, omega and chain streams of 2 replicas at 2 sizes
-    assert ids[1] == ids[0]
+            rows = freeenergy._fan_out(job, 2, threads)
+        runs.append((np.array([np.concatenate(row) for row in rows]), audit.consumed))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1] == [f"248/fe/{kind}/{r}" for r in (0, 1)
+                                         for kind in ("replica", "omega")]
 
 
 @pytest.mark.parametrize("call", [
