@@ -2,7 +2,8 @@
 
 Format: UTF-8 text, one `key = value` per line, `#` comments, optional
 `[section]` headers for visual grouping only (keys are global and must be
-unique).  No nesting; values are parsed as bool, int, float, or string.
+unique).  No nesting; values are parsed as int, float, or string (no setting
+is a flag, so there is no bool literal).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from .errors import ConfigError
 
 def parse_value(text: str):
     t = text.strip()
-    if t.lower() in ("true", "false"):
-        return t.lower() == "true"
     try:
         return int(t)
     except ValueError:
@@ -46,8 +45,6 @@ def parse_config(text: str) -> dict:
 
 
 def render_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)

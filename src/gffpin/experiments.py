@@ -81,28 +81,6 @@ class Experiment:
         return cfg
 
 
-class Accumulator:
-    """Running (count, mean, M2) accumulator (Welford's update)."""
-
-    def __init__(self):
-        self.n, self.mean, self.m2 = 0, 0.0, 0.0
-
-    def add(self, x: float) -> "Accumulator":
-        self.n += 1
-        d = x - self.mean
-        self.mean += d / self.n
-        self.m2 += d * (x - self.mean)
-        return self
-
-    @property
-    def var(self) -> float:
-        return self.m2 / (self.n - 1) if self.n > 1 else float("inf")
-
-    @property
-    def se(self) -> float:
-        return math.sqrt(self.var / self.n) if self.n > 1 else float("inf")
-
-
 def _line(ok: bool | None, text: str) -> str:
     tag = "PASS" if ok else ("FAIL" if ok is not None else "info")
     return f"[{tag}] {text}"
@@ -227,19 +205,17 @@ def _run_sampler_exactness(cfg):
     r2 = rngmod.stream(seed, "sampler-exactness", "stack")
     n2 = cfg["stack_samples"]
     probes = [(16, 16), (8, 8), (4, 4), (2, 2), (24, 10)]
-    acc = {p: Accumulator() for p in probes}
-    for start in range(0, n2, 500):
-        s = fields.sample_dirichlet_interior(g32, m, min(500, n2 - start), r2)
-        for (x1, x2) in probes:
-            for v in s[:, x1 - 1, x2 - 1]:
-                acc[(x1, x2)].add(float(v))
+    rows, cols = (np.array(c) - 1 for c in zip(*probes))
+    values = np.concatenate([
+        fields.sample_dirichlet_interior(g32, m, min(500, n2 - start), r2)[:, rows, cols]
+        for start in range(0, n2, 500)])
     ok_stack = True
     stack_rows = []
-    for p, a in acc.items():
+    for p, var in zip(probes, values.var(axis=0, ddof=1)):
         target = exact32[p]
-        var_se = target * math.sqrt(2.0 / a.n)
-        zs = abs(a.var - target) / var_se
-        stack_rows.append((p[0], p[1], a.var, target, zs))
+        var_se = target * math.sqrt(2.0 / n2)
+        zs = abs(var - target) / var_se
+        stack_rows.append((p[0], p[1], float(var), target, zs))
         ok_stack &= zs < 5.0
     checks = [
         (float(z.max()) < 5.0,
@@ -609,9 +585,7 @@ def _run_cluster_probability(cfg):
     rec = pinning.run_chain(g, params, om, rngmod.stream(seed, "cluster"),
                             sweeps=2 * cfg["samples"], burn_in=cfg["burn_in"], thinning=2,
                             observables={"hit": hit})
-    hits = Accumulator()
-    for v in rec.extra["hit"]:
-        hits.add(float(v))
+    hit_mean, hit_se = freeenergy._mean_se(rec.extra["hit"])
     # whether the threshold exceeds the window depends on the cell side alone
     structural = event_C_cell(np.zeros((g.side, g.side), dtype=bool), center).structurally_false
     t_split = math.log(N1) ** 8
@@ -620,7 +594,7 @@ def _run_cluster_probability(cfg):
     v_prime = float(block.min())
     v_max = float(kernels.green_dirichlet_diag(g, 0.0)[center.cell_slice].max())
     checks = [
-        (None, f"cluster frequency {hits.mean:.4f} (se {hits.se:.4f}) at N1={N1}, h={h}"),
+        (None, f"cluster frequency {hit_mean:.4f} (se {hit_se:.4f}) at N1={N1}, h={h}"),
         (None, f"V = max G*(x,x) = {v_max:.4f} vs log(N1)/2pi = "
                f"{math.log(N1) / (2 * math.pi):.4f}"),
         (None, f"long-time variance V' = {v_prime:.3e}"
@@ -628,7 +602,7 @@ def _run_cluster_probability(cfg):
                   if v_prime < 1e-6 else "")),
         (None, f"cluster threshold structurally unreachable: {structural}"),
     ]
-    return checks, [{"frequency": hits.mean, "se": hits.se, "v_prime": v_prime,
+    return checks, [{"frequency": hit_mean, "se": hit_se, "v_prime": v_prime,
                      "v_max": v_max, "structural": structural}], {}
 
 
@@ -637,19 +611,16 @@ def _run_penalty_cost(cfg):
     g = lattice.build_box(N)
     til = lattice.cell_tiling(g, N1)
     r = rngmod.stream(cfg["seed"], "penalty")
-    inv = Accumulator()
-    counts = Accumulator()
-    for _ in range(cfg["samples"]):
-        om = sample_disorder(g, GAUSSIAN, r)
-        p = penalty_f(om, til, beta)
-        inv.add(1.0 / p.value)
-        counts.add(p.count)
+    penalties = [penalty_f(sample_disorder(g, GAUSSIAN, r), til, beta)
+                 for _ in range(cfg["samples"])]
+    inv_mean, inv_se = freeenergy._mean_se(np.array([1.0 / p.value for p in penalties]))
+    mean_count = float(np.mean([p.count for p in penalties]))
     checks = [
-        (None, f"E[1/f(omega)] = {inv.mean:.4f} (se {inv.se:.4f}) over "
-               f"{len(til.cells)} cells; mean flagged cells {counts.mean:.3f}"),
-        (None, f"(1/N^2) log E[1/f] = {math.log(max(inv.mean, 1e-300)) / N ** 2:.3e}"),
+        (None, f"E[1/f(omega)] = {inv_mean:.4f} (se {inv_se:.4f}) over "
+               f"{len(til.cells)} cells; mean flagged cells {mean_count:.3f}"),
+        (None, f"(1/N^2) log E[1/f] = {math.log(max(inv_mean, 1e-300)) / N ** 2:.3e}"),
     ]
-    return checks, [{"mean_inverse": inv.mean, "se": inv.se, "mean_count": counts.mean}], {}
+    return checks, [{"mean_inverse": inv_mean, "se": inv_se, "mean_count": mean_count}], {}
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,6 @@ from .fields import BoundaryCondition, FieldSample, harmonic_extension
 from .lattice import BoxGeometry
 
 _Z_FAR = 38.0  # standard-normal quantile beyond which mass is below 1e-300
-_BAND_NODES, _BAND_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # run_chain scores at most _RECORD_BLOCK records at once, and at most _BLOCK_VALUES heights (128
 # KiB): a larger block's vector pass costs more per record than it saves, its temporaries no
 # longer fitting the cache
@@ -604,27 +603,6 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
 # exact small-system partition function
 # ---------------------------------------------------------------------------
 
-def _gauss_band_integral(mu: float, var: float, s: float, band_lo: float, band_hi: float,
-                         charged) -> float:
-    """E[e^{s 1_band}(phi)] for phi ~ N(mu, var): 32-point Gauss on 80 panels per piece."""
-    sd = math.sqrt(var)
-    lo, hi = mu - 40 * sd, mu + 40 * sd
-    cuts = sorted({lo, band_lo, band_hi, hi})
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        a, b = max(a, lo), min(b, hi)
-        if b <= a:
-            continue
-        edges = np.linspace(a, b, 81)
-        p, q = edges[:-1], edges[1:]
-        t = 0.5 * (p + q)[:, None] + 0.5 * (q - p)[:, None] * _BAND_NODES[None, :]
-        w = 0.5 * (q - p)[:, None] * _BAND_WEIGHTS[None, :]
-        dens = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-        bump = np.where(charged(t), math.exp(s), 1.0)
-        total += float(np.sum(w * dens * bump))
-    return total
-
-
 def exact_partition_small(geom: BoxGeometry, params: PinningParams,
                           omega: DisorderField) -> float:
     """log Z by direct quadrature; ground truth for one interior site (N = 2).
@@ -641,8 +619,21 @@ def exact_partition_small(geom: BoxGeometry, params: PinningParams,
     bgrid = params.bc.grid(geom)
     mu = float(bgrid[0, 1] + bgrid[2, 1] + bgrid[1, 0] + bgrid[1, 2]) / (4.0 + params.m ** 2)
     var = 1.0 / (4.0 + params.m ** 2)
-    lo, hi, w, scale, charged = _interaction(params, omega)
-    return math.log(_gauss_band_integral(mu, var, scale * float(w[1, 1]), lo, hi, charged))
+    band_lo, band_hi, w, scale, charged = _interaction(params, omega)
+    bump = math.exp(scale * float(w[1, 1]))
+    # E[e^{s 1_band}(phi)], phi ~ N(mu, var), over mu +- 40 sd on panels of at most one sd,
+    # cut at the band edges
+    sd = math.sqrt(var)
+    lo, hi = mu - 40 * sd, mu + 40 * sd
+    cuts = sorted({lo, hi} | {c for c in (band_lo, band_hi) if lo < c < hi})
+    edges = np.concatenate([np.linspace(a, b, math.ceil((b - a) / sd) + 1)[:-1]
+                            for a, b in zip(cuts[:-1], cuts[1:])] + [[hi]])
+
+    def f(t):
+        dens = np.exp(-0.5 * ((t - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+        return dens * np.where(charged(t), bump, 1.0)
+
+    return math.log(kernels._panel_integral(f, edges))
 
 
 # ---------------------------------------------------------------------------

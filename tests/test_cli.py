@@ -281,10 +281,15 @@ def test_massive_comparison_fails_on_infinite_se(capsys):
     assert "[FAIL] F(0,0.3,0.3,0)" in out and "(+3se = inf); se inf is not finite" in out
 
 
-def test_one_sample_contact_statistics_reads_se_inf():
-    # as Accumulator.se reads one draw, not the nan of a one-sample std
-    result = experiments.run_experiment("contact-statistics", {"samples": 1})
-    assert result.records[0]["se_L"] == result.records[0]["se_Lp"] == float("inf")
+@pytest.mark.parametrize("name,se_keys", [
+    pytest.param("contact-statistics", ("se_L", "se_Lp"), id="contact-statistics"),
+    pytest.param("penalty-cost", ("se",), id="penalty-cost"),
+    pytest.param("cluster-probability", ("se",), id="cluster-probability"),
+])
+def test_one_sample_contact_statistics_reads_se_inf(name, se_keys):
+    # freeenergy._mean_se reads one draw as se inf, not as the nan of a one-sample std
+    result = experiments.run_experiment(name, {"samples": 1})
+    assert all(result.records[0][key] == float("inf") for key in se_keys)
     assert "(se inf)" in result.lines[0]
 
 

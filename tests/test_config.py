@@ -11,10 +11,9 @@ def test_parse_basic():
 N = 32
 h = 0.25   # inline comment
 name = thermo
-flag = true
 """
     cfg = config.parse_config(text)
-    assert cfg == {"N": 32, "h": 0.25, "name": "thermo", "flag": True}
+    assert cfg == {"N": 32, "h": 0.25, "name": "thermo"}
     assert isinstance(cfg["N"], int)
     assert isinstance(cfg["h"], float)
 
@@ -29,8 +28,7 @@ def test_parse_errors():
 
 
 def test_roundtrip():
-    cfg = {"N": 64, "h": 0.3, "seed": 123456789, "tag": "run-1", "force": False,
-           "m": 1e-06}
+    cfg = {"N": 64, "h": 0.3, "seed": 123456789, "tag": "run-1", "m": 1e-06}
     assert config.parse_config(config.render_config(cfg)) == cfg
 
 
@@ -42,13 +40,11 @@ def test_roundtrip_randomized():
         cfg = {}
         for i in range(rnd.randint(1, 8)):
             key = f"k{i}"
-            kind = rnd.choice(["int", "float", "str", "bool"])
+            kind = rnd.choice(["int", "float", "str"])
             if kind == "int":
                 cfg[key] = rnd.randint(-10**9, 10**9)
             elif kind == "float":
                 cfg[key] = rnd.random() * 10 ** rnd.randint(-8, 8)
-            elif kind == "bool":
-                cfg[key] = rnd.random() < 0.5
             else:
                 cfg[key] = rnd.choice(["alpha", "x-y", "z_9"])
         assert config.parse_config(config.render_config(cfg)) == cfg

@@ -480,6 +480,27 @@ def test_exact_one_site_routes_agree():
         assert abs(logz - math.log1p(math.expm1(s) * p)) < 1e-12, (beta, h, m, u)
 
 
+@pytest.mark.parametrize("m", [0.0, 0.5])
+@pytest.mark.parametrize("bc_values", [np.zeros(8), np.linspace(-2.0, 3.0, 8)])
+def test_exact_partition_closed_form(m, bc_values):
+    # at beta = 0 the charge is s = h, and Z = 1 + (e^s - 1) P(band) with P(band) the
+    # free one-site Gaussian's mass in [u - 1, u + 1], taken on the tail side it lies in
+    g = lattice.build_box(2)
+    om = _zero_omega(g)
+    bc = fields.explicit_bc(bc_values)
+    grid = bc.grid(g)
+    mu = (grid[0, 1] + grid[2, 1] + grid[1, 0] + grid[1, 2]) / (4.0 + m * m)
+    sd = (4.0 + m * m) ** -0.5
+    cases = [(u, s) for u in (mu - 1.5, mu, mu + 0.7) for s in np.linspace(-5.0, 8.0, 14)]
+    cases.append((mu + 10.0 * sd + 1.0, 30.0))  # band 10 sd into the upper tail
+    for u, s in cases:
+        a, b = (u - 1.0 - mu) / sd, (u + 1.0 - mu) / sd
+        p = special.ndtr(-a) - special.ndtr(-b) if a > 0 else special.ndtr(b) - special.ndtr(a)
+        logz = pinning.exact_partition_small(
+            g, pinning.PinningParams(h=float(s), m=m, u=float(u), bc=bc), om)
+        assert abs(logz - math.log1p(math.expm1(s) * p)) < 1e-12, (u, s)
+
+
 def test_exact_partition_annealing_identity():
     # E_omega[Z^{beta,omega}] equals the beta = 0 partition function
     g = lattice.build_box(2)
