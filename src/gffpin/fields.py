@@ -282,28 +282,18 @@ def sample_scale_stack(geom: BoxGeometry, m: float, rng: np.random.Generator,
     return FieldSample(geom, values, stack=stack)
 
 
-_STACK_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_STACK_TABLES_MAX = 16
-
-
+@lru_cache(maxsize=16)
 def _stack_tables(geom: BoxGeometry,
                   grid: kernels.ScaleTimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode standard deviations of slices 1..k, shape (k, N-1, N-1), and j(x).
 
     Both depend only on the box size and the grid, so they are computed once
-    and shared, read-only, by every stack drawn with them; the cache is
-    emptied when it holds _STACK_TABLES_MAX entries.
+    and shared, read-only, by every stack drawn with them.
     """
-    key = (geom.N, grid.m, grid.k, grid.times.tobytes())
-    tables = _STACK_TABLES.get(key)
-    if tables is None:
-        sd = np.sqrt([kernels.slice_mode_weights(geom, grid, i) for i in range(1, grid.k + 1)])
-        jmap = scale_index(geom, grid.k)
-        sd.flags.writeable = jmap.flags.writeable = False
-        if len(_STACK_TABLES) >= _STACK_TABLES_MAX:
-            _STACK_TABLES.clear()
-        tables = _STACK_TABLES.setdefault(key, (sd, jmap))
-    return tables
+    sd = np.sqrt([kernels.slice_mode_weights(geom, grid, i) for i in range(1, grid.k + 1)])
+    jmap = scale_index(geom, grid.k)
+    sd.flags.writeable = jmap.flags.writeable = False
+    return sd, jmap
 
 
 def stack_barrier_margin(stack: ScaleStack, mask: np.ndarray, slope: float) -> float:

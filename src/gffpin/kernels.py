@@ -56,36 +56,29 @@ def heat_kernel_1d(a, t):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """Sine eigenbasis of the Dirichlet Laplacian on {1,...,N-1}.
+    """Sine eigenbasis of the Dirichlet Laplacian on {1,...,N-1}, read-only.
 
-    lam[i-1] = 2(1 - cos(i pi / N)), modes S[u-1, i-1] = sqrt(2/N) sin(i pi u / N).
-    S is orthogonal, so S a S^T applies the 2D transform to a mode-space matrix.
-    Equality, hash and repr see only N.
+    modes S[u-1, i-1] = sqrt(2/N) sin(i pi u / N), and lam2d[i-1, j-1] =
+    lam_i + lam_j with lam_i = 2(1 - cos(i pi / N)), the eigenvalues of -Delta
+    on the box.  S is orthogonal, so S a S^T applies the 2D transform to a
+    mode-space matrix.
     """
 
-    N: int
-    lam: np.ndarray = field(init=False, repr=False, compare=False)
-    modes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.N
-        i = np.arange(1, n)
-        object.__setattr__(self, "lam", 2.0 * (1.0 - np.cos(i * np.pi / n)))
-        u = np.arange(1, n)
-        object.__setattr__(
-            self, "modes", np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(u, i) / n)
-        )
-
-    @property
-    def lam2d(self) -> np.ndarray:
-        return self.lam[:, None] + self.lam[None, :]
+    lam2d: np.ndarray
+    modes: np.ndarray
 
 
 @lru_cache(maxsize=32)
 def spectral_basis(N: int) -> SpectralBasis:
-    return SpectralBasis(N)
+    """The basis for box size N, built once per N."""
+    i = np.arange(1, N)
+    lam = 2.0 * (1.0 - np.cos(i * np.pi / N))
+    basis = SpectralBasis(lam[:, None] + lam[None, :],
+                          np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(i, i) / N))
+    basis.lam2d.flags.writeable = basis.modes.flags.writeable = False
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +130,8 @@ def green_massive_infinite(x, m: float) -> float:
     return val / math.pi
 
 
-def heat_diag_time_integral(T: float, m: float) -> float:
-    """int_T^inf e^{-m^2 t} P_t(0,0) dt, by panelled Gauss quadrature."""
+def _time_integral(x1: int, x2: int, T: float, m: float) -> float:
+    """int_T^inf e^{-m^2 t} p_t(x1) p_t(x2) dt, by panelled Gauss quadrature (0 from T = inf)."""
     tmax = 60.0 / (m * m)
     if T >= tmax:
         return 0.0
@@ -147,9 +140,14 @@ def heat_diag_time_integral(T: float, m: float) -> float:
         edges = np.concatenate([[0.0], edges])
 
     def f(t):
-        return np.exp(-m * m * t) * heat_kernel_1d(0, t) ** 2
+        return np.exp(-m * m * t) * (heat_kernel_1d(x1, t) * heat_kernel_1d(x2, t))
 
     return _panel_integral(f, edges)
+
+
+def heat_diag_time_integral(T: float, m: float) -> float:
+    """int_T^inf e^{-m^2 t} P_t(0,0) dt."""
+    return _time_integral(0, 0, T, m)
 
 
 def green_massive_infinite_time(x, m: float) -> float:
@@ -157,13 +155,7 @@ def green_massive_infinite_time(x, m: float) -> float:
     if m <= 0:
         raise DomainError("massless infinite-volume Green function diverges in d=2")
     x1, x2 = (abs(int(c)) for c in x)
-    tmax = 60.0 / (m * m)
-    edges = np.concatenate([[0.0], _log_panels(1e-10, tmax)])
-
-    def f(t):
-        return np.exp(-m * m * t) * heat_kernel_1d(x1, t) * heat_kernel_1d(x2, t)
-
-    return _panel_integral(f, edges)
+    return _time_integral(x1, x2, 0.0, m)
 
 
 def green_offset_table(m: float, extent: int) -> np.ndarray:
@@ -373,12 +365,13 @@ class ScaleTimeGrid:
     Interior slices of int e^{-m^2 t} P_t(0,0) dt carry unit mass; the last
     slice carries the fractional remainder G^m(0,0) - (k-1) in [1, 2) -- or
     less than 1 if the grid was built in the degenerate regime floor(G) < 1,
-    where k = 1.
+    where k = 1.  Equality and hash see only (m, k): scale_time_grid derives
+    the times from m.
     """
 
     m: float
     k: int
-    times: np.ndarray  # t_1 .. t_{k-1}, possibly empty
+    times: np.ndarray = field(compare=False)  # t_1 .. t_{k-1}, possibly empty
 
     def slice_bounds(self, i: int) -> tuple[float, float]:
         """(t_i, t_{i-1}) for slice i in 1..k."""
@@ -390,9 +383,7 @@ class ScaleTimeGrid:
 
     def slice_mass(self, i: int) -> float:
         lo, hi = self.slice_bounds(i)
-        top = heat_diag_time_integral(lo, self.m)
-        bot = 0.0 if hi is math.inf else heat_diag_time_integral(hi, self.m)
-        return top - bot
+        return heat_diag_time_integral(lo, self.m) - heat_diag_time_integral(hi, self.m)
 
 
 def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
@@ -424,7 +415,9 @@ def scale_time_grid(m: float, min_scales: int = 3) -> ScaleTimeGrid:
                 math.log(1e-9), hi, xtol=1e-13, rtol=8.9e-16,
             )
             times.append(math.exp(sol))
-    return ScaleTimeGrid(float(m), k, np.array(times))
+    times = np.array(times)
+    times.flags.writeable = False
+    return ScaleTimeGrid(float(m), k, times)
 
 
 def slice_mode_weights(geom: BoxGeometry, grid: ScaleTimeGrid, i: int) -> np.ndarray:
@@ -436,9 +429,7 @@ def slice_mode_weights(geom: BoxGeometry, grid: ScaleTimeGrid, i: int) -> np.nda
     lo, hi = grid.slice_bounds(i)
     basis = spectral_basis(geom.N)
     rate = basis.lam2d + grid.m ** 2
-    top = np.exp(-rate * lo)
-    bot = np.zeros_like(rate) if hi is math.inf or math.isinf(hi) else np.exp(-rate * hi)
-    return (top - bot) / rate
+    return (np.exp(-rate * lo) - np.exp(-rate * hi)) / rate
 
 
 def covariance_slice_diag(geom: BoxGeometry, grid: ScaleTimeGrid, i: int) -> np.ndarray:
@@ -446,20 +437,14 @@ def covariance_slice_diag(geom: BoxGeometry, grid: ScaleTimeGrid, i: int) -> np.
     return _mode_diag(geom, slice_mode_weights(geom, grid, i))
 
 
-def split_mode_weights(geom: BoxGeometry, m: float, t_split: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mode weights of the rough/local split Q^1 (t > t_split) and Q^2 (t <= t_split)."""
+def split_diag(geom: BoxGeometry, m: float, t_split: float) -> tuple[np.ndarray, np.ndarray]:
+    """Variances of the rough field Q^1 (t > t_split) and the local field Q^2
+    (t <= t_split), on the whole grid."""
     if t_split <= 0:
         raise DomainError("split time must be positive")
-    basis = spectral_basis(geom.N)
-    rate = basis.lam2d + m * m
+    rate = spectral_basis(geom.N).lam2d + m * m
     e = np.exp(-rate * t_split)
-    return e / rate, (1.0 - e) / rate
-
-
-def split_diag(geom: BoxGeometry, m: float, t_split: float) -> tuple[np.ndarray, np.ndarray]:
-    """Variances of the rough and local fields of the split, on the whole grid."""
-    rough, local = split_mode_weights(geom, m, t_split)
-    return _mode_diag(geom, rough), _mode_diag(geom, local)
+    return _mode_diag(geom, e / rate), _mode_diag(geom, (1.0 - e) / rate)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gffpin import cli, experiments, fields, lattice, pinning, rng as rngmod
+from gffpin import cli, experiments, fields, freeenergy, lattice, pinning, rng as rngmod
 from gffpin.errors import ConfigError, DomainError
 
 
@@ -287,10 +287,41 @@ def test_massive_comparison_fails_on_infinite_se(capsys):
     pytest.param("cluster-probability", ("se",), id="cluster-probability"),
 ])
 def test_one_sample_contact_statistics_reads_se_inf(name, se_keys):
-    # freeenergy._mean_se reads one draw as se inf, not as the nan of a one-sample std
+    # one draw reads as se inf (freeenergy._mean_se, or ChainRecord.mean_se below four
+    # records), not as the nan of a one-sample std
     result = experiments.run_experiment(name, {"samples": 1})
     assert all(result.records[0][key] == float("inf") for key in se_keys)
     assert "(se inf)" in result.lines[0]
+
+
+def test_cluster_probability_se_reads_the_chain_iact(monkeypatch):
+    # the hit series is one autocorrelated chain's; its SE carries the series' own IACT
+    chains = []
+    run_chain = pinning.run_chain
+
+    def kept(*args, **kwargs):
+        chains.append(run_chain(*args, **kwargs))
+        return chains[-1]
+
+    monkeypatch.setattr(pinning, "run_chain", kept)
+    result = experiments.run_experiment("cluster-probability",
+                                        {"h": -0.2, "samples": 100, "burn_in": 50})
+    (rec,) = chains
+    hits = rec.extra["hit"]
+    assert 0.0 < hits.mean() < 1.0
+    se = result.records[0]["se"]
+    assert se == rec.mean_se(hits)[1]
+    assert se > freeenergy._mean_se(hits)[1]
+
+
+def test_slice_telescoping_is_an_info_line():
+    # the per-mode slice weights telescope in closed form, so the line decides nothing
+    result = experiments.run_experiment("sampler-exactness",
+                                        {"samples": 200, "stack_samples": 200})
+    (line,) = [line for line in result.lines if "slice telescoping" in line]
+    assert line.startswith("[info] ")
+    assert result.passed is True
+    assert result.records[0]["telescoping"] < 1e-12
 
 
 def test_stack_samples_draws_the_last_partial_batch(monkeypatch):

@@ -457,7 +457,10 @@ def _uncached_layers(geom, grid, r) -> np.ndarray:
 def test_stack_tables_are_read_only_and_kept_per_box_and_grid():
     grids = [kernels.scale_time_grid(m, min_scales=1) for m in (1e-5, 1e-3)]
     assert [grid.k for grid in grids] == [2, 1]
+    # two grids of one mass are one cache key
+    assert kernels.scale_time_grid(1e-5, min_scales=1) == grids[0] != grids[1]
     cases = [(lattice.build_box(n), gi) for n in (16, 32) for gi in range(len(grids))]
+    fields._stack_tables.cache_clear()
     for rep in range(2):  # the second round is served from the cache
         for geom, gi in cases:
             grid = grids[gi]
@@ -470,11 +473,14 @@ def test_stack_tables_are_read_only_and_kept_per_box_and_grid():
             sd, _ = fields._stack_tables(geom, grid)
             with pytest.raises(ValueError):
                 sd[0, 0, 0] = 1.0
+        info = fields._stack_tables.cache_info()
+        assert info.misses == len(cases) and info.hits == len(cases) * (2 * rep + 1)
     # the cache stays bounded however many grids pass through it
     g = lattice.build_box(4)
-    for m in np.linspace(0.1, 0.5, fields._STACK_TABLES_MAX + 3):
+    for m in np.linspace(0.1, 0.5, 19):
         fields._stack_tables(g, kernels.scale_time_grid(float(m), min_scales=0))
-        assert len(fields._STACK_TABLES) <= fields._STACK_TABLES_MAX
+    info = fields._stack_tables.cache_info()
+    assert info.maxsize == 16 and info.currsize == 16
 
 
 def test_stack_rejects_a_grid_for_another_mass():

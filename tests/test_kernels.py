@@ -41,15 +41,19 @@ def test_spectral_basis_orthonormal():
     basis = kernels.spectral_basis(16)
     gram = basis.modes.T @ basis.modes
     assert np.abs(gram - np.eye(15)).max() < 1e-12
-    assert np.all(np.diff(basis.lam) > 0)
-    assert 0 < basis.lam[0] and basis.lam[-1] < 4.0
+    lam = np.diag(basis.lam2d) / 2.0
+    assert np.all(np.diff(lam) > 0)
+    assert 0 < lam[0] and lam[-1] < 4.0
 
 
-def test_spectral_basis_compares_hashes_and_prints_by_size():
-    a, b = kernels.SpectralBasis(8), kernels.SpectralBasis(8)
-    assert a == b and a != kernels.SpectralBasis(9)
-    assert hash(a) == hash(b)
-    assert repr(a) == "SpectralBasis(N=8)"
+def test_spectral_basis_is_built_once_per_size_and_read_only():
+    basis = kernels.spectral_basis(8)
+    assert kernels.spectral_basis(8) is basis and kernels.spectral_basis(9) is not basis
+    for table in (basis.lam2d, basis.modes):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    lam = 2.0 * (1.0 - np.cos(np.arange(1, 8) * np.pi / 8))
+    assert np.array_equal(basis.lam2d, np.add.outer(lam, lam))
 
 
 def test_chapman_kolmogorov():

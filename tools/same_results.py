@@ -6,7 +6,8 @@
 --all runs every row of RUNS instead of one experiment: each registered
 experiment, at its defaults where those are quick and at a small budget
 otherwise, subadditivity and finite-volume-criterion also at --threads 2,
-subadditivity also at N = 8.  It prints one line per run and exits 0 only
+subadditivity also at N = 8, cluster-probability also at h = -0.2 (where the
+hit frequency lies strictly between 0 and 1, so its SE is not 0).  It prints one line per run and exits 0 only
 when every run matches.
 
 The parent's committed files are exported (`git archive`, through
@@ -64,6 +65,7 @@ RUNS = [
     ("wall-restriction", ["N=16", "sweeps=40", "burn_in=20"], None),
     ("contact-statistics", ["N=16", "samples=50"], None),
     ("cluster-probability", ["samples=50", "burn_in=50"], None),
+    ("cluster-probability", ["h=-0.2", "samples=50", "burn_in=50"], None),
 ]
 
 
