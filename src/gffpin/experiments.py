@@ -308,12 +308,12 @@ def _run_thermo(cfg):
                                              replicas=reps, sweeps=cfg["sweeps"],
                                              burn_in=cfg["burn_in"], tag=f"thermo-{beta}")
         curves[beta] = curve
-        d2, d2se = curve.second_differences()
+        d2, d2se = curve.combine(np.diff(np.eye(len(h_grid)), 2, axis=0))
         checks.append(_within_se(bool(np.all(d2 >= -3.0 * d2se)),
                                  f"beta={beta}: convexity, min d2/se = "
                                  f"{float((d2 / np.maximum(d2se, 1e-300)).min()):.2f}", d2se))
-        step_se = np.hypot(curve.se[1:], curve.se[:-1])
-        checks.append(_within_se(bool(np.all(np.diff(curve.value) >= -3.0 * step_se)),
+        step, step_se = curve.combine(np.diff(np.eye(len(h_grid)), 1, axis=0))
+        checks.append(_within_se(bool(np.all(step >= -3.0 * step_se)),
                                  f"beta={beta}: nondecreasing in h", step_se))
     checks.append((abs(curves[0.0].value[0]) == 0.0, "pure F(0) = 0 exactly"))
     i3 = int(np.searchsorted(h_grid, 0.30))

@@ -3,15 +3,16 @@
 Thermodynamic integration is the estimator of record, and every leg of it
 runs on one warm-started ladder (integrate_ladder): a chain per grid point,
 each started from the previous chain's field, with the recorded integrand
-integrated by the trapezoid rule.  Three legs use it: the coupling constant
-t at fixed parameters (Z(0) = 1 exactly, so one leg reaches any target), the
-reward h (the h-derivative of log Z is the exact contact total) and the
-soft-wall strength of the height restriction.  The free-energy curve is
-anchored at h = 0: coupling leg there, then one h-leg through 0 and every
-target.  The curve, the finite-volume criterion and the doubling
-(sub-additivity) check share one replica fan-out and one mean-and-SE rule;
-in the latter two each replica is one coupling leg at its target.  Also
-here: the laboratory-scale schedule and the copolymer critical point.
+integrated by the trapezoid rule (every ladder and curve SE by _map_cov).
+Three legs use it: the coupling constant t at fixed parameters (Z(0) = 1
+exactly, so one leg reaches any target), the reward h (the h-derivative of
+log Z is the exact contact total) and the soft-wall strength of the height
+restriction.  The free-energy curve is anchored at h = 0: coupling leg
+there, then one h-leg through 0 and every target.  The curve, the
+finite-volume criterion and the doubling (sub-additivity) check share one
+replica fan-out; the latter two share one mean-and-SE rule, each replica
+one coupling leg at its target.  Also here: the laboratory-scale schedule
+and the copolymer critical point.
 """
 
 from __future__ import annotations
@@ -34,34 +35,51 @@ GAMMA = 2.0 * math.sqrt(2.0 * math.pi)
 # result containers
 # ---------------------------------------------------------------------------
 
+def _map_cov(a: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Covariance of a @ x, x of covariance cov.  A row weighing an x of infinite variance
+    reads inf on the diagonal; only finite variances enter the products, so no 0 * inf (nan)."""
+    finite = np.isfinite(np.diag(cov))
+    out = a[:, finite] @ cov[np.ix_(finite, finite)] @ a[:, finite].T
+    return out + np.diag(np.where((a[:, ~finite] != 0).any(axis=1), np.inf, 0.0))
+
+
 @dataclass
 class FreeEnergyCurve:
-    """Per-site free energy along an h-grid."""
+    """Per-site free energy along an h-grid, with the covariance of its values."""
 
     h: np.ndarray
     value: np.ndarray
-    se: np.ndarray
+    cov: np.ndarray
 
-    def second_differences(self) -> tuple[np.ndarray, np.ndarray]:
-        d2 = self.value[2:] - 2.0 * self.value[1:-1] + self.value[:-2]
-        se = np.sqrt(self.se[2:] ** 2 + 4.0 * self.se[1:-1] ** 2 + self.se[:-2] ** 2)
-        return d2, se
+    @property
+    def se(self) -> np.ndarray:
+        return np.sqrt(np.diag(self.cov))
+
+    def combine(self, weights) -> tuple[np.ndarray, np.ndarray]:
+        """w @ value and its SE for each row w of the matrix `weights`."""
+        return weights @ self.value, np.sqrt(np.diag(_map_cov(weights, self.cov)))
+
+
+def _trapezoid_rows(grid: np.ndarray) -> np.ndarray:
+    """Row k: the trapezoid weights of the integral from grid[0] to grid[k]."""
+    half = np.tril(np.ones((len(grid), len(grid) - 1)), -1) * (0.5 * np.diff(grid))
+    return np.pad(half, ((0, 0), (0, 1))) + np.pad(half, ((0, 0), (1, 0)))
 
 
 @dataclass
 class Ladder:
     """One warm-started integration ladder.
 
-    density[j] is the mean of the integrand at the j-th grid point;
-    increments[j] is the trapezoid over the j-th segment, with variance
-    increment_var[j] from the points' standard errors; log_z and log_z_se
-    accumulate them from 0 at the first point.  records[j] is the chain
-    record of point j (None where the integrand is exact and no chain ran).
+    density[j] is the mean of the integrand at the j-th grid point, density_se[j]
+    its SE; increments[j] is the trapezoid over the j-th segment, and log_z sums
+    them from 0 at the first point, log_z_se[k] the SE of _trapezoid_rows(grid)[k]
+    @ density (independent points).  records[j] is the chain record of point j
+    (None where the integrand is exact and no chain ran).
     """
 
     density: np.ndarray
+    density_se: np.ndarray
     increments: np.ndarray
-    increment_var: np.ndarray
     log_z: np.ndarray
     log_z_se: np.ndarray
     records: list
@@ -119,12 +137,10 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
         density[j], density_se[j] = rec.mean_se(integrand(rec))
         records[j] = rec
         field = chain.field
-    half = 0.5 * np.diff(grid)
-    increments = half * (density[:-1] + density[1:])
-    increment_var = half ** 2 * (density_se[:-1] ** 2 + density_se[1:] ** 2)
-    log_z = np.concatenate([[0.0], np.cumsum(increments)])
-    log_z_se = np.sqrt(np.concatenate([[0.0], np.cumsum(increment_var)]))
-    return Ladder(density, increments, increment_var, log_z, log_z_se, records)
+    increments = 0.5 * np.diff(grid) * (density[:-1] + density[1:])
+    log_z_se = np.sqrt(np.diag(_map_cov(_trapezoid_rows(grid), np.diag(density_se ** 2))))
+    return Ladder(density, density_se, increments, np.concatenate([[0.0], np.cumsum(increments)]),
+                  log_z_se, records)
 
 
 def _coupling_ladder(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
@@ -160,7 +176,7 @@ def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: Diso
     points from 0 to 1.  The co-membrane model is refused before any draw.
     """
     ladder = _coupling_ladder(geom, params, omega, rng, sweeps, burn_in)
-    return float(np.sum(ladder.increments)), math.sqrt(float(np.sum(ladder.increment_var)))
+    return float(np.sum(ladder.increments)), float(ladder.log_z_se[-1])
 
 
 def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
@@ -214,7 +230,8 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
 
 def _curve_replica(geom: BoxGeometry, beta: float, m: float, targets: np.ndarray,
                    master_seed: int, tag: str, sweeps: int, burn_in: int, r: int) -> tuple:
-    """One disorder replica of free_energy_curve: per-site log Z at the targets, ladder SEs."""
+    """One disorder replica of free_energy_curve: per-site log Z at the targets and its
+    covariance, the h-leg's weights from 0 to each target plus the anchor."""
     grid = _ti_h_grid(targets)
     zero = int(np.searchsorted(grid, 0.0))
     pos = np.searchsorted(grid, np.round(targets, 12))
@@ -229,8 +246,10 @@ def _curve_replica(geom: BoxGeometry, beta: float, m: float, targets: np.ndarray
     if beta > 0:
         base, base_se = coupling_log_z(geom, params0, omega, rep_rng, sweeps, burn_in)
     leg = ti_log_partition(geom, params0, omega, rep_rng, grid, sweeps, burn_in)
-    leg_var = np.abs(leg.log_z_se[pos] ** 2 - leg.log_z_se[zero] ** 2)
-    return (leg.log_z[pos] - leg.log_z[zero] + base) / n2, np.sqrt(leg_var + base_se ** 2) / n2
+    w = _trapezoid_rows(grid)
+    span = np.column_stack([w[pos] - w[zero], np.ones(len(pos))]) / n2
+    return ((leg.log_z[pos] - leg.log_z[zero] + base) / n2,
+            _map_cov(span, np.diag(np.append(leg.density_se, base_se) ** 2)))
 
 
 def free_energy_curve(geom: BoxGeometry, beta: float, h_targets, master_seed: int,
@@ -242,7 +261,8 @@ def free_energy_curve(geom: BoxGeometry, beta: float, h_targets, master_seed: in
     Anchoring: log Z(h=0) is 0 exactly for beta = 0 and comes from the
     coupling integration otherwise; one h-leg through 0 and every target then
     gives log Z(target) = leg(target) - leg(0) + log Z(0), in a single
-    warm-started pass per replica.
+    warm-started pass per replica.  The values' covariance is one replica's own,
+    or the replicas' spread, chain noise included, over `replicas`; inf where one has no SE.
     """
     if replicas < 1:
         raise DomainError(f"free_energy_curve needs replicas >= 1 (got {replicas})")
@@ -251,14 +271,13 @@ def free_energy_curve(geom: BoxGeometry, beta: float, h_targets, master_seed: in
         raise DomainError("free_energy_curve needs at least one target h")
     rows = _fan_out(functools.partial(_curve_replica, geom, beta, m, targets, master_seed, tag,
                                       sweeps, burn_in), replicas)
-    vals, ses = (np.array(col) for col in zip(*rows))
+    vals, covs = (np.array(col) for col in zip(*rows))
     value = vals.mean(axis=0)
-    if replicas > 1:
-        # the mean(ses^2) term counts the chain noise twice (ROADMAP item 1 drops it)
-        se = np.sqrt(vals.var(ddof=1, axis=0) / replicas + (ses ** 2).mean(axis=0) / replicas)
-    else:
-        se = ses[0]
-    return FreeEnergyCurve(targets, value, se)
+    if replicas == 1:
+        return FreeEnergyCurve(targets, value, covs[0])
+    blind = ~np.isfinite(np.diagonal(covs, axis1=1, axis2=2)).all(axis=0)
+    return FreeEnergyCurve(targets, value, np.atleast_2d(np.cov(vals, rowvar=False)) / replicas
+                           + np.diag(np.where(blind, np.inf, 0.0)))
 
 
 def density_event_threshold(N: int, m: float, K: float) -> float:

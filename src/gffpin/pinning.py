@@ -181,7 +181,8 @@ def free_interaction_mean(geom: BoxGeometry, params: PinningParams, omega: Disor
     lo, hi, w, scale, _ = _interaction(params, omega)
     var = kernels.green_dirichlet_diag(geom, params.m)
     sd = np.sqrt(np.maximum(var, 1e-300))
-    p = special.ndtr((hi - shift) / sd) - special.ndtr((lo - shift) / sd)
+    with np.errstate(over="ignore"):  # a far band edge: the quotient is +-inf, ndtr 0 or 1
+        p = special.ndtr((hi - shift) / sd) - special.ndtr((lo - shift) / sd)
     p = np.maximum(np.where(var > 0, p, 0.0), 0.0)
     mask = geom.interior_mask
     return scale * float(np.sum(w[mask] * p[mask]))

@@ -274,6 +274,17 @@ def test_thermo_checks_fail_on_infinite_se(capsys, sets):
                for line in checks), checks
 
 
+@pytest.mark.filterwarnings("error")
+def test_far_substrate_runs_without_a_warning(capsys):
+    # at u = 1e300 the band edges lie beyond every height: the exact t = 0 integrand's
+    # quotients reach +-inf and its band probabilities 0, with no overflow warning
+    argv = ["run", "finite-volume-criterion", "--set", "u=1e300", "--set", "N=8",
+            "--set", "replicas=2", "--set", "sweeps=20", "--set", "burn_in=10"]
+    assert cli.main(argv) == 0
+    assert ("[info] verdict: negative (estimate 0.0000 +- 0.0000, penalty 0.9000, "
+            "event freq 1.000)") in capsys.readouterr().out
+
+
 def test_massive_comparison_fails_on_infinite_se(capsys):
     assert cli.main(["run", "massive-comparison", "--set", "N=2", "--set", "sweeps=2",
                      "--set", "burn_in=1"]) == 1

@@ -188,12 +188,12 @@ def test_ladders_bit_identical():
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(242, "id-om4"))
     got = freeenergy.coupling_log_z(g, pinning.PinningParams(beta=0.5, h=0.2), om,
                                     rng.stream(243, "id-cz"), sweeps=20, burn_in=10)
-    assert got == (1.7112971519060112, 0.02060407668119823)  # the 12-point t-grid
+    assert got == (1.7112971519060112, 0.028516877392833002)  # the 12-point t-grid
     ti = freeenergy.ti_log_partition(g, pinning.PinningParams(beta=0.5), om,
                                      rng.stream(244, "id-ti"), np.array([0.0, 0.1, 0.2]),
                                      sweeps=20, burn_in=10)
     assert ti.log_z.tolist() == [0.0, 0.8250000000000001, 1.665]
-    assert ti.log_z_se.tolist() == [0.0, 0.029962940072325646, 0.03955305859784354]
+    assert ti.log_z_se.tolist() == [0.0, 0.029962940072325646, 0.052577984408347614]
     assert ti.density.tolist() == [8.3, 8.2, 8.6]
 
 
@@ -203,13 +203,13 @@ def test_free_energy_curve_bit_identical():
     pure = freeenergy.free_energy_curve(g, 0.0, [0.0, 0.1, 0.2], 247,
                                         sweeps=20, burn_in=10)
     assert pure.value.tolist() == [0.0, 0.051607142857143753, 0.10375000000000627]
-    assert pure.se.tolist() == [0.0, 0.000691604168964542, 0.0009514504382807145]
+    assert pure.se.tolist() == [0.0, 0.0009252075822728625, 0.001280246309209898]
     quenched = freeenergy.free_energy_curve(g, 0.5, [0.0, 0.1, 0.2], 247,
                                             replicas=2, sweeps=20, burn_in=10)
     assert quenched.value.tolist() == [-0.13442408634685515, -0.08712497920399423,
                                        -0.03839730063256767]
-    assert quenched.se.tolist() == [0.028443688063966334, 0.029187413007539287,
-                                    0.028415885927377885]
+    assert quenched.se.tolist() == [0.02835446314270708, 0.029091070285558643,
+                                    0.028309820285550825]
 
 
 def test_height_restriction_bit_identical():
@@ -325,15 +325,42 @@ def test_stream_audit_survives_the_process_pool():
         "246/fe/replica/0", "246/fe/omega/0", "246/fe/replica/1", "246/fe/omega/1"]
 
 
+def _kinked_rows(beta: float, targets: np.ndarray, r: int) -> np.ndarray:
+    """A convex curve with a 1e-5 scatter per point; at beta > 0 each replica adds its own
+    offset (SD 5e-3) to every target, and the last target drops by 2e-3."""
+    noise = np.random.default_rng([int(10 * beta), r])
+    value = 0.2 * targets + 0.1 * targets ** 2 + noise.normal(0.0, 1e-5, len(targets))
+    if beta > 0:
+        value += noise.normal(0.0, 5e-3) - 2e-3 * (targets == targets[-1])
+    return value
+
+
+def test_a_concave_kink_fails_the_convexity_line(monkeypatch):
+    # the kink's second difference, about -1.5e-3, against a replica spread of about 1e-5 in
+    # that difference: the stencil's SE sees it.  SEs that take the cumulative values as
+    # independent, each holding the replicas' offsets, put 3 se near 0.02 and let it through
+    monkeypatch.setattr(freeenergy, "_curve_replica",
+                        lambda geom, beta, m, targets, *a: (
+                            _kinked_rows(beta, targets, a[-1]),
+                            np.diag(np.full(len(targets), 1e-6))))
+    lines = experiments.run_experiment("thermo-consistency", {"replicas": 4}).lines
+    assert lines[0].startswith("[PASS] beta=0.0: convexity")
+    assert lines[2].startswith("[FAIL] beta=0.5: convexity")
+    assert lines[1] == "[PASS] beta=0.0: nondecreasing in h"
+    assert lines[3] == "[PASS] beta=0.5: nondecreasing in h"
+
+
 def test_curve_replica_job_through_the_process_pool():
-    # the curve's replica job pickles, and a pool of 2 gives the serial rows and stream ids
+    # the curve's replica job pickles, and a pool of 2 gives the serial values, covariances
+    # and stream ids
     job = functools.partial(freeenergy._curve_replica, lattice.build_box(4), 0.5, 0.0,
                             np.array([0.1, 0.2]), 248, "fe", 4, 2)
     runs = []
     for threads in (1, 2):
         with rng.audit_streams() as audit:
             rows = freeenergy._fan_out(job, 2, threads)
-        runs.append((np.array([np.concatenate(row) for row in rows]), audit.consumed))
+        runs.append((np.array([np.concatenate([vals, cov.ravel()]) for vals, cov in rows]),
+                     audit.consumed))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1] == [f"248/fe/{kind}/{r}" for r in (0, 1)
                                          for kind in ("replica", "omega")]
