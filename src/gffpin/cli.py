@@ -10,8 +10,8 @@ JSONL records and CSV tables; `verify` runs the whole acceptance suite and
 prints one verdict line per criterion (with --out, each criterion's stamp,
 which carries its config, records and tables).  --seed S and --threads T are
 short for --set seed=S and --set threads=T, refused where the experiment has
-no such setting; `verify --threads T` sets threads in criterion 12 only, and
-checks T before criterion 1 runs.  Before it writes its first result, each
+no such setting; `verify --threads T` sets threads in criteria 6 and 12 only,
+and checks T before criterion 1 runs.  Before it writes its first result, each
 command removes the results.jsonl, config.resolved and CSV tables an earlier
 command left in --out; a command refused before that leaves --out as it was.
 """
@@ -146,7 +146,8 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run the full acceptance suite")
     p_ver.add_argument("--out")
-    p_ver.add_argument("--threads", type=int)
+    p_ver.add_argument("--threads", type=int,
+                       help="worker processes for criteria 6 and 12, the ones with threads")
     p_ver.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -20,6 +20,7 @@ so nothing in this module re-derives C.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -259,21 +260,32 @@ def _run_harmonic_extension(cfg):
 # 6. bridge lemma
 # ---------------------------------------------------------------------------
 
+_BRIDGE_CELLS = [(k, x) for k in (25, 100, 400) for x in (1.0, 2.0, 5.0, 10.0)]
+
+
+def _bridge_cell(seed: int, n: int, i: int) -> tuple[float, float]:
+    """Cell i of criterion 6: the bridge estimate and its SE, on the cell's own stream."""
+    k, x = _BRIDGE_CELLS[i]
+    return fields.bridge_positivity_probability([1.0] * k, x, n,
+                                                rngmod.stream(seed, "bridge", k, x))
+
+
 def _run_bridge(cfg):
     seed = cfg["seed"]
-    n = cfg["bridges"]
     C = FROZEN_BRIDGE_C
     rows = []
     ok = True
-    for k in (25, 100, 400):
-        for x in (1.0, 2.0, 5.0, 10.0):
-            r = rngmod.stream(seed, "bridge", k, x)
-            p, se = fields.bridge_positivity_probability([1.0] * k, x, n, r)
-            lower = 1.0 - math.exp(-x * x / k)
-            upper = min(C * (x + math.log(k)) ** 2 / k, 1.0)
-            cell_ok = (p >= lower - 4.0 * se) and (p <= upper + 4.0 * se)
-            ok &= cell_ok
-            rows.append((k, x, p, se, lower, upper, cell_ok))
+    # the pool is handed the cells in reverse (k, x) order, so the largest (k = 400,
+    # x = 10: about a third of the normals) starts first; rows and streams keep (k, x) order
+    cells = freeenergy._fan_out(functools.partial(_bridge_cell, seed, cfg["bridges"]),
+                                len(_BRIDGE_CELLS), cfg["threads"],
+                                order=reversed(range(len(_BRIDGE_CELLS))))
+    for (k, x), (p, se) in zip(_BRIDGE_CELLS, cells):
+        lower = 1.0 - math.exp(-x * x / k)
+        upper = min(C * (x + math.log(k)) ** 2 / k, 1.0)
+        cell_ok = (p >= lower - 4.0 * se) and (p <= upper + 4.0 * se)
+        ok &= cell_ok
+        rows.append((k, x, p, se, lower, upper, cell_ok))
     checks = [(ok, f"12 cells inside [1-e^(-x^2/k), C(x+log k)^2/k] with frozen C={C}")]
     return checks, [{"cells": rows}], {
         "bridge_cells": (["k", "x", "estimate", "se", "lower", "upper", "ok"], rows)}
@@ -663,7 +675,7 @@ _register(
     "bridge-lemma",
     "Gaussian bridge below a barrier: two-sided envelope",
     "P[max <= x | end pinned] in [1 - e^{-x^2/k}, C (x + log k)^2 / k] with frozen C",
-    {"seed": 20260806, "bridges": 1_000_000}, _run_bridge, acceptance=6)
+    {"seed": 20260806, "bridges": 1_000_000, "threads": 1}, _run_bridge, acceptance=6)
 _register(
     "thermo-consistency",
     "free-energy curve shape in h and the quenched/annealed order",

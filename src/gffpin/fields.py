@@ -16,8 +16,17 @@ prices the cost of staying below a barrier.
 The batched samplers work in a working set of _BLOCK float64 values
 (0.5 MB), drawn with `rng.standard_normal(out=...)` straight into a reused
 buffer.  Dirichlet interiors are drawn a block of whole samples at a time and
-transformed in place; Philox fills row-major and each sample is transformed
-on its own, so their outputs do not depend on the block size.  Bridges run
+scaled and transformed in place; Philox fills row-major and each sample is
+transformed on its own, so their outputs do not depend on the block size.
+With more than one block, a call makes one worker thread that transforms
+block i while the calling thread draws block i + 1 (both release the GIL),
+and transforms the last block itself, so a one-block call starts no thread.
+Only the calling thread touches the generator, so the output and the
+generator's final state are bit for bit those of the serial loop; the worker
+ends with the call (no pool is left for forked replica workers to inherit),
+and the call's process CPU time can exceed its wall time.  A scale stack
+draws each layer into one reused buffer and transforms it in place, with no
+worker: overlapping its few large layers measured slower.  Bridges run
 _BLOCK walks at a time, one step of every live walk per draw, so which
 normal goes to which walk, and so every bridge output, depends on _BLOCK.
 Their second route is a deterministic transfer operator on a grid.  A scale
@@ -29,6 +38,8 @@ scale-time grid; its barrier margin is one masked maximum per scale.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,19 +132,35 @@ def sample_dirichlet_interior(geom: BoxGeometry, m: float, n: int,
                               rng: np.random.Generator) -> np.ndarray:
     """n independent interior samples, shape (n, N-1, N-1).
 
-    Each block of samples is drawn into its slice of the output, scaled there,
-    and replaced by its sine transform.
+    Each block of samples is drawn into its slice of the output, then scaled
+    and sine-transformed there in place.  With more than one block, one
+    worker thread transforms block i while this thread draws block i + 1;
+    this thread transforms the last block, so a one-block call starts no
+    thread.  An error in the worker is raised from the call, and the worker
+    has ended by the time the call returns or raises.
     """
     basis = kernels.spectral_basis(geom.N)
     scale = 1.0 / np.sqrt(basis.lam2d + m * m)
     out = np.empty((n,) + scale.shape)
     rows = max(1, _BLOCK // scale.size)
-    for start in range(0, n, rows):
-        block = out[start : start + rows]
-        rng.standard_normal(out=block)
-        block *= scale
-        block[...] = kernels.dst2(block)
+    blocks = [out[start : start + rows] for start in range(0, n, rows)]
+    with ThreadPoolExecutor(max_workers=1) if len(blocks) > 1 else nullcontext() as worker:
+        pending = None
+        for k, block in enumerate(blocks, start=1):
+            rng.standard_normal(out=block)
+            if pending is not None:
+                pending.result()
+            if k < len(blocks):
+                pending = worker.submit(_scaled_dst2, block, scale)
+            else:
+                _scaled_dst2(block, scale)
     return out
+
+
+def _scaled_dst2(block: np.ndarray, scale: np.ndarray) -> None:
+    """Scale a block of standard normals per mode and sine-transform it, in place."""
+    block *= scale
+    kernels.dst2(block)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +300,9 @@ def sample_scale_stack(geom: BoxGeometry, m: float, rng: np.random.Generator,
         raise DomainError(f"scale-time grid built for m = {grid.m}, sample asked at m = {m}")
     sd, jmap = _stack_tables(geom, grid)
     xi = np.zeros((grid.k, geom.side, geom.side))
+    z = np.empty(sd.shape[1:])
     for i, layer_sd in enumerate(sd):
-        z = rng.standard_normal(layer_sd.shape)
+        rng.standard_normal(out=z)
         z *= layer_sd
         xi[i, 1:-1, 1:-1] = kernels.dst2(z)
     stack = ScaleStack(grid, jmap, xi)

@@ -202,16 +202,23 @@ def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
 # replica averages: free-energy curve, finite-volume criterion, doubling
 # ---------------------------------------------------------------------------
 
-def _fan_out(job, replicas: int, threads: int = 1) -> list:
-    """job(r) for each replica r in its own stream audit, over a process pool when
-    threads > 1; returns the outputs and adds the stream ids to the audit in replica order."""
+def _fan_out(job, replicas: int, threads: int = 1, order=None) -> list:
+    """job(r) for each replica r in its own stream audit, over a pool of at most `threads`
+    processes (no more than there are jobs) when threads > 1; returns the outputs and adds
+    the stream ids to the audit in replica order.
+
+    order, a permutation of the replica indices, is the order in which the pool is handed
+    the jobs (the longest first, say); the outputs and ids come back in replica order.
+    """
     if threads <= 1 or replicas <= 1:
         done = [_audited(job, r) for r in range(replicas)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(functools.partial(_audited, job), range(replicas)))
+        order = list(range(replicas) if order is None else order)
+        with ProcessPoolExecutor(max_workers=min(threads, replicas)) as pool:
+            ran = dict(zip(order, pool.map(functools.partial(_audited, job), order)))
+        done = [ran[r] for r in range(replicas)]
     for _, ids in done:
         rngmod.record_streams(ids)
     return [out for out, _ in done]

@@ -452,5 +452,14 @@ def split_diag(geom: BoxGeometry, m: float, t_split: float) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 def dst2(a: np.ndarray) -> np.ndarray:
-    """Orthonormal 2D DST-I over the last two axes (involutive)."""
-    return dstn(a, type=1, norm="ortho", axes=(-2, -1))
+    """Orthonormal 2D DST-I over the last two axes (involutive), in place.
+
+    a must be a writeable float64 array: it is overwritten with its transform
+    and returned, so a caller that still needs its input transforms a copy.
+    In place and out of place give the same bits.  pocketfft releases the GIL
+    while it transforms, so another thread can draw meanwhile.
+    """
+    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+        raise DomainError("dst2 transforms a float64 array in place")
+    dstn(a, type=1, norm="ortho", axes=(-2, -1), overwrite_x=True)
+    return a

@@ -123,7 +123,7 @@ def test_threads_flag_is_the_threads_setting(tmp_path, capsys):
 
 
 def test_verify_gives_threads_to_the_criteria_that_take_it(monkeypatch, capsys):
-    # every criterion runs a stand-in that keeps its config; only criterion 12 has threads
+    # every criterion runs a stand-in that keeps its config; only criteria 6 and 12 have threads
     seen = {}
 
     def keeping(name):
@@ -137,8 +137,19 @@ def test_verify_gives_threads_to_the_criteria_that_take_it(monkeypatch, capsys):
         monkeypatch.setitem(experiments.REGISTRY, name, fake)
     assert cli.main(["verify", "--threads", "2"]) == 0
     assert len(seen) == 12
-    assert {name for name, cfg in seen.items() if "threads" in cfg} == {"subadditivity"}
-    assert seen["subadditivity"]["threads"] == 2
+    assert {name for name, cfg in seen.items() if "threads" in cfg} == {"bridge-lemma",
+                                                                         "subadditivity"}
+    assert seen["bridge-lemma"]["threads"] == seen["subadditivity"]["threads"] == 2
+
+
+def test_bridge_lemma_over_two_processes_keeps_every_output():
+    # the 12 cells are handed to the pool largest first; rows and streams keep (k, x) order
+    runs = [experiments.run_experiment("bridge-lemma", {"bridges": 2000, "threads": t})
+            for t in (1, 2)]
+    serial, pooled = ((r.lines, r.records, r.tables, r.streams) for r in runs)
+    assert pooled == serial
+    assert [row[:2] for row in runs[1].records[0]["cells"]] == experiments._BRIDGE_CELLS
+    assert runs[1].streams[-1] == "20260806/bridge/400/10.0"
 
 
 @pytest.mark.parametrize("checks,passed,tags", [
@@ -154,7 +165,7 @@ def test_runner_derives_lines_and_verdict_from_checks(monkeypatch, checks, passe
     assert res.passed is passed
     assert res.lines == [f"[{tag}] {text}" for tag, (_, text) in zip(tags, checks)]
     assert (res.name, res.records, res.tables) == (exp.name, [{"n": 1}], {"t": (["x"], [(1,)])})
-    assert res.config == {"seed": 3, "bridges": 1_000_000}
+    assert res.config == {"seed": 3, "bridges": 1_000_000, "threads": 1}
 
 
 def test_set_overrides(tmp_path, capsys):
@@ -200,8 +211,8 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["run", "penalty-cost", "--set", "samples=2.5"], "samples"),
     (["run", "sampler-exactness", "--set", "samples=1e3"], "samples"),
     (["run", "subadditivity", "--threads", "-3"], "threads must be an integer >= 1 (got -3)"),
-    (["run", "bridge-lemma", "--threads", "2"],
-     "unknown config key(s) threads for 'bridge-lemma'; known: bridges, seed"),
+    (["run", "harmonic-extension", "--threads", "2"],
+     "unknown config key(s) threads for 'harmonic-extension'; known: seed, walks"),
     (["run", "exact-small-box", "--seed", "5"],
      "unknown config key(s) seed for 'exact-small-box'; it takes no settings"),
     (["verify", "--threads", "0"], "threads must be an integer >= 1 (got 0)"),

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.fft import dstn
 
 from gffpin import fields, freeenergy, kernels, lattice, rng
-from gffpin.errors import DomainError
+from gffpin.errors import DomainError, NumericError
 
 
 def test_single_site_law():
@@ -396,6 +399,53 @@ def test_pinned_dirichlet_interior(N):
         assert out.shape == (n, N - 1, N - 1)
         got.append((n, _digest(out)))
     assert got == expected
+
+
+@pytest.mark.parametrize("N,m,n", [(256, 0.0, 3), (32, 0.3, 3 * 68 + 5), (8, 0.2, 2 * 1337 + 1)],
+                         ids=["N256-3-blocks", "N32-4-blocks", "N8-3-blocks"])
+def test_blocked_sampler_is_the_serial_oracle(N, m, n):
+    # the worker thread transforms block i while block i + 1 is drawn: the output and the
+    # generator's final state are those of one sample at a time, normals -> scale -> DST
+    g = lattice.build_box(N)
+    r, oracle_rng = rng.stream(264, "oracle", N), rng.stream(264, "oracle", N)
+    scale = 1.0 / np.sqrt(kernels.spectral_basis(N).lam2d + m * m)
+    oracle = np.array([dstn(oracle_rng.standard_normal((N - 1, N - 1)) * scale, type=1,
+                            norm="ortho", axes=(-2, -1)) for _ in range(n)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        out = fields.sample_dirichlet_interior(g, m, n, r)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out.shape == (n, N - 1, N - 1) and np.array_equal(out, oracle)
+    assert repr(r.bit_generator.state) == repr(oracle_rng.bit_generator.state)  # arrays inside
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    for N, n in ((256, 1), (32, 68), (8, 1337), (8, 0)):  # 68 and 1337 samples fill one block
+        fields.sample_dirichlet_interior(lattice.build_box(N), 0.1, n, rng.stream(265, N))
+    assert started == []
+    fields.sample_dirichlet_interior(lattice.build_box(32), 0.1, 69, rng.stream(265, "two"))
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_worker_error_is_raised_from_the_call(monkeypatch):
+    # the worker transforms every block but the last; its error surfaces in the caller, and
+    # the worker has ended by the time the call raises
+    def failing(block):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericError("transform failed in the worker")
+        return block
+
+    before = set(threading.enumerate())
+    monkeypatch.setattr(fields.kernels, "dst2", failing)
+    with pytest.raises(NumericError, match="in the worker"):
+        fields.sample_dirichlet_interior(lattice.build_box(32), 0.1, 300, rng.stream(266, "w"))
+    assert set(threading.enumerate()) == before
 
 
 def test_pinned_bridges():

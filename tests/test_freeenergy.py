@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import math
 
@@ -171,6 +172,36 @@ def test_doubling_gap_threads_consistent():
     b = freeenergy.doubling_gap(0.0, 0.3, 0.4, 0.0, 10.0, 4, 411, replicas=2,
                                 sweeps=60, burn_in=40, threads=2)
     assert a["gap"] == pytest.approx(b["gap"], abs=1e-12)  # same streams, any schedule
+
+
+def test_fan_out_pool_hands_out_jobs_in_order_and_returns_them_by_index(monkeypatch):
+    # a stand-in pool records its size and the order the jobs reach it; the pool is no
+    # larger than the job count, and outputs and stream ids come back by index
+    seen = {}
+
+    class Pool:
+        def __init__(self, max_workers):
+            seen["workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            seen["order"] = list(items)
+            return [fn(i) for i in seen["order"]]
+
+    def job(r):
+        rng.stream(7, "fan-out", r)
+        return 10 * r
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    with rng.audit_streams() as audit:
+        out = freeenergy._fan_out(job, 3, threads=8, order=[2, 0, 1])
+    assert (seen["workers"], seen["order"], out) == (3, [2, 0, 1], [0, 10, 20])
+    assert audit.consumed == [f"7/fan-out/{r}" for r in range(3)]
 
 
 def test_finite_volume_localized_positive():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import special
+from scipy.fft import dstn
 
 from gffpin import freeenergy, kernels, lattice
 from gffpin.errors import DomainError, NumericError
@@ -54,6 +55,17 @@ def test_spectral_basis_is_built_once_per_size_and_read_only():
             table[0, 0] = 1.0
     lam = 2.0 * (1.0 - np.cos(np.arange(1, 8) * np.pi / 8))
     assert np.array_equal(basis.lam2d, np.add.outer(lam, lam))
+
+
+def test_dst2_transforms_its_argument_in_place():
+    # dst2 returns its own C-contiguous float64 argument, holding the out-of-place transform
+    a = np.random.default_rng(1).standard_normal((3, 15, 15))
+    expected = dstn(a, type=1, norm="ortho", axes=(-2, -1))
+    out = kernels.dst2(a)
+    assert out is a and a.flags.c_contiguous and a.dtype == np.float64
+    assert np.array_equal(a, expected)
+    with pytest.raises(DomainError):
+        kernels.dst2(np.ones((4, 4), dtype=np.float32))
 
 
 def test_chapman_kolmogorov():

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "se_calibration.py"
 _spec = importlib.util.spec_from_file_location("se_calibration", _PATH)
 se_calibration = importlib.util.module_from_spec(_spec)
+sys.modules["se_calibration"] = se_calibration  # so that worker processes find its estimators
 _spec.loader.exec_module(se_calibration)
 
 _CHEAP = ["--seeds", "30", "--set", "points=5", "--set", "sweeps=100", "--set", "burn_in=20"]
@@ -47,9 +49,19 @@ def test_a_tiny_budget_prints_every_column(capsys):
     assert all(float(x) > 0 for x in (sd_z, lo, hi, ratio, median_se))
 
 
+def test_two_worker_processes_print_the_same_row(capsys):
+    argv = ["coupling", "--seeds", "4", "--set", "sweeps=20", "--set", "burn_in=4"]
+    rows = []
+    for threads in ("1", "2"):
+        se_calibration.main(argv + ["--threads", threads])
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1] and len(rows[0].splitlines()) == 3
+
+
 @pytest.mark.parametrize("argv", [["h-leg", "--seeds", "1"], ["h-leg", "--seeds", "3",
-                                                              "--set", "replicas=2"]],
-                         ids=["one-seed", "unknown-setting"])
+                                                              "--set", "replicas=2"],
+                                  ["h-leg", "--seeds", "3", "--threads", "0"]],
+                         ids=["one-seed", "unknown-setting", "threads-zero"])
 def test_bad_arguments_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         se_calibration.main(argv)

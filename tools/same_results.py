@@ -5,7 +5,8 @@
 
 --all runs every row of RUNS instead of one experiment: each registered
 experiment, at its defaults where those are quick and at a small budget
-otherwise, subadditivity and finite-volume-criterion also at --threads 2,
+otherwise, bridge-lemma, subadditivity and finite-volume-criterion also at
+--threads 2,
 subadditivity also at N = 8, thermo-consistency also at replicas = 1 (its
 beta = 0.5 curve then takes its SEs from one replica's ladders),
 cluster-probability also at h = -0.2 (where the hit frequency lies strictly
@@ -52,6 +53,7 @@ RUNS = [
     ("penalty-cost", [], None),
     ("sampler-exactness", ["samples=20000", "stack_samples=5000"], None),
     ("bridge-lemma", ["bridges=20000"], None),
+    ("bridge-lemma", ["bridges=20000"], 2),
     ("thermo-consistency", ["N=16", "replicas=2", "sweeps=60", "burn_in=30"], None),
     ("thermo-consistency", ["N=16", "replicas=1", "sweeps=60", "burn_in=30"], None),
     ("massive-comparison", ["N=16", "sweeps=100", "burn_in=50"], None),

@@ -2,6 +2,7 @@
 
     python3 tools/se_calibration.py h-leg --seeds 60
     python3 tools/se_calibration.py coupling --seeds 40 --set beta=0.5 --set h=2
+    python3 tools/se_calibration.py h-leg --seeds 60 --threads 2
 
 ESTIMATOR names an entry of ESTIMATORS: a library call that returns, under one
 chain seed, an estimate, its stated SE and the exact value it estimates.  Both
@@ -13,6 +14,8 @@ entries run at N = 2, the one box that pinning.exact_partition_small solves:
 
 The disorder is one draw (stream omega_seed) for every seed, and seed s =
 0 .. S-1 drives the chain alone.  --set key=value changes an entry's defaults.
+--threads T runs the seeds over T worker processes (freeenergy._fan_out's
+pool); the row is the same as with one.
 One row is printed: the SD about 0 of z = (estimate - exact) / SE over the S
 seeds, with its 90 % interval from the chi-square law of S sd(z)^2 / sd^2 on
 S degrees of freedom; SD(estimates) / RMS(SE), the spread of the estimates
@@ -24,6 +27,7 @@ FLAG.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -76,9 +80,11 @@ ESTIMATORS = {
 }
 
 
-def calibrate(estimator, cfg: dict, seeds: int) -> dict:
-    """The row's columns for `estimator` run at cfg under seeds 0 .. seeds-1."""
-    value, se, exact = np.array([estimator(cfg, s) for s in range(seeds)]).T
+def calibrate(estimator, cfg: dict, seeds: int, threads: int = 1) -> dict:
+    """The row's columns for `estimator` run at cfg under seeds 0 .. seeds-1, over
+    `threads` worker processes."""
+    value, se, exact = np.array(freeenergy._fan_out(functools.partial(estimator, cfg), seeds,
+                                                    threads)).T
     with np.errstate(divide="ignore"):  # an SE of 0 (a constant series) reads z = inf
         sd_z = math.sqrt(float(np.mean(((value - exact) / se) ** 2)))
     lo, hi = sd_z * np.sqrt(seeds / stats.chi2.ppf([0.95, 0.05], seeds))
@@ -93,6 +99,7 @@ def main(argv=None) -> int:
     parser.add_argument("estimator", choices=sorted(ESTIMATORS))
     parser.add_argument("--seeds", type=int, required=True, help="number of chain seeds, >= 2")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    parser.add_argument("--threads", type=int, default=1, help="worker processes, >= 1")
     args = parser.parse_args(argv)
     defaults, estimator = ESTIMATORS[args.estimator]
     cfg = dict(defaults)
@@ -104,7 +111,9 @@ def main(argv=None) -> int:
         cfg[key] = parse_value(text)
     if args.seeds < 2:
         parser.error(f"--seeds must be >= 2 (got {args.seeds})")
-    row = calibrate(estimator, cfg, args.seeds)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1 (got {args.threads})")
+    row = calibrate(estimator, cfg, args.seeds, args.threads)
     print(f"{args.estimator} at N = 2, " + ", ".join(f"{k}={v}" for k, v in sorted(cfg.items())))
     print(f"{'seeds':>5}  {'sd(z)':>6}  {'90% interval':>14}  {'sd/rms(se)':>10}  "
           f"{'median se':>10}  verdict")
