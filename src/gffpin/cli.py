@@ -8,10 +8,11 @@
 `run` executes one registry experiment and persists the resolved config,
 JSONL records and CSV tables; `verify` runs the whole acceptance suite and
 prints one verdict line per criterion (with --out, each criterion's stamp,
-which carries its config, records and tables).  --seed S and --threads T are
-short for --set seed=S and --set threads=T, refused where the experiment has
-no such setting; `verify --threads T` sets threads in criteria 6 and 12 only,
-and checks T before criterion 1 runs.  Before it writes its first result, each
+which carries its config, records and tables).  --seed S is short for
+--set seed=S, refused where the experiment has no seed.  Every `run` and
+`verify` accepts --threads T: each replica fan-out goes over T worker
+processes.  It changes no number and is recorded nowhere; an experiment with
+nothing to fan out runs serially.  Before it writes its first result, each
 command removes the results.jsonl, config.resolved and CSV tables an earlier
 command left in --out; a command refused before that leaves --out as it was.
 """
@@ -24,7 +25,7 @@ import time
 from pathlib import Path
 
 from . import config as cfgmod
-from . import experiments, io
+from . import experiments, freeenergy, io
 from .errors import ConfigError, GffpinError
 
 
@@ -37,8 +38,8 @@ def _resolve_config(args) -> dict:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         cfg[key.strip()] = cfgmod.parse_value(val)
-    cfg.update((key, getattr(args, key)) for key in ("seed", "threads")
-               if getattr(args, key) is not None)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     return cfg
 
 
@@ -101,19 +102,15 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    criteria = [experiments.REGISTRY[name] for name in experiments.acceptance_names()]
-    # threads only where a criterion has it; every config is checked before any runs
-    configs = [exp.resolve({"threads": args.threads} if args.threads is not None
-                           and "threads" in exp.defaults else {}) for exp in criteria]
     out = _outdir(args.out, True)
     all_ok = True
     t0 = time.time()
-    for k, (exp, cfg) in enumerate(zip(criteria, configs)):
-        result = experiments.run_experiment(exp.name, cfg)
+    for k, name in enumerate(experiments.acceptance_names()):
+        result = experiments.run_experiment(name)
         ok = bool(result.passed)
         all_ok &= ok
-        print(f"criterion {exp.acceptance:2d} [{'PASS' if ok else 'FAIL'}] "
-              f"{exp.name} ({result.wall_time:.1f} s)")
+        print(f"criterion {experiments.REGISTRY[name].acceptance:2d} "
+              f"[{'PASS' if ok else 'FAIL'}] {name} ({result.wall_time:.1f} s)")
         if not ok:
             for line in result.lines:
                 print(f"    {line}")
@@ -137,7 +134,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_run.add_argument("--out", help="output directory for records and tables")
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--threads", type=int)
     p_run.add_argument("--force", action="store_true")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -146,13 +142,16 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run the full acceptance suite")
     p_ver.add_argument("--out")
-    p_ver.add_argument("--threads", type=int,
-                       help="worker processes for criteria 6 and 12, the ones with threads")
     p_ver.set_defaults(fn=_cmd_verify)
+    for p in (p_run, p_ver):
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for each replica fan-out (default 1); changes no "
+                            "number, is recorded nowhere; nothing to fan out runs serially")
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with freeenergy.workers(getattr(args, "threads", 1)):
+            return args.fn(args)
     except GffpinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

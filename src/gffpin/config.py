@@ -13,14 +13,11 @@ from .errors import ConfigError
 
 def parse_value(text: str):
     t = text.strip()
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(t)
+        except ValueError:
+            pass
     return t
 
 
@@ -28,9 +25,7 @@ def parse_config(text: str) -> dict:
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
+        if not line or (line.startswith("[") and line.endswith("]")):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
@@ -44,16 +39,8 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def render_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def render_config(cfg: dict, header: str | None = None) -> str:
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    for key in sorted(cfg):
-        lines.append(f"{key} = {render_value(cfg[key])}")
+    """One `key = value` line per key, sorted, a float in its repr, after a `# header`."""
+    lines = ([f"# {header}"] if header else []) + [
+        f"{key} = {repr(v) if isinstance(v, float) else v}" for key, v in sorted(cfg.items())]
     return "\n".join(lines) + "\n"

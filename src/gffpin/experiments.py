@@ -278,8 +278,7 @@ def _run_bridge(cfg):
     # the pool is handed the cells in reverse (k, x) order, so the largest (k = 400,
     # x = 10: about a third of the normals) starts first; rows and streams keep (k, x) order
     cells = freeenergy._fan_out(functools.partial(_bridge_cell, seed, cfg["bridges"]),
-                                len(_BRIDGE_CELLS), cfg["threads"],
-                                order=reversed(range(len(_BRIDGE_CELLS))))
+                                len(_BRIDGE_CELLS), order=reversed(range(len(_BRIDGE_CELLS))))
     for (k, x), (p, se) in zip(_BRIDGE_CELLS, cells):
         lower = 1.0 - math.exp(-x * x / k)
         upper = min(C * (x + math.log(k)) ** 2 / k, 1.0)
@@ -496,8 +495,7 @@ def _run_copolymer(cfg):
 def _run_subadditivity(cfg):
     out = freeenergy.doubling_gap(cfg["beta"], cfg["h"], cfg["m"], 0.0, cfg["K"],
                                   cfg["N"], cfg["seed"], replicas=cfg["replicas"],
-                                  sweeps=cfg["sweeps"], burn_in=cfg["burn_in"],
-                                  threads=cfg["threads"])
+                                  sweeps=cfg["sweeps"], burn_in=cfg["burn_in"])
     checks = [(out["gap"] >= -3.0 * out["gap_se"],
                f"E log Z'({2 * cfg['N']}) - 4 E log Z'({cfg['N']}) = "
                f"{out['gap']:.2f} >= -3 se ({out['gap_se']:.2f})")]
@@ -538,7 +536,7 @@ def _run_finite_volume(cfg):
     rep = freeenergy.finite_volume_criterion(cfg["beta"], cfg["h"], cfg["m"], cfg["u"],
                                              cfg["K"], cfg["N"], cfg["seed"],
                                              replicas=cfg["replicas"], sweeps=cfg["sweeps"],
-                                             burn_in=cfg["burn_in"], threads=cfg["threads"])
+                                             burn_in=cfg["burn_in"])
     checks = [(None, f"verdict: {rep['verdict']} (estimate {rep['estimate']:.4f} "
                      f"+- {rep['se']:.4f}, penalty {rep['penalty']:.4f}, "
                      f"event freq {rep['event_frequency']:.3f})")]
@@ -675,7 +673,7 @@ _register(
     "bridge-lemma",
     "Gaussian bridge below a barrier: two-sided envelope",
     "P[max <= x | end pinned] in [1 - e^{-x^2/k}, C (x + log k)^2 / k] with frozen C",
-    {"seed": 20260806, "bridges": 1_000_000, "threads": 1}, _run_bridge, acceptance=6)
+    {"seed": 20260806, "bridges": 1_000_000}, _run_bridge, acceptance=6)
 _register(
     "thermo-consistency",
     "free-energy curve shape in h and the quenched/annealed order",
@@ -710,7 +708,7 @@ _register(
     "doubling inequality for the boundary-averaged restricted partition function",
     "E log Z'(2N) >= 4 E log Z'(N) within 3 se at N = 16 -> 32",
     {"seed": 20260812, "N": 16, "beta": 0.5, "h": 0.3, "m": 0.3, "K": FROZEN_DENSITY_K,
-     "replicas": 8, "sweeps": 400, "burn_in": 200, "threads": 1},
+     "replicas": 8, "sweeps": 400, "burn_in": 200},
     _run_subadditivity, acceptance=12)
 
 _register(
@@ -725,7 +723,7 @@ _register(
     "positivity certificate from one finite box with stationary boundary",
     "(1/N^2) E log E^{m,bc}[e^{interaction} 1_D] - K m^2 > 0 certifies F > 0",
     {"seed": 20260821, "N": 32, "beta": 0.0, "h": 2.0, "m": 0.3, "u": 0.2,
-     "K": 10.0, "replicas": 4, "sweeps": 400, "burn_in": 250, "threads": 1},
+     "K": 10.0, "replicas": 4, "sweeps": 400, "burn_in": 250},
     _run_finite_volume)
 _register(
     "density-calibrate",
@@ -781,7 +779,7 @@ def _fits(value, default) -> bool:
 
 # smallest value of each count setting, wherever an experiment has one: a sample
 # variance or standard error needs two draws
-_LEAST = {"threads": 1, "samples": 1, "stack_samples": 2, "walks": 2}
+_LEAST = {"samples": 1, "stack_samples": 2, "walks": 2}
 
 
 def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult:

@@ -10,13 +10,14 @@ log Z is the exact contact total) and the soft-wall strength of the height
 restriction.  The free-energy curve is anchored at h = 0: coupling leg
 there, then one h-leg through 0 and every target.  The curve, the
 finite-volume criterion and the doubling (sub-additivity) check share one
-replica fan-out; the latter two share one mean-and-SE rule, each replica
-one coupling leg at its target.  Also here: the laboratory-scale schedule
-and the copolymer critical point.
+replica fan-out, serial outside a `workers` block; the latter two share one
+mean-and-SE rule, each replica one coupling leg at its target.  Also here:
+the laboratory-scale schedule and the copolymer critical point.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -202,21 +203,39 @@ def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
 # replica averages: free-energy curve, finite-volume criterion, doubling
 # ---------------------------------------------------------------------------
 
-def _fan_out(job, replicas: int, threads: int = 1, order=None) -> list:
-    """job(r) for each replica r in its own stream audit, over a pool of at most `threads`
-    processes (no more than there are jobs) when threads > 1; returns the outputs and adds
-    the stream ids to the audit in replica order.
+_WORKERS = 1  # worker processes of each replica fan-out; 1 outside a `workers` block
+
+
+@contextlib.contextmanager
+def workers(count: int):
+    """Every replica fan-out inside the block runs over `count` worker processes.  It says
+    how a run executes, not what it computes: the outputs and stream ids are the same at any
+    count.  Each job of a fan-out runs at a count of 1, so no pool nests inside another."""
+    global _WORKERS
+    if count < 1:
+        raise DomainError(f"--threads must be an integer >= 1 (got {count})")
+    prev, _WORKERS = _WORKERS, count
+    try:
+        yield
+    finally:
+        _WORKERS = prev
+
+
+def _fan_out(job, replicas: int, order=None) -> list:
+    """job(r) for each replica r in its own stream audit, over a pool of at most _WORKERS
+    processes (no more than there are jobs) when that count is above 1; returns the outputs
+    and adds the stream ids to the audit in replica order.
 
     order, a permutation of the replica indices, is the order in which the pool is handed
     the jobs (the longest first, say); the outputs and ids come back in replica order.
     """
-    if threads <= 1 or replicas <= 1:
+    if _WORKERS <= 1 or replicas <= 1:
         done = [_audited(job, r) for r in range(replicas)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         order = list(range(replicas) if order is None else order)
-        with ProcessPoolExecutor(max_workers=min(threads, replicas)) as pool:
+        with ProcessPoolExecutor(max_workers=min(_WORKERS, replicas)) as pool:
             ran = dict(zip(order, pool.map(functools.partial(_audited, job), order)))
         done = [ran[r] for r in range(replicas)]
     for _, ids in done:
@@ -225,8 +244,8 @@ def _fan_out(job, replicas: int, threads: int = 1, order=None) -> list:
 
 
 def _audited(job, r: int) -> tuple:
-    """job(r) and the ids of the streams it drew."""
-    with rngmod.audit_streams() as audit:
+    """job(r), run at a worker count of 1, and the ids of the streams it drew."""
+    with rngmod.audit_streams() as audit, workers(1):
         return job(r), audit.consumed
 
 
@@ -328,21 +347,20 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
 
 
 def _box_estimate(beta: float, h: float, m: float, u: float, K: float, N: int,
-                  master_seed: int, tag: str, replicas: int, sweeps: int, burn_in: int,
-                  threads: int) -> tuple[float, float, float]:
+                  master_seed: int, tag: str, replicas: int, sweeps: int,
+                  burn_in: int) -> tuple[float, float, float]:
     """Replica mean of log Z' in the box of side N, its SE and the mean D-event frequency;
     one (boundary, disorder) replica per job of the fan-out, streams keyed by tag."""
     geom = build_box(N)
     job = functools.partial(_replica_log_z, geom, beta, h, m, u,
                             density_event_threshold(N, m, K), master_seed, tag, sweeps, burn_in,
                             fields.boundary_covariance(geom, m))
-    vals, freqs = (np.array(col) for col in zip(*_fan_out(job, replicas, threads)))
+    vals, freqs = (np.array(col) for col in zip(*_fan_out(job, replicas)))
     return *_mean_se(vals), float(freqs.mean())
 
 
 def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float, N: int,
-                            master_seed: int, replicas: int, sweeps: int, burn_in: int,
-                            threads: int = 1) -> dict:
+                            master_seed: int, replicas: int, sweeps: int, burn_in: int) -> dict:
     """Laboratory version of the finite-volume lower-bound certificate.
 
     Estimates (1/N^2) E_bc E_omega log E^{m,bc}[exp(sum (beta w - lambda + h)
@@ -354,7 +372,7 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
     if replicas < 1:
         raise DomainError(f"finite_volume_criterion needs replicas >= 1 (got {replicas})")
     mean, mean_se, freq = _box_estimate(beta, h, m, u, K, N, master_seed, "fvc", replicas,
-                                        sweeps, burn_in, threads)
+                                        sweeps, burn_in)
     n2 = N * N
     est, se = mean / n2, mean_se / n2
     penalty = K * m * m
@@ -365,8 +383,7 @@ def finite_volume_criterion(beta: float, h: float, m: float, u: float, K: float,
 
 
 def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
-                 master_seed: int, replicas: int, sweeps: int, burn_in: int,
-                 threads: int = 1) -> dict:
+                 master_seed: int, replicas: int, sweeps: int, burn_in: int) -> dict:
     """E log Z' at sizes N and 2N and the sub-additivity gap E_2N - 4 E_N.
 
     The exact finite-volume inequality is gap >= 0 in expectation over the
@@ -376,7 +393,7 @@ def doubling_gap(beta: float, h: float, m: float, u: float, K: float, N: int,
         raise DomainError(f"doubling_gap needs replicas >= 2 for its standard error "
                           f"(got {replicas})")
     out = {label: _box_estimate(beta, h, m, u, K, size, master_seed, f"dbl-{label}", replicas,
-                                sweeps, burn_in, threads)[:2]
+                                sweeps, burn_in)[:2]
            for label, size in (("small", N), ("large", 2 * N))}
     gap = out["large"][0] - 4.0 * out["small"][0]
     gap_se = math.sqrt(out["large"][1] ** 2 + 16.0 * out["small"][1] ** 2)

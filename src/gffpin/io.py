@@ -28,17 +28,11 @@ def _json_default(obj):
 
 
 def write_csv(path, header, rows) -> None:
-    """Comma separator, '.' decimal point, header row, LF endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
+    """Comma separator, '.' decimal point (a float to 12 significant digits), header row,
+    LF endings."""
+    lines = [",".join(header)] + [",".join(format(c, ".12g") if isinstance(c, float) else str(c)
+                                           for c in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _csv_cell(c) -> str:
-    if isinstance(c, float):
-        return format(c, ".12g")
-    return str(c)
 
 
 def git_describe() -> str:

@@ -505,10 +505,11 @@ class ChainRecord:
     extra: dict
 
     def mean_se(self, series: np.ndarray) -> tuple[float, float]:
-        """Mean of a recorded series and its SE, from the series' own IACT."""
+        """Mean of a recorded series and its SE, from the series' own IACT; inf from
+        fewer than four records or from a series with no variation."""
         n = len(series)
         mean = float(series.mean())
-        if n < 4:
+        if n < 4 or series.min() == series.max():
             return mean, float("inf")
         var = float(series.var(ddof=1))
         return mean, math.sqrt(var * integrated_autocorrelation(series) / n)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -100,8 +101,11 @@ def test_force_removes_what_an_earlier_run_wrote(tmp_path, capsys):
     ["run", "pure-free-energy", "--force", "--set", "h_min=0.3", "--set", "h_max=0.05"],
     ["run", "pure-free-energy", "--force", "--set", "h_step=1e-300"],
     ["run", "pure-free-energy", "--force", "--set", "h_step=1e-7"],
+    ["run", "subadditivity", "--force", "--set", "threads=2"],
+    ["run", "harmonic-extension", "--force", "--threads", "0"],
 ], ids=["verify-threads-zero", "run-wrong-type", "run-refused-inside", "run-unknown",
-        "h-step-zero", "h-range-reversed", "h-step-1e-300", "h-step-1e-7"])
+        "h-step-zero", "h-range-reversed", "h-step-1e-300", "h-step-1e-7", "set-threads",
+        "run-threads-zero"])
 def test_refused_command_leaves_out_untouched(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert cli.main(["run", "f-asymptotics", "--out", str(out)]) == 0
@@ -113,39 +117,61 @@ def test_refused_command_leaves_out_untouched(tmp_path, capsys, argv):
     assert not missing.exists()
 
 
-def test_threads_flag_is_the_threads_setting(tmp_path, capsys):
-    out = tmp_path / "run"
-    argv = ["run", "subadditivity", "--out", str(out), "--set", "N=4", "--set", "replicas=2",
-            "--set", "sweeps=4", "--set", "burn_in=2", "--set", "threads=1", "--threads", "2"]
-    assert cli.main(argv) == 0
-    assert [s["config"]["threads"] for s in _stamps(out)] == [2]
-    assert "threads = 2" in (out / "config.resolved").read_text()
+def _without_revision_and_time(out) -> list[dict]:
+    records = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    return [{k: v for k, v in r.items() if k not in ("wall_time", "git")} for r in records]
 
 
-def test_verify_gives_threads_to_the_criteria_that_take_it(monkeypatch, capsys):
-    # every criterion runs a stand-in that keeps its config; only criteria 6 and 12 have threads
+def test_threads_flag_is_recorded_nowhere(tmp_path, capsys):
+    # harmonic-extension has nothing to fan out; --threads 2 is accepted and stamps what a
+    # serial run stamps
+    printed = []
+    for threads in ("1", "2"):
+        assert cli.main(["run", "harmonic-extension", "--set", "walks=200", "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+        printed.append(capsys.readouterr().out.splitlines()[:-1])  # the wall time goes
+    serial, pooled = (tmp_path / t for t in ("1", "2"))
+    assert _without_revision_and_time(pooled) == _without_revision_and_time(serial)
+    assert _stamps(pooled)[0]["config"] == {"seed": 20260805, "walks": 200}
+    assert (pooled / "config.resolved").read_text() == (serial / "config.resolved").read_text()
+    assert printed[0] == printed[1]
+
+
+def test_verify_writes_the_same_results_at_any_thread_count(tmp_path, monkeypatch, capsys):
+    # every criterion but 6 runs a stand-in that keeps the worker count it ran at; criterion 6
+    # runs for real at 2000 bridges per cell, over the pool at --threads 2
     seen = {}
 
     def keeping(name):
         def fn(cfg):
-            seen[name] = cfg
-            return [(True, "ok")], [], {}
+            seen[name] = freeenergy._WORKERS
+            return [(True, "ok")], [{"cfg": cfg}], {}
         return fn
 
     for name in experiments.acceptance_names():
-        fake = dataclasses.replace(experiments.REGISTRY[name], fn=keeping(name))
+        exp = experiments.REGISTRY[name]
+        fake = (dataclasses.replace(exp, defaults={**exp.defaults, "bridges": 2000})
+                if name == "bridge-lemma" else dataclasses.replace(exp, fn=keeping(name)))
         monkeypatch.setitem(experiments.REGISTRY, name, fake)
-    assert cli.main(["verify", "--threads", "2"]) == 0
-    assert len(seen) == 12
-    assert {name for name, cfg in seen.items() if "threads" in cfg} == {"bridge-lemma",
-                                                                         "subadditivity"}
-    assert seen["bridge-lemma"]["threads"] == seen["subadditivity"]["threads"] == 2
+    printed = {}
+    for threads in ("1", "2"):
+        assert cli.main(["verify", "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        assert set(seen.values()) == {int(threads)} and len(seen) == 11
+        printed[threads] = [re.sub(r"\([0-9.]+ s( total)?\)", "", line)
+                            for line in capsys.readouterr().out.splitlines()]
+    assert printed["1"] == printed["2"] and len(printed["1"]) == 13
+    serial, pooled = (_without_revision_and_time(tmp_path / t) for t in ("1", "2"))
+    assert pooled == serial
+    assert all("threads" not in r["config"] for r in serial if "experiment" in r)
+    assert freeenergy._WORKERS == 1  # the count ends with the command
 
 
 def test_bridge_lemma_over_two_processes_keeps_every_output():
     # the 12 cells are handed to the pool largest first; rows and streams keep (k, x) order
-    runs = [experiments.run_experiment("bridge-lemma", {"bridges": 2000, "threads": t})
-            for t in (1, 2)]
+    runs = []
+    for t in (1, 2):
+        with freeenergy.workers(t):
+            runs.append(experiments.run_experiment("bridge-lemma", {"bridges": 2000}))
     serial, pooled = ((r.lines, r.records, r.tables, r.streams) for r in runs)
     assert pooled == serial
     assert [row[:2] for row in runs[1].records[0]["cells"]] == experiments._BRIDGE_CELLS
@@ -165,7 +191,7 @@ def test_runner_derives_lines_and_verdict_from_checks(monkeypatch, checks, passe
     assert res.passed is passed
     assert res.lines == [f"[{tag}] {text}" for tag, (_, text) in zip(tags, checks)]
     assert (res.name, res.records, res.tables) == (exp.name, [{"n": 1}], {"t": (["x"], [(1,)])})
-    assert res.config == {"seed": 3, "bridges": 1_000_000, "threads": 1}
+    assert res.config == {"seed": 3, "bridges": 1_000_000}
 
 
 def test_set_overrides(tmp_path, capsys):
@@ -211,15 +237,17 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["run", "penalty-cost", "--set", "samples=2.5"], "samples"),
     (["run", "sampler-exactness", "--set", "samples=1e3"], "samples"),
     (["run", "subadditivity", "--threads", "-3"], "threads must be an integer >= 1 (got -3)"),
-    (["run", "harmonic-extension", "--threads", "2"],
+    (["run", "harmonic-extension", "--set", "threads=2"],
      "unknown config key(s) threads for 'harmonic-extension'; known: seed, walks"),
     (["run", "exact-small-box", "--seed", "5"],
      "unknown config key(s) seed for 'exact-small-box'; it takes no settings"),
     (["verify", "--threads", "0"], "threads must be an integer >= 1 (got 0)"),
     (["run", "massive-comparison", "--set", "m=1.5"], "got 1.5"),
     (["run", "massive-comparison", "--set", "m=0"], "got 0"),
-    (["run", "subadditivity", "--set", "threads=0"], "threads"),
-    (["run", "finite-volume-criterion", "--set", "threads=-4"], "threads"),
+    (["run", "subadditivity", "--set", "threads=0"],
+     "unknown config key(s) threads for 'subadditivity'"),
+    (["run", "finite-volume-criterion", "--set", "threads=-4"],
+     "unknown config key(s) threads for 'finite-volume-criterion'"),
     (["run", "harmonic-extension", "--seed", "-1"], "seed must be an integer in [0, 2^64) (got -1)"),
     (["run", "harmonic-extension", "--seed", str(2 ** 64)],
      f"seed must be an integer in [0, 2^64) (got {2 ** 64})"),

@@ -1,6 +1,7 @@
 import concurrent.futures
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -167,40 +168,74 @@ def test_height_restriction_cost_shrinks():
 
 
 def test_doubling_gap_threads_consistent():
-    a = freeenergy.doubling_gap(0.0, 0.3, 0.4, 0.0, 10.0, 4, 411, replicas=2,
-                                sweeps=60, burn_in=40, threads=1)
-    b = freeenergy.doubling_gap(0.0, 0.3, 0.4, 0.0, 10.0, 4, 411, replicas=2,
-                                sweeps=60, burn_in=40, threads=2)
-    assert a["gap"] == pytest.approx(b["gap"], abs=1e-12)  # same streams, any schedule
+    runs = []
+    for count in (1, 2):
+        with freeenergy.workers(count):
+            runs.append(freeenergy.doubling_gap(0.0, 0.3, 0.4, 0.0, 10.0, 4, 411, replicas=2,
+                                                sweeps=60, burn_in=40))
+    assert runs[0] == runs[1]  # same streams, any schedule, bit for bit
+
+
+def _pid_and_count(r: int) -> tuple[int, int]:
+    return os.getpid(), freeenergy._WORKERS
+
+
+def test_a_pool_worker_runs_at_a_count_of_one():
+    # the fan-out's jobs fan out no further, so no pool nests inside another
+    with freeenergy.workers(2):
+        assert freeenergy._WORKERS == 2
+        rows = freeenergy._fan_out(_pid_and_count, 2)
+    assert all(pid != os.getpid() for pid, _ in rows)
+    assert [count for _, count in rows] == [1, 1]
+    assert freeenergy._WORKERS == 1
+    assert freeenergy._fan_out(_pid_and_count, 2) == [(os.getpid(), 1)] * 2
+
+
+class _StandInPool:
+    """A stand-in process pool that records its size and the order the jobs reach it."""
+
+    def __init__(self, seen: dict):
+        self.seen = seen
+
+    def __call__(self, max_workers):
+        self.seen.setdefault("workers", []).append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        self.seen["order"] = list(items)
+        return [fn(i) for i in self.seen["order"]]
+
+
+def test_doubling_gap_without_a_count_starts_no_pool(monkeypatch):
+    # as perfbench calls it: outside a workers block every fan-out is serial
+    seen = {}
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StandInPool(seen))
+    args = (0.5, 0.3, 0.3, 0.0, 0.05, 4, 245)
+    serial = freeenergy.doubling_gap(*args, replicas=2, sweeps=4, burn_in=2)
+    assert seen == {}
+    with freeenergy.workers(2):
+        pooled = freeenergy.doubling_gap(*args, replicas=2, sweeps=4, burn_in=2)
+    assert seen["workers"] == [2, 2] and pooled == serial  # one pool per box size
 
 
 def test_fan_out_pool_hands_out_jobs_in_order_and_returns_them_by_index(monkeypatch):
-    # a stand-in pool records its size and the order the jobs reach it; the pool is no
-    # larger than the job count, and outputs and stream ids come back by index
+    # the pool is no larger than the job count, and outputs and stream ids come back by index
     seen = {}
-
-    class Pool:
-        def __init__(self, max_workers):
-            seen["workers"] = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            seen["order"] = list(items)
-            return [fn(i) for i in seen["order"]]
 
     def job(r):
         rng.stream(7, "fan-out", r)
         return 10 * r
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    with rng.audit_streams() as audit:
-        out = freeenergy._fan_out(job, 3, threads=8, order=[2, 0, 1])
-    assert (seen["workers"], seen["order"], out) == (3, [2, 0, 1], [0, 10, 20])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StandInPool(seen))
+    with rng.audit_streams() as audit, freeenergy.workers(8):
+        out = freeenergy._fan_out(job, 3, order=[2, 0, 1])
+    assert (seen["workers"], seen["order"], out) == ([3], [2, 0, 1], [0, 10, 20])
     assert audit.consumed == [f"7/fan-out/{r}" for r in range(3)]
 
 
@@ -346,10 +381,10 @@ def test_stream_audit_survives_the_process_pool():
     # replica by replica, small box then large: each replica's bc, omega and chain streams
     expected = [f"246/dbl-{label}/{kind}/{r}" for label in ("small", "large") for r in (0, 1)
                 for kind in ("bc", "omega", "chain")]
-    for threads in (1, 2):
-        assert _stream_ids(lambda: freeenergy.doubling_gap(
-            0.5, 0.3, 0.3, 0.0, 0.05, 4, 246, replicas=2, sweeps=4, burn_in=2,
-            threads=threads)) == expected
+    for count in (1, 2):
+        with freeenergy.workers(count):
+            assert _stream_ids(lambda: freeenergy.doubling_gap(
+                0.5, 0.3, 0.3, 0.0, 0.05, 4, 246, replicas=2, sweeps=4, burn_in=2)) == expected
     # the curve's replicas: each replica's chain stream, then its disorder
     assert _stream_ids(lambda: freeenergy.free_energy_curve(
         lattice.build_box(4), 0.5, [0.1], 246, replicas=2, sweeps=4, burn_in=2)) == [
@@ -387,9 +422,9 @@ def test_curve_replica_job_through_the_process_pool():
     job = functools.partial(freeenergy._curve_replica, lattice.build_box(4), 0.5, 0.0,
                             np.array([0.1, 0.2]), 248, "fe", 4, 2)
     runs = []
-    for threads in (1, 2):
-        with rng.audit_streams() as audit:
-            rows = freeenergy._fan_out(job, 2, threads)
+    for count in (1, 2):
+        with rng.audit_streams() as audit, freeenergy.workers(count):
+            rows = freeenergy._fan_out(job, 2)
         runs.append((np.array([np.concatenate([vals, cov.ravel()]) for vals, cov in rows]),
                      audit.consumed))
     assert np.array_equal(runs[0][0], runs[1][0])

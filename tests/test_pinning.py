@@ -627,13 +627,14 @@ def test_mean_se_uses_each_series_own_iact():
 
 
 def test_iact_of_constant_and_short_series():
-    # a constant series has SE 0 and no error; one too short for any lag gives an infinite SE
+    # a constant series has IACT 1 and no error, and an infinite SE, since its spread says
+    # nothing of its error; one too short for any lag gives an infinite SE too
     rec = pinning.ChainRecord(contacts_window=np.zeros(3), contact_fraction=np.zeros(3),
                               energy=np.zeros(3), extra={})
     for value in (0.0, 0.1, 64.0):
         const = np.full(500, value)
         assert pinning.integrated_autocorrelation(const) == 1.0
-        assert rec.mean_se(const) == (value, 0.0)
+        assert rec.mean_se(const) == (value, math.inf)
     assert rec.mean_se(np.array([1.0, 2.0, 4.0]))[1] == math.inf
     # two values: the lag-1 autocorrelation is -1/2, so tau is 1
     assert pinning.integrated_autocorrelation(np.array([1.0, 3.0])) == 1.0

@@ -73,16 +73,52 @@ def test_changed_config_is_reported(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
                       config={"seed": 1, "threads": 2})
     diff, = same_results.compare(parent, change)
-    assert diff.startswith("stamp config differs")
+    assert diff == "stamp config differs at threads: parent 1, change 2"
+    assert same_results.config_notes(parent, change) == []
+
+
+@pytest.mark.parametrize("config,note", [
+    ({"seed": 1, "threads": 1, "sweeps": 4}, "setting sweeps is only on the change side"),
+    ({"seed": 1}, "setting threads is only on the parent side"),
+], ids=["added", "dropped"])
+def test_a_setting_on_one_side_only_is_a_note(parent, tmp_path, config, note):
+    # a change that adds or drops a setting can still show that it kept its outputs
+    change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
+                      config=config)
+    assert same_results.compare(parent, change) == []
+    assert same_results.config_notes(parent, change) == [note]
+
+
+def test_a_dropped_setting_beside_a_changed_value(parent, tmp_path):
+    change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
+                      config={"seed": 2})
+    assert same_results.compare(parent, change) == [
+        "stamp config differs at seed: parent 1, change 2"]
+    assert same_results.config_notes(parent, change) == [
+        "setting threads is only on the parent side"]
+
+
+def test_check_prints_notes_after_the_verdict(tmp_path, monkeypatch):
+    # both sides stand in for a run that wrote its --out directory and printed two lines
+    def fake_run(root, args, out):
+        _run_dir(out, [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "b"],
+                 config={"seed": 1} if root == same_results.ROOT else None)
+        return subprocess.CompletedProcess([], 0, stdout="[PASS] a\nx: wall time 1 s\n",
+                                           stderr="")
+
+    monkeypatch.setattr(same_results, "run", fake_run)
+    ok, text = same_results.check(tmp_path / "parent-root", None, tmp_path)
+    assert ok and text.splitlines() == [
+        "IDENTICAL: exit 0, 1 printed lines, 2 result lines, 2 streams, 1 tables",
+        "note: setting threads is only on the parent side"]
 
 
 def test_every_difference_is_reported(parent, tmp_path):
     # the config differs and so does a later record: both are named, stamp first
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -2.5}, {"n": 1}],
-                      ["a", "b"], passed=True, config={"seed": 1})
+                      ["a", "b"], passed=True, config={"seed": 1, "threads": 3})
     diffs = same_results.compare(parent, change)
-    assert diffs[:2] == ["stamp config differs: parent {'seed': 1, 'threads': 1}, "
-                         "change {'seed': 1}",
+    assert diffs[:2] == ["stamp config differs at threads: parent 1, change 3",
                          "stamp passed differs: parent None, change True"]
     assert diffs[2].startswith("results.jsonl line 3 differs")
     assert diffs[3:] == ["results.jsonl line 4 is only on the change side"]

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -10,7 +11,10 @@ se_calibration = importlib.util.module_from_spec(_spec)
 sys.modules["se_calibration"] = se_calibration  # so that worker processes find its estimators
 _spec.loader.exec_module(se_calibration)
 
-_CHEAP = ["--seeds", "30", "--set", "points=5", "--set", "sweeps=100", "--set", "burn_in=20"]
+# h from 0 down to -1, where the contact varies: 22 of the 30 seeds state an SE, against 2 of
+# 30 on the default h = 1, where a ladder point often holds a contact at every record
+_CHEAP = ["--seeds", "30", "--set", "h=-1", "--set", "points=5", "--set", "sweeps=100",
+          "--set", "burn_in=20"]
 
 
 def test_h_leg_se_is_calibrated_against_the_exact_value():
@@ -21,6 +25,14 @@ def test_h_leg_se_is_calibrated_against_the_exact_value():
     assert (defaults["h"], defaults["points"], defaults["sweeps"]) == (1.0, 11, 200)
     row = se_calibration.calibrate(h_leg, defaults, 60)
     assert 0.8 <= row["sd_z"] <= 1.25, row
+
+
+def test_a_ladder_that_never_varies_states_no_error_bar():
+    # seed 13 at 3 points of 50 records reads a contact at every record of every point: its
+    # log Z of 1.0 against the exact 0.971 used to state SE 0, and the row sd(z) = inf
+    defaults, h_leg = se_calibration.ESTIMATORS["h-leg"]
+    value, se, exact = h_leg({**defaults, "points": 3, "sweeps": 100, "burn_in": 20}, 13)
+    assert (value, se) == (1.0, math.inf) and exact == pytest.approx(0.9708, abs=1e-4)
 
 
 def test_a_halved_se_is_flagged(monkeypatch, capsys):
@@ -37,14 +49,30 @@ def test_a_halved_se_is_flagged(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1].endswith("  FLAG")
 
 
+def _columns(row: str) -> list[str]:
+    return row.replace("[", "").replace(",", "").replace("]", "").split()
+
+
 def test_a_tiny_budget_prints_every_column(capsys):
-    se_calibration.main(["coupling", "--seeds", "3", "--set", "sweeps=20", "--set", "burn_in=4"])
+    # 10 records per ladder point: the one site's contact holds at every record of some point
+    # in every seed, so every ladder states se inf, and no seed is left to check
+    assert se_calibration.main(["coupling", "--seeds", "3", "--set", "sweeps=20",
+                                "--set", "burn_in=4"]) == 1
     settings, header, row = capsys.readouterr().out.splitlines()
     assert settings.startswith("coupling at N = 2, beta=0.5, burn_in=4, h=0.3")
+    assert settings.endswith("; 3 of 3 seeds state se inf, left out")
     assert header.split() == ["seeds", "sd(z)", "90%", "interval", "sd/rms(se)", "median",
                               "se", "verdict"]
-    seeds, sd_z, lo, hi, ratio, median_se, verdict = row.replace("[", "").replace(
-        ",", "").replace("]", "").split()
+    assert _columns(row) == ["0", "nan", "nan", "nan", "nan", "nan", "FLAG"]
+
+
+def test_a_row_over_stated_ses_prints_every_column(capsys):
+    # h from 0 down to -1: the contact varies at every point, so every seed states an SE
+    se_calibration.main(["h-leg", "--seeds", "3", "--set", "h=-1", "--set", "points=3"])
+    settings, header, row = capsys.readouterr().out.splitlines()
+    assert settings == ("h-leg at N = 2, beta=0.0, burn_in=50, h=-1, m=0.0, omega_seed=0, "
+                        "points=3, sweeps=200")
+    seeds, sd_z, lo, hi, ratio, median_se, verdict = _columns(row)
     assert seeds == "3" and verdict in ("ok", "FLAG")
     assert all(float(x) > 0 for x in (sd_z, lo, hi, ratio, median_se))
 

@@ -10,8 +10,8 @@ otherwise, bridge-lemma, subadditivity and finite-volume-criterion also at
 subadditivity also at N = 8, thermo-consistency also at replicas = 1 (its
 beta = 0.5 curve then takes its SEs from one replica's ladders),
 cluster-probability also at h = -0.2 (where the hit frequency lies strictly
-between 0 and 1, so its SE is not 0).  It prints one line per run and exits 0 only
-when every run matches.
+between 0 and 1, so its SE is finite).  It prints one line per run and exits 0
+only when every run matches.
 
 The parent's committed files are exported (`git archive`, through
 bench_pairs.export) into a temporary directory; the working tree runs as it
@@ -19,15 +19,18 @@ is, uncommitted changes included.  Both sides run `gffpin run EXPERIMENT`
 with the same --set and --threads arguments, each into its own temporary
 --out directory.  They must agree on every key of the first results.jsonl
 line (the stamp: verdict, config, consumed random streams) except its wall
-time and revision, which differ by nature; byte for byte on every later
+time and revision, which differ by nature, the config key by key: a setting
+that only one side has (one that the change adds or drops) is a note, not a
+difference, so such a change can still show that it kept its outputs, while
+a setting whose value differs is a difference; byte for byte on every later
 results.jsonl line and every CSV table; on every printed line but the final
 wall-time line; and on the exit status.  Both sides always run: a side that
 exits with a status other than 0 or 1 was refused, and two refusals match
 when their exit status and the last line of their standard error agree, while
 a refusal on one side only is a difference.  Every difference is printed, one
 DIFFERENT line each: the stamp's keys one by one, then the results.jsonl lines,
-the tables, the printed lines and the exit status.  The exit status is 0 only
-on a full match.
+the tables, the printed lines and the exit status, then one note line per
+setting on one side only.  The exit status is 0 only on a full match.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ def _line_diffs(label: str, lines_p: list[str], lines_c: list[str], start: int) 
 
 def compare(parent: Path, change: Path) -> list[str]:
     """Every difference between two `gffpin run --out` directories (none on a match):
-    the stamp's keys one by one, then the later results.jsonl lines, then the tables."""
+    the stamp's keys one by one, the config's settings that both sides have one by one,
+    then the later results.jsonl lines, then the tables."""
     lines_p = (parent / "results.jsonl").read_text(encoding="utf-8").splitlines()
     lines_c = (change / "results.jsonl").read_text(encoding="utf-8").splitlines()
     stamp_p, stamp_c = json.loads(lines_p[0]), json.loads(lines_c[0])
@@ -109,9 +113,12 @@ def compare(parent: Path, change: Path) -> list[str]:
             diffs.append(f"stamp key {key} is only on the {side} side")
             continue
         vp, vc = stamp_p[key], stamp_c[key]
-        if vp == vc:
+        if key == "config":
+            diffs += [f"stamp config differs at {k}: parent {vp[k]!r}, change {vc[k]!r}"
+                      for k in sorted(vp.keys() & vc.keys()) if vp[k] != vc[k]]
+        elif vp == vc:
             continue
-        if key == "streams":
+        elif key == "streams":
             k, (sp, sc) = next((k, pair) for k, pair in enumerate(zip_longest(vp, vc))
                                if pair[0] != pair[1])
             diffs.append(f"stamp streams differ at entry {k}: parent {sp!r}, change {sc!r}")
@@ -129,6 +136,15 @@ def compare(parent: Path, change: Path) -> list[str]:
         if tp != tc:
             diffs.append(f"table {name} differs " + _first_diff(tp, tc))
     return diffs
+
+
+def config_notes(parent: Path, change: Path) -> list[str]:
+    """One note per setting in the stamp's config that only one side has: a setting
+    the change adds or drops, which alone changes no output."""
+    cp, cc = (json.loads((d / "results.jsonl").read_text(encoding="utf-8").splitlines()[0])
+              ["config"] for d in (parent, change))
+    return [f"setting {key} is only on the {'parent' if key in cp else 'change'} side"
+            for key in sorted(cp.keys() ^ cc.keys())]
 
 
 def compare_printed(parent: str, change: str) -> list[str]:
@@ -187,15 +203,16 @@ def check(parent_root: Path, args, tmp: Path) -> tuple[bool, str]:
     if codes["parent"] != codes["change"]:
         diffs.append(f"exit status {codes['parent']} on the parent, "
                      f"{codes['change']} on the change")
+    notes = [f"note: {note}" for note in config_notes(tmp / "out-parent", tmp / "out-change")]
     if diffs:
-        return False, "\n".join(f"DIFFERENT: {diff}" for diff in diffs)
+        return False, "\n".join([f"DIFFERENT: {diff}" for diff in diffs] + notes)
     out = tmp / "out-change"
     lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
-    return True, (f"IDENTICAL: exit {codes['change']}, "
-                  f"{len(procs['change'].stdout.splitlines()) - 1} printed lines, "
-                  f"{len(lines) - 1} result lines, "
-                  f"{len(json.loads(lines[0])['streams'])} streams, "
-                  f"{len(list(out.glob('*.csv')))} tables")
+    return True, "\n".join([f"IDENTICAL: exit {codes['change']}, "
+                            f"{len(procs['change'].stdout.splitlines()) - 1} printed lines, "
+                            f"{len(lines) - 1} result lines, "
+                            f"{len(json.loads(lines[0])['streams'])} streams, "
+                            f"{len(list(out.glob('*.csv')))} tables"] + notes)
 
 
 def main(argv=None) -> int:

@@ -14,13 +14,18 @@ entries run at N = 2, the one box that pinning.exact_partition_small solves:
 
 The disorder is one draw (stream omega_seed) for every seed, and seed s =
 0 .. S-1 drives the chain alone.  --set key=value changes an entry's defaults.
---threads T runs the seeds over T worker processes (freeenergy._fan_out's
-pool); the row is the same as with one.
-One row is printed: the SD about 0 of z = (estimate - exact) / SE over the S
-seeds, with its 90 % interval from the chi-square law of S sd(z)^2 / sd^2 on
-S degrees of freedom; SD(estimates) / RMS(SE), the spread of the estimates
-(ddof 1) over the spread their SEs state; the median SE; and "ok" when the
-interval holds 1, "FLAG" when it does not.  The exit status is 0 on ok, 1 on
+--threads T runs the seeds over T worker processes (the library's replica
+fan-out inside a freeenergy.workers block); it changes no number, so the row
+is the same as with one.
+A seed whose SE is inf (a ladder with a point whose series never varied, as
+at N = 2 where the one site's contact often holds at every record) states no
+error bar to check: such seeds are left out, and the settings line counts
+them.  One row is printed over the S seeds left: the SD about 0 of z =
+(estimate - exact) / SE, with its 90 % interval from the chi-square law of
+S sd(z)^2 / sd^2 on S degrees of freedom; SD(estimates) / RMS(SE), the spread
+of the estimates (ddof 1) over the spread their SEs state; the median SE; and
+"ok" when the interval holds 1, "FLAG" when it does not (or when fewer than
+two seeds are left, and the row reads nan).  The exit status is 0 on ok, 1 on
 FLAG.
 """
 
@@ -80,15 +85,19 @@ ESTIMATORS = {
 }
 
 
-def calibrate(estimator, cfg: dict, seeds: int, threads: int = 1) -> dict:
-    """The row's columns for `estimator` run at cfg under seeds 0 .. seeds-1, over
-    `threads` worker processes."""
-    value, se, exact = np.array(freeenergy._fan_out(functools.partial(estimator, cfg), seeds,
-                                                    threads)).T
-    with np.errstate(divide="ignore"):  # an SE of 0 (a constant series) reads z = inf
-        sd_z = math.sqrt(float(np.mean(((value - exact) / se) ** 2)))
-    lo, hi = sd_z * np.sqrt(seeds / stats.chi2.ppf([0.95, 0.05], seeds))
-    return {"sd_z": sd_z, "interval": (float(lo), float(hi)),
+def calibrate(estimator, cfg: dict, seeds: int) -> dict:
+    """The row's columns for `estimator` run at cfg under seeds 0 .. seeds-1, over the
+    worker processes of the enclosing freeenergy.workers block (serially outside one)."""
+    value, se, exact = np.array(freeenergy._fan_out(functools.partial(estimator, cfg),
+                                                    seeds)).T
+    stated = np.isfinite(se)
+    value, se, exact, n = value[stated], se[stated], exact[stated], int(stated.sum())
+    if n < 2:
+        return {"seeds": n, "sd_z": math.nan, "interval": (math.nan, math.nan),
+                "spread_ratio": math.nan, "median_se": math.nan, "ok": False}
+    sd_z = math.sqrt(float(np.mean(((value - exact) / se) ** 2)))
+    lo, hi = sd_z * np.sqrt(n / stats.chi2.ppf([0.95, 0.05], n))
+    return {"seeds": n, "sd_z": sd_z, "interval": (float(lo), float(hi)),
             "spread_ratio": float(value.std(ddof=1) / math.sqrt(float(np.mean(se ** 2)))),
             "median_se": float(np.median(se)), "ok": bool(lo <= 1.0 <= hi)}
 
@@ -113,11 +122,14 @@ def main(argv=None) -> int:
         parser.error(f"--seeds must be >= 2 (got {args.seeds})")
     if args.threads < 1:
         parser.error(f"--threads must be >= 1 (got {args.threads})")
-    row = calibrate(estimator, cfg, args.seeds, args.threads)
-    print(f"{args.estimator} at N = 2, " + ", ".join(f"{k}={v}" for k, v in sorted(cfg.items())))
+    with freeenergy.workers(args.threads):
+        row = calibrate(estimator, cfg, args.seeds)
+    left_out = args.seeds - row["seeds"]
+    print(f"{args.estimator} at N = 2, " + ", ".join(f"{k}={v}" for k, v in sorted(cfg.items()))
+          + (f"; {left_out} of {args.seeds} seeds state se inf, left out" if left_out else ""))
     print(f"{'seeds':>5}  {'sd(z)':>6}  {'90% interval':>14}  {'sd/rms(se)':>10}  "
           f"{'median se':>10}  verdict")
-    print(f"{args.seeds:>5}  {row['sd_z']:>6.3f}  [{row['interval'][0]:5.3f}, "
+    print(f"{row['seeds']:>5}  {row['sd_z']:>6.3f}  [{row['interval'][0]:5.3f}, "
           f"{row['interval'][1]:5.3f}]  {row['spread_ratio']:>10.3f}  {row['median_se']:>10.3g}  "
           f"{'ok' if row['ok'] else 'FLAG'}")
     return 0 if row["ok"] else 1
