@@ -57,11 +57,6 @@ _BLOCK = 1 << 16  # float64 values per block of the batched samplers (walks, for
 # boundary conditions
 # ---------------------------------------------------------------------------
 
-def boundary_indices(geom: BoxGeometry) -> np.ndarray:
-    """Linear indices of the 4N boundary sites, in row-major order."""
-    return np.flatnonzero(geom.boundary_mask.ravel())
-
-
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Boundary data on the 4N frame sites (row-major site order); values None
@@ -107,25 +102,14 @@ class ScaleStack:
     def k(self) -> int:
         return self.grid.k
 
-    def partials(self) -> np.ndarray:
-        """All phi_i stacked, shape (k, N+1, N+1), by row adds: np.cumsum's sums."""
-        out = self.xi.copy()
-        for i in range(1, self.k):
-            out[i] += out[i - 1]
-        return out
-
 
 @dataclass
 class FieldSample:
-    """One realization of the zero-boundary field.
+    """One realization of the zero-boundary field: values holds the full grid
+    including boundary sites, and the stack sums exactly to values."""
 
-    values holds the full grid including boundary sites; the stack (when
-    present) sums exactly to values.
-    """
-
-    geom: BoxGeometry
     values: np.ndarray
-    stack: ScaleStack | None = None
+    stack: ScaleStack
 
 
 def sample_dirichlet_interior(geom: BoxGeometry, m: float, n: int,
@@ -277,7 +261,7 @@ def boundary_covariance(geom: BoxGeometry, m: float) -> np.ndarray:
 @lru_cache(maxsize=16)  # behind boundary_covariance, a plain function tracers can wrap
 def _boundary_covariance(geom: BoxGeometry, m: float) -> np.ndarray:
     table = kernels.green_offset_table(m, geom.N)
-    x1, x2 = geom.site(boundary_indices(geom))
+    x1, x2 = (c[geom.boundary_mask] for c in geom.coords)  # row-major, as the frame values
     cov = table[np.abs(x1[:, None] - x1[None, :]), np.abs(x2[:, None] - x2[None, :])]
     cov.flags.writeable = False
     return cov
@@ -305,9 +289,7 @@ def sample_scale_stack(geom: BoxGeometry, m: float, rng: np.random.Generator,
         rng.standard_normal(out=z)
         z *= layer_sd
         xi[i, 1:-1, 1:-1] = kernels.dst2(z)
-    stack = ScaleStack(grid, jmap, xi)
-    values = xi.sum(axis=0)
-    return FieldSample(geom, values, stack=stack)
+    return FieldSample(xi.sum(axis=0), ScaleStack(grid, jmap, xi))
 
 
 @lru_cache(maxsize=16)

@@ -311,14 +311,13 @@ def density_event_threshold(N: int, m: float, K: float) -> float:
     return N * N * (2.0 * kernels.f_of_m(m) / (m * m) - K)
 
 
-def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
-                   threshold: float, master_seed: int, tag: str, sweeps: int, burn_in: int,
-                   boundary_cov: np.ndarray, r: int) -> tuple[float, float]:
-    """One (boundary, disorder) replica of log E^{m,bc}[e^{interaction} 1_D], with the
-    D-event frequency.
+def _replica_log_z(geom: BoxGeometry, params: pinning.PinningParams, K: float, master_seed: int,
+                   tag: str, sweeps: int, burn_in: int, r: int) -> tuple[float, float]:
+    """One (boundary, disorder) replica of log E^{m,bc}[e^{interaction} 1_D] at params,
+    with the D-event frequency; the replica draws its own boundary data params.bc.
 
-    D is the event sum phi^2 >= threshold over the interaction range (see
-    density_event_threshold, computed once per box size by the caller).
+    D is the event sum phi^2 >= density_event_threshold(N, m, K) over the
+    interaction range.
 
     log Z' = one coupling ladder at the target parameters + exact frame-contact
     term + log of the D-event frequency under the target measure, the
@@ -329,9 +328,10 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
     bc_rng = rngmod.stream(master_seed, tag, "bc", r)
     om_rng = rngmod.stream(master_seed, tag, "omega", r)
     ch_rng = rngmod.stream(master_seed, tag, "chain", r)
-    bc = fields.sample_boundary_infinite_massive(boundary_cov, bc_rng)
+    bc = fields.sample_boundary_infinite_massive(fields.boundary_covariance(geom, params.m),
+                                                 bc_rng)
     omega = sample_disorder(geom, GAUSSIAN, om_rng)
-    params = pinning.PinningParams(beta=beta, h=h, m=m, u=u, bc=bc)
+    params = replace(params, bc=bc)
     tmask = geom.tilde_mask
 
     def density_stat(f: np.ndarray) -> float:
@@ -342,7 +342,7 @@ def _replica_log_z(geom: BoxGeometry, beta: float, h: float, m: float, u: float,
     log_z = (float(np.sum(ladder.increments))
              + pinning.boundary_contact_term(geom, params, omega))
     sumsq = ladder.records[-1].extra["sumsq"]
-    freq = float(np.mean(sumsq >= threshold))
+    freq = float(np.mean(sumsq >= density_event_threshold(geom.N, params.m, K)))
     return log_z + math.log(max(freq, 0.5 / len(sumsq))), freq
 
 
@@ -351,10 +351,9 @@ def _box_estimate(beta: float, h: float, m: float, u: float, K: float, N: int,
                   burn_in: int) -> tuple[float, float, float]:
     """Replica mean of log Z' in the box of side N, its SE and the mean D-event frequency;
     one (boundary, disorder) replica per job of the fan-out, streams keyed by tag."""
-    geom = build_box(N)
-    job = functools.partial(_replica_log_z, geom, beta, h, m, u,
-                            density_event_threshold(N, m, K), master_seed, tag, sweeps, burn_in,
-                            fields.boundary_covariance(geom, m))
+    job = functools.partial(_replica_log_z, build_box(N),
+                            pinning.PinningParams(beta=beta, h=h, m=m, u=u), K, master_seed, tag,
+                            sweeps, burn_in)
     vals, freqs = (np.array(col) for col in zip(*_fan_out(job, replicas)))
     return *_mean_se(vals), float(freqs.mean())
 

@@ -54,42 +54,27 @@ class BoxGeometry:
                             ("dist_boundary", dist), ("coords", (x1, x2))):
             object.__setattr__(self, name, value)
 
-    # -- index map --
-    def site(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.asarray(idx)
-        return idx // self.side, idx % self.side
-
 
 def build_box(N: int) -> BoxGeometry:
     return BoxGeometry(int(N))
 
 
-def _inward_interval(N: int, frac: float) -> tuple[int, int]:
-    # closed interval [N*frac, N*(1-frac)], rounded inward
-    lo = math.ceil(N * frac - 1e-12)
-    hi = math.floor(N * (1.0 - frac) + 1e-12)
-    return lo, hi
-
-
-def sub_box_interval(geom: BoxGeometry, exponent: float) -> tuple[int, int]:
-    """Coordinate range [lo, hi] of the inner box with margin N*(log N)^-exponent.
+def sub_box_mask(geom: BoxGeometry, exponent: float) -> np.ndarray:
+    """Sites of the inner box with margin N*(log N)^-exponent: the closed coordinate
+    range [N*frac, N*(1-frac)], frac = (log N)^-exponent, rounded inward.
 
     exponent 1/8 gives the primary inner box, exponent 2 the wide one.  At
     laboratory sizes the 1/8 margin exceeds N/2, in which case the box is
     empty and this raises rather than silently returning no sites.
     """
     frac = math.log(geom.N) ** (-exponent)
-    lo, hi = _inward_interval(geom.N, frac)
+    lo = math.ceil(geom.N * frac - 1e-12)
+    hi = math.floor(geom.N * (1.0 - frac) + 1e-12)
     if lo > hi:
         raise DomainError(
             f"inner box with margin N(log N)^-{exponent} is empty at N={geom.N} "
             f"(needs (log N)^-{exponent} < 1/2, i.e. N > {math.exp(2.0 ** (1.0 / exponent)):.3g})"
         )
-    return lo, hi
-
-
-def sub_box_mask(geom: BoxGeometry, exponent: float) -> np.ndarray:
-    lo, hi = sub_box_interval(geom, exponent)
     x1, x2 = geom.coords
     return (x1 >= lo) & (x1 <= hi) & (x2 >= lo) & (x2 <= hi)
 

@@ -150,14 +150,15 @@ def _interaction_mask(geom: BoxGeometry, interaction: str) -> np.ndarray:
     raise DomainError(f"unknown interaction range {interaction!r}")
 
 
-def energy(sample: FieldSample, omega: DisorderField, params: PinningParams) -> float:
-    """Interaction part of the Hamiltonian on the range {1..N}^2.
+def energy(geom: BoxGeometry, values: np.ndarray, omega: DisorderField,
+           params: PinningParams) -> float:
+    """Interaction part of the Hamiltonian of the heights `values` on the range {1..N}^2.
 
     The Gaussian part lives in the sampler/MCMC; this is the exponent of the
     density against the free measure.
     """
     _, _, w, scale, charged = _interaction(params, omega)
-    return scale * float(np.sum(w[sample.geom.tilde_mask & charged(sample.values)]))
+    return scale * float(np.sum(w[geom.tilde_mask & charged(values)]))
 
 
 def boundary_contact_term(geom: BoxGeometry, params: PinningParams,
@@ -204,9 +205,12 @@ class BandLayout:
     """Interval layout of a band list at its site count n, and every buffer and
     view a half-update works in; built once, for the life of a chain.
 
-    The finite band edges (a column, sorted) split the real line into
-    len(edges) + 1 intervals; weights[j, i] = exp(logw - max over j) is the
-    relative weight of interval j at site i.  The reflection works on the
+    Built from (lo, hi, logw) bands, logw per site (1-D) or scalar: the
+    per-site weights set the site count and scalar ones are broadcast over
+    the sites, so a list without per-site weights is refused.  The finite
+    band edges (a column, sorted) split the real line into len(edges) + 1
+    intervals; weights[j, i] = exp(logw - max over j) is the relative weight
+    of interval j at site i.  The reflection works on the
     (2, n) buffer pair xy, its rows x (the sites' heights) and y (their
     mirror images 2 mu - x), and looks up both rows' weights at once: the
     (edges, 1, 1) edge_column is compared with xy into below_xy, and the
@@ -229,13 +233,26 @@ class BandLayout:
     conditional means.  Not for concurrent use.
     """
 
-    def __init__(self, edges: np.ndarray, weights: np.ndarray):
-        intervals, n = weights.shape
+    def __init__(self, bands: list[tuple[float, float, np.ndarray | float]]):
+        sizes = [np.size(w) for _, _, w in bands if np.ndim(w)]
+        if not sizes:
+            raise DomainError("a band layout needs a band with per-site weights: "
+                              "they set its site count")
+        edges = sorted({e for lo, hi, _ in bands for e in (lo, hi) if math.isfinite(e)})
+        lows = [-math.inf] + edges
+        highs = edges + [math.inf]
+        logw = np.zeros((len(lows), max(sizes)))
+        for lo, hi, w in bands:
+            cover = np.array([(lo <= a) and (b <= hi) for a, b in zip(lows, highs)])
+            if np.any(cover):
+                logw[cover] += w
+        logw -= logw.max(axis=0)
+        intervals, n = logw.shape
         self.n = n
-        self.edges = edges
-        self.weights = weights
-        self.edge_column = edges[:, :, None]
-        self.site_major = np.ascontiguousarray(weights.T).reshape(-1)
+        self.edges = np.array(edges, dtype=float)[:, None]
+        self.weights = np.exp(logw)
+        self.edge_column = self.edges[:, :, None]
+        self.site_major = np.ascontiguousarray(self.weights.T).reshape(-1)
         self.base2 = np.tile(np.arange(n) * intervals, (2, 1))
         k = intervals + 1  # grid rows: -far, every edge, +far
         grid = np.empty((3, k, n))
@@ -269,25 +286,6 @@ class BandLayout:
         self.wx, self.wy = self.wxy
         self.uniforms = np.empty(n)
         self.accept = np.empty(n, dtype=bool)
-
-
-def band_layout(bands: list[tuple[float, float, np.ndarray | float]]) -> BandLayout:
-    """Layout of (lo, hi, logw) bands, logw per site (1-D) or scalar; the per-site
-    weights set the site count and scalar ones are broadcast over the sites."""
-    sizes = [np.size(w) for _, _, w in bands if np.ndim(w)]
-    if not sizes:
-        raise DomainError("a band layout needs a band with per-site weights: "
-                          "they set its site count")
-    edges = sorted({e for lo, hi, _ in bands for e in (lo, hi) if math.isfinite(e)})
-    lows = [-math.inf] + edges
-    highs = edges + [math.inf]
-    logw = np.zeros((len(lows), max(sizes)))
-    for lo, hi, w in bands:
-        cover = np.array([(lo <= a) and (b <= hi) for a, b in zip(lows, highs)])
-        if np.any(cover):
-            logw[cover] += w
-    logw -= logw.max(axis=0)
-    return BandLayout(np.array(edges, dtype=float)[:, None], np.exp(logw))
 
 
 def _refuse_other_size(mu: np.ndarray, bands: BandLayout) -> None:
@@ -420,8 +418,8 @@ class GibbsChain:
             # does not)
             index = table.copy()
             sites = index[4]
-            layout = band_layout([(a, b, np.asarray(logw).take(sites) if np.ndim(logw)
-                                   else float(logw)) for a, b, logw in bands])
+            layout = BandLayout([(a, b, np.asarray(logw).take(sites) if np.ndim(logw)
+                                  else float(logw)) for a, b, logw in bands])
             self._colours.append((sites, index[:4], index, layout))
 
 
@@ -646,13 +644,12 @@ def restricted_contacts(sample: FieldSample, u: float,
                         window_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the contacts in the window, and of those among them whose scale
     trajectory stays below the line u*i/k + 10 at every scale; their sums are
-    the contact totals L and L'."""
-    if sample.stack is None:
-        raise DomainError("restricted contacts need a field carrying its scale stack")
+    the contact totals L and L'.  phi_i is a running sum, one add per scale."""
     delta = contact_indicators(sample.values, u) & window_mask
-    partials = sample.stack.partials()
     k = sample.stack.k
     below = np.ones_like(delta)
-    for i in range(1, k + 1):
-        below &= partials[i - 1] <= u * i / k + 10.0
+    running = None
+    for i, layer in enumerate(sample.stack.xi, start=1):
+        running = layer if running is None else running + layer
+        below &= running <= u * i / k + 10.0
     return delta, delta & below

@@ -15,6 +15,17 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("3,7-8,9") == [3, 7, 8, 9]
 
 
+def test_a_backward_seed_range_exits_2_before_any_export(monkeypatch, capsys):
+    # "5-3" used to give no seeds: the parent was exported anyway and summarize died on
+    # parent[0]
+    monkeypatch.setattr(bench_pairs, "export", lambda *a: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--pr", "0", "--workload", "mixing",
+                          "--seeds", "5-3"])
+    assert exc.value.code == 2
+    assert "seed range '5-3' runs backwards" in capsys.readouterr().err
+
+
 _NO_RAW = {key: [] for key in bench_pairs.RAW}  # as in a traced run without untraced passes
 
 

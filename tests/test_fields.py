@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.fft import dstn
 
-from gffpin import fields, freeenergy, kernels, lattice, rng
+from gffpin import fields, freeenergy, kernels, lattice, pinning, rng
 from gffpin.errors import DomainError, NumericError
 
 
@@ -116,11 +116,10 @@ def test_boundary_sampling_covariance():
     var0 = draws[:, 0].var()
     assert abs(var0 - g00) < 5 * g00 * math.sqrt(2.0 / n)
     # adjacent boundary sites sit next to each other in row-major order on an edge
-    idx = fields.boundary_indices(g)
-    x1, x2 = g.site(idx)
+    x1, x2 = (c[g.boundary_mask] for c in g.coords)
     pair = None
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
+    for i in range(len(x1)):
+        for j in range(i + 1, len(x1)):
             if abs(x1[i] - x1[j]) + abs(x2[i] - x2[j]) == 1:
                 pair = (i, j)
                 break
@@ -217,11 +216,6 @@ def test_scale_stack_consistency():
     s = fields.sample_scale_stack(g, m, r, grid=grid)
     assert np.abs(s.stack.xi.sum(axis=0) - s.values).max() < 1e-10
     assert s.stack.k == grid.k
-    # partial sums telescope
-    partials = s.stack.partials()
-    assert partials.shape == s.stack.xi.shape
-    assert np.array_equal(partials[0], s.stack.xi[0])
-    assert np.abs(partials[-1] - s.values).max() < 1e-10
 
 
 def _stack_grid(k: int) -> kernels.ScaleTimeGrid:
@@ -245,6 +239,15 @@ def _margin_by_definition(stack, mask, slope) -> float:
     return worst
 
 
+def _restricted_by_definition(sample, u, window):
+    """restricted_contacts' docstring with np.cumsum partials: the window's contacts, and
+    those whose partial sums stay at or below u*i/k + 10 at every scale i."""
+    k = sample.stack.k
+    contacts = (np.abs(sample.values - u) <= 1.0) & window
+    lines = (u * np.arange(1, k + 1) / k + 10.0)[:, None, None]
+    return contacts, contacts & (np.cumsum(sample.stack.xi, axis=0) <= lines).all(axis=0)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stack_margin_and_partials_match_their_definitions(k):
     g = lattice.build_box(64)
@@ -252,14 +255,27 @@ def test_stack_margin_and_partials_match_their_definitions(k):
     masks = [lattice.sub_box_mask(g, e) for e in (1.0, 2.0, 4.0)]
     empty = np.zeros((g.side, g.side), dtype=bool)
     r = rng.stream(2401, "margin-oracle", k)
+    # the first layer lifted by 10 on one checkerboard colour, so that the restriction's
+    # line binds at about half of those sites
+    lift = np.zeros((k, g.side, g.side))
+    lift[0] = 10.0 * (sum(g.coords) % 2)
+    bound = 0
     for _ in range(2):
-        s = fields.sample_scale_stack(g, grid.m, r, grid=grid).stack
-        assert np.array_equal(s.partials(), np.cumsum(s.xi, axis=0))
+        sample = fields.sample_scale_stack(g, grid.m, r, grid=grid)
+        s = sample.stack
+        lifted = fields.FieldSample(sample.values, fields.ScaleStack(s.grid, s.jmap, s.xi + lift))
+        for u in (0.0, 0.5):
+            for mask in masks:
+                got = pinning.restricted_contacts(lifted, u, mask)
+                want = _restricted_by_definition(lifted, u, mask)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                bound += int(want[1].any() and not np.array_equal(*want))
         for slope in (0.0, freeenergy.GAMMA):
             for mask in masks:
                 assert fields.stack_barrier_margin(s, mask, slope) == \
                     _margin_by_definition(s, mask, slope)
             assert fields.stack_barrier_margin(s, empty, slope) == -math.inf
+    assert bound == 2 * 2 * len(masks)
 
 
 def test_scale_stack_variance_profile():

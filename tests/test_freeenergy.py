@@ -131,8 +131,7 @@ def test_boundary_contact_term():
     assert pinning.boundary_contact_term(g, cop, om) == 0.0
     low = pinning.PinningParams(model="copolymer", rho=0.5, h=0.7,
                                 bc=fields.explicit_bc(np.full(16, -1.0)))
-    frame = fields.FieldSample(g, low.bc.grid(g))
-    assert pinning.boundary_contact_term(g, low, om) == pinning.energy(frame, om, low)
+    assert pinning.boundary_contact_term(g, low, om) == pinning.energy(g, low.bc.grid(g), om, low)
     assert pinning.boundary_contact_term(g, low, om) == pytest.approx(7 * -2 * 0.5 * 0.7)
 
 

@@ -63,21 +63,21 @@ def test_distance_brute_force(N):
 def test_index_roundtrip():
     g = lattice.build_box(5)
     idx = 3 * 6 + 4  # row-major
-    assert g.site(idx) == (3, 4)
     assert g.coords[0].ravel()[idx] == 3 and g.coords[1].ravel()[idx] == 4
 
 
 def test_sub_box_empty_at_small_sizes():
     g = lattice.build_box(256)
     with pytest.raises(DomainError, match=r"inner box with margin N\(log N\)\^-0.125 is empty at N=256"):
-        lattice.sub_box_interval(g, 1.0 / 8.0)
+        lattice.sub_box_mask(g, 1.0 / 8.0)
 
 
 def test_sub_box_wide_nonempty():
     g = lattice.build_box(32)
-    lo, hi = lattice.sub_box_interval(g, 2.0)
-    assert 0 < lo <= hi < 32
     mask = lattice.sub_box_mask(g, 2.0)
+    rows = np.flatnonzero(mask.any(axis=1))
+    lo, hi = rows[0], rows[-1]
+    assert 0 < lo <= hi < 32
     assert mask.sum() == (hi - lo + 1) ** 2
     # inward rounding: the margin is at least N (log N)^-2
     assert lo >= 32 * math.log(32) ** -2

@@ -31,21 +31,17 @@ def test_params_validation():
 def test_energy_examples():
     g = lattice.build_box(4)
     om = _zero_omega(g)
-    far = fields.FieldSample(g, np.full((5, 5), 50.0))
-    assert pinning.energy(far, om, pinning.PinningParams(h=1.0)) == 0.0
+    assert pinning.energy(g, np.full((5, 5), 50.0), om, pinning.PinningParams(h=1.0)) == 0.0
     # single contact with omega = 0, beta = 1, h = 1/2: weight -lambda(1) + 1/2 = 0
     vals = np.full((5, 5), 50.0)
     vals[2, 2] = 0.0
-    one = fields.FieldSample(g, vals)
-    e = pinning.energy(one, om, pinning.PinningParams(beta=1.0, h=0.5))
+    e = pinning.energy(g, vals, om, pinning.PinningParams(beta=1.0, h=0.5))
     assert abs(e) < 1e-15
     # copolymer with a positive field has no lower-solvent sites
-    pos = fields.FieldSample(g, np.full((5, 5), 2.0))
     cop = pinning.PinningParams(model="copolymer", rho=0.5, h=0.3)
-    assert pinning.energy(pos, om, cop) == 0.0
+    assert pinning.energy(g, np.full((5, 5), 2.0), om, cop) == 0.0
     # sign(0) counts as the upper half-plane
-    zero = fields.FieldSample(g, np.zeros((5, 5)))
-    assert pinning.energy(zero, om, cop) == 0.0
+    assert pinning.energy(g, np.zeros((5, 5)), om, cop) == 0.0
 
 
 def _log_interval_mass(za, zb):
@@ -105,7 +101,7 @@ def test_banded_conditional_matches_density():
     for mu, sigma, bands in cases:
         n = 20000
         draws = pinning.sample_banded_conditional(
-            r, np.full(n, mu), sigma, pinning.band_layout(_first_band_per_site(bands, n)))
+            r, np.full(n, mu), sigma, pinning.BandLayout(_first_band_per_site(bands, n)))
         assert np.all(np.isfinite(draws))
         ks = stats.ks_1samp(draws, _banded_cdf(mu, sigma, bands))
         assert ks.pvalue > 0.005, (mu, sigma, bands, ks)
@@ -139,11 +135,11 @@ def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
         # two weights alternating over the sites: each half has its own law
         groups = [(slice(0, n, 2), [(-1.0, 1.0, w)]), (slice(1, n, 2), [(-1.0, 1.0, -0.5 * w)])]
         logw = np.tile([w, -0.5 * w], n // 2)
-        layout = pinning.band_layout([(-1.0, 1.0, logw)])
+        layout = pinning.BandLayout([(-1.0, 1.0, logw)])
     else:
         bands = _REFLECT_BANDS[kind](w)
         groups = [(slice(None), bands)]
-        layout = pinning.band_layout(_first_band_per_site(bands, n))
+        layout = pinning.BandLayout(_first_band_per_site(bands, n))
     m = np.full(n, mu)
     x = pinning.sample_banded_conditional(r, m, sigma, layout)
     layout.x[:] = x
@@ -159,11 +155,11 @@ def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
 
 def test_band_layout_scalar_and_per_site():
     # per-site bands give one weight column per site; a scalar band is spread over them
-    lay = pinning.band_layout([(-1.0, 1.0, np.full(3, 2.0)), (-math.inf, 0.0, -1.0)])
+    lay = pinning.BandLayout([(-1.0, 1.0, np.full(3, 2.0)), (-math.inf, 0.0, -1.0)])
     assert lay.edges.ravel().tolist() == [-1.0, 0.0, 1.0]
     assert lay.weights.shape == (4, 3)
     assert np.allclose(lay.weights.T, np.exp(np.array([-1.0, 1.0, 2.0, 0.0]) - 2.0))
-    per_site = pinning.band_layout([(-1.0, 1.0, np.array([0.5, -3.0]))])
+    per_site = pinning.BandLayout([(-1.0, 1.0, np.array([0.5, -3.0]))])
     assert per_site.weights.shape == (3, 2)
     assert np.allclose(per_site.weights[1], [1.0, math.exp(-3.0)])
     assert np.allclose(per_site.weights[[0, 2]], [[math.exp(-0.5), 1.0]] * 2)
@@ -444,8 +440,7 @@ def test_energy_bookkeeping_matches_recompute():
     params = pinning.PinningParams(beta=0.4, h=0.3)
     chain = pinning.make_chain(g, params, om, rng.stream(212, "er"))
     rec = pinning.run_chain(g, params, om, chain.rng, sweeps=20, burn_in=5, chain=chain)
-    sample = fields.FieldSample(g, chain.field)
-    assert abs(rec.energy[-1] - pinning.energy(sample, om, params)) < 1e-8
+    assert abs(rec.energy[-1] - pinning.energy(g, chain.field, om, params)) < 1e-8
 
 
 def test_exact_partition_examples():
@@ -563,9 +558,6 @@ def test_restricted_contacts():
     s.values = s.stack.xi.sum(axis=0)
     _, restricted = pinning.restricted_contacts(s, 0.0, window)
     assert not restricted.any()
-    plain = fields.FieldSample(g, s.values)  # no stack
-    with pytest.raises(DomainError, match="restricted contacts need a field carrying its scale"):
-        pinning.restricted_contacts(plain, 0.0, window)
 
 
 def test_iact_reasonable():
@@ -780,11 +772,11 @@ def test_layout_refuses_another_site_count():
     # its buffers (a reflection hands back the layout's x row, as its docstring says);
     # called at any other count it refuses before it draws
     bands = [(-1.0, 1.0, np.full(7, 1.5)), (-math.inf, 0.0, -0.5)]
-    reused = pinning.band_layout(bands)
+    reused = pinning.BandLayout(bands)
     mu = np.linspace(-2.0, 2.0, 7)
     for rep in range(2):
         got_r, want_r = rng.stream(252, "ws", rep), rng.stream(252, "ws", rep)
-        fresh = pinning.band_layout(bands)
+        fresh = pinning.BandLayout(bands)
         got = pinning.sample_banded_conditional(got_r, mu, 0.5, reused)
         want = pinning.sample_banded_conditional(want_r, mu, 0.5, fresh)
         assert np.array_equal(got, want)
@@ -808,7 +800,7 @@ def test_layout_refuses_another_site_count():
 def test_band_layout_refuses_bands_without_per_site_weights():
     # the per-site weights set a layout's site count, so a list of scalar bands has none
     with pytest.raises(DomainError, match="per-site weights"):
-        pinning.band_layout([(-1.0, 1.0, 1.5), (-math.inf, 0.0, -0.5)])
+        pinning.BandLayout([(-1.0, 1.0, 1.5), (-math.inf, 0.0, -0.5)])
 
 
 def test_empty_colour_class_still_samples():
@@ -865,7 +857,7 @@ def test_half_updates_draw_what_they_promise(edges, per_site):
     # no more and no less, whatever the layout
     n = 37
     w = np.linspace(-3.0, 3.0, n) if per_site else np.full(n, 1.5)
-    layout = pinning.band_layout(_EDGE_BANDS[edges](w))
+    layout = pinning.BandLayout(_EDGE_BANDS[edges](w))
     assert layout.edges.shape == (edges, 1)
     mu = np.linspace(-2.5, 2.5, n)
     r, twin = rng.stream(258, "draws", edges, per_site), rng.stream(258, "draws", edges, per_site)
@@ -902,7 +894,7 @@ def test_reflection_lookup_is_a_left_searchsorted(edges, per_site):
                  + [0.0, -0.0, np.inf, -np.inf])
     n = x.size
     w = np.linspace(-3.0, 3.0, n) if per_site else np.full(n, 1.5)
-    layout = pinning.band_layout(_EDGE_BANDS[edges](w))
+    layout = pinning.BandLayout(_EDGE_BANDS[edges](w))
     assert layout.edges[:, 0].tolist() == cuts
     for mu in (np.full(n, -0.0), np.full(n, 0.25)):
         got_r, want_r = (rng.stream(259, "lookup", edges, per_site) for _ in range(2))

@@ -86,11 +86,39 @@ def test_two_worker_processes_print_the_same_row(capsys):
     assert rows[0] == rows[1] and len(rows[0].splitlines()) == 3
 
 
-@pytest.mark.parametrize("argv", [["h-leg", "--seeds", "1"], ["h-leg", "--seeds", "3",
-                                                              "--set", "replicas=2"],
-                                  ["h-leg", "--seeds", "3", "--threads", "0"]],
-                         ids=["one-seed", "unknown-setting", "threads-zero"])
-def test_bad_arguments_exit_2(argv):
+# argv after the estimator, the refusal's message, and the chains run before it: a setting
+# refused before any draw runs none, and run_chain refuses sweeps = 0 before it sweeps
+_BAD = {
+    "one-seed": (["--seeds", "1"], "--seeds must be >= 2 (got 1)", 0),
+    "unknown-setting": (["--set", "replicas=2"], "unknown config key(s) replicas for 'h-leg'", 0),
+    "threads-zero": (["--threads", "0"], "--threads must be >= 1 (got 0)", 0),
+    "sweeps-text": (["--set", "sweeps=abc"], "sweeps = 'abc' (the default is 200)", 0),
+    "sweeps-zero": (["--set", "sweeps=0"], "sweeps and thinning must be >= 1 (got 0, 2)", 1),
+    "beta-negative": (["--set", "beta=-1"], "beta and m must be >= 0", 0),
+    "omega-seed-negative": (["--set", "omega_seed=-1"],
+                            "omega_seed must be an integer in [0, 2^64) (got -1)", 0),
+    "omega-seed-too-large": (["--set", f"omega_seed={2 ** 64}"],
+                             f"omega_seed must be an integer in [0, 2^64) (got {2 ** 64})", 0),
+    "h-nan": (["--set", "h=nan"], "not finite for 'h-leg': h = nan", 0),
+    "one-point": (["--set", "points=1"], "points must be an integer >= 2 (got 1)", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD))
+def test_bad_arguments_exit_2(case, monkeypatch, capsys):
+    argv, message, chains = _BAD[case]
+    calls = []
+    run_chain = se_calibration.pinning.run_chain
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("sweeps"))
+        return run_chain(*args, **kwargs)
+
+    monkeypatch.setattr(se_calibration.pinning, "run_chain", counted)
     with pytest.raises(SystemExit) as exc:
-        se_calibration.main(argv)
+        se_calibration.main(["h-leg", "--seeds", "3"] + argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0] and captured.out == ""
+    assert len(calls) == chains

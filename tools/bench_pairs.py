@@ -49,10 +49,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'41-50' or '3,7,9' (or a mix) as a list of seeds."""
+    """'41-50' or '3,7,9' (or a mix) as a list of seeds; a range that runs backwards
+    is refused, so the list is never empty."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
+        if int(hi or lo) < int(lo):
+            raise argparse.ArgumentTypeError(f"seed range {part!r} runs backwards")
         seeds += list(range(int(lo), int(hi or lo) + 1))
     return seeds
 

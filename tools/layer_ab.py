@@ -162,10 +162,9 @@ def _ladder_point(pkg):
 def _coupling_ladder(pkg, N: int):
     beta, h, m, u = 0.5, 0.3, 0.3, 0.0
     g = pkg.lattice.build_box(N)
-    threshold = pkg.freeenergy.density_event_threshold(N, m, pkg.experiments.FROZEN_DENSITY_K)
-    cov = pkg.fields.boundary_covariance(g, m)
-    return lambda: pkg.freeenergy._replica_log_z(g, beta, h, m, u, threshold, 1, "ab-coupling",
-                                                 COUPLING_SWEEPS, COUPLING_BURN, cov, 0)
+    params = pkg.pinning.PinningParams(beta=beta, h=h, m=m, u=u)
+    return lambda: pkg.freeenergy._replica_log_z(g, params, pkg.experiments.FROZEN_DENSITY_K, 1,
+                                                 "ab-coupling", COUPLING_SWEEPS, COUPLING_BURN, 0)
 
 
 def _bridge_block(pkg):

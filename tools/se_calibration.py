@@ -13,7 +13,10 @@ entries run at N = 2, the one box that pinning.exact_partition_small solves:
   coupling  freeenergy.coupling_log_z at (beta, h, m); the estimate is log Z
 
 The disorder is one draw (stream omega_seed) for every seed, and seed s =
-0 .. S-1 drives the chain alone.  --set key=value changes an entry's defaults.
+0 .. S-1 drives the chain alone.  --set key=value changes an entry's defaults,
+checked as an experiment's settings are (experiments.Experiment.resolve), and
+points must be at least 2 and omega_seed in [0, 2^64).  A bad setting, or any
+error the run raises, exits 2 with one error: line.
 --threads T runs the seeds over T worker processes (the library's replica
 fan-out inside a freeenergy.workers block); it changes no number, so the row
 is the same as with one.
@@ -46,6 +49,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from gffpin import disorder, freeenergy, lattice, pinning, rng  # noqa: E402
 from gffpin.config import parse_value  # noqa: E402
+from gffpin.errors import ConfigError, GffpinError  # noqa: E402
+from gffpin.experiments import Experiment  # noqa: E402
 
 
 def _box(cfg: dict):
@@ -111,19 +116,22 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1, help="worker processes, >= 1")
     args = parser.parse_args(argv)
     defaults, estimator = ESTIMATORS[args.estimator]
-    cfg = dict(defaults)
-    for item in args.set:
-        key, _, text = item.partition("=")
-        if key not in defaults:
-            parser.error(f"{args.estimator} has no setting {key!r} (settings: "
-                         f"{', '.join(sorted(defaults))})")
-        cfg[key] = parse_value(text)
     if args.seeds < 2:
         parser.error(f"--seeds must be >= 2 (got {args.seeds})")
     if args.threads < 1:
         parser.error(f"--threads must be >= 1 (got {args.threads})")
-    with freeenergy.workers(args.threads):
-        row = calibrate(estimator, cfg, args.seeds)
+    try:
+        cfg = Experiment(args.estimator, "", "", defaults, estimator).resolve(
+            {key: parse_value(text) for key, _, text in (item.partition("=") for item in args.set)})
+        if cfg.get("points", 2) < 2:
+            raise ConfigError(f"points must be an integer >= 2 (got {cfg['points']})")
+        if not 0 <= cfg["omega_seed"] < 2 ** 64:
+            raise ConfigError(f"omega_seed must be an integer in [0, 2^64) "
+                              f"(got {cfg['omega_seed']})")
+        with freeenergy.workers(args.threads):
+            row = calibrate(estimator, cfg, args.seeds)
+    except GffpinError as exc:
+        parser.error(str(exc))
     left_out = args.seeds - row["seeds"]
     print(f"{args.estimator} at N = 2, " + ", ".join(f"{k}={v}" for k, v in sorted(cfg.items()))
           + (f"; {left_out} of {args.seeds} seeds state se inf, left out" if left_out else ""))
