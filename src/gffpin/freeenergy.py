@@ -325,6 +325,8 @@ def _replica_log_z(geom: BoxGeometry, params: pinning.PinningParams, K: float, m
     downward-biased at finite budgets, which is the conservative side for the
     positivity verdict.
     """
+    # first: on a cold f(m) memo its integration buffers are freed before any chain allocates
+    threshold = density_event_threshold(geom.N, params.m, K)
     bc_rng = rngmod.stream(master_seed, tag, "bc", r)
     om_rng = rngmod.stream(master_seed, tag, "omega", r)
     ch_rng = rngmod.stream(master_seed, tag, "chain", r)
@@ -342,7 +344,7 @@ def _replica_log_z(geom: BoxGeometry, params: pinning.PinningParams, K: float, m
     log_z = (float(np.sum(ladder.increments))
              + pinning.boundary_contact_term(geom, params, omega))
     sumsq = ladder.records[-1].extra["sumsq"]
-    freq = float(np.mean(sumsq >= density_event_threshold(geom.N, params.m, K)))
+    freq = float(np.mean(sumsq >= threshold))
     return log_z + math.log(max(freq, 0.5 / len(sumsq))), freq
 
 
