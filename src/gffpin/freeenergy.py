@@ -72,15 +72,14 @@ class Ladder:
     """One warm-started integration ladder.
 
     density[j] is the mean of the integrand at the j-th grid point, density_se[j]
-    its SE; increments[j] is the trapezoid over the j-th segment, and log_z sums
-    them from 0 at the first point, log_z_se[k] the SE of _trapezoid_rows(grid)[k]
-    @ density (independent points).  records[j] is the chain record of point j
-    (None where the integrand is exact and no chain ran).
+    its SE; log_z[k] is the running sum of the trapezoids over the first k
+    segments (log_z[-1] the ladder's log Z), log_z_se[k] the SE of
+    _trapezoid_rows(grid)[k] @ density (independent points).  records[j] is the
+    chain record of point j (None where the integrand is exact and no chain ran).
     """
 
     density: np.ndarray
     density_se: np.ndarray
-    increments: np.ndarray
     log_z: np.ndarray
     log_z_se: np.ndarray
     records: list
@@ -140,8 +139,8 @@ def integrate_ladder(chain_at, grid: np.ndarray, integrand, start: np.ndarray, s
         field = chain.field
     increments = 0.5 * np.diff(grid) * (density[:-1] + density[1:])
     log_z_se = np.sqrt(np.diag(_map_cov(_trapezoid_rows(grid), np.diag(density_se ** 2))))
-    return Ladder(density, density_se, increments, np.concatenate([[0.0], np.cumsum(increments)]),
-                  log_z_se, records)
+    return Ladder(density, density_se, np.concatenate([[0.0], np.cumsum(increments)]), log_z_se,
+                  records)
 
 
 def _coupling_ladder(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
@@ -177,7 +176,7 @@ def coupling_log_z(geom: BoxGeometry, params: pinning.PinningParams, omega: Diso
     points from 0 to 1.  The co-membrane model is refused before any draw.
     """
     ladder = _coupling_ladder(geom, params, omega, rng, sweeps, burn_in)
-    return float(np.sum(ladder.increments)), float(ladder.log_z_se[-1])
+    return float(ladder.log_z[-1]), float(ladder.log_z_se[-1])
 
 
 def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: DisorderField,
@@ -341,8 +340,7 @@ def _replica_log_z(geom: BoxGeometry, params: pinning.PinningParams, K: float, m
 
     ladder = _coupling_ladder(geom, params, omega, ch_rng, sweeps, burn_in,
                               observables={"sumsq": density_stat})
-    log_z = (float(np.sum(ladder.increments))
-             + pinning.boundary_contact_term(geom, params, omega))
+    log_z = float(ladder.log_z[-1]) + pinning.boundary_contact_term(geom, params, omega)
     sumsq = ladder.records[-1].extra["sumsq"]
     freq = float(np.mean(sumsq >= threshold))
     return log_z + math.log(max(freq, 0.5 / len(sumsq))), freq
@@ -520,6 +518,6 @@ def height_restriction_logp(beta: float, h: float, N: int, master_seed: int,
         burn_in // 2, observables=[{"out": outside}] * len(kappas))
     counts = ladder.density
     # the trapezoid integral, plus the count's e^-kappa decay beyond the grid
-    logp = -(float(np.sum(ladder.increments)) + float(counts[-1])) / (N * N)
+    logp = -(float(ladder.log_z[-1]) + float(counts[-1])) / (N * N)
     return {"h": h, "barrier": b, "kappa": kappas, "mean_outside": counts,
             "logp_per_site": logp}

@@ -1,4 +1,4 @@
-"""The pinning Gibbs measure and its heat-bath / reflection dynamics.
+"""The pinning Gibbs measure and its heat-bath, independence and reflection dynamics.
 
 The interaction rewards sites whose height (after any boundary shift) lies
 in the band [u-1, u+1]; the co-membrane variant instead charges sites in the
@@ -7,22 +7,26 @@ instances of a density with piecewise-constant per-site log-weights in the
 height, so the single-site conditional is a mixture of truncated Gaussians,
 N(mu, sigma^2) reweighted by w.  A checkerboard schedule turns a sweep into
 two vectorized half-updates.
-run_chain's sweeps run in cycles of one heat-bath sweep followed by
+run_chain's sweeps run in cycles of one independence sweep followed by
 k = max(1, N // 4) reflection sweeps on a box of side N, the phase within
-the cycle kept on the chain; heat_bath_sweep makes heat-bath sweeps only.  A
-heat-bath half-update draws every site of its colour exactly from its
-conditional.  A reflection half-update (Creutz's Metropolised
-overrelaxation) proposes y = 2 mu - x and keeps it with probability
-min(1, w(y) / w(x)): the map is its own inverse, has unit Jacobian and
-preserves N(mu, sigma^2), so this is a Metropolis-Hastings step with an exact
-acceptance ratio.  Either half-update therefore leaves the conditional, and
-with it the target, invariant.  The reflections suppress the random walk of
-the slow modes (Adler 1981) at about a third of a heat-bath half-update's
-cost; the heat-bath sweeps keep the chain ergodic.  The best number of
-reflections per heat-bath sweep grows with the correlation length (Wolff
-1992), about N here.  In a small box the conditional means barely move
-between sweeps, so two reflections nearly cancel: boxes with N <= 7 keep one
-reflection per heat-bath sweep.
+the cycle kept on the chain; heat_bath_sweep makes exact heat-bath sweeps
+only.  A heat-bath half-update draws every site of its colour exactly from
+its conditional.  The other two are Metropolis-Hastings steps with an exact
+acceptance ratio: each proposes a y whose proposal law cancels against the
+conditional's Gaussian factor and keeps it with probability
+min(1, w(y) / w(x)), so either leaves the conditional, and with it the
+target, invariant.  An independence half-update (Tierney 1994) proposes a
+fresh y = mu + sigma z from the unweighted N(mu, sigma^2); it refreshes every
+site at about a third of a heat-bath half-update's cost, and at the
+laboratory's parameters keeps about 95 % of its proposals.  A reflection
+half-update (Creutz's Metropolised overrelaxation) proposes y = 2 mu - x: the
+map is its own inverse, has unit Jacobian and preserves N(mu, sigma^2).  The
+reflections suppress the random walk of the slow modes (Adler 1981) at
+about a quarter of a heat-bath half-update's cost; the independence sweeps
+keep the chain ergodic.  The best number of reflections per refresh grows
+with the correlation length (Wolff 1992), about N here.  In a small box the
+conditional means barely move between sweeps, so two reflections nearly
+cancel: boxes with N <= 7 keep one reflection per independence sweep.
 
 Only the conditional means change between sweeps: band edges are global and
 the per-site band weights are fixed for a chain.  Each checkerboard colour
@@ -31,9 +35,9 @@ themselves, built once per box size and shared by every chain of that size,
 and each chain keeps one `BandLayout` per colour, built at the colour's site
 count (set by the per-site weights of the model's band; scalar bands are
 broadcast over the sites).  The layout holds everything the colour's
-half-updates work in: edges and weights, the reflection's flat lookups, the
-heat-bath sampler's grid, masses and uniforms, every view into them and the
-gather buffer; a call at another site count is refused.  Since a
+half-updates work in: edges and weights, the Metropolis step's flat
+lookups, the heat-bath sampler's grid, masses and uniforms, every view into
+them and the gather buffer; a call at another site count is refused.  Since a
 half-update touches only a few hundred sites, its cost is the number of
 numpy calls it makes, so each call works in place in these buffers, through
 ndarray methods rather than the np.* wrappers, with 0-d array scalar
@@ -44,18 +48,20 @@ assignment, flat[sites] = draws (half the cost of put at N = 32).  A
 heat-bath half-update evaluates two normal CDFs, Phi(z) and Phi(-z), per
 site and edge and draws two uniforms per site with one rng.random call into
 a buffer: the first n pick the intervals (one comparison of every running
-sum with them, one count), the last n the heights inside them.  A
-reflection half-update takes the neighbours' and the sites' heights with
-one take into rows 0-4 of the layout's (6, n) gather buffer, whose rows 4
-and 5 are its (x, y) pair, and writes 2 mu - x into row 5; it finds both
-points' intervals by counting the edges strictly below each point of the
-pair (one comparison with the column of edges and one np.add.reduce over
-it, in place of a binary search whose data-dependent branches mispredict)
-and their weights with one take, draws one uniform per site with one
-rng.random call and copies the accepted sites from row 5 into row 4, which
-it writes back: 14 numpy calls from the gather to the write-back.  A
-reflection sweep takes the flat view of the field once.  A layout, like the
-chain holding it, is not for concurrent use.
+sum with them, one count), the last n the heights inside them.  An
+independence or reflection half-update takes the neighbours' and the sites'
+heights with one take into rows 0-4 of the layout's (6, n) gather buffer,
+whose rows 4 and 5 are its (x, y) pair, and writes its proposal into row 5:
+mu + sigma z from one rng.standard_normal call, or 2 mu - x.  One Metropolis
+step then finds both points' intervals by counting the edges strictly below
+each point of the pair (one comparison with the column of edges and one
+np.add.reduce over it, in place of a binary search whose data-dependent
+branches mispredict) and their weights with one take, draws one uniform per
+site with one rng.random call and copies the accepted sites from row 5 into
+row 4, which the half-update writes back: 14 numpy calls from the gather to
+the write-back for a reflection, 15 for an independence update.  Such a
+sweep takes the flat view of the field once.  A layout, like the chain
+holding it, is not for concurrent use.
 None of this changes a float operation or a draw: the running interval sums
 are row adds in add.accumulate's order.
 
@@ -210,9 +216,10 @@ class BandLayout:
     the sites, so a list without per-site weights is refused.  The finite
     band edges (a column, sorted) split the real line into len(edges) + 1
     intervals; weights[j, i] = exp(logw - max over j) is the relative weight
-    of interval j at site i.  The reflection works on the
-    (2, n) buffer pair xy, its rows x (the sites' heights) and y (their
-    mirror images 2 mu - x), and looks up both rows' weights at once: the
+    of interval j at site i.  The Metropolis step works on the (2, n)
+    buffer pair xy, its rows x (the sites' heights) and y (their proposals:
+    mirror images 2 mu - x, or independent draws), and looks up both rows'
+    weights at once: the
     (edges, 1, 1) edge_column is compared with xy into below_xy, and the
     count of edges strictly below each point, summed over the edges into at,
     is its interval j (for a height that is not NaN, the index a left
@@ -349,25 +356,16 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray,
     return v
 
 
-def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, bands: BandLayout) -> np.ndarray:
-    """One Metropolised reflection of bands.x in the law sample_banded_conditional draws from.
+def _metropolis_step(rng: np.random.Generator, bands: BandLayout) -> np.ndarray:
+    """Keep each site's proposal bands.y over its height bands.x with probability
+    min(1, w(y) / w(x)), w the layout's weight of the interval holding the point.
 
-    Proposes y = 2 mu - x, which maps N(mu, sigma^2) onto itself with unit
-    Jacobian and is its own inverse, so keeping y with probability
-    min(1, w(y) / w(x)), w the layout's weight of the interval holding the
-    point, leaves the reweighted law invariant.  Consumes rng.random(n).
-
-    Works on the layout's (x, y) buffer pair: the caller puts x into row 0,
-    bands.x (a reflection sweep gathers it there), and 2 mu - x goes into row
-    1, so one count of the edges below each point of both rows and one take
-    find both points' weights.  The accepted sites are copied from row 1 into
-    row 0, and row 0 is returned: the layout's buffer, not a fresh array,
-    valid until the layout's next reflection.
+    One count of the edges below each point of both rows and one take find
+    both points' weights; one uniform per site (rng.random(n)) keeps y where
+    u w(x) < w(y).  The kept sites are copied from row 1 into row 0, and row
+    0 is returned: the layout's buffer, not a fresh array, valid until the
+    layout's next Metropolis step.
     """
-    _refuse_other_size(mu, bands)
-    x_row, y = bands.x, bands.y
-    np.add(mu, mu, out=y)
-    y -= x_row
     at = bands.at
     np.add.reduce(np.less(bands.edge_column, bands.xy, out=bands.below_xy), axis=0, out=at,
                   dtype=at.dtype)
@@ -375,8 +373,43 @@ def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, bands: BandLayout)
     bands.site_major.take(at, out=bands.wxy, mode="clip")
     wx = bands.wx
     wx *= rng.random(out=bands.uniforms)
-    np.putmask(x_row, np.less(wx, bands.wy, out=bands.accept), y)
-    return x_row
+    np.putmask(bands.x, np.less(wx, bands.wy, out=bands.accept), bands.y)
+    return bands.x
+
+
+def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, bands: BandLayout) -> np.ndarray:
+    """One Metropolised reflection of bands.x in the law sample_banded_conditional draws from.
+
+    Proposes y = 2 mu - x, which maps N(mu, sigma^2) onto itself with unit
+    Jacobian and is its own inverse, so keeping y with probability
+    min(1, w(y) / w(x)) (_metropolis_step) leaves the reweighted law
+    invariant.  Consumes rng.random(n).  The caller puts x into bands.x (a
+    reflection sweep gathers it there); 2 mu - x goes into bands.y.
+    """
+    _refuse_other_size(mu, bands)
+    y = bands.y
+    np.add(mu, mu, out=y)
+    y -= bands.x
+    return _metropolis_step(rng, bands)
+
+
+def _independence_banded(rng: np.random.Generator, mu: np.ndarray, sigma: np.ndarray,
+                         bands: BandLayout) -> np.ndarray:
+    """One Metropolised independence update of bands.x in the law
+    sample_banded_conditional draws from.
+
+    Proposes y = mu + sigma z, a fresh draw from the unweighted N(mu,
+    sigma^2), whatever x is: the proposal density cancels against the
+    target's Gaussian factor, so keeping y with probability min(1, w(y) /
+    w(x)) (_metropolis_step) leaves the reweighted law invariant (Tierney
+    1994).  Consumes rng.standard_normal(n), then rng.random(n).  The caller
+    puts x into bands.x, as for a reflection; y goes into bands.y.
+    """
+    _refuse_other_size(mu, bands)
+    y = rng.standard_normal(out=bands.y)
+    y *= sigma
+    y += mu
+    return _metropolis_step(rng, bands)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +424,10 @@ class GibbsChain:
     Normal(sum of neighbours / (4 + m^2), 1 / (4 + m^2)) reweighted by the
     model's bands, in a checkerboard schedule; the boundary never changes.
     The chain keeps the phase of the sweeps run_chain makes, in cycles of one
-    heat-bath sweep and then k = max(1, N // 4) Metropolised reflection
-    sweeps: 1:1 up to N = 7, where two reflections nearly cancel, 1:4 at
-    N = 16, 1:8 at N = 32.
+    Metropolised independence sweep and then k = max(1, N // 4) Metropolised
+    reflection sweeps: 1:1 up to N = 7, where two reflections nearly cancel,
+    1:4 at N = 16, 1:8 at N = 32; heat_bath_sweep draws from the
+    conditionals exactly.
     """
 
     geom: BoxGeometry
@@ -411,7 +445,7 @@ class GibbsChain:
         bands = ((lo, hi, self.coupling * scale * w),) + tuple(self.extra_bands)
         self.field = np.ascontiguousarray(self.field, dtype=float)
         self._reflections = max(1, self.geom.N // 4)
-        self._phase = 0  # sweeps into the current cycle; 0 runs the heat-bath sweep
+        self._phase = 0  # sweeps into the current cycle; 0 runs the independence sweep
         self._colours = []
         for table in _colour_indices(self.geom):  # (sites, neighbours, both, layout) per colour
             # a copy: take copies a read-only index array on every call (index assignment
@@ -478,18 +512,28 @@ def _reflection_sweep(chain: GibbsChain, flat: np.ndarray) -> None:
         flat[sites] = _reflect_banded(chain.rng, layout.mu, layout)
 
 
+def _independence_sweep(chain: GibbsChain, flat: np.ndarray) -> None:
+    """One full checkerboard sweep of the chain's field, flat its flat view, moving
+    each interior site to a fresh draw from its unweighted Gaussian conditional with
+    the Metropolis probability of its band weights; gathered as a reflection sweep
+    gathers."""
+    for sites, _, index, layout in chain._colours:
+        flat.take(index, out=layout.near_x, mode="clip")
+        _conditional_means(layout, chain._denom)
+        flat[sites] = _independence_banded(chain.rng, layout.mu, chain._sigma, layout)
+
+
 def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:
-    """n_sweeps sweeps of the chain's schedule: a heat-bath sweep at phase 0, a
+    """n_sweeps sweeps of the chain's schedule: an independence sweep at phase 0, a
     reflection sweep at each of the cycle's other chain._reflections phases.
     The phase lives on the chain, so a + b sweeps in one call equal a sweeps
-    then b.  The heat-bath sweeps go through heat_bath_sweep, whose calls a
-    profiler wrapping the module's public functions counts."""
+    then b."""
     flat = chain.field.reshape(-1, copy=False)
     for _ in range(n_sweeps):
         if chain._phase:
             _reflection_sweep(chain, flat)
         else:
-            heat_bath_sweep(chain)
+            _independence_sweep(chain, flat)
         chain._phase = (chain._phase + 1) % (1 + chain._reflections)
 
 
@@ -544,7 +588,7 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     field -> float for extra per-record statistics.  A chain passed in must
     come with its own geom, params, omega and rng (the very objects; anything
     else raises DomainError); it holds the final field afterwards.  Burn-in
-    and recorded sweeps alike run the chain's cycle of one heat-bath sweep
+    and recorded sweeps alike run the chain's cycle of one independence sweep
     and k = max(1, N // 4) reflection sweeps, from the phase the chain holds;
     boxes with N <= 7 keep 1:1, since there two reflections nearly cancel.
     Each record gathers the heights of the interaction range, through site

@@ -253,13 +253,13 @@ def test_ladders_bit_identical():
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(242, "id-om4"))
     got = freeenergy.coupling_log_z(g, pinning.PinningParams(beta=0.5, h=0.2), om,
                                     rng.stream(243, "id-cz"), sweeps=20, burn_in=10)
-    assert got == (1.7112971519060112, 0.028516877392833002)  # the 12-point t-grid
+    assert got == (1.6702531623715458, 0.034837772104658375)  # the 12-point t-grid
     ti = freeenergy.ti_log_partition(g, pinning.PinningParams(beta=0.5), om,
                                      rng.stream(244, "id-ti"), np.array([0.0, 0.1, 0.2]),
                                      sweeps=20, burn_in=10)
-    assert ti.log_z.tolist() == [0.0, 0.8250000000000001, 1.665]
-    assert ti.log_z_se.tolist() == [0.0, 0.029962940072325646, 0.052577984408347614]
-    assert ti.density.tolist() == [8.3, 8.2, 8.6]
+    assert ti.log_z.tolist() == [0.0, 0.8500000000000001, 1.6800000000000002]
+    assert ti.log_z_se.tolist() == [0.0, 0.016346933113652304, 0.03541029354423497]
+    assert ti.density.tolist() == [8.7, 8.3, 8.3]
 
 
 def test_free_energy_curve_bit_identical():
@@ -267,40 +267,65 @@ def test_free_energy_curve_bit_identical():
     g = lattice.build_box(4)
     pure = freeenergy.free_energy_curve(g, 0.0, [0.0, 0.1, 0.2], 247,
                                         sweeps=20, burn_in=10)
-    assert pure.value.tolist() == [0.0, 0.051607142857143753, 0.10375000000000627]
-    assert pure.se.tolist() == [0.0, 0.0009252075822728625, 0.001280246309209898]
+    assert pure.value.tolist() == [0.0, 0.05250000000000313, 0.10625000000000313]
+    assert pure.se.tolist() == [0.0, 0.0008764868319987153, 0.0011177566641802324]
     quenched = freeenergy.free_energy_curve(g, 0.5, [0.0, 0.1, 0.2], 247,
                                             replicas=2, sweeps=20, burn_in=10)
-    assert quenched.value.tolist() == [-0.13442408634685515, -0.08712497920399423,
-                                       -0.03839730063256767]
-    assert quenched.se.tolist() == [0.02835446314270708, 0.029091070285558643,
-                                    0.028309820285550825]
+    assert quenched.value.tolist() == [-0.13824740851265216, -0.08768937279837717,
+                                       -0.03871615851267091]
+    assert quenched.se.tolist() == [0.026806171212741467, 0.026694564069875845,
+                                    0.026471349784147717]
 
 
 def test_height_restriction_bit_identical():
     # the 9-segment soft-wall ladder, kappa = 0 .. 3 by 0.5, then 6, 9, 12
     out = freeenergy.height_restriction_logp(0.5, 0.5, 8, 248, sweeps=20, burn_in=10)
     assert out["kappa"].tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0, 9.0, 12.0]
-    assert out["mean_outside"].tolist() == [20.0, 9.6, 9.4, 4.7, 2.7, 1.4, 1.6, 0.0, 0.0, 0.0]
-    assert out["logp_per_site"] == -0.3390625
+    assert out["mean_outside"].tolist() == [17.1, 12.4, 9.8, 4.1, 3.8, 2.0, 1.1, 0.1, 0.0, 0.0]
+    assert out["logp_per_site"] == -0.35234375
 
 
 def test_doubling_gap_bit_identical():
     out = freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.05, 4, 245, replicas=2, sweeps=4,
                                   burn_in=2)
-    assert out == {"small": (3.138500579583369, 0.22078432443904147),
-                   "large": (10.344574886361206, 2.638031711177584),
-                   "gap": -2.2094274319722693, "gap_se": 2.781931486551492}
+    assert out == {"small": (3.26417876689346, 0.14238156524617795),
+                   "large": (9.822568439243486, 2.7659816345775554),
+                   "gap": -3.234146628330354, "gap_se": 2.8240068280320343}
 
 
 def test_doubling_gap_bit_identical_at_the_benchmark_boxes():
-    # the doubling workload's boxes, N = 16 and 32: 4 and 8 reflection sweeps per heat-bath
+    # the doubling workload's boxes, N = 16 and 32: 4 and 8 reflection sweeps per independence
     # sweep on a random massive boundary (N = 4 and 8 above run 1 : 1 and 1 : 2)
     out = freeenergy.doubling_gap(0.5, 0.3, 0.3, 0.0, 0.35, 16, 249, replicas=2, sweeps=8,
                                   burn_in=4)
-    assert out == {"small": (42.570796368815216, 3.1183541428069854),
-                   "large": (165.78413931411617, 5.605570427302325),
-                   "gap": -4.49904616114469, "gap_se": 13.675106609267447}
+    assert out == {"small": (42.34102760301304, 2.4881244467873174),
+                   "large": (165.56113175028685, 4.487601152320892),
+                   "gap": -3.8029786617653087, "gap_se": 10.917452830469335}
+
+
+def test_each_leg_returns_its_ladders_log_z(monkeypatch):
+    # the coupling leg, a doubling replica and the soft-wall leg take log Z from their
+    # ladder's running sum, log_z[-1], bit for bit: over these eight seeds, a pairwise sum of
+    # the trapezoids differs from it in the last bit at least once on every leg
+    ladders, frames = [], []
+    integrate, frame = freeenergy.integrate_ladder, pinning.boundary_contact_term
+    monkeypatch.setattr(freeenergy, "integrate_ladder",
+                        lambda *a, **kw: ladders.append(integrate(*a, **kw)) or ladders[-1])
+    monkeypatch.setattr(pinning, "boundary_contact_term",
+                        lambda *a: frames.append(frame(*a)) or frames[-1])
+    g = lattice.build_box(4)
+    for seed in range(8):
+        om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(272, "legs-om", seed))
+        value, _ = freeenergy.coupling_log_z(g, pinning.PinningParams(beta=0.5, h=0.2), om,
+                                             rng.stream(272, "legs", seed), sweeps=20,
+                                             burn_in=10)
+        assert value == ladders[-1].log_z[-1]
+        log_z, freq = freeenergy._replica_log_z(
+            g, pinning.PinningParams(beta=0.5, h=0.3, m=0.3), 0.05, 272, "legs", 20, 10, seed)
+        records = len(ladders[-1].records[-1].extra["sumsq"])
+        assert log_z == ladders[-1].log_z[-1] + frames[-1] + math.log(max(freq, 0.5 / records))
+        out = freeenergy.height_restriction_logp(0.5, 0.5, 8, 272 + seed, sweeps=20, burn_in=10)
+        assert out["logp_per_site"] == -(ladders[-1].log_z[-1] + ladders[-1].density[-1]) / 64
 
 
 def test_one_extension_solve_per_anchoring(monkeypatch):

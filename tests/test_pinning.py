@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_banded_conditional_matches_density():
         assert ks.pvalue > 0.005, (mu, sigma, bands, ks)
 
 
-# band lists of the reflection test, by the weight w drawn for them
+# band lists of the half-update law tests, by the weight w drawn for them
 _REFLECT_BANDS = {
     "scalar": lambda w: [(-1.0, 1.0, w)],
     "wall": lambda w: [(-1.0, 1.0, w), (-0.5, 0.5, -0.5 * w)],
@@ -115,27 +116,32 @@ _REFLECT_BANDS = {
 }
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(sorted(_REFLECT_BANDS) + ["per-site"]),
-       mu=st.floats(-12.0, 12.0), sigma=st.floats(0.3, 1.0), w=st.floats(-30.0, 30.0))
-@example(kind="scalar", mu=2.0, sigma=0.5, w=30.0)     # mu outside the band: most kept stay
-@example(kind="scalar", mu=-9.0, sigma=0.5, w=30.0)    # mu 16 sd below the band
-@example(kind="scalar", mu=1.5, sigma=0.5, w=-30.0)
-@example(kind="wall", mu=0.4, sigma=0.5, w=30.0)
-@example(kind="copolymer", mu=3.0, sigma=0.5, w=30.0)  # mu above the half-line
-@example(kind="copolymer", mu=-9.0, sigma=0.5, w=-30.0)
-@example(kind="per-site", mu=1.5, sigma=0.5, w=30.0)
-def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
-    # exact draws, one Metropolised reflection each, the same law after (KS), and
-    # every moved site at the mirror image of where it was, to rounding (2 mu - x
-    # is rounded once and its mirror once more)
+def _banded_laws(test):
+    """Run `test` over the band kinds, means, sds and weights of the half-update law tests."""
+    for case in [dict(kind="scalar", mu=2.0, sigma=0.5, w=30.0),     # mu outside the band: most
+                                                                     # reflections stay put
+                 dict(kind="scalar", mu=-9.0, sigma=0.5, w=30.0),    # mu 16 sd below the band
+                 dict(kind="scalar", mu=1.5, sigma=0.5, w=-30.0),
+                 dict(kind="wall", mu=0.4, sigma=0.5, w=30.0),
+                 dict(kind="copolymer", mu=3.0, sigma=0.5, w=30.0),  # mu above the half-line
+                 dict(kind="copolymer", mu=-9.0, sigma=0.5, w=-30.0),
+                 dict(kind="per-site", mu=1.5, sigma=0.5, w=30.0)]:
+        test = example(**case)(test)
+    test = given(kind=st.sampled_from(sorted(_REFLECT_BANDS) + ["per-site"]),
+                 mu=st.floats(-12.0, 12.0), sigma=st.floats(0.3, 1.0),
+                 w=st.floats(-30.0, 30.0))(test)
+    return settings(max_examples=30, deadline=None, derandomize=True)(test)
+
+
+def _half_update_keeps_the_banded_law(update, r, kind, mu, sigma, w):
+    """200 000 exact draws at mean mu, sd sigma and the bands of kind and w, then one
+    half-update(r, mu, sigma, layout) of each, checked to follow the same law (KS);
+    returns the draws and their updates."""
     n = 200_000
-    r = rng.stream(260, "reflect", kind, mu, sigma, w)
     if kind == "per-site":
         # two weights alternating over the sites: each half has its own law
         groups = [(slice(0, n, 2), [(-1.0, 1.0, w)]), (slice(1, n, 2), [(-1.0, 1.0, -0.5 * w)])]
-        logw = np.tile([w, -0.5 * w], n // 2)
-        layout = pinning.BandLayout([(-1.0, 1.0, logw)])
+        layout = pinning.BandLayout([(-1.0, 1.0, np.tile([w, -0.5 * w], n // 2))])
     else:
         bands = _REFLECT_BANDS[kind](w)
         groups = [(slice(None), bands)]
@@ -143,14 +149,34 @@ def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
     m = np.full(n, mu)
     x = pinning.sample_banded_conditional(r, m, sigma, layout)
     layout.x[:] = x
-    y = pinning._reflect_banded(r, m, layout)
-    moved = y != x
-    back, was = (m + m - y)[moved], x[moved]
-    assert np.all(np.abs(back - was) <= 4 * np.spacing(np.maximum(2 * abs(mu), np.abs(was))))
+    y = update(r, m, sigma, layout)
     # about 45 KS tests per run: 1e-4 each keeps a false alarm below 0.5 % per run
     for sites, group_bands in groups:
         ks = stats.ks_1samp(y[sites], _banded_cdf(mu, sigma, group_bands))
-        assert ks.pvalue > 1e-4, (kind, mu, sigma, w, moved.mean(), ks)
+        assert ks.pvalue > 1e-4, (kind, mu, sigma, w, (y != x).mean(), ks)
+    return x, y
+
+
+@_banded_laws
+def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
+    # exact draws, one Metropolised reflection each, the same law after (KS), and
+    # every moved site at the mirror image of where it was, to rounding (2 mu - x
+    # is rounded once and its mirror once more)
+    x, y = _half_update_keeps_the_banded_law(
+        lambda r, m, sigma, layout: pinning._reflect_banded(r, m, layout),
+        rng.stream(260, "reflect", kind, mu, sigma, w), kind, mu, sigma, w)
+    moved = y != x
+    back, was = (2 * mu - y)[moved], x[moved]
+    assert np.all(np.abs(back - was) <= 4 * np.spacing(np.maximum(2 * abs(mu), np.abs(was))))
+
+
+@_banded_laws
+def test_independence_update_keeps_the_banded_law(kind, mu, sigma, w):
+    # exact draws, one Metropolised independence update each (a fresh unweighted
+    # Gaussian proposal), the same law after (KS)
+    _half_update_keeps_the_banded_law(
+        pinning._independence_banded, rng.stream(270, "independence", kind, mu, sigma, w),
+        kind, mu, sigma, w)
 
 
 def test_band_layout_scalar_and_per_site():
@@ -166,41 +192,40 @@ def test_band_layout_scalar_and_per_site():
 
 
 # label -> (N, params, extra bands, (field sum, phi[3, 4], phi[5, 2], L) after 200 sweeps).
-# The N = 7 entries run one reflection sweep per heat-bath sweep, as every box with
-# N <= 7 does; they were pinned before the cycle grew with N and pass unchanged.  The
-# N = 16 (four reflection sweeps per heat-bath sweep) and N = 32 (eight) entries pin the
-# benchmark's chain sizes; they were pinned before the half-updates were fused.
+# The N = 7 entries run one reflection sweep per independence sweep, as every box with
+# N <= 7 does; the N = 16 (four reflection sweeps per independence sweep) and N = 32
+# (eight) entries pin the benchmark's chain sizes.
 PINNED_TRAJECTORIES = {
     "plain": (8, dict(beta=0.5, h=0.1), (),
-              (18.499523244511693, 0.6758811893314001, 0.6313631141300724, 56.0)),
+              (-7.677485374282316, -0.16654736101810919, 0.499089773004487, 62.0)),
     "wall": (8, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
-             (2.7137420028022214, -0.3996131098303079, -0.04928506369431085, 64.0)),
+             (-0.06932288878885418, -0.15964522193050296, 0.14385859206041757, 64.0)),
     "copolymer": (8, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
-                  (28.22015495655345, 1.4548552865243116, 1.2585240033428877, 11.0)),
+                  (16.481054706044958, -0.1825702564800747, 0.393061458572489, 14.0)),
     "plain-N7": (7, dict(beta=0.5, h=0.1), (),
-                 (11.683845818111411, -0.007940637143554197, 1.1053104920549872, 44.0)),
+                 (-7.354133758829892, 0.26049832039334486, -0.369137095156093, 44.0)),
     "wall-N7": (7, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
-                (6.38038325431251, -0.376836086864746, -0.31526743603072394, 49.0)),
+                (2.3093446824706163, 0.23387931536021886, 0.4478988991991806, 47.0)),
     "copolymer-N7": (7, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
-                     (16.118497466247895, 1.0858647294177535, 1.1679553257067068, 10.0)),
+                     (-4.918952030820056, -0.8833957415575052, -0.41828307869957465, 22.0)),
     "plain-N16": (16, dict(beta=0.5, h=0.1), (),
-                  (-7.016710893950004, 0.4373912141153533, -0.8560826313328531, 229.0)),
+                  (-13.075815438603698, -0.6704012551948213, -0.6886648645035436, 224.0)),
     "wall-N16": (16, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
-                 (3.971241257866806, -0.3686493449634866, 0.05156613471073852, 254.0)),
+                 (-0.44579526596189467, 0.2583026581701671, -0.42339832599182947, 253.0)),
     "copolymer-N16": (16, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
-                      (96.63608717433914, 1.1296952669855793, 0.4733225470867335, 56.0)),
+                      (81.14315188109313, 1.4344872337193197, 0.32597862171377856, 73.0)),
     "plain-N32": (32, dict(beta=0.5, h=0.1), (),
-                  (-621.5110921950209, -0.4163742972566509, -0.6202638775332792, 684.0)),
+                  (331.5284357306461, -1.0412884997274519, -1.1074568304542516, 786.0)),
     "wall-N32": (32, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),),
-                 (-12.679217004745915, 0.21683938577276235, -0.11244283480178718, 1013.0)),
+                 (-2.830642176473469, 0.012481187385500747, 0.005482820332830929, 1012.0)),
     "copolymer-N32": (32, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
-                      (531.8818869270244, 1.2450237564391897, -0.3423668698919786, 210.0)),
+                      (392.581009304073, 0.7599808744894978, 0.5085495264664096, 253.0)),
 }
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_TRAJECTORIES))
 def test_pinned_trajectory(label):
-    # the chain's random-number consumption, band layout and heat-bath /
+    # the chain's random-number consumption, band layout and independence /
     # reflection schedule are part of its contract: these values pin 200 sweeps
     # from fixed streams
     N, kwargs, extra, expected = PINNED_TRAJECTORIES[label]
@@ -280,36 +305,67 @@ def test_alternating_sweeps_split_anywhere(a, b):
 
 
 def test_schedule_counts_sweeps_of_each_kind():
-    # one heat-bath sweep, then max(1, N // 4) reflection sweeps: the heat-bath sweeps
-    # draw 2 uniforms per interior site, the reflections 1
-    for N, heat_baths in ((2, 4), (7, 4), (8, 3), (16, 2), (32, 1)):
+    # one independence sweep, then max(1, N // 4) reflection sweeps: per colour of n sites
+    # an independence half-update draws n normals, then n uniforms, a reflection n uniforms
+    for N in (2, 7, 8, 16, 32):
         g = lattice.build_box(N)
         params = pinning.PinningParams(h=1.0)
         chain = pinning.make_chain(g, params, _zero_omega(g), rng.stream(259, "count", N))
         twin = rng.stream(259, "count", N)
         pinning._alternating_sweeps(chain, 8)
-        twin.random((2 * heat_baths + 8 - heat_baths) * (N - 1) ** 2)
+        for sweep in range(8):
+            for sites, *_ in chain._colours:
+                if sweep % (1 + max(1, N // 4)) == 0:
+                    twin.standard_normal(len(sites))
+                twin.random(len(sites))
         assert _state(chain.rng) == _state(twin), N
 
 
 def test_cycle_keeps_the_heat_bath_law():
-    # at N = 8 (two reflections per heat-bath sweep) the contact fraction of
-    # run_chain's chain agrees with a heat-bath-only chain of the same length
+    # at N = 8 (two reflections per independence sweep) the charged fraction of
+    # run_chain's chain agrees with a heat-bath-only chain of the same length, on the
+    # plain band, on height_restriction_logp's soft wall at h = 0.5 at its strongest
+    # kappa, and on the co-membrane's half-line
     g = lattice.build_box(8)
     om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(262, "inv-om"))
-    params = pinning.PinningParams(beta=0.5, h=0.1)
+    b = math.log(0.5) ** 2
+    cases = {"plain": (dict(beta=0.5, h=0.1), ()),
+             "soft-wall": (dict(beta=0.5, h=0.5), ((-b, b, 12.0),)),
+             "copolymer": (dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), ())}
     sweeps, thinning = 12000, 2
-    rec = pinning.run_chain(g, params, om, rng.stream(263, "inv", "cycle"), sweeps=sweeps,
-                            burn_in=200, thinning=thinning)
-    chain = pinning.make_chain(g, params, om, rng.stream(263, "inv", "heat-bath"))
-    pinning.heat_bath_sweep(chain, 200)
-    frac = np.empty(sweeps // thinning)
-    for i in range(len(frac)):
-        pinning.heat_bath_sweep(chain, thinning)
-        frac[i] = pinning.contact_indicators(chain.field[g.tilde_mask], params.u).mean()
-    m1, s1 = rec.mean_se(rec.contact_fraction)
-    m2, s2 = rec.mean_se(frac)
-    assert abs(m1 - m2) < 4 * math.hypot(s1, s2), (m1, s1, m2, s2)
+    for label, (kwargs, extra) in cases.items():
+        params = pinning.PinningParams(**kwargs)
+        chain = _chain(g, params, om, rng.stream(263, "inv", "cycle", label), extra)
+        rec = pinning.run_chain(g, params, om, chain.rng, sweeps=sweeps, burn_in=200,
+                                thinning=thinning, chain=chain)
+        charged = pinning._interaction(params, om)[4]
+        chain = _chain(g, params, om, rng.stream(263, "inv", "heat-bath", label), extra)
+        pinning.heat_bath_sweep(chain, 200)
+        frac = np.empty(sweeps // thinning)
+        for i in range(len(frac)):
+            pinning.heat_bath_sweep(chain, thinning)
+            frac[i] = charged(chain.field[g.tilde_mask]).mean()
+        m1, s1 = rec.mean_se(rec.contact_fraction)
+        m2, s2 = rec.mean_se(frac)
+        assert abs(m1 - m2) < 4 * math.hypot(s1, s2), (label, m1, s1, m2, s2)
+
+
+def test_cycle_matches_the_exact_one_site_contact_probability():
+    # N = 2, off-centre boundary, beta > 0 and a mass: run_chain's contact probability is
+    # the h-derivative of exact_partition_small's log Z (a central difference, error ~1e-10)
+    g = lattice.build_box(2)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(271, "exact-om"))
+    params = pinning.PinningParams(beta=0.5, h=0.3, m=0.4,
+                                   bc=fields.explicit_bc(np.linspace(-0.5, 1.5, 8)))
+    dh = 1e-5
+    target = (pinning.exact_partition_small(g, dataclasses.replace(params, h=0.3 + dh), om)
+              - pinning.exact_partition_small(g, dataclasses.replace(params, h=0.3 - dh), om)
+              ) / (2 * dh)
+    rec = pinning.run_chain(g, params, om, rng.stream(271, "exact"), sweeps=40000, burn_in=200,
+                            interaction="interior")
+    mean, se = rec.mean_se(rec.contact_fraction)
+    assert 0.05 < target < 0.95
+    assert abs(mean - target) < 4 * max(se, math.sqrt(target * (1 - target) / 40000))
 
 
 def test_saturated_reward_pins_to_band():
@@ -645,70 +701,69 @@ def test_run_chain_rejects_bad_budgets(kwargs):
 
 
 # label -> (N, params, extra bands, (energy, contact fraction, sum phi^2, L) per record), the
-# values of 4 records every 3 sweeps after 6 burn-in sweeps, recorded bit for bit; the
-# N = 7 entries, like PINNED_TRAJECTORIES', keep the one-to-one schedule and its values;
-# the N = 16 and N = 32 entries, like theirs, were pinned before the half-updates were fused
+# values of 4 records every 3 sweeps after 6 burn-in sweeps, recorded bit for bit, at the
+# sizes and schedules of PINNED_TRAJECTORIES
 PINNED_RECORDS = {
     "plain": (8, dict(beta=0.5, h=0.1), (), (
-        [2.962662386765161, 5.0905908513750475, 3.6138777037455676, 4.271663928838818],
-        [0.90625, 0.84375, 0.90625, 0.84375],
-        [18.881008758625466, 23.031806483891643, 22.9807264621386, 26.9242940177246],
-        [58.0, 54.0, 58.0, 54.0])),
+        [1.1287379690271084, 2.9026425383129864, 2.973580847701315, 3.206652600799499],
+        [0.765625, 0.84375, 0.890625, 0.9375],
+        [40.52022392026398, 30.956387434792276, 22.679141212735214, 16.447857258956425],
+        [49.0, 54.0, 57.0, 60.0])),
     "wall": (8, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
-        [1.7335917254181914, 1.8257660519331824, 1.7664823209950726, 1.7664823209950726],
-        [0.984375, 0.984375, 1.0, 1.0],
-        [5.108238536753093, 6.926326248549413, 4.340278595092852, 3.2290776431548593],
-        [63.0, 63.0, 64.0, 64.0])),
+        [1.7664823209950726, 1.7664823209950726, 1.7664823209950726, 1.3636149278472716],
+        [1.0, 1.0, 1.0, 0.984375],
+        [5.963945747965889, 3.8207365846969275, 4.612314762900547, 3.8065537123753668],
+        [64.0, 64.0, 64.0, 63.0])),
     "copolymer": (8, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
-        [4.664126485867397, 4.848984486145552, 2.82792425367477, 5.0730585750942545],
-        [0.171875, 0.15625, 0.203125, 0.1875],
-        [25.191026450221294, 19.10995637325918, 15.427976495894658, 21.04946223843875],
-        [11.0, 10.0, 13.0, 12.0])),
+        [6.559338010511686, 1.9365422179485514, 2.6471646627064374, 3.6297524080436347],
+        [0.21875, 0.265625, 0.109375, 0.140625],
+        [17.406371862336492, 22.60436519041071, 56.42919034251513, 36.49069618178659],
+        [14.0, 17.0, 7.0, 9.0])),
     "plain-N7": (7, dict(beta=0.5, h=0.1), (), (
-        [1.4155503626833912, 3.4013483086458773, 2.9254057048713102, 3.0114063843512238],
-        [0.9795918367346939, 0.9591836734693877, 0.8775510204081632, 0.9387755102040817],
-        [7.942003195270027, 12.795422437030936, 20.436129792024722, 11.73186754681359],
-        [48.0, 47.0, 43.0, 46.0])),
+        [3.333850151282582, 2.2959045567622614, 2.389475892433251, 4.63049554770463],
+        [0.9591836734693877, 0.8979591836734694, 0.9591836734693877, 0.8979591836734694],
+        [11.95834727127524, 19.77004246995994, 10.808023313396017, 14.06855996480153],
+        [47.0, 44.0, 47.0, 44.0])),
     "wall-N7": (7, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
         [1.9729545231409862, 1.9729545231409862, 1.9729545231409862, 1.9729545231409862],
         [1.0, 1.0, 1.0, 1.0],
-        [3.89928940670685, 2.7386229615765396, 2.9852901705448756, 3.022858027870028],
+        [3.307011600866799, 3.580713060460206, 3.173401214102873, 2.984916932021377],
         [49.0, 49.0, 49.0, 49.0])),
     "copolymer-N7": (7, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
-        [3.7810556752063285, 4.187544803266348, 5.3961228244266914, 5.163375372376574],
-        [0.30612244897959184, 0.32653061224489793, 0.46938775510204084, 0.2653061224489796],
-        [16.24310825383098, 8.682690144201644, 14.212868655016843, 7.7532728357502565],
-        [15.0, 16.0, 23.0, 13.0])),
+        [3.5528274168348704, 1.2735639497989137, 6.661312703960868, 4.471020525144775],
+        [0.3469387755102041, 0.3673469387755102, 0.2857142857142857, 0.3877551020408163],
+        [9.070154370940244, 12.070678305605332, 11.133178653229361, 21.287903150589784],
+        [17.0, 18.0, 14.0, 19.0])),
     "plain-N16": (16, dict(beta=0.5, h=0.1), (), (
-        [3.3382199128641945, 4.120684893581062, 6.969747564573132, 6.19326665600779],
-        [0.91796875, 0.8828125, 0.84765625, 0.8125],
-        [80.91327553843476, 99.8027698468841, 123.22083186250384, 146.53080044759344],
-        [235.0, 226.0, 217.0, 208.0])),
+        [2.2770055984724404, 3.781528659664203, 3.372684553361113, 5.576299785407182],
+        [0.8125, 0.8515625, 0.8125, 0.83203125],
+        [133.88633148006124, 132.08088574888285, 137.3206481002295, 121.95599576321953],
+        [208.0, 218.0, 208.0, 213.0])),
     "wall-N16": (16, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
-        [-0.44146609254285973, -1.812143117660793, -2.1937110128944752, 0.30928494034335685],
-        [0.984375, 1.0, 0.9921875, 0.984375],
-        [24.4904711105124, 20.98637248659891, 22.878347294812446, 28.676406122901156],
-        [252.0, 256.0, 254.0, 252.0])),
+        [-1.5086141662333032, -2.494850305704765, -2.4720746283035497, 0.03235719057338571],
+        [0.98828125, 0.99609375, 0.9921875, 0.9765625],
+        [25.22176928488862, 25.253663100939477, 25.699460382109784, 29.19384731560538],
+        [253.0, 255.0, 254.0, 250.0])),
     "copolymer-N16": (16, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
-        [32.009326618020474, 18.030677925088913, 22.890626576359384, 22.906273940180114],
-        [0.27734375, 0.328125, 0.23046875, 0.31640625],
-        [102.51044168219687, 95.71785917305455, 131.9026371866379, 116.38329952955417],
-        [71.0, 84.0, 59.0, 81.0])),
+        [25.485175636844275, 13.595324825641816, 15.176200778038902, 33.38380397153235],
+        [0.25, 0.19140625, 0.1796875, 0.2890625],
+        [107.08005390421317, 118.89144244029428, 155.07404648494335, 97.26242160975056],
+        [64.0, 49.0, 46.0, 74.0])),
     "plain-N32": (32, dict(beta=0.5, h=0.1), (), (
-        [22.6724501772509, 33.39407509401472, 31.260082173904774, 23.362975547468473],
-        [0.7763671875, 0.771484375, 0.7626953125, 0.7685546875],
-        [661.7742249151663, 672.7730569474572, 755.1859085642091, 737.0352052656767],
-        [795.0, 790.0, 781.0, 787.0])),
+        [28.2822594631321, 27.27915854834434, 18.355709860495637, 33.64655332366795],
+        [0.78125, 0.7568359375, 0.751953125, 0.71875],
+        [690.2135122890527, 723.3180859900141, 686.0931534203206, 812.9276114333833],
+        [800.0, 775.0, 770.0, 736.0])),
     "wall-N32": (32, dict(beta=0.5, h=0.1, m=0.3), ((-0.5, 0.5, 2.0),), (
-        [-24.00253797420139, -24.801785599409666, -24.865110662191146, -26.04562361729217],
-        [0.9931640625, 0.9853515625, 0.982421875, 0.9892578125],
-        [96.70752874127973, 115.56520521779959, 115.01914152986696, 115.64249359572253],
-        [1017.0, 1009.0, 1006.0, 1013.0])),
+        [-26.38485754582181, -22.47072199074576, -23.99571209036998, -22.867402873135724],
+        [0.9951171875, 0.9912109375, 0.98828125, 0.9853515625],
+        [83.14726601350534, 105.65544070931648, 108.075985392977, 106.31833797712092],
+        [1019.0, 1015.0, 1012.0, 1009.0])),
     "copolymer-N32": (32, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (), (
-        [99.04049018918913, 111.57324142055815, 103.73298094698347, 77.7944659293251],
-        [0.314453125, 0.32421875, 0.306640625, 0.26171875],
-        [451.8138007963231, 491.44609939538793, 485.3336429527479, 566.6747600457106],
-        [322.0, 332.0, 314.0, 268.0])),
+        [94.26739814709575, 110.4839966016139, 114.23772759703694, 112.4792211466555],
+        [0.2890625, 0.2998046875, 0.2734375, 0.2890625],
+        [435.4493145799545, 462.25443715851964, 540.0819459852446, 473.0478327008581],
+        [296.0, 307.0, 280.0, 296.0])),
 }
 
 
@@ -768,8 +823,8 @@ def test_alternating_chains_keep_their_own_fields():
 
 def test_layout_refuses_another_site_count():
     # a layout serves the site count it was built at: called again there it draws what a
-    # fresh one draws, in both half-updates, and its heat-bath draws share no memory with
-    # its buffers (a reflection hands back the layout's x row, as its docstring says);
+    # fresh one draws, in every half-update, and its heat-bath draws share no memory with
+    # its buffers (a Metropolis step hands back the layout's x row, as its docstring says);
     # called at any other count it refuses before it draws
     bands = [(-1.0, 1.0, np.full(7, 1.5)), (-math.inf, 0.0, -0.5)]
     reused = pinning.BandLayout(bands)
@@ -783,6 +838,8 @@ def test_layout_refuses_another_site_count():
         reused.x[:], fresh.x[:] = got, want
         assert np.array_equal(pinning._reflect_banded(got_r, mu, reused),
                               pinning._reflect_banded(want_r, mu, fresh))
+        assert np.array_equal(pinning._independence_banded(got_r, mu, 0.5, reused),
+                              pinning._independence_banded(want_r, mu, 0.5, fresh))
         buffers = [b for b in vars(reused).values() if isinstance(b, np.ndarray)]
         assert buffers and not any(np.shares_memory(got, b) for b in buffers)
         assert not np.shares_memory(got, mu)
@@ -794,6 +851,8 @@ def test_layout_refuses_another_site_count():
             pinning.sample_banded_conditional(r, other, 0.5, reused)
         with pytest.raises(DomainError, match=rf"layout of 7 sites was called at {n}\b"):
             pinning._reflect_banded(r, other, reused)
+        with pytest.raises(DomainError, match=rf"layout of 7 sites was called at {n}\b"):
+            pinning._independence_banded(r, other, 0.5, reused)
     assert _state(r) == before
 
 
@@ -853,8 +912,9 @@ _EDGE_BANDS = {
 @pytest.mark.parametrize("per_site", [False, True], ids=["scalar", "per-site"])
 @pytest.mark.parametrize("edges", sorted(_EDGE_BANDS))
 def test_half_updates_draw_what_they_promise(edges, per_site):
-    # a heat-bath half-update consumes rng.random(2n) and a reflection rng.random(n),
-    # no more and no less, whatever the layout
+    # a heat-bath half-update consumes rng.random(2n), a reflection rng.random(n) and an
+    # independence update rng.standard_normal(n), then rng.random(n), no more and no less,
+    # whatever the layout
     n = 37
     w = np.linspace(-3.0, 3.0, n) if per_site else np.full(n, 1.5)
     layout = pinning.BandLayout(_EDGE_BANDS[edges](w))
@@ -865,6 +925,10 @@ def test_half_updates_draw_what_they_promise(edges, per_site):
     twin.random(2 * n)
     assert _state(r) == _state(twin)
     pinning._reflect_banded(r, mu, layout)
+    twin.random(n)
+    assert _state(r) == _state(twin)
+    pinning._independence_banded(r, mu, 0.5, layout)
+    twin.standard_normal(n)
     twin.random(n)
     assert _state(r) == _state(twin)
 

@@ -194,9 +194,9 @@ def test_all_prints_one_line_per_run_and_fails_on_any_difference(monkeypatch, ca
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(same_results.RUNS) + 1
     threaded = [line for line in lines if "--threads 2" in line]
-    assert len(threaded) == 3 and all("DIFFERENT: refused with another message" in line
+    assert len(threaded) == 4 and all("DIFFERENT: refused with another message" in line
                                       for line in threaded)
-    assert lines[-1] == f"{len(same_results.RUNS) - 3} of {len(same_results.RUNS)} runs identical"
+    assert lines[-1] == f"{len(same_results.RUNS) - 4} of {len(same_results.RUNS)} runs identical"
 
 
 @pytest.mark.parametrize("argv", [[], ["x", "--all"], ["--all", "--threads", "2"]],

@@ -28,11 +28,17 @@ def test_h_leg_se_is_calibrated_against_the_exact_value():
 
 
 def test_a_ladder_that_never_varies_states_no_error_bar():
-    # seed 13 at 3 points of 50 records reads a contact at every record of every point: its
-    # log Z of 1.0 against the exact 0.971 used to state SE 0, and the row sd(z) = inf
+    # h = 60 on 3 points: at h = 30 and 60 a contact weighs e^30 and more, so once in the
+    # band (the 20 warm-start sweeps make 10 independence proposals, each in the band with
+    # probability 0.95) the site leaves it with probability below 1e-14 per sweep.  Those two
+    # points' series never vary, and the ladder states se inf whatever the seed; its value
+    # is the trapezoid 15 (p0 + 1) + 30, p0 the h = 0 point's contact fraction
     defaults, h_leg = se_calibration.ESTIMATORS["h-leg"]
-    value, se, exact = h_leg({**defaults, "points": 3, "sweeps": 100, "burn_in": 20}, 13)
-    assert (value, se) == (1.0, math.inf) and exact == pytest.approx(0.9708, abs=1e-4)
+    for seed in range(3):
+        value, se, exact = h_leg({**defaults, "h": 60.0, "points": 3, "sweeps": 100,
+                                  "burn_in": 60}, seed)
+        assert se == math.inf and 45.0 <= value <= 60.0, (seed, value, se)
+        assert exact == pytest.approx(60.0 + math.log(math.erf(2.0 / math.sqrt(2.0))), abs=1e-9)
 
 
 def test_a_halved_se_is_flagged(monkeypatch, capsys):

@@ -18,11 +18,13 @@ and interquartile range, and the number of repeats the tree wins (a strictly
 lower time).  The sweep layers also show the tree's median in ns per
 interior site.
 
-Layers: a heat-bath sweep, a reflection sweep and a run_chain sweep (its
-cycle of heat-bath and reflection sweeps) at N = 16 and N = 32, on one
-disorder draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per
-repeat; one spectral sample (sample_dirichlet_interior, N = 32, m = 0.3),
-timed over --sweeps calls; one Green table by each route (green_dirichlet and
+Layers: a heat-bath sweep (heat_bath_sweep, the exact reference sweep; a
+run_chain cycle makes none, so this layer times no sweep of run_chain), a
+reflection sweep and a run_chain sweep (its cycle of one independence sweep
+and max(1, N // 4) reflection sweeps) at N = 16 and N = 32, on one disorder
+draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per repeat; one
+spectral sample (sample_dirichlet_interior, N = 32, m = 0.3), timed over
+--sweeps calls; one Green table by each route (green_dirichlet and
 the block elimination green_dirichlet_solve, N = 32, m = 0.3); one f(m) by its
 oracle route (f_of_m_adaptive at m = 0.5, as the samplers workload calls it),
 timed over 20 calls; one harmonic extension (harmonic_extension at N = 32,

@@ -5,8 +5,8 @@
 
 --all runs every row of RUNS instead of one experiment: each registered
 experiment, at its defaults where those are quick and at a small budget
-otherwise, bridge-lemma, subadditivity and finite-volume-criterion also at
---threads 2,
+otherwise, bridge-lemma, thermo-consistency, subadditivity and
+finite-volume-criterion also at --threads 2,
 subadditivity also at N = 8, thermo-consistency also at replicas = 1 (its
 beta = 0.5 curve then takes its SEs from one replica's ladders),
 cluster-probability also at h = -0.2 (where the hit frequency lies strictly
@@ -58,6 +58,7 @@ RUNS = [
     ("bridge-lemma", ["bridges=20000"], None),
     ("bridge-lemma", ["bridges=20000"], 2),
     ("thermo-consistency", ["N=16", "replicas=2", "sweeps=60", "burn_in=30"], None),
+    ("thermo-consistency", ["N=16", "replicas=2", "sweeps=60", "burn_in=30"], 2),
     ("thermo-consistency", ["N=16", "replicas=1", "sweeps=60", "burn_in=30"], None),
     ("massive-comparison", ["N=16", "sweeps=100", "burn_in=50"], None),
     ("density-typicality", ["samples=2000"], None),
