@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -83,29 +84,96 @@ def _first_band_per_site(bands, n):
     return [(lo, hi, np.full(n, w))] + rest
 
 
+# (mu, sigma, bands) of the exact draw's density test, drawn in this order from one stream
+_DENSITY_CASES = [
+    (0.3, 0.7, [(-1.0, 1.0, 1.5)]),
+    (-0.5, 0.5, [(-1.0, 1.0, -2.0)]),
+    (0.0, 0.5, [(-1.0, 1.0, 2.0), (-0.6, 0.6, -1.0)]),
+    (1.2, 0.4, [(-math.inf, 0.0, 1.0)]),
+    # far tails: the band 16-20 sd away, negligible or dominant
+    (9.0, 0.5, [(-1.0, 1.0, 40.0)]),
+    (9.0, 0.5, [(-1.0, 1.0, 150.0)]),
+    (-9.0, 0.5, [(-1.0, 1.0, 150.0)]),
+    # copolymer half-line over the mean: kept, or pushing the draw 18 sd up
+    (-9.0, 0.5, [(-math.inf, 0.0, -60.0)]),
+    (-9.0, 0.5, [(-math.inf, 0.0, -200.0)]),
+]
+
+
+def _density_case_draws():
+    """20 000 exact draws per case of _DENSITY_CASES, one case after another from one stream."""
+    r = rng.stream(201, "band")
+    n = 20000
+    for mu, sigma, bands in _DENSITY_CASES:
+        yield mu, sigma, bands, pinning.sample_banded_conditional(
+            r, np.full(n, mu), sigma, pinning.BandLayout(_first_band_per_site(bands, n)))
+
+
 def test_banded_conditional_matches_density():
     # exact sampler vs the piecewise-reweighted Gaussian CDF (KS test)
-    r = rng.stream(201, "band")
-    cases = [
-        (0.3, 0.7, [(-1.0, 1.0, 1.5)]),
-        (-0.5, 0.5, [(-1.0, 1.0, -2.0)]),
-        (0.0, 0.5, [(-1.0, 1.0, 2.0), (-0.6, 0.6, -1.0)]),
-        (1.2, 0.4, [(-math.inf, 0.0, 1.0)]),
-        # far tails: the band 16-20 sd away, negligible or dominant
-        (9.0, 0.5, [(-1.0, 1.0, 40.0)]),
-        (9.0, 0.5, [(-1.0, 1.0, 150.0)]),
-        (-9.0, 0.5, [(-1.0, 1.0, 150.0)]),
-        # copolymer half-line over the mean: kept, or pushing the draw 18 sd up
-        (-9.0, 0.5, [(-math.inf, 0.0, -60.0)]),
-        (-9.0, 0.5, [(-math.inf, 0.0, -200.0)]),
-    ]
-    for mu, sigma, bands in cases:
-        n = 20000
-        draws = pinning.sample_banded_conditional(
-            r, np.full(n, mu), sigma, pinning.BandLayout(_first_band_per_site(bands, n)))
+    for mu, sigma, bands, draws in _density_case_draws():
         assert np.all(np.isfinite(draws))
         ks = stats.ks_1samp(draws, _banded_cdf(mu, sigma, bands))
         assert ks.pvalue > 0.005, (mu, sigma, bands, ks)
+
+
+def _digest(values):
+    return hashlib.blake2b(np.ascontiguousarray(values).tobytes(), digest_size=8).hexdigest()
+
+
+# per case of _DENSITY_CASES: blake2b of the draws' bytes, the first draw and the last
+PINNED_DRAWS = [
+    ("7c3b39b656c6b8d0", "0x1.cbd5a7d92283ap-1", "0x1.6922d8f8a2c94p-2"),
+    ("7d808df3d3aa022f", "-0x1.955cf3ce49f30p-6", "-0x1.869a46cf44a08p+0"),
+    ("adc7193a56051dc0", "0x1.3e067a165e265p-1", "-0x1.3d9bde757acbfp-3"),
+    ("8b16f36fddaf0fc9", "0x1.ff7ce3434739cp-1", "0x1.22b35fc47d3b4p+0"),
+    ("969600de84c8e023", "0x1.3086e60e9b7f6p+3", "0x1.36d1cf2a10d7dp+3"),
+    ("dd8808065ee9a0d3", "0x1.f87f59d83b740p-1", "0x1.c6ddd938c9dd0p-1"),
+    ("0d82540c1e1a3eb4", "-0x1.e1fd665575bd0p-1", "-0x1.faaaae9d4a5c0p-1"),
+    ("9e4c41ac696d61bf", "-0x1.222e6ed386cf9p+3", "-0x1.20dcf262c39d8p+3"),
+    ("6ddff016dc7db169", "0x1.f65bf1d067000p-7", "0x1.0d5051f574000p-8"),
+]
+
+
+def test_banded_conditional_draws_are_pinned():
+    # the exact draw's bits are part of its contract: its float operations and its
+    # rng.random(2n) per call, pinned on the density test's draws
+    got = [(_digest(draws), draws[0].hex(), draws[-1].hex())
+           for *_, draws in _density_case_draws()]
+    assert got == PINNED_DRAWS
+
+
+_SOFT_WALL = math.log(0.5) ** 2  # height_restriction_logp's wall half-width at h = 0.5
+
+# label -> (N, params, extra bands, (blake2b of the field, field sum, phi[3, 4], phi[5, 2])
+# after 200 heat-bath sweeps)
+PINNED_HEAT_BATH = {
+    "plain": (8, dict(beta=0.5, h=0.1), (),
+              ("2105f4fddc787044", -30.441231598475547, -0.9617929492809466,
+               -1.8431660219094579)),
+    "soft-wall": (8, dict(beta=0.5, h=0.5), ((-_SOFT_WALL, _SOFT_WALL, 12.0),),
+                  ("7223f7e6bb88326b", -1.0049805602801196, 0.27985756716677357,
+                   -0.4552062124359648)),
+    "copolymer": (8, dict(model="copolymer", rho=0.5, h=0.2, beta=0.5), (),
+                  ("984001fc8d3ddef7", 17.42610386522903, 0.7841913060871224,
+                   0.06860208552998004)),
+    "plain-N16": (16, dict(beta=0.5, h=0.1), (),
+                  ("2226bf1b7dab9efa", -106.23090782942207, -0.318785984666229,
+                   -1.3230231981103653)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_HEAT_BATH))
+def test_pinned_heat_bath_trajectory(label):
+    # the exact reference sweep's draws, pinned to the last bit (atol 0) over 200 sweeps
+    N, kwargs, extra, expected = PINNED_HEAT_BATH[label]
+    g = lattice.build_box(N)
+    om = disorder.sample_disorder(g, disorder.GAUSSIAN, rng.stream(232, "hb-pin-om"))
+    params = pinning.PinningParams(**kwargs)
+    chain = _chain(g, params, om, rng.stream(233, "hb-pin", label), extra)
+    pinning.heat_bath_sweep(chain, 200)
+    f = chain.field
+    assert (_digest(f), float(f.sum()), float(f[3, 4]), float(f[5, 2])) == expected
 
 
 # band lists of the half-update law tests, by the weight w drawn for them
