@@ -9,24 +9,24 @@ N(mu, sigma^2) reweighted by w.  A checkerboard schedule turns a sweep into
 two vectorized half-updates.
 run_chain's sweeps run in cycles of one independence sweep followed by
 k = max(1, N // 4) reflection sweeps on a box of side N, the phase within
-the cycle kept on the chain; heat_bath_sweep makes exact heat-bath sweeps
-only.  A heat-bath half-update draws every site of its colour exactly from
-its conditional.  The other two are Metropolis-Hastings steps with an exact
-acceptance ratio: each proposes a y whose proposal law cancels against the
-conditional's Gaussian factor and keeps it with probability
+the cycle kept on the chain.  Both are Metropolis-Hastings steps with an
+exact acceptance ratio: each proposes a y whose proposal law cancels against
+the conditional's Gaussian factor and keeps it with probability
 min(1, w(y) / w(x)), so either leaves the conditional, and with it the
 target, invariant.  An independence half-update (Tierney 1994) proposes a
-fresh y = mu + sigma z from the unweighted N(mu, sigma^2); it refreshes every
-site at about a third of a heat-bath half-update's cost, and at the
-laboratory's parameters keeps about 95 % of its proposals.  A reflection
+fresh y = mu + sigma z from the unweighted N(mu, sigma^2); at the
+laboratory's parameters it keeps about 95 % of its proposals.  A reflection
 half-update (Creutz's Metropolised overrelaxation) proposes y = 2 mu - x: the
 map is its own inverse, has unit Jacobian and preserves N(mu, sigma^2).  The
-reflections suppress the random walk of the slow modes (Adler 1981) at
-about a quarter of a heat-bath half-update's cost; the independence sweeps
-keep the chain ergodic.  The best number of reflections per refresh grows
-with the correlation length (Wolff 1992), about N here.  In a small box the
-conditional means barely move between sweeps, so two reflections nearly
-cancel: boxes with N <= 7 keep one reflection per independence sweep.
+reflections suppress the random walk of the slow modes (Adler 1981); the
+independence sweeps keep the chain ergodic.  The best number of reflections
+per refresh grows with the correlation length (Wolff 1992), about N here.
+In a small box the conditional means barely move between sweeps, so two
+reflections nearly cancel: boxes with N <= 7 keep one reflection per
+independence sweep.  heat_bath_sweep, the exact reference route that no
+run_chain sweep takes, draws every site of a colour exactly from its
+conditional (sample_banded_conditional, plain numpy on the layout's edges
+and weights, at about four times an independence half-update's cost).
 
 Only the conditional means change between sweeps: band edges are global and
 the per-site band weights are fixed for a chain.  Each checkerboard colour
@@ -35,35 +35,28 @@ themselves, built once per box size and shared by every chain of that size,
 and each chain keeps one `BandLayout` per colour, built at the colour's site
 count (set by the per-site weights of the model's band; scalar bands are
 broadcast over the sites).  The layout holds everything the colour's
-half-updates work in: edges and weights, the Metropolis step's flat
-lookups, the heat-bath sampler's grid, masses and uniforms, every view into
-them and the gather buffer; a call at another site count is refused.  Since a
-half-update touches only a few hundred sites, its cost is the number of
-numpy calls it makes, so each call works in place in these buffers, through
-ndarray methods rather than the np.* wrappers, with 0-d array scalar
-operands, and a masked copy is a putmask.  A half-update takes the
-neighbours' heights into the gather buffer (take), sums them into the
-conditional means (np.add.reduce) and writes its draws back by index
-assignment, flat[sites] = draws (half the cost of put at N = 32).  A
-heat-bath half-update evaluates two normal CDFs, Phi(z) and Phi(-z), per
-site and edge and draws two uniforms per site with one rng.random call into
-a buffer: the first n pick the intervals (one comparison of every running
-sum with them, one count), the last n the heights inside them.  An
-independence or reflection half-update takes the neighbours' and the sites'
-heights with one take into rows 0-4 of the layout's (6, n) gather buffer,
-whose rows 4 and 5 are its (x, y) pair, and writes its proposal into row 5:
-mu + sigma z from one rng.standard_normal call, or 2 mu - x.  One Metropolis
-step then finds both points' intervals by counting the edges strictly below
-each point of the pair (one comparison with the column of edges and one
-np.add.reduce over it, in place of a binary search whose data-dependent
-branches mispredict) and their weights with one take, draws one uniform per
-site with one rng.random call and copies the accepted sites from row 5 into
-row 4, which the half-update writes back: 14 numpy calls from the gather to
-the write-back for a reflection, 15 for an independence update.  Such a
-sweep takes the flat view of the field once.  A layout, like the chain
-holding it, is not for concurrent use.
-None of this changes a float operation or a draw: the running interval sums
-are row adds in add.accumulate's order.
+Metropolis half-updates work in: edges and weights, the Metropolis step's
+flat lookups, its buffers and their views, and the gather buffer; a call at
+another site count is refused.  Since a half-update touches only a few
+hundred sites, its cost is the number of numpy calls it makes, so each
+Metropolis call works in place in these buffers, through ndarray methods
+rather than the np.* wrappers, with 0-d array scalar operands, and a
+masked copy is a putmask.  Every half-update, the heat-bath one included,
+takes the neighbours' and the sites' heights with one take into rows 0-4 of
+the layout's (6, n) gather buffer, whose rows 4 and 5 are its (x, y) pair,
+sums the neighbours' into the conditional means (np.add.reduce) and writes
+its draws back by index assignment, flat[sites] = draws (half the cost of
+put at N = 32).  An independence or reflection half-update writes its
+proposal into row 5: mu + sigma z from one rng.standard_normal call, or
+2 mu - x.  One Metropolis step then finds both points' intervals by
+counting the edges strictly below each point of the pair (one comparison
+with the column of edges and one np.add.reduce over it, in place of a
+binary search whose data-dependent branches mispredict) and their weights
+with one take, draws one uniform per site with one rng.random call and
+copies the accepted sites from row 5 into row 4, which the half-update
+writes back: 14 numpy calls from the gather to the write-back for a
+reflection, 15 for an independence update.  Such a sweep takes the flat
+view of the field once.  A layout, like its chain, is not for concurrent use.
 
 run_chain gathers each record's interaction-range heights, through indices
 found once per call, into a row of a block of at most _RECORD_BLOCK records
@@ -199,17 +192,9 @@ def free_interaction_mean(geom: BoxGeometry, params: PinningParams, omega: Disor
 # exact sampling of piecewise-reweighted Gaussian conditionals
 # ---------------------------------------------------------------------------
 
-# (z, Phi(z), Phi(-z)) at the two far ends of every site's z-grid
-_FAR_LO = np.array([[-_Z_FAR], [special.ndtr(-_Z_FAR)], [special.ndtr(_Z_FAR)]])
-_FAR_HI = np.array([[_Z_FAR], [special.ndtr(_Z_FAR)], [special.ndtr(-_Z_FAR)]])
-# the heat-bath draw's scalar operands as 0-d arrays: numpy converts a float operand on every call
-_Z_LO, _Z_HI = np.array(-_Z_FAR), np.array(_Z_FAR)
-_MASS_FLOOR, _P_FLOOR, _P_CEIL = np.array(1e-300), np.array(1e-320), np.array(1.0 - 1e-16)
-
-
 class BandLayout:
     """Interval layout of a band list at its site count n, and every buffer and
-    view a half-update works in; built once, for the life of a chain.
+    view a Metropolis half-update works in; built once, for the life of a chain.
 
     Built from (lo, hi, logw) bands, logw per site (1-D) or scalar: the
     per-site weights set the site count and scalar ones are broadcast over
@@ -219,25 +204,17 @@ class BandLayout:
     of interval j at site i.  The Metropolis step works on the (2, n)
     buffer pair xy, its rows x (the sites' heights) and y (their proposals:
     mirror images 2 mu - x, or independent draws), and looks up both rows'
-    weights at once: the
-    (edges, 1, 1) edge_column is compared with xy into below_xy, and the
-    count of edges strictly below each point, summed over the edges into at,
-    is its interval j (for a height that is not NaN, the index a left
-    searchsorted of the edges finds); base2 (two rows of i * intervals) moves
-    it to site i's column of site_major, and one take puts the weights into
-    wxy (rows wx and wy).  uniforms receives its n uniforms and accept the
-    sites where u w(x) < w(y).  The heat-bath draw works in the grid (flat
-    holds it flattened): z, Phi(z) and Phi(-z) (planes) at -far, every edge
-    and +far (rows) for each site (columns), its far rows constant.  offsets
-    are the flat positions of (za, zb, Phi(za), Phi(zb), Phi(-za), Phi(-zb))
-    within interval 0, so interval j sits j * n further on; ends receives
-    them.  mass holds the interval masses, then their running sums,
-    lower_sums all of them but the total; below receives their comparison
-    with the uniforms that pick the interval; draws receives the 2n
-    uniforms.  gather is the colour's (6, n) gather buffer: rows 0-3 (near)
-    the neighbours' heights, rows 4-5 the pair xy, so one take fills near_x
-    (rows 0-4) with the neighbours' and the sites' heights; mu receives the
-    conditional means.  Not for concurrent use.
+    weights at once: the (edges, 1, 1) edge_column is compared with xy into
+    below_xy, and the count of edges strictly below each point, summed over
+    the edges into at, is its interval j (for a height that is not NaN, the
+    index a left searchsorted of the edges finds); base2 (two rows of
+    i * intervals) moves it to site i's column of site_major, and one take
+    puts the weights into wxy (rows wx and wy).  uniforms receives its n
+    uniforms and accept the sites where u w(x) < w(y).  gather is the
+    colour's (6, n) gather buffer: rows 0-3 (near) the neighbours' heights,
+    rows 4-5 the pair xy, so one take fills near_x (rows 0-4) with the
+    neighbours' and the sites' heights; mu receives the conditional means.
+    The exact heat-bath draw has no buffer here.  Not for concurrent use.
     """
 
     def __init__(self, bands: list[tuple[float, float, np.ndarray | float]]):
@@ -261,28 +238,6 @@ class BandLayout:
         self.edge_column = self.edges[:, :, None]
         self.site_major = np.ascontiguousarray(self.weights.T).reshape(-1)
         self.base2 = np.tile(np.arange(n) * intervals, (2, 1))
-        k = intervals + 1  # grid rows: -far, every edge, +far
-        grid = np.empty((3, k, n))
-        grid[:, 0] = _FAR_LO
-        grid[:, -1] = _FAR_HI
-        self.flat = grid.reshape(-1)
-        z, p, q = grid
-        self.edge_rows = (z[1:-1], p[1:-1], q[1:-1])
-        self.neighbour_rows = (p[1:], p[:-1], q[:-1], q[1:])
-        planes = n * np.array([[0], [1], [k], [k + 1], [2 * k], [2 * k + 1]])
-        self.offsets = planes + np.arange(n)
-        self.index = np.empty_like(self.offsets)
-        self.ends = np.empty((6, n))
-        self.end_rows = tuple(self.ends)
-        self.mass = np.empty((intervals, n))
-        self.mass_rows = tuple(self.mass)
-        self.lower_sums = self.mass[:-1]
-        self.below = np.empty((intervals - 1, n), dtype=bool)
-        self.mirrored = np.empty((intervals, n))
-        self.draws = np.empty(2 * n)
-        self.halves = (self.draws[:n], self.draws[n:])
-        self.pick = np.empty(n, dtype=self.offsets.dtype)
-        self.flip = np.empty(n, dtype=bool)
         self.gather = np.empty((6, n))
         self.near, self.near_x, self.xy = self.gather[:4], self.gather[:5], self.gather[4:]
         self.mu = np.empty(n)
@@ -302,58 +257,39 @@ def _refuse_other_size(mu: np.ndarray, bands: BandLayout) -> None:
 
 def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray,
                               sigma: float | np.ndarray, bands: BandLayout) -> np.ndarray:
-    """Exact draw from N(mu, sigma^2) reweighted by the layout's band weights.
+    """Exact draw from N(mu, sigma^2) reweighted by the layout's band weights:
+    the reference route, plain numpy on the layout's edges and weights.
 
-    Phi(z) and its mirror Phi(-z) are evaluated once per site and edge; their
-    differences give each interval's mass stably in both tails, and the same
-    values invert the CDF inside the chosen interval, through the mirrored
-    tail when that one is better conditioned.  Consumes rng.random(2n): the
-    first n uniforms pick the interval, the last n the position inside it.
-    Works in the layout's buffers and returns a new array; a mu of another
-    length than the layout's site count is refused before any draw.  sigma
-    is a float or, as a chain passes it, a 0-d array.
+    Phi(z) and its mirror Phi(-z) at every edge (z clipped to +-_Z_FAR, which
+    also closes each end) give each interval's mass stably in both tails, and
+    invert the CDF inside the chosen interval, through the mirrored tail when
+    that one is better conditioned.  Consumes rng.random(2n): the first n
+    pick the interval, the last n the position inside it.  Returns a new
+    array; a mu of another length than the layout's site count is refused
+    before any draw.  sigma is a float or, as a chain passes it, a 0-d array.
     """
     _refuse_other_size(mu, bands)
-    ze, pe, qe = bands.edge_rows
-    np.subtract(bands.edges, mu, out=ze)
-    ze /= sigma
-    np.maximum(ze, _Z_LO, out=ze)
-    np.minimum(ze, _Z_HI, out=ze)
-    special.ndtr(ze, out=pe)
-    special.ndtr(np.negative(ze, out=qe), out=qe)
-    p_hi, p_lo, q_lo, q_hi = bands.neighbour_rows
-    cum = bands.mass
-    np.subtract(p_hi, p_lo, out=cum)
-    np.maximum(cum, np.subtract(q_lo, q_hi, out=bands.mirrored), out=cum)
-    cum *= bands.weights
-    rows = bands.mass_rows
-    for prev, row in zip(rows, rows[1:]):  # running sums, in add.accumulate's order
-        row += prev
-    rng.random(out=bands.draws)
-    u, t = bands.halves
-    total = rows[-1]
-    u *= np.maximum(total, _MASS_FLOOR, out=total)
-    # the interval is the number of running sums below u; u is below the last one, the total
-    pick = bands.pick
-    np.add.reduce(np.less(bands.lower_sums, u, out=bands.below), axis=0, out=pick,
-                  dtype=pick.dtype)
-    pick *= bands.n
-    za, zb, pa, pb, qa, qb = bands.end_rows
-    bands.flat.take(np.add(bands.offsets, pick, out=bands.index), out=bands.ends, mode="clip")
-    flip = np.greater(za, np.negative(zb, out=u), out=bands.flip)
-    np.putmask(pa, flip, qb)  # the lower end of the inverted CDF
-    np.putmask(pb, flip, qa)  # and its upper end
-    pb -= pa
-    pb *= t
-    pb += pa
-    np.maximum(pb, _P_FLOOR, out=pb)
-    v = special.ndtri(np.minimum(pb, _P_CEIL, out=pb))
-    np.putmask(v, flip, np.negative(v, out=u))
-    np.maximum(v, za, out=v)
-    np.minimum(v, zb, out=v)
-    v *= sigma
-    v += mu
-    return v
+    n = bands.n
+    grid = np.empty((3, len(bands.edges) + 2, n))  # z, Phi(z), Phi(-z) at -far, each edge, +far
+    z, p, q = grid
+    z[0], z[-1], p[0], p[-1] = -_Z_FAR, _Z_FAR, special.ndtr(-_Z_FAR), special.ndtr(_Z_FAR)
+    q[0], q[-1] = p[-1], p[0]
+    ze = np.minimum(np.maximum((bands.edges - mu) / sigma, -_Z_FAR), _Z_FAR, out=z[1:-1])
+    special.ndtr(ze, out=p[1:-1])
+    special.ndtr(-ze, out=q[1:-1])
+    mass = np.maximum(p[1:] - p[:-1], q[:-1] - q[1:]) * bands.weights
+    sums = np.cumsum(mass, axis=0)
+    u, t = rng.random(2 * n).reshape(2, n)
+    u = u * np.maximum(sums[-1], 1e-300)
+    pick = np.count_nonzero(sums[:-1] < u, axis=0)  # u is below the last sum, the total
+    sites = np.arange(n)
+    za, pa, qa = grid[:, pick, sites]
+    zb, pb, qb = grid[:, pick + 1, sites]
+    flip = za > -zb
+    lo, hi = np.where(flip, qb, pa), np.where(flip, qa, pb)  # the inverted CDF's ends
+    v = special.ndtri(np.minimum(np.maximum((hi - lo) * t + lo, 1e-320), 1.0 - 1e-16))
+    v = np.minimum(np.maximum(np.where(flip, -v, v), za), zb)
+    return v * sigma + mu
 
 
 def _metropolis_step(rng: np.random.Generator, bands: BandLayout) -> np.ndarray:
@@ -426,8 +362,9 @@ class GibbsChain:
     The chain keeps the phase of the sweeps run_chain makes, in cycles of one
     Metropolised independence sweep and then k = max(1, N // 4) Metropolised
     reflection sweeps: 1:1 up to N = 7, where two reflections nearly cancel,
-    1:4 at N = 16, 1:8 at N = 32; heat_bath_sweep draws from the
-    conditionals exactly.
+    1:4 at N = 16, 1:8 at N = 32.  heat_bath_sweep, the exact reference
+    route, draws from the conditionals exactly through the same layouts,
+    which hold only the Metropolis buffers.
     """
 
     geom: BoxGeometry
@@ -447,21 +384,22 @@ class GibbsChain:
         self._reflections = max(1, self.geom.N // 4)
         self._phase = 0  # sweeps into the current cycle; 0 runs the independence sweep
         self._colours = []
-        for table in _colour_indices(self.geom):  # (sites, neighbours, both, layout) per colour
+        for table in _colour_indices(self.geom):  # (sites, index, layout) per colour
             # a copy: take copies a read-only index array on every call (index assignment
-            # does not)
+            # does not); every half-update, heat-bath or Metropolis, gathers through it
             index = table.copy()
             sites = index[4]
             layout = BandLayout([(a, b, np.asarray(logw).take(sites) if np.ndim(logw)
                                   else float(logw)) for a, b, logw in bands])
-            self._colours.append((sites, index[:4], index, layout))
+            self._colours.append((sites, index, layout))
 
 
 @functools.lru_cache(maxsize=None)
 def _colour_indices(geom: BoxGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Per checkerboard colour of the interior, the read-only (5, n) table of flat
-    indices: rows 0-3 the sites' four neighbours, row 4 the sites.  A box's geometry
-    is set by its size, so the tables are built once per size."""
+    indices: rows 0-3 the sites' four neighbours, row 4 the sites, so one take
+    fills a layout's near_x for any half-update.  A box's geometry is set by its
+    size, so the tables are built once per size."""
     side = geom.side
     x1, x2 = geom.coords
     out = []
@@ -481,18 +419,23 @@ def make_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
 
 
 def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
-    """n_sweeps full checkerboard heat-bath sweeps, each drawing every interior
-    site exactly from its conditional; a negative or non-integer n_sweeps is
-    refused before any draw."""
-    if isinstance(n_sweeps, bool) or not isinstance(n_sweeps, numbers.Integral) or n_sweeps < 0:
-        raise DomainError(f"n_sweeps must be an integer >= 0 (got {n_sweeps!r})")
+    """n_sweeps exact checkerboard heat-bath sweeps (the reference route: no run_chain
+    sweep is one); a bool, non-integer or negative n_sweeps is refused before any draw."""
+    _refuse_bad_counts(f"n_sweeps must be an integer >= 0 (got {n_sweeps!r})", 0, n_sweeps)
     flat = chain.field.reshape(-1, copy=False)
     for _ in range(n_sweeps):
-        for sites, nbrs, _, layout in chain._colours:
-            flat.take(nbrs, out=layout.near, mode="clip")
+        for sites, index, layout in chain._colours:
+            flat.take(index, out=layout.near_x, mode="clip")
             _conditional_means(layout, chain._denom)
             flat[sites] = sample_banded_conditional(chain.rng, layout.mu, chain._sigma, layout)
     return chain
+
+
+def _refuse_bad_counts(message: str, least: int, *counts) -> None:
+    """DomainError(message) if a count is a bool, not an integer, or below least."""
+    if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < least
+           for c in counts):
+        raise DomainError(message)
 
 
 def _conditional_means(layout: BandLayout, denom: np.ndarray) -> None:
@@ -506,7 +449,7 @@ def _reflection_sweep(chain: GibbsChain, flat: np.ndarray) -> None:
     each interior site x to 2 mu - x (mu its conditional mean) with the Metropolis
     probability of its band weights.  One take per colour gathers the neighbours'
     heights and the sites' own into the layout's gather buffer."""
-    for sites, _, index, layout in chain._colours:
+    for sites, index, layout in chain._colours:
         flat.take(index, out=layout.near_x, mode="clip")
         _conditional_means(layout, chain._denom)
         flat[sites] = _reflect_banded(chain.rng, layout.mu, layout)
@@ -517,7 +460,7 @@ def _independence_sweep(chain: GibbsChain, flat: np.ndarray) -> None:
     each interior site to a fresh draw from its unweighted Gaussian conditional with
     the Metropolis probability of its band weights; gathered as a reflection sweep
     gathers."""
-    for sites, _, index, layout in chain._colours:
+    for sites, index, layout in chain._colours:
         flat.take(index, out=layout.near_x, mode="clip")
         _conditional_means(layout, chain._denom)
         flat[sites] = _independence_banded(chain.rng, layout.mu, chain._sigma, layout)
@@ -596,12 +539,12 @@ def run_chain(geom: BoxGeometry, params: PinningParams, omega: DisorderField,
     the charged sites of every row are found at once, and each record's
     contact total, contact fraction and interaction energy taken from its
     row.  Every series is 1-D, one entry per record; extra observables are
-    evaluated per record on the live field.
+    evaluated per record on the live field.  A bool, a non-integer, or a count
+    below its least (burn_in 0, sweeps and thinning 1) is refused before any sweep.
     """
-    if burn_in < 0:
-        raise DomainError("burn-in must be >= 0")
-    if sweeps < 1 or thinning < 1:
-        raise DomainError(f"sweeps and thinning must be >= 1 (got {sweeps}, {thinning})")
+    _refuse_bad_counts(f"burn_in must be an integer >= 0 (got {burn_in!r})", 0, burn_in)
+    _refuse_bad_counts(f"sweeps and thinning must be >= 1 (got {sweeps}, {thinning}), "
+                       "each an integer", 1, sweeps, thinning)
     if sweeps % thinning:
         raise DomainError(f"sweeps ({sweeps}) must be a multiple of thinning ({thinning})")
     if chain is None:

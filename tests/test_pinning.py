@@ -759,13 +759,21 @@ def test_iact_of_constant_and_short_series():
 @pytest.mark.parametrize("kwargs", [dict(sweeps=0), dict(sweeps=-3), dict(thinning=0),
                                     dict(thinning=-1),
                                     # not a whole number of records: refused, not rounded
-                                    dict(sweeps=3, thinning=10), dict(sweeps=25, thinning=10)])
+                                    dict(sweeps=3, thinning=10), dict(sweeps=25, thinning=10),
+                                    # a bool or a float is not a count, as in heat_bath_sweep
+                                    dict(sweeps=True), dict(thinning=True), dict(burn_in=True),
+                                    dict(sweeps=4.0), dict(thinning=2.0), dict(burn_in=2.5)])
 def test_run_chain_rejects_bad_budgets(kwargs):
+    # refused before any draw: the generator is left where it was
     g = lattice.build_box(4)
     args = dict(sweeps=10, thinning=1) | kwargs
-    with pytest.raises(DomainError, match=f"{args['sweeps']}.*{args['thinning']}"):
-        pinning.run_chain(g, pinning.PinningParams(), _zero_omega(g), rng.stream(220, "bad"),
-                          **args)
+    match = (rf"burn_in must be an integer >= 0 \(got {args['burn_in']}\)" if "burn_in" in args
+             else f"{args['sweeps']}.*{args['thinning']}")
+    r = rng.stream(220, "bad")
+    state = _state(r)
+    with pytest.raises(DomainError, match=match):
+        pinning.run_chain(g, pinning.PinningParams(), _zero_omega(g), r, **args)
+    assert _state(r) == state
 
 
 # label -> (N, params, extra bands, (energy, contact fraction, sum phi^2, L) per record), the
