@@ -28,7 +28,10 @@ reference speed factor and raw set-up time (these are not metrics: they tell
 a change in the reference speed, which rescales every reference-second
 metric, from a change in the code's own time).  The summary is also printed,
 one row per metric (the no-regression rule under worse>bound), then the raw
-rows.  Nothing under perfbench/ is written to.
+rows.  Nothing under perfbench/ is written to.  Where git cannot resolve or
+export the parent (no checkout, an unknown revision) the tool exits 2 with
+one error: line, as tools/layer_ab.py and tools/same_results.py do through
+git and export here.
 """
 
 from __future__ import annotations
@@ -60,16 +63,26 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _run_git(*args: str) -> bytes:
+    """git's standard output, run on the repository; where git fails (no checkout,
+    an unknown revision, no git at all) the tool exits 2 with one error: line."""
+    try:
+        return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                              capture_output=True).stdout
+    except (OSError, subprocess.CalledProcessError) as exc:
+        err = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        reason = err.splitlines()[-1] if err else str(exc)
+        print(f"error: git {' '.join(args)} in {ROOT}: {reason}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
+    return _run_git(*args).decode().strip()
 
 
 def export(rev: str, dest: Path) -> None:
     """The committed files of `rev`, unpacked into dest."""
-    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], check=True,
-                          capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+    with tarfile.open(fileobj=io.BytesIO(_run_git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
 
 

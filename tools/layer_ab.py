@@ -16,10 +16,12 @@ falls on both.  Per layer the tool prints each side's median time per sweep
 or call, the median of the per-repeat ratios tree / parent, their quartiles
 and interquartile range, and the number of repeats the tree wins (a strictly
 lower time).  The sweep layers also show the tree's median in ns per
-interior site.
+interior site.  Where git cannot resolve or export the parent the tool exits
+2 with one error: line.
 
-Layers: a heat-bath sweep (heat_bath_sweep, the exact reference sweep; a
-run_chain cycle makes none, so this layer times no sweep of run_chain), a
+Layers: a heat-bath sweep (heat_bath_sweep, the exact reference sweep
+through the plain sample_banded_conditional; a run_chain cycle makes none,
+so this layer times no sweep of run_chain), a
 reflection sweep and a run_chain sweep (its cycle of one independence sweep
 and max(1, N // 4) reflection sweeps) at N = 16 and N = 32, on one disorder
 draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per repeat; one

@@ -30,7 +30,8 @@ when their exit status and the last line of their standard error agree, while
 a refusal on one side only is a difference.  Every difference is printed, one
 DIFFERENT line each: the stamp's keys one by one, then the results.jsonl lines,
 the tables, the printed lines and the exit status, then one note line per
-setting on one side only.  The exit status is 0 only on a full match.
+setting on one side only.  The exit status is 0 only on a full match, and 2
+with one error: line where git cannot export the parent.
 """
 
 from __future__ import annotations
