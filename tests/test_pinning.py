@@ -238,6 +238,34 @@ def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
     assert np.all(np.abs(back - was) <= 4 * np.spacing(np.maximum(2 * abs(mu), np.abs(was))))
 
 
+# a neighbour sum s: +-0.0, or of magnitude in [1e-300, 1e300]
+_NEIGHBOUR_SUMS = st.one_of(st.sampled_from([0.0, -0.0]),
+                            st.builds(math.copysign, st.floats(1e-300, 1e300),
+                                      st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@example(s=-0.0, m=0.0, x=0.0)
+@example(s=1e-300, m=3.0, x=-0.0)
+@example(s=-1e300, m=math.sqrt(2.0), x=1.5)
+@given(s=_NEIGHBOUR_SUMS, m=st.floats(0.0, 3.0),
+       x=st.floats(allow_nan=False, allow_infinity=False))
+def test_reflection_over_the_half_denominator_is_twice_the_mean(s, m, x):
+    # a reflection divides the neighbour sum s by the half denominator (4 + m^2) / 2 and
+    # subtracts x, in place of (mu + mu) - x with mu = s / (4 + m^2): halving the
+    # denominator is exact and doubling commutes with rounding, so the two agree bit for
+    # bit.  Sums of magnitude below 1e-300 (but +-0) are left out: there the quotient can
+    # fall among the subnormals, where doubling no longer commutes with rounding, and the
+    # neighbour sums of heights of order 1 never come near them
+    denom = np.array(4.0 + m ** 2)  # as GibbsChain builds it
+    y = np.array([s])
+    y /= denom / 2
+    y -= np.array([x])
+    mu = np.array([s]) / denom
+    want = np.add(mu, mu) - np.array([x])
+    assert y.tobytes() == want.tobytes(), (s, m, x, y, want)
+
+
 @_banded_laws
 def test_independence_update_keeps_the_banded_law(kind, mu, sigma, w):
     # exact draws, one Metropolised independence update each (a fresh unweighted
