@@ -44,19 +44,21 @@ rather than the np.* wrappers, with 0-d array scalar operands, and a
 masked copy is a putmask.  Every half-update, the heat-bath one included,
 takes the neighbours' and the sites' heights with one take into rows 0-4 of
 the layout's (6, n) gather buffer, whose rows 4 and 5 are its (x, y) pair,
-sums the neighbours' into the conditional means (np.add.reduce) and writes
-its draws back by index assignment, flat[sites] = draws (half the cost of
-put at N = 32).  An independence or reflection half-update writes its
-proposal into row 5: mu + sigma z from one rng.standard_normal call, or
-2 mu - x.  One Metropolis step then finds both points' intervals by
-counting the edges strictly below each point of the pair (one comparison
-with the column of edges and one np.add.reduce over it, in place of a
-binary search whose data-dependent branches mispredict) and their weights
-with one take, draws one uniform per site with one rng.random call and
-copies the accepted sites from row 5 into row 4, which the half-update
-writes back: 14 numpy calls from the gather to the write-back for a
-reflection, 15 for an independence update.  Such a sweep takes the flat
-view of the field once.  A layout, like its chain, is not for concurrent use.
+sums the neighbours' (np.add.reduce) and writes its draws back by index
+assignment, flat[sites] = draws (half the cost of put at N = 32).  A sweep
+of run_chain's cycle makes one Metropolis half-update per colour
+(_half_update), which writes its proposal into row 5: mu + sigma z from one
+rng.standard_normal call, or the reflection 2 mu - x, taken from the
+neighbour sum s as s / ((4 + m^2) / 2) - x, which is (mu + mu) - x bit for
+bit without forming mu.  It then finds both points' intervals by counting
+the edges strictly below each point of the pair (one comparison with the
+column of edges and one np.add.reduce over it, in place of a binary search
+whose data-dependent branches mispredict) and their weights with one take,
+draws one uniform per site with one rng.random call and copies the
+accepted sites from row 5 into row 4, which it writes back: 13 numpy calls
+from the gather to the write-back for a reflection, 15 for an independence
+update, and no Python call but its own.  Such a sweep takes the flat view
+of the field once.  A layout, like its chain, is not for concurrent use.
 
 run_chain gathers each record's interaction-range heights, through indices
 found once per call, into a row of a block of at most _RECORD_BLOCK records
@@ -201,7 +203,7 @@ class BandLayout:
     the sites, so a list without per-site weights is refused.  The finite
     band edges (a column, sorted) split the real line into len(edges) + 1
     intervals; weights[j, i] = exp(logw - max over j) is the relative weight
-    of interval j at site i.  The Metropolis step works on the (2, n)
+    of interval j at site i.  A Metropolis half-update works on the (2, n)
     buffer pair xy, its rows x (the sites' heights) and y (their proposals:
     mirror images 2 mu - x, or independent draws), and looks up both rows'
     weights at once: the (edges, 1, 1) edge_column is compared with xy into
@@ -213,8 +215,10 @@ class BandLayout:
     uniforms and accept the sites where u w(x) < w(y).  gather is the
     colour's (6, n) gather buffer: rows 0-3 (near) the neighbours' heights,
     rows 4-5 the pair xy, so one take fills near_x (rows 0-4) with the
-    neighbours' and the sites' heights; mu receives the conditional means.
-    The exact heat-bath draw has no buffer here.  Not for concurrent use.
+    neighbours' and the sites' heights.  mu receives the conditional means
+    of an independence update or a heat-bath draw; a reflection sums the
+    neighbours straight into y and forms no mean.  The exact heat-bath draw
+    has no other buffer here.  Not for concurrent use.
     """
 
     def __init__(self, bands: list[tuple[float, float, np.ndarray | float]]):
@@ -250,11 +254,6 @@ class BandLayout:
         self.accept = np.empty(n, dtype=bool)
 
 
-def _refuse_other_size(mu: np.ndarray, bands: BandLayout) -> None:
-    if mu.shape[0] != bands.n:
-        raise DomainError(f"a band layout of {bands.n} sites was called at {mu.shape[0]}")
-
-
 def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray,
                               sigma: float | np.ndarray, bands: BandLayout) -> np.ndarray:
     """Exact draw from N(mu, sigma^2) reweighted by the layout's band weights:
@@ -268,8 +267,9 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray,
     array; a mu of another length than the layout's site count is refused
     before any draw.  sigma is a float or, as a chain passes it, a 0-d array.
     """
-    _refuse_other_size(mu, bands)
     n = bands.n
+    if mu.shape[0] != n:
+        raise DomainError(f"a band layout of {n} sites was called at {mu.shape[0]}")
     grid = np.empty((3, len(bands.edges) + 2, n))  # z, Phi(z), Phi(-z) at -far, each edge, +far
     z, p, q = grid
     z[0], z[-1], p[0], p[-1] = -_Z_FAR, _Z_FAR, special.ndtr(-_Z_FAR), special.ndtr(_Z_FAR)
@@ -292,62 +292,6 @@ def sample_banded_conditional(rng: np.random.Generator, mu: np.ndarray,
     return v * sigma + mu
 
 
-def _metropolis_step(rng: np.random.Generator, bands: BandLayout) -> np.ndarray:
-    """Keep each site's proposal bands.y over its height bands.x with probability
-    min(1, w(y) / w(x)), w the layout's weight of the interval holding the point.
-
-    One count of the edges below each point of both rows and one take find
-    both points' weights; one uniform per site (rng.random(n)) keeps y where
-    u w(x) < w(y).  The kept sites are copied from row 1 into row 0, and row
-    0 is returned: the layout's buffer, not a fresh array, valid until the
-    layout's next Metropolis step.
-    """
-    at = bands.at
-    np.add.reduce(np.less(bands.edge_column, bands.xy, out=bands.below_xy), axis=0, out=at,
-                  dtype=at.dtype)
-    at += bands.base2
-    bands.site_major.take(at, out=bands.wxy, mode="clip")
-    wx = bands.wx
-    wx *= rng.random(out=bands.uniforms)
-    np.putmask(bands.x, np.less(wx, bands.wy, out=bands.accept), bands.y)
-    return bands.x
-
-
-def _reflect_banded(rng: np.random.Generator, mu: np.ndarray, bands: BandLayout) -> np.ndarray:
-    """One Metropolised reflection of bands.x in the law sample_banded_conditional draws from.
-
-    Proposes y = 2 mu - x, which maps N(mu, sigma^2) onto itself with unit
-    Jacobian and is its own inverse, so keeping y with probability
-    min(1, w(y) / w(x)) (_metropolis_step) leaves the reweighted law
-    invariant.  Consumes rng.random(n).  The caller puts x into bands.x (a
-    reflection sweep gathers it there); 2 mu - x goes into bands.y.
-    """
-    _refuse_other_size(mu, bands)
-    y = bands.y
-    np.add(mu, mu, out=y)
-    y -= bands.x
-    return _metropolis_step(rng, bands)
-
-
-def _independence_banded(rng: np.random.Generator, mu: np.ndarray, sigma: np.ndarray,
-                         bands: BandLayout) -> np.ndarray:
-    """One Metropolised independence update of bands.x in the law
-    sample_banded_conditional draws from.
-
-    Proposes y = mu + sigma z, a fresh draw from the unweighted N(mu,
-    sigma^2), whatever x is: the proposal density cancels against the
-    target's Gaussian factor, so keeping y with probability min(1, w(y) /
-    w(x)) (_metropolis_step) leaves the reweighted law invariant (Tierney
-    1994).  Consumes rng.standard_normal(n), then rng.random(n).  The caller
-    puts x into bands.x, as for a reflection; y goes into bands.y.
-    """
-    _refuse_other_size(mu, bands)
-    y = rng.standard_normal(out=bands.y)
-    y *= sigma
-    y += mu
-    return _metropolis_step(rng, bands)
-
-
 # ---------------------------------------------------------------------------
 # chains
 # ---------------------------------------------------------------------------
@@ -362,9 +306,12 @@ class GibbsChain:
     The chain keeps the phase of the sweeps run_chain makes, in cycles of one
     Metropolised independence sweep and then k = max(1, N // 4) Metropolised
     reflection sweeps: 1:1 up to N = 7, where two reflections nearly cancel,
-    1:4 at N = 16, 1:8 at N = 32.  heat_bath_sweep, the exact reference
-    route, draws from the conditionals exactly through the same layouts,
-    which hold only the Metropolis buffers.
+    1:4 at N = 16, 1:8 at N = 32.  A reflection divides the neighbour sum
+    by the half denominator (4 + m^2) / 2 (_half_denom) and uses no
+    conditional mean; an independence update divides it by 4 + m^2
+    (_denom) into its mean.  heat_bath_sweep, the exact reference route,
+    draws from the conditionals exactly through the same layouts, which
+    hold only the Metropolis buffers.
     """
 
     geom: BoxGeometry
@@ -378,6 +325,7 @@ class GibbsChain:
     def __post_init__(self):
         self._denom = np.array(4.0 + self.params.m ** 2)  # 0-d, like sigma: numpy need not convert
         self._sigma = np.array(1.0 / math.sqrt(self._denom))
+        self._half_denom = np.array(self._denom / 2)  # exact: the reflection's divisor
         lo, hi, w, scale, _ = _interaction(self.params, self.omega)
         bands = ((lo, hi, self.coupling * scale * w),) + tuple(self.extra_bands)
         self.field = np.ascontiguousarray(self.field, dtype=float)
@@ -426,8 +374,9 @@ def heat_bath_sweep(chain: GibbsChain, n_sweeps: int = 1) -> GibbsChain:
     for _ in range(n_sweeps):
         for sites, index, layout in chain._colours:
             flat.take(index, out=layout.near_x, mode="clip")
-            _conditional_means(layout, chain._denom)
-            flat[sites] = sample_banded_conditional(chain.rng, layout.mu, chain._sigma, layout)
+            mu = np.add.reduce(layout.near, axis=0, out=layout.mu)
+            mu /= chain._denom
+            flat[sites] = sample_banded_conditional(chain.rng, mu, chain._sigma, layout)
     return chain
 
 
@@ -438,45 +387,62 @@ def _refuse_bad_counts(message: str, least: int, *counts) -> None:
         raise DomainError(message)
 
 
-def _conditional_means(layout: BandLayout, denom: np.ndarray) -> None:
-    """The sum of the neighbours' heights in layout.near, over denom, into layout.mu."""
-    np.add.reduce(layout.near, axis=0, out=layout.mu)
-    layout.mu /= denom
+def _half_update(rng: np.random.Generator, flat: np.ndarray, sites: np.ndarray,
+                 index: np.ndarray, layout: BandLayout, reflect: bool, denom: np.ndarray,
+                 half_denom: np.ndarray, sigma: np.ndarray) -> None:
+    """One Metropolis half-update of a colour's sites in flat, the field's flat view:
+    each site's height x moves to a proposal y with probability min(1, w(y) / w(x)),
+    w the layout's weight of the interval holding the point.
 
-
-def _reflection_sweep(chain: GibbsChain, flat: np.ndarray) -> None:
-    """One full checkerboard sweep of the chain's field, flat its flat view, moving
-    each interior site x to 2 mu - x (mu its conditional mean) with the Metropolis
-    probability of its band weights.  One take per colour gathers the neighbours'
-    heights and the sites' own into the layout's gather buffer."""
-    for sites, index, layout in chain._colours:
-        flat.take(index, out=layout.near_x, mode="clip")
-        _conditional_means(layout, chain._denom)
-        flat[sites] = _reflect_banded(chain.rng, layout.mu, layout)
-
-
-def _independence_sweep(chain: GibbsChain, flat: np.ndarray) -> None:
-    """One full checkerboard sweep of the chain's field, flat its flat view, moving
-    each interior site to a fresh draw from its unweighted Gaussian conditional with
-    the Metropolis probability of its band weights; gathered as a reflection sweep
-    gathers."""
-    for sites, index, layout in chain._colours:
-        flat.take(index, out=layout.near_x, mode="clip")
-        _conditional_means(layout, chain._denom)
-        flat[sites] = _independence_banded(chain.rng, layout.mu, chain._sigma, layout)
+    One take through the colour's (5, n) index gathers the neighbours' heights and
+    the sites' own into layout.near_x.  A reflection (reflect true) proposes y =
+    2 mu - x, mu = s / denom the conditional mean and s the neighbour sum: it takes
+    s / half_denom - x with half_denom = denom / 2, which is (mu + mu) - x bit for
+    bit (halving is exact and doubling commutes with rounding) and one numpy call
+    fewer.  The map is its own inverse, has unit Jacobian and preserves N(mu,
+    sigma^2) (Creutz's Metropolised overrelaxation).  An independence update
+    proposes y = mu + sigma z from rng.standard_normal(n), a fresh draw from the
+    unweighted N(mu, sigma^2) whatever x is (Tierney 1994).  Either way the
+    proposal cancels against the conditional's Gaussian factor, so the
+    acceptance ratio is w(y) / w(x) and the reweighted law is kept.  Then one
+    count of the edges strictly below both points of the (x, y) pair and one take
+    find their weights, rng.random(n) draws one uniform per site, y is kept where
+    u w(x) < w(y), and the heights are written back.
+    """
+    flat.take(index, out=layout.near_x, mode="clip")
+    y = layout.y
+    if reflect:
+        np.add.reduce(layout.near, axis=0, out=y)
+        y /= half_denom
+        y -= layout.x
+    else:
+        mu = np.add.reduce(layout.near, axis=0, out=layout.mu)
+        mu /= denom
+        rng.standard_normal(out=y)
+        y *= sigma
+        y += mu
+    at = layout.at
+    np.add.reduce(np.less(layout.edge_column, layout.xy, out=layout.below_xy), axis=0, out=at,
+                  dtype=at.dtype)
+    at += layout.base2
+    layout.site_major.take(at, out=layout.wxy, mode="clip")
+    wx = layout.wx
+    wx *= rng.random(out=layout.uniforms)
+    np.putmask(layout.x, np.less(wx, layout.wy, out=layout.accept), y)
+    flat[sites] = layout.x
 
 
 def _alternating_sweeps(chain: GibbsChain, n_sweeps: int) -> None:
     """n_sweeps sweeps of the chain's schedule: an independence sweep at phase 0, a
-    reflection sweep at each of the cycle's other chain._reflections phases.
-    The phase lives on the chain, so a + b sweeps in one call equal a sweeps
-    then b."""
+    reflection sweep at each of the cycle's other chain._reflections phases, each
+    one _half_update per colour.  The phase lives on the chain, so a + b sweeps in
+    one call equal a sweeps then b."""
     flat = chain.field.reshape(-1, copy=False)
+    rng, denom, half_denom, sigma = chain.rng, chain._denom, chain._half_denom, chain._sigma
     for _ in range(n_sweeps):
-        if chain._phase:
-            _reflection_sweep(chain, flat)
-        else:
-            _independence_sweep(chain, flat)
+        reflect = chain._phase != 0
+        for sites, index, layout in chain._colours:
+            _half_update(rng, flat, sites, index, layout, reflect, denom, half_denom, sigma)
         chain._phase = (chain._phase + 1) % (1 + chain._reflections)
 
 

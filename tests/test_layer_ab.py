@@ -10,7 +10,10 @@ _spec = importlib.util.spec_from_file_location("layer_ab", _PATH)
 layer_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layer_ab)
 
-_LAYERS = {"green table N=32", "green solve N=32", "f oracle m=0.5", "harmonic extension N=32",
+_LAYERS = {"heat-bath sweep N=16", "heat-bath sweep N=32", "independence sweep N=16",
+           "independence sweep N=32", "reflection sweep N=16", "reflection sweep N=32",
+           "run_chain sweep N=16", "run_chain sweep N=32", "spectral sample N=32",
+           "green table N=32", "green solve N=32", "f oracle m=0.5", "harmonic extension N=32",
            "ladder point N=8", "coupling ladder N=16", "coupling ladder N=32", "bridge block",
            "stack margin N=256", "penalty N=16"}
 
@@ -28,7 +31,7 @@ def test_every_layer_has_a_row_and_its_per_site_column():
     # runs in any tree, a git checkout or not
     tree = layer_ab.load("gffpin")
     names = [name for name, *_ in layer_ab.layers(1)]
-    assert len(names) == 17 and _LAYERS <= set(names)
+    assert len(names) == 19 and set(names) == _LAYERS
     rows = layer_ab.summary_rows(layer_ab.measure(tree, tree, 2, 1))
     assert len(rows) == 1 + len(names)
     for name in names:
@@ -51,8 +54,8 @@ def test_tiny_budget_against_head_names_every_layer():
     assert rows[1] == ("BLAS threads: OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, "
                        "MKL_NUM_THREADS=1")
     names = [name for name, *_ in layer_ab.layers(1)]
-    assert len(names) == 17
-    assert _LAYERS <= set(names)
+    assert len(names) == 19
+    assert set(names) == _LAYERS
     for name in names:
         row = next(r for r in rows if r.startswith(name + " "))
         assert row.split()[-1].endswith("/2"), row

@@ -201,10 +201,24 @@ def _banded_laws(test):
     return settings(max_examples=30, deadline=None, derandomize=True)(test)
 
 
-def _half_update_keeps_the_banded_law(update, r, kind, mu, sigma, w):
+def _half_update(r, layout, mu, x, reflect, sigma=0.5):
+    """One pinning._half_update of the sites at heights x, conditional means mu and sd
+    sigma on the layout, driven through its gather: a flat field whose first neighbour row
+    holds 4 mu and whose other three hold -0.0 sums to 4 mu exactly, over the denominator 4.
+    At mu = -0.0 all four rows hold -0.0, and their sum is +0.0, since numpy's sum starts
+    from +0.0.  Returns the heights written back, a view of the field."""
+    n = len(mu)
+    flat = np.concatenate([4 * mu, np.full(3 * n, -0.0), x])
+    index = np.arange(5 * n).reshape(5, n)
+    pinning._half_update(r, flat, index[4], index, layout, reflect, np.array(4.0), np.array(2.0),
+                         np.array(sigma))
+    return flat[4 * n:]
+
+
+def _half_update_keeps_the_banded_law(reflect, r, kind, mu, sigma, w):
     """200 000 exact draws at mean mu, sd sigma and the bands of kind and w, then one
-    half-update(r, mu, sigma, layout) of each, checked to follow the same law (KS);
-    returns the draws and their updates."""
+    reflection (reflect true) or independence update of each, checked to follow the same
+    law (KS); returns the draws and their updates."""
     n = 200_000
     if kind == "per-site":
         # two weights alternating over the sites: each half has its own law
@@ -216,8 +230,7 @@ def _half_update_keeps_the_banded_law(update, r, kind, mu, sigma, w):
         layout = pinning.BandLayout(_first_band_per_site(bands, n))
     m = np.full(n, mu)
     x = pinning.sample_banded_conditional(r, m, sigma, layout)
-    layout.x[:] = x
-    y = update(r, m, sigma, layout)
+    y = _half_update(r, layout, m, x, reflect, sigma)
     # about 45 KS tests per run: 1e-4 each keeps a false alarm below 0.5 % per run
     for sites, group_bands in groups:
         ks = stats.ks_1samp(y[sites], _banded_cdf(mu, sigma, group_bands))
@@ -231,8 +244,7 @@ def test_reflection_keeps_the_banded_law(kind, mu, sigma, w):
     # every moved site at the mirror image of where it was, to rounding (2 mu - x
     # is rounded once and its mirror once more)
     x, y = _half_update_keeps_the_banded_law(
-        lambda r, m, sigma, layout: pinning._reflect_banded(r, m, layout),
-        rng.stream(260, "reflect", kind, mu, sigma, w), kind, mu, sigma, w)
+        True, rng.stream(260, "reflect", kind, mu, sigma, w), kind, mu, sigma, w)
     moved = y != x
     back, was = (2 * mu - y)[moved], x[moved]
     assert np.all(np.abs(back - was) <= 4 * np.spacing(np.maximum(2 * abs(mu), np.abs(was))))
@@ -271,8 +283,7 @@ def test_independence_update_keeps_the_banded_law(kind, mu, sigma, w):
     # exact draws, one Metropolised independence update each (a fresh unweighted
     # Gaussian proposal), the same law after (KS)
     _half_update_keeps_the_banded_law(
-        pinning._independence_banded, rng.stream(270, "independence", kind, mu, sigma, w),
-        kind, mu, sigma, w)
+        False, rng.stream(270, "independence", kind, mu, sigma, w), kind, mu, sigma, w)
 
 
 def test_band_layout_scalar_and_per_site():
@@ -928,8 +939,8 @@ def test_alternating_chains_keep_their_own_fields():
 def test_layout_refuses_another_site_count():
     # a layout serves the site count it was built at: called again there it draws what a
     # fresh one draws, in every half-update, and its heat-bath draws share no memory with
-    # its buffers (a Metropolis step hands back the layout's x row, as its docstring says);
-    # called at any other count it refuses before it draws
+    # its buffers; called at any other count the heat-bath draw refuses before it draws,
+    # and a Metropolis half-update fails in its gather, before it draws
     bands = [(-1.0, 1.0, np.full(7, 1.5)), (-math.inf, 0.0, -0.5)]
     reused = pinning.BandLayout(bands)
     mu = np.linspace(-2.0, 2.0, 7)
@@ -939,24 +950,22 @@ def test_layout_refuses_another_site_count():
         got = pinning.sample_banded_conditional(got_r, mu, 0.5, reused)
         want = pinning.sample_banded_conditional(want_r, mu, 0.5, fresh)
         assert np.array_equal(got, want)
-        reused.x[:], fresh.x[:] = got, want
-        assert np.array_equal(pinning._reflect_banded(got_r, mu, reused),
-                              pinning._reflect_banded(want_r, mu, fresh))
-        assert np.array_equal(pinning._independence_banded(got_r, mu, 0.5, reused),
-                              pinning._independence_banded(want_r, mu, 0.5, fresh))
         buffers = [b for b in vars(reused).values() if isinstance(b, np.ndarray)]
         assert buffers and not any(np.shares_memory(got, b) for b in buffers)
         assert not np.shares_memory(got, mu)
+        for reflect in (True, False):
+            got, want = (_half_update(got_r, reused, mu, got, reflect),
+                         _half_update(want_r, fresh, mu, want, reflect))
+            assert np.array_equal(got, want)
     r = rng.stream(252, "ws", "other")
     before = _state(r)
     for n in (0, 1, 6, 8, 112):
         other = np.linspace(-2.0, 2.0, n)
         with pytest.raises(DomainError, match=rf"layout of 7 sites was called at {n}\b"):
             pinning.sample_banded_conditional(r, other, 0.5, reused)
-        with pytest.raises(DomainError, match=rf"layout of 7 sites was called at {n}\b"):
-            pinning._reflect_banded(r, other, reused)
-        with pytest.raises(DomainError, match=rf"layout of 7 sites was called at {n}\b"):
-            pinning._independence_banded(r, other, 0.5, reused)
+        for reflect in (True, False):
+            with pytest.raises(ValueError, match="output array does not match"):
+                _half_update(r, reused, other, other, reflect)
     assert _state(r) == before
 
 
@@ -1025,13 +1034,13 @@ def test_half_updates_draw_what_they_promise(edges, per_site):
     assert layout.edges.shape == (edges, 1)
     mu = np.linspace(-2.5, 2.5, n)
     r, twin = rng.stream(258, "draws", edges, per_site), rng.stream(258, "draws", edges, per_site)
-    layout.x[:] = pinning.sample_banded_conditional(r, mu, 0.5, layout)
+    x = pinning.sample_banded_conditional(r, mu, 0.5, layout)
     twin.random(2 * n)
     assert _state(r) == _state(twin)
-    pinning._reflect_banded(r, mu, layout)
+    x = _half_update(r, layout, mu, x, True)
     twin.random(n)
     assert _state(r) == _state(twin)
-    pinning._independence_banded(r, mu, 0.5, layout)
+    _half_update(r, layout, mu, x, False)
     twin.standard_normal(n)
     twin.random(n)
     assert _state(r) == _state(twin)
@@ -1054,8 +1063,10 @@ def test_reflection_lookup_is_a_left_searchsorted(edges, per_site):
     # the reflection counts the edges strictly below each point of its (x, y) pair; on
     # heights exactly on every edge, one ulp either side, +-0.0 and +-inf that count is
     # the interval a left searchsorted finds, and the reflection keeps, bit for bit,
-    # what the searchsorted reference keeps from the same generator state.  mu = -0.0
-    # mirrors each height onto its negative, -0.0 included, so y visits them too
+    # what the searchsorted reference keeps from the same generator state.  At mu = -0.0
+    # the gathered neighbour rows all hold -0.0, and their sum starts from numpy's +0.0, so
+    # the mean is +0.0 and y = 0.0 - x mirrors each height onto its negative (both zeros
+    # onto +0.0): y visits them too
     cuts = sorted({e for lo, hi, _ in _EDGE_BANDS[edges](1.0) for e in (lo, hi)
                    if math.isfinite(e)})
     x = np.array([v for e in cuts for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
@@ -1067,9 +1078,10 @@ def test_reflection_lookup_is_a_left_searchsorted(edges, per_site):
     for mu in (np.full(n, -0.0), np.full(n, 0.25)):
         got_r, want_r = (rng.stream(259, "lookup", edges, per_site) for _ in range(2))
         layout.x[:] = x
-        want = _reflect_reference(want_r, mu, layout)
-        xy = np.stack([x, mu + mu - x])
-        got = pinning._reflect_banded(got_r, mu, layout)
+        summed = mu + 0.0  # the mean the gather gives: -0.0 + 0.0 is +0.0
+        want = _reflect_reference(want_r, summed, layout)
+        xy = np.stack([x, summed + summed - x])
+        got = _half_update(got_r, layout, mu, x, True)
         assert np.array_equal(layout.at - layout.base2,
                               np.searchsorted(layout.edges[:, 0], xy, side="left"))
         assert got.tobytes() == want.tobytes()

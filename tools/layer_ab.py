@@ -21,10 +21,12 @@ interior site.  Where git cannot resolve or export the parent the tool exits
 
 Layers: a heat-bath sweep (heat_bath_sweep, the exact reference sweep
 through the plain sample_banded_conditional; a run_chain cycle makes none,
-so this layer times no sweep of run_chain), a
-reflection sweep and a run_chain sweep (its cycle of one independence sweep
-and max(1, N // 4) reflection sweeps) at N = 16 and N = 32, on one disorder
-draw at beta = 0.5, h = 0.1, each timed over --sweeps sweeps per repeat; one
+so this layer times no sweep of run_chain), an independence sweep and a
+reflection sweep (each one _alternating_sweeps(chain, 1) call, the chain's
+phase set to 0 or to 1 before it), and a run_chain sweep (its cycle of one
+independence sweep and max(1, N // 4) reflection sweeps) at N = 16 and
+N = 32, on one disorder draw at beta = 0.5, h = 0.1, each timed over
+--sweeps sweeps per repeat; one
 spectral sample (sample_dirichlet_interior, N = 32, m = 0.3), timed over
 --sweeps calls; one Green table by each route (green_dirichlet and
 the block elimination green_dirichlet_solve, N = 32, m = 0.3); one f(m) by its
@@ -64,6 +66,7 @@ if __name__ == "__main__":  # an import (a test's, say) leaves its process's env
         os.environ[_var] = "1"
 
 import argparse
+import functools
 import importlib
 import sys
 import tempfile
@@ -98,13 +101,16 @@ def _heat_bath(pkg, N: int, sweeps: int):
     return lambda: pkg.pinning.heat_bath_sweep(chain, sweeps)
 
 
-def _reflection(pkg, N: int, sweeps: int):
+def _sweeps_at_phase(pkg, N: int, sweeps: int, phase: int):
+    """Sweeps one at a time, each from the cycle's phase `phase`: 0 runs an independence
+    sweep, 1 a reflection sweep."""
     chain = _chain(pkg, N)
-    sweep, flat = pkg.pinning._reflection_sweep, chain.field.reshape(-1)
+    sweep = pkg.pinning._alternating_sweeps
 
     def run():
         for _ in range(sweeps):
-            sweep(chain, flat)
+            chain._phase = phase
+            sweep(chain, 1)
     return run
 
 
@@ -207,7 +213,9 @@ def layers(sweeps: int) -> list[tuple[str, str, int, int | None, object]]:
     """(name, unit, units per repeat, interior sites per unit or None, pkg -> thunk)
     per layer."""
     out = []
-    for kind, build in (("heat-bath sweep", _heat_bath), ("reflection sweep", _reflection),
+    for kind, build in (("heat-bath sweep", _heat_bath),
+                        ("independence sweep", functools.partial(_sweeps_at_phase, phase=0)),
+                        ("reflection sweep", functools.partial(_sweeps_at_phase, phase=1)),
                         ("run_chain sweep", _run_chain)):
         out += [(f"{kind} N={N}", "sweep", sweeps, (N - 1) ** 2,
                  lambda pkg, N=N, build=build: build(pkg, N, sweeps)) for N in SIZES]
