@@ -17,6 +17,33 @@ _CHEAP = ["--seeds", "30", "--set", "h=-1", "--set", "points=5", "--set", "sweep
           "--set", "burn_in=20"]
 
 
+# the rows at two small budgets, every float exact; h from 0 down to -1 as in _CHEAP, and the
+# coupling leg at its defaults, where 7 of the 8 seeds state an SE
+_PINNED = {
+    "h-leg": ({"h": -1.0, "points": 5, "sweeps": 100, "burn_in": 20}, 8,
+              {"seeds": 5, "sd_z": 0.76323466500524,
+               "interval": (0.5129316721896503, 1.5945937198532916),
+               "spread_ratio": 0.5177549949804158, "median_se": 0.033026967954156765,
+               "ok": True}),
+    "coupling": ({}, 8,
+                 {"seeds": 7, "sd_z": 0.6084892442780651,
+                  "interval": (0.42923884166492726, 1.0935468905564176),
+                  "spread_ratio": 0.5725245388759809, "median_se": 0.0028697168775341318,
+                  "ok": True}),
+}
+
+
+def _row(estimator: str, settings: dict, seeds: int) -> dict:
+    defaults, fn = se_calibration.ESTIMATORS[estimator]
+    return se_calibration.calibrate(fn, {**defaults, **settings}, seeds)
+
+
+@pytest.mark.parametrize("estimator", sorted(_PINNED))
+def test_rows_are_pinned(estimator):
+    settings, seeds, row = _PINNED[estimator]
+    assert _row(estimator, settings, seeds) == row
+
+
 def test_h_leg_se_is_calibrated_against_the_exact_value():
     # 11 points over [0, 1] at N = 2: the trapezoid weights of interior points count twice
     # the weight of an end point, so an SE that sums segments as independent reads
