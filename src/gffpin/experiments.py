@@ -24,7 +24,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -632,6 +632,82 @@ def _run_penalty_cost(cfg):
     return checks, [{"mean_inverse": inv_mean, "se": inv_se, "mean_count": mean_count}], {}
 
 
+# The SE calibrations run one estimator at N = 2, where pinning.exact_partition_small
+# gives the exact value, under chain seeds 0 .. seeds-1 on one disorder draw (stream
+# `seed`).  A seed whose SE is inf (a ladder point whose series never varied) states no
+# error bar and is left out, and an info line counts it.  Over the S seeds left the
+# verdict line gives the SD about 0 of z = (estimate - exact) / SE with its 90 % interval
+# from the chi-square law on S degrees of freedom, SD(estimates, ddof 1) / RMS(SE) and the
+# median SE; it passes when the interval holds 1 (never with fewer than two seeds left,
+# where the row reads nan).
+
+def _se_box(seed: int, beta: float, m: float) -> tuple:
+    """The N = 2 box, its disorder draw and the parameters at h = 0."""
+    geom = lattice.build_box(2)
+    omega = sample_disorder(geom, GAUSSIAN, rngmod.stream(seed, "se-calibration", "omega"))
+    return geom, omega, pinning.PinningParams(beta=beta, m=m)
+
+
+def _se_h_leg(seed, beta, h, m, points, sweeps, burn_in, chain_seed) -> tuple:
+    """log Z(h) - log Z(0) by freeenergy.ti_log_partition on `points` evenly spaced
+    points, its SE and the exact value, under one chain seed."""
+    geom, omega, params = _se_box(seed, beta, m)
+    leg = freeenergy.ti_log_partition(geom, params, omega,
+                                      rngmod.stream(chain_seed, "se-calibration", "chain"),
+                                      np.linspace(0.0, h, points), sweeps, burn_in)
+    exact = (pinning.exact_partition_small(geom, replace(params, h=h), omega)
+             - pinning.exact_partition_small(geom, params, omega))
+    return float(leg.log_z[-1]), float(leg.log_z_se[-1]), exact
+
+
+def _se_coupling(seed, beta, h, m, sweeps, burn_in, chain_seed) -> tuple:
+    """log Z at (beta, h, m) by freeenergy.coupling_log_z, its SE and the exact value,
+    under one chain seed."""
+    geom, omega, params = _se_box(seed, beta, m)
+    params = replace(params, h=h)
+    value, se = freeenergy.coupling_log_z(geom, params, omega,
+                                          rngmod.stream(chain_seed, "se-calibration", "chain"),
+                                          sweeps, burn_in)
+    return value, se, pinning.exact_partition_small(geom, params, omega)
+
+
+def _se_calibration(job, seeds: int):
+    """The checks and the one record of job(chain_seed) -> (estimate, se, exact) run
+    over chain seeds 0 .. seeds-1."""
+    from scipy import stats  # about half a second of import, which only a calibration pays
+
+    value, se, exact = np.array(freeenergy._fan_out(job, seeds)).T
+    stated = np.isfinite(se)
+    value, se, exact, n = value[stated], se[stated], exact[stated], int(stated.sum())
+    if n < 2:
+        row = {"seeds": n, "sd_z": math.nan, "interval": (math.nan, math.nan),
+               "spread_ratio": math.nan, "median_se": math.nan, "ok": False}
+    else:
+        sd_z = math.sqrt(float(np.mean(((value - exact) / se) ** 2)))
+        lo, hi = sd_z * np.sqrt(n / stats.chi2.ppf([0.95, 0.05], n))
+        row = {"seeds": n, "sd_z": sd_z, "interval": (float(lo), float(hi)),
+               "spread_ratio": float(value.std(ddof=1) / math.sqrt(float(np.mean(se ** 2)))),
+               "median_se": float(np.median(se)), "ok": bool(lo <= 1.0 <= hi)}
+    lo, hi = row["interval"]
+    checks = [(None, f"{seeds - n} of {seeds} seeds state se inf, left out"),
+              (row["ok"], f"sd(z) = {row['sd_z']:.3f}, 90% interval [{lo:.3f}, {hi:.3f}] "
+                          f"over {n} seeds; sd/rms(se) = {row['spread_ratio']:.3f}, "
+                          f"median se {row['median_se']:.3g}")]
+    return checks, [row], {}
+
+
+def _run_se_h_leg(cfg):
+    return _se_calibration(functools.partial(_se_h_leg, cfg["seed"], cfg["beta"], cfg["h"],
+                                             cfg["m"], cfg["points"], cfg["sweeps"],
+                                             cfg["burn_in"]), cfg["seeds"])
+
+
+def _run_se_coupling(cfg):
+    return _se_calibration(functools.partial(_se_coupling, cfg["seed"], cfg["beta"], cfg["h"],
+                                             cfg["m"], cfg["sweeps"], cfg["burn_in"]),
+                           cfg["seeds"])
+
+
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -752,6 +828,18 @@ _register(
     "inverse-penalty cost of the disorder change of measure",
     "E[f(omega)^{-1}] stays subexponential in the cell count",
     {"seed": 20260825, "N": 16, "N1": 4, "beta": 1.0, "samples": 200}, _run_penalty_cost)
+_register(
+    "se-calibration-h-leg",
+    "stated SE of an h-leg against the exact one-site log Z, over chain seeds",
+    "the SD of z = (log Z(h) - log Z(0) - exact) / se at N = 2 has a 90% interval holding 1",
+    {"seed": 0, "beta": 0.0, "h": 1.0, "m": 0.0, "points": 11, "sweeps": 200, "burn_in": 50,
+     "seeds": 60}, _run_se_h_leg)
+_register(
+    "se-calibration-coupling",
+    "stated SE of a coupling ladder against the exact one-site log Z, over chain seeds",
+    "the SD of z = (log Z - exact) / se at N = 2 has a 90% interval holding 1",
+    {"seed": 0, "beta": 0.5, "h": 0.3, "m": 0.0, "sweeps": 200, "burn_in": 50, "seeds": 60},
+    _run_se_coupling)
 
 
 def list_experiments() -> list[tuple[str, str, str]]:
@@ -778,8 +866,8 @@ def _fits(value, default) -> bool:
 
 
 # smallest value of each count setting, wherever an experiment has one: a sample
-# variance or standard error needs two draws
-_LEAST = {"samples": 1, "stack_samples": 2, "walks": 2}
+# variance or standard error needs two draws, and a ladder two points
+_LEAST = {"samples": 1, "stack_samples": 2, "walks": 2, "seeds": 2, "points": 2}
 
 
 def run_experiment(name: str, overrides: dict | None = None) -> ExperimentResult:

@@ -30,12 +30,17 @@ def test_a_backward_seed_range_exits_2_before_any_export(monkeypatch, capsys):
     assert "seed range '5-3' runs backwards" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tool,argv", [
-    ("bench_pairs", ["--pr", "0", "--workload", "mixing", "--seeds", "1"]),
-    ("layer_ab", ["--repeats", "1", "--sweeps", "1"]),
-    ("same_results", ["exact-small-box"]),
-], ids=["bench_pairs", "layer_ab", "same_results"])
-def test_outside_a_git_checkout_each_tool_exits_2(tmp_path, tool, argv):
+# each tool that reads a parent revision, with the arguments of a run that would otherwise go on
+_TOOLS = {
+    "bench_pairs": ["--pr", "0", "--workload", "mixing", "--seeds", "1"],
+    "layer_ab": ["--repeats", "1", "--sweeps", "1"],
+    "same_results": ["exact-small-box"],
+    "size_report": [],
+}
+
+
+@pytest.mark.parametrize("tool", sorted(_TOOLS))
+def test_outside_a_git_checkout_each_tool_exits_2(tmp_path, tool):
     # a copy of tools/ and src/ (and the benchmark declaration bench_pairs reads) with no
     # .git: the parent revision cannot be resolved or exported, so the tool says so in one
     # error: line and exits 2, where it used to end in a CalledProcessError traceback
@@ -45,13 +50,29 @@ def test_outside_a_git_checkout_each_tool_exits_2(tmp_path, tool, argv):
     shutil.copy(bench_pairs.ROOT / "BENCHMARK.json", tmp_path)
     env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(tmp_path.parent)}
     env.pop("GIT_DIR", None)
-    proc = subprocess.run([sys.executable, f"tools/{tool}.py", "--parent", "HEAD", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, f"tools/{tool}.py", "--parent", "HEAD",
+                           *_TOOLS[tool]], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: git ") and "HEAD" in lines[0], lines
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+@pytest.mark.parametrize("tool", sorted(_TOOLS))
+def test_an_unknown_revision_exits_2(tmp_path, tool):
+    # git names the revision it cannot resolve in the one error: line; nothing is printed or
+    # written before it
+    proc = subprocess.run([sys.executable, str(bench_pairs.ROOT / "tools" / f"{tool}.py"),
+                           "--parent", "nonexistent-rev", *_TOOLS[tool]], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert (len(lines) == 1 and lines[0].startswith("error: git ")
+            and "nonexistent-rev" in lines[0]), lines
+    assert not (bench_pairs.ROOT / "BENCH_0.json").exists()
 
 
 _NO_RAW = {key: [] for key in bench_pairs.RAW}  # as in a traced run without untraced passes

@@ -67,27 +67,30 @@ def _loaded_after(code: str, modules: list[str]) -> list[str]:
 
 
 def test_chain_path_loads_no_heavy_scipy_subpackage():
+    # the probe imports gffpin.cli, and through it gffpin.experiments, whose SE calibrations
+    # import scipy.stats only when they run
     heavy = ["scipy.ndimage", "scipy.integrate", "scipy.optimize", "scipy.sparse",
-             "scipy.sparse.linalg", "concurrent.futures.process"]
+             "scipy.sparse.linalg", "scipy.stats", "concurrent.futures.process"]
     assert _loaded_after(CHAIN, heavy + ["scipy.special"]) == ["scipy.special"]
 
 
 def test_doubling_path_loads_no_quadrature_solver_or_filter():
     # its random massive boundaries are extended in the sine basis, with no sparse solve
     heavy = ["scipy.ndimage", "scipy.integrate", "scipy.optimize", "scipy.sparse",
-             "scipy.sparse.linalg"]
+             "scipy.sparse.linalg", "scipy.stats"]
     assert _loaded_after(DOUBLING, heavy + ["scipy.special", "scipy.fft"]) == ["scipy.special",
                                                                                "scipy.fft"]
 
 
 def test_one_scale_stack_path_loads_no_root_finder():
     # only a grid with k > 1 root-finds; every laboratory mass gives k = 1
-    assert _loaded_after(STACK, ["scipy.optimize"]) == []
+    assert _loaded_after(STACK, ["scipy.optimize", "scipy.stats"]) == []
 
 
 def test_exact_sampler_path_loads_no_sparse_solver_quadrature_or_root_finder():
     # both oracle routes (the Green table's block elimination, f(m)'s closed inner
     # integral) run on numpy alone
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg"]
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg",
+             "scipy.stats"]
     assert _loaded_after(SAMPLERS, heavy + ["scipy.special", "scipy.fft"]) == ["scipy.special",
                                                                                "scipy.fft"]

@@ -1,20 +1,21 @@
 """Every public module-level function and class of gffpin is reached, and so
 is every member of a public class.
 
-A name is reached when library code outside its own definition, the
-benchmark (perfbench/) or the tools (tools/) refers to it, or when it is the
-console script.  The only other public names allowed are oracle routes:
-independent second computations that a named test uses as the reference for
-code that is reached.  References are found by parsing, not by text search:
-import aliases (`from . import config as cfgmod`, `from .disorder import
-penalty_f`) are resolved, and only names read (Load context) count, so a
-dataclass field or keyword argument spelled like a function is not a use.
+A name is reached when library code outside its own definition refers to
+it, or when it is the console script; a reference from the benchmark
+(perfbench/), the tools (tools/) or the tests does not count.  The only other
+public names allowed are oracle routes: independent second computations that
+a named test uses as the reference for code that is reached.  References are
+found by parsing, not by text search: the library's relative import aliases
+(`from . import config as cfgmod`, `from .disorder import penalty_f`) are
+resolved, and only names read (Load context) count, so a dataclass field or
+keyword argument spelled like a function is not a use.
 
 The members of a public class are its fields (annotated assignments), its
 properties and its public methods.  A member is reached when an attribute
-read of its name exists in the library outside its own definition, or
-anywhere in the benchmark or the tools.  Types are not inferred, so a member
-that shares its name with a reached one passes unseen.  The members allowed
+read of its name exists in the library outside its own definition.  Types
+are not inferred, so a member that shares its name with a reached one passes
+unseen.  The members allowed
 beside those are listed below with their reasons: oracle members (with the
 test that uses each) and stored fault records.
 
@@ -33,7 +34,6 @@ from gffpin import experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gffpin"
-OUTSIDE = (ROOT / "perfbench", ROOT / "tools")
 
 ENTRY_POINTS = {"cli.main"}  # the `gffpin` console script (pyproject.toml)
 
@@ -47,6 +47,10 @@ ORACLES = {
         "tests/test_pinning.py::test_energy_bookkeeping_matches_recompute",
     "disorder.event_E_cell":
         "tests/test_disorder.py::test_penalty_counts_the_cells_where_the_event_fires",
+    "pinning.heat_bath_sweep":
+        "tests/test_pinning.py::test_cycle_keeps_the_heat_bath_law",
+    "kernels.green_dirichlet_solve":
+        "tests/test_kernels.py::test_green_dirichlet_two_routes",
 }
 
 # oracle member -> the test that uses it as the reference for reached code
@@ -72,34 +76,25 @@ def _module_defs(tree: ast.Module) -> dict[str, ast.AST]:
 
 
 def _aliases(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
-    """(local name -> gffpin module, local name -> 'module.attr') bound by imports."""
+    """(local name -> gffpin module, local name -> 'module.attr') bound by the
+    relative imports of a package module."""
     modules: dict[str, str] = {}
     names: dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("gffpin.") and alias.asname:
-                    modules[alias.asname] = alias.name.removeprefix("gffpin.")
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 1:
-                source = node.module  # None for `from . import x`
-            elif node.level == 0 and (node.module or "").split(".")[0] == "gffpin":
-                source = node.module.removeprefix("gffpin").removeprefix(".") or None
-            else:
-                continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 local = alias.asname or alias.name
-                if source is None:
+                if node.module is None:  # `from . import x`
                     modules[local] = alias.name
                 else:
-                    names[local] = f"{source}.{alias.name}"
+                    names[local] = f"{node.module}.{alias.name}"
     return modules, names
 
 
-def _references(tree: ast.Module, module: str | None) -> set[tuple[str, ast.AST]]:
-    """('module.attr', node) for every read of a gffpin name in the tree."""
+def _references(tree: ast.Module, module: str) -> set[tuple[str, ast.AST]]:
+    """('module.attr', node) for every read of a gffpin name in the package module."""
     modules, names = _aliases(tree)
-    own = _module_defs(tree) if module else {}
+    own = _module_defs(tree)
     out = set()
     for node in ast.walk(tree):
         if not isinstance(getattr(node, "ctx", None), ast.Load):
@@ -129,10 +124,6 @@ def reached_and_public() -> tuple[set[str], set[str]]:
         for ref, node in _references(tree, module):
             if ref not in defs or not ref.startswith(f"{module}.") or not _inside(node, defs[ref]):
                 reached.add(ref)
-    for root in OUTSIDE:
-        for path in sorted(root.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            reached |= {ref for ref, _ in _references(tree, None)}
     return set(defs), reached
 
 
@@ -166,13 +157,11 @@ def members_and_reached() -> tuple[set[str], set[str]]:
     trees = _parse_package()
     members = _members(trees)
     library = {module: _attribute_reads(tree) for module, tree in trees.items()}
-    outside = {node.attr for root in OUTSIDE for path in sorted(root.rglob("*.py"))
-               for node in _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))}
     reached = set()
     for member, definition in members.items():
         attr = member.split(".")[-1]
         home = member.split(".")[0]
-        if attr in outside or any(
+        if any(
                 node.attr == attr and not (module == home and _inside(node, definition))
                 for module, reads in library.items() for node in reads):
             reached.add(member)

@@ -76,6 +76,8 @@ RUNS = [
     ("contact-statistics", ["N=16", "samples=50"], None),
     ("cluster-probability", ["samples=50", "burn_in=50"], None),
     ("cluster-probability", ["h=-0.2", "samples=50", "burn_in=50"], None),
+    ("se-calibration-h-leg", ["seeds=8", "h=-1", "points=5", "sweeps=100", "burn_in=20"], None),
+    ("se-calibration-coupling", ["seeds=8"], None),
 ]
 
 

@@ -6,13 +6,15 @@ src lines: physical lines of src/gffpin/*.py.  Public names: module-level `def` 
 `class` names without a leading underscore.  Settable values: the positional and keyword-only
 parameters of public module-level functions, plus the constructor fields of public
 dataclasses (init=False fields excluded), plus the `__init__` parameters (self excluded) of
-the other public classes.  --parent counts the committed files of REV too."""
+the other public classes.  --parent counts the committed files of REV too, exported as
+tools/bench_pairs.py exports a parent: where git cannot resolve or export REV (no checkout, an
+unknown revision) the tool exits 2 with one error: line and prints no count."""
 
 from __future__ import annotations
 
 import argparse
 import ast
-import subprocess
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,14 +52,8 @@ def count(sources: list[str]) -> dict[str, int]:
     return out
 
 
-def sources(rev: str | None) -> list[str]:
-    if rev is None:
-        return [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("src/gffpin/*.py"))]
-    git = ["git", "-C", str(ROOT)]
-    paths = subprocess.run(git + ["ls-tree", "--name-only", rev, "src/gffpin/"], check=True,
-                           capture_output=True, text=True).stdout.split()
-    return [subprocess.run(git + ["show", f"{rev}:{p}"], check=True, capture_output=True,
-                           text=True).stdout for p in paths if p.endswith(".py")]
+def sources(root: Path) -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in sorted(root.glob("src/gffpin/*.py"))]
 
 
 if __name__ == "__main__":
@@ -65,5 +61,12 @@ if __name__ == "__main__":
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", help="git revision to count as well")
     args = parser.parse_args()
-    for label, rev in [("working tree", None)] + [(args.parent, args.parent)] * bool(args.parent):
-        print(f"{label}: " + ", ".join(f"{k} {v}" for k, v in count(sources(rev)).items()))
+    rows = [("working tree", count(sources(ROOT)))]
+    if args.parent:
+        from bench_pairs import export
+
+        with tempfile.TemporaryDirectory(prefix="size-report-") as tmp:
+            export(args.parent, Path(tmp))
+            rows.append((args.parent, count(sources(Path(tmp)))))
+    for label, row in rows:
+        print(f"{label}: " + ", ".join(f"{k} {v}" for k, v in row.items()))
