@@ -632,59 +632,55 @@ def _run_penalty_cost(cfg):
     return checks, [{"mean_inverse": inv_mean, "se": inv_se, "mean_count": mean_count}], {}
 
 
-# The SE calibrations run one estimator at N = 2, where pinning.exact_partition_small
-# gives the exact value, under chain seeds 0 .. seeds-1 on one disorder draw (stream
-# `seed`).  A seed whose SE is inf (a ladder point whose series never varied) states no
-# error bar and is left out, and an info line counts it.  Over the S seeds left the
-# verdict line gives the SD about 0 of z = (estimate - exact) / SE with its 90 % interval
-# from the chi-square law on S degrees of freedom, SD(estimates, ddof 1) / RMS(SE) and the
-# median SE; it passes when the interval holds 1 (never with fewer than two seeds left,
-# where the row reads nan).
+# The SE calibrations run one estimator at N = 2, where pinning.exact_partition_small gives
+# the exact value.  A run builds the box, draws its one disorder field (stream `seed`) and
+# computes the exact value once; a job per chain seed 0 .. seeds-1 returns an estimate and
+# its SE.  A seed whose SE is inf (a ladder point whose series never varied) states no error
+# bar and is left out, and an info line counts it.  Over the S seeds left the verdict line
+# gives the SD about 0 of z = (estimate - exact) / SE with its 90 % interval from the
+# chi-square law on S degrees of freedom, SD(estimates, ddof 1) / RMS(SE) and the median SE;
+# it passes when the interval holds 1 (never with fewer than two seeds left: the row is nan).
 
-def _se_box(seed: int, beta: float, m: float) -> tuple:
-    """The N = 2 box, its disorder draw and the parameters at h = 0."""
+def _se_box(seed: int, beta: float, h: float, m: float) -> tuple:
+    """The N = 2 box, its disorder draw and the parameters."""
     geom = lattice.build_box(2)
     omega = sample_disorder(geom, GAUSSIAN, rngmod.stream(seed, "se-calibration", "omega"))
-    return geom, omega, pinning.PinningParams(beta=beta, m=m)
+    return geom, omega, pinning.PinningParams(beta=beta, h=h, m=m)
 
 
-def _se_h_leg(seed, beta, h, m, points, sweeps, burn_in, chain_seed) -> tuple:
-    """log Z(h) - log Z(0) by freeenergy.ti_log_partition on `points` evenly spaced
-    points, its SE and the exact value, under one chain seed."""
-    geom, omega, params = _se_box(seed, beta, m)
+def _se_h_leg(geom, omega, params, points, sweeps, burn_in, chain_seed) -> tuple:
+    """log Z(h) - log Z(0) at params' h by freeenergy.ti_log_partition on `points` evenly
+    spaced points, and its SE, under one chain seed."""
     leg = freeenergy.ti_log_partition(geom, params, omega,
                                       rngmod.stream(chain_seed, "se-calibration", "chain"),
-                                      np.linspace(0.0, h, points), sweeps, burn_in)
-    exact = (pinning.exact_partition_small(geom, replace(params, h=h), omega)
-             - pinning.exact_partition_small(geom, params, omega))
-    return float(leg.log_z[-1]), float(leg.log_z_se[-1]), exact
+                                      np.linspace(0.0, params.h, points), sweeps, burn_in)
+    return float(leg.log_z[-1]), float(leg.log_z_se[-1])
 
 
-def _se_coupling(seed, beta, h, m, sweeps, burn_in, chain_seed) -> tuple:
-    """log Z at (beta, h, m) by freeenergy.coupling_log_z, its SE and the exact value,
-    under one chain seed."""
-    geom, omega, params = _se_box(seed, beta, m)
-    params = replace(params, h=h)
-    value, se = freeenergy.coupling_log_z(geom, params, omega,
-                                          rngmod.stream(chain_seed, "se-calibration", "chain"),
-                                          sweeps, burn_in)
-    return value, se, pinning.exact_partition_small(geom, params, omega)
+def _se_coupling(geom, omega, params, sweeps, burn_in, chain_seed) -> tuple:
+    """log Z at params by freeenergy.coupling_log_z and its SE, under one chain seed."""
+    return freeenergy.coupling_log_z(geom, params, omega,
+                                     rngmod.stream(chain_seed, "se-calibration", "chain"),
+                                     sweeps, burn_in)
 
 
-def _se_calibration(job, seeds: int):
-    """The checks and the one record of job(chain_seed) -> (estimate, se, exact) run
-    over chain seeds 0 .. seeds-1."""
-    from scipy import stats  # about half a second of import, which only a calibration pays
+def _chi2_ppf(q, n: int) -> np.ndarray:
+    """Chi-square quantiles on n degrees of freedom, as scipy.stats.chi2.ppf computes them."""
+    return 2.0 * special.gammaincinv(n / 2, q)
 
-    value, se, exact = np.array(freeenergy._fan_out(job, seeds)).T
+
+def _se_calibration(job, exact: float, seeds: int):
+    """The checks and the one record of job(chain_seed) -> (estimate, se) run over chain
+    seeds 0 .. seeds-1, against the exact value."""
+    value, se = np.array(freeenergy._fan_out(job, seeds)).T
     stated = np.isfinite(se)
-    value, se, exact, n = value[stated], se[stated], exact[stated], int(stated.sum())
+    value, se, n = value[stated], se[stated], int(stated.sum())
     if n < 2:
         row = {"seeds": n, "sd_z": math.nan, "interval": (math.nan, math.nan),
                "spread_ratio": math.nan, "median_se": math.nan, "ok": False}
     else:
         sd_z = math.sqrt(float(np.mean(((value - exact) / se) ** 2)))
-        lo, hi = sd_z * np.sqrt(n / stats.chi2.ppf([0.95, 0.05], n))
+        lo, hi = sd_z * np.sqrt(n / _chi2_ppf([0.95, 0.05], n))
         row = {"seeds": n, "sd_z": sd_z, "interval": (float(lo), float(hi)),
                "spread_ratio": float(value.std(ddof=1) / math.sqrt(float(np.mean(se ** 2)))),
                "median_se": float(np.median(se)), "ok": bool(lo <= 1.0 <= hi)}
@@ -697,15 +693,18 @@ def _se_calibration(job, seeds: int):
 
 
 def _run_se_h_leg(cfg):
-    return _se_calibration(functools.partial(_se_h_leg, cfg["seed"], cfg["beta"], cfg["h"],
-                                             cfg["m"], cfg["points"], cfg["sweeps"],
-                                             cfg["burn_in"]), cfg["seeds"])
+    geom, omega, params = _se_box(cfg["seed"], cfg["beta"], cfg["h"], cfg["m"])
+    exact = (pinning.exact_partition_small(geom, params, omega)
+             - pinning.exact_partition_small(geom, replace(params, h=0.0), omega))
+    job = functools.partial(_se_h_leg, geom, omega, params, cfg["points"], cfg["sweeps"],
+                            cfg["burn_in"])
+    return _se_calibration(job, exact, cfg["seeds"])
 
 
 def _run_se_coupling(cfg):
-    return _se_calibration(functools.partial(_se_coupling, cfg["seed"], cfg["beta"], cfg["h"],
-                                             cfg["m"], cfg["sweeps"], cfg["burn_in"]),
-                           cfg["seeds"])
+    geom, omega, params = _se_box(cfg["seed"], cfg["beta"], cfg["h"], cfg["m"])
+    job = functools.partial(_se_coupling, geom, omega, params, cfg["sweeps"], cfg["burn_in"])
+    return _se_calibration(job, pinning.exact_partition_small(geom, params, omega), cfg["seeds"])
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,12 @@ disorder.penalty_f(omega, lattice.cell_tiling(g16, 4), 1.0)
 """
 
 
+SE_CALIBRATION = """
+from gffpin import experiments
+experiments.run_experiment("se-calibration-coupling", {"seeds": 4, "sweeps": 20, "burn_in": 4})
+"""
+
+
 def _loaded_after(code: str, modules: list[str]) -> list[str]:
     probe = (f"import json, sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
              f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
@@ -67,8 +73,7 @@ def _loaded_after(code: str, modules: list[str]) -> list[str]:
 
 
 def test_chain_path_loads_no_heavy_scipy_subpackage():
-    # the probe imports gffpin.cli, and through it gffpin.experiments, whose SE calibrations
-    # import scipy.stats only when they run
+    # the probe imports gffpin.cli, and through it gffpin.experiments
     heavy = ["scipy.ndimage", "scipy.integrate", "scipy.optimize", "scipy.sparse",
              "scipy.sparse.linalg", "scipy.stats", "concurrent.futures.process"]
     assert _loaded_after(CHAIN, heavy + ["scipy.special"]) == ["scipy.special"]
@@ -94,3 +99,8 @@ def test_exact_sampler_path_loads_no_sparse_solver_quadrature_or_root_finder():
              "scipy.stats"]
     assert _loaded_after(SAMPLERS, heavy + ["scipy.special", "scipy.fft"]) == ["scipy.special",
                                                                                "scipy.fft"]
+
+
+def test_se_calibration_loads_no_statistics_package():
+    # its 90% interval takes the chi-square quantiles from scipy.special
+    assert _loaded_after(SE_CALIBRATION, ["scipy.stats", "scipy.special"]) == ["scipy.special"]

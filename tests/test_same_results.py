@@ -52,7 +52,13 @@ def test_changed_record_is_reported(parent, tmp_path):
 def test_changed_stream_list_is_reported(parent, tmp_path):
     change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a", "c"])
     assert same_results.compare(parent, change) == [
-        "stamp streams differ at entry 1: parent 'b', change 'c'"]
+        "stamp streams differ at entry 1: parent 'b', change 'c' (parent 2 ids, change 2)"]
+
+
+def test_a_shorter_stream_list_is_reported_with_both_lengths(parent, tmp_path):
+    change = _run_dir(tmp_path / "change", [{"F": [0.0, 0.125]}, {"gap": -1.5}], ["a"])
+    assert same_results.compare(parent, change) == [
+        "stamp streams differ at entry 1: parent 'b', change None (parent 2 ids, change 1)"]
 
 
 def test_changed_table_is_reported(parent, tmp_path):
@@ -194,9 +200,9 @@ def test_all_prints_one_line_per_run_and_fails_on_any_difference(monkeypatch, ca
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(same_results.RUNS) + 1
     threaded = [line for line in lines if "--threads 2" in line]
-    assert len(threaded) == 4 and all("DIFFERENT: refused with another message" in line
+    assert len(threaded) == 5 and all("DIFFERENT: refused with another message" in line
                                       for line in threaded)
-    assert lines[-1] == f"{len(same_results.RUNS) - 4} of {len(same_results.RUNS)} runs identical"
+    assert lines[-1] == f"{len(same_results.RUNS) - 5} of {len(same_results.RUNS)} runs identical"
 
 
 @pytest.mark.parametrize("argv", [[], ["x", "--all"], ["--all", "--threads", "2"]],

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from scipy import stats
 
 from gffpin import cli, experiments, pinning
 
@@ -55,29 +56,35 @@ def test_a_ladder_that_never_varies_states_no_error_bar(monkeypatch):
     # probability 0.95) the site leaves it with probability below 1e-14 per sweep.  Those two
     # points' series never vary, and the ladder states se inf whatever the seed; its value
     # is the trapezoid 15 (p0 + 1) + 30, p0 the h = 0 point's contact fraction
-    outputs = []
-    job = experiments._se_h_leg
+    outputs, exacts = [], []
+    job, calibration = experiments._se_h_leg, experiments._se_calibration
 
     def kept(*args):
         outputs.append(job(*args))
         return outputs[-1]
 
+    def seen(job, exact, seeds):
+        exacts.append(exact)
+        return calibration(job, exact, seeds)
+
     monkeypatch.setattr(experiments, "_se_h_leg", kept)
+    monkeypatch.setattr(experiments, "_se_calibration", seen)
     result = experiments.run_experiment("se-calibration-h-leg", {
         "h": 60.0, "points": 3, "sweeps": 100, "burn_in": 60, "seeds": 3})
     assert result.lines[0] == "[info] 3 of 3 seeds state se inf, left out"
     assert len(outputs) == 3
-    for seed, (value, se, exact) in enumerate(outputs):
+    for seed, (value, se) in enumerate(outputs):
         assert se == math.inf and 45.0 <= value <= 60.0, (seed, value, se)
-        assert exact == pytest.approx(60.0 + math.log(math.erf(2.0 / math.sqrt(2.0))), abs=1e-9)
+    exact, = exacts
+    assert exact == pytest.approx(60.0 + math.log(math.erf(2.0 / math.sqrt(2.0))), abs=1e-9)
 
 
 def test_a_halved_se_is_flagged(monkeypatch, capsys):
     job = experiments._se_h_leg
 
     def halved(*args):
-        value, se, exact = job(*args)
-        return value, se / 2, exact
+        value, se = job(*args)
+        return value, se / 2
 
     assert cli.main(["run", "se-calibration-h-leg"] + _CHEAP) == 0
     assert capsys.readouterr().out.splitlines()[-2].startswith("[PASS] sd(z) = ")
@@ -133,6 +140,25 @@ def test_two_worker_processes_print_the_same_row(capsys, tmp_path):
         written.append(({k: v for k, v in stamp.items() if k != "wall_time"}, records))
     assert printed[0] == printed[1] and len(printed[0]) == 2
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("estimator", ["h-leg", "coupling"])
+def test_a_run_draws_its_disorder_once(estimator, threads, capsys, tmp_path):
+    # the box, its disorder field and the exact value belong to the run, not to a chain seed
+    cli.main(["run", f"se-calibration-{estimator}", "--seed", "7", "--set", "seeds=4",
+              "--set", "sweeps=20", "--set", "burn_in=4", "--threads", threads,
+              "--out", str(tmp_path)])
+    capsys.readouterr()
+    stamp = json.loads((tmp_path / "results.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert stamp["streams"] == (["7/se-calibration/omega"]
+                                + [f"{k}/se-calibration/chain" for k in range(4)])
+
+
+def test_the_chi2_quantiles_are_scipy_stats_bit_for_bit():
+    for n in range(2, 2001):
+        ours = experiments._chi2_ppf([0.95, 0.05], n)
+        assert ours.tobytes() == stats.chi2.ppf([0.95, 0.05], n).tobytes(), n
 
 
 # argv after `run se-calibration-h-leg --set seeds=3`, the refusal's message, and the chains

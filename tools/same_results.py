@@ -5,8 +5,8 @@
 
 --all runs every row of RUNS instead of one experiment: each registered
 experiment, at its defaults where those are quick and at a small budget
-otherwise, bridge-lemma, thermo-consistency, subadditivity and
-finite-volume-criterion also at --threads 2,
+otherwise, bridge-lemma, thermo-consistency, subadditivity,
+finite-volume-criterion and se-calibration-coupling also at --threads 2,
 subadditivity also at N = 8, thermo-consistency also at replicas = 1 (its
 beta = 0.5 curve then takes its SEs from one replica's ladders),
 cluster-probability also at h = -0.2 (where the hit frequency lies strictly
@@ -28,7 +28,8 @@ wall-time line; and on the exit status.  Both sides always run: a side that
 exits with a status other than 0 or 1 was refused, and two refusals match
 when their exit status and the last line of their standard error agree, while
 a refusal on one side only is a difference.  Every difference is printed, one
-DIFFERENT line each: the stamp's keys one by one, then the results.jsonl lines,
+DIFFERENT line each: the stamp's keys one by one (a stream list by its first
+differing entry and both lists' lengths), then the results.jsonl lines,
 the tables, the printed lines and the exit status, then one note line per
 setting on one side only.  The exit status is 0 only on a full match, and 2
 with one error: line where git cannot export the parent.
@@ -78,6 +79,7 @@ RUNS = [
     ("cluster-probability", ["h=-0.2", "samples=50", "burn_in=50"], None),
     ("se-calibration-h-leg", ["seeds=8", "h=-1", "points=5", "sweeps=100", "burn_in=20"], None),
     ("se-calibration-coupling", ["seeds=8"], None),
+    ("se-calibration-coupling", ["seeds=8"], 2),
 ]
 
 
@@ -125,7 +127,8 @@ def compare(parent: Path, change: Path) -> list[str]:
         elif key == "streams":
             k, (sp, sc) = next((k, pair) for k, pair in enumerate(zip_longest(vp, vc))
                                if pair[0] != pair[1])
-            diffs.append(f"stamp streams differ at entry {k}: parent {sp!r}, change {sc!r}")
+            diffs.append(f"stamp streams differ at entry {k}: parent {sp!r}, change {sc!r} "
+                         f"(parent {len(vp)} ids, change {len(vc)})")
         else:
             diffs.append(f"stamp {key} differs: parent {vp!r}, change {vc!r}")
     diffs += _line_diffs("results.jsonl line", lines_p[1:], lines_c[1:], start=2)
