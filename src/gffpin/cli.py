@@ -10,11 +10,12 @@ JSONL records and CSV tables; `verify` runs the whole acceptance suite and
 prints one verdict line per criterion (with --out, each criterion's stamp,
 which carries its config, records and tables).  --seed S is short for
 --set seed=S, refused where the experiment has no seed.  Every `run` and
-`verify` accepts --threads T: each replica fan-out goes over T worker
-processes.  It changes no number and is recorded nowhere; an experiment with
-nothing to fan out runs serially.  Before it writes its first result, each
-command removes the results.jsonl, config.resolved and CSV tables an earlier
-command left in --out; a command refused before that leaves --out as it was.
+`verify` accepts --threads T, which opens an `rng.workers(T)` block: each
+replica fan-out goes over T worker processes.  It changes no number and is
+recorded nowhere; an experiment with nothing to fan out runs serially.
+Before it writes its first result, each command removes the results.jsonl,
+config.resolved and CSV tables an earlier command left in --out; a command
+refused before that leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 from pathlib import Path
 
 from . import config as cfgmod
-from . import experiments, freeenergy, io
+from . import experiments, io, rng
 from .errors import ConfigError, GffpinError
 
 
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        with freeenergy.workers(getattr(args, "threads", 1)):
+        with rng.workers(getattr(args, "threads", 1)):
             return args.fn(args)
     except GffpinError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -277,8 +277,8 @@ def _run_bridge(cfg):
     ok = True
     # the pool is handed the cells in reverse (k, x) order, so the largest (k = 400,
     # x = 10: about a third of the normals) starts first; rows and streams keep (k, x) order
-    cells = freeenergy._fan_out(functools.partial(_bridge_cell, seed, cfg["bridges"]),
-                                len(_BRIDGE_CELLS), order=reversed(range(len(_BRIDGE_CELLS))))
+    cells = rngmod._fan_out(functools.partial(_bridge_cell, seed, cfg["bridges"]),
+                            len(_BRIDGE_CELLS), order=reversed(range(len(_BRIDGE_CELLS))))
     for (k, x), (p, se) in zip(_BRIDGE_CELLS, cells):
         lower = 1.0 - math.exp(-x * x / k)
         upper = min(C * (x + math.log(k)) ** 2 / k, 1.0)
@@ -672,7 +672,7 @@ def _chi2_ppf(q, n: int) -> np.ndarray:
 def _se_calibration(job, exact: float, seeds: int):
     """The checks and the one record of job(chain_seed) -> (estimate, se) run over chain
     seeds 0 .. seeds-1, against the exact value."""
-    value, se = np.array(freeenergy._fan_out(job, seeds)).T
+    value, se = np.array(rngmod._fan_out(job, seeds)).T
     stated = np.isfinite(se)
     value, se, n = value[stated], se[stated], int(stated.sum())
     if n < 2:

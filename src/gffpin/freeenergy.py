@@ -9,15 +9,14 @@ exactly, so one leg reaches any target), the reward h (the h-derivative of
 log Z is the exact contact total) and the soft-wall strength of the height
 restriction.  The free-energy curve is anchored at h = 0: coupling leg
 there, then one h-leg through 0 and every target.  The curve, the
-finite-volume criterion and the doubling (sub-additivity) check share one
-replica fan-out, serial outside a `workers` block; the latter two share one
-mean-and-SE rule, each replica one coupling leg at its target.  Also here:
-the laboratory-scale schedule and the copolymer critical point.
+finite-volume criterion and the doubling check fan out by rng._fan_out,
+serial outside an `rng.workers` block; the latter two share one mean-and-SE
+rule, each replica one coupling leg at its target.  Also here: the
+laboratory-scale schedule and the copolymer critical point.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -202,52 +201,6 @@ def ti_log_partition(geom: BoxGeometry, params: pinning.PinningParams, omega: Di
 # replica averages: free-energy curve, finite-volume criterion, doubling
 # ---------------------------------------------------------------------------
 
-_WORKERS = 1  # worker processes of each replica fan-out; 1 outside a `workers` block
-
-
-@contextlib.contextmanager
-def workers(count: int):
-    """Every replica fan-out inside the block runs over `count` worker processes.  It says
-    how a run executes, not what it computes: the outputs and stream ids are the same at any
-    count.  Each job of a fan-out runs at a count of 1, so no pool nests inside another."""
-    global _WORKERS
-    if count < 1:
-        raise DomainError(f"--threads must be an integer >= 1 (got {count})")
-    prev, _WORKERS = _WORKERS, count
-    try:
-        yield
-    finally:
-        _WORKERS = prev
-
-
-def _fan_out(job, replicas: int, order=None) -> list:
-    """job(r) for each replica r in its own stream audit, over a pool of at most _WORKERS
-    processes (no more than there are jobs) when that count is above 1; returns the outputs
-    and adds the stream ids to the audit in replica order.
-
-    order, a permutation of the replica indices, is the order in which the pool is handed
-    the jobs (the longest first, say); the outputs and ids come back in replica order.
-    """
-    if _WORKERS <= 1 or replicas <= 1:
-        done = [_audited(job, r) for r in range(replicas)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        order = list(range(replicas) if order is None else order)
-        with ProcessPoolExecutor(max_workers=min(_WORKERS, replicas)) as pool:
-            ran = dict(zip(order, pool.map(functools.partial(_audited, job), order)))
-        done = [ran[r] for r in range(replicas)]
-    for _, ids in done:
-        rngmod.record_streams(ids)
-    return [out for out, _ in done]
-
-
-def _audited(job, r: int) -> tuple:
-    """job(r), run at a worker count of 1, and the ids of the streams it drew."""
-    with rngmod.audit_streams() as audit, workers(1):
-        return job(r), audit.consumed
-
-
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
     """Mean of independent values and its SE std(ddof=1)/sqrt(n), inf from one value."""
     return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(len(x)) if len(x) > 1 else math.inf
@@ -294,8 +247,8 @@ def free_energy_curve(geom: BoxGeometry, beta: float, h_targets, master_seed: in
     targets = np.atleast_1d(np.asarray(h_targets, dtype=float))
     if targets.size == 0:
         raise DomainError("free_energy_curve needs at least one target h")
-    rows = _fan_out(functools.partial(_curve_replica, geom, beta, m, targets, master_seed, tag,
-                                      sweeps, burn_in), replicas)
+    rows = rngmod._fan_out(functools.partial(_curve_replica, geom, beta, m, targets, master_seed,
+                                             tag, sweeps, burn_in), replicas)
     vals, covs = (np.array(col) for col in zip(*rows))
     value = vals.mean(axis=0)
     if replicas == 1:
@@ -354,7 +307,7 @@ def _box_estimate(beta: float, h: float, m: float, u: float, K: float, N: int,
     job = functools.partial(_replica_log_z, build_box(N),
                             pinning.PinningParams(beta=beta, h=h, m=m, u=u), K, master_seed, tag,
                             sweeps, burn_in)
-    vals, freqs = (np.array(col) for col in zip(*_fan_out(job, replicas)))
+    vals, freqs = (np.array(col) for col in zip(*rngmod._fan_out(job, replicas)))
     return *_mean_se(vals), float(freqs.mean())
 
 

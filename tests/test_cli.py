@@ -144,7 +144,7 @@ def test_verify_writes_the_same_results_at_any_thread_count(tmp_path, monkeypatc
 
     def keeping(name):
         def fn(cfg):
-            seen[name] = freeenergy._WORKERS
+            seen[name] = rngmod._WORKERS
             return [(True, "ok")], [{"cfg": cfg}], {}
         return fn
 
@@ -163,14 +163,14 @@ def test_verify_writes_the_same_results_at_any_thread_count(tmp_path, monkeypatc
     serial, pooled = (_without_revision_and_time(tmp_path / t) for t in ("1", "2"))
     assert pooled == serial
     assert all("threads" not in r["config"] for r in serial if "experiment" in r)
-    assert freeenergy._WORKERS == 1  # the count ends with the command
+    assert rngmod._WORKERS == 1  # the count ends with the command
 
 
 def test_bridge_lemma_over_two_processes_keeps_every_output():
     # the 12 cells are handed to the pool largest first; rows and streams keep (k, x) order
     runs = []
     for t in (1, 2):
-        with freeenergy.workers(t):
+        with rngmod.workers(t):
             runs.append(experiments.run_experiment("bridge-lemma", {"bridges": 2000}))
     serial, pooled = ((r.lines, r.records, r.tables, r.streams) for r in runs)
     assert pooled == serial

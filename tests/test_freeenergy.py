@@ -169,25 +169,25 @@ def test_height_restriction_cost_shrinks():
 def test_doubling_gap_threads_consistent():
     runs = []
     for count in (1, 2):
-        with freeenergy.workers(count):
+        with rng.workers(count):
             runs.append(freeenergy.doubling_gap(0.0, 0.3, 0.4, 0.0, 10.0, 4, 411, replicas=2,
                                                 sweeps=60, burn_in=40))
     assert runs[0] == runs[1]  # same streams, any schedule, bit for bit
 
 
 def _pid_and_count(r: int) -> tuple[int, int]:
-    return os.getpid(), freeenergy._WORKERS
+    return os.getpid(), rng._WORKERS
 
 
 def test_a_pool_worker_runs_at_a_count_of_one():
     # the fan-out's jobs fan out no further, so no pool nests inside another
-    with freeenergy.workers(2):
-        assert freeenergy._WORKERS == 2
-        rows = freeenergy._fan_out(_pid_and_count, 2)
+    with rng.workers(2):
+        assert rng._WORKERS == 2
+        rows = rng._fan_out(_pid_and_count, 2)
     assert all(pid != os.getpid() for pid, _ in rows)
     assert [count for _, count in rows] == [1, 1]
-    assert freeenergy._WORKERS == 1
-    assert freeenergy._fan_out(_pid_and_count, 2) == [(os.getpid(), 1)] * 2
+    assert rng._WORKERS == 1
+    assert rng._fan_out(_pid_and_count, 2) == [(os.getpid(), 1)] * 2
 
 
 class _StandInPool:
@@ -218,7 +218,7 @@ def test_doubling_gap_without_a_count_starts_no_pool(monkeypatch):
     args = (0.5, 0.3, 0.3, 0.0, 0.05, 4, 245)
     serial = freeenergy.doubling_gap(*args, replicas=2, sweeps=4, burn_in=2)
     assert seen == {}
-    with freeenergy.workers(2):
+    with rng.workers(2):
         pooled = freeenergy.doubling_gap(*args, replicas=2, sweeps=4, burn_in=2)
     assert seen["workers"] == [2, 2] and pooled == serial  # one pool per box size
 
@@ -232,8 +232,8 @@ def test_fan_out_pool_hands_out_jobs_in_order_and_returns_them_by_index(monkeypa
         return 10 * r
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StandInPool(seen))
-    with rng.audit_streams() as audit, freeenergy.workers(8):
-        out = freeenergy._fan_out(job, 3, order=[2, 0, 1])
+    with rng.audit_streams() as audit, rng.workers(8):
+        out = rng._fan_out(job, 3, order=[2, 0, 1])
     assert (seen["workers"], seen["order"], out) == ([3], [2, 0, 1], [0, 10, 20])
     assert audit.consumed == [f"7/fan-out/{r}" for r in range(3)]
 
@@ -406,7 +406,7 @@ def test_stream_audit_survives_the_process_pool():
     expected = [f"246/dbl-{label}/{kind}/{r}" for label in ("small", "large") for r in (0, 1)
                 for kind in ("bc", "omega", "chain")]
     for count in (1, 2):
-        with freeenergy.workers(count):
+        with rng.workers(count):
             assert _stream_ids(lambda: freeenergy.doubling_gap(
                 0.5, 0.3, 0.3, 0.0, 0.05, 4, 246, replicas=2, sweeps=4, burn_in=2)) == expected
     # the curve's replicas: each replica's chain stream, then its disorder
@@ -447,8 +447,8 @@ def test_curve_replica_job_through_the_process_pool():
                             np.array([0.1, 0.2]), 248, "fe", 4, 2)
     runs = []
     for count in (1, 2):
-        with rng.audit_streams() as audit, freeenergy.workers(count):
-            rows = freeenergy._fan_out(job, 2)
+        with rng.audit_streams() as audit, rng.workers(count):
+            rows = rng._fan_out(job, 2)
         runs.append((np.array([np.concatenate([vals, cov.ravel()]) for vals, cov in rows]),
                      audit.consumed))
     assert np.array_equal(runs[0][0], runs[1][0])

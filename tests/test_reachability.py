@@ -22,6 +22,9 @@ test that uses each) and stored fault records.
 Every setting does something: the config keys that run_experiment accepts for
 a registry entry are exactly the `cfg[...]` keys its experiment function reads,
 found by parsing the function.
+
+One module owns the replica fan-out and the stream audit it extends: only
+rng.py names the process pool or the active audit.
 """
 
 from __future__ import annotations
@@ -260,3 +263,27 @@ def test_every_accepted_setting_is_read(monkeypatch):
     unread = sum(len(extra) for extra, _ in mismatched.values())
     assert not mismatched, (f"{unread} accepted values unread; per experiment "
                             f"(accepted but unread, read but not accepted): {mismatched}")
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    """Every name a module spells: names, attributes, imports, globals and definitions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(filter(None, (node.name.split(".")[-1], node.asname)))
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            out.update(node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def test_only_rng_owns_the_process_pool_and_the_stream_audit():
+    owners = {name: sorted(module for module, tree in _parse_package().items()
+                           if name in _identifiers(tree))
+              for name in ("ProcessPoolExecutor", "_AUDIT")}
+    assert owners == {"ProcessPoolExecutor": ["rng"], "_AUDIT": ["rng"]}
