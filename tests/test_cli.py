@@ -143,7 +143,7 @@ def test_verify_writes_the_same_results_at_any_thread_count(tmp_path, monkeypatc
     seen = {}
 
     def keeping(name):
-        def fn(cfg):
+        def fn(**cfg):
             seen[name] = rngmod._WORKERS
             return [(True, "ok")], [{"cfg": cfg}], {}
         return fn
@@ -185,7 +185,7 @@ def test_bridge_lemma_over_two_processes_keeps_every_output():
 ], ids=["pass-and-info", "one-fail", "info-only"])
 def test_runner_derives_lines_and_verdict_from_checks(monkeypatch, checks, passed, tags):
     exp = experiments.REGISTRY["bridge-lemma"]
-    fake = dataclasses.replace(exp, fn=lambda cfg: (checks, [{"n": 1}], {"t": (["x"], [(1,)])}))
+    fake = dataclasses.replace(exp, fn=lambda **cfg: (checks, [{"n": 1}], {"t": (["x"], [(1,)])}))
     monkeypatch.setitem(experiments.REGISTRY, exp.name, fake)
     res = experiments.run_experiment(exp.name, {"seed": 3})
     assert res.passed is passed
@@ -267,12 +267,15 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
      "h_step = 1e-300 gives more than 1000 grid points over [h_min, h_max] = [0.05, 0.3]"),
     (["run", "pure-free-energy", "--set", "h_step=1e-7"],
      "h_step = 1e-07 gives more than 1000 grid points over [h_min, h_max] = [0.05, 0.3]"),
+    (["run", "se-calibration-h-leg", "--set", "h=0", "--set", "seeds=2", "--set", "sweeps=8",
+      "--set", "burn_in=0"], "h must be nonzero: the leg integrates from 0 to h (got 0)"),
 ], ids=["int-as-float", "int-as-bool", "seed-as-float", "penalty-samples", "exactness-samples",
         "threads-negative", "threads-unknown", "seed-unknown", "verify-threads-zero",
         "mass-above-1", "mass-zero", "set-threads-zero", "set-threads-negative", "seed-negative",
         "seed-2-to-64", "h-inf", "h-nan", "criterion-h-nan", "exactness-samples-zero",
         "stack-samples-one", "calibrate-samples-zero", "typicality-samples-zero", "walks-one",
-        "h-step-negative", "h-range-reversed", "h-step-1e-300", "h-step-1e-7"])
+        "h-step-negative", "h-range-reversed", "h-step-1e-300", "h-step-1e-7",
+        "se-h-leg-h-zero"])
 def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the bad value was refused")
@@ -291,9 +294,11 @@ def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, needle):
     ("density-typicality", {"samples": 1}),
     ("sampler-exactness", {"samples": 1, "stack_samples": 2}),
     ("harmonic-extension", {"walks": 2}),
-], ids=["typicality-one-sample", "exactness-least", "two-walks"])
+    ("extremal-event", {"N": 64, "samples": 1}),
+], ids=["typicality-one-sample", "exactness-least", "two-walks", "extremal-one-slice"])
 def test_least_budgets_reach_a_verdict(name, overrides):
-    # one sample can put every draw of a mass in the density event (fitted C = 0)
+    # one sample can put every draw of a mass in the density event (fitted C = 0); at N = 64
+    # G^m(0,0) = 0.88 gives no whole unit scale, and criterion 10 samples on one slice
     result = experiments.run_experiment(name, overrides)
     assert result.passed is not None and all("nan" not in line for line in result.lines)
 
@@ -372,6 +377,14 @@ def test_slice_telescoping_is_an_info_line():
     assert line.startswith("[info] ")
     assert result.passed is True
     assert result.records[0]["telescoping"] < 1e-12
+
+
+def test_solver_residual_is_an_info_line():
+    # fields.harmonic_extension refuses a residual above 1e-10, so the line decides nothing
+    result = experiments.run_experiment("harmonic-extension", {"walks": 200})
+    (line,) = [line for line in result.lines if "solver residual" in line]
+    assert line.startswith("[info] ")
+    assert result.passed is True
 
 
 def test_stack_samples_draws_the_last_partial_batch(monkeypatch):

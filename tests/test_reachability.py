@@ -19,8 +19,9 @@ unseen.  The members allowed
 beside those are listed below with their reasons: oracle members (with the
 test that uses each) and stored fault records.
 
-Every setting does something: the config keys that run_experiment accepts for
-a registry entry are exactly the `cfg[...]` keys its experiment function reads,
+Every setting does something: an experiment function takes its settings as
+keyword-only parameters, each with a default (the keys run_experiment accepts
+for its registry entry), and reads every one of them without rebinding it,
 found by parsing the function.
 
 One module owns the replica fan-out and the stream audit it extends: only
@@ -30,8 +31,9 @@ rng.py names the process pool or the active audit.
 from __future__ import annotations
 
 import ast
-import dataclasses
 from pathlib import Path
+
+import pytest
 
 from gffpin import experiments
 
@@ -232,37 +234,64 @@ def test_every_fault_record_is_stored_and_unread():
             f"{writer} does not store {name}"
 
 
-def _config_reads(fn: ast.FunctionDef) -> set[str]:
-    """The keys an experiment function reads from its config, its first parameter;
-    every read of the config must be a subscript by a string literal."""
-    cfg = fn.args.args[0].arg
-    names = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == cfg]
-    reads = [n.slice for n in ast.walk(fn) if isinstance(n, ast.Subscript)
-             and isinstance(n.value, ast.Name) and n.value.id == cfg]
-    assert len(reads) == len(names) and all(isinstance(k, ast.Constant) for k in reads), \
-        f"{fn.name} uses its config other than as cfg['key']"
-    return {k.value for k in reads}
+def _unread_settings(fn: ast.FunctionDef) -> list[str]:
+    """The keyword-only settings of an experiment function that it never reads or that it
+    rebinds; a positional, starred or default-less parameter fails the rule outright."""
+    a = fn.args
+    assert not (a.posonlyargs or a.args or a.vararg or a.kwarg), \
+        f"{fn.name} takes a parameter other than a keyword-only setting"
+    assert None not in a.kw_defaults, f"{fn.name} has a setting without a default"
+    names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+    read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+    bound = {n.id for n in names if not isinstance(n.ctx, ast.Load)}
+    return [arg.arg for arg in a.kwonlyargs if arg.arg not in read or arg.arg in bound]
 
 
-def test_every_accepted_setting_is_read(monkeypatch):
-    functions = {n.name: n for n in _parse_package()["experiments"].body
-                 if isinstance(n, ast.FunctionDef)}
-    mismatched = {}
+def _parsed_function(source: str) -> ast.FunctionDef:
+    (fn,) = ast.parse(source).body
+    return fn
+
+
+def test_settings_rule_reports_unread_and_rebound_settings():
+    assert _unread_settings(_parsed_function("def f():\n    return 1")) == []
+    assert _unread_settings(_parsed_function(
+        "def f(*, seed=1, walks=2):\n    return seed + walks")) == []
+    assert _unread_settings(_parsed_function(
+        "def f(*, seed=1, spare=3):\n    return seed")) == ["spare"]
+    assert _unread_settings(_parsed_function(
+        "def f(*, seed=1, K=0.35):\n    for K in range(3):\n        seed += K\n"
+        "    return seed")) == ["seed", "K"]
+
+
+def test_settings_rule_refuses_other_parameters():
+    for source in ("def f(cfg):\n    return cfg['seed']", "def f(*cfg):\n    return cfg",
+                   "def f(**cfg):\n    return cfg", "def f(*, seed):\n    return seed"):
+        with pytest.raises(AssertionError):
+            _unread_settings(_parsed_function(source))
+
+
+def _experiment_functions() -> dict[str, ast.FunctionDef]:
+    return {n.name: n for n in _parse_package()["experiments"].body
+            if isinstance(n, ast.FunctionDef)}
+
+
+def test_settings_rule_reports_a_planted_setting():
+    bridge = _experiment_functions()["_run_bridge"]
+    bridge.args.kwonlyargs.append(ast.arg("spare"))
+    bridge.args.kw_defaults.append(ast.Constant(3))
+    assert _unread_settings(bridge) == ["spare"]
+
+
+def test_every_accepted_setting_is_read():
+    functions = _experiment_functions()
+    unread = {}
     for name, exp in sorted(experiments.REGISTRY.items()):
-        accepted = {}
-
-        def keep(cfg, accepted=accepted):
-            accepted.update(cfg)
-            return [], [], {}
-
-        monkeypatch.setitem(experiments.REGISTRY, name, dataclasses.replace(exp, fn=keep))
-        experiments.run_experiment(name)  # the config it resolves holds every accepted key
-        reads = _config_reads(functions[exp.fn.__name__])
-        if set(accepted) != reads:
-            mismatched[name] = (sorted(set(accepted) - reads), sorted(reads - set(accepted)))
-    unread = sum(len(extra) for extra, _ in mismatched.values())
-    assert not mismatched, (f"{unread} accepted values unread; per experiment "
-                            f"(accepted but unread, read but not accepted): {mismatched}")
+        fn = functions[exp.fn.__name__]
+        assert list(exp.defaults) == [arg.arg for arg in fn.args.kwonlyargs], name
+        assert exp.defaults == dict(exp.fn.__kwdefaults__ or {}), name
+        if names := _unread_settings(fn):
+            unread[name] = names
+    assert not unread, f"accepted settings not read as given, per experiment: {unread}"
 
 
 def _identifiers(tree: ast.Module) -> set[str]:
