@@ -33,7 +33,12 @@ from .errors import ConfigError, GffpinError
 def _resolve_config(args) -> dict:
     cfg: dict = {}
     if args.config:
-        cfg.update(cfgmod.parse_config(Path(args.config).read_text(encoding="utf-8")))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+            raise ConfigError(f"cannot read config file {args.config}: "
+                              f"{getattr(exc, 'strerror', None) or exc}") from None
+        cfg.update(cfgmod.parse_config(text))
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -45,10 +50,14 @@ def _resolve_config(args) -> dict:
 
 
 def _outdir(path: str | None, force: bool) -> Path | None:
-    """The output directory, refused when nonempty without force; nothing is written."""
+    """The output directory, refused when it, or the nearest existing ancestor of a
+    missing one, is not a directory, or when nonempty without force; nothing is written."""
     if path is None:
         return None
     out = Path(path)
+    nearest = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {out} cannot be used: {nearest} is not a directory")
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to reuse)")
     return out

@@ -6,8 +6,10 @@ from streams keyed by (seed, experiment, purpose, replica), so a rerun with
 the same resolved configuration reproduces every number bit-for-bit on the
 same platform.
 
-An experiment's settings are its function's keyword-only parameters and
-their defaults, the only keys accepted; the function reads every one of them
+An experiment is declared once, by `@_experiment(name, description,
+statement, acceptance)` on its function, which puts its entry in REGISTRY.
+Its settings are the function's keyword-only parameters and their
+defaults, the only keys accepted; the function reads every one of them
 and returns (checks, records, tables).  A check is (ok, text), with ok True,
 False or None for an info line; run_experiment prints each check as one line
 and passes the run when every check with a verdict holds (None when none has).
@@ -82,15 +84,29 @@ class Experiment:
         return cfg
 
 
+REGISTRY: dict[str, Experiment] = {}
+
+
+def _experiment(name, description, statement, acceptance=None):
+    """Declare the decorated function as the registry experiment `name`: its settings are
+    the function's keyword-only parameters and their defaults."""
+    def declare(fn):
+        REGISTRY[name] = Experiment(name, description, statement, dict(fn.__kwdefaults__ or {}),
+                                    fn, acceptance)
+        return fn
+    return declare
+
+
 def _line(ok: bool | None, text: str) -> str:
     tag = "PASS" if ok else ("FAIL" if ok is not None else "info")
     return f"[{tag}] {text}"
 
 
-# ---------------------------------------------------------------------------
-# 1. exact small box
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "exact-small-box",
+    "one-interior-site identities for the Green function and partition function",
+    "G*(center)=1/4 and 1/(4+m^2) at N=2; log Z(N=2,b=0,h=1) = log(1+(e-1)(2 Phi(2)-1))",
+    acceptance=1)
 def _run_exact_small_box():
     checks = []
     g2 = lattice.build_box(2)
@@ -111,10 +127,11 @@ def _run_exact_small_box():
     return checks, [{"check": t, "ok": ok} for ok, t in checks], {}
 
 
-# ---------------------------------------------------------------------------
-# 2. Green asymptotics
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "green-asymptotics",
+    "log-law residuals of the massive and Dirichlet Green functions",
+    "|G^m(0,0) - log(1/m)/2pi| and |G^{m,*}(x,x) - log(min(1/m, d))/2pi| bounded, stable",
+    acceptance=2)
 def _run_green_asymptotics():
     masses = [1e-1, 1e-2, 1e-3, 1e-4]
     rows = []
@@ -152,10 +169,11 @@ def _run_green_asymptotics():
         "green_dirichlet_residual": (["N", "max_abs_residual"], dir_rows)}
 
 
-# ---------------------------------------------------------------------------
-# 3. f(m) asymptotics
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "f-asymptotics",
+    "mass-cost integral f(m) against its m^2 log(1/m) law",
+    "|f(m) - m^2 |log m| / 4pi| / m^2 stable over three decades; dual quadratures agree to 1e-9",
+    acceptance=3)
 def _run_f_asymptotics():
     ratios = []
     rows = []
@@ -178,10 +196,11 @@ def _run_f_asymptotics():
         "f_asymptotics": (["m", "f(m)", "m^2|log m|/4pi", "residual/m^2"], rows)}
 
 
-# ---------------------------------------------------------------------------
-# 4. sampler exactness
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "sampler-exactness",
+    "spectral sampler covariance and scale-slice telescoping",
+    "empirical covariance matches the Green table within 5 MC se; slices sum to G^{m,*}",
+    acceptance=4)
 def _run_sampler_exactness(*, seed=20260804, samples=100_000, stack_samples=40_000):
     g = lattice.build_box(8)
     r = rngmod.stream(seed, "sampler-exactness", "cov")
@@ -228,10 +247,11 @@ def _run_sampler_exactness(*, seed=20260804, samples=100_000, stack_samples=40_0
         "stack_variances": (["x1", "x2", "empirical", "exact", "z"], stack_rows)}
 
 
-# ---------------------------------------------------------------------------
-# 5. harmonic extension
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "harmonic-extension",
+    "boundary-data extension: solver residual and walk representation",
+    "(Delta - m^2) H = 0 residual < 1e-10; discounted-walk estimate matches at 5 probes (4 se)",
+    acceptance=5)
 def _run_harmonic_extension(*, seed=20260805, walks=20_000):
     g = lattice.build_box(16)
     r = rngmod.stream(seed, "harmonic", "bc")
@@ -254,10 +274,6 @@ def _run_harmonic_extension(*, seed=20260805, walks=20_000):
     return checks, [{"residual": ext.residual, "mc_z": zs}], {}
 
 
-# ---------------------------------------------------------------------------
-# 6. bridge lemma
-# ---------------------------------------------------------------------------
-
 _BRIDGE_CELLS = [(k, x) for k in (25, 100, 400) for x in (1.0, 2.0, 5.0, 10.0)]
 
 
@@ -268,6 +284,11 @@ def _bridge_cell(seed: int, n: int, i: int) -> tuple[float, float]:
                                                 rngmod.stream(seed, "bridge", k, x))
 
 
+@_experiment(
+    "bridge-lemma",
+    "Gaussian bridge below a barrier: two-sided envelope",
+    "P[max <= x | end pinned] in [1 - e^{-x^2/k}, C (x + log k)^2 / k] with frozen C",
+    acceptance=6)
 def _run_bridge(*, seed=20260806, bridges=1_000_000):
     C = FROZEN_BRIDGE_C
     rows = []
@@ -287,10 +308,6 @@ def _run_bridge(*, seed=20260806, bridges=1_000_000):
         "bridge_cells": (["k", "x", "estimate", "se", "lower", "upper", "ok"], rows)}
 
 
-# ---------------------------------------------------------------------------
-# 7. thermodynamic consistency
-# ---------------------------------------------------------------------------
-
 def _within_se(ok: bool, text: str, se) -> tuple[bool, str]:
     """A check that allows its standard errors some slack holds only where they are
     finite: with one that is not, at too small a budget, it fails and its line
@@ -302,6 +319,11 @@ def _within_se(ok: bool, text: str, se) -> tuple[bool, str]:
     return ok, text
 
 
+@_experiment(
+    "thermo-consistency",
+    "free-energy curve shape in h and the quenched/annealed order",
+    "F convex nondecreasing on an 8-point grid (both disorder strengths); quenched <= annealed",
+    acceptance=7)
 def _run_thermo(*, seed=20260807, N=32, replicas=6, sweeps=500, burn_in=250):
     if replicas < 1:  # before the beta = 0 curve, which runs one replica whatever is set
         raise DomainError(f"thermo-consistency needs replicas >= 1 (got {replicas})")
@@ -335,10 +357,11 @@ def _run_thermo(*, seed=20260807, N=32, replicas=6, sweeps=500, burn_in=250):
                     for b, c in curves.items() for h, v, s in zip(c.h, c.value, c.se)])}
 
 
-# ---------------------------------------------------------------------------
-# 8. massive comparison
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "massive-comparison",
+    "confinement cost: massive free energy against pure plus f(m)",
+    "F(0,h,m,0) <= F(h) + f(m) + 3 se at (h,m,N) = (0.3, 0.3, 32)",
+    acceptance=8)
 def _run_massive_comparison(*, seed=20260808, N=32, h=0.3, m=0.3, sweeps=600, burn_in=300):
     fm = kernels.f_of_m(m)  # first: it rejects m outside (0, 1] before any chain runs
     geom = lattice.build_box(N)
@@ -360,10 +383,6 @@ def _run_massive_comparison(*, seed=20260808, N=32, h=0.3, m=0.3, sweeps=600, bu
     return checks, records, {}
 
 
-# ---------------------------------------------------------------------------
-# 9. density typicality
-# ---------------------------------------------------------------------------
-
 def _sums_of_squares(g, m, n, r) -> np.ndarray:
     """sum phi^2 over the interior for each of n Dirichlet samples, drawn 250 at a
     time; the draws do not depend on the block size."""
@@ -374,6 +393,11 @@ def _sums_of_squares(g, m, n, r) -> np.ndarray:
     return sums
 
 
+@_experiment(
+    "density-typicality",
+    "typical squared-field density event across the scaled mass family",
+    "freq(sum phi^2 >= N^2(2f(m)/m^2 - K)) >= 1 - C/sqrt(log N) with one C over the family",
+    acceptance=9)
 def _run_density_typicality(*, seed=20260809, K=FROZEN_DENSITY_K, samples=20_000):
     rows = []
     cs = []
@@ -397,7 +421,14 @@ def _run_density_typicality(*, seed=20260809, K=FROZEN_DENSITY_K, samples=20_000
         "typicality": (["m", "N", "frequency", "fitted_C"], rows)}
 
 
+@_experiment(
+    "density-calibrate",
+    "calibration sweep for the typical-density offset K",
+    "smallest K with event frequency >= 1 - 1/sqrt(log N) at the laboratory schedule")
 def _run_density_calibrate(*, seed=20260822, N=256, samples=1500):
+    if N < 3:  # log N <= 1 there, so the target is <= 0 and K = 0 meets it whatever is drawn
+        raise ConfigError(f"N must be >= 3 (got {N}): below that the target frequency "
+                          f"1 - 1/sqrt(log N) is not positive")
     m = freeenergy.desk_mass(N)
     g = lattice.build_box(N)
     r = rngmod.stream(seed, "density-calibrate")
@@ -417,10 +448,11 @@ def _run_density_calibrate(*, seed=20260822, N=256, samples=1500):
         "calibration": (["K", "frequency"], rows)}
 
 
-# ---------------------------------------------------------------------------
-# 10. extremal event
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "extremal-event",
+    "multiscale barrier event at the laboratory schedule",
+    "all scale trajectories stay below gamma(i - j(x)) + offset with frequency >= 0.99",
+    acceptance=10)
 def _run_extremal_event(*, seed=20260810, N=256, samples=1000):
     m = freeenergy.desk_mass(N)
     g = lattice.build_box(N)
@@ -447,10 +479,11 @@ def _run_extremal_event(*, seed=20260810, N=256, samples=1000):
         "extremal": (["offset", "frequency"], list(zip(offsets, freqs)))}
 
 
-# ---------------------------------------------------------------------------
-# 11. copolymer
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "copolymer",
+    "co-membrane critical point formulas and solvent asymmetry",
+    "h_c = lambda(-2 rho)/2 rho exactly; lower-solvent fraction < 0.05 at h = 2 h_c, > 0.2 at 0",
+    acceptance=11)
 def _run_copolymer(*, seed=20260811, N=32, rho=0.5, sweeps=4000, burn_in=800):
     ok_g = abs(freeenergy.copolymer_critical_point(GAUSSIAN, rho) - rho) < 1e-12
     ref_b = math.log(math.cosh(2 * rho)) / (2 * rho)
@@ -476,10 +509,11 @@ def _run_copolymer(*, seed=20260811, N=32, rho=0.5, sweeps=4000, burn_in=800):
     return checks, [{"fracs": fracs, "ses": ses}], {}
 
 
-# ---------------------------------------------------------------------------
-# 12. sub-additivity
-# ---------------------------------------------------------------------------
-
+@_experiment(
+    "subadditivity",
+    "doubling inequality for the boundary-averaged restricted partition function",
+    "E log Z'(2N) >= 4 E log Z'(N) within 3 se at N = 16 -> 32",
+    acceptance=12)
 def _run_subadditivity(*, seed=20260812, N=16, beta=0.5, h=0.3, m=0.3, K=FROZEN_DENSITY_K,
                        replicas=8, sweeps=400, burn_in=200):
     out = freeenergy.doubling_gap(beta, h, m, 0.0, K, N, seed, replicas=replicas, sweeps=sweeps,
@@ -497,6 +531,10 @@ def _run_subadditivity(*, seed=20260812, N=16, beta=0.5, h=0.3, m=0.3, K=FROZEN_
 _H_GRID_MAX = 1000  # ladder points; the default grid has 6
 
 
+@_experiment(
+    "pure-free-energy",
+    "pure-model free energy along an h-grid (CSV output)",
+    "F(h) tracks sqrt(2) h / sqrt|log h| up to laboratory-size effects")
 def _run_pure_free_energy(*, seed=20260820, N=64, h_min=0.05, h_max=0.3, h_step=0.05,
                           sweeps=500, burn_in=250):
     if h_step <= 0:
@@ -519,6 +557,10 @@ def _run_pure_free_energy(*, seed=20260820, N=64, h_min=0.05, h_max=0.3, h_step=
                               for h, v, s in zip(curve.h, curve.value, curve.se)])}
 
 
+@_experiment(
+    "finite-volume-criterion",
+    "positivity certificate from one finite box with stationary boundary",
+    "(1/N^2) E log E^{m,bc}[e^{interaction} 1_D] - K m^2 > 0 certifies F > 0")
 def _run_finite_volume(*, seed=20260821, N=32, beta=0.0, h=2.0, m=0.3, u=0.2, K=10.0,
                        replicas=4, sweeps=400, burn_in=250):
     rep = freeenergy.finite_volume_criterion(beta, h, m, u, K, N, seed, replicas=replicas,
@@ -529,6 +571,10 @@ def _run_finite_volume(*, seed=20260821, N=32, beta=0.0, h=2.0, m=0.3, u=0.2, K=
     return checks, [rep], {}
 
 
+@_experiment(
+    "wall-restriction",
+    "cost of confining all heights below |log h|^2 (soft-wall integration)",
+    "(1/N^2) log P[all heights within the band] shrinks in magnitude as h decreases")
 def _run_wall_restriction(*, seed=20260823, N=64, beta=0.5, sweeps=200, burn_in=150):
     rows = []
     prev = None
@@ -546,6 +592,10 @@ def _run_wall_restriction(*, seed=20260823, N=64, beta=0.5, sweeps=200, burn_in=
         "wall": (["h", "barrier", "logp_per_site"], rows)}
 
 
+@_experiment(
+    "contact-statistics",
+    "scale-restricted contact moments near the extremal height",
+    "E[L'] <= E[L]; second-moment ratio finite; pairwise decorrelation scales")
 def _run_contact_statistics(*, seed=20260824, N=32, samples=400):
     out = freeenergy.conditioned_contact_statistics(N, seed, samples=samples)
     checks = [
@@ -558,6 +608,10 @@ def _run_contact_statistics(*, seed=20260824, N=32, samples=400):
     return checks, [out], {}
 
 
+@_experiment(
+    "cluster-probability",
+    "contact-cluster frequency in one cell vs the variance-split bound shape",
+    "freq(cluster in the central cell) against c/log(N1) e^{-u^2/2V'} with V' computed numerically")
 def _run_cluster_probability(*, seed=20260826, N1=8, h=0.1, samples=300, burn_in=300):
     """Frequency of a contact cluster in the central cell of a double box,
     against the variance-split bound shape evaluated numerically.
@@ -599,6 +653,10 @@ def _run_cluster_probability(*, seed=20260826, N1=8, h=0.1, samples=300, burn_in
                      "v_max": v_max, "structural": structural}], {}
 
 
+@_experiment(
+    "penalty-cost",
+    "inverse-penalty cost of the disorder change of measure",
+    "E[f(omega)^{-1}] stays subexponential in the cell count")
 def _run_penalty_cost(*, seed=20260825, N=16, N1=4, beta=1.0, samples=200):
     g = lattice.build_box(N)
     til = lattice.cell_tiling(g, N1)
@@ -674,6 +732,10 @@ def _se_calibration(job, exact: float, seeds: int):
     return checks, [row], {}
 
 
+@_experiment(
+    "se-calibration-h-leg",
+    "stated SE of an h-leg against the exact one-site log Z, over chain seeds",
+    "the SD of z = (log Z(h) - log Z(0) - exact) / se at N = 2 has a 90% interval holding 1")
 def _run_se_h_leg(*, seed=0, beta=0.0, h=1.0, m=0.0, points=11, sweeps=200, burn_in=50,
                   seeds=60):
     if h == 0:  # a leg from 0 to 0 is exact at every seed, and its SE 0 calibrates nothing
@@ -685,130 +747,14 @@ def _run_se_h_leg(*, seed=0, beta=0.0, h=1.0, m=0.0, points=11, sweeps=200, burn
     return _se_calibration(job, exact, seeds)
 
 
+@_experiment(
+    "se-calibration-coupling",
+    "stated SE of a coupling ladder against the exact one-site log Z, over chain seeds",
+    "the SD of z = (log Z - exact) / se at N = 2 has a 90% interval holding 1")
 def _run_se_coupling(*, seed=0, beta=0.5, h=0.3, m=0.0, sweeps=200, burn_in=50, seeds=60):
     geom, omega, params = _se_box(seed, beta, h, m)
     job = functools.partial(_se_coupling, geom, omega, params, sweeps, burn_in)
     return _se_calibration(job, pinning.exact_partition_small(geom, params, omega), seeds)
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-REGISTRY: dict[str, Experiment] = {}
-
-
-def _register(name, description, statement, fn, acceptance=None):
-    REGISTRY[name] = Experiment(name, description, statement, dict(fn.__kwdefaults__ or {}), fn,
-                                acceptance)
-
-
-_register(
-    "exact-small-box",
-    "one-interior-site identities for the Green function and partition function",
-    "G*(center)=1/4 and 1/(4+m^2) at N=2; log Z(N=2,b=0,h=1) = log(1+(e-1)(2 Phi(2)-1))",
-    _run_exact_small_box, acceptance=1)
-_register(
-    "green-asymptotics",
-    "log-law residuals of the massive and Dirichlet Green functions",
-    "|G^m(0,0) - log(1/m)/2pi| and |G^{m,*}(x,x) - log(min(1/m, d))/2pi| bounded, stable",
-    _run_green_asymptotics, acceptance=2)
-_register(
-    "f-asymptotics",
-    "mass-cost integral f(m) against its m^2 log(1/m) law",
-    "|f(m) - m^2 |log m| / 4pi| / m^2 stable over three decades; dual quadratures agree to 1e-9",
-    _run_f_asymptotics, acceptance=3)
-_register(
-    "sampler-exactness",
-    "spectral sampler covariance and scale-slice telescoping",
-    "empirical covariance matches the Green table within 5 MC se; slices sum to G^{m,*}",
-    _run_sampler_exactness, acceptance=4)
-_register(
-    "harmonic-extension",
-    "boundary-data extension: solver residual and walk representation",
-    "(Delta - m^2) H = 0 residual < 1e-10; discounted-walk estimate matches at 5 probes (4 se)",
-    _run_harmonic_extension, acceptance=5)
-_register(
-    "bridge-lemma",
-    "Gaussian bridge below a barrier: two-sided envelope",
-    "P[max <= x | end pinned] in [1 - e^{-x^2/k}, C (x + log k)^2 / k] with frozen C",
-    _run_bridge, acceptance=6)
-_register(
-    "thermo-consistency",
-    "free-energy curve shape in h and the quenched/annealed order",
-    "F convex nondecreasing on an 8-point grid (both disorder strengths); quenched <= annealed",
-    _run_thermo, acceptance=7)
-_register(
-    "massive-comparison",
-    "confinement cost: massive free energy against pure plus f(m)",
-    "F(0,h,m,0) <= F(h) + f(m) + 3 se at (h,m,N) = (0.3, 0.3, 32)",
-    _run_massive_comparison, acceptance=8)
-_register(
-    "density-typicality",
-    "typical squared-field density event across the scaled mass family",
-    "freq(sum phi^2 >= N^2(2f(m)/m^2 - K)) >= 1 - C/sqrt(log N) with one C over the family",
-    _run_density_typicality, acceptance=9)
-_register(
-    "extremal-event",
-    "multiscale barrier event at the laboratory schedule",
-    "all scale trajectories stay below gamma(i - j(x)) + offset with frequency >= 0.99",
-    _run_extremal_event, acceptance=10)
-_register(
-    "copolymer",
-    "co-membrane critical point formulas and solvent asymmetry",
-    "h_c = lambda(-2 rho)/2 rho exactly; lower-solvent fraction < 0.05 at h = 2 h_c, > 0.2 at 0",
-    _run_copolymer, acceptance=11)
-_register(
-    "subadditivity",
-    "doubling inequality for the boundary-averaged restricted partition function",
-    "E log Z'(2N) >= 4 E log Z'(N) within 3 se at N = 16 -> 32",
-    _run_subadditivity, acceptance=12)
-
-_register(
-    "pure-free-energy",
-    "pure-model free energy along an h-grid (CSV output)",
-    "F(h) tracks sqrt(2) h / sqrt|log h| up to laboratory-size effects",
-    _run_pure_free_energy)
-_register(
-    "finite-volume-criterion",
-    "positivity certificate from one finite box with stationary boundary",
-    "(1/N^2) E log E^{m,bc}[e^{interaction} 1_D] - K m^2 > 0 certifies F > 0",
-    _run_finite_volume)
-_register(
-    "density-calibrate",
-    "calibration sweep for the typical-density offset K",
-    "smallest K with event frequency >= 1 - 1/sqrt(log N) at the laboratory schedule",
-    _run_density_calibrate)
-_register(
-    "wall-restriction",
-    "cost of confining all heights below |log h|^2 (soft-wall integration)",
-    "(1/N^2) log P[all heights within the band] shrinks in magnitude as h decreases",
-    _run_wall_restriction)
-_register(
-    "contact-statistics",
-    "scale-restricted contact moments near the extremal height",
-    "E[L'] <= E[L]; second-moment ratio finite; pairwise decorrelation scales",
-    _run_contact_statistics)
-_register(
-    "cluster-probability",
-    "contact-cluster frequency in one cell vs the variance-split bound shape",
-    "freq(cluster in the central cell) against c/log(N1) e^{-u^2/2V'} with V' computed numerically",
-    _run_cluster_probability)
-_register(
-    "penalty-cost",
-    "inverse-penalty cost of the disorder change of measure",
-    "E[f(omega)^{-1}] stays subexponential in the cell count",
-    _run_penalty_cost)
-_register(
-    "se-calibration-h-leg",
-    "stated SE of an h-leg against the exact one-site log Z, over chain seeds",
-    "the SD of z = (log Z(h) - log Z(0) - exact) / se at N = 2 has a 90% interval holding 1",
-    _run_se_h_leg)
-_register(
-    "se-calibration-coupling",
-    "stated SE of a coupling ladder against the exact one-site log Z, over chain seeds",
-    "the SD of z = (log Z - exact) / se at N = 2 has a 90% interval holding 1",
-    _run_se_coupling)
 
 
 def list_experiments() -> list[tuple[str, str, str]]:

@@ -103,9 +103,10 @@ def test_force_removes_what_an_earlier_run_wrote(tmp_path, capsys):
     ["run", "pure-free-energy", "--force", "--set", "h_step=1e-7"],
     ["run", "subadditivity", "--force", "--set", "threads=2"],
     ["run", "harmonic-extension", "--force", "--threads", "0"],
+    ["run", "density-calibrate", "--force", "--set", "N=2"],
 ], ids=["verify-threads-zero", "run-wrong-type", "run-refused-inside", "run-unknown",
         "h-step-zero", "h-range-reversed", "h-step-1e-300", "h-step-1e-7", "set-threads",
-        "run-threads-zero"])
+        "run-threads-zero", "calibrate-target-not-positive"])
 def test_refused_command_leaves_out_untouched(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert cli.main(["run", "f-asymptotics", "--out", str(out)]) == 0
@@ -115,6 +116,31 @@ def test_refused_command_leaves_out_untouched(tmp_path, capsys, argv):
     missing = tmp_path / "missing"
     assert cli.main(argv + ["--out", str(missing)]) == 2
     assert not missing.exists()
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("an experiment ran before the command was refused")
+
+
+@pytest.mark.parametrize("command", [["run", "exact-small-box"], ["verify"]], ids=["run", "verify"])
+@pytest.mark.parametrize("below", [(), ("sub",), ("sub", "deeper")],
+                         ids=["itself", "under-it", "two-under-it"])
+@pytest.mark.parametrize("make", [lambda path: path.write_text("kept"),
+                                  lambda path: path.symlink_to(path.with_name("gone"))],
+                         ids=["file", "dangling-link"])
+def test_out_that_is_not_a_directory_is_refused(tmp_path, monkeypatch, capsys, command, below,
+                                                make):
+    monkeypatch.setattr(experiments, "run_experiment", _no_run)
+    blocker = tmp_path / "results"
+    make(blocker)
+    out = blocker.joinpath(*below)
+    assert cli.main(command + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: output directory {out} cannot be used: "
+                            f"{blocker} is not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["results"]
+    assert blocker.is_symlink() or blocker.read_text() == "kept"
 
 
 def _without_revision_and_time(out) -> list[dict]:
@@ -208,6 +234,23 @@ def test_config_file_input(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"samples = 1500\xff\n"), "can't decode byte 0xff"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_unreadable_config_file_exits_2(tmp_path, monkeypatch, capsys, make, reason):
+    monkeypatch.setattr(experiments, "run_experiment", _no_run)
+    cfg = tmp_path / "exp.cfg"
+    make(cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "density-typicality", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
+    assert reason in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_nonzero(capsys):
     rc = cli.main(["run", "exact-small-box", "--set", "sweepz=5"])
     assert rc == 2
@@ -258,6 +301,8 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
     (["run", "sampler-exactness", "--set", "stack_samples=1"],
      "stack_samples must be an integer >= 2 (got 1)"),
     (["run", "density-calibrate", "--set", "samples=0"], "samples must be an integer >= 1 (got 0)"),
+    (["run", "density-calibrate", "--set", "N=2", "--set", "samples=2"],
+     "N must be >= 3 (got 2): below that the target frequency 1 - 1/sqrt(log N) is not positive"),
     (["run", "density-typicality", "--set", "samples=0"], "samples must be an integer >= 1 (got 0)"),
     (["run", "harmonic-extension", "--set", "walks=1"], "walks must be an integer >= 2 (got 1)"),
     (["run", "pure-free-energy", "--set", "h_step=-0.05"], "h_step must be > 0 (got -0.05)"),
@@ -273,9 +318,9 @@ def test_bad_replica_count_fails_before_any_chain(monkeypatch):
         "threads-negative", "threads-unknown", "seed-unknown", "verify-threads-zero",
         "mass-above-1", "mass-zero", "set-threads-zero", "set-threads-negative", "seed-negative",
         "seed-2-to-64", "h-inf", "h-nan", "criterion-h-nan", "exactness-samples-zero",
-        "stack-samples-one", "calibrate-samples-zero", "typicality-samples-zero", "walks-one",
-        "h-step-negative", "h-range-reversed", "h-step-1e-300", "h-step-1e-7",
-        "se-h-leg-h-zero"])
+        "stack-samples-one", "calibrate-samples-zero", "calibrate-target-not-positive",
+        "typicality-samples-zero", "walks-one", "h-step-negative", "h-range-reversed",
+        "h-step-1e-300", "h-step-1e-7", "se-h-leg-h-zero"])
 def test_bad_values_exit_2_before_any_chain(monkeypatch, capsys, argv, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the bad value was refused")

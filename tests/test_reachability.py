@@ -24,6 +24,11 @@ keyword-only parameters, each with a default (the keys run_experiment accepts
 for its registry entry), and reads every one of them without rebinding it,
 found by parsing the function.
 
+Every experiment is declared once: each module-level `_run_*` function of
+experiments.py is the function of exactly one registry entry, and every entry's
+function is one of them, so a function left without its `@_experiment` and a
+name declared twice (the later declaration replaces the earlier) both fail.
+
 One module owns the replica fan-out and the stream audit it extends: only
 rng.py names the process pool or the active audit.
 """
@@ -31,6 +36,7 @@ rng.py names the process pool or the active audit.
 from __future__ import annotations
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -292,6 +298,37 @@ def test_every_accepted_setting_is_read():
         if names := _unread_settings(fn):
             unread[name] = names
     assert not unread, f"accepted settings not read as given, per experiment: {unread}"
+
+
+def _declaration_faults(registry: dict) -> list[str]:
+    """Each module-level `_run_*` function of experiments.py that is not the function of
+    exactly one registry entry, and each entry whose function is not one of them."""
+    functions = [getattr(experiments, name) for name in _experiment_functions()
+                 if name.startswith("_run_")]
+    counts = [(fn.__name__, sum(exp.fn is fn for exp in registry.values())) for fn in functions]
+    return ([f"{name}: {count} entries" for name, count in counts if count != 1]
+            + [f"{name}: {exp.fn.__name__} is not a _run_ function"
+               for name, exp in sorted(registry.items()) if exp.fn not in functions])
+
+
+def test_declaration_rule_reports_a_missing_or_repeated_declaration():
+    registry = dict(experiments.REGISTRY)
+    del registry["copolymer"]  # _run_copolymer without its decorator
+    assert _declaration_faults(registry) == ["_run_copolymer: 0 entries"]
+    # "bridge-lemma" declared again on _run_thermo: the later declaration replaces the earlier
+    registry = {**experiments.REGISTRY,
+                "bridge-lemma": replace(experiments.REGISTRY["bridge-lemma"],
+                                        fn=experiments._run_thermo)}
+    assert _declaration_faults(registry) == ["_run_bridge: 0 entries", "_run_thermo: 2 entries"]
+    registry = {**experiments.REGISTRY,
+                "bridge-lemma": replace(experiments.REGISTRY["bridge-lemma"],
+                                        fn=experiments._bridge_cell)}
+    assert _declaration_faults(registry) == [
+        "_run_bridge: 0 entries", "bridge-lemma: _bridge_cell is not a _run_ function"]
+
+
+def test_every_experiment_function_is_declared_once():
+    assert _declaration_faults(experiments.REGISTRY) == []
 
 
 def _identifiers(tree: ast.Module) -> set[str]:
